@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from . import zkp
 from .numtheory import Rng, mod_inv, sample_unit
 from .protocol import ObservedProof, SessionTranscript
-from .zkp import SessionPolynomial, ZkpRound, draw_challenge, verify_round
+from .zkp import SessionPolynomial, ZkpRound
 
 
 class MissingSimulator(KeyError):
@@ -84,25 +84,17 @@ def cheater_attempt(
     m: int,
     rng: Rng,
     verifier_rng: Rng,
-    stop_on_failure: bool = True,
 ) -> tuple[list[ZkpRound], bool]:
-    """One full cheating attempt: h rounds against an honest verifier.
-
-    ``stop_on_failure`` short-circuits after the first failed round; the
-    partial transcript is returned either way.
-    """
-    prover = CheaterProver(witnesses, m, rng)
+    """One full cheating attempt: up to h rounds against an honest
+    verifier, which stops at the first failed round. Returns the rounds
+    played and the verdict."""
+    if len(witnesses) != k:
+        raise zkp.ChallengeLengthMismatch(f"{len(witnesses)} witnesses, k={k}")
     rounds: list[ZkpRound] = []
-    ok = True
-    for _ in range(h):
-        w = prover.commit()
-        challenge = draw_challenge(verifier_rng, k)
-        y = prover.respond(challenge)
-        rounds.append(ZkpRound(w=w, challenge=challenge, y=y))
-        if not verify_round(w, challenge, y, witnesses, m):
-            ok = False
-            if stop_on_failure:
-                break
+    ok = zkp.verify_interactive(
+        zkp.BASIC, CheaterProver(witnesses, m, rng), witnesses, h, m, verifier_rng,
+        transcript=rounds,
+    )
     return rounds, ok
 
 
@@ -133,15 +125,7 @@ def bundle_cheater_attempt(
             continue
         true_witnesses = [pool_witnesses[i - 1] for i in ids]
         prover = CheaterProver(true_witnesses, m, rng)
-        ok = True
-        for _ in range(h):
-            w = prover.commit()
-            challenge = draw_challenge(verifier_rng, k)
-            y = prover.respond(challenge)
-            if not verify_round(w, challenge, y, true_witnesses, m):
-                ok = False
-                break
-        if ok:
+        if zkp.verify_interactive(zkp.BASIC, prover, true_witnesses, h, m, verifier_rng):
             verified += 1
     return verified >= alpha
 
@@ -250,6 +234,55 @@ class SimulatorProver:
         return self.matrix.cells.get((self.row, _challenge_value(challenge)), 1)
 
 
+def _bundle_successes(
+    requested_sets_per_session: Sequence[Sequence[Sequence[int]]],
+    prover_for,
+    pool_witnesses: Sequence[int],
+    h: int,
+    alpha: int,
+    m: int,
+    verifier_rng: Rng,
+    hardened_polys: Optional[Sequence[Sequence[SessionPolynomial]]],
+) -> int:
+    """Sessions in which at least alpha of the attacker's proofs verify.
+
+    ``prover_for(ids)`` is the attacker for one sorted id set, or None when
+    it has nothing to send, which fails that proof.
+    """
+    successes = 0
+    for s_idx, requested_sets in enumerate(requested_sets_per_session):
+        verified = 0
+        for p_idx, ids in enumerate(requested_sets):
+            key = tuple(sorted(ids))
+            prover = prover_for(key)
+            if prover is None:
+                continue
+            if hardened_polys is None:
+                system = zkp.BASIC
+            else:
+                system = zkp.Hardened(hardened_polys[s_idx][p_idx])
+            witnesses = [pool_witnesses[i - 1] for i in key]
+            if zkp.verify_interactive(system, prover, witnesses, h, m, verifier_rng):
+                verified += 1
+        if verified >= alpha:
+            successes += 1
+    return successes
+
+
+class RandomProver:
+    """Baseline attacker: uniform random units for W and Y."""
+
+    def __init__(self, m: int, rng: Rng):
+        self.m = m
+        self.rng = rng
+
+    def commit(self) -> int:
+        return sample_unit(self.rng, self.m)
+
+    def respond(self, challenge: Sequence[int]) -> int:
+        return sample_unit(self.rng, self.m)
+
+
 def simulator_attack(
     matrices: dict[tuple[int, ...], SimulatorMatrix],
     pool_witnesses: Sequence[int],
@@ -268,42 +301,21 @@ def simulator_attack(
     session), the verifier runs the hardened check against the replayed
     material instead of the basic one.
     """
-    successes = 0
-    trials = 0
-    for s_idx, requested_sets in enumerate(requested_sets_per_session):
-        trials += 1
-        verified = 0
-        for p_idx, ids in enumerate(requested_sets):
-            key = tuple(sorted(ids))
-            witnesses = [pool_witnesses[i - 1] for i in key]
-            mat = matrices.get(key)
-            if mat is None or not mat.rows:
-                continue  # MissingSimulator: counted as proof failure
-            prover = SimulatorProver(mat)
-            ok = True
-            for _ in range(h):
-                w = prover.commit()
-                challenge = draw_challenge(verifier_rng, k)
-                y = prover.respond(challenge)
-                if hardened_polys is not None:
-                    poly = hardened_polys[s_idx][p_idx]
-                    try:
-                        round_ok = zkp.hardened_verify(w, challenge, y, witnesses, poly, m)
-                    except zkp.DegenerateEvaluation:
-                        round_ok = False
-                else:
-                    round_ok = verify_round(w, challenge, y, witnesses, m)
-                if not round_ok:
-                    ok = False
-                    break
-            if ok:
-                verified += 1
-        if verified >= alpha:
-            successes += 1
+
+    def replayer_for(ids):
+        mat = matrices.get(ids)
+        if mat is None or not mat.rows:
+            return None  # MissingSimulator: counted as proof failure
+        return SimulatorProver(mat)
+
+    successes = _bundle_successes(
+        requested_sets_per_session, replayer_for, pool_witnesses, h, alpha, m,
+        verifier_rng, hardened_polys,
+    )
     measured = sum(mat.memory_bytes() for mat in matrices.values())
     return AttackReport(
         kind="simulator",
-        trials=trials,
+        trials=len(requested_sets_per_session),
         successes=successes,
         memory_bytes_modeled=simulator_memory_cost(len(pool_witnesses), k),
         memory_bytes_measured=measured,
@@ -322,34 +334,13 @@ def random_response_control(
     hardened_polys: Optional[Sequence[Sequence[SessionPolynomial]]] = None,
 ) -> AttackReport:
     """Baseline attacker sending uniform random units for W and Y."""
-    successes = 0
-    trials = 0
-    for s_idx, requested_sets in enumerate(requested_sets_per_session):
-        trials += 1
-        verified = 0
-        for p_idx, ids in enumerate(requested_sets):
-            witnesses = [pool_witnesses[i - 1] for i in tuple(sorted(ids))]
-            ok = True
-            for _ in range(h):
-                w = sample_unit(rng, m)
-                challenge = draw_challenge(verifier_rng, k)
-                y = sample_unit(rng, m)
-                if hardened_polys is not None:
-                    poly = hardened_polys[s_idx][p_idx]
-                    try:
-                        round_ok = zkp.hardened_verify(w, challenge, y, witnesses, poly, m)
-                    except zkp.DegenerateEvaluation:
-                        round_ok = False
-                else:
-                    round_ok = verify_round(w, challenge, y, witnesses, m)
-                if not round_ok:
-                    ok = False
-                    break
-            if ok:
-                verified += 1
-        if verified >= alpha:
-            successes += 1
-    return AttackReport(kind="random-control", trials=trials, successes=successes)
+    successes = _bundle_successes(
+        requested_sets_per_session, lambda _ids: RandomProver(m, rng),
+        pool_witnesses, h, alpha, m, verifier_rng, hardened_polys,
+    )
+    return AttackReport(
+        kind="random-control", trials=len(requested_sets_per_session), successes=successes
+    )
 
 
 def simulator_memory_cost(n: int, k: int) -> int:

@@ -158,12 +158,18 @@ class LogicalClock:
         self._t += dt
 
 
-def _poly_seed(session_key: bytes, key_id: bytes, purpose: bytes, index: int) -> bytes:
-    return session_key + key_id + purpose + index.to_bytes(4, "big")
-
-
 def _session_poly(session_key: bytes, key_id: bytes, purpose: bytes, index: int, k: int):
-    return zkp.derive_session_polynomial(_poly_seed(session_key, key_id, purpose, index), k)
+    seed = session_key + key_id + purpose + index.to_bytes(4, "big")
+    return zkp.derive_session_polynomial(seed, k)
+
+
+def _proof_system(
+    config: SessionConfig, session_key: bytes, key_id: bytes, purpose: bytes, index: int
+):
+    """The proof system a session's own config selects for one proof."""
+    if config.variant is Variant.HARDENED:
+        return zkp.Hardened(_session_poly(session_key, key_id, purpose, index, config.k))
+    return zkp.BASIC
 
 
 @dataclass
@@ -289,25 +295,24 @@ class Rsu:
         return self.master_witnesses_for(sess.group_id, iv)
 
     def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
-        """Open K_session(T2, proof transcript) and re-verify every round."""
+        """Open K_session(T2, proof transcript) and verify it under this
+        session's config; a transcript that does not decode fails."""
         sess = self._session(key_id)
         plain = self.sym.open(sess.session_key, sealed)
         (t2,) = struct.unpack(">d", plain[:8])
         if abs(self.clock.now() - t2) > sess.config.freshness_window:
             raise StaleTimestamp(f"t2={t2} outside window")
-        proof, _ = zkp.decode_proof(plain[8:])
-        witnesses = self.membership_witnesses(key_id)
-        m = self.credential.modulus
-        if proof.variant is Variant.HARDENED:
-            poly = _session_poly(sess.session_key, key_id, b"membership", 0, sess.config.k)
-            ok = bool(proof.rounds) and all(
-                _hardened_round_ok(rd, witnesses, poly, m) for rd in proof.rounds
-            )
+        try:
+            proof = zkp.decode_proof(plain[8:])
+        except zkp.MalformedProof:
+            sess.membership_ok = False
         else:
-            ok = zkp.verify_proof(proof, witnesses, m)
-        ok = ok and len(proof.rounds) == sess.config.h
-        sess.membership_ok = ok
-        return ok
+            system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
+            sess.membership_ok = zkp.verify(
+                system, proof, self.membership_witnesses(key_id), self.credential.modulus,
+                sess.config.h,
+            )
+        return sess.membership_ok
 
     # -- step 5: bundle generation (prover side) ---------------------------
 
@@ -323,25 +328,11 @@ class Rsu:
         m = self.credential.modulus
         items = []
         for idx, ids in enumerate(sess.requested_sets):
-            secrets = [pool[i - 1] for i in ids]
-            if cfg.variant is Variant.HARDENED:
-                poly = _session_poly(sess.session_key, key_id, b"bundle", idx, cfg.k)
-                proof, _ = zkp.run_hardened_proof(
-                    secrets,
-                    [s * s % m for s in secrets],
-                    poly,
-                    cfg.h,
-                    m,
-                    self.rng,
-                    challenge_rng,
-                    secret_ids=ids,
-                )
-            else:
-                witnesses = [s * s % m for s in secrets]
-                proof, _ = zkp.run_proof(
-                    secrets, witnesses, cfg.k, cfg.h, m, self.rng, challenge_rng,
-                    secret_ids=ids,
-                )
+            system = _proof_system(cfg, sess.session_key, key_id, b"bundle", idx)
+            proof = zkp.prove(
+                system, [pool[i - 1] for i in ids], cfg.h, m, self.rng, challenge_rng,
+                secret_ids=ids,
+            )
             items.append(self.sym.seal(sess.session_key, zkp.encode_proof(proof), self.rng))
         return ProofBundle(key_id=key_id, items=tuple(items))
 
@@ -356,13 +347,6 @@ class Rsu:
         if key_id not in self.sessions:
             raise UnknownSession(key_id.hex())
         return self.sessions[key_id]
-
-
-def _hardened_round_ok(rd: zkp.ZkpRound, witnesses, poly, m: int) -> bool:
-    try:
-        return zkp.hardened_verify(rd.w, rd.challenge, rd.y, witnesses, poly, m)
-    except zkp.DegenerateEvaluation:
-        return False
 
 
 class Obu:
@@ -428,24 +412,11 @@ class Obu:
 
     def prove_membership(self, config: SessionConfig, challenge_rng: Rng) -> bytes:
         assert self.session_key is not None, "no open session"
-        m = self.credential.modulus
-        secrets = self.credential.master_key
-        if config.variant is Variant.HARDENED:
-            poly = _session_poly(self.session_key, self.key_id, b"membership", 0, config.k)
-            proof, _ = zkp.run_hardened_proof(
-                secrets,
-                [s * s % m for s in secrets],
-                poly,
-                config.h,
-                m,
-                self.rng,
-                challenge_rng,
-            )
-        else:
-            witnesses = [s * s % m for s in secrets]
-            proof, _ = zkp.run_proof(
-                secrets, witnesses, config.k, config.h, m, self.rng, challenge_rng
-            )
+        system = _proof_system(config, self.session_key, self.key_id, b"membership", 0)
+        proof = zkp.prove(
+            system, self.credential.master_key, config.h, self.credential.modulus,
+            self.rng, challenge_rng,
+        )
         plain = struct.pack(">d", self.clock.now()) + zkp.encode_proof(proof)
         return self.sym.seal(self.session_key, plain, self.rng)
 
@@ -467,20 +438,15 @@ class Obu:
             if config.eager_stop and verified >= config.alpha:
                 break
             plain = self.sym.open(self.session_key, item)
-            proof, _ = zkp.decode_proof(plain)
+            try:
+                proof = zkp.decode_proof(plain)
+            except zkp.MalformedProof:
+                continue
             if tuple(proof.secret_ids) != tuple(ids):
                 continue
             witnesses = [self.credential.pool_witnesses[i - 1] for i in ids]
-            if len(proof.rounds) != config.h:
-                continue
-            if proof.variant is Variant.HARDENED:
-                poly = _session_poly(self.session_key, self.key_id, b"bundle", idx, config.k)
-                ok = all(
-                    _hardened_round_ok(rd, witnesses, poly, m) for rd in proof.rounds
-                )
-            else:
-                ok = zkp.verify_proof(proof, witnesses, m)
-            if ok:
+            system = _proof_system(config, self.session_key, self.key_id, b"bundle", idx)
+            if zkp.verify(system, proof, witnesses, m, config.h):
                 verified += 1
             if observations is not None:
                 observations.append(

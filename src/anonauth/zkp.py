@@ -1,15 +1,17 @@
 """Round-based quadratic-residue zero-knowledge proofs.
 
-Two variants live here: the basic commit/challenge/respond scheme used
-throughout the authentication protocol, and the hardened variant that
-binds every response to a per-session polynomial so recorded transcripts
-cannot be replayed across sessions.
+One proof system per variant: ``BASIC``, the commit/challenge/respond
+scheme, and ``Hardened``, which binds every response to a per-session
+polynomial so recorded transcripts cannot be replayed across sessions.
+``prove``, ``verify`` and ``verify_interactive`` run either one. A verifier
+builds the system from its own session configuration; the variant byte of a
+received proof must match it and never selects it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -29,6 +31,10 @@ class ChallengeLengthMismatch(ValueError):
 
 class DegenerateEvaluation(ArithmeticError):
     """A polynomial evaluation hit zero or a non-unit; round must re-run."""
+
+
+class MalformedProof(ValueError):
+    """A proof blob is truncated, has trailing bytes or an unknown variant."""
 
 
 class Variant(Enum):
@@ -103,82 +109,6 @@ def verify_round(
 def draw_challenge(rng: Rng, k: int) -> tuple[int, ...]:
     bits = rng.randbits(k)
     return tuple((bits >> i) & 1 for i in range(k))
-
-
-class HonestProver:
-    """Prover holding the real secrets for one proof."""
-
-    def __init__(self, secrets: Sequence[int], m: int, rng: Rng):
-        self.secrets = list(secrets)
-        self.m = m
-        self.rng = rng
-        self._r: Optional[int] = None
-
-    def commit(self) -> int:
-        self._r, w = prover_commit(self.rng, self.m)
-        return w
-
-    def respond(self, challenge: Sequence[int]) -> int:
-        assert self._r is not None, "respond before commit"
-        return prover_respond(self._r, self.secrets, challenge, self.m)
-
-
-def verify_interactive(
-    prover,
-    witnesses: Sequence[int],
-    k: int,
-    h: int,
-    m: int,
-    verifier_rng: Rng,
-    secret_ids: Sequence[int] = (),
-) -> tuple[ZkpProof, bool]:
-    """Run h basic rounds against any prover object (honest or adversarial).
-
-    The prover must expose ``commit() -> W`` and ``respond(challenge) -> Y``.
-    Returns the full transcript plus the verdict; verification continues
-    through all rounds so the transcript is complete either way.
-    """
-    if k <= 0 or h <= 0:
-        raise DegenerateParameters("k and h must both be >= 1")
-    if len(witnesses) != k:
-        raise ChallengeLengthMismatch(f"verifier holds {len(witnesses)} witnesses, k={k}")
-    rounds = []
-    ok = True
-    for _ in range(h):
-        w = prover.commit()
-        challenge = draw_challenge(verifier_rng, k)
-        y = prover.respond(challenge)
-        rounds.append(ZkpRound(w=w, challenge=challenge, y=y))
-        if not verify_round(w, challenge, y, witnesses, m):
-            ok = False
-    proof = ZkpProof(secret_ids=tuple(secret_ids), rounds=tuple(rounds))
-    return proof, ok
-
-
-def run_proof(
-    secrets: Sequence[int],
-    witnesses: Sequence[int],
-    k: int,
-    h: int,
-    m: int,
-    prover_rng: Rng,
-    verifier_rng: Rng,
-    secret_ids: Sequence[int] = (),
-) -> tuple[ZkpProof, bool]:
-    """Honest two-party basic proof: h rounds, accept iff all verify."""
-    if len(secrets) != k:
-        raise ChallengeLengthMismatch(f"prover holds {len(secrets)} secrets, k={k}")
-    prover = HonestProver(secrets, m, prover_rng)
-    return verify_interactive(prover, witnesses, k, h, m, verifier_rng, secret_ids)
-
-
-def verify_proof(proof: ZkpProof, witnesses: Sequence[int], m: int) -> bool:
-    """Re-verify a recorded basic transcript (offline check)."""
-    if not proof.rounds:
-        return False
-    return all(
-        verify_round(rd.w, rd.challenge, rd.y, witnesses, m) for rd in proof.rounds
-    )
 
 
 # ------------------------------------------------------------- hardened
@@ -258,6 +188,149 @@ def hardened_verify(
     return lhs == w % m or lhs == (-w) % m
 
 
+# -------------------------------------------------------- proof systems
+
+
+class Basic:
+    """Y = R * prod(S_i for challenged i), checked by ``verify_round``."""
+
+    variant = Variant.BASIC
+    poly_seed = None
+
+    def respond(self, r, secrets, challenge, m) -> int:
+        return prover_respond(r, secrets, challenge, m)
+
+    def check(self, w, challenge, y, witnesses, m) -> bool:
+        return verify_round(w, challenge, y, witnesses, m)
+
+
+BASIC = Basic()
+
+
+class Hardened:
+    """Responses bound to one session polynomial; a degenerate evaluation
+    on the witness side fails the round."""
+
+    variant = Variant.HARDENED
+
+    def __init__(self, poly: SessionPolynomial):
+        if len(poly.coefficients) < 2:
+            raise DegenerateParameters("hardened variant requires k >= 2")
+        self.poly = poly
+        self.poly_seed = poly.seed
+
+    def respond(self, r, secrets, challenge, m) -> int:
+        return hardened_respond(r, secrets, challenge, self.poly, m)
+
+    def check(self, w, challenge, y, witnesses, m) -> bool:
+        try:
+            return hardened_verify(w, challenge, y, witnesses, self.poly, m)
+        except DegenerateEvaluation:
+            return False
+
+
+def prove(
+    system,
+    secrets: Sequence[int],
+    h: int,
+    m: int,
+    prover_rng: Rng,
+    verifier_rng: Rng,
+    secret_ids: Sequence[int] = (),
+) -> ZkpProof:
+    """The honest prover's h rounds; ``verifier_rng`` draws the challenges.
+
+    A degenerate hardened round re-runs with a fresh R and challenge. The
+    prover does not check its own rounds: with honest material the
+    verifier's witness-side product equals the prover's, so a round that
+    ``respond`` answers is never degenerate at the verifier.
+    """
+    k = len(secrets)
+    if k < 1 or h < 1:
+        raise DegenerateParameters("k and h must both be >= 1")
+    rounds = []
+    for _ in range(h):
+        for _attempt in range(_HARDENED_MAX_RETRIES):
+            r, w = prover_commit(prover_rng, m)
+            challenge = draw_challenge(verifier_rng, k)
+            try:
+                y = system.respond(r, secrets, challenge, m)
+            except DegenerateEvaluation:
+                continue
+            rounds.append(ZkpRound(w=w, challenge=challenge, y=y))
+            break
+        else:
+            raise DegenerateEvaluation("could not find a non-degenerate round")
+    return ZkpProof(
+        secret_ids=tuple(secret_ids),
+        rounds=tuple(rounds),
+        variant=system.variant,
+        poly_seed=system.poly_seed,
+    )
+
+
+def verify(system, proof: ZkpProof, witnesses: Sequence[int], m: int, h: int) -> bool:
+    """Check a recorded transcript once against the verifier's own system.
+
+    It must carry that system's variant, exactly h rounds and one challenge
+    bit per witness in every round.
+    """
+    if h < 1 or proof.variant is not system.variant or len(proof.rounds) != h:
+        return False
+    k = len(witnesses)
+    return all(
+        len(rd.challenge) == k and system.check(rd.w, rd.challenge, rd.y, witnesses, m)
+        for rd in proof.rounds
+    )
+
+
+def verify_interactive(
+    system,
+    prover,
+    witnesses: Sequence[int],
+    h: int,
+    m: int,
+    verifier_rng: Rng,
+    transcript: Optional[list] = None,
+) -> bool:
+    """Play up to h rounds of ``system`` against any prover object and
+    stop at the first round that fails.
+
+    The prover exposes ``commit() -> W`` and ``respond(challenge) -> Y``.
+    Every round played is appended to ``transcript`` when one is given.
+    """
+    k = len(witnesses)
+    if k < 1 or h < 1:
+        raise DegenerateParameters("k and h must both be >= 1")
+    check = system.check
+    for _ in range(h):
+        w = prover.commit()
+        challenge = draw_challenge(verifier_rng, k)
+        y = prover.respond(challenge)
+        if transcript is not None:
+            transcript.append(ZkpRound(w=w, challenge=challenge, y=y))
+        if not check(w, challenge, y, witnesses, m):
+            return False
+    return True
+
+
+def run_proof(
+    secrets: Sequence[int],
+    witnesses: Sequence[int],
+    k: int,
+    h: int,
+    m: int,
+    prover_rng: Rng,
+    verifier_rng: Rng,
+    secret_ids: Sequence[int] = (),
+) -> tuple[ZkpProof, bool]:
+    """Honest basic proof, then its check: (transcript, verdict)."""
+    if len(secrets) != k:
+        raise ChallengeLengthMismatch(f"prover holds {len(secrets)} secrets, k={k}")
+    proof = prove(BASIC, secrets, h, m, prover_rng, verifier_rng, secret_ids)
+    return proof, verify(BASIC, proof, witnesses, m, h)
+
+
 def run_hardened_proof(
     secrets: Sequence[int],
     witnesses: Sequence[int],
@@ -268,39 +341,16 @@ def run_hardened_proof(
     verifier_rng: Rng,
     secret_ids: Sequence[int] = (),
 ) -> tuple[ZkpProof, bool]:
-    """Honest hardened proof; degenerate rounds re-run with fresh R and challenge."""
-    k = len(poly.coefficients)
-    if k < 2 or h <= 0:
-        raise DegenerateParameters("hardened variant requires k >= 2 and h >= 1")
-    if len(secrets) != k or len(witnesses) != k:
-        raise ChallengeLengthMismatch("party material does not match polynomial degree")
-    rounds = []
-    ok = True
-    for _ in range(h):
-        for _attempt in range(_HARDENED_MAX_RETRIES):
-            r, w = prover_commit(prover_rng, m)
-            challenge = draw_challenge(verifier_rng, k)
-            try:
-                y = hardened_respond(r, secrets, challenge, poly, m)
-                accepted = hardened_verify(w, challenge, y, witnesses, poly, m)
-            except DegenerateEvaluation:
-                continue
-            rounds.append(ZkpRound(w=w, challenge=challenge, y=y))
-            if not accepted:
-                ok = False
-            break
-        else:
-            raise DegenerateEvaluation("could not find a non-degenerate round")
-    proof = ZkpProof(
-        secret_ids=tuple(secret_ids),
-        rounds=tuple(rounds),
-        variant=Variant.HARDENED,
-        poly_seed=poly.seed,
-    )
-    return proof, ok
+    """Honest hardened proof, then its check: (transcript, verdict)."""
+    system = Hardened(poly)
+    proof = prove(system, secrets, h, m, prover_rng, verifier_rng, secret_ids)
+    return proof, verify(system, proof, witnesses, m, h)
 
 
 # -------------------------------------------------------- serialization
+
+
+_VARIANTS = (Variant.BASIC, Variant.HARDENED)  # index = wire byte
 
 
 def _encode_int(v: int) -> bytes:
@@ -308,10 +358,20 @@ def _encode_int(v: int) -> bytes:
     return len(raw).to_bytes(4, "big") + raw
 
 
+def _take(blob: bytes, off: int, n: int) -> tuple[bytes, int]:
+    if off + n > len(blob):
+        raise MalformedProof(f"{n} bytes needed at offset {off} of {len(blob)}")
+    return blob[off : off + n], off + n
+
+
+def _decode_uint(blob: bytes, off: int, n: int) -> tuple[int, int]:
+    raw, off = _take(blob, off, n)
+    return int.from_bytes(raw, "big"), off
+
+
 def _decode_int(blob: bytes, off: int) -> tuple[int, int]:
-    n = int.from_bytes(blob[off : off + 4], "big")
-    off += 4
-    return int.from_bytes(blob[off : off + n], "big"), off + n
+    n, off = _decode_uint(blob, off, 4)
+    return _decode_uint(blob, off, n)
 
 
 def pack_challenge(challenge: Sequence[int]) -> bytes:
@@ -323,11 +383,9 @@ def pack_challenge(challenge: Sequence[int]) -> bytes:
 
 
 def unpack_challenge(blob: bytes, off: int) -> tuple[tuple[int, ...], int]:
-    k = int.from_bytes(blob[off : off + 2], "big")
-    off += 2
-    nbytes = (k + 7) // 8 or 1
-    bits = int.from_bytes(blob[off : off + nbytes], "big")
-    return tuple((bits >> i) & 1 for i in range(k)), off + nbytes
+    k, off = _decode_uint(blob, off, 2)
+    bits, off = _decode_uint(blob, off, (k + 7) // 8 or 1)
+    return tuple((bits >> i) & 1 for i in range(k)), off
 
 
 def encode_round(rd: ZkpRound) -> bytes:
@@ -343,7 +401,7 @@ def decode_round(blob: bytes, off: int = 0) -> tuple[ZkpRound, int]:
 
 def encode_proof(proof: ZkpProof) -> bytes:
     out = bytearray()
-    out += (0 if proof.variant is Variant.BASIC else 1).to_bytes(1, "big")
+    out += _VARIANTS.index(proof.variant).to_bytes(1, "big")
     seed = proof.poly_seed or b""
     out += len(seed).to_bytes(2, "big") + seed
     out += len(proof.secret_ids).to_bytes(2, "big")
@@ -355,31 +413,29 @@ def encode_proof(proof: ZkpProof) -> bytes:
     return bytes(out)
 
 
-def decode_proof(blob: bytes, off: int = 0) -> tuple[ZkpProof, int]:
-    variant = Variant.BASIC if blob[off] == 0 else Variant.HARDENED
-    off += 1
-    seed_len = int.from_bytes(blob[off : off + 2], "big")
-    off += 2
-    poly_seed = blob[off : off + seed_len] if seed_len else None
-    off += seed_len
-    n_ids = int.from_bytes(blob[off : off + 2], "big")
-    off += 2
+def decode_proof(blob: bytes) -> ZkpProof:
+    """Inverse of ``encode_proof``; every byte of ``blob`` must belong to
+    the proof, else ``MalformedProof``."""
+    code, off = _decode_uint(blob, 0, 1)
+    if code >= len(_VARIANTS):
+        raise MalformedProof(f"unknown variant byte {code}")
+    seed_len, off = _decode_uint(blob, off, 2)
+    poly_seed, off = _take(blob, off, seed_len)
+    n_ids, off = _decode_uint(blob, off, 2)
     ids = []
     for _ in range(n_ids):
-        ids.append(int.from_bytes(blob[off : off + 4], "big"))
-        off += 4
-    n_rounds = int.from_bytes(blob[off : off + 2], "big")
-    off += 2
+        sid, off = _decode_uint(blob, off, 4)
+        ids.append(sid)
+    n_rounds, off = _decode_uint(blob, off, 2)
     rounds = []
     for _ in range(n_rounds):
         rd, off = decode_round(blob, off)
         rounds.append(rd)
-    return (
-        ZkpProof(
-            secret_ids=tuple(ids),
-            rounds=tuple(rounds),
-            variant=variant,
-            poly_seed=poly_seed,
-        ),
-        off,
+    if off != len(blob):
+        raise MalformedProof(f"{len(blob) - off} trailing bytes")
+    return ZkpProof(
+        secret_ids=tuple(ids),
+        rounds=tuple(rounds),
+        variant=_VARIANTS[code],
+        poly_seed=poly_seed or None,
     )

@@ -222,7 +222,7 @@ def _tamper_items(rsu, obu, key_id, bundle, count):
     session_key = rsu.sessions[key_id].session_key
     items = list(bundle.items)
     for i in range(count):
-        proof, _ = zkp.decode_proof(obu.sym.open(session_key, items[i]))
+        proof = zkp.decode_proof(obu.sym.open(session_key, items[i]))
         lied = dataclasses.replace(proof, secret_ids=(1,) * len(proof.secret_ids))
         items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied), rsu.rng)
     return dataclasses.replace(bundle, items=tuple(items))
@@ -370,3 +370,80 @@ class TestFullSession:
         # the verifier credential holds witnesses, never master secrets
         held = {v for ws in rsu.credential.master_witnesses.values() for v in ws}
         assert held.isdisjoint(obu.credential.master_key)
+
+
+def _open_screened_session(rsu, obu, config):
+    request = obu.start(rsu.beacon(), config)
+    key_id = rsu.register_session(request, config)
+    obu.bind(key_id)
+    assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets(config)) is None
+    return key_id
+
+
+class TestVariantDowngrade:
+    """The verifier takes the variant from its own config, never from the
+    variant byte the prover sends."""
+
+    def test_hardened_rsu_rejects_basic_membership_proof(self):
+        dep = build_deployment(40, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=Variant.HARDENED))
+        sealed = obu.prove_membership(cfg(h=2), challenge_rng=rsu.rng)
+        assert not rsu.check_membership_proof(key_id, sealed)
+
+    def test_hardened_obu_does_not_count_basic_bundle(self):
+        config = cfg(alpha=1, mu=3, h=2)
+        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(41, config)
+        hardened = cfg(alpha=1, mu=3, h=2, variant=Variant.HARDENED)
+        result = obu.verify_bundle(bundle, hardened, sets)
+        assert result.verified_count == 0
+        assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
+
+    def test_replayed_basic_transcript_rejected_in_hardened_session(self):
+        dep = build_deployment(42, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        basic = cfg(h=2)
+        recorded_key = _open_screened_session(rsu, obu, basic)
+        sealed = obu.prove_membership(basic, challenge_rng=rsu.rng)
+        assert rsu.check_membership_proof(recorded_key, sealed)
+        plain = obu.sym.open(obu.session_key, sealed)
+        # a fresh hardened session; the replayer knows its session key
+        key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=Variant.HARDENED))
+        resealed = obu.sym.seal(obu.session_key, plain, obu.rng)
+        assert not rsu.check_membership_proof(key_id, resealed)
+
+
+class TestMalformedProofs:
+    def test_membership_proof_that_does_not_decode_fails(self):
+        dep = build_deployment(43, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = _open_screened_session(rsu, obu, config)
+        plain = obu.sym.open(obu.session_key, obu.prove_membership(config, rsu.rng))
+        for bad in (plain[:-1], plain + b"\0", plain[:8]):
+            sealed = obu.sym.seal(obu.session_key, bad, obu.rng)
+            assert not rsu.check_membership_proof(key_id, sealed)
+
+    def test_bundle_item_that_does_not_decode_is_not_counted(self):
+        config = cfg(alpha=1, mu=3, h=2)
+        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(44, config)
+        items = list(bundle.items)
+        items[0] = obu.sym.seal(obu.session_key, b"", rsu.rng)
+        items[1] = obu.sym.seal(
+            obu.session_key, obu.sym.open(obu.session_key, items[1])[:-2], rsu.rng
+        )
+        result = obu.verify_bundle(dataclasses.replace(bundle, items=tuple(items)), config, sets)
+        assert result.verified_count == 1
+
+    def test_round_with_wrong_challenge_length_fails(self):
+        dep = build_deployment(45, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = _open_screened_session(rsu, obu, config)
+        plain = obu.sym.open(obu.session_key, obu.prove_membership(config, rsu.rng))
+        proof = zkp.decode_proof(plain[8:])
+        rd = proof.rounds[0]
+        longer = dataclasses.replace(rd, challenge=rd.challenge + (0,))
+        forged = dataclasses.replace(proof, rounds=(longer,) + proof.rounds[1:])
+        sealed = obu.sym.seal(obu.session_key, plain[:8] + zkp.encode_proof(forged), obu.rng)
+        assert not rsu.check_membership_proof(key_id, sealed)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,10 +8,13 @@ from scipy.stats import chi2_contingency
 
 from anonauth.numtheory import Rng, generate_blum_modulus, mod_inv, sample_unit
 from anonauth.zkp import (
+    BASIC,
     DEFAULT_COEFF_MODULUS,
     ChallengeLengthMismatch,
     DegenerateEvaluation,
     DegenerateParameters,
+    Hardened,
+    MalformedProof,
     SessionPolynomial,
     Variant,
     ZkpProof,
@@ -24,12 +28,13 @@ from anonauth.zkp import (
     hardened_respond,
     hardened_verify,
     pack_challenge,
+    prove,
     prover_commit,
     prover_respond,
     run_hardened_proof,
     run_proof,
     unpack_challenge,
-    verify_proof,
+    verify,
     verify_round,
 )
 
@@ -116,7 +121,7 @@ class TestRunProof:
             witnesses = [s * s % M for s in secrets]
             proof, ok = run_proof(secrets, witnesses, k, h, M, rng.split(), rng.split())
             assert ok and len(proof.rounds) == h
-            assert verify_proof(proof, witnesses, M)
+            assert verify(BASIC, proof, witnesses, M, h)
 
     def test_wrong_secret_soundness(self):
         rng = Rng(12)
@@ -145,7 +150,8 @@ class TestRunProof:
             run_proof([2, 8], [4], 1, 2, M, Rng(1), Rng(2))
 
     def test_empty_transcript_never_verifies(self):
-        assert not verify_proof(ZkpProof(secret_ids=(), rounds=()), [4], M)
+        for h in (0, 1):
+            assert not verify(BASIC, ZkpProof(secret_ids=(), rounds=()), [4], M, h)
 
 
 class TestSessionPolynomial:
@@ -324,7 +330,7 @@ class TestSerialization:
         secrets = [sample_unit(rng, M) for _ in range(2)]
         witnesses = [s * s % M for s in secrets]
         proof, _ = run_proof(secrets, witnesses, 2, 3, M, rng.split(), rng.split(), secret_ids=(1, 4))
-        out, _ = decode_proof(encode_proof(proof))
+        out = decode_proof(encode_proof(proof))
         assert out == proof
 
     def test_hardened_proof_codec_keeps_seed_and_variant(self):
@@ -336,7 +342,7 @@ class TestSerialization:
         proof, _ = run_hardened_proof(
             secrets, witnesses, poly, 2, m, rng.split(), rng.split(), secret_ids=(2, 3)
         )
-        out, _ = decode_proof(encode_proof(proof))
+        out = decode_proof(encode_proof(proof))
         assert out == proof and out.variant is Variant.HARDENED and out.poly_seed == b"seed77"
 
     def test_big_integers_survive(self):
@@ -344,3 +350,99 @@ class TestSerialization:
         rd = ZkpRound(w=big, challenge=(1, 0), y=big - 5)
         out, _ = decode_round(encode_round(rd))
         assert out == rd
+
+
+def _basic_proof():
+    rng = Rng(8)
+    secrets = [sample_unit(rng, M) for _ in range(2)]
+    proof = prove(BASIC, secrets, 2, M, rng.split(), rng.split(), secret_ids=(1, 3))
+    return proof, [s * s % M for s in secrets]
+
+
+_BLOB = encode_proof(_basic_proof()[0])
+_HARDENED = Hardened(_poly([3, 2]))
+
+
+class TestStrictDecoding:
+    def test_every_truncation_is_malformed(self):
+        for cut in range(len(_BLOB)):  # cut = 0 is the empty blob
+            with pytest.raises(MalformedProof):
+                decode_proof(_BLOB[:cut])
+
+    def test_trailing_bytes_are_malformed(self):
+        with pytest.raises(MalformedProof):
+            decode_proof(_BLOB + b"\0")
+
+    @pytest.mark.parametrize("code", [2, 7, 255])
+    def test_unknown_variant_byte_is_malformed(self, code):
+        with pytest.raises(MalformedProof):
+            decode_proof(bytes([code]) + _BLOB[1:])
+
+
+class TestVerify:
+    def test_variant_comes_from_the_verifier(self):
+        proof, witnesses = _basic_proof()
+        assert verify(BASIC, proof, witnesses, M, 2)
+        assert not verify(_HARDENED, proof, witnesses, M, 2)
+        relabeled = dataclasses.replace(proof, variant=Variant.HARDENED)
+        assert not verify(BASIC, relabeled, witnesses, M, 2)
+
+    def test_round_count_must_equal_h(self):
+        proof, witnesses = _basic_proof()
+        assert not verify(BASIC, proof, witnesses, M, 1)
+        assert not verify(BASIC, proof, witnesses, M, 3)
+
+    def test_wrong_challenge_length_fails_instead_of_raising(self):
+        proof, witnesses = _basic_proof()
+        rd = proof.rounds[0]
+        for challenge in (rd.challenge[:1], rd.challenge + (1,)):
+            forged = dataclasses.replace(
+                proof, rounds=(dataclasses.replace(rd, challenge=challenge),) + proof.rounds[1:]
+            )
+            assert not verify(BASIC, forged, witnesses, M, 2)
+            assert not verify(_HARDENED, dataclasses.replace(forged, variant=Variant.HARDENED),
+                              witnesses, M, 2)
+
+    def test_prover_never_runs_a_verifier(self, monkeypatch):
+        from anonauth import zkp
+
+        def refuse(*_args):
+            raise AssertionError("the prover ran a verifier")
+
+        monkeypatch.setattr(zkp, "verify_round", refuse)
+        monkeypatch.setattr(zkp, "hardened_verify", refuse)
+        m = generate_blum_modulus(16, 9).m
+        rng = Rng(10)
+        secrets = [sample_unit(rng, m) for _ in range(3)]
+        for system in (BASIC, Hardened(derive_session_polynomial(b"s", 3))):
+            proof = prove(system, secrets, 4, m, rng.split(), rng.split())
+            assert len(proof.rounds) == 4 and proof.variant is system.variant
+
+
+def _decodes_or_fails_typed(blob: bytes) -> None:
+    try:
+        proof = decode_proof(blob)
+    except MalformedProof:
+        return
+    for system in (BASIC, _HARDENED):
+        for h in (1, 2):
+            assert verify(system, proof, [4, 1], M, h) in (True, False)
+
+
+class TestHostileBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, blob):
+        _decodes_or_fails_typed(blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, len(_BLOB) - 1), st.integers(0, 255)),
+                 min_size=1, max_size=4),
+        st.integers(0, 3),
+    )
+    def test_mutated_valid_proof(self, edits, drop):
+        blob = bytearray(_BLOB)
+        for pos, value in edits:
+            blob[pos] = value
+        _decodes_or_fails_typed(bytes(blob[: len(blob) - drop]))
