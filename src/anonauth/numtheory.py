@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 _TRIAL_DIVISION_LIMIT = 1 << 20
@@ -45,9 +46,6 @@ class Rng:
 
     def choice_sign(self) -> int:
         return 1 if self._r.getrandbits(1) else -1
-
-    def shuffle(self, seq: list) -> None:
-        self._r.shuffle(seq)
 
     def random(self) -> float:
         return self._r.random()
@@ -106,45 +104,11 @@ def is_prime(n: int, rng: Optional[Rng] = None) -> bool:
     return True
 
 
-def jacobi(a: int, m: int) -> int:
-    """Jacobi symbol (a/m) for odd m >= 3."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError("modulus must be odd and >= 3")
-    a %= m
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if m % 8 in (3, 5):
-                result = -result
-        a, m = m, a
-        if a % 4 == 3 and m % 4 == 3:
-            result = -result
-        a %= m
-    return result if m == 1 else 0
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, exp, m)
-
-
 def mod_inv(a: int, m: int) -> int:
     try:
         return pow(a, -1, m)
     except ValueError as exc:
         raise NotInvertible(f"{a} is not invertible mod {m}") from exc
-
-
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def is_unit(a: int, m: int) -> bool:
-    return 1 <= a < m and gcd(a, m) == 1
 
 
 def sample_unit(rng: Rng, m: int) -> int:

@@ -296,9 +296,13 @@ class Rsu:
 
     def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
         """Open K_session(T2, proof transcript) and verify it under this
-        session's config; a transcript that does not decode fails."""
+        session's config; a plaintext too short for T2 or a transcript that
+        does not decode fails."""
         sess = self._session(key_id)
         plain = self.sym.open(sess.session_key, sealed)
+        if len(plain) < 8:
+            sess.membership_ok = False
+            return False
         (t2,) = struct.unpack(">d", plain[:8])
         if abs(self.clock.now() - t2) > sess.config.freshness_window:
             raise StaleTimestamp(f"t2={t2} outside window")
@@ -337,9 +341,12 @@ class Rsu:
         return ProofBundle(key_id=key_id, items=tuple(items))
 
     def record_closing_reply(self, key_id: bytes, sealed: bytes) -> int:
-        """Log the member's closing alpha value; access is not gated on it."""
+        """Log the member's closing alpha value, sealed as exactly one byte;
+        access is not gated on it."""
         sess = self._session(key_id)
         plain = self.sym.open(sess.session_key, sealed)
+        if len(plain) != 1:
+            raise EnvelopeFailure(f"closing reply is {len(plain)} bytes, not 1")
         sess.closing_alpha = plain[0]
         return sess.closing_alpha
 

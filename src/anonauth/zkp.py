@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .numtheory import NotInvertible, Rng, gcd, mod_inv, sample_unit
+from .numtheory import Rng, gcd, sample_unit
 
 DEFAULT_COEFF_MODULUS = (1 << 61) - 1  # public prime; must exceed any k in use
 _HARDENED_MAX_RETRIES = 64
@@ -160,7 +160,7 @@ def hardened_respond(
     g = 1
     for s in secrets:
         inner = _poly_factor(poly, s, challenge, 2, m)
-        if inner == 0 or gcd(inner, m) != 1:
+        if gcd(inner, m) != 1:
             raise DegenerateEvaluation("inner sum is not a unit; re-run the round")
         g = (g * inner) % m
     return (r * r % m) * g % m
@@ -174,18 +174,16 @@ def hardened_verify(
     poly: SessionPolynomial,
     m: int,
 ) -> bool:
-    """Accept iff Y * Y' = +-W with Y' = 1 / prod_i( sum_t a_t * I_i^(t*b_t) )."""
+    """Accept iff P = prod_i( sum_t a_t * I_i^(t*b_t) ) is a unit and
+    Y = +-W * P mod m: the accept set of Y / P = +-W without the inverse.
+    A non-unit P (a degenerate round) returns False instead of raising."""
     if len(witnesses) != len(challenge) or len(challenge) != len(poly.coefficients):
         raise ChallengeLengthMismatch("witnesses/challenge/coefficients disagree")
     prod = 1
     for i_x in witnesses:
         prod = (prod * _poly_factor(poly, i_x, challenge, 1, m)) % m
-    try:
-        y_prime = mod_inv(prod, m)
-    except NotInvertible:
-        raise DegenerateEvaluation("witness-side product is not a unit; re-run")
-    lhs = (y * y_prime) % m
-    return lhs == w % m or lhs == (-w) % m
+    rhs = w * prod % m
+    return gcd(prod, m) == 1 and y % m in (rhs, -rhs % m)
 
 
 # -------------------------------------------------------- proof systems
@@ -223,10 +221,7 @@ class Hardened:
         return hardened_respond(r, secrets, challenge, self.poly, m)
 
     def check(self, w, challenge, y, witnesses, m) -> bool:
-        try:
-            return hardened_verify(w, challenge, y, witnesses, self.poly, m)
-        except DegenerateEvaluation:
-            return False
+        return hardened_verify(w, challenge, y, witnesses, self.poly, m)
 
 
 def prove(

@@ -1,25 +1,21 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from anonauth.numtheory import (
     NotInvertible,
     Rng,
-    generate_blum_modulus,
     gcd,
+    generate_blum_modulus,
     is_prime,
-    is_unit,
-    jacobi,
     mod_inv,
-    mod_pow,
     sample_unit,
 )
 
 UNITS_21 = [a for a in range(1, 21) if math.gcd(a, 21) == 1]
-QR_21 = sorted({a * a % 21 for a in UNITS_21})
 
 
 def brute_force_is_residue(a: int, m: int) -> bool:
@@ -61,7 +57,10 @@ class TestBlumModulus:
     @pytest.mark.parametrize("bits", [6, 8, 10, 12, 14, 16])
     def test_minus_one_is_nonresidue_with_jacobi_plus_one(self, bits):
         mod = generate_blum_modulus(bits, 11)
-        assert jacobi(mod.m - 1, mod.m) == 1
+        # Euler's criterion: m - 1 is a non-residue mod p and mod q, so its
+        # Jacobi symbol mod m is (-1)(-1) = +1
+        for f in (mod.p, mod.q):
+            assert pow(mod.m - 1, (f - 1) // 2, f) == f - 1
         assert not brute_force_is_residue(mod.m - 1, mod.m)
 
     def test_public_copy_drops_factors(self):
@@ -74,60 +73,7 @@ class TestBlumModulus:
             generate_blum_modulus(5, 1)
 
 
-class TestJacobi:
-    def test_one_is_always_plus(self):
-        assert jacobi(1, 21) == 1
-
-    def test_pseudo_residue(self):
-        # Jacobi +1 does not imply residue: 20 = m - 1 is not a square mod 21
-        assert jacobi(20, 21) == 1
-        assert 20 not in QR_21
-        assert QR_21 == [1, 4, 16]
-
-    def test_shared_factor_gives_zero(self):
-        assert jacobi(7, 21) == 0
-
-    def test_even_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi(3, 10)
-        with pytest.raises(ValueError):
-            jacobi(3, 1)
-
-    @given(st.integers(0, 10**6), st.integers(0, 10**6))
-    def test_multiplicative(self, a, b):
-        m = 21
-        assert jacobi(a * b, m) == jacobi(a, m) * jacobi(b, m)
-
-    @given(
-        st.integers(0, 10**9),
-        st.integers(1, 10**4).map(lambda v: 2 * v + 1),
-    )
-    def test_matches_euler_criterion_for_prime_modulus(self, a, m):
-        if not is_prime(m):
-            return
-        e = pow(a, (m - 1) // 2, m)
-        expected = -1 if e == m - 1 else e
-        assert jacobi(a, m) == expected
-
-
 class TestModArith:
-    def test_mod_pow_examples(self):
-        assert mod_pow(2, 0, 21) == 1
-        assert mod_pow(2, 5, 21) == 11
-        assert mod_pow(20, 2, 21) == 1
-
-    def test_mod_pow_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 21)
-
-    @given(st.integers(0, 2**16), st.integers(0, 40), st.integers(3, 2**16))
-    @settings(max_examples=200)
-    def test_mod_pow_matches_naive(self, base, exp, m):
-        naive = 1
-        for _ in range(exp):
-            naive = naive * base % m
-        assert mod_pow(base, exp, m) == naive
-
     def test_mod_inv_examples(self):
         assert mod_inv(1, 21) == 1
         assert mod_inv(13, 21) == 13
@@ -169,7 +115,7 @@ class TestSampleUnit:
         rng = Rng(2)
         for _ in range(500):
             v = sample_unit(rng, 21)
-            assert is_unit(v, 21)
+            assert 1 <= v < 21 and math.gcd(v, 21) == 1
 
 
 class TestRng:
@@ -182,6 +128,5 @@ class TestRng:
         assert [child2.randbits(16) for _ in range(4)] == seq
 
     def test_gcd_agrees_with_math(self):
-        for a in range(0, 50):
-            for b in range(0, 50):
-                assert gcd(a, b) == math.gcd(a, b)
+        # sample_unit looks gcd up on the module, where tracing wraps it
+        assert gcd is math.gcd

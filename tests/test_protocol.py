@@ -447,3 +447,32 @@ class TestMalformedProofs:
         forged = dataclasses.replace(proof, rounds=(longer,) + proof.rounds[1:])
         sealed = obu.sym.seal(obu.session_key, plain[:8] + zkp.encode_proof(forged), obu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
+
+
+class TestShortPlaintexts:
+    """Anyone holding the session key can seal any bytes to the RSU."""
+
+    def test_membership_plaintext_shorter_than_t2_fails(self):
+        dep = build_deployment(46, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = _open_screened_session(rsu, obu, config)
+        honest = obu.prove_membership(config, rsu.rng)
+        assert rsu.check_membership_proof(key_id, honest)
+        for short in (b"abc", b""):
+            sealed = obu.sym.seal(obu.session_key, short, obu.rng)
+            assert rsu.check_membership_proof(key_id, sealed) is False
+            assert rsu.sessions[key_id].membership_ok is False
+        rsu.clock.advance(30.0)
+        with pytest.raises(StaleTimestamp):
+            rsu.check_membership_proof(key_id, honest)
+
+    def test_closing_reply_must_be_one_byte(self):
+        dep = build_deployment(47, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        key_id = _open_screened_session(rsu, obu, cfg())
+        for bad in (b"", b"abc"):
+            with pytest.raises(EnvelopeFailure):
+                rsu.record_closing_reply(key_id, obu.sym.seal(obu.session_key, bad, obu.rng))
+        assert rsu.sessions[key_id].closing_alpha is None
+        assert rsu.record_closing_reply(key_id, obu.closing_reply(2)) == 2

@@ -262,18 +262,68 @@ class TestHardened:
             assert ok
             poly2 = derive_session_polynomial(rng.randbytes(8), 2)
             rd = proof.rounds[0]
-            try:
-                accepted += hardened_verify(
-                    rd.w, rd.challenge, rd.y, witnesses, poly2, m
-                )
-            except DegenerateEvaluation:
-                pass
+            accepted += hardened_verify(rd.w, rd.challenge, rd.y, witnesses, poly2, m)
         # a systematic replay would score ~1; chance here is a few per mille
         assert accepted / trials < 0.05
 
     def test_requires_k_at_least_2(self):
         with pytest.raises(DegenerateParameters):
             run_hardened_proof([2], [4], _poly([3]), 1, M, Rng(1), Rng(2))
+
+    def test_non_unit_witness_product_fails_without_raising(self):
+        # each factor is 3 + 9*4 = 39 = 18 (mod 21) and P = 18^2 = 9 shares
+        # the factor 3 with m; Y = W * P would match the cross-multiplied
+        # equation, so only the unit check rejects it
+        assert not hardened_verify(1, (1, 1), 9, [4, 4], _poly([3, 9]), M)
+        assert not Hardened(_poly([3, 9])).check(1, (1, 1), 9, [4, 4], M)
+
+
+def _witness_product(poly, witnesses, challenge, m):
+    prod = 1
+    for i_x in witnesses:
+        terms = enumerate(zip(poly.coefficients, challenge))
+        prod = prod * sum(a * pow(i_x, t * b, m) for t, (a, b) in terms) % m
+    return prod
+
+
+def _inverse_form_verify(w, challenge, y, witnesses, poly, m):
+    """Reference: Y * P^-1 = +-W, with a non-unit P meaning reject."""
+    try:
+        lhs = y * pow(_witness_product(poly, witnesses, challenge, m), -1, m) % m
+    except ValueError:
+        return False
+    return lhs in (w % m, -w % m)
+
+
+_BLUM_12 = generate_blum_modulus(12, 5)
+
+
+class TestHardenedVerifyReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_inverse_form(self, data):
+        m, p, q = data.draw(st.sampled_from([(21, 3, 7), (_BLUM_12.m, _BLUM_12.p, _BLUM_12.q)]))
+        k = data.draw(st.integers(2, 4))
+        # multiples of a factor make non-unit products likely on either modulus
+        residues = st.one_of(
+            st.integers(0, m - 1),
+            st.builds(lambda f, j: f * j % m, st.sampled_from([p, q]), st.integers(0, m)),
+        )
+        coefficient = st.one_of(st.integers(0, 30), st.integers(0, DEFAULT_COEFF_MODULUS - 1))
+        poly = _poly(data.draw(st.lists(coefficient, min_size=k, max_size=k)))
+        witnesses = data.draw(st.lists(residues, min_size=k, max_size=k))
+        challenge = tuple(data.draw(st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k)))
+        w = data.draw(residues)
+        honest = w * _witness_product(poly, witnesses, challenge, m) % m
+        y = data.draw(
+            st.one_of(
+                st.sampled_from([honest, -honest % m, honest + m]),
+                st.integers(1, m - 1).map(lambda d: (honest + d) % m),  # tampered
+                residues,
+            )
+        )
+        expected = _inverse_form_verify(w, challenge, y, witnesses, poly, m)
+        assert hardened_verify(w, challenge, y, witnesses, poly, m) is expected
 
 
 class TestTranscriptIndistinguishability:
