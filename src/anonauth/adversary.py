@@ -11,8 +11,8 @@ from typing import Optional, Sequence
 
 from . import zkp
 from .numtheory import Rng, mod_inv, sample_unit
-from .protocol import ObservedProof, SessionTranscript
-from .zkp import SessionPolynomial, ZkpRound
+from .protocol import SessionTranscript
+from .zkp import SessionPolynomial, ZkpProof, ZkpRound
 
 
 class MissingSimulator(KeyError):
@@ -143,8 +143,8 @@ def _sample_subset(rng: Rng, ids: list[int], k: int) -> list[int]:
 def observe_sessions(
     transcripts: Sequence[SessionTranscript],
     tap_level: TapLevel = TapLevel.ROUND_PLAINTEXT,
-) -> list[ObservedProof]:
-    """Corpus of (secret-id set, rounds) tuples from tapped sessions.
+) -> list[ZkpProof]:
+    """Corpus of the verifier proofs (secret-id set, rounds) from tapped sessions.
 
     The replay attack needs round-plaintext visibility; a
     ciphertext-only tap yields nothing usable, which makes the threat
@@ -152,7 +152,7 @@ def observe_sessions(
     """
     if tap_level is TapLevel.CIPHERTEXT_ONLY:
         return []
-    corpus: list[ObservedProof] = []
+    corpus: list[ZkpProof] = []
     for t in transcripts:
         corpus.extend(t.bundle_observations)
     return corpus
@@ -207,7 +207,7 @@ class SimulatorMatrix:
 
 
 def build_simulators(
-    corpus: Sequence[ObservedProof], n: int, k: int
+    corpus: Sequence[ZkpProof], n: int, k: int
 ) -> dict[tuple[int, ...], SimulatorMatrix]:
     """One replay matrix per observed k-id set."""
     matrices: dict[tuple[int, ...], SimulatorMatrix] = {}

@@ -16,14 +16,11 @@ from typing import Optional
 
 from . import adversary, revocation
 from .numtheory import Rng, generate_blum_modulus, sample_unit
+from .revocation import ParameterOverflow
 
 MC_MODULUS_BITS = 48  # big enough that arithmetic coincidences are negligible
 
 _LOG10_2 = math.log10(2)
-
-
-class ParameterOverflow(ValueError):
-    pass
 
 
 class UnknownFigure(ValueError):
@@ -230,6 +227,8 @@ def mc_bundle_cheater(
 
 
 def _distinct_sets(rng: Rng, ids: list[int], k: int, mu: int) -> list[tuple[int, ...]]:
+    if mu > comb(len(ids), k):
+        raise ParameterOverflow(f"mu={mu} exceeds C({len(ids)},{k})")
     sets: list[tuple[int, ...]] = []
     seen = set()
     while len(sets) < mu:

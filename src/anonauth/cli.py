@@ -25,17 +25,6 @@ EXIT_REJECTED = 3
 EXIT_INFEASIBLE = 4
 
 
-def _write_manifest(out_dir: Path, subcommand: str, params: dict, outputs: list[str]) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "params": params,
-        "seed": params.get("seed"),
-        "artifact_version": __version__,
-        "outputs": outputs,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-
-
 def _load_bundle(bundle_dir: Path):
     root = json.loads((bundle_dir / "root.json").read_text())
     obu_files = sorted(bundle_dir.glob("obu_*.json"))
@@ -46,10 +35,11 @@ def _load_bundle(bundle_dir: Path):
 
 
 # ----------------------------------------------------------- implementations
-# Each runs from a plain params dict so `rerun` can replay a manifest.
+# Each runs from a plain params dict so `rerun` can replay a manifest, echoes
+# its own outcome line and returns (output file names, exit code).
 
 
-def run_keygen(params: dict, out_dir: Path) -> list[str]:
+def run_keygen(params: dict, out_dir: Path) -> tuple[list[str], int]:
     q, n, k = params["groups"], params["pool_size"], params["secrets_per_member"]
     modulus = generate_blum_modulus(params["bit_length"], params["seed"])
     rng = Rng(params["seed"] ^ 0xCE5E)
@@ -85,10 +75,11 @@ def run_keygen(params: dict, out_dir: Path) -> list[str]:
         f = out_dir / f"rsu_{rid}.json"
         f.write_text(keymgmt.rsu_credential_to_json(cred))
         outputs.append(f.name)
-    return outputs
+    click.echo(f"wrote {len(outputs)} bundle files to {out_dir}")
+    return outputs, EXIT_OK
 
 
-def run_auth_demo(params: dict, out_dir: Path) -> tuple[list[str], protocol.AuthResult]:
+def run_auth_demo(params: dict, out_dir: Path) -> tuple[list[str], int]:
     root, obus, rsus = _load_bundle(Path(params["bundle"]))
     obu_cred, rsu_cred = obus[0], rsus[0]
     config = SessionConfig(
@@ -118,37 +109,42 @@ def run_auth_demo(params: dict, out_dir: Path) -> tuple[list[str], protocol.Auth
             sort_keys=True,
         )
     )
-    return [out.name, "result.json"], result
+    click.echo(f"{result.outcome.value} verified_count={result.verified_count}")
+    code = EXIT_OK if result.outcome is Outcome.ACCEPTED else EXIT_REJECTED
+    return [out.name, "result.json"], code
 
 
-def run_analyze(params: dict, out_dir: Path) -> list[str]:
+# --mc-formula name -> the Monte Carlo oracle it runs on an analyze params dict
+_MC_FORMULAS = {
+    "p_cheater": lambda p: analysis.mc_cheater(p["k"], p["h"], p["trials"], p["seed"]),
+    "p_mu": lambda p: analysis.mc_bundle_cheater(
+        p["k"], p["h"], p["n"], p["mu"], p["mu"], p["trials"], p["seed"]
+    ),
+    "p_leak": lambda p: analysis.mc_leak(p["n"], p["k"], p["mu"], p["trials"], p["seed"]),
+    "p_missed": lambda p: analysis.mc_sequence_collision(
+        p["n"], p["k"], p["mu"], p["trials"], p["seed"]
+    ),
+}
+
+
+def run_analyze(params: dict, out_dir: Path) -> tuple[list[str], int]:
+    fig, formula = params.get("figure"), params.get("mc_formula")
+    if not fig and not formula:
+        raise ValueError("need --figure or --mc-formula")
+    if formula and formula not in _MC_FORMULAS:
+        raise ValueError(f"unknown formula {formula!r}")
     outputs = []
-    if params.get("figure"):
-        fig = params["figure"]
+    if fig:
         f = out_dir / f"figure_{fig}.csv"
         f.write_text(analysis.figure_csv(fig))
         outputs.append(f.name)
-    if params.get("mc_formula"):
-        formula = params["mc_formula"]
-        trials, seed = params["trials"], params["seed"]
-        if formula == "p_cheater":
-            rep = analysis.mc_cheater(params["k"], params["h"], trials, seed)
-        elif formula == "p_mu":
-            rep = analysis.mc_bundle_cheater(
-                params["k"], params["h"], params["n"], params["mu"], params["mu"], trials, seed
-            )
-        elif formula == "p_leak":
-            rep = analysis.mc_leak(params["n"], params["k"], params["mu"], trials, seed)
-        elif formula == "p_missed":
-            rep = analysis.mc_sequence_collision(
-                params["n"], params["k"], params["mu"], trials, seed
-            )
-        else:
-            raise click.BadParameter(f"unknown formula {formula!r}")
+    if formula:
+        rep = _MC_FORMULAS[formula](params)
         f = out_dir / "report.csv"
         f.write_text(analysis.CSV_HEADER + "\n" + rep.csv_row() + "\n")
         outputs.append(f.name)
-    return outputs
+    click.echo(f"wrote {', '.join(outputs)}")
+    return outputs, EXIT_OK
 
 
 def _demo_deployment(seed: int, n: int, k: int, modulus=None):
@@ -165,10 +161,8 @@ def _demo_deployment(seed: int, n: int, k: int, modulus=None):
 
 
 def run_attack(params: dict, out_dir: Path) -> tuple[list[str], int]:
-    """Returns (outputs, exit code)."""
     mode = params["mode"]
     seed = params["seed"]
-    outputs = []
     if mode == "cheater":
         rep = analysis.mc_cheater(params["k"], params["h"], params["trials"], seed)
         f = out_dir / "cheater_report.csv"
@@ -188,12 +182,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[list[str], int]:
     for _ in range(params["sessions"]):
         _result, transcript = protocol.run_full_session(obu, rsu, config)
         transcripts.append(transcript)
-    tap = (
-        adversary.TapLevel.CIPHERTEXT_ONLY
-        if params.get("tap") == "ciphertext"
-        else adversary.TapLevel.ROUND_PLAINTEXT
-    )
-    corpus = adversary.observe_sessions(transcripts, tap)
+    corpus = adversary.observe_sessions(transcripts, adversary.TapLevel(params["tap"]))
 
     if mode == "record":
         f = out_dir / "corpus.json"
@@ -282,7 +271,7 @@ def run_revoke_demo(params: dict, out_dir: Path) -> tuple[list[str], int]:
     return [f.name, "outcomes.json"], EXIT_OK if ok else EXIT_REJECTED
 
 
-def run_simulate(params: dict, out_dir: Path) -> list[str]:
+def run_simulate(params: dict, out_dir: Path) -> tuple[list[str], int]:
     config = simulation.SimConfig(
         obus_per_rsu=params.get("load", 10),
         speed_mps=params.get("speed", 20.0),
@@ -292,12 +281,41 @@ def run_simulate(params: dict, out_dir: Path) -> list[str]:
     values = (
         simulation.DEFAULT_GRID_LOADS if dimension == "load" else simulation.DEFAULT_GRID_SPEEDS
     )
-    if params.get("values"):
-        values = params["values"]
     rows = simulation.sweep(config, dimension, values, params["seed"])
     f = out_dir / f"sweep_{dimension}.csv"
     f.write_text(simulation.sweep_csv(rows, dimension))
-    return [f.name]
+    click.echo(f"wrote {f.name}")
+    return [f.name], EXIT_OK
+
+
+RUNNERS = {
+    "keygen": run_keygen,
+    "auth-demo": run_auth_demo,
+    "analyze": run_analyze,
+    "attack": run_attack,
+    "revoke-demo": run_revoke_demo,
+    "simulate": run_simulate,
+}
+
+
+def _run(subcommand: str, params: dict, out_dir: Path) -> tuple[list[str], int]:
+    """Run one subcommand into ``out_dir`` and record its manifest; any
+    ``ValueError`` (every typed parameter error is one) exits 2."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        outputs, code = RUNNERS[subcommand](params, out_dir)
+    except ValueError as exc:
+        click.echo(f"parameter error: {exc}", err=True)
+        sys.exit(EXIT_PARAM)
+    manifest = {
+        "subcommand": subcommand,
+        "params": params,
+        "seed": params.get("seed"),
+        "artifact_version": __version__,
+        "outputs": outputs,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    return outputs, code
 
 
 # ------------------------------------------------------------------ click
@@ -323,21 +341,13 @@ def _out_dir_option(f):
 @click.option("--rsus", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
 @_out_dir_option
-def keygen(**kw):
+def keygen(out_dir, **params):
     """Run the key ceremony and write provisioning bundles."""
-    out_dir = kw.pop("out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        outputs = run_keygen(kw, out_dir)
-    except (keymgmt.InvalidParameters, ValueError) as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
-    _write_manifest(out_dir, "keygen", kw, outputs)
-    click.echo(f"wrote {len(outputs)} bundle files to {out_dir}")
+    sys.exit(_run("keygen", params, out_dir)[1])
 
 
 @main.command("auth-demo")
-@click.option("--bundle", type=click.Path(path_type=Path), required=True)
+@click.option("--bundle", type=click.Path(), required=True)
 @click.option("--alpha", type=int, default=2, show_default=True)
 @click.option("--mu", type=int, default=5, show_default=True)
 @click.option("--h", "h", type=int, default=2, show_default=True)
@@ -346,24 +356,14 @@ def keygen(**kw):
 @click.option("--revoked-iv", type=int, default=None)
 @click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
 @_out_dir_option
-def auth_demo(**kw):
+def auth_demo(out_dir, **params):
     """Run one live session from a provisioning bundle."""
-    out_dir = kw.pop("out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    kw["bundle"] = str(kw["bundle"])
-    try:
-        outputs, result = run_auth_demo(kw, out_dir)
-    except (ValueError, protocol.UnsupportedAlpha) as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
-    _write_manifest(out_dir, "auth-demo", kw, outputs)
-    click.echo(f"{result.outcome.value} verified_count={result.verified_count}")
-    sys.exit(EXIT_OK if result.outcome is Outcome.ACCEPTED else EXIT_REJECTED)
+    sys.exit(_run("auth-demo", params, out_dir)[1])
 
 
 @main.command()
 @click.option("--figure", type=click.Choice(["10a", "10b", "11", "12", "13"]), default=None)
-@click.option("--mc-formula", type=click.Choice(["p_cheater", "p_mu", "p_leak", "p_missed"]), default=None)
+@click.option("--mc-formula", type=click.Choice(list(_MC_FORMULAS)), default=None)
 @click.option("--k", "k", type=int, default=2)
 @click.option("--h", "h", type=int, default=1)
 @click.option("--n", "n", type=int, default=6)
@@ -371,20 +371,9 @@ def auth_demo(**kw):
 @click.option("--trials", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
 @_out_dir_option
-def analyze(**kw):
+def analyze(out_dir, **params):
     """Emit figure series or a Monte Carlo probability report."""
-    out_dir = kw.pop("out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not kw.get("figure") and not kw.get("mc_formula"):
-        click.echo("parameter error: need --figure or --mc-formula", err=True)
-        sys.exit(EXIT_PARAM)
-    try:
-        outputs = run_analyze(kw, out_dir)
-    except (analysis.ParameterOverflow, analysis.UnknownFigure, ValueError) as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
-    _write_manifest(out_dir, "analyze", kw, outputs)
-    click.echo(f"wrote {', '.join(outputs)}")
+    sys.exit(_run("analyze", params, out_dir)[1])
 
 
 @main.command()
@@ -399,18 +388,9 @@ def analyze(**kw):
 @click.option("--tap", type=click.Choice(["rounds", "ciphertext"]), default="rounds")
 @click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
 @_out_dir_option
-def attack(mode, **kw):
+def attack(out_dir, **params):
     """Run a threat-model experiment and emit an attack report."""
-    out_dir = kw.pop("out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    kw["mode"] = mode
-    try:
-        outputs, code = run_attack(kw, out_dir)
-    except ValueError as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
-    _write_manifest(out_dir, "attack", kw, outputs)
-    sys.exit(code)
+    sys.exit(_run("attack", params, out_dir)[1])
 
 
 @main.command("revoke-demo")
@@ -420,17 +400,9 @@ def attack(mode, **kw):
 @click.option("--mu", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
 @_out_dir_option
-def revoke_demo(**kw):
+def revoke_demo(out_dir, **params):
     """Broadcast a revocation and show the replayed session being denied."""
-    out_dir = kw.pop("out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        outputs, code = run_revoke_demo(kw, out_dir)
-    except ValueError as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
-    _write_manifest(out_dir, "revoke-demo", kw, outputs)
-    sys.exit(code)
+    sys.exit(_run("revoke-demo", params, out_dir)[1])
 
 
 @main.command()
@@ -440,17 +412,9 @@ def revoke_demo(**kw):
 @click.option("--duration", type=float, default=40.0, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
 @_out_dir_option
-def simulate(**kw):
+def simulate(out_dir, **params):
     """Sweep the road-network simulation and emit metric CSVs."""
-    out_dir = kw.pop("out_dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        outputs = run_simulate(kw, out_dir)
-    except simulation.InvalidConfig as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
-    _write_manifest(out_dir, "simulate", kw, outputs)
-    click.echo(f"wrote {', '.join(outputs)}")
+    sys.exit(_run("simulate", params, out_dir)[1])
 
 
 @main.command()
@@ -459,24 +423,11 @@ def simulate(**kw):
 def rerun(manifest: Path, out_dir: Path):
     """Re-execute a recorded run; outputs are bit-identical to the original."""
     spec = json.loads(manifest.read_text())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sub, params = spec["subcommand"], spec["params"]
-    if sub == "keygen":
-        outputs = run_keygen(params, out_dir)
-    elif sub == "auth-demo":
-        outputs, _ = run_auth_demo(params, out_dir)
-    elif sub == "analyze":
-        outputs = run_analyze(params, out_dir)
-    elif sub == "attack":
-        outputs, _ = run_attack(params, out_dir)
-    elif sub == "revoke-demo":
-        outputs, _ = run_revoke_demo(params, out_dir)
-    elif sub == "simulate":
-        outputs = run_simulate(params, out_dir)
-    else:
+    sub = spec["subcommand"]
+    if sub not in RUNNERS:
         click.echo(f"parameter error: unknown subcommand {sub!r}", err=True)
         sys.exit(EXIT_PARAM)
-    _write_manifest(out_dir, sub, params, outputs)
+    outputs, _code = _run(sub, spec["params"], out_dir)
     click.echo(f"reproduced {', '.join(outputs)}")
 
 

@@ -10,7 +10,10 @@ alpha-threshold decision -> closing reply.
 from __future__ import annotations
 
 import json
+import math
+import re
 import struct
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
@@ -54,6 +57,10 @@ class UndecryptableRequest(ValueError):
 
 
 class MalformedSetRequest(ValueError):
+    pass
+
+
+class MalformedRequest(ValueError):
     pass
 
 
@@ -128,18 +135,10 @@ class AuthResult:
 
 
 @dataclass
-class ObservedProof:
-    """What a channel tap sees of one verifier proof: the id set and rounds."""
-
-    secret_ids: tuple[int, ...]
-    rounds: tuple[zkp.ZkpRound, ...]
-
-
-@dataclass
 class SessionTranscript:
     frames: list[bytes] = field(default_factory=list)
     membership_proof: Optional[ZkpProof] = None
-    bundle_observations: list[ObservedProof] = field(default_factory=list)
+    bundle_observations: list[ZkpProof] = field(default_factory=list)
     requested_sets: tuple = ()
     key_id: bytes = NO_KEY_ID
     result: Optional[AuthResult] = None
@@ -156,6 +155,38 @@ class LogicalClock:
 
     def advance(self, dt: float) -> None:
         self._t += dt
+
+
+def _fresh(now: float, t: float, window: float) -> bool:
+    """``t`` lies within ``window`` of ``now``; never for NaN or an infinity."""
+    return math.isfinite(t) and abs(now - t) <= window
+
+
+_SESSION_KEY_HEX = re.compile(f"[0-9a-fA-F]{{{2 * envelopes.SESSION_KEY_BYTES}}}")
+
+
+def _request_fields(body, groups) -> tuple[int, float, bytes, str, int]:
+    """(group_id, t1, session key, serv_id, alpha) of an opened request.
+
+    Anyone can seal a request to a verifier's public key, so every field
+    must have the type ``Obu.start`` writes and the group must be one the
+    verifier holds; anything else is ``MalformedRequest``.
+    """
+    if not isinstance(body, dict):
+        raise MalformedRequest(f"request body is a {type(body).__name__}, not an object")
+    group_id, t1, key, serv_id, alpha = (
+        body.get(name) for name in ("group_id", "t1", "session_key", "serv_id", "alpha")
+    )
+    if type(group_id) is not int or group_id not in groups:
+        raise MalformedRequest(f"group_id {group_id!r} is not a group of this verifier")
+    # exact comparison: false for NaN, infinities and ints beyond float range
+    if type(t1) not in (int, float) or not abs(t1) <= sys.float_info.max:
+        raise MalformedRequest(f"t1 {t1!r} is not a finite number")
+    if not isinstance(key, str) or not _SESSION_KEY_HEX.fullmatch(key):
+        raise MalformedRequest(f"session_key {key!r} is not a hex session key")
+    if not isinstance(serv_id, str) or type(alpha) is not int:
+        raise MalformedRequest("serv_id must be a string and alpha an integer")
+    return group_id, t1, bytes.fromhex(key), serv_id, alpha
 
 
 def _session_poly(session_key: bytes, key_id: bytes, purpose: bytes, index: int, k: int):
@@ -224,8 +255,10 @@ class Rsu:
             body = json.loads(plain.decode())
         except (EnvelopeFailure, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UndecryptableRequest("request did not open under this verifier's key") from exc
-        t1 = body["t1"]
-        if abs(self.clock.now() - t1) > config.freshness_window:
+        group_id, t1, session_key, serv_id, alpha = _request_fields(
+            body, self.credential.pool_secrets
+        )
+        if not _fresh(self.clock.now(), t1, config.freshness_window):
             raise StaleTimestamp(f"t1={t1} outside window at t={self.clock.now()}")
         while True:
             key_id = self.rng.randbytes(8)
@@ -233,10 +266,10 @@ class Rsu:
                 break
         self.sessions[key_id] = _RsuSession(
             key_id=key_id,
-            session_key=bytes.fromhex(body["session_key"]),
-            group_id=body["group_id"],
-            alpha=body["alpha"],
-            serv_id=body["serv_id"],
+            session_key=session_key,
+            group_id=group_id,
+            alpha=alpha,
+            serv_id=serv_id,
             config=config,
         )
         return key_id
@@ -304,7 +337,7 @@ class Rsu:
             sess.membership_ok = False
             return False
         (t2,) = struct.unpack(">d", plain[:8])
-        if abs(self.clock.now() - t2) > sess.config.freshness_window:
+        if not _fresh(self.clock.now(), t2, sess.config.freshness_window):
             raise StaleTimestamp(f"t2={t2} outside window")
         try:
             proof = zkp.decode_proof(plain[8:])
@@ -434,7 +467,7 @@ class Obu:
         bundle: ProofBundle,
         config: SessionConfig,
         requested_sets: Sequence[Sequence[int]],
-        observations: Optional[list[ObservedProof]] = None,
+        observations: Optional[list[ZkpProof]] = None,
     ) -> AuthResult:
         assert self.session_key is not None, "no open session"
         if bundle.key_id != self.key_id:
@@ -456,9 +489,7 @@ class Obu:
             if zkp.verify(system, proof, witnesses, m, config.h):
                 verified += 1
             if observations is not None:
-                observations.append(
-                    ObservedProof(secret_ids=tuple(ids), rounds=proof.rounds)
-                )
+                observations.append(proof)
         outcome = (
             Outcome.ACCEPTED
             if verified >= config.alpha

@@ -2,9 +2,9 @@
 mobile members running full authentication sessions over a lossy,
 queue-limited channel.
 
-The channel model is explicit and parameterized (the reference experiment's
-radio stack is not recoverable); defaults are calibrated so average delays
-land in the same decade as the reference readings. Trends, not absolute
+The channel model's constants are explicit (the reference experiment's
+radio stack is not recoverable) and calibrated so average delays land in
+the same decade as the reference readings. Trends, not absolute
 values, are the contract.
 """
 
@@ -22,19 +22,18 @@ from .protocol import LogicalClock, Obu, Outcome, Rsu, SessionConfig
 DEFAULT_GRID_LOADS = (5, 10, 15, 20, 25, 30, 35, 40)
 DEFAULT_GRID_SPEEDS = (14.0, 17.0, 20.0, 22.0, 25.0, 27.0)
 ALPHA_PACKET_BYTES = {2: 50, 4: 100, 5: 125}
+SESSION_INTERVAL_S = 8.0  # each member opens a session this often
+
+# channel model
+BASE_LOSS = 0.002
+PER_BYTE_SERVICE_S = 2.0e-5
+PROPAGATION_MPS = 3.0e8
+QUEUE_CAPACITY = 50
+OCCUPANCY_LOSS_COEFF = 0.05
 
 
 class InvalidConfig(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    base_loss: float = 0.002
-    per_byte_service_s: float = 2.0e-5
-    propagation_mps: float = 3.0e8
-    queue_capacity: int = 50
-    occupancy_loss_coeff: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,6 @@ class SimConfig:
     speed_mps: float = 20.0
     alpha: int = 2
     duration_s: float = 40.0
-    session_interval_s: float = 8.0
-    channel: ChannelParams = field(default_factory=ChannelParams)
     # protocol parameters for in-sim sessions
     k: int = 2
     h: int = 2
@@ -155,7 +152,7 @@ class _Sim:
             endpoint = Obu(cred, root, self.rng.split(), clock=self.clock, sym=sym, seal=seal)
             pos = self.rng.random() * self.line_length
             self.obus.append(_ObuNode(index=j, position0=pos, endpoint=endpoint))
-            phase = self.rng.random() * cfg.session_interval_s
+            phase = self.rng.random() * SESSION_INTERVAL_S
             self.push(phase, "attempt", j)
 
     # ---------------------------------------------------------------- events
@@ -210,7 +207,7 @@ class _Sim:
     def _handle_attempt(self, t: float, obu_index: int) -> None:
         cfg = self.config
         node = self.obus[obu_index]
-        next_attempt = t + cfg.session_interval_s
+        next_attempt = t + SESSION_INTERVAL_S
         if next_attempt <= cfg.duration_s:
             self.push(next_attempt, "attempt", obu_index)
         if node.busy:
@@ -239,19 +236,17 @@ class _Sim:
             self._finish_session(node, rsu, lost=True)
             return
         self.metrics_packets_sent += 1
-        occupancy = min(
-            1.0, (self.contention + rsu.active_sessions) / cfg.channel.queue_capacity
-        )
-        loss_p = min(1.0, cfg.channel.base_loss + cfg.channel.occupancy_loss_coeff * occupancy)
+        occupancy = min(1.0, (self.contention + rsu.active_sessions) / QUEUE_CAPACITY)
+        loss_p = min(1.0, BASE_LOSS + OCCUPANCY_LOSS_COEFF * occupancy)
         if self.rng.random() < loss_p:
             self.metrics_packets_lost += 1
             self._finish_session(node, rsu, lost=True)
             return
         bytes_ = ALPHA_PACKET_BYTES[cfg.alpha]
-        service = bytes_ * cfg.channel.per_byte_service_s
+        service = bytes_ * PER_BYTE_SERVICE_S
         wait = max(0.0, rsu.busy_until - t)
         rsu.busy_until = t + wait + service
-        delay = wait + service + dist / cfg.channel.propagation_mps
+        delay = wait + service + dist / PROPAGATION_MPS
         self.delays.append(delay)
         delivered_at = t + delay
         if msg_idx + 1 < n_messages:

@@ -18,8 +18,8 @@ from anonauth.adversary import (
     simulator_memory_cost,
 )
 from anonauth.numtheory import Rng, generate_blum_modulus
-from anonauth.protocol import ObservedProof, Outcome, SessionConfig, run_full_session
-from anonauth.zkp import ZkpRound, verify_round
+from anonauth.protocol import Outcome, SessionConfig, run_full_session
+from anonauth.zkp import ZkpProof, ZkpRound, verify_round
 from conftest import M21, build_deployment
 
 
@@ -190,7 +190,7 @@ class TestSimulatorMatrix:
     def test_one_matrix_per_observed_set(self):
         # synthetic corpus touching every C(10,5) set once
         corpus = [
-            ObservedProof(secret_ids=ids, rounds=(ZkpRound(w=4, challenge=(0,) * 5, y=2),))
+            ZkpProof(secret_ids=ids, rounds=(ZkpRound(w=4, challenge=(0,) * 5, y=2),))
             for ids in combinations(range(1, 11), 5)
         ]
         matrices = build_simulators(corpus, 10, 5)

@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,29 @@ class TestMonteCarlo:
         assert len(CSV_HEADER.split(",")) == 9
         assert len(rep.csv_row().split(",")) == 9
         assert rep.csv_row().split(",")[0] == "p_cheater"
+
+    @pytest.mark.parametrize(
+        "oracle, args",
+        [
+            (mc_leak, (4, 2, 7, 10, 1)),
+            (mc_bundle_cheater, (1, 1, 3, 4, 1, 10, 1)),
+            (mc_sequence_collision, (4, 2, 7, 10, 1)),
+        ],
+    )
+    def test_mu_above_subset_count_overflows(self, oracle, args):
+        # mu distinct k-sets cannot be drawn when mu > C(n, k); the alarm
+        # turns a search that never ends into a failure
+        def _timeout(signum, frame):
+            raise TimeoutError(f"{oracle.__name__}{args} still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ParameterOverflow):
+                oracle(*args)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestFigureSeries:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from anonauth import cli
 from anonauth.cli import main
 
 
@@ -213,3 +214,28 @@ class TestRerun:
             main, ["rerun", "--manifest", str(bad), "--out-dir", str(tmp_path / "o")]
         )
         assert result.exit_code == 2
+
+    def _rerun_spec(self, runner, tmp_path, subcommand, params):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"subcommand": subcommand, "params": params}))
+        return runner.invoke(
+            main, ["rerun", "--manifest", str(spec), "--out-dir", str(tmp_path / "o")]
+        )
+
+    def test_invalid_params_exit_2(self, runner, tmp_path):
+        params = {"groups": 1, "pool_size": 2, "secrets_per_member": 2, "bit_length": 24,
+                  "obus_per_group": 1, "rsus": 1, "seed": 1}
+        result = self._rerun_spec(runner, tmp_path, "keygen", params)
+        assert result.exit_code == 2
+        assert "parameter error" in result.output
+
+    def test_analyze_without_task_exits_2(self, runner, tmp_path):
+        params = {"figure": None, "mc_formula": None, "k": 2, "h": 1, "n": 6, "mu": 2,
+                  "trials": 10, "seed": 1}
+        result = self._rerun_spec(runner, tmp_path, "analyze", params)
+        assert result.exit_code == 2
+        assert "need --figure or --mc-formula" in result.output
+
+
+def test_every_subcommand_has_a_runner():
+    assert set(cli.RUNNERS) == set(main.commands) - {"rerun"}

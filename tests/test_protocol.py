@@ -1,14 +1,17 @@
 import dataclasses
 import json
+import struct
 
 import pytest
 
 from anonauth import zkp
-from anonauth.envelopes import EnvelopeFailure
+from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
 from anonauth.numtheory import Rng, generate_blum_modulus
 from anonauth.protocol import (
+    AuthRequest,
     AuthResult,
     BadCertificate,
+    MalformedRequest,
     MalformedSetRequest,
     Outcome,
     SessionConfig,
@@ -476,3 +479,50 @@ class TestShortPlaintexts:
                 rsu.record_closing_reply(key_id, obu.sym.seal(obu.session_key, bad, obu.rng))
         assert rsu.sessions[key_id].closing_alpha is None
         assert rsu.record_closing_reply(key_id, obu.closing_reply(2)) == 2
+
+
+def _request_body(**overrides):
+    body = {"group_id": 1, "t1": 0.0, "session_key": "00" * 16, "serv_id": "INFO", "alpha": 1}
+    body.update(overrides)
+    return body
+
+
+class TestHostileRequests:
+    """Anyone can seal a request body to the RSU's public key."""
+
+    def _register(self, rsu, body):
+        plain = json.dumps(body).encode()
+        sealed = StubSeal().seal(rsu.credential.certificate.public_key, plain, rsu.rng)
+        return rsu.register_session(AuthRequest(ciphertext=sealed), cfg())
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            {},
+            _request_body(t1="0.0"),
+            _request_body(t1=float("nan")),
+            _request_body(t1=10**400),
+            _request_body(session_key="zz" * 16),
+            _request_body(session_key="ab"),
+            _request_body(group_id=99),
+        ],
+        ids=["list", "empty", "str-t1", "nan-t1", "huge-t1", "non-hex-key", "short-key",
+             "unknown-group"],
+    )
+    def test_malformed_body_is_rejected(self, body):
+        rsu = build_deployment(48, n=6, k=2, stub=True).make_rsu(1)
+        self._register(rsu, _request_body())  # the body every case alters registers
+        with pytest.raises(MalformedRequest):
+            self._register(rsu, body)
+        assert len(rsu.sessions) == 1
+
+    def test_nan_t2_is_stale(self):
+        dep = build_deployment(49, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = _open_screened_session(rsu, obu, config)
+        plain = StubEnvelope().open(obu.session_key, obu.prove_membership(config, rsu.rng))
+        forged = struct.pack(">d", float("nan")) + plain[8:]
+        with pytest.raises(StaleTimestamp):
+            rsu.check_membership_proof(key_id, obu.sym.seal(obu.session_key, forged, obu.rng))
