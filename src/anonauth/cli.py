@@ -417,17 +417,33 @@ def simulate(out_dir, **params):
     sys.exit(_run("simulate", params, out_dir)[1])
 
 
+def _manifest_run(text: str) -> tuple[str, dict]:
+    """(subcommand, params) of a manifest; a ``ValueError`` unless it is a
+    JSON object naming a subcommand and a value for each of its options."""
+    spec = json.loads(text)
+    if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
+        raise ValueError("manifest is not an object with a params object")
+    sub, params = spec.get("subcommand"), spec["params"]
+    if not isinstance(sub, str) or sub not in RUNNERS:
+        raise ValueError(f"unknown subcommand {sub!r}")
+    options = [p.name for p in main.commands[sub].params if p.name != "out_dir"]
+    missing = [name for name in options if name not in params]
+    if missing:
+        raise ValueError(f"{sub} manifest lacks params {', '.join(missing)}")
+    return sub, params
+
+
 @main.command()
 @click.option("--manifest", type=click.Path(path_type=Path), required=True)
 @_out_dir_option
 def rerun(manifest: Path, out_dir: Path):
     """Re-execute a recorded run; outputs are bit-identical to the original."""
-    spec = json.loads(manifest.read_text())
-    sub = spec["subcommand"]
-    if sub not in RUNNERS:
-        click.echo(f"parameter error: unknown subcommand {sub!r}", err=True)
+    try:
+        sub, params = _manifest_run(manifest.read_text())
+    except ValueError as exc:
+        click.echo(f"parameter error: {exc}", err=True)
         sys.exit(EXIT_PARAM)
-    outputs, _code = _run(sub, spec["params"], out_dir)
+    outputs, _code = _run(sub, params, out_dir)
     click.echo(f"reproduced {', '.join(outputs)}")
 
 

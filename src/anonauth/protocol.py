@@ -38,6 +38,8 @@ from .zkp import Variant, ZkpProof
 
 SUPPORTED_ALPHAS = frozenset({1, 2, 3, 4, 5})
 DEFAULT_FRESHNESS_WINDOW = 5.0  # simulated seconds
+# sessions an RSU holds at once; registering one more evicts the oldest
+SESSION_CAPACITY = 1024
 
 
 class BadCertificate(ValueError):
@@ -70,6 +72,10 @@ class TooManyProofsRequested(ValueError):
 
 class UnknownSession(KeyError):
     pass
+
+
+class StepOutOfOrder(ValueError):
+    """A session step called before the step it depends on succeeded."""
 
 
 class Outcome(Enum):
@@ -264,6 +270,8 @@ class Rsu:
             key_id = self.rng.randbytes(8)
             if key_id not in self.sessions and key_id != NO_KEY_ID:
                 break
+        if len(self.sessions) >= SESSION_CAPACITY:
+            del self.sessions[next(iter(self.sessions))]
         self.sessions[key_id] = _RsuSession(
             key_id=key_id,
             session_key=session_key,
@@ -299,10 +307,10 @@ class Rsu:
                 raise MalformedSetRequest(f"set {s} is not {cfg.k} distinct ids")
             if any(not (1 <= i <= cfg.n) for i in s):
                 raise MalformedSetRequest(f"set {s} has ids outside [1, {cfg.n}]")
-        sess.requested_sets = canon
         match = revocation.screen_session(
             self.table, canon, cfg.n, cfg.k, window=cfg.screen_window
         )
+        sess.requested_sets = canon  # set only once screened
         if match is not None:
             sess.screened_match = match
             self.garble_master(sess.group_id, match.iv)
@@ -329,11 +337,11 @@ class Rsu:
 
     def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
         """Open K_session(T2, proof transcript) and verify it under this
-        session's config; a plaintext too short for T2 or a transcript that
-        does not decode fails."""
+        session's config; a proof sent before the sets were screened, a
+        plaintext too short for T2 or a transcript that does not decode fails."""
         sess = self._session(key_id)
         plain = self.sym.open(sess.session_key, sealed)
-        if len(plain) < 8:
+        if not sess.requested_sets or len(plain) < 8:
             sess.membership_ok = False
             return False
         (t2,) = struct.unpack(">d", plain[:8])
@@ -357,9 +365,12 @@ class Rsu:
         """One proof per requested set, sealed under the session key.
 
         ``challenge_rng`` stands in for the remote verifier's challenge
-        stream; in a live session it is driven by the member.
+        stream; in a live session it is driven by the member. Raises
+        ``StepOutOfOrder`` unless the member's proof has been verified.
         """
         sess = self._session(key_id)
+        if not sess.membership_ok:
+            raise StepOutOfOrder("no verified membership proof in this session")
         cfg = sess.config
         pool = self.credential.pool_secrets[sess.group_id]
         m = self.credential.modulus

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence
@@ -46,66 +47,45 @@ class Match:
 class RevocationTable:
     entries: dict[int, RevocationEntry] = field(default_factory=dict)
     version: int = 0
-    _screen_cache: Optional[tuple] = field(default=None, repr=False)
+    _index: Optional[_ScreenIndex] = field(default=None, repr=False)
 
     def upsert(self, entry: RevocationEntry) -> None:
+        if self._index is not None:  # first, so an entry it cannot rebuild changes nothing
+            self._index.add(entry)
         self.entries[entry.iv] = entry
         self.version += 1
-        self._screen_cache = None
 
     def remove(self, iv: int) -> None:
         if iv in self.entries:
             del self.entries[iv]
             self.version += 1
-            self._screen_cache = None
-
-
-class _PrfStream:
-    """Counter-mode byte stream: SHA-256 over iv || counter || block || chunk."""
-
-    def __init__(self, iv: int, counter: int, block_index: int, redraw: int):
-        self._prefix = (
-            b"seq-prf"
-            + iv.to_bytes(8, "big")
-            + counter.to_bytes(8, "big")
-            + block_index.to_bytes(4, "big")
-            + redraw.to_bytes(4, "big")
-        )
-        self._chunk = 0
-        self._buf = b""
-
-    def next_byte(self) -> int:
-        if not self._buf:
-            self._buf = hashlib.sha256(
-                self._prefix + self._chunk.to_bytes(4, "big")
-            ).digest()
-            self._chunk += 1
-        b, self._buf = self._buf[0], self._buf[1:]
-        return b
-
-    def next_id(self, n: int) -> int:
-        # rejection sampling to stay uniform over [1, n]
-        span = 256 - (256 % n)
-        while True:
-            b = self.next_byte()
-            if n <= 256:
-                if b < span:
-                    return 1 + (b % n)
-            else:
-                hi = b
-                lo = self.next_byte()
-                v = hi << 8 | lo
-                wide_span = 65536 - (65536 % n)
-                if v < wide_span:
-                    return 1 + (v % n)
+            if self._index is not None:
+                self._index.drop(iv)
 
 
 def _draw_block(iv: int, counter: int, block_index: int, redraw: int, n: int, k: int) -> Block:
-    stream = _PrfStream(iv, counter, block_index, redraw)
+    """k distinct ids in [1, n] from the counter-mode stream SHA-256(iv ||
+    counter || block || redraw || chunk), read a byte at a time (two bytes,
+    big-endian, when n > 256) and rejection-sampled to stay uniform."""
+    prefix = (
+        b"seq-prf"
+        + iv.to_bytes(8, "big")
+        + counter.to_bytes(8, "big")
+        + block_index.to_bytes(4, "big")
+        + redraw.to_bytes(4, "big")
+    )
+    wide = n > 256
+    span = 65536 - 65536 % n if wide else 256 - 256 % n
     ids: set[int] = set()
-    while len(ids) < k:
-        ids.add(stream.next_id(n))
-    return tuple(sorted(ids))
+    chunk = 0
+    while True:
+        digest = hashlib.sha256(prefix + chunk.to_bytes(4, "big")).digest()
+        chunk += 1
+        for v in struct.unpack(">16H", digest) if wide else digest:
+            if v < span:
+                ids.add(1 + v % n)
+                if len(ids) == k:
+                    return tuple(sorted(ids))
 
 
 def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
@@ -148,19 +128,51 @@ def broadcast_revocation(
         table.upsert(entry)
 
 
-def _reconstruction_index(
-    table: RevocationTable, n: int, k: int, mu: int, window: int
-) -> dict[Sequence_, Match]:
-    key = (table.version, n, k, mu, window)
-    if table._screen_cache and table._screen_cache[0] == key:
-        return table._screen_cache[1]
-    index: dict[Sequence_, Match] = {}
-    for entry in table.entries.values():
-        for c in range(entry.last_known_counter, entry.last_known_counter + window + 1):
-            seq = next_sequence(entry.iv, c, n, k, mu)
-            index.setdefault(seq, Match(iv=entry.iv, counter=c))
-    table._screen_cache = (key, index)
-    return index
+class _ScreenIndex:
+    """Every entry's window of reconstructed sequences for one (n, k, mu, window).
+
+    ``owners`` maps a sequence to the ivs whose window holds it (one iv's
+    window may repeat a sequence, and two ivs may share one); ``windows``
+    maps an iv to its first counter and its window's sequences in counter
+    order. An upsert recomputes only that iv's window and a remove drops it.
+    """
+
+    def __init__(self, params: tuple[int, int, int, int], entries):
+        self.params = params
+        self.owners: dict[Sequence_, tuple[int, ...]] = {}
+        self.windows: dict[int, tuple[int, tuple[Sequence_, ...]]] = {}
+        for entry in entries:
+            self.add(entry)
+
+    def add(self, entry: RevocationEntry) -> None:
+        n, k, mu, window = self.params
+        first = entry.last_known_counter
+        seqs = tuple(next_sequence(entry.iv, c, n, k, mu) for c in range(first, first + window + 1))
+        self.drop(entry.iv)
+        self.windows[entry.iv] = (first, seqs)
+        for seq in set(seqs):
+            self.owners[seq] = self.owners.get(seq, ()) + (entry.iv,)
+
+    def drop(self, iv: int) -> None:
+        if iv not in self.windows:
+            return
+        _, seqs = self.windows.pop(iv)
+        for seq in set(seqs):
+            rest = tuple(owner for owner in self.owners[seq] if owner != iv)
+            if rest:
+                self.owners[seq] = rest
+            else:
+                del self.owners[seq]
+
+    def lookup(self, observed: Sequence_, order) -> Optional[Match]:
+        """The first owner in ``order`` (the table's entry order) at its
+        smallest counter, as a from-scratch build in that order finds it."""
+        owners = self.owners.get(observed)
+        if owners is None:
+            return None
+        iv = owners[0] if len(owners) == 1 else next(iv for iv in order if iv in owners)
+        first, seqs = self.windows[iv]
+        return Match(iv=iv, counter=first + seqs.index(observed))
 
 
 def screen_session(
@@ -172,14 +184,19 @@ def screen_session(
 ) -> Optional[Match]:
     """Exact-match the observed sets against every entry's reconstructed window.
 
-    Returns a ``Match`` or None. Reconstructions are cached per table
-    version so steady-state screening is one dict lookup.
+    Returns a ``Match`` or None. The table keeps its reconstructions per
+    entry: the first call for an (n, k, mu, window) builds every entry's
+    window+1 sequences, each later upsert recomputes only that entry's and
+    a remove drops them, so steady-state screening is one dict lookup.
     """
     if not table.entries:
         return None
     mu = len(observed_sets)
     observed = tuple(tuple(sorted(s)) for s in observed_sets)
-    return _reconstruction_index(table, n, k, mu, window).get(observed)
+    params = (n, k, mu, window)
+    if table._index is None or table._index.params != params:
+        table._index = _ScreenIndex(params, table.entries.values())
+    return table._index.lookup(observed, table.entries)
 
 
 def garble_witnesses(k: int, m: int, rng: Rng) -> tuple[int, ...]:

@@ -236,6 +236,26 @@ class TestRerun:
         assert result.exit_code == 2
         assert "need --figure or --mc-formula" in result.output
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            json.dumps([]),
+            json.dumps({"params": {"seed": 1}}),
+            json.dumps({"subcommand": "keygen", "seed": 1}),
+            json.dumps({"subcommand": "keygen", "params": {"seed": 1}}),
+        ],
+        ids=["not-json", "not-object", "no-subcommand", "no-params", "missing-param"],
+    )
+    def test_malformed_manifest_exits_2(self, runner, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        result = runner.invoke(
+            main, ["rerun", "--manifest", str(spec), "--out-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "parameter error" in result.output
+
 
 def test_every_subcommand_has_a_runner():
     assert set(cli.RUNNERS) == set(main.commands) - {"rerun"}

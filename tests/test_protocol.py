@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from anonauth import zkp
+from anonauth import protocol, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
 from anonauth.numtheory import Rng, generate_blum_modulus
 from anonauth.protocol import (
@@ -381,6 +381,51 @@ def _open_screened_session(rsu, obu, config):
     obu.bind(key_id)
     assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets(config)) is None
     return key_id
+
+
+class TestStepOrder:
+    """Each RSU step checks that the step it depends on has run."""
+
+    def test_membership_proof_before_set_screening_fails(self):
+        dep = build_deployment(50, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
+        obu.bind(key_id)
+        early = obu.prove_membership(config, rsu.rng)
+        assert rsu.check_membership_proof(key_id, early) is False
+        assert rsu.sessions[key_id].membership_ok is False
+        assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets(config)) is None
+        assert rsu.check_membership_proof(key_id, early)
+
+    def test_bundle_needs_a_verified_membership_proof(self):
+        dep = build_deployment(51, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = _open_screened_session(rsu, obu, config)
+        with pytest.raises(protocol.StepOutOfOrder):
+            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
+        sealed = obu.sym.seal(obu.session_key, b"abc", obu.rng)
+        assert not rsu.check_membership_proof(key_id, sealed)
+        with pytest.raises(protocol.StepOutOfOrder):
+            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
+
+
+class TestSessionCapacity:
+    def test_oldest_session_is_evicted(self):
+        dep = build_deployment(52, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg()
+        beacon = rsu.beacon()
+        key_ids = []
+        for _ in range(protocol.SESSION_CAPACITY + 1):
+            key_ids.append(rsu.register_session(obu.start(beacon, config), config))
+            assert len(rsu.sessions) <= protocol.SESSION_CAPACITY
+        assert len(rsu.sessions) == protocol.SESSION_CAPACITY
+        with pytest.raises(UnknownSession):
+            rsu.negotiate_privacy(key_ids[0], config.alpha)
+        assert rsu.negotiate_privacy(key_ids[1], config.alpha) == config.alpha
+        assert rsu.negotiate_privacy(key_ids[-1], config.alpha) == config.alpha
 
 
 class TestVariantDowngrade:

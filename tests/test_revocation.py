@@ -1,6 +1,9 @@
+import hashlib
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anonauth import revocation
 from anonauth.numtheory import Rng
@@ -58,6 +61,66 @@ class TestNextSequence:
             next_sequence(7, 0, 2, 3, 1)
         with pytest.raises(ValueError):
             next_sequence(7, 0, 4, 2, 0)
+
+
+class _OldPrfStream:
+    """The byte-at-a-time stream ``_draw_block`` used to read, kept as the
+    reference its digest-at-a-time loop must match."""
+
+    def __init__(self, iv, counter, block_index, redraw):
+        self._prefix = (
+            b"seq-prf"
+            + iv.to_bytes(8, "big")
+            + counter.to_bytes(8, "big")
+            + block_index.to_bytes(4, "big")
+            + redraw.to_bytes(4, "big")
+        )
+        self._chunk = 0
+        self._buf = b""
+
+    def next_byte(self):
+        if not self._buf:
+            self._buf = hashlib.sha256(self._prefix + self._chunk.to_bytes(4, "big")).digest()
+            self._chunk += 1
+        b, self._buf = self._buf[0], self._buf[1:]
+        return b
+
+    def next_id(self, n):
+        span = 256 - (256 % n)
+        while True:
+            b = self.next_byte()
+            if n <= 256:
+                if b < span:
+                    return 1 + (b % n)
+            else:
+                v = b << 8 | self.next_byte()
+                if v < 65536 - (65536 % n):
+                    return 1 + (v % n)
+
+
+def _old_draw_block(iv, counter, block_index, redraw, n, k):
+    stream = _OldPrfStream(iv, counter, block_index, redraw)
+    ids = set()
+    while len(ids) < k:
+        ids.add(stream.next_id(n))
+    return tuple(sorted(ids))
+
+
+class TestDrawBlockReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        iv=st.integers(0, 2**64 - 1),
+        counter=st.integers(0, 2**32),
+        block_index=st.integers(0, 6),
+        redraw=st.integers(0, 3),
+        n=st.one_of(st.integers(1, 300), st.integers(257, 5000)),
+        k=st.integers(1, 12),
+    )
+    def test_matches_byte_stream(self, iv, counter, block_index, redraw, n, k):
+        k = min(k, n)
+        assert revocation._draw_block(iv, counter, block_index, redraw, n, k) == _old_draw_block(
+            iv, counter, block_index, redraw, n, k
+        )
 
 
 class TestCounter:
@@ -162,6 +225,91 @@ class TestScreening:
         assert screen_session(table, observed, 6, 2, window=5) is None
         table.upsert(RevocationEntry(iv=7, last_known_counter=0))
         assert screen_session(table, observed, 6, 2, window=5) == Match(iv=7, counter=0)
+
+
+def _reference_screen(table, observed_sets, n, k, window):
+    """The from-scratch build: every entry's window in table order, first
+    (entry, counter) kept per sequence."""
+    index = {}
+    for entry in table.entries.values():
+        for c in range(entry.last_known_counter, entry.last_known_counter + window + 1):
+            seq = next_sequence(entry.iv, c, n, k, len(observed_sets))
+            index.setdefault(seq, Match(iv=entry.iv, counter=c))
+    return index.get(tuple(tuple(sorted(s)) for s in observed_sets))
+
+
+# n=5, k=2 has 10 blocks, so windows repeat sequences and ivs share them
+_N, _K = 5, 2
+_ops = st.one_of(
+    st.tuples(st.just("upsert"), st.integers(0, 3), st.integers(0, 4)),
+    st.tuples(st.just("remove"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("screen"), st.integers(0, 4), st.integers(0, 9)),
+)
+
+
+class TestIncrementalIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(0, 5), mu=st.integers(1, 2), ops=st.lists(_ops, max_size=30))
+    # a window of 30 holds all ten mu=1 sequences; once the index is built,
+    # iv 0's re-upsert keeps its place ahead of iv 1, so iv 0 still owns all
+    @example(window=30, mu=1, ops=[("upsert", 0, 0), ("upsert", 1, 0), ("screen", 2, 0),
+                                   ("upsert", 0, 1), ("screen", 2, 0), ("screen", 3, 0)])
+    def test_matches_from_scratch_build(self, window, mu, ops):
+        table = RevocationTable()
+        for op, iv, value in ops:
+            if op == "upsert":  # a re-upsert keeps the iv's place in the table
+                table.upsert(RevocationEntry(iv=iv, last_known_counter=value))
+            elif op == "remove":
+                table.remove(iv)
+            else:
+                observed = next_sequence(iv, value, _N, _K, mu)
+                expected = _reference_screen(table, observed, _N, _K, window)
+                assert screen_session(table, observed, _N, _K, window=window) == expected
+
+    def test_remove_iv_whose_window_repeats_a_sequence(self):
+        window = 5
+        iv = next(
+            iv for iv in range(100)
+            if len({next_sequence(iv, c, _N, _K, 1) for c in range(window + 1)}) <= window
+        )
+        table = RevocationTable()
+        table.upsert(RevocationEntry(iv=iv, last_known_counter=0))
+        probe = next_sequence(iv, 0, _N, _K, 1)
+        assert screen_session(table, probe, _N, _K, window=window) == Match(iv=iv, counter=0)
+        table.remove(iv)
+        table.upsert(RevocationEntry(iv=iv + 1, last_known_counter=0))
+        expected = _reference_screen(table, probe, _N, _K, window)
+        assert screen_session(table, probe, _N, _K, window=window) == expected
+
+    def test_sequence_cost_per_change(self, monkeypatch):
+        calls = []
+        original = revocation.next_sequence
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(revocation, "next_sequence", counted)
+        n, k, window = 15, 3, 10
+        table = RevocationTable()
+        for iv in range(8):
+            table.upsert(RevocationEntry(iv=iv, last_known_counter=iv))
+        assert not calls  # nothing is built before the first screen
+        hit = original(3, 5, n, k, 3)
+        assert screen_session(table, hit, n, k, window=window) == Match(iv=3, counter=5)
+        assert len(calls) == 8 * (window + 1)
+
+        def cost(change):
+            calls.clear()
+            change()
+            return len(calls)
+
+        assert cost(lambda: table.upsert(RevocationEntry(iv=99, last_known_counter=0))) == window + 1
+        assert cost(lambda: table.upsert(RevocationEntry(iv=3, last_known_counter=40))) == window + 1
+        assert cost(lambda: table.remove(5)) == 0
+        assert cost(lambda: screen_session(table, hit, n, k, window=window)) == 0
+        miss = original(1234, 0, n, k, 3)
+        assert cost(lambda: screen_session(table, miss, n, k, window=window)) == 0
 
 
 class TestEndToEndRevocation:
