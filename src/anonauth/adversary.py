@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from . import zkp
 from .numtheory import Rng, mod_inv, sample_unit
 from .protocol import SessionTranscript
-from .zkp import SessionPolynomial, ZkpProof, ZkpRound
+from .zkp import SessionPolynomial, ZkpProof, ZkpRound, challenge_bits
 
 
 class MissingSimulator(KeyError):
@@ -161,13 +161,6 @@ def observe_sessions(
 # -------------------------------------------------------------- simulator
 
 
-def _challenge_value(challenge: Sequence[int]) -> int:
-    v = 0
-    for i, b in enumerate(challenge):
-        v |= (b & 1) << i
-    return v
-
-
 @dataclass
 class SimulatorMatrix:
     """Sparse replay matrix for one k-id set.
@@ -187,7 +180,7 @@ class SimulatorMatrix:
                 return
             self.rows.append(rd.w)
         row = self.rows.index(rd.w)
-        self.cells.setdefault((row, _challenge_value(rd.challenge)), rd.y)
+        self.cells.setdefault((row, challenge_bits(rd.challenge)), rd.y)
 
     def row_coverage(self, row: int) -> float:
         filled = sum(1 for (r, _s) in self.cells if r == row)
@@ -231,7 +224,7 @@ class SimulatorProver:
         return self.matrix.rows[self.row]
 
     def respond(self, challenge: Sequence[int]) -> int:
-        return self.matrix.cells.get((self.row, _challenge_value(challenge)), 1)
+        return self.matrix.cells.get((self.row, challenge_bits(challenge)), 1)
 
 
 def _bundle_successes(

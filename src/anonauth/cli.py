@@ -417,24 +417,42 @@ def simulate(out_dir, **params):
     sys.exit(_run("simulate", params, out_dir)[1])
 
 
+def _fits(option: click.Parameter, value) -> bool:
+    """``value`` is what click itself passes for ``option``: None only where
+    that is the default, else the value its type converts to itself."""
+    if value is None:
+        return option.default is None
+    try:
+        converted = option.type.convert(value, option, None)
+    except (click.BadParameter, TypeError, AttributeError):
+        return False
+    return type(converted) is type(value) and converted == value
+
+
 def _manifest_run(text: str) -> tuple[str, dict]:
     """(subcommand, params) of a manifest; a ``ValueError`` unless it is a
-    JSON object naming a subcommand and a value for each of its options."""
+    JSON object naming a subcommand and a value of the right type for each
+    of its options."""
     spec = json.loads(text)
     if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
         raise ValueError("manifest is not an object with a params object")
     sub, params = spec.get("subcommand"), spec["params"]
     if not isinstance(sub, str) or sub not in RUNNERS:
         raise ValueError(f"unknown subcommand {sub!r}")
-    options = [p.name for p in main.commands[sub].params if p.name != "out_dir"]
-    missing = [name for name in options if name not in params]
+    options = [p for p in main.commands[sub].params if p.name != "out_dir"]
+    missing = [p.name for p in options if p.name not in params]
     if missing:
         raise ValueError(f"{sub} manifest lacks params {', '.join(missing)}")
+    wrong = [p.name for p in options if not _fits(p, params[p.name])]
+    if wrong:
+        raise ValueError(f"{sub} manifest params of the wrong type: {', '.join(wrong)}")
     return sub, params
 
 
 @main.command()
-@click.option("--manifest", type=click.Path(path_type=Path), required=True)
+@click.option(
+    "--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True
+)
 @_out_dir_option
 def rerun(manifest: Path, out_dir: Path):
     """Re-execute a recorded run; outputs are bit-identical to the original."""

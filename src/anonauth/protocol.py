@@ -104,8 +104,10 @@ class SessionConfig:
             raise UnsupportedAlpha(f"alpha={self.alpha} not in {sorted(SUPPORTED_ALPHAS)}")
         if not (1 <= self.alpha <= self.mu):
             raise ValueError(f"require 1 <= alpha <= mu, got alpha={self.alpha}, mu={self.mu}")
-        if not (1 <= self.k < self.n):
-            raise ValueError(f"require 1 <= k < n, got k={self.k}, n={self.n}")
+        if not (1 <= self.k < self.n <= revocation.MAX_POOL_SIZE):
+            raise ValueError(
+                f"require 1 <= k < n <= {revocation.MAX_POOL_SIZE}, got k={self.k}, n={self.n}"
+            )
         if self.h < 1:
             raise zkp.DegenerateParameters("h must be >= 1")
         if self.variant is Variant.HARDENED and self.k < 2:
@@ -348,7 +350,7 @@ class Rsu:
         if not _fresh(self.clock.now(), t2, sess.config.freshness_window):
             raise StaleTimestamp(f"t2={t2} outside window")
         try:
-            proof = zkp.decode_proof(plain[8:])
+            proof = zkp.decode_proof(plain[8:], self.credential.modulus)
         except zkp.MalformedProof:
             sess.membership_ok = False
         else:
@@ -381,7 +383,7 @@ class Rsu:
                 system, [pool[i - 1] for i in ids], cfg.h, m, self.rng, challenge_rng,
                 secret_ids=ids,
             )
-            items.append(self.sym.seal(sess.session_key, zkp.encode_proof(proof), self.rng))
+            items.append(self.sym.seal(sess.session_key, zkp.encode_proof(proof, m), self.rng))
         return ProofBundle(key_id=key_id, items=tuple(items))
 
     def record_closing_reply(self, key_id: bytes, sealed: bytes) -> int:
@@ -464,11 +466,9 @@ class Obu:
     def prove_membership(self, config: SessionConfig, challenge_rng: Rng) -> bytes:
         assert self.session_key is not None, "no open session"
         system = _proof_system(config, self.session_key, self.key_id, b"membership", 0)
-        proof = zkp.prove(
-            system, self.credential.master_key, config.h, self.credential.modulus,
-            self.rng, challenge_rng,
-        )
-        plain = struct.pack(">d", self.clock.now()) + zkp.encode_proof(proof)
+        m = self.credential.modulus
+        proof = zkp.prove(system, self.credential.master_key, config.h, m, self.rng, challenge_rng)
+        plain = struct.pack(">d", self.clock.now()) + zkp.encode_proof(proof, m)
         return self.sym.seal(self.session_key, plain, self.rng)
 
     # -- step 6: bundle verification ------------------------------------------
@@ -490,7 +490,7 @@ class Obu:
                 break
             plain = self.sym.open(self.session_key, item)
             try:
-                proof = zkp.decode_proof(plain)
+                proof = zkp.decode_proof(plain, m)
             except zkp.MalformedProof:
                 continue
             if tuple(proof.secret_ids) != tuple(ids):

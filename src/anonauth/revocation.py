@@ -18,6 +18,9 @@ from typing import Optional, Sequence
 from .numtheory import Rng, sample_unit
 
 DEFAULT_SEARCH_WINDOW = 64
+# largest pool size n: ids are drawn from 16-bit values, so a larger n
+# would leave no value below the rejection span
+MAX_POOL_SIZE = 1 << 16
 
 # One block is a sorted k-tuple of distinct ids in [1, n]; a sequence is
 # mu pairwise-distinct blocks.
@@ -90,8 +93,8 @@ def _draw_block(iv: int, counter: int, block_index: int, redraw: int, n: int, k:
 
 def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
     """Deterministic mu-block sequence for one authentication session."""
-    if not (1 <= k <= n) or mu < 1:
-        raise ValueError("require 1 <= k <= n and mu >= 1")
+    if not (1 <= k <= n <= MAX_POOL_SIZE) or mu < 1:
+        raise ValueError(f"require 1 <= k <= n <= {MAX_POOL_SIZE} and mu >= 1")
     if mu > comb(n, k):
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})={comb(n, k)}")
     blocks: list[Block] = []

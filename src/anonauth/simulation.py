@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import keymgmt, protocol, zkp
+from . import keymgmt, protocol
 from .envelopes import EciesSeal, StubEnvelope, StubSeal, generate_seal_keypair
 from .numtheory import Rng, generate_blum_modulus
 from .protocol import LogicalClock, Obu, Outcome, Rsu, SessionConfig
@@ -318,17 +318,3 @@ def sweep_csv(rows: list[SimMetrics], dimension: str) -> str:
             f"{r.sessions_attempted},{r.sessions_accepted}"
         )
     return "\n".join(lines) + "\n"
-
-
-def reverify_transcript(transcript, obu_credential, session_config: SessionConfig) -> bool:
-    """Offline protocol-fidelity check: the logged verifier proofs must
-    re-verify against the member's witnesses."""
-    m = obu_credential.modulus
-    if len(transcript.bundle_observations) != session_config.mu:
-        return False
-    for obs in transcript.bundle_observations:
-        witnesses = [obu_credential.pool_witnesses[i - 1] for i in obs.secret_ids]
-        for rd in obs.rounds:
-            if not zkp.verify_round(rd.w, rd.challenge, rd.y, witnesses, m):
-                return False
-    return True

@@ -5,12 +5,24 @@ scheme, and ``Hardened``, which binds every response to a per-session
 polynomial so recorded transcripts cannot be replayed across sessions.
 ``prove``, ``verify`` and ``verify_interactive`` run either one. A verifier
 builds the system from its own session configuration; the variant byte of a
-received proof must match it and never selects it.
+received proof must match it and never selects it. A proof carries no
+polynomial seed: each verifier derives its own polynomial.
+
+Wire format of a proof under modulus m, big-endian, with width =
+(m.bit_length() + 7) // 8 and every field fixed-width, so the header fixes
+the length and each proof has exactly one encoding:
+
+    header   variant (1 byte: 0 basic, 1 hardened), secret-id count (2),
+             round count (2), k = challenge bits per round (2)
+    ids      4 bytes per secret id
+    rounds   W (width bytes), challenge (ceil(k/8) bytes, bit i = b_i),
+             Y (width bytes); W and Y are below m
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -54,7 +66,6 @@ class ZkpProof:
     secret_ids: tuple[int, ...]
     rounds: tuple[ZkpRound, ...]
     variant: Variant = Variant.BASIC
-    poly_seed: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -109,6 +120,14 @@ def verify_round(
 def draw_challenge(rng: Rng, k: int) -> tuple[int, ...]:
     bits = rng.randbits(k)
     return tuple((bits >> i) & 1 for i in range(k))
+
+
+def challenge_bits(challenge: Sequence[int]) -> int:
+    """The challenge as one integer with bit i = b_i, as ``draw_challenge`` reads it."""
+    v = 0
+    for i, b in enumerate(challenge):
+        v |= (b & 1) << i
+    return v
 
 
 # ------------------------------------------------------------- hardened
@@ -193,7 +212,6 @@ class Basic:
     """Y = R * prod(S_i for challenged i), checked by ``verify_round``."""
 
     variant = Variant.BASIC
-    poly_seed = None
 
     def respond(self, r, secrets, challenge, m) -> int:
         return prover_respond(r, secrets, challenge, m)
@@ -215,7 +233,6 @@ class Hardened:
         if len(poly.coefficients) < 2:
             raise DegenerateParameters("hardened variant requires k >= 2")
         self.poly = poly
-        self.poly_seed = poly.seed
 
     def respond(self, r, secrets, challenge, m) -> int:
         return hardened_respond(r, secrets, challenge, self.poly, m)
@@ -256,11 +273,17 @@ def prove(
             break
         else:
             raise DegenerateEvaluation("could not find a non-degenerate round")
-    return ZkpProof(
-        secret_ids=tuple(secret_ids),
-        rounds=tuple(rounds),
-        variant=system.variant,
-        poly_seed=system.poly_seed,
+    return ZkpProof(secret_ids=tuple(secret_ids), rounds=tuple(rounds), variant=system.variant)
+
+
+def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
+    """One round of ``system``, for both ``verify`` and ``verify_interactive``:
+    one challenge bit per witness and a nonzero commitment, since W = 0
+    (mod m) with Y = 0 satisfies both variants' equations without a secret."""
+    return (
+        len(challenge) == len(witnesses)
+        and w % m != 0
+        and system.check(w, challenge, y, witnesses, m)
     )
 
 
@@ -272,11 +295,7 @@ def verify(system, proof: ZkpProof, witnesses: Sequence[int], m: int, h: int) ->
     """
     if h < 1 or proof.variant is not system.variant or len(proof.rounds) != h:
         return False
-    k = len(witnesses)
-    return all(
-        len(rd.challenge) == k and system.check(rd.w, rd.challenge, rd.y, witnesses, m)
-        for rd in proof.rounds
-    )
+    return all(_round_ok(system, rd.w, rd.challenge, rd.y, witnesses, m) for rd in proof.rounds)
 
 
 def verify_interactive(
@@ -297,14 +316,13 @@ def verify_interactive(
     k = len(witnesses)
     if k < 1 or h < 1:
         raise DegenerateParameters("k and h must both be >= 1")
-    check = system.check
     for _ in range(h):
         w = prover.commit()
         challenge = draw_challenge(verifier_rng, k)
         y = prover.respond(challenge)
         if transcript is not None:
             transcript.append(ZkpRound(w=w, challenge=challenge, y=y))
-        if not check(w, challenge, y, witnesses, m):
+        if not _round_ok(system, w, challenge, y, witnesses, m):
             return False
     return True
 
@@ -346,91 +364,56 @@ def run_hardened_proof(
 
 
 _VARIANTS = (Variant.BASIC, Variant.HARDENED)  # index = wire byte
+_HEADER = struct.Struct(">BHHH")  # variant, secret-id count, round count, k
 
 
-def _encode_int(v: int) -> bytes:
-    raw = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
-    return len(raw).to_bytes(4, "big") + raw
-
-
-def _take(blob: bytes, off: int, n: int) -> tuple[bytes, int]:
-    if off + n > len(blob):
-        raise MalformedProof(f"{n} bytes needed at offset {off} of {len(blob)}")
-    return blob[off : off + n], off + n
-
-
-def _decode_uint(blob: bytes, off: int, n: int) -> tuple[int, int]:
-    raw, off = _take(blob, off, n)
-    return int.from_bytes(raw, "big"), off
-
-
-def _decode_int(blob: bytes, off: int) -> tuple[int, int]:
-    n, off = _decode_uint(blob, off, 4)
-    return _decode_uint(blob, off, n)
-
-
-def pack_challenge(challenge: Sequence[int]) -> bytes:
-    k = len(challenge)
-    bits = 0
-    for i, b in enumerate(challenge):
-        bits |= (b & 1) << i
-    return k.to_bytes(2, "big") + bits.to_bytes((k + 7) // 8 or 1, "big")
-
-
-def unpack_challenge(blob: bytes, off: int) -> tuple[tuple[int, ...], int]:
-    k, off = _decode_uint(blob, off, 2)
-    bits, off = _decode_uint(blob, off, (k + 7) // 8 or 1)
-    return tuple((bits >> i) & 1 for i in range(k)), off
-
-
-def encode_round(rd: ZkpRound) -> bytes:
-    return _encode_int(rd.w) + pack_challenge(rd.challenge) + _encode_int(rd.y)
-
-
-def decode_round(blob: bytes, off: int = 0) -> tuple[ZkpRound, int]:
-    w, off = _decode_int(blob, off)
-    challenge, off = unpack_challenge(blob, off)
-    y, off = _decode_int(blob, off)
-    return ZkpRound(w=w, challenge=challenge, y=y), off
-
-
-def encode_proof(proof: ZkpProof) -> bytes:
-    out = bytearray()
-    out += _VARIANTS.index(proof.variant).to_bytes(1, "big")
-    seed = proof.poly_seed or b""
-    out += len(seed).to_bytes(2, "big") + seed
-    out += len(proof.secret_ids).to_bytes(2, "big")
-    for sid in proof.secret_ids:
-        out += sid.to_bytes(4, "big")
-    out += len(proof.rounds).to_bytes(2, "big")
+def encode_proof(proof: ZkpProof, m: int) -> bytes:
+    """The proof's fixed-width bytes under modulus ``m`` (layout in the
+    module docstring); every round must carry the same number of bits."""
+    width = (m.bit_length() + 7) // 8
+    k = len(proof.rounds[0].challenge) if proof.rounds else 0
+    ids = proof.secret_ids
+    out = [
+        _HEADER.pack(_VARIANTS.index(proof.variant), len(ids), len(proof.rounds), k),
+        struct.pack(f">{len(ids)}I", *ids),
+    ]
     for rd in proof.rounds:
-        out += encode_round(rd)
-    return bytes(out)
+        if len(rd.challenge) != k:
+            raise ChallengeLengthMismatch(f"round of {len(rd.challenge)} bits in a k={k} proof")
+        out += (
+            rd.w.to_bytes(width, "big"),
+            challenge_bits(rd.challenge).to_bytes((k + 7) // 8, "big"),
+            rd.y.to_bytes(width, "big"),
+        )
+    return b"".join(out)
 
 
-def decode_proof(blob: bytes) -> ZkpProof:
-    """Inverse of ``encode_proof``; every byte of ``blob`` must belong to
-    the proof, else ``MalformedProof``."""
-    code, off = _decode_uint(blob, 0, 1)
+def decode_proof(blob: bytes, m: int) -> ZkpProof:
+    """Inverse of ``encode_proof``: the blob must be exactly as long as its
+    header says and hold only values below ``m`` (and below 2^k for the
+    challenge bits), so each proof has one encoding; else ``MalformedProof``."""
+    if len(blob) < _HEADER.size:
+        raise MalformedProof(f"{len(blob)} bytes is shorter than the header")
+    code, n_ids, n_rounds, k = _HEADER.unpack_from(blob)
+    width, ch_bytes = (m.bit_length() + 7) // 8, (k + 7) // 8
+    step = 2 * width + ch_bytes
+    start = _HEADER.size + 4 * n_ids
+    if len(blob) != start + n_rounds * step:
+        raise MalformedProof(f"{len(blob)} bytes, the header says {start + n_rounds * step}")
     if code >= len(_VARIANTS):
         raise MalformedProof(f"unknown variant byte {code}")
-    seed_len, off = _decode_uint(blob, off, 2)
-    poly_seed, off = _take(blob, off, seed_len)
-    n_ids, off = _decode_uint(blob, off, 2)
-    ids = []
-    for _ in range(n_ids):
-        sid, off = _decode_uint(blob, off, 4)
-        ids.append(sid)
-    n_rounds, off = _decode_uint(blob, off, 2)
+    if k and not n_rounds:
+        raise MalformedProof(f"k={k} in a proof with no rounds")
     rounds = []
-    for _ in range(n_rounds):
-        rd, off = decode_round(blob, off)
-        rounds.append(rd)
-    if off != len(blob):
-        raise MalformedProof(f"{len(blob) - off} trailing bytes")
+    for off in range(start, len(blob), step):
+        w = int.from_bytes(blob[off : off + width], "big")
+        bits = int.from_bytes(blob[off + width : off + width + ch_bytes], "big")
+        y = int.from_bytes(blob[off + width + ch_bytes : off + step], "big")
+        if w >= m or y >= m or bits >> k:
+            raise MalformedProof("a round value is out of range")
+        rounds.append(ZkpRound(w=w, challenge=tuple((bits >> i) & 1 for i in range(k)), y=y))
     return ZkpProof(
-        secret_ids=tuple(ids),
+        secret_ids=struct.unpack_from(f">{n_ids}I", blob, _HEADER.size),
         rounds=tuple(rounds),
         variant=_VARIANTS[code],
-        poly_seed=poly_seed or None,
     )

@@ -256,6 +256,25 @@ class TestRerun:
         assert result.exit_code == 2, result.output
         assert "parameter error" in result.output
 
+    def test_missing_manifest_exits_2(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["rerun", "--manifest", str(tmp_path / "absent.json"),
+                   "--out-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize(
+        "bad", [{"groups": "x"}, {"groups": "3"}, {"groups": 2.5}, {"groups": None},
+                {"seed": True}],
+        ids=["str", "numeric-str", "float", "null", "bool"],
+    )
+    def test_param_of_wrong_type_exits_2(self, runner, tmp_path, bad):
+        params = {"groups": 1, "pool_size": 4, "secrets_per_member": 2, "bit_length": 24,
+                  "obus_per_group": 1, "rsus": 1, "seed": 1}
+        result = self._rerun_spec(runner, tmp_path, "keygen", {**params, **bad})
+        assert result.exit_code == 2, result.output
+        assert "parameter error" in result.output
+
 
 def test_every_subcommand_has_a_runner():
     assert set(cli.RUNNERS) == set(main.commands) - {"rerun"}

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["auth-churn", "mc-oracle"])
+@pytest.mark.parametrize("workload", ["auth-2048", "auth-churn", "road-sim", "mc-oracle"])
 def test_traced_tiny_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

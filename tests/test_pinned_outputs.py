@@ -16,7 +16,7 @@ from anonauth.numtheory import Rng, generate_blum_modulus
 from anonauth.protocol import SessionConfig, Variant, run_full_session
 from conftest import M21, build_deployment
 
-PINNED = "86a7879f5fc53b734a9071d07c7860c6013a2c8782a1ccbfcfa3ec7040ff524e"
+PINNED = "79ee8a2217936845ecb5f6093e07f044d35df04bca60b50ba98fe26d243fe5cf"
 
 
 def _feed(digest, *values) -> None:

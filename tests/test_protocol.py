@@ -223,11 +223,12 @@ def _run_to_bundle(seed, config, stub=True):
 def _tamper_items(rsu, obu, key_id, bundle, count):
     """Re-seal the first `count` items with a mismatched secret-id claim."""
     session_key = rsu.sessions[key_id].session_key
+    m = rsu.credential.modulus
     items = list(bundle.items)
     for i in range(count):
-        proof = zkp.decode_proof(obu.sym.open(session_key, items[i]))
+        proof = zkp.decode_proof(obu.sym.open(session_key, items[i]), m)
         lied = dataclasses.replace(proof, secret_ids=(1,) * len(proof.secret_ids))
-        items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied), rsu.rng)
+        items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied, m), rsu.rng)
     return dataclasses.replace(bundle, items=tuple(items))
 
 
@@ -489,12 +490,46 @@ class TestMalformedProofs:
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
         plain = obu.sym.open(obu.session_key, obu.prove_membership(config, rsu.rng))
-        proof = zkp.decode_proof(plain[8:])
-        rd = proof.rounds[0]
-        longer = dataclasses.replace(rd, challenge=rd.challenge + (0,))
-        forged = dataclasses.replace(proof, rounds=(longer,) + proof.rounds[1:])
-        sealed = obu.sym.seal(obu.session_key, plain[:8] + zkp.encode_proof(forged), obu.rng)
+        m = rsu.credential.modulus
+        proof = zkp.decode_proof(plain[8:], m)
+        # every round: the codec writes one challenge length per proof
+        longer = [dataclasses.replace(rd, challenge=rd.challenge + (0,)) for rd in proof.rounds]
+        forged = dataclasses.replace(proof, rounds=tuple(longer))
+        sealed = obu.sym.seal(obu.session_key, plain[:8] + zkp.encode_proof(forged, m), obu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
+
+
+def _zero_proof(variant, secret_ids=()):
+    """What a prover with no secrets can send: W = Y = 0 in every round."""
+    rounds = (zkp.ZkpRound(w=0, challenge=(1, 1), y=0),) * 2
+    return zkp.ZkpProof(secret_ids=tuple(secret_ids), rounds=rounds, variant=variant)
+
+
+@pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
+class TestZeroProofs:
+    def test_sealed_zero_membership_proof_is_refused(self, variant):
+        dep = build_deployment(48, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=variant))
+        plain = struct.pack(">d", obu.clock.now()) + zkp.encode_proof(
+            _zero_proof(variant), rsu.credential.modulus
+        )
+        sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
+        assert rsu.check_membership_proof(key_id, sealed) is False
+
+    def test_zero_bundle_items_count_zero(self, variant):
+        config = cfg(alpha=1, mu=3, h=2, variant=variant)
+        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(49, config)
+        items = tuple(
+            obu.sym.seal(
+                obu.session_key,
+                zkp.encode_proof(_zero_proof(variant, ids), rsu.credential.modulus),
+                rsu.rng,
+            )
+            for ids in sets
+        )
+        result = obu.verify_bundle(dataclasses.replace(bundle, items=items), config, sets)
+        assert result.verified_count == 0
 
 
 class TestShortPlaintexts:

@@ -1,4 +1,5 @@
 import hashlib
+import signal
 from math import comb
 
 import pytest
@@ -61,6 +62,35 @@ class TestNextSequence:
             next_sequence(7, 0, 2, 3, 1)
         with pytest.raises(ValueError):
             next_sequence(7, 0, 4, 2, 0)
+
+
+@pytest.fixture
+def alarm():
+    """Turns a draw that never ends into a failure after 5 s."""
+
+    def _timeout(signum, frame):
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestPoolSizeBound:
+    """Above 2^16 ids no 16-bit value lies below the rejection span."""
+
+    def test_next_sequence_rejects_n_above_bound(self, alarm):
+        with pytest.raises(ValueError):
+            next_sequence(1, 0, 70_000, 1, 1)
+        assert len(set(next_sequence(1, 0, 1 << 16, 2, 3))) == 3
+
+    def test_session_config_rejects_n_above_bound(self, alarm):
+        with pytest.raises(ValueError):
+            config = SessionConfig(alpha=1, mu=1, k=1, h=1, n=70_000, serv_id="INFO")
+            next_sequence(1, 0, config.n, config.k, config.mu)
+        SessionConfig(alpha=1, mu=1, k=1, h=1, n=1 << 16, serv_id="INFO")
 
 
 class _OldPrfStream:

@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
+from anonauth import zkp
 from anonauth.simulation import (
     ALPHA_PACKET_BYTES,
     InvalidConfig,
     SimConfig,
     run_sim,
-    reverify_transcript,
     sweep,
     sweep_csv,
 )
@@ -118,23 +118,29 @@ class TestSweep:
         assert csv.strip().split("\n")[1].startswith("2,14.0,")
 
 
+def _observations_verify(transcript, credential, h) -> bool:
+    """Every logged verifier proof re-verifies against the member's witnesses."""
+    for obs in transcript.bundle_observations:
+        witnesses = [credential.pool_witnesses[i - 1] for i in obs.secret_ids]
+        if not zkp.verify(zkp.BASIC, obs, witnesses, credential.modulus, h):
+            return False
+    return True
+
+
 class TestReverify:
     def test_kept_transcripts_reverify(self):
-        from anonauth.protocol import SessionConfig
         from anonauth.simulation import _Sim
 
         cfg = dataclasses.replace(SMALL, keep_transcripts=True)
         sim = _Sim(cfg, seed=4)
         metrics = sim.run()
-        session_cfg = SessionConfig(
-            alpha=cfg.alpha, mu=cfg.mu, k=cfg.k, h=cfg.h, n=cfg.n, serv_id="INFO"
-        )
         checked = 0
         for obu_index, transcript in metrics.transcripts:
             if transcript.result.outcome.value != "Accepted":
                 continue
             cred = sim.obus[obu_index].endpoint.credential
-            assert reverify_transcript(transcript, cred, session_cfg)
+            assert len(transcript.bundle_observations) == cfg.mu
+            assert _observations_verify(transcript, cred, cfg.h)
             checked += 1
         assert checked == metrics.sessions_accepted > 0
 
@@ -145,11 +151,7 @@ class TestReverify:
             t for _idx, t in metrics.transcripts if t.result.outcome.value == "Accepted"
         ]
         assert accepted
-        from anonauth.protocol import SessionConfig
         from conftest import build_deployment
 
-        session_cfg = SessionConfig(
-            alpha=cfg.alpha, mu=cfg.mu, k=cfg.k, h=cfg.h, n=cfg.n, serv_id="INFO"
-        )
         foreign = build_deployment(99, n=cfg.n, k=cfg.k).obu_creds[0]
-        assert not reverify_transcript(accepted[0], foreign, session_cfg)
+        assert not _observations_verify(accepted[0], foreign, cfg.h)

@@ -19,22 +19,20 @@ from anonauth.zkp import (
     Variant,
     ZkpProof,
     ZkpRound,
+    challenge_bits,
     decode_proof,
-    decode_round,
     derive_session_polynomial,
     draw_challenge,
     encode_proof,
-    encode_round,
     hardened_respond,
     hardened_verify,
-    pack_challenge,
     prove,
     prover_commit,
     prover_respond,
     run_hardened_proof,
     run_proof,
-    unpack_challenge,
     verify,
+    verify_interactive,
     verify_round,
 )
 
@@ -106,9 +104,9 @@ class TestChallenge:
 
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=40))
     def test_pack_round_trip(self, bits):
-        blob = pack_challenge(bits)
-        out, off = unpack_challenge(blob, 0)
-        assert list(out) == bits and off == len(blob)
+        assert challenge_bits(bits) == sum(b << i for i, b in enumerate(bits))
+        proof = ZkpProof(secret_ids=(), rounds=(ZkpRound(w=1, challenge=tuple(bits), y=1),))
+        assert decode_proof(encode_proof(proof, M), M) == proof
 
 
 class TestRunProof:
@@ -371,16 +369,15 @@ class TestSerialization:
         st.integers(1, M - 1),
     )
     def test_round_codec(self, w, ch, y):
-        rd = ZkpRound(w=w, challenge=tuple(ch), y=y)
-        out, off = decode_round(encode_round(rd))
-        assert out == rd and off == len(encode_round(rd))
+        proof = ZkpProof(secret_ids=(7,), rounds=(ZkpRound(w=w, challenge=tuple(ch), y=y),))
+        assert decode_proof(encode_proof(proof, M), M) == proof
 
     def test_proof_codec(self):
         rng = Rng(5)
         secrets = [sample_unit(rng, M) for _ in range(2)]
         witnesses = [s * s % M for s in secrets]
         proof, _ = run_proof(secrets, witnesses, 2, 3, M, rng.split(), rng.split(), secret_ids=(1, 4))
-        out = decode_proof(encode_proof(proof))
+        out = decode_proof(encode_proof(proof, M), M)
         assert out == proof
 
     def test_hardened_proof_codec_keeps_seed_and_variant(self):
@@ -392,14 +389,41 @@ class TestSerialization:
         proof, _ = run_hardened_proof(
             secrets, witnesses, poly, 2, m, rng.split(), rng.split(), secret_ids=(2, 3)
         )
-        out = decode_proof(encode_proof(proof))
-        assert out == proof and out.variant is Variant.HARDENED and out.poly_seed == b"seed77"
+        out = decode_proof(encode_proof(proof, m), m)
+        assert out == proof and out.variant is Variant.HARDENED
 
     def test_big_integers_survive(self):
-        big = (1 << 512) - 19
-        rd = ZkpRound(w=big, challenge=(1, 0), y=big - 5)
-        out, _ = decode_round(encode_round(rd))
-        assert out == rd
+        m = (1 << 512) - 19
+        rd = ZkpRound(w=m - 1, challenge=(1, 0), y=m - 5)
+        proof = ZkpProof(secret_ids=(1, 2), rounds=(rd,))
+        assert decode_proof(encode_proof(proof, m), m) == proof
+
+    # any odd 2048-bit number serves: the codec and the prover need no factors
+    @pytest.mark.parametrize(
+        "m",
+        [generate_blum_modulus(16, 3).m, generate_blum_modulus(32, 3).m, (1 << 2047) + 9],
+        ids=["16", "32", "2048"],
+    )
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_round_trip_and_exact_length(self, m, k):
+        rng = Rng(m % 1000 + k)
+        secrets = [sample_unit(rng, m) for _ in range(k)]
+        ids = tuple(range(1, k + 1))
+        width = (m.bit_length() + 7) // 8
+        for system in (BASIC, Hardened(derive_session_polynomial(b"s", k))):
+            proof = prove(system, secrets, 4, m, rng.split(), rng.split(), secret_ids=ids)
+            blob = encode_proof(proof, m)
+            assert decode_proof(blob, m) == proof
+            assert len(blob) == 7 + 4 * k + 4 * (2 * width + (k + 7) // 8)
+
+    def test_mixed_challenge_lengths_do_not_encode(self):
+        proof, _ = _basic_proof()
+        rd = proof.rounds[1]
+        mixed = dataclasses.replace(
+            proof, rounds=(proof.rounds[0], dataclasses.replace(rd, challenge=rd.challenge + (1,)))
+        )
+        with pytest.raises(ChallengeLengthMismatch):
+            encode_proof(mixed, M)
 
 
 def _basic_proof():
@@ -409,24 +433,47 @@ def _basic_proof():
     return proof, [s * s % M for s in secrets]
 
 
-_BLOB = encode_proof(_basic_proof()[0])
+_BLOB = encode_proof(_basic_proof()[0], M)
 _HARDENED = Hardened(_poly([3, 2]))
+_HEADER = 7  # variant, id count, round count, k
 
 
 class TestStrictDecoding:
     def test_every_truncation_is_malformed(self):
         for cut in range(len(_BLOB)):  # cut = 0 is the empty blob
             with pytest.raises(MalformedProof):
-                decode_proof(_BLOB[:cut])
+                decode_proof(_BLOB[:cut], M)
 
     def test_trailing_bytes_are_malformed(self):
         with pytest.raises(MalformedProof):
-            decode_proof(_BLOB + b"\0")
+            decode_proof(_BLOB + b"\0", M)
 
     @pytest.mark.parametrize("code", [2, 7, 255])
     def test_unknown_variant_byte_is_malformed(self, code):
         with pytest.raises(MalformedProof):
-            decode_proof(bytes([code]) + _BLOB[1:])
+            decode_proof(bytes([code]) + _BLOB[1:], M)
+
+    @pytest.mark.parametrize("field", [0, 2], ids=["w", "y"])
+    @pytest.mark.parametrize("value", [M, 255])
+    def test_round_value_not_below_m_is_malformed(self, field, value):
+        blob = bytearray(_BLOB)
+        blob[_HEADER + 8 + field] = value
+        with pytest.raises(MalformedProof):
+            decode_proof(bytes(blob), M)
+        blob[_HEADER + 8 + field] = M - 1  # the same byte below m decodes
+        decode_proof(bytes(blob), M)
+
+    def test_challenge_bits_above_k_are_malformed(self):
+        blob = bytearray(_BLOB)
+        blob[_HEADER + 8 + 1] |= 0b100  # k = 2
+        with pytest.raises(MalformedProof):
+            decode_proof(bytes(blob), M)
+
+    def test_k_without_rounds_is_malformed(self):
+        empty = encode_proof(ZkpProof(secret_ids=(), rounds=()), M)
+        assert decode_proof(empty, M) == ZkpProof(secret_ids=(), rounds=())
+        with pytest.raises(MalformedProof):
+            decode_proof(empty[:-1] + b"\2", M)
 
 
 class TestVerify:
@@ -469,9 +516,50 @@ class TestVerify:
             assert len(proof.rounds) == 4 and proof.variant is system.variant
 
 
+class _ZeroProver:
+    """Knows no secret: commits W = 0 or m and answers Y = 0 to every challenge."""
+
+    def __init__(self, w: int):
+        self.w = w
+
+    def commit(self) -> int:
+        return self.w
+
+    def respond(self, challenge) -> int:
+        return 0
+
+
+_M64 = generate_blum_modulus(64, 21).m
+
+
+class TestZeroCommitment:
+    """0^2 = +-0 * prod(I) and 0 = +-0 * P hold for any witnesses, so a zero
+    commitment must fail the round in both variants."""
+
+    def _setup(self):
+        rng = Rng(22)
+        witnesses = [pow(sample_unit(rng, _M64), 2, _M64) for _ in range(2)]
+        systems = (BASIC, Hardened(derive_session_polynomial(b"zero", 2)))
+        return rng, witnesses, systems
+
+    @pytest.mark.parametrize("w", [0, _M64], ids=["0", "m"])
+    def test_interactive_zero_prover_fails(self, w):
+        rng, witnesses, systems = self._setup()
+        for system in systems:
+            assert not verify_interactive(system, _ZeroProver(w), witnesses, 8, _M64, rng)
+
+    @pytest.mark.parametrize("w", [0, _M64], ids=["0", "m"])
+    def test_recorded_zero_transcript_fails(self, w):
+        rng, witnesses, systems = self._setup()
+        for system in systems:
+            rounds = tuple(ZkpRound(w=w, challenge=draw_challenge(rng, 2), y=0) for _ in range(8))
+            proof = ZkpProof(secret_ids=(1, 2), rounds=rounds, variant=system.variant)
+            assert not verify(system, proof, witnesses, _M64, 8)
+
+
 def _decodes_or_fails_typed(blob: bytes) -> None:
     try:
-        proof = decode_proof(blob)
+        proof = decode_proof(blob, M)
     except MalformedProof:
         return
     for system in (BASIC, _HARDENED):
