@@ -47,14 +47,19 @@ class CheaterProver:
 
     A round verifies exactly when the verifier's challenge equals the
     guess (up to negligible arithmetic coincidence in the modulus).
+    ``inverses`` (mask -> 1 / prod(g_i for i in mask) mod m, filled as
+    masks are first drawn) may be shared by provers with the same witnesses
+    and modulus.
     """
 
-    def __init__(self, witnesses: Sequence[int], m: int, rng: Rng):
+    def __init__(
+        self, witnesses: Sequence[int], m: int, rng: Rng, inverses: Optional[dict[int, int]] = None
+    ):
         self.witnesses = list(witnesses)
         self.m = m
         self.rng = rng
         self.k = len(witnesses)
-        self._inv_cache: dict[int, int] = {}
+        self._inv_cache = {} if inverses is None else inverses
         self._r: Optional[int] = None
 
     def _inv_product(self, mask: int) -> int:
@@ -84,15 +89,17 @@ def cheater_attempt(
     m: int,
     rng: Rng,
     verifier_rng: Rng,
+    inverses: Optional[dict[int, int]] = None,
 ) -> tuple[list[ZkpRound], bool]:
     """One full cheating attempt: up to h rounds against an honest
     verifier, which stops at the first failed round. Returns the rounds
-    played and the verdict."""
+    played and the verdict. Attempts on the same witnesses and modulus may
+    share one ``inverses`` table (see ``CheaterProver``)."""
     if len(witnesses) != k:
         raise zkp.ChallengeLengthMismatch(f"{len(witnesses)} witnesses, k={k}")
     rounds: list[ZkpRound] = []
     ok = zkp.verify_interactive(
-        zkp.BASIC, CheaterProver(witnesses, m, rng), witnesses, h, m, verifier_rng,
+        zkp.BASIC, CheaterProver(witnesses, m, rng, inverses), witnesses, h, m, verifier_rng,
         transcript=rounds,
     )
     return rounds, ok

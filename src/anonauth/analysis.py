@@ -184,9 +184,12 @@ def mc_cheater(k: int, h: int, trials: int, seed: int) -> ProbabilityReport:
     m, _, witnesses = _mc_witnesses(k, seed)
     attacker_rng = Rng(seed)
     verifier_rng = Rng(seed ^ 0xA5A5A5)
+    inverses: dict[int, int] = {}  # one witness set, so one table for every trial
     successes = 0
     for _ in range(trials):
-        _, ok = adversary.cheater_attempt(witnesses, k, h, m, attacker_rng, verifier_rng)
+        _, ok = adversary.cheater_attempt(
+            witnesses, k, h, m, attacker_rng, verifier_rng, inverses
+        )
         if ok:
             successes += 1
     cf = p_cheater(k, h)

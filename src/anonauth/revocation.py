@@ -52,9 +52,16 @@ class RevocationTable:
     version: int = 0
     _index: Optional[_ScreenIndex] = field(default=None, repr=False)
 
-    def upsert(self, entry: RevocationEntry) -> None:
+    def upsert(self, entry: RevocationEntry, windows: Optional[dict] = None) -> None:
+        """Install ``entry``. A broadcast hands every table one ``windows``
+        dict ((n, k, mu, window) -> the entry's window), so tables that
+        screen with the same parameters compute the window once."""
         if self._index is not None:  # first, so an entry it cannot rebuild changes nothing
-            self._index.add(entry)
+            windows = {} if windows is None else windows
+            params = self._index.params
+            if params not in windows:
+                windows[params] = _window(entry, params)
+            self._index.add(entry, windows[params])
         self.entries[entry.iv] = entry
         self.version += 1
 
@@ -123,12 +130,21 @@ def broadcast_revocation(
     reason: str = "",
     inserted_at: float = 0.0,
 ) -> None:
-    """Install the violator entry in every table; idempotent on repeats."""
+    """Install the violator entry in every table; idempotent on repeats.
+    The entry's window is computed once per (n, k, mu, window) in use."""
     entry = RevocationEntry(
         iv=iv, last_known_counter=counter_hint, reason=reason, inserted_at=inserted_at
     )
+    windows: dict = {}
     for table in tables:
-        table.upsert(entry)
+        table.upsert(entry, windows)
+
+
+def _window(entry: RevocationEntry, params: tuple[int, int, int, int]) -> tuple[Sequence_, ...]:
+    """The entry's window+1 sequences, in counter order from its last known counter."""
+    n, k, mu, window = params
+    first = entry.last_known_counter
+    return tuple(next_sequence(entry.iv, c, n, k, mu) for c in range(first, first + window + 1))
 
 
 class _ScreenIndex:
@@ -145,14 +161,12 @@ class _ScreenIndex:
         self.owners: dict[Sequence_, tuple[int, ...]] = {}
         self.windows: dict[int, tuple[int, tuple[Sequence_, ...]]] = {}
         for entry in entries:
-            self.add(entry)
+            self.add(entry, _window(entry, params))
 
-    def add(self, entry: RevocationEntry) -> None:
-        n, k, mu, window = self.params
-        first = entry.last_known_counter
-        seqs = tuple(next_sequence(entry.iv, c, n, k, mu) for c in range(first, first + window + 1))
+    def add(self, entry: RevocationEntry, seqs: tuple[Sequence_, ...]) -> None:
+        """Index ``entry`` with its window ``seqs`` (see ``_window``)."""
         self.drop(entry.iv)
-        self.windows[entry.iv] = (first, seqs)
+        self.windows[entry.iv] = (entry.last_known_counter, seqs)
         for seq in set(seqs):
             self.owners[seq] = self.owners.get(seq, ()) + (entry.iv,)
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Optional, Sequence
 
 from .numtheory import Rng, gcd, sample_unit
@@ -73,6 +74,9 @@ class SessionPolynomial:
     coefficients: tuple[int, ...]
     modulus: int
     seed: bytes
+    # (base, scale, m) -> the inner sum's terms, built by a proof's first
+    # round and read by its others; a polynomial serves one proof per side
+    term_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------- basic
@@ -158,12 +162,38 @@ def derive_session_polynomial(
         tag += 1
 
 
+def _term_table(
+    poly: SessionPolynomial, base: int, scale: int, m: int
+) -> tuple[int, tuple[int, ...]]:
+    """The inner sum's terms for ``base``, built once per proof: with
+    x = base^scale, the sum of every term at b_t = 0 (sum_t a_t) and, per
+    t, what b_t = 1 adds to it (a_t * x^t mod m - a_t)."""
+    key = (base, scale, m)
+    table = poly.term_tables.get(key)
+    if table is None:
+        x, x_t, steps = pow(base, scale, m), 1, []
+        for t, a_t in enumerate(poly.coefficients):
+            if t:
+                x_t = x_t * x % m
+            steps.append(a_t * x_t % m - a_t)
+        table = poly.term_tables[key] = (sum(poly.coefficients), tuple(steps))
+    return table
+
+
 def _poly_factor(poly: SessionPolynomial, base: int, challenge: Sequence[int], scale: int, m: int) -> int:
     """Inner sum  sum_t a_t * base^(scale*t*b_t)  mod m."""
-    total = 0
-    for t, (a_t, b_t) in enumerate(zip(poly.coefficients, challenge)):
-        total = (total + a_t * pow(base, scale * t * b_t, m)) % m
-    return total
+    total, steps = _term_table(poly, base, scale, m)
+    return sum(compress(steps, challenge), total) % m
+
+
+def _poly_product(
+    poly: SessionPolynomial, values: Sequence[int], challenge: Sequence[int], scale: int, m: int
+) -> int:
+    """prod_v( inner sum for base v ) mod m."""
+    prod = 1
+    for v in values:
+        prod = prod * _poly_factor(poly, v, challenge, scale, m) % m
+    return prod
 
 
 def hardened_respond(
@@ -173,15 +203,15 @@ def hardened_respond(
     poly: SessionPolynomial,
     m: int,
 ) -> int:
-    """Y = R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) mod m."""
+    """Y = R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) mod m.
+
+    The product is a unit iff every factor is, so one gcd decides whether
+    the round is degenerate."""
     if len(secrets) != len(challenge) or len(challenge) != len(poly.coefficients):
         raise ChallengeLengthMismatch("secrets/challenge/coefficients disagree")
-    g = 1
-    for s in secrets:
-        inner = _poly_factor(poly, s, challenge, 2, m)
-        if gcd(inner, m) != 1:
-            raise DegenerateEvaluation("inner sum is not a unit; re-run the round")
-        g = (g * inner) % m
+    g = _poly_product(poly, secrets, challenge, 2, m)
+    if gcd(g, m) != 1:
+        raise DegenerateEvaluation("inner sum is not a unit; re-run the round")
     return (r * r % m) * g % m
 
 
@@ -198,9 +228,7 @@ def hardened_verify(
     A non-unit P (a degenerate round) returns False instead of raising."""
     if len(witnesses) != len(challenge) or len(challenge) != len(poly.coefficients):
         raise ChallengeLengthMismatch("witnesses/challenge/coefficients disagree")
-    prod = 1
-    for i_x in witnesses:
-        prod = (prod * _poly_factor(poly, i_x, challenge, 1, m)) % m
+    prod = _poly_product(poly, witnesses, challenge, 1, m)
     rhs = w * prod % m
     return gcd(prod, m) == 1 and y % m in (rhs, -rhs % m)
 

@@ -341,6 +341,36 @@ class TestIncrementalIndex:
         miss = original(1234, 0, n, k, 3)
         assert cost(lambda: screen_session(table, miss, n, k, window=window)) == 0
 
+    def test_broadcast_computes_each_window_once(self, monkeypatch):
+        calls = []
+        original = revocation.next_sequence
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(revocation, "next_sequence", counted)
+        n, k, window = 15, 3, 10
+        miss = original(1234, 0, n, k, 3)
+        tables = [RevocationTable() for _ in range(10)]
+        for table in tables:
+            table.upsert(RevocationEntry(iv=1, last_known_counter=0))
+            screen_session(table, miss, n, k, window=window)  # warm: index built
+        calls.clear()
+        broadcast_revocation(7, 2, tables)
+        assert len(calls) == window + 1
+        hit = original(7, 4, n, k, 3)
+        for table in tables:
+            assert screen_session(table, hit, n, k, window=window) == Match(iv=7, counter=4)
+        # a table screening with other parameters gets its own window; a
+        # cold table computes none until its first screen
+        other, cold = RevocationTable(), RevocationTable()
+        other.upsert(RevocationEntry(iv=1, last_known_counter=0))
+        screen_session(other, miss, n, k, window=window + 1)
+        calls.clear()
+        broadcast_revocation(8, 0, tables + [other, cold])
+        assert len(calls) == (window + 1) + (window + 2)
+
 
 class TestEndToEndRevocation:
     def _setup(self, seed=11):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+from anonauth import zkp
 from anonauth.numtheory import Rng, generate_blum_modulus, mod_inv, sample_unit
 from anonauth.zkp import (
     BASIC,
@@ -324,6 +325,74 @@ class TestHardenedVerifyReference:
         assert hardened_verify(w, challenge, y, witnesses, poly, m) is expected
 
 
+def _inner_sum(poly, base, challenge, scale, m):
+    """The definition the term table must reproduce."""
+    terms = enumerate(zip(poly.coefficients, challenge))
+    return sum(a * pow(base, scale * t * b, m) for t, (a, b) in terms) % m
+
+
+_M64 = generate_blum_modulus(64, 21).m
+# the inner sum needs no factors, so an odd 2048-bit number stands in
+_TERM_MODULI = [generate_blum_modulus(16, 9).m, _M64, (1 << 2047) + 9]
+
+
+class TestTermTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_inner_sum_matches_definition(self, data):
+        k = data.draw(st.integers(2, 9))
+        coefficient = st.one_of(st.integers(0, 30), st.integers(0, DEFAULT_COEFF_MODULUS - 1))
+        poly = _poly(data.draw(st.lists(coefficient, min_size=k, max_size=k)))
+        moduli = data.draw(st.permutations(_TERM_MODULI))[:2]
+        bits = st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k).map(tuple)
+        # one polynomial, several bases, two moduli, both scales; a second
+        # challenge per base reads the table the first one built
+        for m in moduli:
+            for base in data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4)):
+                for scale in (1, 2):
+                    for challenge in (data.draw(bits), data.draw(bits)):
+                        got = zkp._poly_factor(poly, base, challenge, scale, m)
+                        assert got == _inner_sum(poly, base, challenge, scale, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_respond_is_degenerate_iff_a_factor_is_not_a_unit(self, data):
+        m, p, q = data.draw(st.sampled_from([(21, 3, 7), (_BLUM_12.m, _BLUM_12.p, _BLUM_12.q)]))
+        k = data.draw(st.integers(2, 4))
+        residues = st.one_of(
+            st.integers(0, m - 1),
+            st.builds(lambda f, j: f * j % m, st.sampled_from([p, q]), st.integers(0, m)),
+        )
+        poly = _poly(data.draw(st.lists(st.integers(0, 30), min_size=k, max_size=k)))
+        secrets = data.draw(st.lists(residues, min_size=k, max_size=k))
+        challenge = tuple(data.draw(st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k)))
+        r = data.draw(st.integers(1, m - 1))
+        factors = [_inner_sum(poly, s, challenge, 2, m) for s in secrets]
+        if any(math.gcd(f, m) != 1 for f in factors):
+            with pytest.raises(DegenerateEvaluation):
+                hardened_respond(r, secrets, challenge, poly, m)
+        else:
+            expected = r * r * math.prod(factors) % m
+            assert hardened_respond(r, secrets, challenge, poly, m) == expected
+
+    def test_prove_checks_for_a_unit_once_per_round(self, monkeypatch):
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append(a)
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(zkp, "gcd", counting_gcd)
+        rng = Rng(5)
+        secrets = [sample_unit(rng, _M64) for _ in range(5)]
+        poly = derive_session_polynomial(b"count", 5)
+        proof = prove(Hardened(poly), secrets, 4, _M64, rng.split(), rng.split())
+        assert len(proof.rounds) == 4 and len(calls) == 4
+        # one table per secret, held by the proof's polynomial only
+        assert sorted(poly.term_tables) == sorted((s, 2, _M64) for s in secrets)
+        assert poly == derive_session_polynomial(b"count", 5)
+
+
 class TestTranscriptIndistinguishability:
     def test_honest_vs_simulated_chi_square(self):
         """Accepted basic transcripts carry no secret information: a
@@ -529,7 +598,6 @@ class _ZeroProver:
         return 0
 
 
-_M64 = generate_blum_modulus(64, 21).m
 
 
 class TestZeroCommitment:
