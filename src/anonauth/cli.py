@@ -273,9 +273,9 @@ def run_revoke_demo(params: dict, out_dir: Path) -> tuple[list[str], int]:
 
 def run_simulate(params: dict, out_dir: Path) -> tuple[list[str], int]:
     config = simulation.SimConfig(
-        obus_per_rsu=params.get("load", 10),
-        speed_mps=params.get("speed", 20.0),
-        duration_s=params.get("duration", 40.0),
+        obus_per_rsu=params["load"],
+        speed_mps=params["speed"],
+        duration_s=params["duration"],
     )
     dimension = params["sweep"]
     values = (

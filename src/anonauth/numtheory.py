@@ -53,19 +53,16 @@ class Rng:
 
 @dataclass(frozen=True)
 class BlumModulus:
-    """Public modulus m = p*q with p = q = 3 (mod 4).
+    """Modulus m = p*q with p = q = 3 (mod 4).
 
-    The factors are private to the issuing authority; ``public()`` strips
-    them before the modulus is handed to protocol parties.
+    ``p`` and ``q`` stay with whoever made the modulus; credentials, the
+    protocol and the proofs carry ``m`` alone.
     """
 
     m: int
     bit_length: int
     p: Optional[int] = None
     q: Optional[int] = None
-
-    def public(self) -> "BlumModulus":
-        return BlumModulus(m=self.m, bit_length=self.bit_length)
 
 
 def is_prime(n: int, rng: Optional[Rng] = None) -> bool:

@@ -16,8 +16,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import envelopes, revocation, zkp
 from .envelopes import (
@@ -66,11 +65,7 @@ class MalformedRequest(ValueError):
     pass
 
 
-class TooManyProofsRequested(ValueError):
-    pass
-
-
-class UnknownSession(KeyError):
+class UnknownSession(ValueError):
     pass
 
 
@@ -117,7 +112,6 @@ class SessionConfig:
 @dataclass(frozen=True)
 class Beacon:
     certificate: Certificate
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,6 @@ class AuthResult:
 @dataclass
 class SessionTranscript:
     frames: list[bytes] = field(default_factory=list)
-    membership_proof: Optional[ZkpProof] = None
     bundle_observations: list[ZkpProof] = field(default_factory=list)
     requested_sets: tuple = ()
     key_id: bytes = NO_KEY_ID
@@ -192,8 +185,8 @@ def _request_fields(body, groups) -> tuple[int, float, bytes, str, int]:
         raise MalformedRequest(f"t1 {t1!r} is not a finite number")
     if not isinstance(key, str) or not _SESSION_KEY_HEX.fullmatch(key):
         raise MalformedRequest(f"session_key {key!r} is not a hex session key")
-    if not isinstance(serv_id, str) or type(alpha) is not int:
-        raise MalformedRequest("serv_id must be a string and alpha an integer")
+    if not isinstance(serv_id, str) or type(alpha) is not int or alpha not in SUPPORTED_ALPHAS:
+        raise MalformedRequest(f"serv_id {serv_id!r} or alpha {alpha!r} is not supported")
     return group_id, t1, bytes.fromhex(key), serv_id, alpha
 
 
@@ -211,6 +204,19 @@ def _proof_system(
     return zkp.BASIC
 
 
+class Step(Enum):
+    """An RSU session's progress. Each handler runs at one step, raises
+    ``StepOutOfOrder`` at any other and advances it by one; a refusal
+    (policy, failed membership proof) leaves it where it was."""
+
+    REGISTERED = "registered"
+    NEGOTIATED = "negotiated"
+    SCREENED = "screened"
+    MEMBER_VERIFIED = "member-verified"
+    BUNDLED = "bundled"
+    CLOSED = "closed"
+
+
 @dataclass
 class _RsuSession:
     key_id: bytes
@@ -219,9 +225,10 @@ class _RsuSession:
     alpha: int
     serv_id: str
     config: SessionConfig
+    # the group's master witnesses; random units once screening flags the track
+    witnesses: tuple[int, ...]
+    step: Step = Step.REGISTERED
     requested_sets: tuple = ()
-    membership_ok: bool = False
-    screened_match: Optional[revocation.Match] = None
     closing_alpha: Optional[int] = None
 
 
@@ -247,13 +254,11 @@ class Rsu:
         self.seal = seal or envelopes.EciesSeal()
         self.table = table if table is not None else RevocationTable()
         self.sessions: dict[bytes, _RsuSession] = {}
-        # (group_id, iv) -> substituted master witnesses for flagged tracks
-        self.garbled_tracks: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- step 1: discovery ------------------------------------------------
 
     def beacon(self) -> Beacon:
-        return Beacon(certificate=self.credential.certificate, timestamp=self.clock.now())
+        return Beacon(certificate=self.credential.certificate)
 
     # -- step 2: request registration -------------------------------------
 
@@ -281,24 +286,38 @@ class Rsu:
             alpha=alpha,
             serv_id=serv_id,
             config=config,
+            witnesses=self.credential.master_witnesses[group_id],
         )
         return key_id
 
-    def negotiate_privacy(self, key_id: bytes, requested_alpha: int) -> Optional[int]:
-        """Requested alpha when policy permits, else None (policy rejection)."""
-        sess = self._session(key_id)
+    def negotiate_privacy(self, key_id: bytes) -> Optional[int]:
+        """The alpha the member sealed when policy permits it, else None
+        (policy rejection)."""
+        sess = self._session(key_id, Step.REGISTERED)
         min_alpha = self.policy.get(sess.serv_id)
-        if min_alpha is None or requested_alpha < min_alpha:
+        if min_alpha is None or sess.alpha < min_alpha:
             return None
-        return requested_alpha
+        sess.step = Step.NEGOTIATED
+        return sess.alpha
 
     # -- step 3: set announcement + revocation screening ------------------
 
-    def receive_proof_sets(
-        self, key_id: bytes, sets: Sequence[Sequence[int]]
-    ) -> Optional[revocation.Match]:
-        sess = self._session(key_id)
+    def receive_proof_sets(self, key_id: bytes, sealed: bytes) -> Optional[revocation.Match]:
+        """Open the member's sets (anything but a JSON list of lists of
+        integers is ``MalformedSetRequest``), check them against this
+        session's config and screen them; a match swaps the session's
+        witnesses for random units, so no membership proof can pass."""
+        sess = self._session(key_id, Step.NEGOTIATED)
         cfg = sess.config
+        plain = self.sym.open(sess.session_key, sealed)
+        try:
+            sets = json.loads(plain)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedSetRequest("proof sets are not JSON") from exc
+        if not isinstance(sets, list) or not all(
+            isinstance(s, list) and all(type(i) is int for i in s) for s in sets
+        ):
+            raise MalformedSetRequest("proof sets are not a list of lists of integers")
         canon = tuple(tuple(sorted(s)) for s in sets)
         if len(canon) != cfg.mu:
             raise MalformedSetRequest(f"expected {cfg.mu} sets, got {len(canon)}")
@@ -312,39 +331,23 @@ class Rsu:
         match = revocation.screen_session(
             self.table, canon, cfg.n, cfg.k, window=cfg.screen_window
         )
-        sess.requested_sets = canon  # set only once screened
         if match is not None:
-            sess.screened_match = match
-            self.garble_master(sess.group_id, match.iv)
+            sess.witnesses = revocation.garble_witnesses(
+                len(sess.witnesses), self.credential.modulus, self.rng
+            )
+        sess.requested_sets = canon
+        sess.step = Step.SCREENED
         return match
-
-    def garble_master(self, group_id: int, iv: int) -> None:
-        """Substitute random units for the flagged track's master witnesses."""
-        k = len(self.credential.master_witnesses[group_id])
-        self.garbled_tracks[(group_id, iv)] = revocation.garble_witnesses(
-            k, self.credential.modulus, self.rng
-        )
-
-    def master_witnesses_for(self, group_id: int, iv: Optional[int] = None) -> tuple[int, ...]:
-        if iv is not None and (group_id, iv) in self.garbled_tracks:
-            return self.garbled_tracks[(group_id, iv)]
-        return self.credential.master_witnesses[group_id]
 
     # -- step 4: membership verification (verifier side) ------------------
 
-    def membership_witnesses(self, key_id: bytes) -> tuple[int, ...]:
-        sess = self._session(key_id)
-        iv = sess.screened_match.iv if sess.screened_match else None
-        return self.master_witnesses_for(sess.group_id, iv)
-
     def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
         """Open K_session(T2, proof transcript) and verify it under this
-        session's config; a proof sent before the sets were screened, a
-        plaintext too short for T2 or a transcript that does not decode fails."""
-        sess = self._session(key_id)
+        session's config; a plaintext too short for T2 or a transcript that
+        does not decode fails, and a failure allows another attempt."""
+        sess = self._session(key_id, Step.SCREENED)
         plain = self.sym.open(sess.session_key, sealed)
-        if not sess.requested_sets or len(plain) < 8:
-            sess.membership_ok = False
+        if len(plain) < 8:
             return False
         (t2,) = struct.unpack(">d", plain[:8])
         if not _fresh(self.clock.now(), t2, sess.config.freshness_window):
@@ -352,27 +355,23 @@ class Rsu:
         try:
             proof = zkp.decode_proof(plain[8:], self.credential.modulus)
         except zkp.MalformedProof:
-            sess.membership_ok = False
-        else:
-            system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
-            sess.membership_ok = zkp.verify(
-                system, proof, self.membership_witnesses(key_id), self.credential.modulus,
-                sess.config.h,
-            )
-        return sess.membership_ok
+            return False
+        system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
+        if not zkp.verify(system, proof, sess.witnesses, self.credential.modulus, sess.config.h):
+            return False
+        sess.step = Step.MEMBER_VERIFIED
+        return True
 
     # -- step 5: bundle generation (prover side) ---------------------------
 
     def generate_proof_bundle(self, key_id: bytes, challenge_rng: Rng) -> ProofBundle:
-        """One proof per requested set, sealed under the session key.
+        """One proof per requested set, sealed under the session key; one
+        bundle per session, after a verified membership proof.
 
         ``challenge_rng`` stands in for the remote verifier's challenge
-        stream; in a live session it is driven by the member. Raises
-        ``StepOutOfOrder`` unless the member's proof has been verified.
+        stream; in a live session it is driven by the member.
         """
-        sess = self._session(key_id)
-        if not sess.membership_ok:
-            raise StepOutOfOrder("no verified membership proof in this session")
+        sess = self._session(key_id, Step.MEMBER_VERIFIED)
         cfg = sess.config
         pool = self.credential.pool_secrets[sess.group_id]
         m = self.credential.modulus
@@ -384,26 +383,33 @@ class Rsu:
                 secret_ids=ids,
             )
             items.append(self.sym.seal(sess.session_key, zkp.encode_proof(proof, m), self.rng))
+        sess.step = Step.BUNDLED
         return ProofBundle(key_id=key_id, items=tuple(items))
 
     def record_closing_reply(self, key_id: bytes, sealed: bytes) -> int:
         """Log the member's closing alpha value, sealed as exactly one byte;
         access is not gated on it."""
-        sess = self._session(key_id)
+        sess = self._session(key_id, Step.BUNDLED)
         plain = self.sym.open(sess.session_key, sealed)
         if len(plain) != 1:
             raise EnvelopeFailure(f"closing reply is {len(plain)} bytes, not 1")
         sess.closing_alpha = plain[0]
+        sess.step = Step.CLOSED
         return sess.closing_alpha
 
-    def _session(self, key_id: bytes) -> _RsuSession:
-        if key_id not in self.sessions:
+    def _session(self, key_id: bytes, step: Step) -> _RsuSession:
+        """Session ``key_id``, which must be at ``step``."""
+        sess = self.sessions.get(key_id)
+        if sess is None:
             raise UnknownSession(key_id.hex())
-        return self.sessions[key_id]
+        if sess.step is not step:
+            raise StepOutOfOrder(f"session is {sess.step.value}, not {step.value}")
+        return sess
 
 
 class Obu:
-    """Member-side endpoint: single active session."""
+    """Member-side endpoint: single active session, whose config and sets
+    it keeps from ``start`` and ``choose_proof_sets``."""
 
     def __init__(
         self,
@@ -422,6 +428,8 @@ class Obu:
         self.seal = seal or envelopes.EciesSeal()
         self.session_key: Optional[bytes] = None
         self.key_id: bytes = NO_KEY_ID
+        self.config: Optional[SessionConfig] = None
+        self.sets: tuple = ()
 
     # -- step 1: request ----------------------------------------------------
 
@@ -430,6 +438,7 @@ class Obu:
             raise UnsupportedAlpha(f"alpha={config.alpha}")
         if not verify_certificate(beacon.certificate, self.root_public_key):
             raise BadCertificate("beacon certificate does not verify under the root key")
+        self.config = config
         self.session_key = self.rng.randbytes(envelopes.SESSION_KEY_BYTES)
         body = json.dumps(
             {
@@ -450,43 +459,43 @@ class Obu:
 
     # -- step 3: secret-id sets ----------------------------------------------
 
-    def choose_proof_sets(self, config: SessionConfig) -> tuple:
-        """The mu pairwise-distinct k-id sets for this session, PRF-derived
-        from (iv, counter) so a verifier holding the iv can screen them."""
-        if config.mu > comb(config.n, config.k):
-            raise TooManyProofsRequested(
-                f"mu={config.mu} exceeds C({config.n},{config.k})"
-            )
-        return revocation.next_sequence(
-            self.credential.iv, self.credential.counter, config.n, config.k, config.mu
+    def choose_proof_sets(self) -> bytes:
+        """Seal the mu pairwise-distinct k-id sets for this session,
+        PRF-derived from (iv, counter) so a verifier holding the iv can
+        screen them."""
+        cfg = self.config
+        self.sets = revocation.next_sequence(
+            self.credential.iv, self.credential.counter, cfg.n, cfg.k, cfg.mu
         )
+        plain = json.dumps([list(s) for s in self.sets]).encode()
+        return self.sym.seal(self.session_key, plain, self.rng)
 
     # -- step 4: membership proof (prover side) -------------------------------
 
-    def prove_membership(self, config: SessionConfig, challenge_rng: Rng) -> bytes:
+    def prove_membership(self, challenge_rng: Rng) -> bytes:
         assert self.session_key is not None, "no open session"
-        system = _proof_system(config, self.session_key, self.key_id, b"membership", 0)
+        cfg = self.config
+        system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
         m = self.credential.modulus
-        proof = zkp.prove(system, self.credential.master_key, config.h, m, self.rng, challenge_rng)
+        proof = zkp.prove(system, self.credential.master_key, cfg.h, m, self.rng, challenge_rng)
         plain = struct.pack(">d", self.clock.now()) + zkp.encode_proof(proof, m)
         return self.sym.seal(self.session_key, plain, self.rng)
 
     # -- step 6: bundle verification ------------------------------------------
 
     def verify_bundle(
-        self,
-        bundle: ProofBundle,
-        config: SessionConfig,
-        requested_sets: Sequence[Sequence[int]],
-        observations: Optional[list[ZkpProof]] = None,
+        self, bundle: ProofBundle, observations: Optional[list[ZkpProof]] = None
     ) -> AuthResult:
+        """Count the items that prove this session's sets; on acceptance the
+        member moves to its next counter."""
         assert self.session_key is not None, "no open session"
         if bundle.key_id != self.key_id:
             raise EnvelopeFailure("bundle tagged for a different session")
+        cfg = self.config
         m = self.credential.modulus
         verified = 0
-        for idx, (item, ids) in enumerate(zip(bundle.items, requested_sets)):
-            if config.eager_stop and verified >= config.alpha:
+        for idx, (item, ids) in enumerate(zip(bundle.items, self.sets)):
+            if cfg.eager_stop and verified >= cfg.alpha:
                 break
             plain = self.sym.open(self.session_key, item)
             try:
@@ -496,33 +505,34 @@ class Obu:
             if tuple(proof.secret_ids) != tuple(ids):
                 continue
             witnesses = [self.credential.pool_witnesses[i - 1] for i in ids]
-            system = _proof_system(config, self.session_key, self.key_id, b"bundle", idx)
-            if zkp.verify(system, proof, witnesses, m, config.h):
+            system = _proof_system(cfg, self.session_key, self.key_id, b"bundle", idx)
+            if zkp.verify(system, proof, witnesses, m, cfg.h):
                 verified += 1
             if observations is not None:
                 observations.append(proof)
-        outcome = (
-            Outcome.ACCEPTED
-            if verified >= config.alpha
-            else Outcome.REJECTED_INSUFFICIENT_PROOFS
-        )
-        return AuthResult(outcome=outcome, verified_count=verified, alpha=config.alpha)
+        if verified < cfg.alpha:
+            return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
+        self.credential.counter += 1
+        return AuthResult(Outcome.ACCEPTED, verified, cfg.alpha)
 
-    def closing_reply(self, alpha: int) -> bytes:
-        assert self.session_key is not None
-        return self.sym.seal(self.session_key, bytes([alpha]), self.rng)
+    def closing_reply(self) -> bytes:
+        assert self.session_key is not None, "no open session"
+        return self.sym.seal(self.session_key, bytes([self.config.alpha]), self.rng)
 
 
 def run_full_session(
-    obu: Obu,
-    rsu: Rsu,
-    config: SessionConfig,
-    observer: Optional[SessionTranscript] = None,
+    obu: Obu, rsu: Rsu, config: SessionConfig
 ) -> tuple[AuthResult, SessionTranscript]:
     """Execute one complete session; the transcript doubles as the tap for
     the passive-observer threat model."""
-    log = observer if observer is not None else SessionTranscript()
+    log = SessionTranscript()
+    log.result = _exchange(obu, rsu, config, log)
+    return log.result, log
 
+
+def _exchange(obu: Obu, rsu: Rsu, config: SessionConfig, log: SessionTranscript) -> AuthResult:
+    """Pass each message between the endpoints, logging its frame, up to
+    the step that decides the session."""
     beacon = rsu.beacon()
     log.frames.append(encode_message(MSG_BEACON, NO_KEY_ID, beacon.certificate.signed_payload()))
 
@@ -532,47 +542,27 @@ def run_full_session(
     key_id = rsu.register_session(request, config)
     obu.bind(key_id)
     log.key_id = key_id
+    if rsu.negotiate_privacy(key_id) is None:
+        return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha)
 
-    agreed = rsu.negotiate_privacy(key_id, config.alpha)
-    if agreed is None:
-        result = AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha)
-        log.result = result
-        return result, log
+    sealed_sets = obu.choose_proof_sets()
+    log.requested_sets = obu.sets
+    log.frames.append(encode_message(MSG_PROOF_SETS, key_id, sealed_sets))
+    if rsu.receive_proof_sets(key_id, sealed_sets) is not None:
+        return AuthResult(Outcome.REJECTED_REVOKED, 0, config.alpha)
 
-    sets = obu.choose_proof_sets(config)
-    log.requested_sets = sets
-    log.frames.append(
-        encode_message(
-            MSG_PROOF_SETS,
-            key_id,
-            obu.sym.seal(obu.session_key, json.dumps([list(s) for s in sets]).encode(), obu.rng),
-        )
-    )
-    match = rsu.receive_proof_sets(key_id, sets)
-    if match is not None:
-        result = AuthResult(Outcome.REJECTED_REVOKED, 0, config.alpha)
-        log.result = result
-        return result, log
-
-    sealed_membership = obu.prove_membership(config, challenge_rng=rsu.rng)
+    sealed_membership = obu.prove_membership(challenge_rng=rsu.rng)
     log.frames.append(encode_message(MSG_MEMBERSHIP_PROOF, key_id, sealed_membership))
     if not rsu.check_membership_proof(key_id, sealed_membership):
-        result = AuthResult(Outcome.REJECTED_MEMBERSHIP, 0, config.alpha)
-        log.result = result
-        return result, log
+        return AuthResult(Outcome.REJECTED_MEMBERSHIP, 0, config.alpha)
 
     bundle = rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
     for item in bundle.items:
         log.frames.append(encode_message(MSG_PROOF_BUNDLE, key_id, item))
 
-    result = obu.verify_bundle(
-        bundle, config, sets, observations=log.bundle_observations
-    )
+    result = obu.verify_bundle(bundle, observations=log.bundle_observations)
     if result.outcome is Outcome.ACCEPTED:
-        reply = obu.closing_reply(result.alpha)
+        reply = obu.closing_reply()
         log.frames.append(encode_message(MSG_ALPHA_REPLY, key_id, reply))
         rsu.record_closing_reply(key_id, reply)
-        revocation.advance_counter(obu.credential)
-    log.membership_proof = None  # membership rounds stay inside the envelope
-    log.result = result
-    return result, log
+    return result

@@ -37,7 +37,6 @@ class RevocationEntry:
     iv: int
     last_known_counter: int
     reason: str = ""
-    inserted_at: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -118,23 +117,15 @@ def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
     return tuple(blocks)
 
 
-def advance_counter(credential) -> None:
-    """Bump the member's counter by one after a successful session."""
-    credential.counter += 1
-
-
 def broadcast_revocation(
     iv: int,
     counter_hint: int,
     tables: Sequence[RevocationTable],
     reason: str = "",
-    inserted_at: float = 0.0,
 ) -> None:
     """Install the violator entry in every table; idempotent on repeats.
     The entry's window is computed once per (n, k, mu, window) in use."""
-    entry = RevocationEntry(
-        iv=iv, last_known_counter=counter_hint, reason=reason, inserted_at=inserted_at
-    )
+    entry = RevocationEntry(iv=iv, last_known_counter=counter_hint, reason=reason)
     windows: dict = {}
     for table in tables:
         table.upsert(entry, windows)

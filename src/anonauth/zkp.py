@@ -73,7 +73,6 @@ class ZkpProof:
 class SessionPolynomial:
     coefficients: tuple[int, ...]
     modulus: int
-    seed: bytes
     # (base, scale, m) -> the inner sum's terms, built by a proof's first
     # round and read by its others; a polynomial serves one proof per side
     term_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -156,9 +155,7 @@ def derive_session_polynomial(
             ).digest()
             coeffs.append(int.from_bytes(digest, "big") % coeff_modulus)
         if any(coeffs):
-            return SessionPolynomial(
-                coefficients=tuple(coeffs), modulus=coeff_modulus, seed=seed
-            )
+            return SessionPolynomial(coefficients=tuple(coeffs), modulus=coeff_modulus)
         tag += 1
 
 

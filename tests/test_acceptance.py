@@ -319,7 +319,7 @@ def test_criterion_7_hardened_zkp():
     # exact worked example: m=21, secrets [2,8], coefficients [3,2],
     # challenge [0,1], R=2 -> Y=10, accepted
     m = 21
-    poly = SessionPolynomial(coefficients=(3, 2), modulus=2**61 - 1, seed=b"")
+    poly = SessionPolynomial(coefficients=(3, 2), modulus=2**61 - 1)
     secrets = [2, 8]
     witnesses = [s * s % m for s in secrets]
     y = zkp.hardened_respond(2, secrets, (0, 1), poly, m)

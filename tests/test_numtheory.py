@@ -63,11 +63,6 @@ class TestBlumModulus:
             assert pow(mod.m - 1, (f - 1) // 2, f) == f - 1
         assert not brute_force_is_residue(mod.m - 1, mod.m)
 
-    def test_public_copy_drops_factors(self):
-        mod = generate_blum_modulus(16, 3)
-        pub = mod.public()
-        assert pub.m == mod.m and pub.p is None and pub.q is None
-
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_blum_modulus(5, 1)

@@ -3,10 +3,18 @@ import json
 import struct
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+)
 
 from anonauth import protocol, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
-from anonauth.numtheory import Rng, generate_blum_modulus
+from anonauth.numtheory import generate_blum_modulus
 from anonauth.protocol import (
     AuthRequest,
     AuthResult,
@@ -16,12 +24,14 @@ from anonauth.protocol import (
     Outcome,
     SessionConfig,
     StaleTimestamp,
-    TooManyProofsRequested,
+    Step,
+    StepOutOfOrder,
     UndecryptableRequest,
     UnknownSession,
     UnsupportedAlpha,
     run_full_session,
 )
+from anonauth.revocation import ParameterOverflow
 from anonauth.zkp import Variant
 from conftest import build_deployment
 
@@ -94,30 +104,55 @@ class TestHandshakeErrors:
         dep = build_deployment(1, n=6, k=2)
         rsu = dep.make_rsu(1)
         with pytest.raises(UnknownSession):
-            rsu.negotiate_privacy(b"\x01" * 8, 1)
+            rsu.negotiate_privacy(b"\x01" * 8)
+
+    def test_unknown_session_is_a_value_error(self):
+        # one error family for bad input: the CLI turns ValueError into exit 2
+        assert issubclass(UnknownSession, ValueError)
 
 
 class TestPrivacyNegotiation:
-    def _session(self, policy=None):
+    def _session(self, policy=None, sealed=None, registered=None):
+        """A registered session whose member sealed ``sealed`` (default
+        ``cfg()``) and which the verifier registered under ``registered``."""
         dep = build_deployment(2, n=6, k=2)
         rsu = dep.make_rsu(1, policy=policy)
         obu = dep.make_obu(2)
-        request = obu.start(rsu.beacon(), cfg())
-        key_id = rsu.register_session(request, cfg())
-        return rsu, key_id
+        sealed = sealed or cfg()
+        request = obu.start(rsu.beacon(), sealed)
+        key_id = rsu.register_session(request, registered or sealed)
+        obu.bind(key_id)
+        return rsu, obu, key_id
 
     def test_permitted_alpha_echoed(self):
-        rsu, key_id = self._session()
-        assert rsu.negotiate_privacy(key_id, 1) == 1
+        rsu, _, key_id = self._session()
+        assert rsu.negotiate_privacy(key_id) == 1
+        assert rsu.sessions[key_id].step is Step.NEGOTIATED
 
     def test_alpha_below_policy_floor_rejected(self):
-        rsu, key_id = self._session(policy={"INFO": 3})
-        assert rsu.negotiate_privacy(key_id, 2) is None
-        assert rsu.negotiate_privacy(key_id, 3) == 3
+        rsu, _, key_id = self._session(policy={"INFO": 3}, sealed=cfg(alpha=2, mu=3))
+        assert rsu.negotiate_privacy(key_id) is None
+        assert rsu.sessions[key_id].step is Step.REGISTERED
+        rsu, _, key_id = self._session(policy={"INFO": 3}, sealed=cfg(alpha=3, mu=3))
+        assert rsu.negotiate_privacy(key_id) == 3
+
+    def test_sealed_alpha_is_judged_not_the_registered_config(self):
+        # the member sealed alpha 2; the verifier's own config says 4
+        rsu, _, key_id = self._session(
+            policy={"INFO": 3}, sealed=cfg(alpha=2, mu=4), registered=cfg(alpha=4, mu=4)
+        )
+        assert rsu.negotiate_privacy(key_id) is None
 
     def test_unknown_service_rejected(self):
-        rsu, key_id = self._session(policy={"NAV": 1})
-        assert rsu.negotiate_privacy(key_id, 1) is None
+        rsu, _, key_id = self._session(policy={"NAV": 1})
+        assert rsu.negotiate_privacy(key_id) is None
+
+    def test_sets_of_policy_rejected_session_are_refused(self):
+        rsu, obu, key_id = self._session(policy={"INFO": 3})
+        assert rsu.negotiate_privacy(key_id) is None
+        with pytest.raises(StepOutOfOrder):
+            rsu.receive_proof_sets(key_id, obu.choose_proof_sets())
+        assert rsu.sessions[key_id].requested_sets == ()
 
     def test_policy_rejection_ends_session(self):
         dep = build_deployment(2, n=6, k=2)
@@ -129,6 +164,11 @@ class TestPrivacyNegotiation:
         assert not log.bundle_observations
 
 
+def _seal_sets(obu, sets):
+    """What anyone holding the session key can announce as sets."""
+    return obu.sym.seal(obu.session_key, json.dumps(sets).encode(), obu.rng)
+
+
 class TestProofSetAnnouncement:
     def _session(self, config):
         dep = build_deployment(3, n=6, k=2)
@@ -137,37 +177,66 @@ class TestProofSetAnnouncement:
         request = obu.start(rsu.beacon(), config)
         key_id = rsu.register_session(request, config)
         obu.bind(key_id)
+        assert rsu.negotiate_privacy(key_id) == config.alpha
         return rsu, obu, key_id
 
     def test_wrong_set_count(self):
         rsu, obu, key_id = self._session(cfg(mu=3))
         with pytest.raises(MalformedSetRequest):
-            rsu.receive_proof_sets(key_id, [(1, 2), (3, 4)])
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2), (3, 4)]))
 
     def test_duplicate_sets(self):
         rsu, obu, key_id = self._session(cfg(mu=2))
         with pytest.raises(MalformedSetRequest):
-            rsu.receive_proof_sets(key_id, [(1, 2), (2, 1)])
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2), (2, 1)]))
 
     def test_wrong_set_size(self):
         rsu, obu, key_id = self._session(cfg(mu=2))
         with pytest.raises(MalformedSetRequest):
-            rsu.receive_proof_sets(key_id, [(1, 2, 3), (4, 5)])
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2, 3), (4, 5)]))
         with pytest.raises(MalformedSetRequest):
-            rsu.receive_proof_sets(key_id, [(1, 1), (4, 5)])
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 1), (4, 5)]))
 
     def test_ids_out_of_range(self):
         rsu, obu, key_id = self._session(cfg(mu=2))
         with pytest.raises(MalformedSetRequest):
-            rsu.receive_proof_sets(key_id, [(0, 2), (3, 4)])
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(0, 2), (3, 4)]))
         with pytest.raises(MalformedSetRequest):
-            rsu.receive_proof_sets(key_id, [(1, 7), (3, 4)])
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 7), (3, 4)]))
 
     def test_mu_above_subset_count(self):
         dep = build_deployment(3, n=4, k=2)
-        obu = dep.make_obu(2)
-        with pytest.raises(TooManyProofsRequested):
-            obu.choose_proof_sets(cfg(alpha=5, mu=7, n=4))
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        obu.start(rsu.beacon(), cfg(alpha=5, mu=7, n=4))
+        with pytest.raises(ParameterOverflow):
+            obu.choose_proof_sets()
+
+    @pytest.mark.parametrize(
+        "plain",
+        [
+            b"[[1, 2], [3",
+            b"\xff\xfe",
+            b'{"sets": [[1, 2], [3, 4]]}',
+            b'"[[1, 2], [3, 4]]"',
+            b"[1, 2]",
+            b'[["1", 2], [3, 4]]',
+            b"[[true, 2], [3, 4]]",
+            b"[[1.0, 2], [3, 4]]",
+            b"[[[1, 2]], [3, 4]]",
+            b"[[1, 2], [3, 4, [5]]]",
+            b"[" * 100_000,
+        ],
+        ids=["truncated", "not-utf8", "object", "string", "flat-list", "string-id",
+             "bool-id", "float-id", "nested-set", "nested-id", "deep"],
+    )
+    def test_hostile_sealed_sets_are_refused(self, plain):
+        rsu, obu, key_id = self._session(cfg(mu=2))
+        with pytest.raises(MalformedSetRequest):
+            rsu.receive_proof_sets(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
+        with pytest.raises(EnvelopeFailure):
+            rsu.receive_proof_sets(key_id, plain)  # not sealed under the session key
+        assert rsu.sessions[key_id].step is Step.NEGOTIATED
+        assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
 
 
 class TestMembership:
@@ -196,28 +265,24 @@ class TestMembership:
         dep = build_deployment(4, n=6, k=2)
         rsu = dep.make_rsu(1)
         obu = dep.make_obu(2)
-        config = cfg(h=3, mu=2)
-        request = obu.start(rsu.beacon(), config)
-        key_id = rsu.register_session(request, config)
-        obu.bind(key_id)
-        rsu.receive_proof_sets(key_id, obu.choose_proof_sets(config))
-        short = obu.prove_membership(cfg(h=2, mu=2), challenge_rng=rsu.rng)
+        # the member proves 2 rounds; the verifier's session asks for 3
+        key_id = _open_screened_session(rsu, obu, cfg(h=2, mu=2), rsu_config=cfg(h=3, mu=2))
+        short = obu.prove_membership(challenge_rng=rsu.rng)
         assert not rsu.check_membership_proof(key_id, short)
+        assert rsu.sessions[key_id].step is Step.SCREENED  # a retry is allowed
+        with pytest.raises(StepOutOfOrder):
+            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
 
 
 def _run_to_bundle(seed, config, stub=True):
     dep = build_deployment(seed, n=config.n, k=config.k, stub=stub)
     rsu = dep.make_rsu(1)
     obu = dep.make_obu(2)
-    request = obu.start(rsu.beacon(), config)
-    key_id = rsu.register_session(request, config)
-    obu.bind(key_id)
-    sets = obu.choose_proof_sets(config)
-    assert rsu.receive_proof_sets(key_id, sets) is None
-    sealed = obu.prove_membership(config, challenge_rng=rsu.rng)
+    key_id = _open_screened_session(rsu, obu, config)
+    sealed = obu.prove_membership(challenge_rng=rsu.rng)
     assert rsu.check_membership_proof(key_id, sealed)
     bundle = rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
-    return dep, rsu, obu, key_id, sets, bundle
+    return dep, rsu, obu, key_id, obu.sets, bundle
 
 
 def _tamper_items(rsu, obu, key_id, bundle, count):
@@ -236,7 +301,7 @@ class TestBundleVerification:
     def test_honest_bundle_verifies_every_item(self):
         config = cfg(alpha=2, mu=4, h=2)
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(7, config)
-        result = obu.verify_bundle(bundle, config, sets)
+        result = obu.verify_bundle(bundle)
         assert result.outcome is Outcome.ACCEPTED
         assert result.verified_count == config.mu
 
@@ -248,8 +313,8 @@ class TestBundleVerification:
         for alpha, expected in [(1, Outcome.ACCEPTED), (2, Outcome.ACCEPTED),
                                 (3, Outcome.REJECTED_INSUFFICIENT_PROOFS),
                                 (4, Outcome.REJECTED_INSUFFICIENT_PROOFS)]:
-            check = cfg(alpha=alpha, mu=4, h=2)
-            result = obu.verify_bundle(tampered, check, sets)
+            obu.config = cfg(alpha=alpha, mu=4, h=2)
+            result = obu.verify_bundle(tampered)
             assert result.outcome is expected
             assert result.verified_count == 2
 
@@ -257,15 +322,15 @@ class TestBundleVerification:
         config = cfg(alpha=1, mu=3, h=2)
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(9, config)
         tampered = _tamper_items(rsu, obu, key_id, bundle, 3)
-        result = obu.verify_bundle(tampered, config, sets)
+        result = obu.verify_bundle(tampered)
         assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
         assert result.verified_count == 0
 
     def test_wrong_round_count_not_counted(self):
         config = cfg(alpha=1, mu=2, h=2)
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(10, config)
-        stricter = cfg(alpha=1, mu=2, h=3)
-        result = obu.verify_bundle(bundle, stricter, sets)
+        obu.config = cfg(alpha=1, mu=2, h=3)
+        result = obu.verify_bundle(bundle)
         assert result.verified_count == 0
 
     def test_bundle_for_other_session_rejected(self):
@@ -273,13 +338,13 @@ class TestBundleVerification:
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(11, config)
         alien = dataclasses.replace(bundle, key_id=b"\xff" * 8)
         with pytest.raises(EnvelopeFailure):
-            obu.verify_bundle(alien, config, sets)
+            obu.verify_bundle(alien)
 
     def test_eager_stop_skips_surplus_items(self):
         config = cfg(alpha=1, mu=4, h=1, eager_stop=True)
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(12, config)
         observations = []
-        result = obu.verify_bundle(bundle, config, sets, observations=observations)
+        result = obu.verify_bundle(bundle, observations=observations)
         assert result.outcome is Outcome.ACCEPTED
         assert result.verified_count == 1
         assert len(observations) == 1
@@ -310,7 +375,7 @@ class TestFullSession:
         result, log = run_full_session(obu, rsu, config)
         # beacon, request, sets, membership, mu bundle items, closing reply
         assert len(log.frames) == 4 + config.mu + 1
-        assert log.membership_proof is None
+        assert rsu.sessions[log.key_id].step is Step.CLOSED
 
     def test_key_ids_are_unique_across_sessions(self):
         dep = build_deployment(22, n=6, k=2, stub=True)
@@ -336,20 +401,19 @@ class TestFullSession:
         obu_a.bind(kid_a)
         obu_b.bind(kid_b)
         assert kid_a != kid_b
-        sets_a = obu_a.choose_proof_sets(config)
-        sets_b = obu_b.choose_proof_sets(config)
-        assert rsu.receive_proof_sets(kid_a, sets_a) is None
-        assert rsu.receive_proof_sets(kid_b, sets_b) is None
+        assert rsu.negotiate_privacy(kid_b) == rsu.negotiate_privacy(kid_a) == 1
+        assert rsu.receive_proof_sets(kid_a, obu_a.choose_proof_sets()) is None
+        assert rsu.receive_proof_sets(kid_b, obu_b.choose_proof_sets()) is None
         # b proves first, then a; each against its own session state
-        assert rsu.check_membership_proof(kid_b, obu_b.prove_membership(config, rsu.rng))
-        assert rsu.check_membership_proof(kid_a, obu_a.prove_membership(config, rsu.rng))
+        assert rsu.check_membership_proof(kid_b, obu_b.prove_membership(rsu.rng))
+        assert rsu.check_membership_proof(kid_a, obu_a.prove_membership(rsu.rng))
         bundle_a = rsu.generate_proof_bundle(kid_a, challenge_rng=obu_a.rng)
         bundle_b = rsu.generate_proof_bundle(kid_b, challenge_rng=obu_b.rng)
-        assert obu_a.verify_bundle(bundle_a, config, sets_a).outcome is Outcome.ACCEPTED
-        assert obu_b.verify_bundle(bundle_b, config, sets_b).outcome is Outcome.ACCEPTED
+        assert obu_a.verify_bundle(bundle_a).outcome is Outcome.ACCEPTED
+        assert obu_b.verify_bundle(bundle_b).outcome is Outcome.ACCEPTED
         # cross-session bundles do not verify
         with pytest.raises(EnvelopeFailure):
-            obu_a.verify_bundle(bundle_b, config, sets_b)
+            obu_a.verify_bundle(bundle_b)
 
     def test_verifier_state_never_names_the_member(self):
         mod = generate_blum_modulus(64, 30)
@@ -376,11 +440,14 @@ class TestFullSession:
         assert held.isdisjoint(obu.credential.master_key)
 
 
-def _open_screened_session(rsu, obu, config):
+def _open_screened_session(rsu, obu, config, rsu_config=None):
+    """A session the member opened under ``config`` and the verifier
+    registered under ``rsu_config`` (default the same), screened clean."""
     request = obu.start(rsu.beacon(), config)
-    key_id = rsu.register_session(request, config)
+    key_id = rsu.register_session(request, rsu_config or config)
     obu.bind(key_id)
-    assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets(config)) is None
+    assert rsu.negotiate_privacy(key_id) == config.alpha
+    assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
     return key_id
 
 
@@ -393,10 +460,14 @@ class TestStepOrder:
         config = cfg(h=2)
         key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
         obu.bind(key_id)
-        early = obu.prove_membership(config, rsu.rng)
-        assert rsu.check_membership_proof(key_id, early) is False
-        assert rsu.sessions[key_id].membership_ok is False
-        assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets(config)) is None
+        early = obu.prove_membership(rsu.rng)
+        with pytest.raises(StepOutOfOrder):
+            rsu.check_membership_proof(key_id, early)
+        assert rsu.negotiate_privacy(key_id) == config.alpha
+        with pytest.raises(StepOutOfOrder):
+            rsu.check_membership_proof(key_id, early)
+        assert rsu.sessions[key_id].step is Step.NEGOTIATED
+        assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
         assert rsu.check_membership_proof(key_id, early)
 
     def test_bundle_needs_a_verified_membership_proof(self):
@@ -408,8 +479,106 @@ class TestStepOrder:
             rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
         sealed = obu.sym.seal(obu.session_key, b"abc", obu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
+        assert rsu.sessions[key_id].step is Step.SCREENED
         with pytest.raises(protocol.StepOutOfOrder):
             rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
+
+    def test_one_bundle_per_session(self):
+        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(53, cfg(h=2))
+        with pytest.raises(StepOutOfOrder):
+            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
+        assert rsu.sessions[key_id].step is Step.BUNDLED
+
+    def test_closing_reply_needs_a_bundle(self):
+        dep = build_deployment(54, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        key_id = _open_screened_session(rsu, obu, cfg())
+        with pytest.raises(StepOutOfOrder):
+            rsu.record_closing_reply(key_id, obu.closing_reply())
+        assert rsu.sessions[key_id].closing_alpha is None
+
+
+_CONFIG = cfg(h=2)
+_STATE_MODULUS = generate_blum_modulus(32, 55)
+
+
+class RsuStepMachine(RuleBasedStateMachine):
+    """The six RSU handlers called in any order across several sessions,
+    each with the message an honest member would send it."""
+
+    sessions = Bundle("sessions")
+
+    def __init__(self):
+        super().__init__()
+        self.dep = build_deployment(55, n=6, k=2, stub=True, modulus=_STATE_MODULUS)
+        self.rsu = self.dep.make_rsu(1)
+        self.obus = {}  # key_id -> (obu, sealed sets, sealed membership proof)
+
+    def _call(self, key_id, handler, *args):
+        """``handler`` either advances ``key_id`` by exactly one step or
+        raises StepOutOfOrder/UnknownSession; no other session moves."""
+        order = list(Step)
+        before = {k: dataclasses.replace(s) for k, s in self.rsu.sessions.items()}
+        try:
+            handler(key_id, *args)
+        except (StepOutOfOrder, UnknownSession):
+            assert self.rsu.sessions == before
+            return
+        after = self.rsu.sessions[key_id]
+        assert order.index(after.step) == order.index(before[key_id].step) + 1
+        assert {k: s for k, s in self.rsu.sessions.items() if k != key_id} == {
+            k: s for k, s in before.items() if k != key_id
+        }
+
+    @precondition(lambda self: len(self.obus) < 3)
+    @rule(target=sessions)
+    def register(self):
+        obu = self.dep.make_obu(len(self.obus) + 2)
+        key_id = self.rsu.register_session(obu.start(self.rsu.beacon(), _CONFIG), _CONFIG)
+        obu.bind(key_id)
+        assert self.rsu.sessions[key_id].step is Step.REGISTERED
+        self.obus[key_id] = (obu, obu.choose_proof_sets(), obu.prove_membership(self.rsu.rng))
+        return key_id
+
+    @rule(key_id=sessions)
+    def negotiate(self, key_id):
+        self._call(key_id, self.rsu.negotiate_privacy)
+
+    @rule(key_id=sessions)
+    def announce(self, key_id):
+        self._call(key_id, self.rsu.receive_proof_sets, self.obus[key_id][1])
+
+    @rule(key_id=sessions)
+    def prove(self, key_id):
+        self._call(key_id, self.rsu.check_membership_proof, self.obus[key_id][2])
+
+    @rule(key_id=sessions)
+    def generate(self, key_id):
+        self._call(key_id, self.rsu.generate_proof_bundle, self.obus[key_id][0].rng)
+
+    @rule(key_id=sessions)
+    def close(self, key_id):
+        self._call(key_id, self.rsu.record_closing_reply, self.obus[key_id][0].closing_reply())
+
+    @rule(key_id=sessions)
+    def advance(self, key_id):
+        """The handler the session's step expects, so that the later steps
+        are reached and probed out of order too."""
+        handlers = (self.negotiate, self.announce, self.prove, self.generate, self.close)
+        step = list(Step).index(self.rsu.sessions[key_id].step)
+        handlers[min(step, len(handlers) - 1)](key_id)
+
+    @rule(key_id=st.binary(min_size=8, max_size=8))
+    def unknown(self, key_id):
+        if key_id not in self.rsu.sessions:
+            with pytest.raises(UnknownSession):
+                self.rsu.negotiate_privacy(key_id)
+
+
+RsuStepMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestRsuStepMachine = RsuStepMachine.TestCase
 
 
 class TestSessionCapacity:
@@ -424,9 +593,9 @@ class TestSessionCapacity:
             assert len(rsu.sessions) <= protocol.SESSION_CAPACITY
         assert len(rsu.sessions) == protocol.SESSION_CAPACITY
         with pytest.raises(UnknownSession):
-            rsu.negotiate_privacy(key_ids[0], config.alpha)
-        assert rsu.negotiate_privacy(key_ids[1], config.alpha) == config.alpha
-        assert rsu.negotiate_privacy(key_ids[-1], config.alpha) == config.alpha
+            rsu.negotiate_privacy(key_ids[0])
+        assert rsu.negotiate_privacy(key_ids[1]) == config.alpha
+        assert rsu.negotiate_privacy(key_ids[-1]) == config.alpha
 
 
 class TestVariantDowngrade:
@@ -436,15 +605,17 @@ class TestVariantDowngrade:
     def test_hardened_rsu_rejects_basic_membership_proof(self):
         dep = build_deployment(40, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
-        key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=Variant.HARDENED))
-        sealed = obu.prove_membership(cfg(h=2), challenge_rng=rsu.rng)
+        key_id = _open_screened_session(
+            rsu, obu, cfg(h=2), rsu_config=cfg(h=2, variant=Variant.HARDENED)
+        )
+        sealed = obu.prove_membership(challenge_rng=rsu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
 
     def test_hardened_obu_does_not_count_basic_bundle(self):
         config = cfg(alpha=1, mu=3, h=2)
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(41, config)
-        hardened = cfg(alpha=1, mu=3, h=2, variant=Variant.HARDENED)
-        result = obu.verify_bundle(bundle, hardened, sets)
+        obu.config = cfg(alpha=1, mu=3, h=2, variant=Variant.HARDENED)
+        result = obu.verify_bundle(bundle)
         assert result.verified_count == 0
         assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
 
@@ -453,7 +624,7 @@ class TestVariantDowngrade:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         basic = cfg(h=2)
         recorded_key = _open_screened_session(rsu, obu, basic)
-        sealed = obu.prove_membership(basic, challenge_rng=rsu.rng)
+        sealed = obu.prove_membership(challenge_rng=rsu.rng)
         assert rsu.check_membership_proof(recorded_key, sealed)
         plain = obu.sym.open(obu.session_key, sealed)
         # a fresh hardened session; the replayer knows its session key
@@ -468,7 +639,7 @@ class TestMalformedProofs:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = obu.sym.open(obu.session_key, obu.prove_membership(config, rsu.rng))
+        plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
         for bad in (plain[:-1], plain + b"\0", plain[:8]):
             sealed = obu.sym.seal(obu.session_key, bad, obu.rng)
             assert not rsu.check_membership_proof(key_id, sealed)
@@ -481,7 +652,7 @@ class TestMalformedProofs:
         items[1] = obu.sym.seal(
             obu.session_key, obu.sym.open(obu.session_key, items[1])[:-2], rsu.rng
         )
-        result = obu.verify_bundle(dataclasses.replace(bundle, items=tuple(items)), config, sets)
+        result = obu.verify_bundle(dataclasses.replace(bundle, items=tuple(items)))
         assert result.verified_count == 1
 
     def test_round_with_wrong_challenge_length_fails(self):
@@ -489,7 +660,7 @@ class TestMalformedProofs:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = obu.sym.open(obu.session_key, obu.prove_membership(config, rsu.rng))
+        plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
         m = rsu.credential.modulus
         proof = zkp.decode_proof(plain[8:], m)
         # every round: the codec writes one challenge length per proof
@@ -528,7 +699,7 @@ class TestZeroProofs:
             )
             for ids in sets
         )
-        result = obu.verify_bundle(dataclasses.replace(bundle, items=items), config, sets)
+        result = obu.verify_bundle(dataclasses.replace(bundle, items=items))
         assert result.verified_count == 0
 
 
@@ -540,25 +711,26 @@ class TestShortPlaintexts:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        honest = obu.prove_membership(config, rsu.rng)
-        assert rsu.check_membership_proof(key_id, honest)
+        honest = obu.prove_membership(rsu.rng)
         for short in (b"abc", b""):
             sealed = obu.sym.seal(obu.session_key, short, obu.rng)
             assert rsu.check_membership_proof(key_id, sealed) is False
-            assert rsu.sessions[key_id].membership_ok is False
+            assert rsu.sessions[key_id].step is Step.SCREENED
         rsu.clock.advance(30.0)
         with pytest.raises(StaleTimestamp):
             rsu.check_membership_proof(key_id, honest)
+        assert rsu.sessions[key_id].step is Step.SCREENED
+        obu.clock.advance(30.0)
+        assert rsu.check_membership_proof(key_id, obu.prove_membership(rsu.rng))
 
     def test_closing_reply_must_be_one_byte(self):
-        dep = build_deployment(47, n=6, k=2, stub=True)
-        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
-        key_id = _open_screened_session(rsu, obu, cfg())
+        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(47, cfg(alpha=2, mu=2))
         for bad in (b"", b"abc"):
             with pytest.raises(EnvelopeFailure):
                 rsu.record_closing_reply(key_id, obu.sym.seal(obu.session_key, bad, obu.rng))
         assert rsu.sessions[key_id].closing_alpha is None
-        assert rsu.record_closing_reply(key_id, obu.closing_reply(2)) == 2
+        assert rsu.record_closing_reply(key_id, obu.closing_reply()) == 2
+        assert rsu.sessions[key_id].step is Step.CLOSED
 
 
 def _request_body(**overrides):
@@ -586,9 +758,10 @@ class TestHostileRequests:
             _request_body(session_key="zz" * 16),
             _request_body(session_key="ab"),
             _request_body(group_id=99),
+            _request_body(alpha=99),
         ],
         ids=["list", "empty", "str-t1", "nan-t1", "huge-t1", "non-hex-key", "short-key",
-             "unknown-group"],
+             "unknown-group", "unsupported-alpha"],
     )
     def test_malformed_body_is_rejected(self, body):
         rsu = build_deployment(48, n=6, k=2, stub=True).make_rsu(1)
@@ -602,7 +775,7 @@ class TestHostileRequests:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = StubEnvelope().open(obu.session_key, obu.prove_membership(config, rsu.rng))
+        plain = StubEnvelope().open(obu.session_key, obu.prove_membership(rsu.rng))
         forged = struct.pack(">d", float("nan")) + plain[8:]
         with pytest.raises(StaleTimestamp):
             rsu.check_membership_proof(key_id, obu.sym.seal(obu.session_key, forged, obu.rng))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import signal
 from math import comb
@@ -14,7 +15,6 @@ from anonauth.revocation import (
     ParameterOverflow,
     RevocationEntry,
     RevocationTable,
-    advance_counter,
     broadcast_revocation,
     decode_broadcast,
     encode_broadcast,
@@ -184,10 +184,21 @@ class TestCounter:
         assert obu.credential.counter == 100
 
     def test_advance_is_exactly_one(self):
-        dep = build_deployment(5, n=6, k=2)
-        cred = dep.obu_creds[0]
-        advance_counter(cred)
-        assert cred.counter == 1
+        # the member moves its own counter when it accepts a bundle
+        dep = build_deployment(5, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        cfg = SessionConfig(alpha=1, mu=2, k=2, h=1, n=6, serv_id="INFO")
+        key_id = rsu.register_session(obu.start(rsu.beacon(), cfg), cfg)
+        obu.bind(key_id)
+        assert rsu.negotiate_privacy(key_id) == 1
+        assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
+        assert rsu.check_membership_proof(key_id, obu.prove_membership(rsu.rng))
+        bundle = rsu.generate_proof_bundle(key_id, obu.rng)
+        empty = dataclasses.replace(bundle, items=())
+        assert obu.verify_bundle(empty).outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
+        assert obu.credential.counter == 0
+        assert obu.verify_bundle(bundle).outcome is Outcome.ACCEPTED
+        assert obu.credential.counter == 1
 
 
 class TestBroadcast:
@@ -385,7 +396,7 @@ class TestEndToEndRevocation:
         broadcast_revocation(obu.credential.iv, 0, [rsu.table])
         result, transcript = run_full_session(obu, rsu, cfg)
         assert result.outcome is Outcome.REJECTED_REVOKED
-        assert transcript.membership_proof is None
+        assert len(transcript.frames) == 3  # beacon, request, sets: no proof sent
         assert not transcript.bundle_observations
 
     def test_unflagged_co_member_still_authenticates(self):
@@ -400,9 +411,12 @@ class TestEndToEndRevocation:
         dep, rsu, obu, cfg = self._setup()
         gid, iv = obu.credential.group_id, obu.credential.iv
         broadcast_revocation(iv, 0, [rsu.table])
-        run_full_session(obu, rsu, cfg)
-        assert (gid, iv) in rsu.garbled_tracks
-        assert rsu.master_witnesses_for(gid, iv) != rsu.master_witnesses_for(gid)
+        _, flagged = run_full_session(obu, rsu, cfg)
+        _, clean = run_full_session(dep.make_obu(3, index=1), rsu, cfg)
+        master = rsu.credential.master_witnesses[gid]
+        garbled = rsu.sessions[flagged.key_id].witnesses
+        assert len(garbled) == len(master) and garbled != master
+        assert rsu.sessions[clean.key_id].witnesses == master
 
     def test_denial_survives_rsu_restart(self):
         # the table is the durable state; a fresh verifier instance holding
@@ -420,11 +434,10 @@ class TestEndToEndRevocation:
         request = obu.start(beacon, cfg)
         key_id = rsu.register_session(request, cfg)
         obu.bind(key_id)
-        assert rsu.negotiate_privacy(key_id, cfg.alpha) == cfg.alpha
+        assert rsu.negotiate_privacy(key_id) == cfg.alpha
         # revocation lands after registration but before the screening point
         broadcast_revocation(obu.credential.iv, 0, [rsu.table])
-        sets = obu.choose_proof_sets(cfg)
-        match = rsu.receive_proof_sets(key_id, sets)
+        match = rsu.receive_proof_sets(key_id, obu.choose_proof_sets())
         assert match is not None and match.iv == obu.credential.iv
 
 
@@ -440,9 +453,10 @@ class TestGarbleWitnesses:
 def test_sequences_feed_bundle_distinctness():
     # coherence between the generator and the proof-set chooser
     dep = build_deployment(13, n=6, k=2)
-    obu = dep.make_obu(1)
+    rsu, obu = dep.make_rsu(2), dep.make_obu(1)
     cfg = SessionConfig(alpha=1, mu=4, k=2, h=1, n=6, serv_id="INFO")
-    sets = obu.choose_proof_sets(cfg)
-    assert sets == revocation.next_sequence(
+    obu.start(rsu.beacon(), cfg)
+    obu.choose_proof_sets()
+    assert obu.sets == revocation.next_sequence(
         obu.credential.iv, obu.credential.counter, 6, 2, 4
     )

@@ -183,9 +183,7 @@ class TestSessionPolynomial:
 
 
 def _poly(coeffs):
-    return SessionPolynomial(
-        coefficients=tuple(coeffs), modulus=DEFAULT_COEFF_MODULUS, seed=b"fixed"
-    )
+    return SessionPolynomial(coefficients=tuple(coeffs), modulus=DEFAULT_COEFF_MODULUS)
 
 
 class TestHardened:
