@@ -39,6 +39,8 @@ SUPPORTED_ALPHAS = frozenset({1, 2, 3, 4, 5})
 DEFAULT_FRESHNESS_WINDOW = 5.0  # simulated seconds
 # sessions an RSU holds at once; registering one more evicts the oldest
 SESSION_CAPACITY = 1024
+# certificates an OBU remembers as verified; verifying one more forgets the oldest
+CERTIFICATE_CACHE_SIZE = 64
 
 
 class BadCertificate(ValueError):
@@ -407,6 +409,15 @@ class Rsu:
         return sess
 
 
+class ObuStep(Enum):
+    """A member's session: ``start`` opens it and an accepted bundle
+    decides it, after which ``verify_bundle`` raises ``StepOutOfOrder``
+    until the next ``start``."""
+
+    OPEN = "open"
+    ACCEPTED = "accepted"
+
+
 class Obu:
     """Member-side endpoint: single active session, whose config and sets
     it keeps from ``start`` and ``choose_proof_sets``."""
@@ -430,15 +441,18 @@ class Obu:
         self.key_id: bytes = NO_KEY_ID
         self.config: Optional[SessionConfig] = None
         self.sets: tuple = ()
+        self.step: Optional[ObuStep] = None
+        # (signed payload, signature) pairs that verified under the root key
+        self.verified_certificates: dict[tuple[bytes, bytes], None] = {}
 
     # -- step 1: request ----------------------------------------------------
 
     def start(self, beacon: Beacon, config: SessionConfig) -> AuthRequest:
         if config.alpha not in SUPPORTED_ALPHAS:
             raise UnsupportedAlpha(f"alpha={config.alpha}")
-        if not verify_certificate(beacon.certificate, self.root_public_key):
-            raise BadCertificate("beacon certificate does not verify under the root key")
+        self._check_certificate(beacon.certificate)
         self.config = config
+        self.step = ObuStep.OPEN
         self.session_key = self.rng.randbytes(envelopes.SESSION_KEY_BYTES)
         body = json.dumps(
             {
@@ -453,6 +467,21 @@ class Obu:
         return AuthRequest(
             ciphertext=self.seal.seal(beacon.certificate.public_key, body, self.rng)
         )
+
+    def _check_certificate(self, cert: Certificate) -> None:
+        """``BadCertificate`` unless ``cert`` is valid now and signed under
+        the root key; a signature is verified once per distinct certificate."""
+        now = self.clock.now()
+        if not cert.valid_from <= now <= cert.valid_to:
+            raise BadCertificate(f"beacon certificate is not valid at t={now}")
+        key = (cert.signed_payload(), cert.signature)
+        if key in self.verified_certificates:
+            return
+        if not verify_certificate(cert, self.root_public_key):
+            raise BadCertificate("beacon certificate does not verify under the root key")
+        if len(self.verified_certificates) >= CERTIFICATE_CACHE_SIZE:
+            del self.verified_certificates[next(iter(self.verified_certificates))]
+        self.verified_certificates[key] = None
 
     def bind(self, key_id: bytes) -> None:
         self.key_id = key_id
@@ -487,10 +516,11 @@ class Obu:
         self, bundle: ProofBundle, observations: Optional[list[ZkpProof]] = None
     ) -> AuthResult:
         """Count the items that prove this session's sets; on acceptance the
-        member moves to its next counter."""
-        assert self.session_key is not None, "no open session"
+        member moves to its next counter, once per session."""
         if bundle.key_id != self.key_id:
             raise EnvelopeFailure("bundle tagged for a different session")
+        if self.step is not ObuStep.OPEN:
+            raise StepOutOfOrder("member session is not open, or already accepted a bundle")
         cfg = self.config
         m = self.credential.modulus
         verified = 0
@@ -513,6 +543,7 @@ class Obu:
         if verified < cfg.alpha:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
         self.credential.counter += 1
+        self.step = ObuStep.ACCEPTED
         return AuthResult(Outcome.ACCEPTED, verified, cfg.alpha)
 
     def closing_reply(self) -> bytes:

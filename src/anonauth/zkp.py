@@ -21,6 +21,7 @@ the length and each proof has exactly one encoding:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -32,6 +33,9 @@ from .numtheory import Rng, gcd, sample_unit
 
 DEFAULT_COEFF_MODULUS = (1 << 61) - 1  # public prime; must exceed any k in use
 _HARDENED_MAX_RETRIES = 64
+# witness values whose powers ``_powers`` keeps: a deployment's pool and
+# master witnesses, about 1.5 KB each at 2048 bits and k = 5
+POWER_CACHE_SIZE = 512
 
 
 class DegenerateParameters(ValueError):
@@ -159,6 +163,24 @@ def derive_session_polynomial(
         tag += 1
 
 
+@functools.lru_cache(maxsize=POWER_CACHE_SIZE)
+def _powers(x: int, k: int, m: int) -> tuple[int, ...]:
+    """(x^0, ..., x^(k-1)) mod m, kept across proofs and sessions.
+
+    ``x`` is always a public witness: the verifier's I, or the prover's
+    S^2 mod m, which is the provisioned witness of S. Every member already
+    holds the pool witnesses and every verifier the master witnesses, and
+    recovering S from S^2 mod m is as hard as factoring m, so the cache
+    holds nothing a party does not already know. It never sees a secret S
+    nor a session's coefficients: the a_t-weighted terms stay in the
+    proof's own ``SessionPolynomial.term_tables``.
+    """
+    powers = [1]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * x % m)
+    return tuple(powers)
+
+
 def _term_table(
     poly: SessionPolynomial, base: int, scale: int, m: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -168,12 +190,10 @@ def _term_table(
     key = (base, scale, m)
     table = poly.term_tables.get(key)
     if table is None:
-        x, x_t, steps = pow(base, scale, m), 1, []
-        for t, a_t in enumerate(poly.coefficients):
-            if t:
-                x_t = x_t * x % m
-            steps.append(a_t * x_t % m - a_t)
-        table = poly.term_tables[key] = (sum(poly.coefficients), tuple(steps))
+        coeffs = poly.coefficients
+        powers = _powers(pow(base, scale, m), len(coeffs), m)
+        steps = tuple(a_t * x_t % m - a_t for a_t, x_t in zip(coeffs, powers))
+        table = poly.term_tables[key] = (sum(coeffs), steps)
     return table
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import struct
@@ -14,11 +15,13 @@ from hypothesis.stateful import (
 
 from anonauth import protocol, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
+from anonauth.keymgmt import verify_certificate
 from anonauth.numtheory import generate_blum_modulus
 from anonauth.protocol import (
     AuthRequest,
     AuthResult,
     BadCertificate,
+    Beacon,
     MalformedRequest,
     MalformedSetRequest,
     Outcome,
@@ -313,8 +316,10 @@ class TestBundleVerification:
         for alpha, expected in [(1, Outcome.ACCEPTED), (2, Outcome.ACCEPTED),
                                 (3, Outcome.REJECTED_INSUFFICIENT_PROOFS),
                                 (4, Outcome.REJECTED_INSUFFICIENT_PROOFS)]:
-            obu.config = cfg(alpha=alpha, mu=4, h=2)
-            result = obu.verify_bundle(tampered)
+            # each alpha judges the bundle in its own copy of the open session
+            trial = copy.copy(obu)
+            trial.config = cfg(alpha=alpha, mu=4, h=2)
+            result = trial.verify_bundle(tampered)
             assert result.outcome is expected
             assert result.verified_count == 2
 
@@ -352,6 +357,93 @@ class TestBundleVerification:
     def test_accepted_result_must_meet_threshold(self):
         with pytest.raises(ValueError):
             AuthResult(Outcome.ACCEPTED, verified_count=1, alpha=2)
+
+
+class TestBundleReplay:
+    def test_accepted_bundle_moves_the_counter_once(self):
+        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(14, cfg(alpha=2, mu=2, h=2))
+        assert obu.verify_bundle(bundle).outcome is Outcome.ACCEPTED
+        assert obu.credential.counter == 1
+        with pytest.raises(StepOutOfOrder):
+            obu.verify_bundle(bundle)
+        assert obu.credential.counter == 1
+
+    def test_verify_needs_an_open_session(self):
+        dep = build_deployment(15, n=6, k=2, stub=True)
+        obu = dep.make_obu(2)
+        with pytest.raises(StepOutOfOrder):
+            obu.verify_bundle(protocol.ProofBundle(key_id=obu.key_id, items=()))
+
+
+def _signed_beacon(dep, rsu_id=0, **window):
+    """A beacon whose certificate the deployment's root signs over ``window``."""
+    public = dep.rsu_cred.certificate.public_key
+    return Beacon(certificate=dep.kdc.issue_certificate(rsu_id, public, **window))
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The rsu_id of each certificate whose signature ``protocol`` checks."""
+    calls = []
+
+    def counting_verify(cert, root):
+        calls.append(cert.rsu_id)
+        return verify_certificate(cert, root)
+
+    monkeypatch.setattr(protocol, "verify_certificate", counting_verify)
+    return calls
+
+
+class TestCertificateChecks:
+    def test_certificate_outside_its_window_is_refused(self):
+        dep = build_deployment(16, n=6, k=2, stub=True)
+        obu = dep.make_obu(2)
+        beacon = _signed_beacon(dep, valid_from=100, valid_to=200)
+        with pytest.raises(BadCertificate):
+            obu.start(beacon, cfg())  # t = 0
+        obu.clock.advance(150)
+        obu.start(beacon, cfg())
+        obu.clock.advance(100)  # t = 250
+        with pytest.raises(BadCertificate):
+            obu.start(beacon, cfg())
+
+    def test_cached_certificate_still_checks_its_window(self):
+        dep = build_deployment(17, n=6, k=2, stub=True)
+        obu = dep.make_obu(2)
+        beacon = _signed_beacon(dep, valid_to=10)
+        obu.start(beacon, cfg())
+        obu.clock.advance(20)
+        with pytest.raises(BadCertificate):
+            obu.start(beacon, cfg())
+
+    def test_tampered_signature_on_a_cached_payload_fails(self):
+        dep = build_deployment(18, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        beacon = rsu.beacon()
+        obu.start(beacon, cfg())
+        cert = beacon.certificate
+        flipped = bytes([cert.signature[0] ^ 1]) + cert.signature[1:]
+        forged = Beacon(certificate=dataclasses.replace(cert, signature=flipped))
+        with pytest.raises(BadCertificate):
+            obu.start(forged, cfg())
+
+    def test_signature_is_verified_once_per_certificate(self, verify_calls):
+        dep = build_deployment(19, n=6, k=2, stub=True)
+        obu = dep.make_obu(2)
+        first, second = dep.make_rsu(1).beacon(), _signed_beacon(dep, rsu_id=1)
+        for beacon in (first, second, first, second, first):
+            obu.start(beacon, cfg())
+        assert verify_calls == [0, 1]
+
+    def test_oldest_certificate_is_forgotten(self, monkeypatch, verify_calls):
+        monkeypatch.setattr(protocol, "CERTIFICATE_CACHE_SIZE", 2)
+        dep = build_deployment(21, n=6, k=2, stub=True)
+        obu = dep.make_obu(2)
+        beacons = [_signed_beacon(dep, rsu_id=i) for i in range(3)]
+        for beacon in beacons + beacons[1:] + beacons[:1]:
+            obu.start(beacon, cfg())
+        assert len(obu.verified_certificates) == 2
+        assert verify_calls == [0, 1, 2, 0]
 
 
 class TestFullSession:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import signal
 from math import comb
 
@@ -201,6 +202,10 @@ class TestCounter:
         assert obu.credential.counter == 1
 
 
+# a valid record, for the malformed cases to alter one field of
+_RECORD = json.loads(encode_broadcast(42, 3, "violation", 7))
+
+
 class TestBroadcast:
     def test_all_tables_updated(self):
         tables = [RevocationTable() for _ in range(10)]
@@ -226,9 +231,32 @@ class TestBroadcast:
         text = encode_broadcast(42, 3, "violation", 7)
         assert decode_broadcast(text) == (42, 3, "violation", 7)
 
-    def test_bad_record_rejected(self):
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param({"kind": "something_else"}, id="other-kind"),
+            pytest.param({"kind": "revocation_broadcast"}, id="kind-only"),
+            pytest.param([], id="list"),
+            pytest.param("revocation_broadcast", id="string"),
+            pytest.param({**_RECORD, "iv": 42}, id="int-iv"),
+            pytest.param({**_RECORD, "iv": "4x2"}, id="non-decimal-iv"),
+            pytest.param({**_RECORD, "iv": "-42"}, id="negative-iv"),
+            pytest.param({**_RECORD, "iv": str(1 << 64)}, id="iv-beyond-64-bits"),
+            pytest.param({**_RECORD, "counter_hint": "3"}, id="str-hint"),
+            pytest.param({**_RECORD, "counter_hint": True}, id="bool-hint"),
+            pytest.param({**_RECORD, "counter_hint": -1}, id="negative-hint"),
+            pytest.param({**_RECORD, "reason": None}, id="null-reason"),
+            pytest.param({**_RECORD, "version": 7.0}, id="float-version"),
+            pytest.param({**_RECORD, "version": None}, id="null-version"),
+        ],
+    )
+    def test_bad_record_rejected(self, record):
         with pytest.raises(ValueError):
-            decode_broadcast('{"kind": "something_else"}')
+            decode_broadcast(json.dumps(record))
+
+    def test_deeply_nested_record_rejected(self):
+        with pytest.raises(ValueError):
+            decode_broadcast("[" * 100_000)
 
 
 class TestScreening:

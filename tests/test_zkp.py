@@ -391,6 +391,48 @@ class TestTermTable:
         assert poly == derive_session_polynomial(b"count", 5)
 
 
+class TestPowerCache:
+    """``_powers`` keeps x^0..x^(k-1) mod m of public witnesses across proofs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_powers_match_pow(self, data):
+        m = data.draw(st.sampled_from(_TERM_MODULI))
+        x = data.draw(st.integers(0, m - 1))
+        k = data.draw(st.integers(1, 9))
+        assert zkp._powers(x, k, m) == tuple(pow(x, t, m) for t in range(k))
+        assert zkp._powers.cache_info().maxsize == zkp.POWER_CACHE_SIZE
+
+    def test_each_modulus_and_length_has_its_own_powers(self):
+        m_small, m_large = _TERM_MODULI[1], _TERM_MODULI[2]
+        x = m_small - 2
+        small, large = zkp._powers(x, 5, m_small), zkp._powers(x, 5, m_large)
+        assert small == tuple(pow(x, t, m_small) for t in range(5))
+        assert large == tuple(pow(x, t, m_large) for t in range(5))
+        assert small != large
+        assert zkp._powers(x, 3, m_large) == large[:3]
+        assert zkp._powers(x, 7, m_large) == tuple(pow(x, t, m_large) for t in range(7))
+
+    def test_cache_sees_only_public_witnesses(self, monkeypatch):
+        keys = []
+        cached = zkp._powers
+
+        def recording_powers(x, k, m):
+            keys.append(x)
+            return cached(x, k, m)
+
+        monkeypatch.setattr(zkp, "_powers", recording_powers)
+        rng = Rng(17)
+        secrets = [sample_unit(rng, _M64) for _ in range(4)]
+        witnesses = [s * s % _M64 for s in secrets]
+        poly = derive_session_polynomial(b"witnesses", 4)
+        proof = prove(Hardened(poly), secrets, 3, _M64, rng.split(), rng.split())
+        verifier = Hardened(derive_session_polynomial(b"witnesses", 4))
+        assert verify(verifier, proof, witnesses, _M64, 3)
+        assert keys and set(keys) <= set(witnesses)
+        assert not set(keys) & set(secrets)
+
+
 class TestTranscriptIndistinguishability:
     def test_honest_vs_simulated_chi_square(self):
         """Accepted basic transcripts carry no secret information: a
