@@ -62,20 +62,19 @@ class CheaterProver:
         self._inv_cache = {} if inverses is None else inverses
         self._r: Optional[int] = None
 
-    def _inv_product(self, mask: int) -> int:
-        if mask not in self._inv_cache:
-            prod = 1
-            for i in range(self.k):
-                if (mask >> i) & 1:
-                    prod = (prod * self.witnesses[i]) % self.m
-            self._inv_cache[mask] = mod_inv(prod, self.m)
-        return self._inv_cache[mask]
-
     def commit(self) -> int:
-        self._r = sample_unit(self.rng, self.m)
+        m = self.m
+        self._r = r = sample_unit(self.rng, m)
         mask = self.rng.randbits(self.k)
         sign = self.rng.choice_sign()
-        return (sign * self._r * self._r * self._inv_product(mask)) % self.m
+        inv = self._inv_cache.get(mask)
+        if inv is None:
+            prod = 1
+            for i, w in enumerate(self.witnesses):
+                if (mask >> i) & 1:
+                    prod = (prod * w) % m
+            inv = self._inv_cache[mask] = mod_inv(prod, m)
+        return (sign * r * r * inv) % m
 
     def respond(self, challenge: Sequence[int]) -> int:
         assert self._r is not None
@@ -124,11 +123,9 @@ def bundle_cheater_attempt(
     verifier rejects a declaration mismatch before any arithmetic.
     """
     n = len(pool_witnesses)
-    all_ids = list(range(1, n + 1))
     verified = 0
     for ids in requested_sets:
-        guess = tuple(sorted(_sample_subset(rng, all_ids, k)))
-        if guess != tuple(sorted(ids)):
+        if _sample_subset(rng, n, k) != tuple(sorted(ids)):
             continue
         true_witnesses = [pool_witnesses[i - 1] for i in ids]
         prover = CheaterProver(true_witnesses, m, rng)
@@ -137,11 +134,16 @@ def bundle_cheater_attempt(
     return verified >= alpha
 
 
-def _sample_subset(rng: Rng, ids: list[int], k: int) -> list[int]:
+def _sample_subset(rng: Rng, n: int, k: int) -> tuple[int, ...]:
+    """k distinct ids of 1..n, sorted: one ``rng.randrange(0, n)`` draw per
+    id, repeats included, in a single loop over ``rng.randbits``."""
+    randbits, bits = rng.randbits, n.bit_length()
     picked: set[int] = set()
     while len(picked) < k:
-        picked.add(ids[rng.randrange(0, len(ids))])
-    return sorted(picked)
+        r = randbits(bits)
+        if r < n:
+            picked.add(r + 1)
+    return tuple(sorted(picked))
 
 
 # ------------------------------------------------------------- observer

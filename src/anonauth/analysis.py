@@ -211,10 +211,9 @@ def mc_bundle_cheater(
     attacker_rng = Rng(seed)
     verifier_rng = Rng(seed ^ 0xA5A5A5)
     set_rng = Rng(seed ^ 0xC0FFEE)
-    all_ids = list(range(1, n + 1))
     successes = 0
     for _ in range(trials):
-        requested = _distinct_sets(set_rng, all_ids, k, mu)
+        requested = _distinct_sets(set_rng, n, k, mu)
         if adversary.bundle_cheater_attempt(
             pool_witnesses, requested, k, h, alpha, m, attacker_rng, verifier_rng
         ):
@@ -229,13 +228,14 @@ def mc_bundle_cheater(
     return report.finish_mc(successes, trials, seed)
 
 
-def _distinct_sets(rng: Rng, ids: list[int], k: int, mu: int) -> list[tuple[int, ...]]:
-    if mu > comb(len(ids), k):
-        raise ParameterOverflow(f"mu={mu} exceeds C({len(ids)},{k})")
+def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> list[tuple[int, ...]]:
+    """mu distinct k-subsets of 1..n, in the order first drawn."""
+    if mu > comb(n, k):
+        raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
     sets: list[tuple[int, ...]] = []
     seen = set()
     while len(sets) < mu:
-        s = tuple(adversary._sample_subset(rng, ids, k))
+        s = adversary._sample_subset(rng, n, k)
         if s not in seen:
             seen.add(s)
             sets.append(s)
@@ -246,11 +246,10 @@ def mc_leak(n: int, k: int, mu: int, trials: int, seed: int) -> ProbabilityRepor
     """Draw mu distinct k-subsets; count sessions containing one fixed
     designated subset."""
     rng = Rng(seed)
-    all_ids = list(range(1, n + 1))
     designated = tuple(range(1, k + 1))
     successes = 0
     for _ in range(trials):
-        sets = _distinct_sets(rng, all_ids, k, mu)
+        sets = _distinct_sets(rng, n, k, mu)
         if designated in sets:
             successes += 1
     cf = p_leak(n, k, mu)
@@ -276,7 +275,6 @@ def mc_sequence_collision(
     factor of the false-authentication formula.
     """
     rng = Rng(seed)
-    all_ids = list(range(1, n + 1))
     successes = 0
     if distinct_blocks:
         for t in range(trials):
@@ -290,12 +288,8 @@ def mc_sequence_collision(
         formula = "p_missed_mu_factors"
     else:
         for _ in range(trials):
-            seq_a = tuple(
-                tuple(adversary._sample_subset(rng, all_ids, k)) for _ in range(mu)
-            )
-            seq_b = tuple(
-                tuple(adversary._sample_subset(rng, all_ids, k)) for _ in range(mu)
-            )
+            seq_a = tuple(adversary._sample_subset(rng, n, k) for _ in range(mu))
+            seq_b = tuple(adversary._sample_subset(rng, n, k) for _ in range(mu))
             if seq_a == seq_b:
                 successes += 1
         cf = Fraction(1, comb(n, k) ** mu)

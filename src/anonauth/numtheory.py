@@ -26,29 +26,40 @@ class Rng:
 
     Thin wrapper over ``random.Random`` that adds ``split()`` so callers
     can hand independent substreams to subtasks without sharing state.
+    ``randbits(k)`` and ``random()`` are the generator's own
+    ``getrandbits`` and ``random``, and every other draw goes through them,
+    so a copy, shallow or deep, draws from the same stream.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._r = random.Random(seed)
+        self.randbits = self._r.getrandbits
+        self.random = self._r.random
 
     def split(self) -> "Rng":
-        return Rng(self._r.getrandbits(64))
-
-    def randbits(self, k: int) -> int:
-        return self._r.getrandbits(k)
+        return Rng(self.randbits(64))
 
     def randrange(self, a: int, b: Optional[int] = None) -> int:
-        return self._r.randrange(a, b)
+        """Uniform in [a, b), or in [0, a) without ``b``: the draws of
+        ``random.Random.randrange``, which rejects getrandbits(n.bit_length())
+        while it is >= n = b - a."""
+        if b is None:
+            a, b = 0, a
+        n = b - a
+        if n <= 0:
+            raise ValueError(f"empty range for randrange({a}, {b})")
+        k = n.bit_length()
+        r = self.randbits(k)
+        while r >= n:
+            r = self.randbits(k)
+        return a + r
 
     def randbytes(self, n: int) -> bytes:
-        return self._r.getrandbits(8 * n).to_bytes(n, "big")
+        return self.randbits(8 * n).to_bytes(n, "big")
 
     def choice_sign(self) -> int:
-        return 1 if self._r.getrandbits(1) else -1
-
-    def random(self) -> float:
-        return self._r.random()
+        return 1 if self.randbits(1) else -1
 
 
 @dataclass(frozen=True)

@@ -486,13 +486,20 @@ class Obu:
     def bind(self, key_id: bytes) -> None:
         self.key_id = key_id
 
+    def _open_config(self) -> SessionConfig:
+        """The config ``start`` opened the session with; ``StepOutOfOrder``
+        when no session was ever opened."""
+        if self.step is None:
+            raise StepOutOfOrder("no open session: call start first")
+        return self.config
+
     # -- step 3: secret-id sets ----------------------------------------------
 
     def choose_proof_sets(self) -> bytes:
         """Seal the mu pairwise-distinct k-id sets for this session,
         PRF-derived from (iv, counter) so a verifier holding the iv can
         screen them."""
-        cfg = self.config
+        cfg = self._open_config()
         self.sets = revocation.next_sequence(
             self.credential.iv, self.credential.counter, cfg.n, cfg.k, cfg.mu
         )
@@ -502,8 +509,7 @@ class Obu:
     # -- step 4: membership proof (prover side) -------------------------------
 
     def prove_membership(self, challenge_rng: Rng) -> bytes:
-        assert self.session_key is not None, "no open session"
-        cfg = self.config
+        cfg = self._open_config()
         system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
         m = self.credential.modulus
         proof = zkp.prove(system, self.credential.master_key, cfg.h, m, self.rng, challenge_rng)
@@ -547,8 +553,8 @@ class Obu:
         return AuthResult(Outcome.ACCEPTED, verified, cfg.alpha)
 
     def closing_reply(self) -> bytes:
-        assert self.session_key is not None, "no open session"
-        return self.sym.seal(self.session_key, bytes([self.config.alpha]), self.rng)
+        alpha = self._open_config().alpha
+        return self.sym.seal(self.session_key, bytes([alpha]), self.rng)
 
 
 def run_full_session(

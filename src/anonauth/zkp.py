@@ -26,7 +26,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from typing import Optional, Sequence
 
 from .numtheory import Rng, gcd, sample_unit
@@ -125,8 +125,20 @@ def verify_round(
 
 
 def draw_challenge(rng: Rng, k: int) -> tuple[int, ...]:
-    bits = rng.randbits(k)
-    return tuple((bits >> i) & 1 for i in range(k))
+    return _unpack_challenge(rng.randbits(k), k)
+
+
+# bit i of each byte value at index i: 256 tuples, about 27 KB, built once
+_BYTE_BITS = tuple(tuple((v >> i) & 1 for i in range(8)) for v in range(256))
+
+
+def _unpack_challenge(bits: int, k: int) -> tuple[int, ...]:
+    """(b_0, ..., b_(k-1)) with b_i = bit i of ``bits`` < 2^k, the inverse
+    of ``challenge_bits``: one table lookup for k <= 8, else one per byte."""
+    if k <= 8:
+        return _BYTE_BITS[bits][:k]
+    by_byte = map(_BYTE_BITS.__getitem__, bits.to_bytes((k + 7) // 8, "little"))
+    return tuple(chain.from_iterable(by_byte))[:k]
 
 
 def challenge_bits(challenge: Sequence[int]) -> int:
@@ -456,7 +468,7 @@ def decode_proof(blob: bytes, m: int) -> ZkpProof:
         y = int.from_bytes(blob[off + width + ch_bytes : off + step], "big")
         if w >= m or y >= m or bits >> k:
             raise MalformedProof("a round value is out of range")
-        rounds.append(ZkpRound(w=w, challenge=tuple((bits >> i) & 1 for i in range(k)), y=y))
+        rounds.append(ZkpRound(w=w, challenge=_unpack_challenge(bits, k), y=y))
     return ZkpProof(
         secret_ids=struct.unpack_from(f">{n_ids}I", blob, _HEADER.size),
         rounds=tuple(rounds),

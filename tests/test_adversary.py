@@ -1,7 +1,10 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anonauth import adversary
 from anonauth.adversary import (
@@ -298,3 +301,28 @@ class TestMemoryCost:
             n = rng.randrange(1, 40)
             k = rng.randrange(0, n + 1)
             assert simulator_memory_cost(n, k) == 2 ** (2 * k + 6) * math.comb(n, k)
+
+
+def _old_sample_subset(rng, ids, k):
+    """The subset sampler as it was: one ``randrange`` per id over an id list."""
+    picked = set()
+    while len(picked) < k:
+        picked.add(ids[rng.randrange(0, len(ids))])
+    return sorted(picked)
+
+
+class TestSampleSubsetReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 70),
+        k=st.integers(1, 12),
+        draws=st.integers(1, 6),
+    )
+    def test_matches_randrange_sampler(self, seed, n, k, draws):
+        k = min(k, n)
+        ours, ref = Rng(seed), random.Random(seed)
+        ids = list(range(1, n + 1))
+        for _ in range(draws):
+            assert adversary._sample_subset(ours, n, k) == tuple(_old_sample_subset(ref, ids, k))
+        assert ours.randbits(64) == ref.getrandbits(64)

@@ -1,7 +1,9 @@
+import copy
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -121,6 +123,39 @@ class TestRng:
         b = Rng(7)
         child2 = b.split()
         assert [child2.randbits(16) for _ in range(4)] == seq
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(-(2**64), 2**64),
+        width=st.one_of(
+            st.just(1),
+            st.integers(1, 2048).flatmap(
+                lambda e: st.sampled_from([2**e - 1, 2**e, 2**e + 1])
+            ),
+            st.integers(2**2047, 2**2048 - 1),
+        ),
+    )
+    def test_randrange_draws_the_stream_of_random_randrange(self, seed, start, width):
+        ours, ref = Rng(seed), random.Random(seed)
+        for _ in range(4):
+            assert ours.randrange(start, start + width) == ref.randrange(start, start + width)
+            assert ours.randrange(width) == ref.randrange(width)
+        assert ours.randbits(64) == ref.getrandbits(64)
+
+    def test_a_deep_copy_draws_from_the_same_stream(self):
+        original, reference = Rng(9), Rng(9)
+        clone = copy.deepcopy(original)
+        draws = [clone.randrange(0, 100), original.randbits(8), clone.randbytes(2),
+                 original.choice_sign(), clone.random(), clone.split().randbits(8)]
+        assert draws == [reference.randrange(0, 100), reference.randbits(8),
+                         reference.randbytes(2), reference.choice_sign(),
+                         reference.random(), reference.split().randbits(8)]
+
+    @pytest.mark.parametrize("bounds", [(0,), (-3,), (5, 5), (5, 4), (2**2048, 1)])
+    def test_randrange_rejects_an_empty_range(self, bounds):
+        with pytest.raises(ValueError):
+            Rng(1).randrange(*bounds)
 
     def test_gcd_agrees_with_math(self):
         # sample_unit looks gcd up on the module, where tracing wraps it

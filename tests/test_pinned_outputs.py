@@ -17,6 +17,9 @@ from anonauth.protocol import SessionConfig, Variant, run_full_session
 from conftest import M21, build_deployment
 
 PINNED = "79ee8a2217936845ecb5f6093e07f044d35df04bca60b50ba98fe26d243fe5cf"
+# the estimators PINNED does not reach: the subset sampler behind mc_leak,
+# both readings of mc_sequence_collision and the bundle cheater at n = 3
+PINNED_ESTIMATORS = "1128f8fa9ccd76c9803ec8d4279c2c5f48e26ae9aa7bd49489eaf3523c78236f"
 
 
 def _feed(digest, *values) -> None:
@@ -104,3 +107,16 @@ def test_outputs_match_pinned_digest():
     _m21_attacks(digest)
     _sim_cells(digest)
     assert digest.hexdigest() == PINNED
+
+
+def test_estimators_match_pinned_digest():
+    digest = hashlib.sha256()
+    reports = [analysis.mc_leak(6, 3, mu, 1_000, seed=20 + mu) for mu in (1, 5, 10)]
+    reports += [
+        analysis.mc_sequence_collision(4, 2, 2, 1_000, seed=31, distinct_blocks=distinct)
+        for distinct in (True, False)
+    ]
+    reports.append(analysis.mc_bundle_cheater(2, 1, 3, 1, 1, 1_000, seed=32))
+    for rep in reports:
+        _feed(digest, rep.formula, rep.params, rep.trials, rep.mc_estimate)
+    assert digest.hexdigest() == PINNED_ESTIMATORS

@@ -374,6 +374,20 @@ class TestBundleReplay:
         with pytest.raises(StepOutOfOrder):
             obu.verify_bundle(protocol.ProofBundle(key_id=obu.key_id, items=()))
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda obu: obu.choose_proof_sets(),
+            lambda obu: obu.prove_membership(obu.rng),
+            lambda obu: obu.closing_reply(),
+        ],
+        ids=["choose_proof_sets", "prove_membership", "closing_reply"],
+    )
+    def test_steps_need_an_open_session(self, step):
+        obu = build_deployment(16, n=6, k=2, stub=True).make_obu(2)
+        with pytest.raises(StepOutOfOrder):
+            step(obu)
+
 
 def _signed_beacon(dep, rsu_id=0, **window):
     """A beacon whose certificate the deployment's root signs over ``window``."""

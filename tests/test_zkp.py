@@ -98,10 +98,11 @@ class TestVerifyRound:
 
 
 class TestChallenge:
-    @given(st.integers(0, 2**32), st.integers(1, 16))
+    @given(st.integers(0, 2**32), st.integers(1, 70))
     def test_length_and_bits(self, seed, k):
         ch = draw_challenge(Rng(seed), k)
-        assert len(ch) == k and set(ch) <= {0, 1}
+        bits = Rng(seed).randbits(k)
+        assert ch == tuple((bits >> i) & 1 for i in range(k))
 
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=40))
     def test_pack_round_trip(self, bits):
