@@ -29,7 +29,6 @@ class AttackReport:
     kind: str
     trials: int
     successes: int
-    closed_form: Optional[float] = None
     memory_bytes_modeled: Optional[int] = None
     memory_bytes_measured: Optional[int] = None
 

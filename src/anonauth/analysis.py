@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from . import adversary, revocation
 from .numtheory import Rng, generate_blum_modulus, sample_unit
@@ -32,37 +31,34 @@ class ProbabilityReport:
     formula: str
     params: dict
     closed_form: Fraction
-    log10_value: float
-    mc_estimate: Optional[float] = None
-    mc_stderr: Optional[float] = None
-    trials: int = 0
-    seed: Optional[int] = None
-    passed: Optional[bool] = None
+    successes: int
+    trials: int
+    seed: int
+    mc_estimate: float = field(init=False)
+    mc_stderr: float = field(init=False)
+    passed: bool = field(init=False)  # the estimate is within 3 sigma
 
-    def finish_mc(self, successes: int, trials: int, seed: int) -> "ProbabilityReport":
-        self.trials = trials
-        self.seed = seed
-        self.mc_estimate = successes / trials
-        p = self.mc_estimate
-        self.mc_stderr = math.sqrt(max(p * (1 - p), 1e-300) / trials)
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        p = self.mc_estimate = self.successes / self.trials
+        self.mc_stderr = math.sqrt(max(p * (1 - p), 1e-300) / self.trials)
         self.passed = abs(float(self.closed_form) - p) <= 3 * max(self.mc_stderr, 1e-300)
-        return self
 
     def csv_row(self) -> str:
         param_str = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+        log10_value = log10_fraction(self.closed_form)
         fields = [
             self.formula,
             param_str,
             # closed_form may underflow float; render via its log10
-            _sci_from_log10(self.log10_value),
-        ]
-        fields += [
-            f"{self.log10_value:.12f}",
-            "" if self.mc_estimate is None else f"{self.mc_estimate:.10f}",
-            "" if self.mc_stderr is None else f"{self.mc_stderr:.3e}",
+            _sci_from_log10(log10_value),
+            f"{log10_value:.12f}",
+            f"{self.mc_estimate:.10f}",
+            f"{self.mc_stderr:.3e}",
             str(self.trials),
-            "" if self.seed is None else str(self.seed),
-            "" if self.passed is None else str(self.passed).lower(),
+            str(self.seed),
+            str(self.passed).lower(),
         ]
         return ",".join(fields)
 
@@ -74,17 +70,7 @@ def log10_fraction(x: Fraction) -> float:
     """log10 of a positive rational without float under/overflow."""
     if x <= 0:
         raise ValueError("log10 needs a positive value")
-    return _log10_int(x.numerator) - _log10_int(x.denominator)
-
-
-def _log10_int(n: int) -> float:
-    if n < 1:
-        raise ValueError("positive integer required")
-    bl = n.bit_length()
-    if bl <= 900:
-        return math.log10(n)
-    shift = bl - 60
-    return math.log10(n >> shift) + shift * _LOG10_2
+    return math.log10(x.numerator) - math.log10(x.denominator)
 
 
 def _sci_from_log10(l10: float) -> str:
@@ -170,8 +156,8 @@ def p_missed_mu_factors(n: int, k: int, mu: int) -> Fraction:
 # --------------------------------------------------------- Monte Carlo
 
 
-def _mc_witnesses(n_values: int, seed: int, bits: int = MC_MODULUS_BITS):
-    modulus = generate_blum_modulus(bits, seed ^ 0x5EED)
+def _mc_witnesses(n_values: int, seed: int):
+    modulus = generate_blum_modulus(MC_MODULUS_BITS, seed ^ 0x5EED)
     rng = Rng(seed ^ 0xBEEF)
     m = modulus.m
     secrets = [sample_unit(rng, m) for _ in range(n_values)]
@@ -192,14 +178,8 @@ def mc_cheater(k: int, h: int, trials: int, seed: int) -> ProbabilityReport:
         )
         if ok:
             successes += 1
-    cf = p_cheater(k, h)
-    report = ProbabilityReport(
-        formula="p_cheater",
-        params={"k": k, "h": h},
-        closed_form=cf,
-        log10_value=log10_fraction(cf),
-    )
-    return report.finish_mc(successes, trials, seed)
+    params = {"k": k, "h": h}
+    return ProbabilityReport("p_cheater", params, p_cheater(k, h), successes, trials, seed)
 
 
 def mc_bundle_cheater(
@@ -218,14 +198,8 @@ def mc_bundle_cheater(
             pool_witnesses, requested, k, h, alpha, m, attacker_rng, verifier_rng
         ):
             successes += 1
-    cf = p_mu(k, h, n, mu)
-    report = ProbabilityReport(
-        formula="p_mu",
-        params={"k": k, "h": h, "n": n, "mu": mu, "alpha": alpha},
-        closed_form=cf,
-        log10_value=log10_fraction(cf),
-    )
-    return report.finish_mc(successes, trials, seed)
+    params = {"k": k, "h": h, "n": n, "mu": mu, "alpha": alpha}
+    return ProbabilityReport("p_mu", params, p_mu(k, h, n, mu), successes, trials, seed)
 
 
 def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> list[tuple[int, ...]]:
@@ -252,14 +226,8 @@ def mc_leak(n: int, k: int, mu: int, trials: int, seed: int) -> ProbabilityRepor
         sets = _distinct_sets(rng, n, k, mu)
         if designated in sets:
             successes += 1
-    cf = p_leak(n, k, mu)
-    report = ProbabilityReport(
-        formula="p_leak",
-        params={"n": n, "k": k, "mu": mu},
-        closed_form=cf,
-        log10_value=log10_fraction(cf),
-    )
-    return report.finish_mc(successes, trials, seed)
+    params = {"n": n, "k": k, "mu": mu}
+    return ProbabilityReport("p_leak", params, p_leak(n, k, mu), successes, trials, seed)
 
 
 def mc_sequence_collision(
@@ -294,13 +262,8 @@ def mc_sequence_collision(
                 successes += 1
         cf = Fraction(1, comb(n, k) ** mu)
         formula = "q_false_set_factor"
-    report = ProbabilityReport(
-        formula=formula,
-        params={"n": n, "k": k, "mu": mu, "distinct_blocks": distinct_blocks},
-        closed_form=cf,
-        log10_value=log10_fraction(cf),
-    )
-    return report.finish_mc(successes, trials, seed)
+    params = {"n": n, "k": k, "mu": mu, "distinct_blocks": distinct_blocks}
+    return ProbabilityReport(formula, params, cf, successes, trials, seed)
 
 
 # ----------------------------------------------------------- figure series

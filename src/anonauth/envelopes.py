@@ -9,8 +9,6 @@ fixtures and label their output accordingly.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -26,16 +24,6 @@ SESSION_KEY_BYTES = 16  # 128-bit symmetric session keys
 
 class EnvelopeFailure(Exception):
     """An envelope failed to open (wrong key, tamper, or malformed blob)."""
-
-
-class SymmetricEnvelope(Protocol):
-    def seal(self, key: bytes, plaintext: bytes, rng: Rng) -> bytes: ...
-    def open(self, key: bytes, blob: bytes) -> bytes: ...
-
-
-class AsymmetricSeal(Protocol):
-    def seal(self, recipient_public: bytes, plaintext: bytes, rng: Rng) -> bytes: ...
-    def open(self, recipient_private: bytes, blob: bytes) -> bytes: ...
 
 
 class AesGcmEnvelope:
@@ -110,26 +98,16 @@ class EciesSeal:
                 algorithm=hashes.SHA256(), length=16, salt=None, info=self._INFO
             ).derive(shared)
             return AESGCM(key).decrypt(blob[32:44], blob[44:], None)
-        except EnvelopeFailure:
-            raise
         except Exception as exc:
             raise EnvelopeFailure("asymmetric seal rejected") from exc
 
 
-class StubSeal:
-    """Deterministic non-encrypting public-key stand-in for tests. NOT SECURE."""
+class StubSeal(StubEnvelope):
+    """Deterministic non-encrypting public-key stand-in for tests: a stub
+    envelope under the recipient's key, as stub pairs use public == private
+    bytes. NOT SECURE."""
 
     _MAGIC = b"STUB-SEAL:"
-
-    def seal(self, recipient_public: bytes, plaintext: bytes, rng: Rng) -> bytes:
-        return self._MAGIC + recipient_public + plaintext
-
-    def open(self, recipient_private: bytes, blob: bytes) -> bytes:
-        # stub pairs use public == private bytes
-        prefix = self._MAGIC + recipient_private
-        if not blob.startswith(prefix):
-            raise EnvelopeFailure("stub seal key mismatch")
-        return blob[len(prefix):]
 
 
 # ------------------------------------------------------------ wire format

@@ -8,8 +8,7 @@ authority exists only at build time; nothing here opens a network socket.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -46,14 +45,6 @@ class GroupSpec:
     master_key: tuple[int, ...]  # k entries, member-side
     master_witnesses: tuple[int, ...]  # k entries, verifier-side
 
-    @property
-    def n(self) -> int:
-        return len(self.pool_secrets)
-
-    @property
-    def k(self) -> int:
-        return len(self.master_key)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -65,13 +56,7 @@ class Certificate:
     valid_to: float
 
     def signed_payload(self) -> bytes:
-        body = {
-            "rsu_id": self.rsu_id,
-            "public_key": self.public_key.hex(),
-            "issuer_id": self.issuer_id,
-            "valid_from": self.valid_from,
-            "valid_to": self.valid_to,
-        }
+        body = {k: v for k, v in _cert_to_dict(self).items() if k != "signature"}
         return json.dumps(body, sort_keys=True).encode()
 
 
@@ -86,14 +71,6 @@ class ObuCredential:
     iv: int  # unique 64-bit initialization vector
     counter: int
     modulus: int
-
-    @property
-    def k(self) -> int:
-        return len(self.master_key)
-
-    @property
-    def n(self) -> int:
-        return len(self.pool_witnesses)
 
 
 @dataclass
@@ -137,15 +114,7 @@ class Kdc:
             valid_from=valid_from,
             valid_to=valid_to,
         )
-        sig = self._signing_key.sign(unsigned.signed_payload())
-        return Certificate(
-            rsu_id=rsu_id,
-            public_key=rsu_public_key,
-            issuer_id=self.issuer_id,
-            signature=sig,
-            valid_from=valid_from,
-            valid_to=valid_to,
-        )
+        return replace(unsigned, signature=self._signing_key.sign(unsigned.signed_payload()))
 
     def register_iv(self, iv: int) -> None:
         if iv in self._issued_ivs:

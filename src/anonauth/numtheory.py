@@ -32,7 +32,6 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._r = random.Random(seed)
         self.randbits = self._r.getrandbits
         self.random = self._r.random

@@ -36,7 +36,7 @@ from .revocation import RevocationTable
 from .zkp import Variant, ZkpProof
 
 SUPPORTED_ALPHAS = frozenset({1, 2, 3, 4, 5})
-DEFAULT_FRESHNESS_WINDOW = 5.0  # simulated seconds
+FRESHNESS_WINDOW = 5.0  # logical seconds a request or proof timestamp may be off
 # sessions an RSU holds at once; registering one more evicts the oldest
 SESSION_CAPACITY = 1024
 # certificates an OBU remembers as verified; verifying one more forgets the oldest
@@ -93,8 +93,6 @@ class SessionConfig:
     serv_id: str
     variant: Variant = Variant.BASIC
     eager_stop: bool = False
-    freshness_window: float = DEFAULT_FRESHNESS_WINDOW
-    screen_window: int = revocation.DEFAULT_SEARCH_WINDOW
 
     def __post_init__(self):
         if self.alpha not in SUPPORTED_ALPHAS:
@@ -150,8 +148,8 @@ class SessionTranscript:
 class LogicalClock:
     """Deterministic session clock; no wall time anywhere in the protocol."""
 
-    def __init__(self, start: float = 0.0):
-        self._t = start
+    def __init__(self):
+        self._t = 0.0
 
     def now(self) -> float:
         return self._t
@@ -160,9 +158,9 @@ class LogicalClock:
         self._t += dt
 
 
-def _fresh(now: float, t: float, window: float) -> bool:
-    """``t`` lies within ``window`` of ``now``; never for NaN or an infinity."""
-    return math.isfinite(t) and abs(now - t) <= window
+def _fresh(now: float, t: float) -> bool:
+    """``t`` lies within ``FRESHNESS_WINDOW`` of ``now``; never for NaN or an infinity."""
+    return math.isfinite(t) and abs(now - t) <= FRESHNESS_WINDOW
 
 
 _SESSION_KEY_HEX = re.compile(f"[0-9a-fA-F]{{{2 * envelopes.SESSION_KEY_BYTES}}}")
@@ -221,7 +219,6 @@ class Step(Enum):
 
 @dataclass
 class _RsuSession:
-    key_id: bytes
     session_key: bytes
     group_id: int
     alpha: int
@@ -241,7 +238,6 @@ class Rsu:
         self,
         credential: RsuCredential,
         rng: Rng,
-        clock: Optional[LogicalClock] = None,
         policy: Optional[dict[str, int]] = None,
         sym=None,
         seal=None,
@@ -249,7 +245,7 @@ class Rsu:
     ):
         self.credential = credential
         self.rng = rng
-        self.clock = clock or LogicalClock()
+        self.clock = LogicalClock()
         # policy maps serv_id -> minimum permitted alpha
         self.policy = policy if policy is not None else {"ERS": 1, "NAV": 1, "INFO": 1}
         self.sym = sym or envelopes.AesGcmEnvelope()
@@ -273,7 +269,7 @@ class Rsu:
         group_id, t1, session_key, serv_id, alpha = _request_fields(
             body, self.credential.pool_secrets
         )
-        if not _fresh(self.clock.now(), t1, config.freshness_window):
+        if not _fresh(self.clock.now(), t1):
             raise StaleTimestamp(f"t1={t1} outside window at t={self.clock.now()}")
         while True:
             key_id = self.rng.randbytes(8)
@@ -282,7 +278,6 @@ class Rsu:
         if len(self.sessions) >= SESSION_CAPACITY:
             del self.sessions[next(iter(self.sessions))]
         self.sessions[key_id] = _RsuSession(
-            key_id=key_id,
             session_key=session_key,
             group_id=group_id,
             alpha=alpha,
@@ -330,9 +325,7 @@ class Rsu:
                 raise MalformedSetRequest(f"set {s} is not {cfg.k} distinct ids")
             if any(not (1 <= i <= cfg.n) for i in s):
                 raise MalformedSetRequest(f"set {s} has ids outside [1, {cfg.n}]")
-        match = revocation.screen_session(
-            self.table, canon, cfg.n, cfg.k, window=cfg.screen_window
-        )
+        match = revocation.screen_session(self.table, canon, cfg.n, cfg.k)
         if match is not None:
             sess.witnesses = revocation.garble_witnesses(
                 len(sess.witnesses), self.credential.modulus, self.rng
@@ -352,10 +345,10 @@ class Rsu:
         if len(plain) < 8:
             return False
         (t2,) = struct.unpack(">d", plain[:8])
-        if not _fresh(self.clock.now(), t2, sess.config.freshness_window):
+        if not _fresh(self.clock.now(), t2):
             raise StaleTimestamp(f"t2={t2} outside window")
         try:
-            proof = zkp.decode_proof(plain[8:], self.credential.modulus)
+            proof = zkp.decode_proof(plain[8:], self.credential.modulus, len(sess.witnesses))
         except zkp.MalformedProof:
             return False
         system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
@@ -427,14 +420,13 @@ class Obu:
         credential: ObuCredential,
         root_public_key: bytes,
         rng: Rng,
-        clock: Optional[LogicalClock] = None,
         sym=None,
         seal=None,
     ):
         self.credential = credential
         self.root_public_key = root_public_key
         self.rng = rng
-        self.clock = clock or LogicalClock()
+        self.clock = LogicalClock()
         self.sym = sym or envelopes.AesGcmEnvelope()
         self.seal = seal or envelopes.EciesSeal()
         self.session_key: Optional[bytes] = None
@@ -448,8 +440,6 @@ class Obu:
     # -- step 1: request ----------------------------------------------------
 
     def start(self, beacon: Beacon, config: SessionConfig) -> AuthRequest:
-        if config.alpha not in SUPPORTED_ALPHAS:
-            raise UnsupportedAlpha(f"alpha={config.alpha}")
         self._check_certificate(beacon.certificate)
         self.config = config
         self.step = ObuStep.OPEN
@@ -535,7 +525,7 @@ class Obu:
                 break
             plain = self.sym.open(self.session_key, item)
             try:
-                proof = zkp.decode_proof(plain, m)
+                proof = zkp.decode_proof(plain, m, cfg.k)
             except zkp.MalformedProof:
                 continue
             if tuple(proof.secret_ids) != tuple(ids):

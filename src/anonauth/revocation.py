@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import struct
 from dataclasses import dataclass, field
 from math import comb
@@ -225,27 +224,3 @@ def encode_broadcast(iv: int, counter_hint: int, reason: str, version: int) -> s
         },
         sort_keys=True,
     )
-
-
-def decode_broadcast(text: str) -> tuple[int, int, str, int]:
-    """(iv, counter_hint, reason, version) of an ``encode_broadcast`` record.
-
-    Anything else is ``ValueError``: text that is not a JSON object of that
-    kind, an iv that is not the decimal string of a 64-bit value, a counter
-    hint that is not a 64-bit int, a reason that is not a str or a version
-    that is not an int.
-    """
-    try:
-        d = json.loads(text)
-    except RecursionError as exc:
-        raise ValueError("broadcast record nests too deeply") from exc
-    if not isinstance(d, dict) or d.get("kind") != "revocation_broadcast":
-        raise ValueError("not a revocation broadcast record")
-    iv, hint, reason, version = (d.get(f) for f in ("iv", "counter_hint", "reason", "version"))
-    if not (isinstance(iv, str) and re.fullmatch("[0-9]{1,20}", iv) and int(iv) < 1 << 64):
-        raise ValueError(f"iv {iv!r} is not the decimal string of a 64-bit value")
-    if type(hint) is not int or not 0 <= hint < 1 << 64:
-        raise ValueError(f"counter_hint {hint!r} is not a 64-bit int")
-    if not isinstance(reason, str) or type(version) is not int:
-        raise ValueError(f"reason {reason!r} or version {version!r} has the wrong type")
-    return int(iv), hint, reason, version

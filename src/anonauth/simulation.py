@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import keymgmt, protocol
-from .envelopes import EciesSeal, StubEnvelope, StubSeal, generate_seal_keypair
+from .envelopes import StubEnvelope, StubSeal, generate_seal_keypair
 from .numtheory import Rng, generate_blum_modulus
-from .protocol import LogicalClock, Obu, Outcome, Rsu, SessionConfig
+from .protocol import Obu, Outcome, Rsu, SessionConfig
 
 DEFAULT_GRID_LOADS = (5, 10, 15, 20, 25, 30, 35, 40)
 DEFAULT_GRID_SPEEDS = (14.0, 17.0, 20.0, 22.0, 25.0, 27.0)
@@ -106,7 +106,6 @@ class _Sim:
     def __init__(self, config: SimConfig, seed: int):
         self.config = config
         self.rng = Rng(seed)
-        self.clock = LogicalClock()
         self.line_length = config.rsu_count * config.rsu_spacing_m
         self.events: list = []
         self._seq = 0
@@ -131,16 +130,15 @@ class _Sim:
         kdc = keymgmt.Kdc(seed=self.rng.randbits(63))
         groups = keymgmt.form_groups(1, cfg.n, cfg.k, modulus, self.rng)
         # deterministic stub envelopes keep per-run crypto costs down while
-        # the proof arithmetic stays real
+        # the proof arithmetic stays real; the endpoints' logical clocks stay
+        # at 0, so every session runs at one instant and is always fresh
         sym, seal = StubEnvelope(), StubSeal()
         self.rsus: list[_RsuNode] = []
         for i in range(cfg.rsu_count):
             priv, _pub = generate_seal_keypair(self.rng)
             cert = kdc.issue_certificate(i, priv)  # stub seal: pub == priv bytes
             cred = keymgmt.provision_rsu(groups, i, cert, priv, modulus)
-            endpoint = Rsu(
-                cred, self.rng.split(), clock=self.clock, sym=sym, seal=seal
-            )
+            endpoint = Rsu(cred, self.rng.split(), sym=sym, seal=seal)
             self.rsus.append(
                 _RsuNode(index=i, position=(i + 0.5) * cfg.rsu_spacing_m, endpoint=endpoint)
             )
@@ -149,7 +147,7 @@ class _Sim:
         total_obus = cfg.rsu_count * cfg.obus_per_rsu
         for j in range(total_obus):
             cred = keymgmt.provision_obu(kdc, groups[0], j, iv=j + 1, modulus=modulus)
-            endpoint = Obu(cred, root, self.rng.split(), clock=self.clock, sym=sym, seal=seal)
+            endpoint = Obu(cred, root, self.rng.split(), sym=sym, seal=seal)
             pos = self.rng.random() * self.line_length
             self.obus.append(_ObuNode(index=j, position0=pos, endpoint=endpoint))
             phase = self.rng.random() * SESSION_INTERVAL_S
@@ -263,7 +261,6 @@ class _Sim:
             h=cfg.h,
             n=cfg.n,
             serv_id="INFO",
-            freshness_window=max(protocol.DEFAULT_FRESHNESS_WINDOW, cfg.duration_s),
         )
         result, transcript = protocol.run_full_session(
             node.endpoint, rsu.endpoint, session_cfg

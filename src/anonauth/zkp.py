@@ -51,7 +51,7 @@ class DegenerateEvaluation(ArithmeticError):
 
 
 class MalformedProof(ValueError):
-    """A proof blob is truncated, has trailing bytes or an unknown variant."""
+    """A proof blob is truncated, has trailing bytes, an unknown variant or another k."""
 
 
 class Variant(Enum):
@@ -76,7 +76,6 @@ class ZkpProof:
 @dataclass(frozen=True)
 class SessionPolynomial:
     coefficients: tuple[int, ...]
-    modulus: int
     # (base, scale, m) -> the inner sum's terms, built by a proof's first
     # round and read by its others; a polynomial serves one proof per side
     term_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -171,7 +170,7 @@ def derive_session_polynomial(
             ).digest()
             coeffs.append(int.from_bytes(digest, "big") % coeff_modulus)
         if any(coeffs):
-            return SessionPolynomial(coefficients=tuple(coeffs), modulus=coeff_modulus)
+            return SessionPolynomial(coefficients=tuple(coeffs))
         tag += 1
 
 
@@ -445,13 +444,16 @@ def encode_proof(proof: ZkpProof, m: int) -> bytes:
     return b"".join(out)
 
 
-def decode_proof(blob: bytes, m: int) -> ZkpProof:
+def decode_proof(blob: bytes, m: int, k: int) -> ZkpProof:
     """Inverse of ``encode_proof``: the blob must be exactly as long as its
-    header says and hold only values below ``m`` (and below 2^k for the
-    challenge bits), so each proof has one encoding; else ``MalformedProof``."""
+    header says, carry the caller's challenge width ``k`` and hold only
+    values below ``m`` (and below 2^k for the challenge bits), so each
+    proof has one encoding; else ``MalformedProof``."""
     if len(blob) < _HEADER.size:
         raise MalformedProof(f"{len(blob)} bytes is shorter than the header")
-    code, n_ids, n_rounds, k = _HEADER.unpack_from(blob)
+    code, n_ids, n_rounds, header_k = _HEADER.unpack_from(blob)
+    if header_k != k:
+        raise MalformedProof(f"the header says k={header_k}, the verifier expects k={k}")
     width, ch_bytes = (m.bit_length() + 7) // 8, (k + 7) // 8
     step = 2 * width + ch_bytes
     start = _HEADER.size + 4 * n_ids

@@ -271,7 +271,7 @@ def test_criterion_6_revocation():
     for _ in range(100):
         rsu = dep.make_rsu(rng.randrange(0, 2**30))
         obu = dep.make_obu(rng.randrange(0, 2**30))
-        drift = rng.randrange(0, cfg.screen_window + 1)
+        drift = rng.randrange(0, revocation.DEFAULT_SEARCH_WINDOW + 1)
         obu.credential.counter = drift
         revocation.broadcast_revocation(obu.credential.iv, 0, [rsu.table])
         result, _ = run_full_session(obu, rsu, cfg)
@@ -319,7 +319,7 @@ def test_criterion_7_hardened_zkp():
     # exact worked example: m=21, secrets [2,8], coefficients [3,2],
     # challenge [0,1], R=2 -> Y=10, accepted
     m = 21
-    poly = SessionPolynomial(coefficients=(3, 2), modulus=2**61 - 1)
+    poly = SessionPolynomial(coefficients=(3, 2))
     secrets = [2, 8]
     witnesses = [s * s % m for s in secrets]
     y = zkp.hardened_respond(2, secrets, (0, 1), poly, m)

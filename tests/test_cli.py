@@ -109,6 +109,16 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--out-dir", str(tmp_path / "e")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, runner, tmp_path, trials):
+        result = runner.invoke(
+            main,
+            ["analyze", "--mc-formula", "p_cheater", "--trials", trials,
+             "--out-dir", str(tmp_path / "t")],
+        )
+        assert result.exit_code == 2
+        assert "trials must be >= 1" in result.output
+
 
 class TestAttack:
     def test_simulate_succeeds_on_basic_variant(self, runner, tmp_path):
@@ -143,6 +153,15 @@ class TestAttack:
         )
         assert result.exit_code == 0
         assert (out / "cheater_report.csv").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_cheater_without_trials_exits_2(self, runner, tmp_path, trials):
+        result = runner.invoke(
+            main,
+            ["attack", "cheater", "--trials", trials, "--out-dir", str(tmp_path / "t")],
+        )
+        assert result.exit_code == 2
+        assert "trials must be >= 1" in result.output
 
 
 class TestRevokeDemo:

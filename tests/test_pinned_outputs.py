@@ -20,6 +20,9 @@ PINNED = "79ee8a2217936845ecb5f6093e07f044d35df04bca60b50ba98fe26d243fe5cf"
 # the estimators PINNED does not reach: the subset sampler behind mc_leak,
 # both readings of mc_sequence_collision and the bundle cheater at n = 3
 PINNED_ESTIMATORS = "1128f8fa9ccd76c9803ec8d4279c2c5f48e26ae9aa7bd49489eaf3523c78236f"
+# the rendered text: csv_row() of mc_cheater(2, 2, 2000, seed=7) and of the
+# PINNED_ESTIMATORS reports, then figure_csv of every standard figure
+PINNED_ROWS = "bddabc1bf8ca45620c810d35923bd5f42d3bec55114304bf93984f2a2773a9b7"
 
 
 def _feed(digest, *values) -> None:
@@ -109,14 +112,27 @@ def test_outputs_match_pinned_digest():
     assert digest.hexdigest() == PINNED
 
 
-def test_estimators_match_pinned_digest():
-    digest = hashlib.sha256()
+def _estimator_reports():
     reports = [analysis.mc_leak(6, 3, mu, 1_000, seed=20 + mu) for mu in (1, 5, 10)]
     reports += [
         analysis.mc_sequence_collision(4, 2, 2, 1_000, seed=31, distinct_blocks=distinct)
         for distinct in (True, False)
     ]
     reports.append(analysis.mc_bundle_cheater(2, 1, 3, 1, 1, 1_000, seed=32))
-    for rep in reports:
+    return reports
+
+
+def test_estimators_match_pinned_digest():
+    digest = hashlib.sha256()
+    for rep in _estimator_reports():
         _feed(digest, rep.formula, rep.params, rep.trials, rep.mc_estimate)
     assert digest.hexdigest() == PINNED_ESTIMATORS
+
+
+def test_rendered_rows_match_pinned_digest():
+    digest = hashlib.sha256()
+    for rep in [analysis.mc_cheater(2, 2, 2_000, seed=7), *_estimator_reports()]:
+        digest.update(rep.csv_row().encode() + b"\n")
+    for figure in ("10a", "10b", "11", "12", "13"):
+        digest.update(analysis.figure_csv(figure).encode())
+    assert digest.hexdigest() == PINNED_ROWS

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -294,7 +295,7 @@ def _tamper_items(rsu, obu, key_id, bundle, count):
     m = rsu.credential.modulus
     items = list(bundle.items)
     for i in range(count):
-        proof = zkp.decode_proof(obu.sym.open(session_key, items[i]), m)
+        proof = zkp.decode_proof(obu.sym.open(session_key, items[i]), m, len(obu.sets[i]))
         lied = dataclasses.replace(proof, secret_ids=(1,) * len(proof.secret_ids))
         items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied, m), rsu.rng)
     return dataclasses.replace(bundle, items=tuple(items))
@@ -768,12 +769,38 @@ class TestMalformedProofs:
         key_id = _open_screened_session(rsu, obu, config)
         plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
         m = rsu.credential.modulus
-        proof = zkp.decode_proof(plain[8:], m)
+        proof = zkp.decode_proof(plain[8:], m, config.k)
         # every round: the codec writes one challenge length per proof
         longer = [dataclasses.replace(rd, challenge=rd.challenge + (0,)) for rd in proof.rounds]
         forged = dataclasses.replace(proof, rounds=tuple(longer))
         sealed = obu.sym.seal(obu.session_key, plain[:8] + zkp.encode_proof(forged, m), obu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
+
+    def test_widest_header_k_is_refused_before_decoding(self):
+        # one 8 KB round at k = 65535 used to decode into a 65,535-entry
+        # challenge tuple (about 0.5 MB) before any endpoint compared k
+        def wide_proof(ids, m):
+            rd = zkp.ZkpRound(w=1, challenge=(1,) * 0xFFFF, y=1)
+            return zkp.encode_proof(zkp.ZkpProof(secret_ids=tuple(ids), rounds=(rd,)), m)
+
+        config = cfg(alpha=1, mu=3, h=2)
+        dep = build_deployment(44, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        key_id = _open_screened_session(rsu, obu, config)
+        plain = struct.pack(">d", obu.clock.now()) + wide_proof((), rsu.credential.modulus)
+        sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
+        assert rsu.check_membership_proof(key_id, sealed) is False
+
+        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(43, config)
+        m = rsu.credential.modulus
+        items = tuple(obu.sym.seal(obu.session_key, wide_proof(ids, m), rsu.rng) for ids in sets)
+        tracemalloc.start()
+        try:
+            result = obu.verify_bundle(dataclasses.replace(bundle, items=items))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verified_count == 0 and peak < 100_000
 
 
 def _zero_proof(variant, secret_ids=()):

@@ -17,7 +17,6 @@ from anonauth.revocation import (
     RevocationEntry,
     RevocationTable,
     broadcast_revocation,
-    decode_broadcast,
     encode_broadcast,
     garble_witnesses,
     next_sequence,
@@ -202,10 +201,6 @@ class TestCounter:
         assert obu.credential.counter == 1
 
 
-# a valid record, for the malformed cases to alter one field of
-_RECORD = json.loads(encode_broadcast(42, 3, "violation", 7))
-
-
 class TestBroadcast:
     def test_all_tables_updated(self):
         tables = [RevocationTable() for _ in range(10)]
@@ -228,35 +223,14 @@ class TestBroadcast:
         assert not table.entries and table.version == 2
 
     def test_record_round_trip(self):
-        text = encode_broadcast(42, 3, "violation", 7)
-        assert decode_broadcast(text) == (42, 3, "violation", 7)
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            pytest.param({"kind": "something_else"}, id="other-kind"),
-            pytest.param({"kind": "revocation_broadcast"}, id="kind-only"),
-            pytest.param([], id="list"),
-            pytest.param("revocation_broadcast", id="string"),
-            pytest.param({**_RECORD, "iv": 42}, id="int-iv"),
-            pytest.param({**_RECORD, "iv": "4x2"}, id="non-decimal-iv"),
-            pytest.param({**_RECORD, "iv": "-42"}, id="negative-iv"),
-            pytest.param({**_RECORD, "iv": str(1 << 64)}, id="iv-beyond-64-bits"),
-            pytest.param({**_RECORD, "counter_hint": "3"}, id="str-hint"),
-            pytest.param({**_RECORD, "counter_hint": True}, id="bool-hint"),
-            pytest.param({**_RECORD, "counter_hint": -1}, id="negative-hint"),
-            pytest.param({**_RECORD, "reason": None}, id="null-reason"),
-            pytest.param({**_RECORD, "version": 7.0}, id="float-version"),
-            pytest.param({**_RECORD, "version": None}, id="null-version"),
-        ],
-    )
-    def test_bad_record_rejected(self, record):
-        with pytest.raises(ValueError):
-            decode_broadcast(json.dumps(record))
-
-    def test_deeply_nested_record_rejected(self):
-        with pytest.raises(ValueError):
-            decode_broadcast("[" * 100_000)
+        assert json.loads(encode_broadcast(42, 3, "violation", 7)) == {
+            "format_version": 1,
+            "kind": "revocation_broadcast",
+            "iv": "42",
+            "counter_hint": 3,
+            "reason": "violation",
+            "version": 7,
+        }
 
 
 class TestScreening:

@@ -108,7 +108,7 @@ class TestChallenge:
     def test_pack_round_trip(self, bits):
         assert challenge_bits(bits) == sum(b << i for i, b in enumerate(bits))
         proof = ZkpProof(secret_ids=(), rounds=(ZkpRound(w=1, challenge=tuple(bits), y=1),))
-        assert decode_proof(encode_proof(proof, M), M) == proof
+        assert decode_proof(encode_proof(proof, M), M, len(bits)) == proof
 
 
 class TestRunProof:
@@ -184,7 +184,7 @@ class TestSessionPolynomial:
 
 
 def _poly(coeffs):
-    return SessionPolynomial(coefficients=tuple(coeffs), modulus=DEFAULT_COEFF_MODULUS)
+    return SessionPolynomial(coefficients=tuple(coeffs))
 
 
 class TestHardened:
@@ -480,14 +480,14 @@ class TestSerialization:
     )
     def test_round_codec(self, w, ch, y):
         proof = ZkpProof(secret_ids=(7,), rounds=(ZkpRound(w=w, challenge=tuple(ch), y=y),))
-        assert decode_proof(encode_proof(proof, M), M) == proof
+        assert decode_proof(encode_proof(proof, M), M, len(ch)) == proof
 
     def test_proof_codec(self):
         rng = Rng(5)
         secrets = [sample_unit(rng, M) for _ in range(2)]
         witnesses = [s * s % M for s in secrets]
         proof, _ = run_proof(secrets, witnesses, 2, 3, M, rng.split(), rng.split(), secret_ids=(1, 4))
-        out = decode_proof(encode_proof(proof, M), M)
+        out = decode_proof(encode_proof(proof, M), M, 2)
         assert out == proof
 
     def test_hardened_proof_codec_keeps_seed_and_variant(self):
@@ -499,14 +499,14 @@ class TestSerialization:
         proof, _ = run_hardened_proof(
             secrets, witnesses, poly, 2, m, rng.split(), rng.split(), secret_ids=(2, 3)
         )
-        out = decode_proof(encode_proof(proof, m), m)
+        out = decode_proof(encode_proof(proof, m), m, 2)
         assert out == proof and out.variant is Variant.HARDENED
 
     def test_big_integers_survive(self):
         m = (1 << 512) - 19
         rd = ZkpRound(w=m - 1, challenge=(1, 0), y=m - 5)
         proof = ZkpProof(secret_ids=(1, 2), rounds=(rd,))
-        assert decode_proof(encode_proof(proof, m), m) == proof
+        assert decode_proof(encode_proof(proof, m), m, 2) == proof
 
     # any odd 2048-bit number serves: the codec and the prover need no factors
     @pytest.mark.parametrize(
@@ -523,7 +523,7 @@ class TestSerialization:
         for system in (BASIC, Hardened(derive_session_polynomial(b"s", k))):
             proof = prove(system, secrets, 4, m, rng.split(), rng.split(), secret_ids=ids)
             blob = encode_proof(proof, m)
-            assert decode_proof(blob, m) == proof
+            assert decode_proof(blob, m, k) == proof
             assert len(blob) == 7 + 4 * k + 4 * (2 * width + (k + 7) // 8)
 
     def test_mixed_challenge_lengths_do_not_encode(self):
@@ -552,16 +552,16 @@ class TestStrictDecoding:
     def test_every_truncation_is_malformed(self):
         for cut in range(len(_BLOB)):  # cut = 0 is the empty blob
             with pytest.raises(MalformedProof):
-                decode_proof(_BLOB[:cut], M)
+                decode_proof(_BLOB[:cut], M, 2)
 
     def test_trailing_bytes_are_malformed(self):
         with pytest.raises(MalformedProof):
-            decode_proof(_BLOB + b"\0", M)
+            decode_proof(_BLOB + b"\0", M, 2)
 
     @pytest.mark.parametrize("code", [2, 7, 255])
     def test_unknown_variant_byte_is_malformed(self, code):
         with pytest.raises(MalformedProof):
-            decode_proof(bytes([code]) + _BLOB[1:], M)
+            decode_proof(bytes([code]) + _BLOB[1:], M, 2)
 
     @pytest.mark.parametrize("field", [0, 2], ids=["w", "y"])
     @pytest.mark.parametrize("value", [M, 255])
@@ -569,21 +569,30 @@ class TestStrictDecoding:
         blob = bytearray(_BLOB)
         blob[_HEADER + 8 + field] = value
         with pytest.raises(MalformedProof):
-            decode_proof(bytes(blob), M)
+            decode_proof(bytes(blob), M, 2)
         blob[_HEADER + 8 + field] = M - 1  # the same byte below m decodes
-        decode_proof(bytes(blob), M)
+        decode_proof(bytes(blob), M, 2)
 
     def test_challenge_bits_above_k_are_malformed(self):
         blob = bytearray(_BLOB)
         blob[_HEADER + 8 + 1] |= 0b100  # k = 2
         with pytest.raises(MalformedProof):
-            decode_proof(bytes(blob), M)
+            decode_proof(bytes(blob), M, 2)
 
     def test_k_without_rounds_is_malformed(self):
         empty = encode_proof(ZkpProof(secret_ids=(), rounds=()), M)
-        assert decode_proof(empty, M) == ZkpProof(secret_ids=(), rounds=())
+        assert decode_proof(empty, M, 0) == ZkpProof(secret_ids=(), rounds=())
         with pytest.raises(MalformedProof):
-            decode_proof(empty[:-1] + b"\2", M)
+            decode_proof(empty[:-1] + b"\2", M, 2)
+
+    @pytest.mark.parametrize("header_k", [1, 3, 0xFFFF])
+    def test_header_k_other_than_the_callers_is_malformed(self, header_k):
+        # a well-formed one-round proof at the header's width
+        rd = ZkpRound(w=1, challenge=(0,) * header_k, y=1)
+        blob = encode_proof(ZkpProof(secret_ids=(), rounds=(rd,)), M)
+        assert decode_proof(blob, M, header_k).rounds == (rd,)
+        with pytest.raises(MalformedProof):
+            decode_proof(blob, M, 2)
 
 
 class TestVerify:
@@ -668,7 +677,7 @@ class TestZeroCommitment:
 
 def _decodes_or_fails_typed(blob: bytes) -> None:
     try:
-        proof = decode_proof(blob, M)
+        proof = decode_proof(blob, M, 2)
     except MalformedProof:
         return
     for system in (BASIC, _HARDENED):
