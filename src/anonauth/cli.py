@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -25,61 +26,107 @@ EXIT_REJECTED = 3
 EXIT_INFEASIBLE = 4
 
 
+@click.group()
+def main():
+    """Anonymous group authentication toolkit."""
+
+
+_OUT_DIR = click.Option(
+    ["--out-dir"], type=click.Path(path_type=Path), default=Path("out"), show_default=True
+)
+_SEED = click.Option(["--seed"], type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
+
+# subcommand name -> its runner. A runner runs from a plain params dict, so
+# `rerun` can replay a manifest, echoes its own outcome line and returns
+# ({output file name: text}, exit code); it writes nothing itself.
+RUNNERS: dict[str, Callable[[dict, Path], tuple[dict[str, str], int]]] = {}
+
+
+def _subcommand(name: str, *params: click.Parameter):
+    """Declare the decorated runner as subcommand ``name``: a click command
+    taking ``params``, then ``--seed`` and ``--out-dir``, whose help is the
+    runner's docstring, and the ``RUNNERS`` entry that ``rerun`` replays."""
+
+    def declare(runner):
+        RUNNERS[name] = runner
+        main.command(name, params=[*params, _SEED, _OUT_DIR], help=runner.__doc__)(
+            lambda out_dir, **values: sys.exit(_run(name, values, out_dir)[1])
+        )
+        return runner
+
+    return declare
+
+
 def _load_bundle(bundle_dir: Path):
-    root = json.loads((bundle_dir / "root.json").read_text())
+    """(root public key, OBU credentials, RSU credentials) of a keygen
+    bundle; ``InvalidParameters`` unless it has a readable root record and at
+    least one credential of each kind."""
+    try:
+        root = json.loads((bundle_dir / "root.json").read_text())
+        root_key = bytes.fromhex(root["root_public_key"])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise keymgmt.InvalidParameters(f"no readable root.json in {bundle_dir}: {exc!r}") from exc
     obu_files = sorted(bundle_dir.glob("obu_*.json"))
     rsu_files = sorted(bundle_dir.glob("rsu_*.json"))
     obus = [keymgmt.obu_credential_from_json(f.read_text()) for f in obu_files]
     rsus = [keymgmt.rsu_credential_from_json(f.read_text()) for f in rsu_files]
-    return bytes.fromhex(root["root_public_key"]), obus, rsus
+    if not obus or not rsus:
+        raise keymgmt.InvalidParameters(f"{bundle_dir} holds no obu_*.json or no rsu_*.json")
+    return root_key, obus, rsus
 
 
-# ----------------------------------------------------------- implementations
-# Each runs from a plain params dict so `rerun` can replay a manifest, echoes
-# its own outcome line and returns (output file names, exit code).
+# ----------------------------------------------------------------- runners
 
 
-def run_keygen(params: dict, out_dir: Path) -> tuple[list[str], int]:
+@_subcommand(
+    "keygen",
+    click.Option(["--groups", "-q"], type=int, default=2, show_default=True),
+    click.Option(["--pool-size", "-n"], type=int, default=8, show_default=True),
+    click.Option(["--secrets-per-member", "-k"], type=int, default=2, show_default=True),
+    click.Option(["--bit-length"], type=int, default=32, show_default=True),
+    click.Option(["--obus-per-group"], type=int, default=2, show_default=True),
+    click.Option(["--rsus"], type=int, default=1, show_default=True),
+)
+def run_keygen(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
+    """Run the key ceremony and write provisioning bundles."""
     q, n, k = params["groups"], params["pool_size"], params["secrets_per_member"]
     modulus = generate_blum_modulus(params["bit_length"], params["seed"])
     rng = Rng(params["seed"] ^ 0xCE5E)
     kdc = keymgmt.Kdc(seed=params["seed"] ^ 0x5119)
     groups = keymgmt.form_groups(q, n, k, modulus, rng)
-    outputs = []
-
-    root_file = out_dir / "root.json"
-    root_file.write_text(
-        json.dumps(
-            {
-                "root_public_key": kdc.root_public_key().hex(),
-                "modulus": str(modulus.m),
-                "bit_length": modulus.bit_length,
-            },
-            sort_keys=True,
-        )
-    )
-    outputs.append(root_file.name)
-
+    root = {
+        "root_public_key": kdc.root_public_key().hex(),
+        "modulus": str(modulus.m),
+        "bit_length": modulus.bit_length,
+    }
+    files = {"root.json": json.dumps(root, sort_keys=True)}
     iv = 1
     for g in groups:
         for j in range(1, params["obus_per_group"] + 1):
             cred = keymgmt.provision_obu(kdc, g, j, iv, modulus)
             iv += 1
-            f = out_dir / f"obu_{g.group_id}_{j}.json"
-            f.write_text(keymgmt.obu_credential_to_json(cred))
-            outputs.append(f.name)
+            files[f"obu_{g.group_id}_{j}.json"] = keymgmt.obu_credential_to_json(cred)
     for rid in range(params["rsus"]):
         priv, pub = generate_seal_keypair(rng)
         cert = kdc.issue_certificate(rid, pub)
         cred = keymgmt.provision_rsu(groups, rid, cert, priv, modulus)
-        f = out_dir / f"rsu_{rid}.json"
-        f.write_text(keymgmt.rsu_credential_to_json(cred))
-        outputs.append(f.name)
-    click.echo(f"wrote {len(outputs)} bundle files to {out_dir}")
-    return outputs, EXIT_OK
+        files[f"rsu_{rid}.json"] = keymgmt.rsu_credential_to_json(cred)
+    click.echo(f"wrote {len(files)} bundle files to {out_dir}")
+    return files, EXIT_OK
 
 
-def run_auth_demo(params: dict, out_dir: Path) -> tuple[list[str], int]:
+@_subcommand(
+    "auth-demo",
+    click.Option(["--bundle"], type=click.Path(), required=True),
+    click.Option(["--alpha"], type=int, default=2, show_default=True),
+    click.Option(["--mu"], type=int, default=5, show_default=True),
+    click.Option(["--h", "h"], type=int, default=2, show_default=True),
+    click.Option(["--serv-id"], default="INFO", show_default=True),
+    click.Option(["--hardened"], is_flag=True, default=False),
+    click.Option(["--revoked-iv"], type=int, default=None),
+)
+def run_auth_demo(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
+    """Run one live session from a provisioning bundle."""
     root, obus, rsus = _load_bundle(Path(params["bundle"]))
     obu_cred, rsu_cred = obus[0], rsus[0]
     config = SessionConfig(
@@ -97,21 +144,17 @@ def run_auth_demo(params: dict, out_dir: Path) -> tuple[list[str], int]:
     if params.get("revoked_iv") is not None:
         revocation.broadcast_revocation(params["revoked_iv"], 0, [rsu.table])
     result, transcript = protocol.run_full_session(obu, rsu, config)
-    out = out_dir / "transcript.jsonl"
-    out.write_text("\n".join(frame.hex() for frame in transcript.frames) + "\n")
-    (out_dir / "result.json").write_text(
-        json.dumps(
-            {
-                "outcome": result.outcome.value,
-                "verified_count": result.verified_count,
-                "alpha": result.alpha,
-            },
-            sort_keys=True,
-        )
-    )
+    outcome = {
+        "outcome": result.outcome.value,
+        "verified_count": result.verified_count,
+        "alpha": result.alpha,
+    }
     click.echo(f"{result.outcome.value} verified_count={result.verified_count}")
     code = EXIT_OK if result.outcome is Outcome.ACCEPTED else EXIT_REJECTED
-    return [out.name, "result.json"], code
+    return {
+        "transcript.jsonl": "\n".join(frame.hex() for frame in transcript.frames) + "\n",
+        "result.json": json.dumps(outcome, sort_keys=True),
+    }, code
 
 
 # --mc-formula name -> the Monte Carlo oracle it runs on an analyze params dict
@@ -127,24 +170,31 @@ _MC_FORMULAS = {
 }
 
 
-def run_analyze(params: dict, out_dir: Path) -> tuple[list[str], int]:
+@_subcommand(
+    "analyze",
+    click.Option(["--figure"], type=click.Choice(["10a", "10b", "11", "12", "13"]), default=None),
+    click.Option(["--mc-formula"], type=click.Choice(list(_MC_FORMULAS)), default=None),
+    click.Option(["--k", "k"], type=int, default=2),
+    click.Option(["--h", "h"], type=int, default=1),
+    click.Option(["--n", "n"], type=int, default=6),
+    click.Option(["--mu"], type=int, default=2),
+    click.Option(["--trials"], type=int, default=10000, show_default=True),
+)
+def run_analyze(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
+    """Emit figure series or a Monte Carlo probability report."""
     fig, formula = params.get("figure"), params.get("mc_formula")
     if not fig and not formula:
         raise ValueError("need --figure or --mc-formula")
     if formula and formula not in _MC_FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
-    outputs = []
+    files = {}
     if fig:
-        f = out_dir / f"figure_{fig}.csv"
-        f.write_text(analysis.figure_csv(fig))
-        outputs.append(f.name)
+        files[f"figure_{fig}.csv"] = analysis.figure_csv(fig)
     if formula:
         rep = _MC_FORMULAS[formula](params)
-        f = out_dir / "report.csv"
-        f.write_text(analysis.CSV_HEADER + "\n" + rep.csv_row() + "\n")
-        outputs.append(f.name)
-    click.echo(f"wrote {', '.join(outputs)}")
-    return outputs, EXIT_OK
+        files["report.csv"] = analysis.CSV_HEADER + "\n" + rep.csv_row() + "\n"
+    click.echo(f"wrote {', '.join(files)}")
+    return files, EXIT_OK
 
 
 def _demo_deployment(seed: int, n: int, k: int, modulus=None):
@@ -160,14 +210,25 @@ def _demo_deployment(seed: int, n: int, k: int, modulus=None):
     return kdc, groups, obu_cred, rsu_cred, modulus
 
 
-def run_attack(params: dict, out_dir: Path) -> tuple[list[str], int]:
+@_subcommand(
+    "attack",
+    click.Argument(["mode"], type=click.Choice(["cheater", "record", "simulate"])),
+    click.Option(["--k", "k"], type=int, default=2, show_default=True),
+    click.Option(["--h", "h"], type=int, default=1, show_default=True),
+    click.Option(["--n", "n"], type=int, default=4, show_default=True),
+    click.Option(["--mu"], type=int, default=2, show_default=True),
+    click.Option(["--trials"], type=int, default=10000, show_default=True),
+    click.Option(["--sessions"], type=int, default=200, show_default=True),
+    click.Option(["--variant"], type=click.Choice(["basic", "hardened"]), default="basic"),
+    click.Option(["--tap"], type=click.Choice(["rounds", "ciphertext"]), default="rounds"),
+)
+def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
+    """Run a threat-model experiment and emit an attack report."""
     mode = params["mode"]
     seed = params["seed"]
     if mode == "cheater":
         rep = analysis.mc_cheater(params["k"], params["h"], params["trials"], seed)
-        f = out_dir / "cheater_report.csv"
-        f.write_text(analysis.CSV_HEADER + "\n" + rep.csv_row() + "\n")
-        return [f.name], EXIT_OK
+        return {"cheater_report.csv": analysis.CSV_HEADER + "\n" + rep.csv_row() + "\n"}, EXIT_OK
 
     # record / simulate share a live deployment on a deliberately weak
     # modulus; commitment collisions are what make replay matrices fill
@@ -185,29 +246,23 @@ def run_attack(params: dict, out_dir: Path) -> tuple[list[str], int]:
     corpus = adversary.observe_sessions(transcripts, adversary.TapLevel(params["tap"]))
 
     if mode == "record":
-        f = out_dir / "corpus.json"
-        f.write_text(
-            json.dumps(
-                [
-                    {
-                        "secret_ids": list(obs.secret_ids),
-                        "rounds": [
-                            {"w": str(rd.w), "challenge": list(rd.challenge), "y": str(rd.y)}
-                            for rd in obs.rounds
-                        ],
-                    }
-                    for obs in corpus
+        records = [
+            {
+                "secret_ids": list(obs.secret_ids),
+                "rounds": [
+                    {"w": str(rd.w), "challenge": list(rd.challenge), "y": str(rd.y)}
+                    for rd in obs.rounds
                 ],
-                sort_keys=True,
-            )
-        )
-        return [f.name], EXIT_OK
+            }
+            for obs in corpus
+        ]
+        return {"corpus.json": json.dumps(records, sort_keys=True)}, EXIT_OK
 
     # mode == "simulate"
     matrices = adversary.build_simulators(corpus, n, k)
     if not matrices:
         click.echo("no usable observations at this tap level: attack infeasible")
-        return [], EXIT_INFEASIBLE
+        return {}, EXIT_INFEASIBLE
     attack_rng = Rng(seed ^ 0xA77)
     sets_rng = Rng(seed ^ 0x5E75)
     sessions = []
@@ -235,16 +290,22 @@ def run_attack(params: dict, out_dir: Path) -> tuple[list[str], int]:
         verifier_rng=attack_rng,
         hardened_polys=hardened_polys,
     )
-    f = out_dir / "attack_report.csv"
-    f.write_text(
-        "kind,trials,successes,frequency,memory_modeled,memory_measured\n"
+    return {
+        "attack_report.csv": "kind,trials,successes,frequency,memory_modeled,memory_measured\n"
         f"{rep.kind},{rep.trials},{rep.successes},{rep.frequency:.6f},"
         f"{rep.memory_bytes_modeled},{rep.memory_bytes_measured}\n"
-    )
-    return [f.name], EXIT_OK
+    }, EXIT_OK
 
 
-def run_revoke_demo(params: dict, out_dir: Path) -> tuple[list[str], int]:
+@_subcommand(
+    "revoke-demo",
+    click.Option(["--k", "k"], type=int, default=2, show_default=True),
+    click.Option(["--h", "h"], type=int, default=2, show_default=True),
+    click.Option(["--n", "n"], type=int, default=6, show_default=True),
+    click.Option(["--mu"], type=int, default=3, show_default=True),
+)
+def run_revoke_demo(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
+    """Broadcast a revocation and show the replayed session being denied."""
     seed = params["seed"]
     n, k, h, mu = params["n"], params["k"], params["h"], params["mu"]
     kdc, groups, obu_cred, rsu_cred, _modulus = _demo_deployment(seed, n, k)
@@ -257,21 +318,26 @@ def run_revoke_demo(params: dict, out_dir: Path) -> tuple[list[str], int]:
     revocation.broadcast_revocation(obu_cred.iv, 0, [rsu.table], reason="demo")
     after, _ = protocol.run_full_session(obu, rsu, config)
 
-    record = revocation.encode_broadcast(obu_cred.iv, 0, "demo", rsu.table.version)
-    f = out_dir / "broadcast.json"
-    f.write_text(record)
-    (out_dir / "outcomes.json").write_text(
-        json.dumps(
-            {"before": before.outcome.value, "after": after.outcome.value},
-            sort_keys=True,
-        )
-    )
+    outcomes = {"before": before.outcome.value, "after": after.outcome.value}
     click.echo(f"before broadcast: {before.outcome.value}; after: {after.outcome.value}")
     ok = before.outcome is Outcome.ACCEPTED and after.outcome is Outcome.REJECTED_REVOKED
-    return [f.name, "outcomes.json"], EXIT_OK if ok else EXIT_REJECTED
+    return {
+        "broadcast.json": revocation.encode_broadcast(obu_cred.iv, 0, "demo", rsu.table.version),
+        "outcomes.json": json.dumps(outcomes, sort_keys=True),
+    }, EXIT_OK if ok else EXIT_REJECTED
 
 
-def run_simulate(params: dict, out_dir: Path) -> tuple[list[str], int]:
+@_subcommand(
+    "simulate",
+    click.Option(
+        ["--sweep"], type=click.Choice(["load", "speed"]), default="load", show_default=True
+    ),
+    click.Option(["--load"], type=int, default=10, show_default=True),
+    click.Option(["--speed"], type=float, default=20.0, show_default=True),
+    click.Option(["--duration"], type=float, default=40.0, show_default=True),
+)
+def run_simulate(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
+    """Sweep the road-network simulation and emit metric CSVs."""
     config = simulation.SimConfig(
         obus_per_rsu=params["load"],
         speed_mps=params["speed"],
@@ -282,139 +348,32 @@ def run_simulate(params: dict, out_dir: Path) -> tuple[list[str], int]:
         simulation.DEFAULT_GRID_LOADS if dimension == "load" else simulation.DEFAULT_GRID_SPEEDS
     )
     rows = simulation.sweep(config, dimension, values, params["seed"])
-    f = out_dir / f"sweep_{dimension}.csv"
-    f.write_text(simulation.sweep_csv(rows, dimension))
-    click.echo(f"wrote {f.name}")
-    return [f.name], EXIT_OK
-
-
-RUNNERS = {
-    "keygen": run_keygen,
-    "auth-demo": run_auth_demo,
-    "analyze": run_analyze,
-    "attack": run_attack,
-    "revoke-demo": run_revoke_demo,
-    "simulate": run_simulate,
-}
+    name = f"sweep_{dimension}.csv"
+    click.echo(f"wrote {name}")
+    return {name: simulation.sweep_csv(rows, dimension)}, EXIT_OK
 
 
 def _run(subcommand: str, params: dict, out_dir: Path) -> tuple[list[str], int]:
-    """Run one subcommand into ``out_dir`` and record its manifest; any
-    ``ValueError`` (every typed parameter error is one) exits 2."""
+    """Run one subcommand, then write its files and its manifest into
+    ``out_dir``; any ``ValueError`` (every typed parameter error is one)
+    exits 2 before a file is written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs, code = RUNNERS[subcommand](params, out_dir)
+        files, code = RUNNERS[subcommand](params, out_dir)
     except ValueError as exc:
         click.echo(f"parameter error: {exc}", err=True)
         sys.exit(EXIT_PARAM)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
     manifest = {
         "subcommand": subcommand,
         "params": params,
         "seed": params.get("seed"),
         "artifact_version": __version__,
-        "outputs": outputs,
+        "outputs": list(files),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-    return outputs, code
-
-
-# ------------------------------------------------------------------ click
-
-
-@click.group()
-def main():
-    """Anonymous group authentication toolkit."""
-
-
-def _out_dir_option(f):
-    return click.option(
-        "--out-dir", type=click.Path(path_type=Path), default=Path("out"), show_default=True
-    )(f)
-
-
-@main.command()
-@click.option("--groups", "-q", type=int, default=2, show_default=True)
-@click.option("--pool-size", "-n", type=int, default=8, show_default=True)
-@click.option("--secrets-per-member", "-k", type=int, default=2, show_default=True)
-@click.option("--bit-length", type=int, default=32, show_default=True)
-@click.option("--obus-per-group", type=int, default=2, show_default=True)
-@click.option("--rsus", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
-@_out_dir_option
-def keygen(out_dir, **params):
-    """Run the key ceremony and write provisioning bundles."""
-    sys.exit(_run("keygen", params, out_dir)[1])
-
-
-@main.command("auth-demo")
-@click.option("--bundle", type=click.Path(), required=True)
-@click.option("--alpha", type=int, default=2, show_default=True)
-@click.option("--mu", type=int, default=5, show_default=True)
-@click.option("--h", "h", type=int, default=2, show_default=True)
-@click.option("--serv-id", default="INFO", show_default=True)
-@click.option("--hardened", is_flag=True, default=False)
-@click.option("--revoked-iv", type=int, default=None)
-@click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
-@_out_dir_option
-def auth_demo(out_dir, **params):
-    """Run one live session from a provisioning bundle."""
-    sys.exit(_run("auth-demo", params, out_dir)[1])
-
-
-@main.command()
-@click.option("--figure", type=click.Choice(["10a", "10b", "11", "12", "13"]), default=None)
-@click.option("--mc-formula", type=click.Choice(list(_MC_FORMULAS)), default=None)
-@click.option("--k", "k", type=int, default=2)
-@click.option("--h", "h", type=int, default=1)
-@click.option("--n", "n", type=int, default=6)
-@click.option("--mu", type=int, default=2)
-@click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
-@_out_dir_option
-def analyze(out_dir, **params):
-    """Emit figure series or a Monte Carlo probability report."""
-    sys.exit(_run("analyze", params, out_dir)[1])
-
-
-@main.command()
-@click.argument("mode", type=click.Choice(["cheater", "record", "simulate"]))
-@click.option("--k", "k", type=int, default=2, show_default=True)
-@click.option("--h", "h", type=int, default=1, show_default=True)
-@click.option("--n", "n", type=int, default=4, show_default=True)
-@click.option("--mu", type=int, default=2, show_default=True)
-@click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--sessions", type=int, default=200, show_default=True)
-@click.option("--variant", type=click.Choice(["basic", "hardened"]), default="basic")
-@click.option("--tap", type=click.Choice(["rounds", "ciphertext"]), default="rounds")
-@click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
-@_out_dir_option
-def attack(out_dir, **params):
-    """Run a threat-model experiment and emit an attack report."""
-    sys.exit(_run("attack", params, out_dir)[1])
-
-
-@main.command("revoke-demo")
-@click.option("--k", "k", type=int, default=2, show_default=True)
-@click.option("--h", "h", type=int, default=2, show_default=True)
-@click.option("--n", "n", type=int, default=6, show_default=True)
-@click.option("--mu", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
-@_out_dir_option
-def revoke_demo(out_dir, **params):
-    """Broadcast a revocation and show the replayed session being denied."""
-    sys.exit(_run("revoke-demo", params, out_dir)[1])
-
-
-@main.command()
-@click.option("--sweep", type=click.Choice(["load", "speed"]), default="load", show_default=True)
-@click.option("--load", type=int, default=10, show_default=True)
-@click.option("--speed", type=float, default=20.0, show_default=True)
-@click.option("--duration", type=float, default=40.0, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True, envvar="ANONAUTH_SEED")
-@_out_dir_option
-def simulate(out_dir, **params):
-    """Sweep the road-network simulation and emit metric CSVs."""
-    sys.exit(_run("simulate", params, out_dir)[1])
+    return list(files), code
 
 
 def _fits(option: click.Parameter, value) -> bool:
@@ -449,11 +408,16 @@ def _manifest_run(text: str) -> tuple[str, dict]:
     return sub, params
 
 
-@main.command()
-@click.option(
-    "--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True
+@main.command(
+    params=[
+        click.Option(
+            ["--manifest"],
+            type=click.Path(exists=True, dir_okay=False, path_type=Path),
+            required=True,
+        ),
+        _OUT_DIR,
+    ]
 )
-@_out_dir_option
 def rerun(manifest: Path, out_dir: Path):
     """Re-execute a recorded run; outputs are bit-identical to the original."""
     try:

@@ -243,19 +243,32 @@ def obu_credential_to_json(cred: ObuCredential) -> str:
     )
 
 
-def obu_credential_from_json(text: str) -> ObuCredential:
+def _record(text: str, kind: str) -> dict:
     d = json.loads(text)
-    if d.get("kind") != "obu_credential" or d.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise InvalidParameters("not a supported obu credential record")
-    return ObuCredential(
-        group_id=d["group_id"],
-        member_id=d["member_id"],
-        master_key=tuple(int(v) for v in d["master_key"]),
-        pool_witnesses=tuple(int(v) for v in d["pool_witnesses"]),
-        iv=int(d["iv"]),
-        counter=d["counter"],
-        modulus=int(d["modulus"]),
-    )
+    version = d.get("format_version") if isinstance(d, dict) else None
+    if version != BUNDLE_FORMAT_VERSION or d.get("kind") != kind:
+        raise InvalidParameters(f"not a supported {kind} record")
+    return d
+
+
+# what reading a field that a record lacks, or holds with the wrong type, raises
+_FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def obu_credential_from_json(text: str) -> ObuCredential:
+    d = _record(text, "obu_credential")
+    try:
+        return ObuCredential(
+            group_id=d["group_id"],
+            member_id=d["member_id"],
+            master_key=tuple(int(v) for v in d["master_key"]),
+            pool_witnesses=tuple(int(v) for v in d["pool_witnesses"]),
+            iv=int(d["iv"]),
+            counter=d["counter"],
+            modulus=int(d["modulus"]),
+        )
+    except _FIELD_ERRORS as exc:
+        raise InvalidParameters(f"malformed obu_credential record: {exc!r}") from exc
 
 
 def rsu_credential_to_json(cred: RsuCredential) -> str:
@@ -277,19 +290,19 @@ def rsu_credential_to_json(cred: RsuCredential) -> str:
 
 
 def rsu_credential_from_json(text: str) -> RsuCredential:
-    d = json.loads(text)
-    if d.get("kind") != "rsu_credential" or d.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise InvalidParameters("not a supported rsu credential record")
-    return RsuCredential(
-        rsu_id=d["rsu_id"],
-        certificate=_cert_from_dict(d["certificate"]),
-        seal_private_key=bytes.fromhex(d["seal_private_key"]),
-        pool_secrets={
-            int(g): tuple(int(v) for v in vs) for g, vs in d["pool_secrets"].items()
-        },
-        master_witnesses={
-            int(g): tuple(int(v) for v in vs)
-            for g, vs in d["master_witnesses"].items()
-        },
-        modulus=int(d["modulus"]),
-    )
+    d = _record(text, "rsu_credential")
+    try:
+        return RsuCredential(
+            rsu_id=d["rsu_id"],
+            certificate=_cert_from_dict(d["certificate"]),
+            seal_private_key=bytes.fromhex(d["seal_private_key"]),
+            pool_secrets={
+                int(g): tuple(int(v) for v in vs) for g, vs in d["pool_secrets"].items()
+            },
+            master_witnesses={
+                int(g): tuple(int(v) for v in vs) for g, vs in d["master_witnesses"].items()
+            },
+            modulus=int(d["modulus"]),
+        )
+    except _FIELD_ERRORS as exc:
+        raise InvalidParameters(f"malformed rsu_credential record: {exc!r}") from exc

@@ -142,7 +142,6 @@ class SessionTranscript:
     bundle_observations: list[ZkpProof] = field(default_factory=list)
     requested_sets: tuple = ()
     key_id: bytes = NO_KEY_ID
-    result: Optional[AuthResult] = None
 
 
 class LogicalClock:
@@ -553,8 +552,7 @@ def run_full_session(
     """Execute one complete session; the transcript doubles as the tap for
     the passive-observer threat model."""
     log = SessionTranscript()
-    log.result = _exchange(obu, rsu, config, log)
-    return log.result, log
+    return _exchange(obu, rsu, config, log), log
 
 
 def _exchange(obu: Obu, rsu: Rsu, config: SessionConfig, log: SessionTranscript) -> AuthResult:

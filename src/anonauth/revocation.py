@@ -38,6 +38,10 @@ class RevocationEntry:
     last_known_counter: int
     reason: str = ""
 
+    def __post_init__(self):
+        if not (0 <= self.iv < 1 << 64 and 0 <= self.last_known_counter < 1 << 64):
+            raise ValueError("iv and last_known_counter must be 64-bit values")
+
 
 @dataclass(frozen=True)
 class Match:
@@ -132,10 +136,12 @@ def broadcast_revocation(
 
 
 def _window(entry: RevocationEntry, params: tuple[int, int, int, int]) -> tuple[Sequence_, ...]:
-    """The entry's window+1 sequences, in counter order from its last known counter."""
+    """The entry's window+1 sequences (fewer where the window would pass the
+    last 64-bit counter), in counter order from its last known counter."""
     n, k, mu, window = params
     first = entry.last_known_counter
-    return tuple(next_sequence(entry.iv, c, n, k, mu) for c in range(first, first + window + 1))
+    last = min(first + window, (1 << 64) - 1)  # a counter is a 64-bit value
+    return tuple(next_sequence(entry.iv, c, n, k, mu) for c in range(first, last + 1))
 
 
 class _ScreenIndex:

@@ -11,7 +11,7 @@ values, are the contract.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import keymgmt, protocol
@@ -51,7 +51,6 @@ class SimConfig:
     mu: int = 5
     n: int = 8
     modulus_bits: int = 32
-    keep_transcripts: bool = False
 
     def __post_init__(self):
         if self.rsu_spacing_m <= 0 or self.comm_range_m <= 0:
@@ -75,7 +74,6 @@ class SimMetrics:
     sessions_lost: int
     packets_sent: int
     packets_lost: int
-    transcripts: list = field(default_factory=list)
 
     def conservation_holds(self) -> bool:
         return self.sessions_attempted == (
@@ -94,7 +92,6 @@ class _RsuNode:
 
 @dataclass
 class _ObuNode:
-    index: int
     position0: float
     endpoint: Obu
     busy: bool = False
@@ -116,7 +113,6 @@ class _Sim:
         self.accepted = 0
         self.rejected = 0
         self.lost = 0
-        self.transcripts: list = []
         # expected transmitters inside one verifier's range: member density
         # times covered length; this is what couples loss to offered load
         total_obus = config.rsu_count * config.obus_per_rsu
@@ -149,7 +145,7 @@ class _Sim:
             cred = keymgmt.provision_obu(kdc, groups[0], j, iv=j + 1, modulus=modulus)
             endpoint = Obu(cred, root, self.rng.split(), sym=sym, seal=seal)
             pos = self.rng.random() * self.line_length
-            self.obus.append(_ObuNode(index=j, position0=pos, endpoint=endpoint))
+            self.obus.append(_ObuNode(position0=pos, endpoint=endpoint))
             phase = self.rng.random() * SESSION_INTERVAL_S
             self.push(phase, "attempt", j)
 
@@ -199,7 +195,6 @@ class _Sim:
             sessions_lost=self.lost,
             packets_sent=total,
             packets_lost=self.metrics_packets_lost,
-            transcripts=self.transcripts,
         )
 
     def _handle_attempt(self, t: float, obu_index: int) -> None:
@@ -262,15 +257,11 @@ class _Sim:
             n=cfg.n,
             serv_id="INFO",
         )
-        result, transcript = protocol.run_full_session(
-            node.endpoint, rsu.endpoint, session_cfg
-        )
+        result, _ = protocol.run_full_session(node.endpoint, rsu.endpoint, session_cfg)
         if result.outcome is Outcome.ACCEPTED:
             self.accepted += 1
         else:
             self.rejected += 1
-        if cfg.keep_transcripts:
-            self.transcripts.append((node.index, transcript))
         self._finish_session(node, rsu, lost=False)
 
     def _finish_session(self, node: _ObuNode, rsu: _RsuNode, lost: bool) -> None:
@@ -285,18 +276,13 @@ def run_sim(config: SimConfig, seed: int) -> SimMetrics:
     return _Sim(config, seed).run()
 
 
-def sweep(
-    config: SimConfig,
-    dimension: str,
-    values,
-    seed: int,
-    alphas=(2, 4, 5),
-) -> list[SimMetrics]:
-    """One metrics row per (alpha, value); one panel per alpha in the reference layout."""
+def sweep(config: SimConfig, dimension: str, values, seed: int) -> list[SimMetrics]:
+    """One metrics row per (alpha, value), for every alpha with a packet
+    size; one panel per alpha in the reference layout."""
     if dimension not in ("load", "speed"):
         raise InvalidConfig(f"unknown sweep dimension {dimension!r}")
     rows = []
-    for alpha in alphas:
+    for alpha in ALPHA_PACKET_BYTES:
         for value in values:
             if dimension == "load":
                 cfg = replace(config, alpha=alpha, obus_per_rsu=int(value))

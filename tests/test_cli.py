@@ -72,6 +72,19 @@ class TestAuthDemo:
         assert result.exit_code == 3
         assert "RejectedRevoked" in result.output
 
+    @pytest.mark.parametrize("iv", ["-1", str(1 << 64)], ids=["negative", "wide"])
+    def test_revoked_iv_outside_64_bits_exits_2(self, runner, tmp_path, iv):
+        bundle = _keygen(runner, tmp_path)
+        out = tmp_path / "bad-iv"
+        result = runner.invoke(
+            main,
+            ["auth-demo", "--bundle", str(bundle), "--alpha", "1", "--mu", "2",
+             "--revoked-iv", iv, "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "parameter error" in result.output
+        assert list(out.iterdir()) == []
+
     def test_alpha_above_mu_exits_2(self, runner, tmp_path):
         bundle = _keygen(runner, tmp_path)
         result = runner.invoke(
@@ -80,6 +93,40 @@ class TestAuthDemo:
              "--out-dir", str(tmp_path / "bad")],
         )
         assert result.exit_code == 2
+
+
+def _break_root(bundle):
+    (bundle / "root.json").write_text("{}")
+
+
+def _break_obu(bundle):
+    obu = next(bundle.glob("obu_*.json"))
+    obu.write_text(json.dumps({"kind": "obu_credential", "format_version": 1}))
+
+
+class TestBadBundle:
+    def _auth_demo(self, runner, tmp_path, bundle):
+        out = tmp_path / "session"
+        result = runner.invoke(
+            main,
+            ["auth-demo", "--bundle", str(bundle), "--alpha", "1", "--mu", "2",
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "parameter error" in result.output
+        assert list(out.iterdir()) == []
+
+    def test_missing_directory_exits_2(self, runner, tmp_path):
+        self._auth_demo(runner, tmp_path, tmp_path / "absent")
+
+    @pytest.mark.parametrize("damage", [_break_root, _break_obu], ids=["root", "obu"])
+    def test_record_without_fields_exits_2(self, runner, tmp_path, damage):
+        bundle = _keygen(runner, tmp_path)
+        damage(bundle)
+        self._auth_demo(runner, tmp_path, bundle)
+
+    def test_bundle_without_rsu_exits_2(self, runner, tmp_path):
+        self._auth_demo(runner, tmp_path, _keygen(runner, tmp_path, **{"--rsus": 0}))
 
 
 class TestAnalyze:
@@ -108,6 +155,16 @@ class TestAnalyze:
     def test_no_task_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--out-dir", str(tmp_path / "e")])
         assert result.exit_code == 2
+
+    def test_parameter_error_writes_no_file(self, runner, tmp_path):
+        out = tmp_path / "partial"
+        result = runner.invoke(
+            main,
+            ["analyze", "--figure", "11", "--mc-formula", "p_cheater", "--trials", "0",
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_exits_2(self, runner, tmp_path, trials):

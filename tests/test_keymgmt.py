@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -161,6 +162,27 @@ class TestSerialization:
         dep = build_deployment(3, n=6, k=2)
         with pytest.raises(InvalidParameters):
             rsu_credential_from_json(obu_credential_to_json(dep.obu_creds[0]))
+
+    @pytest.mark.parametrize(
+        "kind, drop",
+        [("obu", "group_id"), ("obu", "iv"), ("rsu", "certificate"), ("rsu", "pool_secrets")],
+    )
+    def test_record_without_a_field_is_invalid(self, kind, drop):
+        dep = build_deployment(3, n=6, k=2)
+        to_json, from_json, cred = {
+            "obu": (obu_credential_to_json, obu_credential_from_json, dep.obu_creds[0]),
+            "rsu": (rsu_credential_to_json, rsu_credential_from_json, dep.rsu_cred),
+        }[kind]
+        record = json.loads(to_json(cred))
+        del record[drop]
+        with pytest.raises(InvalidParameters, match="malformed"):
+            from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("text", ["[]", '"obu_credential"', "7"])
+    def test_non_object_record_is_invalid(self, text):
+        for from_json in (obu_credential_from_json, rsu_credential_from_json):
+            with pytest.raises(InvalidParameters):
+                from_json(text)
 
     def test_json_is_canonical(self):
         dep1 = build_deployment(3, n=6, k=2)

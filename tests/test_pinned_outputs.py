@@ -10,8 +10,12 @@ says why.
 
 import hashlib
 from itertools import combinations
+from pathlib import Path
+
+from click.testing import CliRunner
 
 from anonauth import adversary, analysis, simulation, zkp
+from anonauth.cli import main
 from anonauth.numtheory import Rng, generate_blum_modulus
 from anonauth.protocol import SessionConfig, Variant, run_full_session
 from conftest import M21, build_deployment
@@ -136,3 +140,54 @@ def test_rendered_rows_match_pinned_digest():
     for figure in ("10a", "10b", "11", "12", "13"):
         digest.update(analysis.figure_csv(figure).encode())
     assert digest.hexdigest() == PINNED_ROWS
+
+
+# every subcommand run from relative paths in an empty directory: the bytes
+# of its out-dir (manifest included), its stdout and exit code, the same for
+# its rerun, and the --help text of main and every subcommand
+PINNED_CLI = "dfbcc9cfb88e0da4a180291abcfab01f95454f49aa67ef0842ec952f42016a54"
+
+_CLI_RUNS = [
+    ["keygen", "-q", "1", "-n", "6", "-k", "2", "--bit-length", "24",
+     "--obus-per-group", "1", "--seed", "3", "--out-dir", "bundle"],
+    ["auth-demo", "--bundle", "bundle", "--alpha", "1", "--mu", "2", "--hardened",
+     "--seed", "5", "--out-dir", "hardened"],
+    ["auth-demo", "--bundle", "bundle", "--alpha", "1", "--mu", "2", "--hardened",
+     "--revoked-iv", "1", "--seed", "5", "--out-dir", "revoked"],
+    ["analyze", "--figure", "11", "--mc-formula", "p_leak", "--trials", "300",
+     "--seed", "2", "--out-dir", "analyze"],
+    ["attack", "cheater", "--trials", "300", "--seed", "6", "--out-dir", "cheater"],
+    ["attack", "record", "--sessions", "6", "--seed", "4", "--out-dir", "record"],
+    ["attack", "simulate", "--sessions", "40", "--variant", "hardened", "--seed", "4",
+     "--out-dir", "simulate"],
+    ["attack", "simulate", "--tap", "ciphertext", "--sessions", "4", "--seed", "4",
+     "--out-dir", "blind"],
+    ["revoke-demo", "--seed", "8", "--out-dir", "revoke"],
+    ["simulate", "--sweep", "speed", "--load", "1", "--duration", "4.0", "--seed", "2",
+     "--out-dir", "sweep"],
+]
+
+
+def _invoke(digest, args) -> None:
+    result = CliRunner().invoke(main, args, terminal_width=80)
+    _feed(digest, args, result.stdout, result.exit_code)
+
+
+def _dir_bytes(digest, directory) -> None:
+    for f in sorted(directory.iterdir()):
+        _feed(digest, f.name, f.read_bytes())
+
+
+def test_cli_matches_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for args in _CLI_RUNS:
+        out = Path(args[-1])
+        _invoke(digest, args)
+        _dir_bytes(digest, out)
+        _invoke(digest, ["rerun", "--manifest", str(out / "manifest.json"),
+                         "--out-dir", f"{out}-rerun"])
+        _dir_bytes(digest, Path(f"{out}-rerun"))
+    for name in ["", *sorted(main.commands)]:
+        _invoke(digest, [name, "--help"] if name else ["--help"])
+    assert digest.hexdigest() == PINNED_CLI

@@ -222,6 +222,25 @@ class TestBroadcast:
         table.remove(42)
         assert not table.entries and table.version == 2
 
+    @pytest.mark.parametrize(
+        "iv, counter", [(-1, 0), (1 << 64, 0), (42, -1), (42, 1 << 64)],
+        ids=["negative-iv", "wide-iv", "negative-counter", "wide-counter"],
+    )
+    def test_out_of_range_entry_changes_no_table(self, iv, counter):
+        table = RevocationTable()
+        broadcast_revocation(7, 0, [table])
+        screen_session(table, next_sequence(8, 0, 6, 2, 3), 6, 2)  # builds the index
+        with pytest.raises(ValueError, match="64-bit"):
+            broadcast_revocation(iv, counter, [table])
+        assert table.version == 1 and list(table.entries) == [7]
+
+    def test_last_counter_window_stops_at_the_64_bit_bound(self):
+        table = RevocationTable()
+        top = (1 << 64) - 1
+        broadcast_revocation(42, top - 2, [table])
+        observed = next_sequence(42, top, 6, 2, 3)
+        assert screen_session(table, observed, 6, 2, window=10) == Match(iv=42, counter=top)
+
     def test_record_round_trip(self):
         assert json.loads(encode_broadcast(42, 3, "violation", 7)) == {
             "format_version": 1,

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from anonauth import zkp
+from anonauth import protocol, zkp
 from anonauth.simulation import (
     ALPHA_PACKET_BYTES,
     InvalidConfig,
@@ -20,6 +20,21 @@ SMALL = SimConfig(
     mu=5,
     modulus_bits=24,
 )
+
+
+def _run_logged(monkeypatch, cfg, seed):
+    """run_sim's metrics and (obu, result, transcript) of every session it
+    completes, collected by wrapping ``protocol.run_full_session``."""
+    sessions = []
+    original = protocol.run_full_session
+
+    def logged(obu, rsu, config):
+        result, transcript = original(obu, rsu, config)
+        sessions.append((obu, result, transcript))
+        return result, transcript
+
+    monkeypatch.setattr(protocol, "run_full_session", logged)
+    return run_sim(cfg, seed), sessions
 
 
 class TestConfigValidation:
@@ -66,13 +81,12 @@ class TestRun:
         assert metrics.packets_sent == 0
         assert metrics.avg_delay_s == 0.0
 
-    def test_completed_sessions_run_the_real_protocol(self):
-        cfg = dataclasses.replace(SMALL, keep_transcripts=True)
-        metrics = run_sim(cfg, seed=2)
+    def test_completed_sessions_run_the_real_protocol(self, monkeypatch):
+        metrics, sessions = _run_logged(monkeypatch, SMALL, seed=2)
         assert metrics.sessions_accepted > 0
-        assert len(metrics.transcripts) == (
-            metrics.sessions_accepted + metrics.sessions_rejected
-        )
+        assert len(sessions) == metrics.sessions_accepted + metrics.sessions_rejected
+        accepted = [r for _obu, r, _t in sessions if r.outcome.value == "Accepted"]
+        assert len(accepted) == metrics.sessions_accepted
 
     def test_delays_live_in_plausible_band(self):
         metrics = run_sim(SMALL, seed=3)
@@ -100,12 +114,14 @@ class TestTrends:
 
 class TestSweep:
     def test_rows_and_csv(self):
-        rows = sweep(SMALL, "load", (2, 4), seed=9, alphas=(2, 4))
-        assert len(rows) == 4
+        rows = sweep(SMALL, "load", (2, 4), seed=9)
+        assert [(r.alpha, r.load) for r in rows] == [
+            (2, 2), (2, 4), (4, 2), (4, 4), (5, 2), (5, 4)
+        ]
         csv = sweep_csv(rows, "load")
         lines = csv.strip().split("\n")
         assert lines[0] == "alpha,sweep_value,avg_delay_s,loss_ratio,attempted,accepted"
-        assert len(lines) == 5
+        assert len(lines) == 7
         assert lines[1].startswith("2,2,")
 
     def test_unknown_dimension(self):
@@ -113,9 +129,11 @@ class TestSweep:
             sweep(SMALL, "weather", (1,), seed=1)
 
     def test_speed_sweep_uses_speed_column(self):
-        rows = sweep(SMALL, "speed", (14.0,), seed=9, alphas=(2,))
-        csv = sweep_csv(rows, "speed")
-        assert csv.strip().split("\n")[1].startswith("2,14.0,")
+        rows = sweep(SMALL, "speed", (14.0,), seed=9)
+        lines = sweep_csv(rows, "speed").strip().split("\n")
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["2", "14.0"], ["4", "14.0"], ["5", "14.0"]
+        ]
 
 
 def _observations_verify(transcript, credential, h) -> bool:
@@ -128,28 +146,21 @@ def _observations_verify(transcript, credential, h) -> bool:
 
 
 class TestReverify:
-    def test_kept_transcripts_reverify(self):
-        from anonauth.simulation import _Sim
-
-        cfg = dataclasses.replace(SMALL, keep_transcripts=True)
-        sim = _Sim(cfg, seed=4)
-        metrics = sim.run()
+    def test_kept_transcripts_reverify(self, monkeypatch):
+        metrics, sessions = _run_logged(monkeypatch, SMALL, seed=4)
         checked = 0
-        for obu_index, transcript in metrics.transcripts:
-            if transcript.result.outcome.value != "Accepted":
+        for obu, result, transcript in sessions:
+            if result.outcome.value != "Accepted":
                 continue
-            cred = sim.obus[obu_index].endpoint.credential
-            assert len(transcript.bundle_observations) == cfg.mu
-            assert _observations_verify(transcript, cred, cfg.h)
+            assert len(transcript.bundle_observations) == SMALL.mu
+            assert _observations_verify(transcript, obu.credential, SMALL.h)
             checked += 1
         assert checked == metrics.sessions_accepted > 0
 
-    def test_reverify_catches_wrong_witnesses(self):
-        cfg = dataclasses.replace(SMALL, keep_transcripts=True, obus_per_rsu=2)
-        metrics = run_sim(cfg, seed=10)
-        accepted = [
-            t for _idx, t in metrics.transcripts if t.result.outcome.value == "Accepted"
-        ]
+    def test_reverify_catches_wrong_witnesses(self, monkeypatch):
+        cfg = dataclasses.replace(SMALL, obus_per_rsu=2)
+        _metrics, sessions = _run_logged(monkeypatch, cfg, seed=10)
+        accepted = [t for _obu, r, t in sessions if r.outcome.value == "Accepted"]
         assert accepted
         from conftest import build_deployment
 
