@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 import click
 
@@ -353,16 +353,23 @@ def run_simulate(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     return {name: simulation.sweep_csv(rows, dimension)}, EXIT_OK
 
 
+def _param_error(reason) -> NoReturn:
+    click.echo(f"parameter error: {reason}", err=True)
+    sys.exit(EXIT_PARAM)
+
+
 def _run(subcommand: str, params: dict, out_dir: Path) -> tuple[list[str], int]:
     """Run one subcommand, then write its files and its manifest into
-    ``out_dir``; any ``ValueError`` (every typed parameter error is one)
-    exits 2 before a file is written."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ``out_dir``; an ``out_dir`` that cannot be made, or any ``ValueError``
+    (every typed parameter error is one), exits 2 before a file is written."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        _param_error(f"--out-dir {out_dir}: {exc.strerror}")
     try:
         files, code = RUNNERS[subcommand](params, out_dir)
     except ValueError as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
+        _param_error(exc)
     for name, text in files.items():
         (out_dir / name).write_text(text)
     manifest = {
@@ -423,8 +430,7 @@ def rerun(manifest: Path, out_dir: Path):
     try:
         sub, params = _manifest_run(manifest.read_text())
     except ValueError as exc:
-        click.echo(f"parameter error: {exc}", err=True)
-        sys.exit(EXIT_PARAM)
+        _param_error(exc)
     outputs, _code = _run(sub, params, out_dir)
     click.echo(f"reproduced {', '.join(outputs)}")
 

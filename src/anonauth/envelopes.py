@@ -72,9 +72,17 @@ def generate_seal_keypair(rng: Rng) -> tuple[bytes, bytes]:
 
 
 class EciesSeal:
-    """Ephemeral X25519 + HKDF-SHA256 + AES-128-GCM public-key seal."""
+    """Ephemeral X25519 + HKDF-SHA256 + AES-128-GCM public-key seal.
+
+    ``open`` keeps the last private key it parsed, keyed by its raw bytes:
+    the verifier that owns the instance holds those bytes for its lifetime,
+    so the cache keeps no secret its owner does not.
+    """
 
     _INFO = b"anonauth-seal-v1"
+
+    def __init__(self):
+        self._loaded: tuple[bytes, X25519PrivateKey] | None = None
 
     def seal(self, recipient_public: bytes, plaintext: bytes, rng: Rng) -> bytes:
         eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
@@ -91,7 +99,12 @@ class EciesSeal:
     def open(self, recipient_private: bytes, blob: bytes) -> bytes:
         if len(blob) < 32 + 12 + 16:
             raise EnvelopeFailure("asymmetric blob too short")
-        priv = X25519PrivateKey.from_private_bytes(recipient_private)
+        if self._loaded is None or self._loaded[0] != recipient_private:
+            self._loaded = (
+                bytes(recipient_private),
+                X25519PrivateKey.from_private_bytes(recipient_private),
+            )
+        priv = self._loaded[1]
         try:
             shared = priv.exchange(X25519PublicKey.from_public_bytes(blob[:32]))
             key = HKDF(

@@ -101,12 +101,16 @@ def _draw_block(iv: int, counter: int, block_index: int, redraw: int, n: int, k:
                     return tuple(sorted(ids))
 
 
-def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
-    """Deterministic mu-block sequence for one authentication session."""
+def _check_params(n: int, k: int, mu: int) -> None:
     if not (1 <= k <= n <= MAX_POOL_SIZE) or mu < 1:
         raise ValueError(f"require 1 <= k <= n <= {MAX_POOL_SIZE} and mu >= 1")
     if mu > comb(n, k):
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})={comb(n, k)}")
+
+
+def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
+    """Deterministic mu-block sequence for one authentication session."""
+    _check_params(n, k, mu)
     blocks: list[Block] = []
     seen: set[Block] = set()
     for b in range(mu):
@@ -135,58 +139,68 @@ def broadcast_revocation(
         table.upsert(entry, windows)
 
 
-def _window(entry: RevocationEntry, params: tuple[int, int, int, int]) -> tuple[Sequence_, ...]:
-    """The entry's window+1 sequences (fewer where the window would pass the
-    last 64-bit counter), in counter order from its last known counter."""
-    n, k, mu, window = params
+def _window(entry: RevocationEntry, params: tuple[int, int, int, int]) -> tuple[Block, ...]:
+    """The first blocks of the entry's window+1 sequences (fewer where the
+    window would pass the last 64-bit counter), in counter order from its
+    last known counter. Block 0 is never redrawn, so each is the head of
+    that counter's ``next_sequence``."""
+    n, k, _, window = params
     first = entry.last_known_counter
     last = min(first + window, (1 << 64) - 1)  # a counter is a 64-bit value
-    return tuple(next_sequence(entry.iv, c, n, k, mu) for c in range(first, last + 1))
+    return tuple(_draw_block(entry.iv, c, 0, 0, n, k) for c in range(first, last + 1))
 
 
 class _ScreenIndex:
-    """Every entry's window of reconstructed sequences for one (n, k, mu, window).
+    """Every entry's window of sequence heads for one (n, k, mu, window).
 
-    ``owners`` maps a sequence to the ivs whose window holds it (one iv's
-    window may repeat a sequence, and two ivs may share one); ``windows``
-    maps an iv to its first counter and its window's sequences in counter
-    order. An upsert recomputes only that iv's window and a remove drops it.
+    ``owners`` maps a first block to the ivs whose window starts a sequence
+    with it (one iv's window may repeat a head, and two ivs may share one);
+    ``windows`` maps an iv to its first counter and its window's heads in
+    counter order. An upsert draws only that iv's heads and a remove drops
+    them; a lookup confirms a head match with the full ``next_sequence``.
     """
 
     def __init__(self, params: tuple[int, int, int, int], entries):
+        n, k, mu, _ = params
+        _check_params(n, k, mu)
         self.params = params
-        self.owners: dict[Sequence_, tuple[int, ...]] = {}
-        self.windows: dict[int, tuple[int, tuple[Sequence_, ...]]] = {}
+        self.owners: dict[Block, tuple[int, ...]] = {}
+        self.windows: dict[int, tuple[int, tuple[Block, ...]]] = {}
         for entry in entries:
             self.add(entry, _window(entry, params))
 
-    def add(self, entry: RevocationEntry, seqs: tuple[Sequence_, ...]) -> None:
-        """Index ``entry`` with its window ``seqs`` (see ``_window``)."""
+    def add(self, entry: RevocationEntry, heads: tuple[Block, ...]) -> None:
+        """Index ``entry`` with its window's ``heads`` (see ``_window``)."""
         self.drop(entry.iv)
-        self.windows[entry.iv] = (entry.last_known_counter, seqs)
-        for seq in set(seqs):
-            self.owners[seq] = self.owners.get(seq, ()) + (entry.iv,)
+        self.windows[entry.iv] = (entry.last_known_counter, heads)
+        for head in set(heads):
+            self.owners[head] = self.owners.get(head, ()) + (entry.iv,)
 
     def drop(self, iv: int) -> None:
         if iv not in self.windows:
             return
-        _, seqs = self.windows.pop(iv)
-        for seq in set(seqs):
-            rest = tuple(owner for owner in self.owners[seq] if owner != iv)
+        _, heads = self.windows.pop(iv)
+        for head in set(heads):
+            rest = tuple(owner for owner in self.owners[head] if owner != iv)
             if rest:
-                self.owners[seq] = rest
+                self.owners[head] = rest
             else:
-                del self.owners[seq]
+                del self.owners[head]
 
     def lookup(self, observed: Sequence_, order) -> Optional[Match]:
-        """The first owner in ``order`` (the table's entry order) at its
-        smallest counter, as a from-scratch build in that order finds it."""
-        owners = self.owners.get(observed)
+        """The first (iv, counter) in ``order`` (the table's entry order),
+        counters ascending, whose sequence is ``observed``, as a from-scratch
+        build of full sequences in that order finds it."""
+        owners = self.owners.get(observed[0])
         if owners is None:
             return None
-        iv = owners[0] if len(owners) == 1 else next(iv for iv in order if iv in owners)
-        first, seqs = self.windows[iv]
-        return Match(iv=iv, counter=first + seqs.index(observed))
+        n, k, mu, _ = self.params
+        for iv in owners if len(owners) == 1 else [iv for iv in order if iv in owners]:
+            first, heads = self.windows[iv]
+            for offset, head in enumerate(heads):
+                if head == observed[0] and next_sequence(iv, first + offset, n, k, mu) == observed:
+                    return Match(iv=iv, counter=first + offset)
+        return None
 
 
 def screen_session(
@@ -198,10 +212,11 @@ def screen_session(
 ) -> Optional[Match]:
     """Exact-match the observed sets against every entry's reconstructed window.
 
-    Returns a ``Match`` or None. The table keeps its reconstructions per
-    entry: the first call for an (n, k, mu, window) builds every entry's
-    window+1 sequences, each later upsert recomputes only that entry's and
-    a remove drops them, so steady-state screening is one dict lookup.
+    Returns a ``Match`` or None. The table keeps an index of first blocks
+    per entry: the first call for an (n, k, mu, window) draws every entry's
+    window+1 heads, each later upsert draws only that entry's and a remove
+    drops them. A session whose first block heads no indexed sequence costs
+    one dict lookup; a head match is confirmed by its full sequence.
     """
     if not table.entries:
         return None

@@ -166,6 +166,16 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("parts", [("afile",), ("afile", "sub")], ids=["file", "below-file"])
+    def test_out_dir_that_is_a_file_exits_2(self, runner, tmp_path, parts):
+        (tmp_path / "afile").write_text("kept")
+        out = tmp_path.joinpath(*parts)
+        result = runner.invoke(main, ["analyze", "--figure", "12", "--out-dir", str(out)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"parameter error: --out-dir {out}: " in result.output
+        assert (tmp_path / "afile").read_text() == "kept"
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_exits_2(self, runner, tmp_path, trials):
         result = runner.invoke(

@@ -76,6 +76,28 @@ class TestEciesSeal:
         with pytest.raises(EnvelopeFailure):
             EciesSeal().open(priv, b"tiny")
 
+    def test_one_instance_opens_for_interleaved_recipients(self):
+        keys = [generate_seal_keypair(Rng(seed)) for seed in (3, 5)]
+        seal = EciesSeal()
+        blobs = [seal.seal(pub, b"to %d" % i, Rng(4 + i)) for i, (_, pub) in enumerate(keys)]
+        for i in (0, 0, 1, 0, 1, 1):
+            priv, before = keys[i][0], seal._loaded
+            assert seal.open(priv, blobs[i]) == b"to %d" % i
+            # one parsed key at a time, parsed again only when the bytes change
+            assert vars(seal) == {"_loaded": (priv, seal._loaded[1])}
+            assert (seal._loaded is before) == (before is not None and before[0] == priv)
+
+    def test_cached_key_still_rejects_another_recipients_blob(self):
+        (priv_a, pub_a), (priv_b, pub_b) = (generate_seal_keypair(Rng(s)) for s in (3, 5))
+        seal = EciesSeal()
+        blob_a, blob_b = seal.seal(pub_a, b"a", Rng(4)), seal.seal(pub_b, b"b", Rng(6))
+        assert seal.open(priv_a, blob_a) == b"a"
+        with pytest.raises(EnvelopeFailure):
+            seal.open(priv_a, blob_b)
+        with pytest.raises(EnvelopeFailure):
+            seal.open(priv_b, blob_a)
+        assert seal.open(priv_b, blob_b) == b"b"
+
 
 class TestStubs:
     def test_stub_envelope_round_trip_and_label(self):

@@ -311,7 +311,7 @@ _ops = st.one_of(
 
 class TestIncrementalIndex:
     @settings(max_examples=300, deadline=None)
-    @given(window=st.integers(0, 5), mu=st.integers(1, 2), ops=st.lists(_ops, max_size=30))
+    @given(window=st.integers(0, 5), mu=st.integers(1, 3), ops=st.lists(_ops, max_size=30))
     # a window of 30 holds all ten mu=1 sequences; once the index is built,
     # iv 0's re-upsert keeps its place ahead of iv 1, so iv 0 still owns all
     @example(window=30, mu=1, ops=[("upsert", 0, 0), ("upsert", 1, 0), ("screen", 2, 0),
@@ -343,65 +343,118 @@ class TestIncrementalIndex:
         expected = _reference_screen(table, probe, _N, _K, window)
         assert screen_session(table, probe, _N, _K, window=window) == expected
 
-    def test_sequence_cost_per_change(self, monkeypatch):
-        calls = []
-        original = revocation.next_sequence
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(revocation, "next_sequence", counted)
+    def test_sequence_cost_per_change(self, cost):
         n, k, window = 15, 3, 10
         table = RevocationTable()
         for iv in range(8):
             table.upsert(RevocationEntry(iv=iv, last_known_counter=iv))
-        assert not calls  # nothing is built before the first screen
-        hit = original(3, 5, n, k, 3)
-        assert screen_session(table, hit, n, k, window=window) == Match(iv=3, counter=5)
-        assert len(calls) == 8 * (window + 1)
+        assert cost.draws == cost.sequences == 0  # nothing is built before the first screen
+        hit = next_sequence(3, 5, n, k, 3)
+        assert cost(lambda: screen_session(table, hit, n, k, window=window)) == (
+            8 * (window + 1), _confirmations(table, hit, n, k, window, Match(iv=3, counter=5)))
 
-        def cost(change):
-            calls.clear()
-            change()
-            return len(calls)
+        assert cost(lambda: table.upsert(RevocationEntry(iv=99, last_known_counter=0))) == (
+            window + 1, 0)
+        assert cost(lambda: table.upsert(RevocationEntry(iv=3, last_known_counter=40))) == (
+            window + 1, 0)
+        assert cost(lambda: table.remove(5)) == (0, 0)
+        hit = next_sequence(3, 45, n, k, 3)
+        assert screen_session(table, hit, n, k, window=window) == Match(iv=3, counter=45)
+        assert cost(lambda: screen_session(table, hit, n, k, window=window)) == (
+            0, _confirmations(table, hit, n, k, window, Match(iv=3, counter=45)))
+        miss = next_sequence(1234, 0, n, k, 3)
+        assert not _head_candidates(table, miss, n, k, window)  # its head starts no window
+        assert cost(lambda: screen_session(table, miss, n, k, window=window)) == (0, 0)
 
-        assert cost(lambda: table.upsert(RevocationEntry(iv=99, last_known_counter=0))) == window + 1
-        assert cost(lambda: table.upsert(RevocationEntry(iv=3, last_known_counter=40))) == window + 1
-        assert cost(lambda: table.remove(5)) == 0
-        assert cost(lambda: screen_session(table, hit, n, k, window=window)) == 0
-        miss = original(1234, 0, n, k, 3)
-        assert cost(lambda: screen_session(table, miss, n, k, window=window)) == 0
-
-    def test_broadcast_computes_each_window_once(self, monkeypatch):
-        calls = []
-        original = revocation.next_sequence
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(revocation, "next_sequence", counted)
+    def test_broadcast_computes_each_window_once(self, cost):
         n, k, window = 15, 3, 10
-        miss = original(1234, 0, n, k, 3)
+        miss = next_sequence(1234, 0, n, k, 3)
         tables = [RevocationTable() for _ in range(10)]
         for table in tables:
             table.upsert(RevocationEntry(iv=1, last_known_counter=0))
             screen_session(table, miss, n, k, window=window)  # warm: index built
-        calls.clear()
-        broadcast_revocation(7, 2, tables)
-        assert len(calls) == window + 1
-        hit = original(7, 4, n, k, 3)
+        assert cost(lambda: broadcast_revocation(7, 2, tables)) == (window + 1, 0)
+        hit = next_sequence(7, 4, n, k, 3)
+        confirmations = _confirmations(tables[0], hit, n, k, window, Match(iv=7, counter=4))
         for table in tables:
+            assert cost(lambda: screen_session(table, hit, n, k, window=window)) == (
+                0, confirmations)
             assert screen_session(table, hit, n, k, window=window) == Match(iv=7, counter=4)
         # a table screening with other parameters gets its own window; a
         # cold table computes none until its first screen
         other, cold = RevocationTable(), RevocationTable()
         other.upsert(RevocationEntry(iv=1, last_known_counter=0))
         screen_session(other, miss, n, k, window=window + 1)
-        calls.clear()
-        broadcast_revocation(8, 0, tables + [other, cold])
-        assert len(calls) == (window + 1) + (window + 2)
+        assert cost(lambda: broadcast_revocation(8, 0, tables + [other, cold])) == (
+            (window + 1) + (window + 2), 0)
+
+    def test_shared_head_with_another_sequence_is_no_match(self, cost):
+        n, k, mu = _N, _K, 2
+        iv = next(
+            iv for iv in range(1, 100)
+            if _head(iv, 0, n, k) == _head(0, 0, n, k)
+            and next_sequence(iv, 0, n, k, mu) != next_sequence(0, 0, n, k, mu)
+        )
+        table = RevocationTable()
+        table.upsert(RevocationEntry(iv=0, last_known_counter=0))
+        observed = next_sequence(iv, 0, n, k, mu)
+        assert cost(lambda: screen_session(table, observed, n, k, window=0)) == (1, 1)
+        assert screen_session(table, observed, n, k, window=0) is None
+
+
+class _Cost:
+    """Counts the screening index's own block draws and the full sequences
+    drawn, separately: a sequence's draws count as that one sequence.
+    ``cost(change)`` is the (draws, sequences) that ``change`` makes."""
+
+    def __init__(self, monkeypatch):
+        self.draws = self.sequences = 0
+        draw, sequence = revocation._draw_block, revocation.next_sequence
+
+        def counted_draw(*args):
+            self.draws += 1
+            return draw(*args)
+
+        def counted_sequence(*args):
+            self.sequences += 1
+            draws = self.draws
+            result = sequence(*args)
+            self.draws = draws
+            return result
+
+        monkeypatch.setattr(revocation, "_draw_block", counted_draw)
+        monkeypatch.setattr(revocation, "next_sequence", counted_sequence)
+
+    def __call__(self, change):
+        draws, sequences = self.draws, self.sequences
+        change()
+        return self.draws - draws, self.sequences - sequences
+
+
+@pytest.fixture
+def cost(monkeypatch):
+    return _Cost(monkeypatch)
+
+
+def _head(iv, counter, n, k):
+    return next_sequence(iv, counter, n, k, 1)[0]
+
+
+def _head_candidates(table, observed, n, k, window):
+    """Every (iv, counter) in table order, counters ascending, whose
+    sequence starts with ``observed``'s first block."""
+    return [
+        Match(iv=entry.iv, counter=c)
+        for entry in table.entries.values()
+        for c in range(entry.last_known_counter, entry.last_known_counter + window + 1)
+        if _head(entry.iv, c, n, k) == observed[0]
+    ]
+
+
+def _confirmations(table, observed, n, k, window, match):
+    """The full sequences a lookup draws to find ``match``: one per head
+    candidate up to and including it."""
+    return _head_candidates(table, observed, n, k, window).index(match) + 1
 
 
 class TestEndToEndRevocation:
@@ -448,6 +501,26 @@ class TestEndToEndRevocation:
         restarted = dep.make_rsu(9, table=rsu.table)
         result, _ = run_full_session(obu, restarted, cfg)
         assert result.outcome is Outcome.REJECTED_REVOKED
+
+    def test_honest_session_whose_head_collides_is_accepted(self, cost):
+        dep, rsu, obu, cfg = self._setup()
+        cred, counters = obu.credential, range(revocation.DEFAULT_SEARCH_WINDOW + 1)
+        observed = next_sequence(cred.iv, cred.counter, cfg.n, cfg.k, cfg.mu)
+        # a revoked iv whose window starts sequences with the member's first
+        # block, though no sequence in it is the member's
+        iv = next(
+            iv for iv in range(1, 100)
+            if any(_head(iv, c, cfg.n, cfg.k) == observed[0] for c in counters)
+            and all(next_sequence(iv, c, cfg.n, cfg.k, cfg.mu) != observed for c in counters)
+        )
+        broadcast_revocation(iv, 0, [rsu.table])
+        candidates = sum(_head(iv, c, cfg.n, cfg.k) == observed[0] for c in counters)
+        draws, sequences = cost.draws, cost.sequences
+        result, _ = run_full_session(obu, rsu, cfg)
+        assert result.outcome is Outcome.ACCEPTED
+        # the member draws its own sequence once; screening draws the index's
+        # heads and confirms each candidate with its full sequence
+        assert (cost.draws - draws, cost.sequences - sequences) == (len(counters), 1 + candidates)
 
     def test_broadcast_during_in_flight_session(self):
         dep, rsu, obu, cfg = self._setup()
