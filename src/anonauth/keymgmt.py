@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -55,7 +56,9 @@ class Certificate:
     valid_from: float
     valid_to: float
 
+    @cached_property
     def signed_payload(self) -> bytes:
+        """The public bytes the issuer signs, built once per instance."""
         body = {k: v for k, v in _cert_to_dict(self).items() if k != "signature"}
         return json.dumps(body, sort_keys=True).encode()
 
@@ -114,7 +117,7 @@ class Kdc:
             valid_from=valid_from,
             valid_to=valid_to,
         )
-        return replace(unsigned, signature=self._signing_key.sign(unsigned.signed_payload()))
+        return replace(unsigned, signature=self._signing_key.sign(unsigned.signed_payload))
 
     def register_iv(self, iv: int) -> None:
         if iv in self._issued_ivs:
@@ -125,7 +128,7 @@ class Kdc:
 def verify_certificate(cert: Certificate, root_public_key: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(root_public_key).verify(
-            cert.signature, cert.signed_payload()
+            cert.signature, cert.signed_payload
         )
         return True
     except InvalidSignature:

@@ -463,7 +463,7 @@ class Obu:
         now = self.clock.now()
         if not cert.valid_from <= now <= cert.valid_to:
             raise BadCertificate(f"beacon certificate is not valid at t={now}")
-        key = (cert.signed_payload(), cert.signature)
+        key = (cert.signed_payload, cert.signature)
         if key in self.verified_certificates:
             return
         if not verify_certificate(cert, self.root_public_key):
@@ -527,7 +527,7 @@ class Obu:
                 proof = zkp.decode_proof(plain, m, cfg.k)
             except zkp.MalformedProof:
                 continue
-            if tuple(proof.secret_ids) != tuple(ids):
+            if proof.secret_ids != ids:
                 continue
             witnesses = [self.credential.pool_witnesses[i - 1] for i in ids]
             system = _proof_system(cfg, self.session_key, self.key_id, b"bundle", idx)
@@ -559,7 +559,7 @@ def _exchange(obu: Obu, rsu: Rsu, config: SessionConfig, log: SessionTranscript)
     """Pass each message between the endpoints, logging its frame, up to
     the step that decides the session."""
     beacon = rsu.beacon()
-    log.frames.append(encode_message(MSG_BEACON, NO_KEY_ID, beacon.certificate.signed_payload()))
+    log.frames.append(encode_message(MSG_BEACON, NO_KEY_ID, beacon.certificate.signed_payload))
 
     request = obu.start(beacon, config)
     log.frames.append(encode_message(MSG_AUTH_REQUEST, NO_KEY_ID, request.ciphertext))

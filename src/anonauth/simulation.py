@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import cached_property
+from math import comb
 from typing import Optional
 
 from . import keymgmt, protocol
@@ -53,12 +55,24 @@ class SimConfig:
     modulus_bits: int = 32
 
     def __post_init__(self):
+        if self.rsu_count < 1 or self.obus_per_rsu < 0:
+            raise InvalidConfig("need at least one verifier and a load of at least 0")
         if self.rsu_spacing_m <= 0 or self.comm_range_m <= 0:
             raise InvalidConfig("spacing and range must be positive")
         if self.alpha not in ALPHA_PACKET_BYTES:
             raise InvalidConfig(f"alpha={self.alpha} has no packet-size mapping")
-        if self.alpha > self.mu:
-            raise InvalidConfig("alpha must not exceed mu")
+        self.session  # built here, so a bad protocol parameter fails construction
+
+    @cached_property
+    def session(self) -> SessionConfig:
+        """The config of every in-sim session; ``InvalidConfig`` if none is valid."""
+        try:
+            session = SessionConfig(self.alpha, self.mu, self.k, self.h, self.n, serv_id="INFO")
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
+        if self.mu > comb(self.n, self.k):
+            raise InvalidConfig(f"mu={self.mu} exceeds C({self.n},{self.k})")
+        return session
 
 
 @dataclass
@@ -244,20 +258,8 @@ class _Sim:
         delivered_at = t + delay
         if msg_idx + 1 < n_messages:
             self.push(delivered_at, "message", (obu_index, rsu.index, msg_idx + 1, n_messages))
-        else:
-            self._complete_session(delivered_at, node, rsu)
-
-    def _complete_session(self, t: float, node: _ObuNode, rsu: _RsuNode) -> None:
-        cfg = self.config
-        session_cfg = SessionConfig(
-            alpha=cfg.alpha,
-            mu=cfg.mu,
-            k=cfg.k,
-            h=cfg.h,
-            n=cfg.n,
-            serv_id="INFO",
-        )
-        result, _ = protocol.run_full_session(node.endpoint, rsu.endpoint, session_cfg)
+            return
+        result, _ = protocol.run_full_session(node.endpoint, rsu.endpoint, cfg.session)
         if result.outcome is Outcome.ACCEPTED:
             self.accepted += 1
         else:
@@ -281,15 +283,12 @@ def sweep(config: SimConfig, dimension: str, values, seed: int) -> list[SimMetri
     size; one panel per alpha in the reference layout."""
     if dimension not in ("load", "speed"):
         raise InvalidConfig(f"unknown sweep dimension {dimension!r}")
-    rows = []
-    for alpha in ALPHA_PACKET_BYTES:
-        for value in values:
-            if dimension == "load":
-                cfg = replace(config, alpha=alpha, obus_per_rsu=int(value))
-            else:
-                cfg = replace(config, alpha=alpha, speed_mps=float(value))
-            rows.append(run_sim(cfg, seed))
-    return rows
+    name, cast = ("obus_per_rsu", int) if dimension == "load" else ("speed_mps", float)
+    return [
+        run_sim(replace(config, alpha=alpha, **{name: cast(value)}), seed)
+        for alpha in ALPHA_PACKET_BYTES
+        for value in values
+    ]
 
 
 def sweep_csv(rows: list[SimMetrics], dimension: str) -> str:

@@ -26,7 +26,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress
+from itertools import compress
 from typing import Optional, Sequence
 
 from .numtheory import Rng, gcd, sample_unit
@@ -59,14 +59,22 @@ class Variant(Enum):
     HARDENED = "hardened"
 
 
-@dataclass(frozen=True)
+# a session builds dozens of rounds: ``__init__`` writes the slots through
+# their descriptors, without the generated one's per-field lookups
+@dataclass(frozen=True, slots=True, init=False)
 class ZkpRound:
     w: int
     challenge: tuple[int, ...]
     y: int
 
+    def __init__(self, w: int, challenge: tuple[int, ...], y: int):
+        _SET_W(self, w), _SET_CHALLENGE(self, challenge), _SET_Y(self, y)
 
-@dataclass(frozen=True)
+
+_SET_W, _SET_CHALLENGE, _SET_Y = (getattr(ZkpRound, f).__set__ for f in ZkpRound.__match_args__)
+
+
+@dataclass(frozen=True, slots=True)
 class ZkpProof:
     secret_ids: tuple[int, ...]
     rounds: tuple[ZkpRound, ...]
@@ -127,25 +135,26 @@ def draw_challenge(rng: Rng, k: int) -> tuple[int, ...]:
     return _unpack_challenge(rng.randbits(k), k)
 
 
-# bit i of each byte value at index i: 256 tuples, about 27 KB, built once
-_BYTE_BITS = tuple(tuple((v >> i) & 1 for i in range(8)) for v in range(256))
+# per k <= 8, the challenge of each value below 2^k (bit i at index i): 511
+# tuples, about 54 KB; _SHORT_BITS maps each one back to its value (18 KB)
+_SHORT_CHALLENGES = tuple(
+    tuple(tuple((v >> i) & 1 for i in range(k)) for v in range(1 << k)) for k in range(9)
+)
+_SHORT_BITS = {ch: v for table in _SHORT_CHALLENGES for v, ch in enumerate(table)}
 
 
 def _unpack_challenge(bits: int, k: int) -> tuple[int, ...]:
     """(b_0, ..., b_(k-1)) with b_i = bit i of ``bits`` < 2^k, the inverse
-    of ``challenge_bits``: one table lookup for k <= 8, else one per byte."""
+    of ``challenge_bits``: a table lookup for k <= 8."""
     if k <= 8:
-        return _BYTE_BITS[bits][:k]
-    by_byte = map(_BYTE_BITS.__getitem__, bits.to_bytes((k + 7) // 8, "little"))
-    return tuple(chain.from_iterable(by_byte))[:k]
+        return _SHORT_CHALLENGES[k][bits]
+    return tuple(map(int, reversed(f"{bits:0{k}b}")))
 
 
 def challenge_bits(challenge: Sequence[int]) -> int:
     """The challenge as one integer with bit i = b_i, as ``draw_challenge`` reads it."""
-    v = 0
-    for i, b in enumerate(challenge):
-        v |= (b & 1) << i
-    return v
+    v = _SHORT_BITS.get(tuple(challenge))
+    return v if v is not None else int("".join(str(b & 1) for b in reversed(challenge)), 2)
 
 
 # ------------------------------------------------------------- hardened
@@ -208,19 +217,14 @@ def _term_table(
     return table
 
 
-def _poly_factor(poly: SessionPolynomial, base: int, challenge: Sequence[int], scale: int, m: int) -> int:
-    """Inner sum  sum_t a_t * base^(scale*t*b_t)  mod m."""
-    total, steps = _term_table(poly, base, scale, m)
-    return sum(compress(steps, challenge), total) % m
-
-
 def _poly_product(
     poly: SessionPolynomial, values: Sequence[int], challenge: Sequence[int], scale: int, m: int
 ) -> int:
-    """prod_v( inner sum for base v ) mod m."""
+    """prod_v( sum_t a_t * v^(scale*t*b_t) ) mod m, each inner sum from v's term table."""
     prod = 1
     for v in values:
-        prod = prod * _poly_factor(poly, v, challenge, scale, m) % m
+        total, steps = _term_table(poly, v, scale, m)
+        prod = prod * sum(compress(steps, challenge), total) % m
     return prod
 
 
@@ -268,9 +272,7 @@ class Basic:
     """Y = R * prod(S_i for challenged i), checked by ``verify_round``."""
 
     variant = Variant.BASIC
-
-    def respond(self, r, secrets, challenge, m) -> int:
-        return prover_respond(r, secrets, challenge, m)
+    respond = staticmethod(prover_respond)
 
     def check(self, w, challenge, y, witnesses, m) -> bool:
         return verify_round(w, challenge, y, witnesses, m)
@@ -325,11 +327,11 @@ def prove(
                 y = system.respond(r, secrets, challenge, m)
             except DegenerateEvaluation:
                 continue
-            rounds.append(ZkpRound(w=w, challenge=challenge, y=y))
+            rounds.append(ZkpRound(w, challenge, y))
             break
         else:
             raise DegenerateEvaluation("could not find a non-degenerate round")
-    return ZkpProof(secret_ids=tuple(secret_ids), rounds=tuple(rounds), variant=system.variant)
+    return ZkpProof(tuple(secret_ids), tuple(rounds), system.variant)
 
 
 def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
@@ -377,7 +379,7 @@ def verify_interactive(
         challenge = draw_challenge(verifier_rng, k)
         y = prover.respond(challenge)
         if transcript is not None:
-            transcript.append(ZkpRound(w=w, challenge=challenge, y=y))
+            transcript.append(ZkpRound(w, challenge, y))
         if not _round_ok(system, w, challenge, y, witnesses, m):
             return False
     return True
@@ -463,16 +465,16 @@ def decode_proof(blob: bytes, m: int, k: int) -> ZkpProof:
         raise MalformedProof(f"unknown variant byte {code}")
     if k and not n_rounds:
         raise MalformedProof(f"k={k} in a proof with no rounds")
+    # each round is read as one integer, W || challenge || Y, and split
+    y_bits, w_shift = 8 * width, 8 * (width + ch_bytes)
+    y_mask, ch_mask = (1 << y_bits) - 1, (1 << 8 * ch_bytes) - 1
     rounds = []
     for off in range(start, len(blob), step):
-        w = int.from_bytes(blob[off : off + width], "big")
-        bits = int.from_bytes(blob[off + width : off + width + ch_bytes], "big")
-        y = int.from_bytes(blob[off + width + ch_bytes : off + step], "big")
+        v = int.from_bytes(blob[off : off + step], "big")
+        w, bits, y = v >> w_shift, v >> y_bits & ch_mask, v & y_mask
         if w >= m or y >= m or bits >> k:
             raise MalformedProof("a round value is out of range")
-        rounds.append(ZkpRound(w=w, challenge=_unpack_challenge(bits, k), y=y))
+        rounds.append(ZkpRound(w, _unpack_challenge(bits, k), y))
     return ZkpProof(
-        secret_ids=struct.unpack_from(f">{n_ids}I", blob, _HEADER.size),
-        rounds=tuple(rounds),
-        variant=_VARIANTS[code],
+        struct.unpack_from(f">{n_ids}I", blob, _HEADER.size), tuple(rounds), _VARIANTS[code]
     )

@@ -256,6 +256,14 @@ class TestSimulate:
         # 3 alphas x 8 grid loads
         assert len(lines) == 1 + 3 * 8
 
+    def test_negative_load_is_a_parameter_error(self, runner, tmp_path):
+        out = tmp_path / "sim"
+        result = runner.invoke(
+            main, ["simulate", "--sweep", "speed", "--load", "-1", "--out-dir", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert not (out / "sweep_speed.csv").exists()
+
 
 class TestRerun:
     def _hashes(self, directory):

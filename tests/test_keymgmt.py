@@ -70,6 +70,17 @@ class TestCertificates:
         tampered = dataclasses.replace(cert, rsu_id=6)
         assert not verify_certificate(tampered, kdc.root_public_key())
 
+    @pytest.mark.parametrize("field", ["rsu_id", "signature"])
+    def test_replaced_certificate_builds_its_own_payload(self, field):
+        cert = Kdc(seed=1).issue_certificate(5, b"\x11" * 32)
+        genuine = cert.signed_payload
+        changed = {"rsu_id": 6, "signature": bytes(64)}[field]
+        other = dataclasses.replace(cert, **{field: changed})
+        body = {k: v for k, v in keymgmt._cert_to_dict(other).items() if k != "signature"}
+        assert other.signed_payload == json.dumps(body, sort_keys=True).encode()
+        assert (other.signed_payload == genuine) is (field == "signature")
+        assert cert.signed_payload is genuine
+
     def test_foreign_root_fails(self):
         cert = Kdc(seed=1).issue_certificate(5, b"\x11" * 32)
         other = Kdc(seed=2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from anonauth import numtheory
 from anonauth.numtheory import (
     NotInvertible,
     Rng,
@@ -18,6 +19,47 @@ from anonauth.numtheory import (
 )
 
 UNITS_21 = [a for a in range(1, 21) if math.gcd(a, 21) == 1]
+# Carmichael numbers whose prime factors all exceed 37, e.g. 43 * 127 * 211
+CARMICHAEL = [1152271, 1909001, 2508013, 3057601, 5148001, 279377281, 366652201]
+# primes in (37, 2^14], the factors the primality test searches for
+FACTOR_PRIMES = [41, 43, 97, 1021, 8191, 16381]
+
+
+def reference_is_prime(n: int, rng=None) -> bool:
+    """``is_prime`` without its small-factor search: the verdicts and the
+    witness draws it must keep."""
+    if n < 2:
+        return False
+    for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    if n < 1 << 20:
+        d = 41
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    witness_rng = rng if rng is not None else Rng(n & 0xFFFFFFFF)
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(64):
+        a = witness_rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def brute_force_is_residue(a: int, m: int) -> bool:
@@ -41,6 +83,60 @@ class TestPrimality:
     def test_large_prime_probabilistic_path(self):
         assert is_prime((1 << 61) - 1)
         assert not is_prime((1 << 61) - 3)
+
+
+class TestSmallFactorShortcut:
+    """``is_prime`` tries each round of a wide candidate modulo its divisor
+    g = gcd(n, product of the primes in (37, 2^14]) first; a round fails
+    there only where the full round fails, so verdicts and rng draws stay
+    the reference's."""
+
+    @staticmethod
+    def _agree(n: int, seed: int, min_bits: int = numtheory._FACTOR_MIN_BITS) -> None:
+        ours, ref = Rng(seed), Rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numtheory, "_FACTOR_MIN_BITS", min_bits)
+            assert is_prime(n, ours) == reference_is_prime(n, ref)
+            assert is_prime(n) == reference_is_prime(n)
+        assert ours.randbits(64) == ref.randbits(64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=st.sampled_from(FACTOR_PRIMES),
+        q=st.integers(2**250, 2**700),
+        seed=st.integers(0, 2**32),
+    )
+    def test_multiples_of_small_primes(self, f, q, seed):
+        self._agree(f * (q | 1), seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(CARMICHAEL), seed=st.integers(0, 2**32))
+    def test_carmichael_numbers_with_the_search_at_every_width(self, n, seed):
+        # a narrow Carmichael number has many liars modulo its factors, so
+        # the round modulo g often passes and the full round decides
+        self._agree(n, seed, min_bits=0)
+        self._agree(n * 43, seed, min_bits=0)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        n=st.sampled_from([(1 << 61) - 1, (1 << 127) - 1, (1 << 255) - 19, (1 << 521) - 1]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_primes(self, n, seed):
+        self._agree(n, seed)
+        self._agree(n, seed, min_bits=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2**20, 2**600), seed=st.integers(0, 2**32))
+    def test_random_odd_numbers(self, n, seed):
+        self._agree(n | 1, seed)
+        self._agree(n | 1, seed, min_bits=0)
+
+    @pytest.mark.parametrize("bits, seeds", [(256, 6), (512, 3)])
+    def test_moduli_match_the_reference(self, monkeypatch, bits, seeds):
+        ours = [generate_blum_modulus(bits, seed) for seed in range(seeds)]
+        monkeypatch.setattr(numtheory, "is_prime", reference_is_prime)
+        assert [generate_blum_modulus(bits, seed) for seed in range(seeds)] == ours
 
 
 class TestBlumModulus:
@@ -107,6 +203,17 @@ class TestSampleUnit:
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
         # df = 11; reject only below the 0.1% tail
         assert stat < chi2.ppf(0.999, df=len(UNITS_21) - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.one_of(st.integers(3, 2**12), st.integers(3, 2**2048)), seed=st.integers(0, 2**64))
+    def test_draws_as_randrange_does(self, m, seed):
+        ours, ref = Rng(seed), Rng(seed)
+        for _ in range(3):
+            expected = ref.randrange(1, m)
+            while math.gcd(expected, m) != 1:
+                expected = ref.randrange(1, m)
+            assert sample_unit(ours, m) == expected
+        assert ours.randbits(64) == ref.randbits(64)
 
     def test_results_are_units(self):
         rng = Rng(2)

@@ -14,7 +14,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from anonauth import protocol, zkp
+from anonauth import keymgmt, protocol, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
 from anonauth.keymgmt import verify_certificate
 from anonauth.numtheory import generate_blum_modulus
@@ -438,9 +438,24 @@ class TestCertificateChecks:
         obu.start(beacon, cfg())
         cert = beacon.certificate
         flipped = bytes([cert.signature[0] ^ 1]) + cert.signature[1:]
-        forged = Beacon(certificate=dataclasses.replace(cert, signature=flipped))
-        with pytest.raises(BadCertificate):
-            obu.start(forged, cfg())
+        # and the genuine signature on another payload
+        for change in ({"signature": flipped}, {"rsu_id": cert.rsu_id + 1}):
+            forged = Beacon(certificate=dataclasses.replace(cert, **change))
+            with pytest.raises(BadCertificate):
+                obu.start(forged, cfg())
+
+    def test_payload_is_encoded_once_across_sessions(self, monkeypatch):
+        dep = build_deployment(22, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        encoded = []
+        original = keymgmt._cert_to_dict
+        monkeypatch.setattr(
+            keymgmt, "_cert_to_dict", lambda cert: encoded.append(cert) or original(cert)
+        )
+        for _ in range(10):
+            result, _ = run_full_session(obu, rsu, cfg())
+            assert result.outcome is Outcome.ACCEPTED
+        assert encoded == [rsu.credential.certificate]
 
     def test_signature_is_verified_once_per_certificate(self, verify_calls):
         dep = build_deployment(19, n=6, k=2, stub=True)

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from anonauth import protocol, zkp
+from anonauth.revocation import MAX_POOL_SIZE
 from anonauth.simulation import (
     ALPHA_PACKET_BYTES,
     InvalidConfig,
@@ -51,6 +52,27 @@ class TestConfigValidation:
             dataclasses.replace(SMALL, rsu_spacing_m=0.0)
         with pytest.raises(InvalidConfig):
             dataclasses.replace(SMALL, comm_range_m=-1.0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"rsu_count": 0},
+            {"obus_per_rsu": -1},
+            {"h": 0},
+            {"n": 4, "k": 2, "mu": 7},  # C(4, 2) = 6 sets
+            {"n": 4, "k": 4},
+            {"n": MAX_POOL_SIZE + 1},
+        ],
+    )
+    def test_parameters_that_admit_no_session_rejected(self, change):
+        # each used to fail only in run_sim: a division by zero, an empty
+        # run, or an error at the first completed session
+        with pytest.raises(InvalidConfig):
+            dataclasses.replace(SMALL, **change)
+
+    def test_session_config_is_built_once(self):
+        assert SMALL.session is SMALL.session
+        assert (SMALL.session.k, SMALL.session.mu, SMALL.session.alpha) == (2, 5, 2)
 
     def test_packet_size_grows_with_alpha(self):
         assert ALPHA_PACKET_BYTES[2] < ALPHA_PACKET_BYTES[4] < ALPHA_PACKET_BYTES[5]

@@ -40,6 +40,31 @@ from anonauth.zkp import (
 M = 21
 
 
+class TestRecords:
+    def test_fields_cannot_be_assigned(self):
+        rd = ZkpRound(1, (0, 1), 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rd.y = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ZkpProof((1,), (rd,)).rounds = ()
+
+    def test_equal_records_compare_and_hash_equal(self):
+        by_position = ZkpProof((1, 2), (ZkpRound(1, (0, 1), 2),), Variant.HARDENED)
+        by_keyword = ZkpProof(
+            secret_ids=(1, 2),
+            rounds=(ZkpRound(w=1, challenge=(0, 1), y=2),),
+            variant=Variant.HARDENED,
+        )
+        assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+        assert by_position != dataclasses.replace(by_keyword, variant=Variant.BASIC)
+        assert ZkpProof((), ()).variant is Variant.BASIC
+
+    def test_replace_builds_a_new_record(self):
+        rd = ZkpRound(1, (0, 1), 2)
+        assert dataclasses.replace(rd, y=3) == ZkpRound(1, (0, 1), 3)
+        assert rd == ZkpRound(1, (0, 1), 2)
+
+
 class TestCommit:
     def test_commitment_is_signed_square(self):
         rng = Rng(3)
@@ -350,7 +375,7 @@ class TestTermTable:
             for base in data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4)):
                 for scale in (1, 2):
                     for challenge in (data.draw(bits), data.draw(bits)):
-                        got = zkp._poly_factor(poly, base, challenge, scale, m)
+                        got = zkp._poly_product(poly, [base], challenge, scale, m)
                         assert got == _inner_sum(poly, base, challenge, scale, m)
 
     @settings(max_examples=300, deadline=None)
