@@ -124,7 +124,7 @@ def bundle_cheater_attempt(
     n = len(pool_witnesses)
     verified = 0
     for ids in requested_sets:
-        if _sample_subset(rng, n, k) != tuple(sorted(ids)):
+        if _sample_subset(rng, n, k) != frozenset(ids):
             continue
         true_witnesses = [pool_witnesses[i - 1] for i in ids]
         prover = CheaterProver(true_witnesses, m, rng)
@@ -133,16 +133,16 @@ def bundle_cheater_attempt(
     return verified >= alpha
 
 
-def _sample_subset(rng: Rng, n: int, k: int) -> tuple[int, ...]:
-    """k distinct ids of 1..n, sorted: one ``rng.randrange(0, n)`` draw per
-    id, repeats included, in a single loop over ``rng.randbits``."""
+def _sample_subset(rng: Rng, n: int, k: int) -> frozenset[int]:
+    """k distinct ids of 1..n, unordered: one ``rng.randrange(0, n)`` draw
+    per id, repeats included, in a single loop over ``rng.randbits``."""
     randbits, bits = rng.randbits, n.bit_length()
     picked: set[int] = set()
     while len(picked) < k:
         r = randbits(bits)
         if r < n:
             picked.add(r + 1)
-    return tuple(sorted(picked))
+    return frozenset(picked)
 
 
 # ------------------------------------------------------------- observer

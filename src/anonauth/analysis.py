@@ -187,13 +187,16 @@ def mc_bundle_cheater(
 ) -> ProbabilityReport:
     """End-to-end cheating bundle prover (set guess + challenge guesses)
     against the alpha-threshold verification; oracle for p_mu at alpha=mu."""
+    if mu > comb(n, k):
+        raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
     m, _, pool_witnesses = _mc_witnesses(n, seed)
     attacker_rng = Rng(seed)
     verifier_rng = Rng(seed ^ 0xA5A5A5)
     set_rng = Rng(seed ^ 0xC0FFEE)
     successes = 0
     for _ in range(trials):
-        requested = _distinct_sets(set_rng, n, k, mu)
+        # sorted, so each proof's witnesses come in id order
+        requested = list(map(sorted, _distinct_sets(set_rng, n, k, mu)))
         if adversary.bundle_cheater_attempt(
             pool_witnesses, requested, k, h, alpha, m, attacker_rng, verifier_rng
         ):
@@ -202,32 +205,27 @@ def mc_bundle_cheater(
     return ProbabilityReport("p_mu", params, p_mu(k, h, n, mu), successes, trials, seed)
 
 
-def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> list[tuple[int, ...]]:
-    """mu distinct k-subsets of 1..n, in the order first drawn."""
-    if mu > comb(n, k):
-        raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
-    sets: list[tuple[int, ...]] = []
-    seen = set()
+def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> dict[frozenset[int], None]:
+    """mu distinct k-subsets of 1..n as dict keys, in the order first drawn;
+    the caller checks mu <= C(n, k), past which the search never ends."""
+    sets: dict[frozenset[int], None] = {}
     while len(sets) < mu:
-        s = adversary._sample_subset(rng, n, k)
-        if s not in seen:
-            seen.add(s)
-            sets.append(s)
+        sets[adversary._sample_subset(rng, n, k)] = None
     return sets
 
 
 def mc_leak(n: int, k: int, mu: int, trials: int, seed: int) -> ProbabilityReport:
     """Draw mu distinct k-subsets; count sessions containing one fixed
     designated subset."""
+    closed_form = p_leak(n, k, mu)  # ParameterOverflow when mu > C(n, k)
     rng = Rng(seed)
-    designated = tuple(range(1, k + 1))
+    designated = frozenset(range(1, k + 1))
     successes = 0
     for _ in range(trials):
-        sets = _distinct_sets(rng, n, k, mu)
-        if designated in sets:
+        if designated in _distinct_sets(rng, n, k, mu):
             successes += 1
     params = {"n": n, "k": k, "mu": mu}
-    return ProbabilityReport("p_leak", params, p_leak(n, k, mu), successes, trials, seed)
+    return ProbabilityReport("p_leak", params, closed_form, successes, trials, seed)
 
 
 def mc_sequence_collision(

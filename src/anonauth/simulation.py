@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import comb
+from math import comb, inf, isfinite
 from typing import Optional
 
 from . import keymgmt, protocol
@@ -57,8 +57,10 @@ class SimConfig:
     def __post_init__(self):
         if self.rsu_count < 1 or self.obus_per_rsu < 0:
             raise InvalidConfig("need at least one verifier and a load of at least 0")
-        if self.rsu_spacing_m <= 0 or self.comm_range_m <= 0:
-            raise InvalidConfig("spacing and range must be positive")
+        if not all(0 < x < inf for x in (self.rsu_spacing_m, self.comm_range_m, self.duration_s)):
+            raise InvalidConfig("spacing, range and duration must be positive and finite")
+        if not isfinite(self.speed_mps) or self.modulus_bits < 6:
+            raise InvalidConfig("speed must be finite and modulus_bits at least 6")
         if self.alpha not in ALPHA_PACKET_BYTES:
             raise InvalidConfig(f"alpha={self.alpha} has no packet-size mapping")
         self.session  # built here, so a bad protocol parameter fails construction

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonauth import adversary
+from anonauth import adversary, zkp
 from anonauth.adversary import (
     MissingSimulator,
     SimulatorMatrix,
@@ -284,6 +284,60 @@ class TestRandomControl:
         assert report.frequency < 0.01
 
 
+class WitnessOnlyProver:
+    """Holds the witnesses I_i = S_i^2 mod m and no secret. The hardened
+    response R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) reads each S_i only
+    through S_i^2, so W = R^2 and Y = W * prod_i( sum_t a_t * I_i^(t*b_t) )."""
+
+    def __init__(self, witnesses, poly, m, rng):
+        self.witnesses, self.coefficients, self.m, self.rng = witnesses, poly.coefficients, m, rng
+        self._w = None
+
+    def commit(self):
+        from anonauth.numtheory import sample_unit
+
+        r = sample_unit(self.rng, self.m)
+        self._w = r * r % self.m
+        return self._w
+
+    def respond(self, challenge):
+        m, y = self.m, self._w
+        for i_x in self.witnesses:
+            y = y * sum(
+                a_t * pow(i_x, t * b_t, m)
+                for t, (a_t, b_t) in enumerate(zip(self.coefficients, challenge))
+            ) % m
+        return y
+
+
+class TestWitnessOnlyProver:
+    K, H, ATTEMPTS = 5, 8, 20
+
+    def _accepted(self, system_for):
+        m, _, witnesses = _pool(81, self.K, bits=64)
+        rng, vrng = Rng(82), Rng(83)
+        accepted = 0
+        for i in range(self.ATTEMPTS):
+            poly = zkp.derive_session_polynomial(i.to_bytes(4, "big"), self.K)
+            prover = WitnessOnlyProver(witnesses, poly, m, rng)
+            accepted += zkp.verify_interactive(
+                system_for(poly), prover, witnesses, self.H, m, vrng
+            )
+        return accepted
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the hardened response depends on each secret only through its "
+        "witness, so any holder of the witnesses (every RSU for the master set, "
+        "every member for its pool) answers every verifier-drawn challenge",
+    )
+    def test_hardened_verifier_rejects_witness_only_prover(self):
+        assert self._accepted(zkp.Hardened) == 0
+
+    def test_basic_verifier_rejects_witness_only_prover(self):
+        assert self._accepted(lambda _poly: zkp.BASIC) == 0
+
+
 class TestMemoryCost:
     def test_reference_examples(self):
         assert simulator_memory_cost(10, 5) == 16_515_072
@@ -324,5 +378,6 @@ class TestSampleSubsetReference:
         ours, ref = Rng(seed), random.Random(seed)
         ids = list(range(1, n + 1))
         for _ in range(draws):
-            assert adversary._sample_subset(ours, n, k) == tuple(_old_sample_subset(ref, ids, k))
+            got = adversary._sample_subset(ours, n, k)
+            assert tuple(sorted(got)) == tuple(_old_sample_subset(ref, ids, k))
         assert ours.randbits(64) == ref.getrandbits(64)

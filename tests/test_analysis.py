@@ -1,9 +1,13 @@
 import math
 import signal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from anonauth import adversary, analysis
 from anonauth.analysis import (
     CSV_HEADER,
     ParameterOverflow,
@@ -24,6 +28,7 @@ from anonauth.analysis import (
     q_false,
     q_x,
 )
+from anonauth.numtheory import Rng
 
 
 class TestClosedForms:
@@ -232,3 +237,60 @@ class TestFigureSeries:
     def test_unknown_figure(self):
         with pytest.raises(UnknownFigure):
             figure_series("99")
+
+
+def _ref_distinct_sets(rng, n, k, mu):
+    """``_distinct_sets`` as it was: a seen set beside a list of sorted tuples
+    (the sampler's own draws are checked by ``TestSampleSubsetReference``)."""
+    sets = []
+    seen = set()
+    while len(sets) < mu:
+        s = tuple(sorted(adversary._sample_subset(rng, n, k)))
+        if s not in seen:
+            seen.add(s)
+            sets.append(s)
+    return sets
+
+
+def _ref_leak_successes(rng, n, k, mu, trials):
+    """``mc_leak``'s loop as it was: a scan of the list for the designated tuple."""
+    designated = tuple(range(1, k + 1))
+    successes = 0
+    for _ in range(trials):
+        sets = _ref_distinct_sets(rng, n, k, mu)
+        if designated in sets:
+            successes += 1
+    return successes
+
+
+class TestDistinctSetsReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 70),
+        k=st.integers(1, 12),
+        mu=st.integers(1, 10),
+        trials=st.integers(1, 6),
+    )
+    @example(seed=3, n=70_000, k=40, mu=2, trials=3)
+    @example(seed=4, n=2**16, k=3, mu=5, trials=3)
+    def test_matches_sorted_tuple_reference(self, seed, n, k, mu, trials):
+        k = min(k, n)
+        mu = min(mu, math.comb(n, k))
+        ours, ref = Rng(seed), Rng(seed)
+        for _ in range(trials):
+            got = [tuple(sorted(s)) for s in analysis._distinct_sets(ours, n, k, mu)]
+            assert got == _ref_distinct_sets(ref, n, k, mu)
+        assert ours.randbits(64) == ref.randbits(64)
+
+        made = []
+
+        def recording_rng(rng_seed):
+            made.append(Rng(rng_seed))
+            return made[-1]
+
+        with mock.patch.object(analysis, "Rng", recording_rng):
+            rep = mc_leak(n, k, mu, trials, seed)
+        ref = Rng(seed)
+        assert rep.successes == _ref_leak_successes(ref, n, k, mu, trials)
+        assert made[0].randbits(64) == ref.randbits(64)

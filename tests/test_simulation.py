@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -62,6 +63,15 @@ class TestConfigValidation:
             {"n": 4, "k": 2, "mu": 7},  # C(4, 2) = 6 sets
             {"n": 4, "k": 4},
             {"n": MAX_POOL_SIZE + 1},
+            # each used to run with 0 sessions and 0 packets
+            {"duration_s": -5.0},
+            {"duration_s": 0.0},
+            {"duration_s": math.nan},
+            {"speed_mps": math.nan},
+            {"rsu_spacing_m": math.nan},
+            {"comm_range_m": math.inf},
+            # used to raise a plain ValueError from generate_blum_modulus in run_sim
+            {"modulus_bits": 5},
         ],
     )
     def test_parameters_that_admit_no_session_rejected(self, change):
