@@ -8,6 +8,7 @@ authority exists only at build time; nothing here opens a network socket.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -219,6 +220,11 @@ def _cert_to_dict(cert: Certificate) -> dict:
 
 
 def _cert_from_dict(d: dict) -> Certificate:
+    times = (d["valid_from"], d["valid_to"])  # type(x) is int: JSON true is no id or time
+    if type(d["rsu_id"]) is not int or not isinstance(d["issuer_id"], str) or not all(
+        type(t) is int or type(t) is float and math.isfinite(t) for t in times
+    ):
+        raise TypeError("certificate field of the wrong type")
     return Certificate(
         rsu_id=d["rsu_id"],
         public_key=bytes.fromhex(d["public_key"]),

@@ -9,6 +9,7 @@ alpha-threshold decision -> closing reply.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -39,12 +40,20 @@ SUPPORTED_ALPHAS = frozenset({1, 2, 3, 4, 5})
 FRESHNESS_WINDOW = 5.0  # logical seconds a request or proof timestamp may be off
 # sessions an RSU holds at once; registering one more evicts the oldest
 SESSION_CAPACITY = 1024
-# certificates an OBU remembers as verified; verifying one more forgets the oldest
+# signature checks the process remembers as passed; one more forgets the least recently used
 CERTIFICATE_CACHE_SIZE = 64
 
 
 class BadCertificate(ValueError):
     pass
+
+
+@functools.lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
+def _signature_verified(cert: Certificate, payload: bytes, root_public_key: bytes) -> None:
+    """``BadCertificate`` unless the signature verifies. Passes are kept for the process,
+    failures never; every input is public, and ``payload`` keys the bytes signed (0 == 0.0)."""
+    if not verify_certificate(cert, root_public_key):
+        raise BadCertificate("beacon certificate does not verify under the root key")
 
 
 class UnsupportedAlpha(ValueError):
@@ -433,44 +442,28 @@ class Obu:
         self.config: Optional[SessionConfig] = None
         self.sets: tuple = ()
         self.step: Optional[ObuStep] = None
-        # (signed payload, signature) pairs that verified under the root key
-        self.verified_certificates: dict[tuple[bytes, bytes], None] = {}
 
     # -- step 1: request ----------------------------------------------------
 
     def start(self, beacon: Beacon, config: SessionConfig) -> AuthRequest:
-        self._check_certificate(beacon.certificate)
+        cert, now = beacon.certificate, self.clock.now()
+        if not cert.valid_from <= now <= cert.valid_to:
+            raise BadCertificate(f"beacon certificate is not valid at t={now}")
+        _signature_verified(cert, cert.signed_payload, self.root_public_key)
         self.config = config
         self.step = ObuStep.OPEN
         self.session_key = self.rng.randbytes(envelopes.SESSION_KEY_BYTES)
         body = json.dumps(
             {
                 "group_id": self.credential.group_id,
-                "t1": self.clock.now(),
+                "t1": now,
                 "session_key": self.session_key.hex(),
                 "serv_id": config.serv_id,
                 "alpha": config.alpha,
             },
             sort_keys=True,
         ).encode()
-        return AuthRequest(
-            ciphertext=self.seal.seal(beacon.certificate.public_key, body, self.rng)
-        )
-
-    def _check_certificate(self, cert: Certificate) -> None:
-        """``BadCertificate`` unless ``cert`` is valid now and signed under
-        the root key; a signature is verified once per distinct certificate."""
-        now = self.clock.now()
-        if not cert.valid_from <= now <= cert.valid_to:
-            raise BadCertificate(f"beacon certificate is not valid at t={now}")
-        key = (cert.signed_payload, cert.signature)
-        if key in self.verified_certificates:
-            return
-        if not verify_certificate(cert, self.root_public_key):
-            raise BadCertificate("beacon certificate does not verify under the root key")
-        if len(self.verified_certificates) >= CERTIFICATE_CACHE_SIZE:
-            del self.verified_certificates[next(iter(self.verified_certificates))]
-        self.verified_certificates[key] = None
+        return AuthRequest(ciphertext=self.seal.seal(cert.public_key, body, self.rng))
 
     def bind(self, key_id: bytes) -> None:
         self.key_id = key_id

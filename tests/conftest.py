@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from anonauth import keymgmt
+from anonauth import keymgmt, protocol
 from anonauth.envelopes import StubEnvelope, StubSeal, generate_seal_keypair
 from anonauth.numtheory import BlumModulus, Rng, generate_blum_modulus
 from anonauth.protocol import Obu, Rsu
@@ -74,3 +74,18 @@ def build_deployment(
 @pytest.fixture
 def m21():
     return M21
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The rsu_id of each certificate whose signature ``protocol`` checks,
+    from an empty memo, so no earlier test has verified one already."""
+    protocol._signature_verified.cache_clear()
+    calls = []
+
+    def counting_verify(cert, root):
+        calls.append(cert.rsu_id)
+        return keymgmt.verify_certificate(cert, root)
+
+    monkeypatch.setattr(protocol, "verify_certificate", counting_verify)
+    return calls

@@ -189,6 +189,27 @@ class TestSerialization:
         with pytest.raises(InvalidParameters, match="malformed"):
             from_json(json.dumps(record))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rsu_id", [1]),
+            ("rsu_id", True),
+            ("rsu_id", "0"),
+            ("issuer_id", 7),
+            ("valid_from", "0"),
+            ("valid_from", float("nan")),
+            ("valid_to", None),
+            ("valid_to", float("inf")),
+            ("valid_to", False),
+        ],
+    )
+    def test_certificate_with_a_mistyped_field_is_invalid(self, field, value):
+        dep = build_deployment(3, n=6, k=2)
+        record = json.loads(rsu_credential_to_json(dep.rsu_cred))
+        record["certificate"][field] = value
+        with pytest.raises(InvalidParameters, match="malformed"):
+            rsu_credential_from_json(json.dumps(record))
+
     @pytest.mark.parametrize("text", ["[]", '"obu_credential"', "7"])
     def test_non_object_record_is_invalid(self, text):
         for from_json in (obu_credential_from_json, rsu_credential_from_json):

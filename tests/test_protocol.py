@@ -16,7 +16,6 @@ from hypothesis.stateful import (
 
 from anonauth import keymgmt, protocol, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
-from anonauth.keymgmt import verify_certificate
 from anonauth.numtheory import generate_blum_modulus
 from anonauth.protocol import (
     AuthRequest,
@@ -396,19 +395,6 @@ def _signed_beacon(dep, rsu_id=0, **window):
     return Beacon(certificate=dep.kdc.issue_certificate(rsu_id, public, **window))
 
 
-@pytest.fixture
-def verify_calls(monkeypatch):
-    """The rsu_id of each certificate whose signature ``protocol`` checks."""
-    calls = []
-
-    def counting_verify(cert, root):
-        calls.append(cert.rsu_id)
-        return verify_certificate(cert, root)
-
-    monkeypatch.setattr(protocol, "verify_certificate", counting_verify)
-    return calls
-
-
 class TestCertificateChecks:
     def test_certificate_outside_its_window_is_refused(self):
         dep = build_deployment(16, n=6, k=2, stub=True)
@@ -465,15 +451,63 @@ class TestCertificateChecks:
             obu.start(beacon, cfg())
         assert verify_calls == [0, 1]
 
-    def test_oldest_certificate_is_forgotten(self, monkeypatch, verify_calls):
-        monkeypatch.setattr(protocol, "CERTIFICATE_CACHE_SIZE", 2)
+    def test_oldest_certificate_is_forgotten(self, verify_calls):
         dep = build_deployment(21, n=6, k=2, stub=True)
         obu = dep.make_obu(2)
-        beacons = [_signed_beacon(dep, rsu_id=i) for i in range(3)]
+        size = protocol.CERTIFICATE_CACHE_SIZE
+        beacons = [_signed_beacon(dep, rsu_id=i) for i in range(size + 1)]
         for beacon in beacons + beacons[1:] + beacons[:1]:
             obu.start(beacon, cfg())
-        assert len(obu.verified_certificates) == 2
-        assert verify_calls == [0, 1, 2, 0]
+        assert verify_calls == list(range(size + 1)) + [0]
+
+    def test_memo_is_bounded_and_drops_the_least_recently_used(self, verify_calls):
+        dep = build_deployment(23, n=6, k=2, stub=True)
+        obu = dep.make_obu(2)
+        size = protocol.CERTIFICATE_CACHE_SIZE
+        beacons = [_signed_beacon(dep, rsu_id=i) for i in range(size + 1)]
+        # certificate 0 is used again just before certificate `size` arrives,
+        # so 1 is the least recently used and the one dropped
+        for beacon in beacons[:size] + beacons[:1] + beacons[size:] + beacons[:2]:
+            obu.start(beacon, cfg())
+            assert protocol._signature_verified.cache_info().currsize <= size
+        assert verify_calls == list(range(size + 1)) + [1]
+
+    def test_another_member_reuses_a_verified_certificate(self, verify_calls):
+        dep = build_deployment(24, n=6, k=2, obus=2, stub=True)
+        beacon = dep.make_rsu(1).beacon()
+        dep.make_obu(2).start(beacon, cfg())
+        dep.make_obu(3, index=1).start(beacon, cfg())
+        assert verify_calls == [0]
+
+    def test_memo_is_keyed_by_the_root(self, verify_calls):
+        dep, other = (build_deployment(seed, n=6, k=2, stub=True) for seed in (25, 26))
+        beacon = dep.make_rsu(1).beacon()
+        dep.make_obu(2).start(beacon, cfg())
+        with pytest.raises(BadCertificate):
+            other.make_obu(2).start(beacon, cfg())
+        assert verify_calls == [0, 0]
+
+    def test_forged_signature_is_checked_every_time(self, verify_calls):
+        dep = build_deployment(27, n=6, k=2, stub=True)
+        cert = dep.make_rsu(1).beacon().certificate
+        flipped = bytes([cert.signature[0] ^ 1]) + cert.signature[1:]
+        forged = Beacon(certificate=dataclasses.replace(cert, signature=flipped))
+        for _ in range(2):
+            with pytest.raises(BadCertificate):
+                dep.make_obu(2).start(forged, cfg())
+        assert verify_calls == [0, 0]
+
+    def test_equal_certificate_over_other_bytes_is_checked(self, verify_calls):
+        dep = build_deployment(28, n=6, k=2, stub=True)
+        beacon = dep.make_rsu(1).beacon()
+        obu = dep.make_obu(2)
+        obu.start(beacon, cfg())
+        # 0 == 0.0, but the signed JSON reads "0" instead of "0.0"
+        cert = dataclasses.replace(beacon.certificate, valid_from=0)
+        assert cert == beacon.certificate
+        with pytest.raises(BadCertificate):
+            obu.start(Beacon(certificate=cert), cfg())
+        assert verify_calls == [0, 0]
 
 
 class TestFullSession:

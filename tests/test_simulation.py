@@ -120,6 +120,12 @@ class TestRun:
         accepted = [r for _obu, r, _t in sessions if r.outcome.value == "Accepted"]
         assert len(accepted) == metrics.sessions_accepted
 
+    def test_each_certificate_is_verified_once_per_cell(self, verify_calls):
+        cfg = SimConfig(duration_s=8.0)
+        metrics = run_sim(cfg, seed=1)
+        assert metrics.sessions_attempted > cfg.rsu_count
+        assert len(verify_calls) <= cfg.rsu_count
+
     def test_delays_live_in_plausible_band(self):
         metrics = run_sim(SMALL, seed=3)
         assert 1e-4 <= metrics.avg_delay_s <= 1e-1
