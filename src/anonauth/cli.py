@@ -197,17 +197,23 @@ def run_analyze(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     return files, EXIT_OK
 
 
-def _demo_deployment(seed: int, n: int, k: int, modulus=None):
+def _demo_session(params: dict, modulus=None):
+    """(obu, rsu, config, group) of a one-group demo deployment built from the
+    seed, n, k, h and mu in ``params``; a 24-bit modulus unless one is given."""
+    seed, n, k, mu = params["seed"], params["n"], params["k"], params["mu"]
+    config = SessionConfig(alpha=min(mu, 2), mu=mu, k=k, h=params["h"], n=n, serv_id="INFO")
     if modulus is None:
         modulus = generate_blum_modulus(24, seed)
-    rng = Rng(seed ^ 0xD37)
+    ceremony = Rng(seed ^ 0xD37)
     kdc = keymgmt.Kdc(seed=seed ^ 0x151)
-    groups = keymgmt.form_groups(1, n, k, modulus, rng)
-    priv, pub = generate_seal_keypair(rng)
+    (group,) = keymgmt.form_groups(1, n, k, modulus, ceremony)
+    priv, pub = generate_seal_keypair(ceremony)
     cert = kdc.issue_certificate(0, pub)
-    rsu_cred = keymgmt.provision_rsu(groups, 0, cert, priv, modulus)
-    obu_cred = keymgmt.provision_obu(kdc, groups[0], 1, iv=seed & 0xFFFF | 1, modulus=modulus)
-    return kdc, groups, obu_cred, rsu_cred, modulus
+    rsu_cred = keymgmt.provision_rsu([group], 0, cert, priv, modulus)
+    obu_cred = keymgmt.provision_obu(kdc, group, 1, iv=seed & 0xFFFF | 1, modulus=modulus)
+    rng = Rng(seed)
+    rsu = protocol.Rsu(rsu_cred, rng.split())
+    return protocol.Obu(obu_cred, kdc.root_public_key(), rng.split()), rsu, config, group
 
 
 @_subcommand(
@@ -234,11 +240,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     # modulus; commitment collisions are what make replay matrices fill
     n, k, h, mu = params["n"], params["k"], params["h"], params["mu"]
     weak = BlumModulus(m=21, bit_length=5, p=3, q=7)
-    kdc, groups, obu_cred, rsu_cred, modulus = _demo_deployment(seed, n, k, modulus=weak)
-    rng = Rng(seed)
-    config = SessionConfig(alpha=min(mu, 2), mu=mu, k=k, h=h, n=n, serv_id="INFO")
-    rsu = protocol.Rsu(rsu_cred, rng.split())
-    obu = protocol.Obu(obu_cred, kdc.root_public_key(), rng.split())
+    obu, rsu, config, group = _demo_session(params, modulus=weak)
     transcripts = []
     for _ in range(params["sessions"]):
         _result, transcript = protocol.run_full_session(obu, rsu, config)
@@ -269,7 +271,6 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     for _ in range(params["sessions"]):
         iv = sets_rng.randbits(32)
         sessions.append(revocation.next_sequence(iv, 0, n, k, mu))
-    pool_witnesses = [s * s % modulus.m for s in groups[0].pool_secrets]
     hardened_polys = None
     if params.get("variant") == "hardened":
         hardened_polys = [
@@ -281,12 +282,12 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
         ]
     rep = adversary.simulator_attack(
         matrices,
-        pool_witnesses,
+        group.pool_witnesses,
         sessions,
         k,
         h,
-        alpha=min(mu, 2),
-        m=modulus.m,
+        alpha=config.alpha,
+        m=weak.m,
         verifier_rng=attack_rng,
         hardened_polys=hardened_polys,
     )
@@ -306,23 +307,17 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
 )
 def run_revoke_demo(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     """Broadcast a revocation and show the replayed session being denied."""
-    seed = params["seed"]
-    n, k, h, mu = params["n"], params["k"], params["h"], params["mu"]
-    kdc, groups, obu_cred, rsu_cred, _modulus = _demo_deployment(seed, n, k)
-    rng = Rng(seed)
-    config = SessionConfig(alpha=min(mu, 2), mu=mu, k=k, h=h, n=n, serv_id="INFO")
-    rsu = protocol.Rsu(rsu_cred, rng.split())
-    obu = protocol.Obu(obu_cred, kdc.root_public_key(), rng.split())
-
+    obu, rsu, config, _group = _demo_session(params)
+    iv = obu.credential.iv
     before, _ = protocol.run_full_session(obu, rsu, config)
-    revocation.broadcast_revocation(obu_cred.iv, 0, [rsu.table], reason="demo")
+    revocation.broadcast_revocation(iv, 0, [rsu.table], reason="demo")
     after, _ = protocol.run_full_session(obu, rsu, config)
 
     outcomes = {"before": before.outcome.value, "after": after.outcome.value}
     click.echo(f"before broadcast: {before.outcome.value}; after: {after.outcome.value}")
     ok = before.outcome is Outcome.ACCEPTED and after.outcome is Outcome.REJECTED_REVOKED
     return {
-        "broadcast.json": revocation.encode_broadcast(obu_cred.iv, 0, "demo", rsu.table.version),
+        "broadcast.json": revocation.encode_broadcast(iv, 0, "demo", rsu.table.version),
         "outcomes.json": json.dumps(outcomes, sort_keys=True),
     }, EXIT_OK if ok else EXIT_REJECTED
 

@@ -22,6 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .numtheory import BlumModulus, Rng, sample_unit
 
 BUNDLE_FORMAT_VERSION = 1
+ISSUER_ID = "kdc-root"  # the issuer every certificate names
 
 
 class InvalidParameters(ValueError):
@@ -92,10 +93,9 @@ class RsuCredential:
 class Kdc:
     """Build-time authority: signs certificates and tracks issued IVs."""
 
-    def __init__(self, seed: int, issuer_id: str = "kdc-root"):
+    def __init__(self, seed: int):
         rng = Rng(seed)
         self._signing_key = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
-        self.issuer_id = issuer_id
         self._issued_ivs: set[int] = set()
 
     def root_public_key(self) -> bytes:
@@ -113,7 +113,7 @@ class Kdc:
         unsigned = Certificate(
             rsu_id=rsu_id,
             public_key=rsu_public_key,
-            issuer_id=self.issuer_id,
+            issuer_id=ISSUER_ID,
             signature=b"",
             valid_from=valid_from,
             valid_to=valid_to,
@@ -267,13 +267,18 @@ _FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 def obu_credential_from_json(text: str) -> ObuCredential:
     d = _record(text, "obu_credential")
     try:
+        if any(type(d[name]) is not int for name in ("group_id", "member_id", "counter")):
+            raise TypeError("group_id, member_id or counter is not an int")
+        counter, iv = d["counter"], int(d["iv"])
+        if not (0 <= counter < 1 << 64 and 0 <= iv < 1 << 64):
+            raise ValueError("counter or iv is not a 64-bit value")
         return ObuCredential(
             group_id=d["group_id"],
             member_id=d["member_id"],
             master_key=tuple(int(v) for v in d["master_key"]),
             pool_witnesses=tuple(int(v) for v in d["pool_witnesses"]),
-            iv=int(d["iv"]),
-            counter=d["counter"],
+            iv=iv,
+            counter=counter,
             modulus=int(d["modulus"]),
         )
     except _FIELD_ERRORS as exc:
@@ -301,6 +306,8 @@ def rsu_credential_to_json(cred: RsuCredential) -> str:
 def rsu_credential_from_json(text: str) -> RsuCredential:
     d = _record(text, "rsu_credential")
     try:
+        if type(d["rsu_id"]) is not int:
+            raise TypeError("rsu_id is not an int")
         return RsuCredential(
             rsu_id=d["rsu_id"],
             certificate=_cert_from_dict(d["certificate"]),

@@ -112,20 +112,12 @@ class SessionConfig:
             raise ValueError(
                 f"require 1 <= k < n <= {revocation.MAX_POOL_SIZE}, got k={self.k}, n={self.n}"
             )
+        if self.mu > math.comb(self.n, self.k):
+            raise revocation.ParameterOverflow(f"mu={self.mu} exceeds C({self.n},{self.k})")
         if self.h < 1:
             raise zkp.DegenerateParameters("h must be >= 1")
         if self.variant is Variant.HARDENED and self.k < 2:
             raise zkp.DegenerateParameters("hardened variant requires k >= 2")
-
-
-@dataclass(frozen=True)
-class Beacon:
-    certificate: Certificate
-
-
-@dataclass(frozen=True)
-class AuthRequest:
-    ciphertext: bytes  # sealed (group_id, T1, session key, serv_id, alpha)
 
 
 @dataclass(frozen=True)
@@ -263,14 +255,15 @@ class Rsu:
 
     # -- step 1: discovery ------------------------------------------------
 
-    def beacon(self) -> Beacon:
-        return Beacon(certificate=self.credential.certificate)
+    def beacon(self) -> Certificate:
+        return self.credential.certificate
 
     # -- step 2: request registration -------------------------------------
 
-    def register_session(self, request: AuthRequest, config: SessionConfig) -> bytes:
+    def register_session(self, request: bytes, config: SessionConfig) -> bytes:
+        """Open a sealed (group_id, T1, session key, serv_id, alpha) request; its key id."""
         try:
-            plain = self.seal.open(self.credential.seal_private_key, request.ciphertext)
+            plain = self.seal.open(self.credential.seal_private_key, request)
             body = json.loads(plain.decode())
         except (EnvelopeFailure, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UndecryptableRequest("request did not open under this verifier's key") from exc
@@ -445,8 +438,9 @@ class Obu:
 
     # -- step 1: request ----------------------------------------------------
 
-    def start(self, beacon: Beacon, config: SessionConfig) -> AuthRequest:
-        cert, now = beacon.certificate, self.clock.now()
+    def start(self, cert: Certificate, config: SessionConfig) -> bytes:
+        """Check the beacon's certificate and seal a request to its key."""
+        now = self.clock.now()
         if not cert.valid_from <= now <= cert.valid_to:
             raise BadCertificate(f"beacon certificate is not valid at t={now}")
         _signature_verified(cert, cert.signed_payload, self.root_public_key)
@@ -463,7 +457,7 @@ class Obu:
             },
             sort_keys=True,
         ).encode()
-        return AuthRequest(ciphertext=self.seal.seal(cert.public_key, body, self.rng))
+        return self.seal.seal(cert.public_key, body, self.rng)
 
     def bind(self, key_id: bytes) -> None:
         self.key_id = key_id
@@ -542,37 +536,32 @@ class Obu:
 def run_full_session(
     obu: Obu, rsu: Rsu, config: SessionConfig
 ) -> tuple[AuthResult, SessionTranscript]:
-    """Execute one complete session; the transcript doubles as the tap for
-    the passive-observer threat model."""
+    """Execute one complete session, passing each message between the
+    endpoints and logging its frame up to the step that decides it; the
+    transcript doubles as the tap for the passive-observer threat model."""
     log = SessionTranscript()
-    return _exchange(obu, rsu, config, log), log
+    cert = rsu.beacon()
+    log.frames.append(encode_message(MSG_BEACON, NO_KEY_ID, cert.signed_payload))
 
-
-def _exchange(obu: Obu, rsu: Rsu, config: SessionConfig, log: SessionTranscript) -> AuthResult:
-    """Pass each message between the endpoints, logging its frame, up to
-    the step that decides the session."""
-    beacon = rsu.beacon()
-    log.frames.append(encode_message(MSG_BEACON, NO_KEY_ID, beacon.certificate.signed_payload))
-
-    request = obu.start(beacon, config)
-    log.frames.append(encode_message(MSG_AUTH_REQUEST, NO_KEY_ID, request.ciphertext))
+    request = obu.start(cert, config)
+    log.frames.append(encode_message(MSG_AUTH_REQUEST, NO_KEY_ID, request))
 
     key_id = rsu.register_session(request, config)
     obu.bind(key_id)
     log.key_id = key_id
     if rsu.negotiate_privacy(key_id) is None:
-        return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha)
+        return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha), log
 
     sealed_sets = obu.choose_proof_sets()
     log.requested_sets = obu.sets
     log.frames.append(encode_message(MSG_PROOF_SETS, key_id, sealed_sets))
     if rsu.receive_proof_sets(key_id, sealed_sets) is not None:
-        return AuthResult(Outcome.REJECTED_REVOKED, 0, config.alpha)
+        return AuthResult(Outcome.REJECTED_REVOKED, 0, config.alpha), log
 
     sealed_membership = obu.prove_membership(challenge_rng=rsu.rng)
     log.frames.append(encode_message(MSG_MEMBERSHIP_PROOF, key_id, sealed_membership))
     if not rsu.check_membership_proof(key_id, sealed_membership):
-        return AuthResult(Outcome.REJECTED_MEMBERSHIP, 0, config.alpha)
+        return AuthResult(Outcome.REJECTED_MEMBERSHIP, 0, config.alpha), log
 
     bundle = rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
     for item in bundle.items:
@@ -583,4 +572,4 @@ def _exchange(obu: Obu, rsu: Rsu, config: SessionConfig, log: SessionTranscript)
         reply = obu.closing_reply()
         log.frames.append(encode_message(MSG_ALPHA_REPLY, key_id, reply))
         rsu.record_closing_reply(key_id, reply)
-    return result
+    return result, log

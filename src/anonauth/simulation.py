@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import comb, inf, isfinite
+from math import inf, isfinite
 from typing import Optional
 
 from . import keymgmt, protocol
@@ -72,8 +72,6 @@ class SimConfig:
             session = SessionConfig(self.alpha, self.mu, self.k, self.h, self.n, serv_id="INFO")
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from exc
-        if self.mu > comb(self.n, self.k):
-            raise InvalidConfig(f"mu={self.mu} exceeds C({self.n},{self.k})")
         return session
 
 
@@ -99,7 +97,6 @@ class SimMetrics:
 
 @dataclass
 class _RsuNode:
-    index: int
     position: float
     endpoint: Rsu
     busy_until: float = 0.0
@@ -122,13 +119,10 @@ class _Sim:
         self.line_length = config.rsu_count * config.rsu_spacing_m
         self.events: list = []
         self._seq = 0
-        self.metrics_packets_sent = 0
-        self.metrics_packets_lost = 0
+        self.metrics = SimMetrics(
+            config.alpha, config.obus_per_rsu, config.speed_mps, 0.0, 0.0, 0, 0, 0, 0, 0, 0
+        )
         self.delays: list[float] = []
-        self.attempted = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.lost = 0
         # expected transmitters inside one verifier's range: member density
         # times covered length; this is what couples loss to offered load
         total_obus = config.rsu_count * config.obus_per_rsu
@@ -151,19 +145,13 @@ class _Sim:
             cert = kdc.issue_certificate(i, priv)  # stub seal: pub == priv bytes
             cred = keymgmt.provision_rsu(groups, i, cert, priv, modulus)
             endpoint = Rsu(cred, self.rng.split(), sym=sym, seal=seal)
-            self.rsus.append(
-                _RsuNode(index=i, position=(i + 0.5) * cfg.rsu_spacing_m, endpoint=endpoint)
-            )
+            self.rsus.append(_RsuNode(position=(i + 0.5) * cfg.rsu_spacing_m, endpoint=endpoint))
         root = kdc.root_public_key()
-        self.obus: list[_ObuNode] = []
-        total_obus = cfg.rsu_count * cfg.obus_per_rsu
-        for j in range(total_obus):
+        for j in range(cfg.rsu_count * cfg.obus_per_rsu):
             cred = keymgmt.provision_obu(kdc, groups[0], j, iv=j + 1, modulus=modulus)
             endpoint = Obu(cred, root, self.rng.split(), sym=sym, seal=seal)
-            pos = self.rng.random() * self.line_length
-            self.obus.append(_ObuNode(position0=pos, endpoint=endpoint))
-            phase = self.rng.random() * SESSION_INTERVAL_S
-            self.push(phase, "attempt", j)
+            node = _ObuNode(position0=self.rng.random() * self.line_length, endpoint=endpoint)
+            self.push(self.rng.random() * SESSION_INTERVAL_S, "attempt", node)
 
     # ---------------------------------------------------------------- events
 
@@ -197,28 +185,15 @@ class _Sim:
                     self._handle_attempt(t, payload)
             elif kind == "message":
                 self._handle_message(t, payload)
-        total = self.metrics_packets_sent
-        avg_delay = sum(self.delays) / len(self.delays) if self.delays else 0.0
-        return SimMetrics(
-            alpha=cfg.alpha,
-            load=cfg.obus_per_rsu,
-            speed=cfg.speed_mps,
-            avg_delay_s=avg_delay,
-            packet_loss_ratio=self.metrics_packets_lost / total if total else 0.0,
-            sessions_attempted=self.attempted,
-            sessions_accepted=self.accepted,
-            sessions_rejected=self.rejected,
-            sessions_lost=self.lost,
-            packets_sent=total,
-            packets_lost=self.metrics_packets_lost,
-        )
+        m = self.metrics
+        m.avg_delay_s = sum(self.delays) / len(self.delays) if self.delays else 0.0
+        m.packet_loss_ratio = m.packets_lost / m.packets_sent if m.packets_sent else 0.0
+        return m
 
-    def _handle_attempt(self, t: float, obu_index: int) -> None:
-        cfg = self.config
-        node = self.obus[obu_index]
+    def _handle_attempt(self, t: float, node: _ObuNode) -> None:
         next_attempt = t + SESSION_INTERVAL_S
-        if next_attempt <= cfg.duration_s:
-            self.push(next_attempt, "attempt", obu_index)
+        if next_attempt <= self.config.duration_s:
+            self.push(next_attempt, "attempt", node)
         if node.busy:
             return
         rsu = self.rsu_in_range(node, t)
@@ -226,29 +201,27 @@ class _Sim:
             return
         node.busy = True
         rsu.active_sessions += 1
-        self.attempted += 1
-        # request + sets + membership + mu bundle items + closing reply
-        n_messages = 4 + cfg.mu
-        self.push(t, "message", (obu_index, rsu.index, 0, n_messages))
+        self.metrics.sessions_attempted += 1
+        self.push(t, "message", (node, rsu, 0))
 
     def _handle_message(self, t: float, payload) -> None:
         cfg = self.config
-        obu_index, rsu_index, msg_idx, n_messages = payload
-        node = self.obus[obu_index]
-        rsu = self.rsus[rsu_index]
+        node, rsu, msg_idx = payload
+        # request + sets + membership + mu bundle items + closing reply
+        n_messages = 4 + cfg.mu
         pos = self.obu_position(node, t)
         dist = self.ring_distance(pos, rsu.position)
         if dist > cfg.comm_range_m:
             # moved out of range mid-session: remaining packets are lost
-            self.metrics_packets_sent += n_messages - msg_idx
-            self.metrics_packets_lost += n_messages - msg_idx
+            self.metrics.packets_sent += n_messages - msg_idx
+            self.metrics.packets_lost += n_messages - msg_idx
             self._finish_session(node, rsu, lost=True)
             return
-        self.metrics_packets_sent += 1
+        self.metrics.packets_sent += 1
         occupancy = min(1.0, (self.contention + rsu.active_sessions) / QUEUE_CAPACITY)
         loss_p = min(1.0, BASE_LOSS + OCCUPANCY_LOSS_COEFF * occupancy)
         if self.rng.random() < loss_p:
-            self.metrics_packets_lost += 1
+            self.metrics.packets_lost += 1
             self._finish_session(node, rsu, lost=True)
             return
         bytes_ = ALPHA_PACKET_BYTES[cfg.alpha]
@@ -259,20 +232,20 @@ class _Sim:
         self.delays.append(delay)
         delivered_at = t + delay
         if msg_idx + 1 < n_messages:
-            self.push(delivered_at, "message", (obu_index, rsu.index, msg_idx + 1, n_messages))
+            self.push(delivered_at, "message", (node, rsu, msg_idx + 1))
             return
         result, _ = protocol.run_full_session(node.endpoint, rsu.endpoint, cfg.session)
         if result.outcome is Outcome.ACCEPTED:
-            self.accepted += 1
+            self.metrics.sessions_accepted += 1
         else:
-            self.rejected += 1
+            self.metrics.sessions_rejected += 1
         self._finish_session(node, rsu, lost=False)
 
     def _finish_session(self, node: _ObuNode, rsu: _RsuNode, lost: bool) -> None:
         node.busy = False
         rsu.active_sessions -= 1
         if lost:
-            self.lost += 1
+            self.metrics.sessions_lost += 1
 
 
 def run_sim(config: SimConfig, seed: int) -> SimMetrics:

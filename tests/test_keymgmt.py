@@ -210,6 +210,29 @@ class TestSerialization:
         with pytest.raises(InvalidParameters, match="malformed"):
             rsu_credential_from_json(json.dumps(record))
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("obu", "counter", "0"),
+            ("obu", "counter", -5),
+            ("obu", "counter", True),
+            ("obu", "member_id", [1]),
+            ("obu", "group_id", "1"),
+            ("obu", "iv", "-5"),
+            ("rsu", "rsu_id", "0"),
+        ],
+    )
+    def test_credential_with_a_mistyped_field_is_invalid(self, kind, field, value):
+        dep = build_deployment(3, n=6, k=2)
+        to_json, from_json, cred = {
+            "obu": (obu_credential_to_json, obu_credential_from_json, dep.obu_creds[0]),
+            "rsu": (rsu_credential_to_json, rsu_credential_from_json, dep.rsu_cred),
+        }[kind]
+        record = json.loads(to_json(cred))
+        record[field] = value
+        with pytest.raises(InvalidParameters, match="malformed"):
+            from_json(json.dumps(record))
+
     @pytest.mark.parametrize("text", ["[]", '"obu_credential"', "7"])
     def test_non_object_record_is_invalid(self, text):
         for from_json in (obu_credential_from_json, rsu_credential_from_json):

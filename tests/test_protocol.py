@@ -18,10 +18,8 @@ from anonauth import keymgmt, protocol, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
 from anonauth.numtheory import generate_blum_modulus
 from anonauth.protocol import (
-    AuthRequest,
     AuthResult,
     BadCertificate,
-    Beacon,
     MalformedRequest,
     MalformedSetRequest,
     Outcome,
@@ -78,9 +76,7 @@ class TestHandshakeErrors:
         rsu = dep.make_rsu(1)
         obu = dep.make_obu(2)
         beacon = rsu.beacon()
-        forged = dataclasses.replace(
-            beacon, certificate=dataclasses.replace(beacon.certificate, rsu_id=99)
-        )
+        forged = dataclasses.replace(beacon, rsu_id=99)
         with pytest.raises(BadCertificate):
             obu.start(forged, cfg())
 
@@ -208,11 +204,8 @@ class TestProofSetAnnouncement:
             rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 7), (3, 4)]))
 
     def test_mu_above_subset_count(self):
-        dep = build_deployment(3, n=4, k=2)
-        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
-        obu.start(rsu.beacon(), cfg(alpha=5, mu=7, n=4))
         with pytest.raises(ParameterOverflow):
-            obu.choose_proof_sets()
+            cfg(alpha=5, mu=7, n=4)
 
     @pytest.mark.parametrize(
         "plain",
@@ -392,7 +385,7 @@ class TestBundleReplay:
 def _signed_beacon(dep, rsu_id=0, **window):
     """A beacon whose certificate the deployment's root signs over ``window``."""
     public = dep.rsu_cred.certificate.public_key
-    return Beacon(certificate=dep.kdc.issue_certificate(rsu_id, public, **window))
+    return dep.kdc.issue_certificate(rsu_id, public, **window)
 
 
 class TestCertificateChecks:
@@ -422,11 +415,11 @@ class TestCertificateChecks:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         beacon = rsu.beacon()
         obu.start(beacon, cfg())
-        cert = beacon.certificate
+        cert = beacon
         flipped = bytes([cert.signature[0] ^ 1]) + cert.signature[1:]
         # and the genuine signature on another payload
         for change in ({"signature": flipped}, {"rsu_id": cert.rsu_id + 1}):
-            forged = Beacon(certificate=dataclasses.replace(cert, **change))
+            forged = dataclasses.replace(cert, **change)
             with pytest.raises(BadCertificate):
                 obu.start(forged, cfg())
 
@@ -489,9 +482,9 @@ class TestCertificateChecks:
 
     def test_forged_signature_is_checked_every_time(self, verify_calls):
         dep = build_deployment(27, n=6, k=2, stub=True)
-        cert = dep.make_rsu(1).beacon().certificate
+        cert = dep.make_rsu(1).beacon()
         flipped = bytes([cert.signature[0] ^ 1]) + cert.signature[1:]
-        forged = Beacon(certificate=dataclasses.replace(cert, signature=flipped))
+        forged = dataclasses.replace(cert, signature=flipped)
         for _ in range(2):
             with pytest.raises(BadCertificate):
                 dep.make_obu(2).start(forged, cfg())
@@ -503,10 +496,10 @@ class TestCertificateChecks:
         obu = dep.make_obu(2)
         obu.start(beacon, cfg())
         # 0 == 0.0, but the signed JSON reads "0" instead of "0.0"
-        cert = dataclasses.replace(beacon.certificate, valid_from=0)
-        assert cert == beacon.certificate
+        cert = dataclasses.replace(beacon, valid_from=0)
+        assert cert == beacon
         with pytest.raises(BadCertificate):
-            obu.start(Beacon(certificate=cert), cfg())
+            obu.start(cert, cfg())
         assert verify_calls == [0, 0]
 
 
@@ -927,7 +920,7 @@ class TestHostileRequests:
     def _register(self, rsu, body):
         plain = json.dumps(body).encode()
         sealed = StubSeal().seal(rsu.credential.certificate.public_key, plain, rsu.rng)
-        return rsu.register_session(AuthRequest(ciphertext=sealed), cfg())
+        return rsu.register_session(sealed, cfg())
 
     @pytest.mark.parametrize(
         "body",
