@@ -82,7 +82,6 @@ class CheaterProver:
 
 def cheater_attempt(
     witnesses: Sequence[int],
-    k: int,
     h: int,
     m: int,
     rng: Rng,
@@ -93,8 +92,6 @@ def cheater_attempt(
     verifier, which stops at the first failed round. Returns the rounds
     played and the verdict. Attempts on the same witnesses and modulus may
     share one ``inverses`` table (see ``CheaterProver``)."""
-    if len(witnesses) != k:
-        raise zkp.ChallengeLengthMismatch(f"{len(witnesses)} witnesses, k={k}")
     rounds: list[ZkpRound] = []
     ok = zkp.verify_interactive(
         zkp.BASIC, CheaterProver(witnesses, m, rng, inverses), witnesses, h, m, verifier_rng,
@@ -106,7 +103,6 @@ def cheater_attempt(
 def bundle_cheater_attempt(
     pool_witnesses: Sequence[int],
     requested_sets: Sequence[Sequence[int]],
-    k: int,
     h: int,
     alpha: int,
     m: int,
@@ -124,7 +120,7 @@ def bundle_cheater_attempt(
     n = len(pool_witnesses)
     verified = 0
     for ids in requested_sets:
-        if _sample_subset(rng, n, k) != frozenset(ids):
+        if _sample_subset(rng, n, len(ids)) != frozenset(ids):
             continue
         true_witnesses = [pool_witnesses[i - 1] for i in ids]
         prover = CheaterProver(true_witnesses, m, rng)
@@ -173,48 +169,43 @@ def observe_sessions(
 class SimulatorMatrix:
     """Sparse replay matrix for one k-id set.
 
-    Rows are distinct recorded commitments W (capped at 2^k); cells map
-    (row, challenge value) to the recorded response Y.
+    ``rows`` maps each distinct recorded commitment W, in the order first
+    seen and capped at 2^k rows, to its cells: challenge value -> the
+    first recorded response Y.
     """
 
     secret_ids: tuple[int, ...]
-    k: int
-    rows: list[int] = field(default_factory=list)  # recorded W values
-    cells: dict[tuple[int, int], int] = field(default_factory=dict)
+    rows: dict[int, dict[int, int]] = field(default_factory=dict)
 
     def add_round(self, rd: ZkpRound) -> None:
-        if rd.w not in self.rows:
-            if len(self.rows) >= 1 << self.k:
+        row = self.rows.get(rd.w)
+        if row is None:
+            if len(self.rows) >= 1 << len(self.secret_ids):
                 return
-            self.rows.append(rd.w)
-        row = self.rows.index(rd.w)
-        self.cells.setdefault((row, challenge_bits(rd.challenge)), rd.y)
-
-    def row_coverage(self, row: int) -> float:
-        filled = sum(1 for (r, _s) in self.cells if r == row)
-        return filled / (1 << self.k)
+            row = self.rows[rd.w] = {}
+        row.setdefault(challenge_bits(rd.challenge), rd.y)
 
     def best_row(self) -> int:
+        """The W with the most cells; the first seen among equals."""
         if not self.rows:
             raise MissingSimulator(f"no rows recorded for set {self.secret_ids}")
-        return max(range(len(self.rows)), key=self.row_coverage)
+        return max(self.rows, key=lambda w: len(self.rows[w]))
 
     def coverage(self) -> float:
-        return max((self.row_coverage(r) for r in range(len(self.rows))), default=0.0)
+        filled = max(map(len, self.rows.values()), default=0)
+        return filled / (1 << len(self.secret_ids))
 
     def memory_bytes(self) -> int:
         # 8 bytes per populated Y cell plus 8 per recorded W row
-        return 8 * len(self.cells) + 8 * len(self.rows)
+        return 8 * sum(map(len, self.rows.values())) + 8 * len(self.rows)
 
 
-def build_simulators(
-    corpus: Sequence[ZkpProof], n: int, k: int
-) -> dict[tuple[int, ...], SimulatorMatrix]:
+def build_simulators(corpus: Sequence[ZkpProof]) -> dict[tuple[int, ...], SimulatorMatrix]:
     """One replay matrix per observed k-id set."""
     matrices: dict[tuple[int, ...], SimulatorMatrix] = {}
     for obs in corpus:
         key = tuple(sorted(obs.secret_ids))
-        mat = matrices.setdefault(key, SimulatorMatrix(secret_ids=key, k=k))
+        mat = matrices.setdefault(key, SimulatorMatrix(secret_ids=key))
         for rd in obs.rounds:
             mat.add_round(rd)
     return matrices
@@ -225,14 +216,14 @@ class SimulatorProver:
     cell are answered with a junk response that cannot verify honestly."""
 
     def __init__(self, matrix: SimulatorMatrix):
-        self.matrix = matrix
-        self.row = matrix.best_row()
+        self.w = matrix.best_row()
+        self.row = matrix.rows[self.w]
 
     def commit(self) -> int:
-        return self.matrix.rows[self.row]
+        return self.w
 
     def respond(self, challenge: Sequence[int]) -> int:
-        return self.matrix.cells.get((self.row, challenge_bits(challenge)), 1)
+        return self.row.get(challenge_bits(challenge), 1)
 
 
 def _bundle_successes(
@@ -326,7 +317,6 @@ def simulator_attack(
 def random_response_control(
     pool_witnesses: Sequence[int],
     requested_sets_per_session: Sequence[Sequence[Sequence[int]]],
-    k: int,
     h: int,
     alpha: int,
     m: int,

@@ -19,8 +19,6 @@ from .revocation import ParameterOverflow
 
 MC_MODULUS_BITS = 48  # big enough that arithmetic coincidences are negligible
 
-_LOG10_2 = math.log10(2)
-
 
 class UnknownFigure(ValueError):
     pass
@@ -97,11 +95,6 @@ def p_mu(k: int, h: int, n: int, mu: int) -> Fraction:
     return Fraction(1, (2 ** (k * h) * comb(n, k)) ** mu)
 
 
-def p_mu_log10(k: int, h: int, n: int, mu: int) -> float:
-    """Log-domain evaluation of p_mu, for values far below float range."""
-    return -mu * (k * h * _LOG10_2 + math.log10(comb(n, k)))
-
-
 def p_leak(n: int, k: int, mu: int) -> Fraction:
     """Probability one session's mu sets include a designated identifying
     set: mu / C(n, k)."""
@@ -135,10 +128,7 @@ def p_missed(n: int, k: int, mu: int) -> Fraction:
     c = comb(n, k)
     if c <= mu:
         raise ParameterOverflow(f"C({n},{k})={c} <= mu={mu}: zero factor in product")
-    denom = 1
-    for i in range(mu + 1):
-        denom *= c - i
-    return Fraction(1, denom)
+    return Fraction(1, math.perm(c, mu + 1))
 
 
 def p_missed_mu_factors(n: int, k: int, mu: int) -> Fraction:
@@ -147,10 +137,7 @@ def p_missed_mu_factors(n: int, k: int, mu: int) -> Fraction:
     c = comb(n, k)
     if c < mu:
         raise ParameterOverflow(f"C({n},{k})={c} < mu={mu}")
-    denom = 1
-    for i in range(mu):
-        denom *= c - i
-    return Fraction(1, denom)
+    return Fraction(1, math.perm(c, mu))
 
 
 # --------------------------------------------------------- Monte Carlo
@@ -173,9 +160,7 @@ def mc_cheater(k: int, h: int, trials: int, seed: int) -> ProbabilityReport:
     inverses: dict[int, int] = {}  # one witness set, so one table for every trial
     successes = 0
     for _ in range(trials):
-        _, ok = adversary.cheater_attempt(
-            witnesses, k, h, m, attacker_rng, verifier_rng, inverses
-        )
+        _, ok = adversary.cheater_attempt(witnesses, h, m, attacker_rng, verifier_rng, inverses)
         if ok:
             successes += 1
     params = {"k": k, "h": h}
@@ -198,7 +183,7 @@ def mc_bundle_cheater(
         # sorted, so each proof's witnesses come in id order
         requested = list(map(sorted, _distinct_sets(set_rng, n, k, mu)))
         if adversary.bundle_cheater_attempt(
-            pool_witnesses, requested, k, h, alpha, m, attacker_rng, verifier_rng
+            pool_witnesses, requested, h, alpha, m, attacker_rng, verifier_rng
         ):
             successes += 1
     params = {"k": k, "h": h, "n": n, "mu": mu, "alpha": alpha}
@@ -253,6 +238,8 @@ def mc_sequence_collision(
         cf = p_missed_mu_factors(n, k, mu)
         formula = "p_missed_mu_factors"
     else:
+        if not 1 <= k <= n:  # past this, _sample_subset never returns
+            raise ValueError(f"require 1 <= k <= n, got k={k}, n={n}")
         for _ in range(trials):
             seq_a = tuple(adversary._sample_subset(rng, n, k) for _ in range(mu))
             seq_b = tuple(adversary._sample_subset(rng, n, k) for _ in range(mu))
@@ -274,17 +261,17 @@ def figure_series(figure: str) -> list[tuple[str, float, float]]:
         # resilience vs proof count for h in {4,5,6,8}, fixed k=5, n=50
         for h in (4, 5, 6, 8):
             for mu in range(5, 11):
-                rows.append((f"h={h}", mu, p_mu_log10(5, h, 50, mu)))
+                rows.append((f"h={h}", mu, log10_fraction(p_mu(5, h, 50, mu))))
     elif figure == "10b":
         # resilience vs proof count for k in {1..5}, fixed h=4, n=50
         for k in range(1, 6):
             for mu in range(5, 11):
-                rows.append((f"k={k}", mu, p_mu_log10(k, 4, 50, mu)))
+                rows.append((f"k={k}", mu, log10_fraction(p_mu(k, 4, 50, mu))))
     elif figure == "11":
         # resilience vs pool size at (k=5, h=4) for mu in {5,6,8,10}
         for mu in (5, 6, 8, 10):
             for n in range(10, 51, 5):
-                rows.append((f"mu={mu}", n, p_mu_log10(5, 4, n, mu)))
+                rows.append((f"mu={mu}", n, log10_fraction(p_mu(5, 4, n, mu))))
     elif figure == "12":
         # leakage vs secrets-per-proof at n=50 for mu in {5,6,8,10}
         for mu in (5, 6, 8, 10):

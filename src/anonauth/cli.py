@@ -185,8 +185,6 @@ def run_analyze(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     fig, formula = params.get("figure"), params.get("mc_formula")
     if not fig and not formula:
         raise ValueError("need --figure or --mc-formula")
-    if formula and formula not in _MC_FORMULAS:
-        raise ValueError(f"unknown formula {formula!r}")
     files = {}
     if fig:
         files[f"figure_{fig}.csv"] = analysis.figure_csv(fig)
@@ -198,7 +196,7 @@ def run_analyze(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
 
 
 def _demo_session(params: dict, modulus=None):
-    """(obu, rsu, config, group) of a one-group demo deployment built from the
+    """(obu, rsu, config) of a one-group demo deployment built from the
     seed, n, k, h and mu in ``params``; a 24-bit modulus unless one is given."""
     seed, n, k, mu = params["seed"], params["n"], params["k"], params["mu"]
     config = SessionConfig(alpha=min(mu, 2), mu=mu, k=k, h=params["h"], n=n, serv_id="INFO")
@@ -213,7 +211,7 @@ def _demo_session(params: dict, modulus=None):
     obu_cred = keymgmt.provision_obu(kdc, group, 1, iv=seed & 0xFFFF | 1, modulus=modulus)
     rng = Rng(seed)
     rsu = protocol.Rsu(rsu_cred, rng.split())
-    return protocol.Obu(obu_cred, kdc.root_public_key(), rng.split()), rsu, config, group
+    return protocol.Obu(obu_cred, kdc.root_public_key(), rng.split()), rsu, config
 
 
 @_subcommand(
@@ -240,7 +238,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     # modulus; commitment collisions are what make replay matrices fill
     n, k, h, mu = params["n"], params["k"], params["h"], params["mu"]
     weak = BlumModulus(m=21, bit_length=5, p=3, q=7)
-    obu, rsu, config, group = _demo_session(params, modulus=weak)
+    obu, rsu, config = _demo_session(params, modulus=weak)
     transcripts = []
     for _ in range(params["sessions"]):
         _result, transcript = protocol.run_full_session(obu, rsu, config)
@@ -261,7 +259,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
         return {"corpus.json": json.dumps(records, sort_keys=True)}, EXIT_OK
 
     # mode == "simulate"
-    matrices = adversary.build_simulators(corpus, n, k)
+    matrices = adversary.build_simulators(corpus)
     if not matrices:
         click.echo("no usable observations at this tap level: attack infeasible")
         return {}, EXIT_INFEASIBLE
@@ -282,7 +280,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
         ]
     rep = adversary.simulator_attack(
         matrices,
-        group.pool_witnesses,
+        obu.credential.pool_witnesses,
         sessions,
         k,
         h,
@@ -307,7 +305,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
 )
 def run_revoke_demo(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     """Broadcast a revocation and show the replayed session being denied."""
-    obu, rsu, config, _group = _demo_session(params)
+    obu, rsu, config = _demo_session(params)
     iv = obu.credential.iv
     before, _ = protocol.run_full_session(obu, rsu, config)
     revocation.broadcast_revocation(iv, 0, [rsu.table], reason="demo")

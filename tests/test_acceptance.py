@@ -121,7 +121,7 @@ def _full_matrices(secrets, m, k, n, seed):
     matrices = {}
     rng = Rng(seed)
     for ids in combinations(range(1, n + 1), k):
-        mat = adversary.SimulatorMatrix(secret_ids=ids, k=k)
+        mat = adversary.SimulatorMatrix(secret_ids=ids)
         r = sample_unit(rng, m)
         w = r * r % m
         for value in range(1 << k):
@@ -160,7 +160,7 @@ def test_criterion_4_simulator_attack():
         hardened_polys=polys,
     )
     control = adversary.random_response_control(
-        witnesses, sessions, k, h, alpha, mod.m, Rng(44), Rng(45),
+        witnesses, sessions, h, alpha, mod.m, Rng(44), Rng(45),
         hardened_polys=polys,
     )
     p1, p2 = hardened.frequency, control.frequency

@@ -59,7 +59,7 @@ class TestCheater:
         m, _, witnesses = _pool(1, 1)
         rng, vrng = Rng(10), Rng(11)
         hits = sum(
-            cheater_attempt(witnesses[:1], 1, 1, m, rng, vrng)[1] for _ in range(10_000)
+            cheater_attempt(witnesses[:1], 1, m, rng, vrng)[1] for _ in range(10_000)
         )
         p = hits / 10_000
         sigma = math.sqrt(0.5 * 0.5 / 10_000)
@@ -70,7 +70,7 @@ class TestCheater:
         rng, vrng = Rng(20), Rng(21)
         trials = 20_000
         hits = sum(
-            cheater_attempt(witnesses[:2], 2, 2, m, rng, vrng)[1]
+            cheater_attempt(witnesses[:2], 2, m, rng, vrng)[1]
             for _ in range(trials)
         )
         p_expected = 2.0 ** (-4)
@@ -82,7 +82,7 @@ class TestCheater:
         rng, vrng = Rng(30), Rng(31)
         seen_success = False
         for _ in range(2_000):
-            rounds, ok = cheater_attempt(witnesses[:2], 2, 1, m, rng, vrng)
+            rounds, ok = cheater_attempt(witnesses[:2], 1, m, rng, vrng)
             if ok:
                 seen_success = True
                 for rd in rounds:
@@ -94,7 +94,7 @@ class TestCheater:
         rng, vrng = Rng(40), Rng(41)
         saw_truncated = False
         for _ in range(200):
-            rounds, ok = cheater_attempt(witnesses[:2], 2, 8, m, rng, vrng)
+            rounds, ok = cheater_attempt(witnesses[:2], 8, m, rng, vrng)
             if not ok and len(rounds) < 8:
                 saw_truncated = True
         assert saw_truncated
@@ -108,7 +108,7 @@ class TestBundleCheater:
         rng, vrng = Rng(50), Rng(51)
         trials = 60_000
         hits = sum(
-            bundle_cheater_attempt(witnesses, [(1, 2)], 2, 1, 1, m, rng, vrng)
+            bundle_cheater_attempt(witnesses, [(1, 2)], 1, 1, m, rng, vrng)
             for _ in range(trials)
         )
         p_expected = 1 / 12
@@ -120,7 +120,7 @@ class TestBundleCheater:
         rng, vrng = Rng(60), Rng(61)
         hits = sum(
             bundle_cheater_attempt(
-                witnesses, [(1, 2), (1, 3), (2, 3)], 2, 4, 3, m, rng, vrng
+                witnesses, [(1, 2), (1, 3), (2, 3)], 4, 3, m, rng, vrng
             )
             for _ in range(2_000)
         )
@@ -166,7 +166,7 @@ class TestObserver:
 
 class TestSimulatorMatrix:
     def test_coverage_counts_filled_cells(self):
-        mat = SimulatorMatrix(secret_ids=(1, 2), k=2)
+        mat = SimulatorMatrix(secret_ids=(1, 2))
         mat.add_round(ZkpRound(w=4, challenge=(0, 0), y=2))
         mat.add_round(ZkpRound(w=4, challenge=(1, 0), y=5))
         assert mat.coverage() == 2 / 4
@@ -175,20 +175,20 @@ class TestSimulatorMatrix:
         assert mat.coverage() == 1.0
 
     def test_first_recording_wins(self):
-        mat = SimulatorMatrix(secret_ids=(1,), k=1)
+        mat = SimulatorMatrix(secret_ids=(1,))
         mat.add_round(ZkpRound(w=4, challenge=(1,), y=2))
         mat.add_round(ZkpRound(w=4, challenge=(1,), y=9))
-        assert mat.cells[(0, 1)] == 2
+        assert mat.rows[4][1] == 2
 
     def test_row_cap(self):
-        mat = SimulatorMatrix(secret_ids=(1,), k=1)
+        mat = SimulatorMatrix(secret_ids=(1,))
         for w in range(10):
             mat.add_round(ZkpRound(w=w + 2, challenge=(0,), y=1))
         assert len(mat.rows) == 2  # capped at 2^k
 
     def test_best_row_requires_data(self):
         with pytest.raises(MissingSimulator):
-            SimulatorMatrix(secret_ids=(1,), k=1).best_row()
+            SimulatorMatrix(secret_ids=(1,)).best_row()
 
     def test_one_matrix_per_observed_set(self):
         # synthetic corpus touching every C(10,5) set once
@@ -196,7 +196,7 @@ class TestSimulatorMatrix:
             ZkpProof(secret_ids=ids, rounds=(ZkpRound(w=4, challenge=(0,) * 5, y=2),))
             for ids in combinations(range(1, 11), 5)
         ]
-        matrices = build_simulators(corpus, 10, 5)
+        matrices = build_simulators(corpus)
         assert len(matrices) == math.comb(10, 5) == 252
 
 
@@ -206,7 +206,7 @@ class TestSimulatorAttack:
         rng = Rng(99)
         matrices = {}
         for ids in combinations(range(1, n + 1), k):
-            mat = SimulatorMatrix(secret_ids=ids, k=k)
+            mat = SimulatorMatrix(secret_ids=ids)
             subset = [self.secrets[i - 1] for i in ids]
             for rd in _honest_row(subset, m, rng, k):
                 mat.add_round(rd)
@@ -240,7 +240,7 @@ class TestSimulatorAttack:
         # succeeds with probability 1/2, so h=2 rounds pass 1/4 of the time
         ids = (1, 2)
         subset = [self.secrets[0], self.secrets[1]]
-        mat = SimulatorMatrix(secret_ids=ids, k=2)
+        mat = SimulatorMatrix(secret_ids=ids)
         target = {0, 3}
         for rd in _honest_row(subset, self.m, Rng(5), 2):
             value = rd.challenge[0] | (rd.challenge[1] << 1)
@@ -278,7 +278,7 @@ class TestRandomControl:
         m, _, witnesses = _pool(90, 3)
         trials = 20_000
         report = random_response_control(
-            witnesses, [[(1, 2)]] * trials, 2, 1, 1, m, Rng(1), Rng(2)
+            witnesses, [[(1, 2)]] * trials, 1, 1, m, Rng(1), Rng(2)
         )
         # a random Y verifies a given (W, challenge) with chance ~2/m
         assert report.frequency < 0.01

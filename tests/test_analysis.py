@@ -24,7 +24,6 @@ from anonauth.analysis import (
     p_missed,
     p_missed_mu_factors,
     p_mu,
-    p_mu_log10,
     q_false,
     q_x,
 )
@@ -59,11 +58,6 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             p_mu(5, 4, 3, 1)
 
-    def test_log_domain_agrees_with_exact(self):
-        for k, h, n, mu in [(1, 1, 3, 1), (5, 4, 50, 5), (5, 8, 50, 10), (10, 8, 40, 10)]:
-            exact = log10_fraction(p_mu(k, h, n, mu))
-            assert p_mu_log10(k, h, n, mu) == pytest.approx(exact, rel=1e-12)
-
     def test_p_leak_examples(self):
         assert p_leak(6, 3, 1) == Fraction(1, 20)
         assert p_leak(6, 3, 5) == Fraction(5, 20)
@@ -94,10 +88,14 @@ class TestClosedForms:
         assert p_missed(3, 2, 2) == Fraction(1, 6)
         # n=4, k=2, mu=2: C=6, product 6*5*4
         assert p_missed(4, 2, 2) == Fraction(1, 120)
+        # mu = C - 1, the largest mu before a zero factor: 6!
+        assert p_missed(4, 2, 5) == Fraction(1, 720)
 
     def test_p_missed_companion_reading(self):
         # mu factors only: 6*5
         assert p_missed_mu_factors(4, 2, 2) == Fraction(1, 30)
+        # mu = C: every one of the 6 sets, in order
+        assert p_missed_mu_factors(4, 2, 6) == Fraction(1, 720)
 
     def test_p_missed_overflow(self):
         with pytest.raises(ParameterOverflow):
@@ -181,14 +179,22 @@ class TestMonteCarlo:
         assert rep.csv_row().split(",")[0] == "p_cheater"
 
     @pytest.mark.parametrize(
-        "oracle, args",
+        "oracle, args, error",
         [
-            (mc_leak, (4, 2, 7, 10, 1)),
-            (mc_bundle_cheater, (1, 1, 3, 4, 1, 10, 1)),
-            (mc_sequence_collision, (4, 2, 7, 10, 1)),
+            (mc_leak, (4, 2, 7, 10, 1), ParameterOverflow),
+            (mc_bundle_cheater, (1, 1, 3, 4, 1, 10, 1), ParameterOverflow),
+            (mc_sequence_collision, (4, 2, 7, 10, 1), ParameterOverflow),
+            # independent reading, k > n: not even one k-set can be drawn
+            (mc_sequence_collision, (3, 4, 1, 10, 1, False), ValueError),
+        ],
+        ids=[
+            "mc_leak-args0",
+            "mc_bundle_cheater-args1",
+            "mc_sequence_collision-args2",
+            "mc_sequence_collision-independent-k-above-n",
         ],
     )
-    def test_mu_above_subset_count_overflows(self, oracle, args):
+    def test_mu_above_subset_count_overflows(self, oracle, args, error):
         # mu distinct k-sets cannot be drawn when mu > C(n, k); the alarm
         # turns a search that never ends into a failure
         def _timeout(signum, frame):
@@ -197,7 +203,7 @@ class TestMonteCarlo:
         previous = signal.signal(signal.SIGALRM, _timeout)
         signal.alarm(5)
         try:
-            with pytest.raises(ParameterOverflow):
+            with pytest.raises(error):
                 oracle(*args)
         finally:
             signal.alarm(0)

@@ -70,7 +70,7 @@ def _m21_attacks(digest) -> None:
     rsu, obu = dep.make_rsu(3), dep.make_obu(4)
     config = SessionConfig(alpha=alpha, mu=mu, k=k, h=h, n=n, serv_id="INFO")
     logs = [run_full_session(obu, rsu, config)[1] for _ in range(20)]
-    matrices = adversary.build_simulators(adversary.observe_sessions(logs), n, k)
+    matrices = adversary.build_simulators(adversary.observe_sessions(logs))
     all_sets = list(combinations(range(1, n + 1), k))
     set_rng = Rng(5)
     sessions = [
@@ -90,7 +90,7 @@ def _m21_attacks(digest) -> None:
         )
         _feed(digest, rep.kind, rep.trials, rep.successes, rep.memory_bytes_measured)
         rep = adversary.random_response_control(
-            witnesses, sessions, k, h, alpha, M21.m, Rng(8), Rng(9),
+            witnesses, sessions, h, alpha, M21.m, Rng(8), Rng(9),
             hardened_polys=hardened,
         )
         _feed(digest, rep.kind, rep.trials, rep.successes)
