@@ -34,14 +34,17 @@ class ProbabilityReport:
     seed: int
     mc_estimate: float = field(init=False)
     mc_stderr: float = field(init=False)
-    passed: bool = field(init=False)  # the estimate is within 3 sigma
+    # within 3 sigma of p0 = closed_form, sigma from p0 itself: an estimate
+    # of 0 or 1 has no spread of its own to measure against
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         p = self.mc_estimate = self.successes / self.trials
         self.mc_stderr = math.sqrt(max(p * (1 - p), 1e-300) / self.trials)
-        self.passed = abs(float(self.closed_form) - p) <= 3 * max(self.mc_stderr, 1e-300)
+        p0 = float(self.closed_form)
+        self.passed = abs(p0 - p) <= 3 * math.sqrt(p0 * (1 - p0) / self.trials)
 
     def csv_row(self) -> str:
         param_str = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))

@@ -64,7 +64,7 @@ def _load_bundle(bundle_dir: Path):
     try:
         root = json.loads((bundle_dir / "root.json").read_text())
         root_key = bytes.fromhex(root["root_public_key"])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise keymgmt.InvalidParameters(f"no readable root.json in {bundle_dir}: {exc!r}") from exc
     obu_files = sorted(bundle_dir.glob("obu_*.json"))
     rsu_files = sorted(bundle_dir.glob("rsu_*.json"))
@@ -308,7 +308,7 @@ def run_revoke_demo(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     obu, rsu, config = _demo_session(params)
     iv = obu.credential.iv
     before, _ = protocol.run_full_session(obu, rsu, config)
-    revocation.broadcast_revocation(iv, 0, [rsu.table], reason="demo")
+    revocation.broadcast_revocation(iv, 0, [rsu.table])
     after, _ = protocol.run_full_session(obu, rsu, config)
 
     outcomes = {"before": before.outcome.value, "after": after.outcome.value}
@@ -392,7 +392,10 @@ def _manifest_run(text: str) -> tuple[str, dict]:
     """(subcommand, params) of a manifest; a ``ValueError`` unless it is a
     JSON object naming a subcommand and a value of the right type for each
     of its options."""
-    spec = json.loads(text)
+    try:
+        spec = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("manifest nests too deeply to parse") from exc
     if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
         raise ValueError("manifest is not an object with a params object")
     sub, params = spec.get("subcommand"), spec["params"]

@@ -253,7 +253,10 @@ def obu_credential_to_json(cred: ObuCredential) -> str:
 
 
 def _record(text: str, kind: str) -> dict:
-    d = json.loads(text)
+    try:
+        d = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParameters(f"{kind} record is not JSON: {exc!r}") from exc
     version = d.get("format_version") if isinstance(d, dict) else None
     if version != BUNDLE_FORMAT_VERSION or d.get("kind") != kind:
         raise InvalidParameters(f"not a supported {kind} record")

@@ -145,19 +145,6 @@ class SessionTranscript:
     key_id: bytes = NO_KEY_ID
 
 
-class LogicalClock:
-    """Deterministic session clock; no wall time anywhere in the protocol."""
-
-    def __init__(self):
-        self._t = 0.0
-
-    def now(self) -> float:
-        return self._t
-
-    def advance(self, dt: float) -> None:
-        self._t += dt
-
-
 def _fresh(now: float, t: float) -> bool:
     """``t`` lies within ``FRESHNESS_WINDOW`` of ``now``; never for NaN or an infinity."""
     return math.isfinite(t) and abs(now - t) <= FRESHNESS_WINDOW
@@ -245,7 +232,7 @@ class Rsu:
     ):
         self.credential = credential
         self.rng = rng
-        self.clock = LogicalClock()
+        self.clock = 0.0  # logical seconds; the protocol never reads wall time
         # policy maps serv_id -> minimum permitted alpha
         self.policy = policy if policy is not None else {"ERS": 1, "NAV": 1, "INFO": 1}
         self.sym = sym or envelopes.AesGcmEnvelope()
@@ -265,13 +252,13 @@ class Rsu:
         try:
             plain = self.seal.open(self.credential.seal_private_key, request)
             body = json.loads(plain.decode())
-        except (EnvelopeFailure, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (EnvelopeFailure, ValueError, RecursionError) as exc:
             raise UndecryptableRequest("request did not open under this verifier's key") from exc
         group_id, t1, session_key, serv_id, alpha = _request_fields(
             body, self.credential.pool_secrets
         )
-        if not _fresh(self.clock.now(), t1):
-            raise StaleTimestamp(f"t1={t1} outside window at t={self.clock.now()}")
+        if not _fresh(self.clock, t1):
+            raise StaleTimestamp(f"t1={t1} outside window at t={self.clock}")
         while True:
             key_id = self.rng.randbytes(8)
             if key_id not in self.sessions and key_id != NO_KEY_ID:
@@ -346,7 +333,7 @@ class Rsu:
         if len(plain) < 8:
             return False
         (t2,) = struct.unpack(">d", plain[:8])
-        if not _fresh(self.clock.now(), t2):
+        if not _fresh(self.clock, t2):
             raise StaleTimestamp(f"t2={t2} outside window")
         try:
             proof = zkp.decode_proof(plain[8:], self.credential.modulus, len(sess.witnesses))
@@ -427,7 +414,7 @@ class Obu:
         self.credential = credential
         self.root_public_key = root_public_key
         self.rng = rng
-        self.clock = LogicalClock()
+        self.clock = 0.0  # logical seconds; the protocol never reads wall time
         self.sym = sym or envelopes.AesGcmEnvelope()
         self.seal = seal or envelopes.EciesSeal()
         self.session_key: Optional[bytes] = None
@@ -440,7 +427,7 @@ class Obu:
 
     def start(self, cert: Certificate, config: SessionConfig) -> bytes:
         """Check the beacon's certificate and seal a request to its key."""
-        now = self.clock.now()
+        now = self.clock
         if not cert.valid_from <= now <= cert.valid_to:
             raise BadCertificate(f"beacon certificate is not valid at t={now}")
         _signature_verified(cert, cert.signed_payload, self.root_public_key)
@@ -458,9 +445,6 @@ class Obu:
             sort_keys=True,
         ).encode()
         return self.seal.seal(cert.public_key, body, self.rng)
-
-    def bind(self, key_id: bytes) -> None:
-        self.key_id = key_id
 
     def _open_config(self) -> SessionConfig:
         """The config ``start`` opened the session with; ``StepOutOfOrder``
@@ -489,7 +473,7 @@ class Obu:
         system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
         m = self.credential.modulus
         proof = zkp.prove(system, self.credential.master_key, cfg.h, m, self.rng, challenge_rng)
-        plain = struct.pack(">d", self.clock.now()) + zkp.encode_proof(proof, m)
+        plain = struct.pack(">d", self.clock) + zkp.encode_proof(proof, m)
         return self.sym.seal(self.session_key, plain, self.rng)
 
     # -- step 6: bundle verification ------------------------------------------
@@ -547,7 +531,7 @@ def run_full_session(
     log.frames.append(encode_message(MSG_AUTH_REQUEST, NO_KEY_ID, request))
 
     key_id = rsu.register_session(request, config)
-    obu.bind(key_id)
+    obu.key_id = key_id
     log.key_id = key_id
     if rsu.negotiate_privacy(key_id) is None:
         return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha), log

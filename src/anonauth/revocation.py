@@ -36,7 +36,6 @@ class ParameterOverflow(ValueError):
 class RevocationEntry:
     iv: int
     last_known_counter: int
-    reason: str = ""
 
     def __post_init__(self):
         if not (0 <= self.iv < 1 << 64 and 0 <= self.last_known_counter < 1 << 64):
@@ -55,16 +54,10 @@ class RevocationTable:
     version: int = 0
     _index: Optional[_ScreenIndex] = field(default=None, repr=False)
 
-    def upsert(self, entry: RevocationEntry, windows: Optional[dict] = None) -> None:
-        """Install ``entry``. A broadcast hands every table one ``windows``
-        dict ((n, k, mu, window) -> the entry's window), so tables that
-        screen with the same parameters compute the window once."""
+    def upsert(self, entry: RevocationEntry) -> None:
+        """Install ``entry``; a warm table draws its window into the index."""
         if self._index is not None:  # first, so an entry it cannot rebuild changes nothing
-            windows = {} if windows is None else windows
-            params = self._index.params
-            if params not in windows:
-                windows[params] = _window(entry, params)
-            self._index.add(entry, windows[params])
+            self._index.add(entry, _window(entry, self._index.params))
         self.entries[entry.iv] = entry
         self.version += 1
 
@@ -125,18 +118,11 @@ def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
     return tuple(blocks)
 
 
-def broadcast_revocation(
-    iv: int,
-    counter_hint: int,
-    tables: Sequence[RevocationTable],
-    reason: str = "",
-) -> None:
-    """Install the violator entry in every table; idempotent on repeats.
-    The entry's window is computed once per (n, k, mu, window) in use."""
-    entry = RevocationEntry(iv=iv, last_known_counter=counter_hint, reason=reason)
-    windows: dict = {}
+def broadcast_revocation(iv: int, counter_hint: int, tables: Sequence[RevocationTable]) -> None:
+    """Install the violator entry in every table; idempotent on repeats."""
+    entry = RevocationEntry(iv=iv, last_known_counter=counter_hint)
     for table in tables:
-        table.upsert(entry, windows)
+        table.upsert(entry)
 
 
 def _window(entry: RevocationEntry, params: tuple[int, int, int, int]) -> tuple[Block, ...]:

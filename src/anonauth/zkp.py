@@ -99,18 +99,6 @@ def prover_commit(rng: Rng, m: int) -> tuple[int, int]:
     return r, w
 
 
-def prover_respond(r: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
-    if len(secrets) != len(challenge):
-        raise ChallengeLengthMismatch(
-            f"{len(secrets)} secrets vs {len(challenge)} challenge bits"
-        )
-    y = r
-    for s, b in zip(secrets, challenge):
-        if b:
-            y = (y * s) % m
-    return y
-
-
 def verify_round(
     w: int, challenge: Sequence[int], y: int, witnesses: Sequence[int], m: int
 ) -> bool:
@@ -160,10 +148,9 @@ def challenge_bits(challenge: Sequence[int]) -> int:
 # ------------------------------------------------------------- hardened
 
 
-def derive_session_polynomial(
-    seed: bytes, k: int, coeff_modulus: int = DEFAULT_COEFF_MODULUS
-) -> SessionPolynomial:
-    """Derive k coefficients a_t = H(tag || seed || t) mod Q on both sides.
+def derive_session_polynomial(seed: bytes, k: int) -> SessionPolynomial:
+    """Derive k coefficients a_t = H(tag || seed || t) mod Q on both sides,
+    with Q = ``DEFAULT_COEFF_MODULUS`` read at call time.
 
     An all-zero outcome is regenerated with an incremented domain tag so
     the polynomial is never identically zero.
@@ -177,7 +164,7 @@ def derive_session_polynomial(
             digest = hashlib.sha256(
                 b"poly" + tag.to_bytes(4, "big") + seed + t.to_bytes(4, "big")
             ).digest()
-            coeffs.append(int.from_bytes(digest, "big") % coeff_modulus)
+            coeffs.append(int.from_bytes(digest, "big") % DEFAULT_COEFF_MODULUS)
         if any(coeffs):
             return SessionPolynomial(coefficients=tuple(coeffs))
         tag += 1
@@ -228,25 +215,6 @@ def _poly_product(
     return prod
 
 
-def hardened_respond(
-    r: int,
-    secrets: Sequence[int],
-    challenge: Sequence[int],
-    poly: SessionPolynomial,
-    m: int,
-) -> int:
-    """Y = R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) mod m.
-
-    The product is a unit iff every factor is, so one gcd decides whether
-    the round is degenerate."""
-    if len(secrets) != len(challenge) or len(challenge) != len(poly.coefficients):
-        raise ChallengeLengthMismatch("secrets/challenge/coefficients disagree")
-    g = _poly_product(poly, secrets, challenge, 2, m)
-    if gcd(g, m) != 1:
-        raise DegenerateEvaluation("inner sum is not a unit; re-run the round")
-    return (r * r % m) * g % m
-
-
 def hardened_verify(
     w: int,
     challenge: Sequence[int],
@@ -272,7 +240,17 @@ class Basic:
     """Y = R * prod(S_i for challenged i), checked by ``verify_round``."""
 
     variant = Variant.BASIC
-    respond = staticmethod(prover_respond)
+
+    def respond(self, r: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
+        if len(secrets) != len(challenge):
+            raise ChallengeLengthMismatch(
+                f"{len(secrets)} secrets vs {len(challenge)} challenge bits"
+            )
+        y = r
+        for s, b in zip(secrets, challenge):
+            if b:
+                y = (y * s) % m
+        return y
 
     def check(self, w, challenge, y, witnesses, m) -> bool:
         return verify_round(w, challenge, y, witnesses, m)
@@ -292,8 +270,17 @@ class Hardened:
             raise DegenerateParameters("hardened variant requires k >= 2")
         self.poly = poly
 
-    def respond(self, r, secrets, challenge, m) -> int:
-        return hardened_respond(r, secrets, challenge, self.poly, m)
+    def respond(self, r: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
+        """Y = R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) mod m.
+
+        The product is a unit iff every factor is, so one gcd decides
+        whether the round is degenerate."""
+        if len(secrets) != len(challenge) or len(challenge) != len(self.poly.coefficients):
+            raise ChallengeLengthMismatch("secrets/challenge/coefficients disagree")
+        g = _poly_product(self.poly, secrets, challenge, 2, m)
+        if gcd(g, m) != 1:
+            raise DegenerateEvaluation("inner sum is not a unit; re-run the round")
+        return (r * r % m) * g % m
 
     def check(self, w, challenge, y, witnesses, m) -> bool:
         return hardened_verify(w, challenge, y, witnesses, self.poly, m)

@@ -322,7 +322,7 @@ def test_criterion_7_hardened_zkp():
     poly = SessionPolynomial(coefficients=(3, 2))
     secrets = [2, 8]
     witnesses = [s * s % m for s in secrets]
-    y = zkp.hardened_respond(2, secrets, (0, 1), poly, m)
+    y = zkp.Hardened(poly).respond(2, secrets, (0, 1), m)
     w = (2 * 2) % m
     example_ok = y == 10 and zkp.hardened_verify(w, (0, 1), y, witnesses, poly, m)
 
@@ -341,7 +341,7 @@ def test_criterion_7_hardened_zkp():
         r, w = zkp.prover_commit(rng, mod.m)
         challenge = zkp.draw_challenge(rng, k)
         try:
-            y = zkp.hardened_respond(r, secrets, challenge, poly, mod.m)
+            y = zkp.Hardened(poly).respond(r, secrets, challenge, mod.m)
             accepted = zkp.hardened_verify(w, challenge, y, witnesses, poly, mod.m)
         except zkp.DegenerateEvaluation:
             degenerate += 1  # clean re-run path

@@ -11,6 +11,7 @@ from anonauth import adversary, analysis
 from anonauth.analysis import (
     CSV_HEADER,
     ParameterOverflow,
+    ProbabilityReport,
     UnknownFigure,
     figure_csv,
     figure_series,
@@ -166,6 +167,16 @@ class TestMonteCarlo:
         )
         assert float(independent.closed_form) == pytest.approx(1 / 36)
         assert independent.passed
+
+    def test_zero_successes_at_a_tiny_closed_form_passes(self):
+        # 0 of 2000 is what p = 2^-20 gives 99.8 % of the time
+        rep = mc_cheater(5, 4, trials=2_000, seed=1)
+        assert rep.successes == 0 and rep.closed_form == Fraction(1, 2**20)
+        assert rep.passed
+
+    def test_one_success_at_a_tiny_closed_form_fails(self):
+        rep = ProbabilityReport("p_cheater", {}, Fraction(1, 2**20), 1, 2_000, 0)
+        assert not rep.passed
 
     def test_reports_are_reproducible(self):
         a = mc_cheater(1, 1, trials=2_000, seed=9)

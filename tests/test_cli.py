@@ -104,6 +104,18 @@ def _break_obu(bundle):
     obu.write_text(json.dumps({"kind": "obu_credential", "format_version": 1}))
 
 
+# nested past the JSON decoder's recursion limit
+_DEEP = "[" * 100_000
+
+
+def _deep_root(bundle):
+    (bundle / "root.json").write_text(_DEEP)
+
+
+def _deep_obu(bundle):
+    next(bundle.glob("obu_*.json")).write_text(_DEEP)
+
+
 class TestBadBundle:
     def _auth_demo(self, runner, tmp_path, bundle):
         out = tmp_path / "session"
@@ -119,7 +131,10 @@ class TestBadBundle:
     def test_missing_directory_exits_2(self, runner, tmp_path):
         self._auth_demo(runner, tmp_path, tmp_path / "absent")
 
-    @pytest.mark.parametrize("damage", [_break_root, _break_obu], ids=["root", "obu"])
+    @pytest.mark.parametrize(
+        "damage", [_break_root, _break_obu, _deep_root, _deep_obu],
+        ids=["root", "obu", "deep-root", "deep-obu"],
+    )
     def test_record_without_fields_exits_2(self, runner, tmp_path, damage):
         bundle = _keygen(runner, tmp_path)
         damage(bundle)
@@ -346,8 +361,9 @@ class TestRerun:
             json.dumps({"params": {"seed": 1}}),
             json.dumps({"subcommand": "keygen", "seed": 1}),
             json.dumps({"subcommand": "keygen", "params": {"seed": 1}}),
+            _DEEP,
         ],
-        ids=["not-json", "not-object", "no-subcommand", "no-params", "missing-param"],
+        ids=["not-json", "not-object", "no-subcommand", "no-params", "missing-param", "deep"],
     )
     def test_malformed_manifest_exits_2(self, runner, tmp_path, text):
         spec = tmp_path / "spec.json"

@@ -84,7 +84,7 @@ class TestHandshakeErrors:
         dep = build_deployment(1, n=6, k=2)
         rsu = dep.make_rsu(1)
         obu = dep.make_obu(2)
-        obu.clock.advance(30.0)  # far outside the 5 s freshness window
+        obu.clock += 30.0  # far outside the 5 s freshness window
         request = obu.start(rsu.beacon(), cfg())
         with pytest.raises(StaleTimestamp):
             rsu.register_session(request, cfg())
@@ -98,6 +98,18 @@ class TestHandshakeErrors:
         rsu_b = dep_b.make_rsu(3)
         with pytest.raises(UndecryptableRequest):
             rsu_b.register_session(request, cfg())
+
+    def test_request_nested_past_the_parser_limit_is_undecryptable(self):
+        # anyone can seal a body to the verifier's key; this one exhausts
+        # the JSON decoder's recursion limit
+        dep = build_deployment(1, n=6, k=2)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        rsu.register_session(obu.start(rsu.beacon(), cfg()), cfg())
+        before = dict(rsu.sessions)
+        deep = obu.seal.seal(rsu.beacon().public_key, b"[" * 100_000, obu.rng)
+        with pytest.raises(UndecryptableRequest):
+            rsu.register_session(deep, cfg())
+        assert rsu.sessions == before
 
     def test_unknown_session_key_id(self):
         dep = build_deployment(1, n=6, k=2)
@@ -120,7 +132,7 @@ class TestPrivacyNegotiation:
         sealed = sealed or cfg()
         request = obu.start(rsu.beacon(), sealed)
         key_id = rsu.register_session(request, registered or sealed)
-        obu.bind(key_id)
+        obu.key_id = key_id
         return rsu, obu, key_id
 
     def test_permitted_alpha_echoed(self):
@@ -175,7 +187,7 @@ class TestProofSetAnnouncement:
         obu = dep.make_obu(2)
         request = obu.start(rsu.beacon(), config)
         key_id = rsu.register_session(request, config)
-        obu.bind(key_id)
+        obu.key_id = key_id
         assert rsu.negotiate_privacy(key_id) == config.alpha
         return rsu, obu, key_id
 
@@ -395,9 +407,9 @@ class TestCertificateChecks:
         beacon = _signed_beacon(dep, valid_from=100, valid_to=200)
         with pytest.raises(BadCertificate):
             obu.start(beacon, cfg())  # t = 0
-        obu.clock.advance(150)
+        obu.clock += 150
         obu.start(beacon, cfg())
-        obu.clock.advance(100)  # t = 250
+        obu.clock += 100  # t = 250
         with pytest.raises(BadCertificate):
             obu.start(beacon, cfg())
 
@@ -406,7 +418,7 @@ class TestCertificateChecks:
         obu = dep.make_obu(2)
         beacon = _signed_beacon(dep, valid_to=10)
         obu.start(beacon, cfg())
-        obu.clock.advance(20)
+        obu.clock += 20
         with pytest.raises(BadCertificate):
             obu.start(beacon, cfg())
 
@@ -547,8 +559,8 @@ class TestFullSession:
         req_b = obu_b.start(rsu.beacon(), config)
         kid_a = rsu.register_session(req_a, config)
         kid_b = rsu.register_session(req_b, config)
-        obu_a.bind(kid_a)
-        obu_b.bind(kid_b)
+        obu_a.key_id = kid_a
+        obu_b.key_id = kid_b
         assert kid_a != kid_b
         assert rsu.negotiate_privacy(kid_b) == rsu.negotiate_privacy(kid_a) == 1
         assert rsu.receive_proof_sets(kid_a, obu_a.choose_proof_sets()) is None
@@ -594,7 +606,7 @@ def _open_screened_session(rsu, obu, config, rsu_config=None):
     registered under ``rsu_config`` (default the same), screened clean."""
     request = obu.start(rsu.beacon(), config)
     key_id = rsu.register_session(request, rsu_config or config)
-    obu.bind(key_id)
+    obu.key_id = key_id
     assert rsu.negotiate_privacy(key_id) == config.alpha
     assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
     return key_id
@@ -608,7 +620,7 @@ class TestStepOrder:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
-        obu.bind(key_id)
+        obu.key_id = key_id
         early = obu.prove_membership(rsu.rng)
         with pytest.raises(StepOutOfOrder):
             rsu.check_membership_proof(key_id, early)
@@ -684,7 +696,7 @@ class RsuStepMachine(RuleBasedStateMachine):
     def register(self):
         obu = self.dep.make_obu(len(self.obus) + 2)
         key_id = self.rsu.register_session(obu.start(self.rsu.beacon(), _CONFIG), _CONFIG)
-        obu.bind(key_id)
+        obu.key_id = key_id
         assert self.rsu.sessions[key_id].step is Step.REGISTERED
         self.obus[key_id] = (obu, obu.choose_proof_sets(), obu.prove_membership(self.rsu.rng))
         return key_id
@@ -829,7 +841,7 @@ class TestMalformedProofs:
         dep = build_deployment(44, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = struct.pack(">d", obu.clock.now()) + wide_proof((), rsu.credential.modulus)
+        plain = struct.pack(">d", obu.clock) + wide_proof((), rsu.credential.modulus)
         sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
         assert rsu.check_membership_proof(key_id, sealed) is False
 
@@ -857,7 +869,7 @@ class TestZeroProofs:
         dep = build_deployment(48, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=variant))
-        plain = struct.pack(">d", obu.clock.now()) + zkp.encode_proof(
+        plain = struct.pack(">d", obu.clock) + zkp.encode_proof(
             _zero_proof(variant), rsu.credential.modulus
         )
         sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
@@ -891,11 +903,11 @@ class TestShortPlaintexts:
             sealed = obu.sym.seal(obu.session_key, short, obu.rng)
             assert rsu.check_membership_proof(key_id, sealed) is False
             assert rsu.sessions[key_id].step is Step.SCREENED
-        rsu.clock.advance(30.0)
+        rsu.clock += 30.0
         with pytest.raises(StaleTimestamp):
             rsu.check_membership_proof(key_id, honest)
         assert rsu.sessions[key_id].step is Step.SCREENED
-        obu.clock.advance(30.0)
+        obu.clock += 30.0
         assert rsu.check_membership_proof(key_id, obu.prove_membership(rsu.rng))
 
     def test_closing_reply_must_be_one_byte(self):

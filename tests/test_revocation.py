@@ -189,7 +189,7 @@ class TestCounter:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         cfg = SessionConfig(alpha=1, mu=2, k=2, h=1, n=6, serv_id="INFO")
         key_id = rsu.register_session(obu.start(rsu.beacon(), cfg), cfg)
-        obu.bind(key_id)
+        obu.key_id = key_id
         assert rsu.negotiate_privacy(key_id) == 1
         assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
         assert rsu.check_membership_proof(key_id, obu.prove_membership(rsu.rng))
@@ -204,7 +204,7 @@ class TestCounter:
 class TestBroadcast:
     def test_all_tables_updated(self):
         tables = [RevocationTable() for _ in range(10)]
-        broadcast_revocation(42, 3, tables, reason="violation")
+        broadcast_revocation(42, 3, tables)
         for t in tables:
             assert t.entries[42].last_known_counter == 3
         assert len({tuple(t.entries) for t in tables}) == 1
@@ -366,27 +366,28 @@ class TestIncrementalIndex:
         assert not _head_candidates(table, miss, n, k, window)  # its head starts no window
         assert cost(lambda: screen_session(table, miss, n, k, window=window)) == (0, 0)
 
-    def test_broadcast_computes_each_window_once(self, cost):
+    def test_broadcast_draws_each_warm_tables_window(self, cost):
         n, k, window = 15, 3, 10
         miss = next_sequence(1234, 0, n, k, 3)
         tables = [RevocationTable() for _ in range(10)]
         for table in tables:
             table.upsert(RevocationEntry(iv=1, last_known_counter=0))
             screen_session(table, miss, n, k, window=window)  # warm: index built
-        assert cost(lambda: broadcast_revocation(7, 2, tables)) == (window + 1, 0)
+        assert cost(lambda: broadcast_revocation(7, 2, tables)) == (10 * (window + 1), 0)
         hit = next_sequence(7, 4, n, k, 3)
         confirmations = _confirmations(tables[0], hit, n, k, window, Match(iv=7, counter=4))
         for table in tables:
             assert cost(lambda: screen_session(table, hit, n, k, window=window)) == (
                 0, confirmations)
             assert screen_session(table, hit, n, k, window=window) == Match(iv=7, counter=4)
-        # a table screening with other parameters gets its own window; a
-        # cold table computes none until its first screen
+        # a table screening with other parameters draws its own window; a
+        # cold table draws none until its first screen
         other, cold = RevocationTable(), RevocationTable()
         other.upsert(RevocationEntry(iv=1, last_known_counter=0))
         screen_session(other, miss, n, k, window=window + 1)
         assert cost(lambda: broadcast_revocation(8, 0, tables + [other, cold])) == (
-            (window + 1) + (window + 2), 0)
+            10 * (window + 1) + (window + 2), 0)
+        assert cost(lambda: broadcast_revocation(9, 0, [cold])) == (0, 0)
 
     def test_shared_head_with_another_sequence_is_no_match(self, cost):
         n, k, mu = _N, _K, 2
@@ -527,7 +528,7 @@ class TestEndToEndRevocation:
         beacon = rsu.beacon()
         request = obu.start(beacon, cfg)
         key_id = rsu.register_session(request, cfg)
-        obu.bind(key_id)
+        obu.key_id = key_id
         assert rsu.negotiate_privacy(key_id) == cfg.alpha
         # revocation lands after registration but before the screening point
         broadcast_revocation(obu.credential.iv, 0, [rsu.table])

@@ -1,8 +1,10 @@
 """Every parameter of a ``src/anonauth`` function is read in that function,
-unless an interface the function implements requires it.
+unless an interface the function implements requires it, and every field of
+a ``src/anonauth`` dataclass is read somewhere in ``src/``.
 
 A parameter counts as read when its name is loaded anywhere in the body,
-nested functions and lambdas included; ``self`` and ``cls`` are exempt.
+nested functions and lambdas included; ``self`` and ``cls`` are exempt. A
+field counts as read when any module loads an attribute of its name.
 """
 
 import ast
@@ -74,3 +76,51 @@ def test_checker_flags_an_unread_parameter():
         "        return inner\n"
     )
     assert _unused_parameters(source, "mod") == ["mod.f(b)", "mod.f(args)", "mod.f(kw)"]
+
+
+# "module.Class.field" that no code in src/ reads
+ALLOWED_FIELDS = {
+    # the factors stay with whoever made the modulus
+    "numtheory.BlumModulus.p",
+    "numtheory.BlumModulus.q",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def _unread_fields(sources: dict[str, str]) -> list[str]:
+    """Each dataclass field in ``sources`` (module -> source) whose name no
+    module loads as an attribute, as "module.Class.field"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [
+        f"{module}.{cls.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+
+
+def test_src_reads_every_dataclass_field():
+    unread = _unread_fields({p.stem: p.read_text() for p in MODULES})
+    assert sorted(set(unread) - ALLOWED_FIELDS) == []
+    assert ALLOWED_FIELDS <= set(unread)
+
+
+def test_checker_flags_an_unread_field():
+    sources = {
+        "mod": (
+            "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 0\n"
+            "@dataclass\nclass E:\n    c: int\n"
+            "class Plain:\n    d: int\n"
+        ),
+        "other": "def f(d):\n    d.b = 1\n    return d.a\n",
+    }
+    assert _unread_fields(sources) == ["mod.D.b", "mod.E.c"]

@@ -25,11 +25,9 @@ from anonauth.zkp import (
     derive_session_polynomial,
     draw_challenge,
     encode_proof,
-    hardened_respond,
     hardened_verify,
     prove,
     prover_commit,
-    prover_respond,
     run_hardened_proof,
     run_proof,
     verify,
@@ -90,17 +88,17 @@ class TestCommit:
 
 class TestRespond:
     def test_zero_challenge_returns_r(self):
-        assert prover_respond(5, [2, 8], [0, 0], M) == 5
+        assert BASIC.respond(5, [2, 8], [0, 0], M) == 5
 
     def test_single_secret(self):
-        assert prover_respond(5, [2], [1], M) == 10
+        assert BASIC.respond(5, [2], [1], M) == 10
 
     def test_two_secrets(self):
-        assert prover_respond(5, [2, 8], [1, 1], M) == 80 % M == 17
+        assert BASIC.respond(5, [2, 8], [1, 1], M) == 80 % M == 17
 
     def test_length_mismatch(self):
         with pytest.raises(ChallengeLengthMismatch):
-            prover_respond(5, [2, 8], [1], M)
+            BASIC.respond(5, [2, 8], [1], M)
 
 
 class TestVerifyRound:
@@ -197,8 +195,9 @@ class TestSessionPolynomial:
             collisions += a.coefficients == b.coefficients
         assert collisions == 0
 
-    def test_range_contract(self):
-        poly = derive_session_polynomial(b"x", 2, coeff_modulus=7)
+    def test_range_contract(self, monkeypatch):
+        monkeypatch.setattr(zkp, "DEFAULT_COEFF_MODULUS", 7)
+        poly = derive_session_polynomial(b"x", 2)
         assert len(poly.coefficients) == 2
         assert all(0 <= c <= 6 for c in poly.coefficients)
         assert any(poly.coefficients)
@@ -215,7 +214,7 @@ def _poly(coeffs):
 class TestHardened:
     def test_worked_example_respond(self):
         # inner sums: 3 + 2*2^2 = 11 and 3 + 2*8^2 = 3 + 2 (8^2 = 1 mod 21) = 5
-        y = hardened_respond(2, [2, 8], [0, 1], _poly([3, 2]), M)
+        y = Hardened(_poly([3, 2])).respond(2, [2, 8], [0, 1], M)
         assert y == 10
 
     def test_worked_example_verify(self):
@@ -227,11 +226,11 @@ class TestHardened:
     def test_zero_challenge_collapses(self):
         # every exponent is 0, so Y = R^2 * (sum a)^k
         poly = _poly([3, 2])
-        y = hardened_respond(2, [2, 8], [0, 0], poly, M)
+        y = Hardened(poly).respond(2, [2, 8], [0, 0], M)
         assert y == 4 * pow(5, 2, M) % M
 
     def test_unit_polynomial(self):
-        y = hardened_respond(2, [2, 8], [0, 1], _poly([1, 0]), M)
+        y = Hardened(_poly([1, 0])).respond(2, [2, 8], [0, 1], M)
         assert y == 4
 
     def test_tampered_y_rejected(self):
@@ -243,7 +242,7 @@ class TestHardened:
     def test_degenerate_inner_sum(self):
         # a = [3, 9], S = 2, b = 1: 3 + 9*16 = 147 = 0 mod 21
         with pytest.raises(DegenerateEvaluation):
-            hardened_respond(2, [2, 2], [1, 1], _poly([3, 9]), M)
+            Hardened(_poly([3, 9])).respond(2, [2, 2], [1, 1], M)
 
     def test_honest_hardened_completeness(self):
         # m = 21 leaves too few non-degenerate challenges at k = 2, so the
@@ -394,10 +393,10 @@ class TestTermTable:
         factors = [_inner_sum(poly, s, challenge, 2, m) for s in secrets]
         if any(math.gcd(f, m) != 1 for f in factors):
             with pytest.raises(DegenerateEvaluation):
-                hardened_respond(r, secrets, challenge, poly, m)
+                Hardened(poly).respond(r, secrets, challenge, m)
         else:
             expected = r * r * math.prod(factors) % m
-            assert hardened_respond(r, secrets, challenge, poly, m) == expected
+            assert Hardened(poly).respond(r, secrets, challenge, m) == expected
 
     def test_prove_checks_for_a_unit_once_per_round(self, monkeypatch):
         calls = []
@@ -473,7 +472,7 @@ class TestTranscriptIndistinguishability:
         for _ in range(n_samples):
             r, w = prover_commit(rng, M)
             ch = draw_challenge(rng, 1)
-            y = prover_respond(r, [secret], ch, M)
+            y = BASIC.respond(r, [secret], ch, M)
             assert verify_round(w, ch, y, [witness], M)
             key = (w, ch[0], y)
             honest[key] = honest.get(key, 0) + 1
