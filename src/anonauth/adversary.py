@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from . import zkp
 from .numtheory import Rng, mod_inv, sample_unit
-from .protocol import SessionTranscript
+from .protocol import SessionTranscript, StepOutOfOrder
 from .zkp import SessionPolynomial, ZkpProof, ZkpRound, challenge_bits
 
 
@@ -45,64 +45,58 @@ class CheaterProver:
     W = +-R^2 / prod(g_i for guessed i), answers Y = R.
 
     A round verifies exactly when the verifier's challenge equals the
-    guess (up to negligible arithmetic coincidence in the modulus).
-    ``inverses`` (mask -> 1 / prod(g_i for i in mask) mod m, filled as
-    masks are first drawn) may be shared by provers with the same witnesses
-    and modulus.
+    guess (up to negligible arithmetic coincidence in the modulus). One
+    prover serves any number of attempts on its witnesses: it keeps
+    mask -> 1 / prod(g_i for i in mask) mod m, filled as masks are first
+    drawn.
     """
 
-    def __init__(
-        self, witnesses: Sequence[int], m: int, rng: Rng, inverses: Optional[dict[int, int]] = None
-    ):
-        self.witnesses = list(witnesses)
+    def __init__(self, witnesses: Sequence[int], m: int, rng: Rng):
+        self.witnesses = tuple(witnesses)
         self.m = m
         self.rng = rng
-        self.k = len(witnesses)
-        self._inv_cache = {} if inverses is None else inverses
+        self._randbits = rng.randbits
+        self._inverses: dict[int, int] = {}
         self._r: Optional[int] = None
 
     def commit(self) -> int:
-        m = self.m
+        m, randbits = self.m, self._randbits
         self._r = r = sample_unit(self.rng, m)
-        mask = self.rng.randbits(self.k)
-        sign = self.rng.choice_sign()
-        inv = self._inv_cache.get(mask)
+        mask = randbits(len(self.witnesses))
+        negate = not randbits(1)  # the bit ``Rng.choice_sign`` draws
+        inv = self._inverses.get(mask)
         if inv is None:
             prod = 1
-            for i, w in enumerate(self.witnesses):
+            for i, g in enumerate(self.witnesses):
                 if (mask >> i) & 1:
-                    prod = (prod * w) % m
-            inv = self._inv_cache[mask] = mod_inv(prod, m)
-        return (sign * r * r * inv) % m
+                    prod = (prod * g) % m
+            inv = self._inverses[mask] = mod_inv(prod, m)
+        w = r * r * inv % m
+        return -w % m if negate else w
 
     def respond(self, challenge: Sequence[int]) -> int:
-        assert self._r is not None
-        return self._r
+        """The R of the last ``commit``; each commit answers once."""
+        r = self._r
+        if r is None:
+            raise StepOutOfOrder("respond without a fresh commit")
+        self._r = None
+        return r
 
 
 def cheater_attempt(
-    witnesses: Sequence[int],
-    h: int,
-    m: int,
-    rng: Rng,
-    verifier_rng: Rng,
-    inverses: Optional[dict[int, int]] = None,
-) -> tuple[list[ZkpRound], bool]:
+    prover: CheaterProver, h: int, verifier_rng: Rng, transcript: Optional[list] = None
+) -> bool:
     """One full cheating attempt: up to h rounds against an honest
-    verifier, which stops at the first failed round. Returns the rounds
-    played and the verdict. Attempts on the same witnesses and modulus may
-    share one ``inverses`` table (see ``CheaterProver``)."""
-    rounds: list[ZkpRound] = []
-    ok = zkp.verify_interactive(
-        zkp.BASIC, CheaterProver(witnesses, m, rng, inverses), witnesses, h, m, verifier_rng,
-        transcript=rounds,
+    verifier, which stops at the first failed round. Returns the verdict;
+    every round played is appended to ``transcript`` when one is given."""
+    return zkp.verify_interactive(
+        zkp.BASIC, prover, prover.witnesses, h, prover.m, verifier_rng, transcript
     )
-    return rounds, ok
 
 
 def bundle_cheater_attempt(
     pool_witnesses: Sequence[int],
-    requested_sets: Sequence[Sequence[int]],
+    requested_sets: Sequence[int],
     h: int,
     alpha: int,
     m: int,
@@ -111,34 +105,39 @@ def bundle_cheater_attempt(
 ) -> bool:
     """Cheating verifier-side prover against the bundle check.
 
-    The attacker holds no pool secrets and, per the modeled attacker, must
-    also guess which k-id set each proof will be checked against before
-    learning the real one. Each proof declares the guessed set, mirroring
-    the live flow where bundle items carry their secret ids and the
-    verifier rejects a declaration mismatch before any arithmetic.
+    Each requested k-id set is a bitmask, bit i - 1 for id i. The attacker
+    holds no pool secrets and, per the modeled attacker, must also guess
+    which k-id set each proof will be checked against before learning the
+    real one. Each proof declares the guessed set, mirroring the live flow
+    where bundle items carry their secret ids and the verifier rejects a
+    declaration mismatch before any arithmetic.
     """
     n = len(pool_witnesses)
     verified = 0
-    for ids in requested_sets:
-        if _sample_subset(rng, n, len(ids)) != frozenset(ids):
+    for mask in requested_sets:
+        if _sample_subset(rng, n, mask.bit_count()) != mask:
             continue
-        true_witnesses = [pool_witnesses[i - 1] for i in ids]
-        prover = CheaterProver(true_witnesses, m, rng)
-        if zkp.verify_interactive(zkp.BASIC, prover, true_witnesses, h, m, verifier_rng):
+        witnesses = [w for i, w in enumerate(pool_witnesses) if (mask >> i) & 1]
+        prover = CheaterProver(witnesses, m, rng)
+        if zkp.verify_interactive(zkp.BASIC, prover, witnesses, h, m, verifier_rng):
             verified += 1
     return verified >= alpha
 
 
-def _sample_subset(rng: Rng, n: int, k: int) -> frozenset[int]:
-    """k distinct ids of 1..n, unordered: one ``rng.randrange(0, n)`` draw
-    per id, repeats included, in a single loop over ``rng.randbits``."""
+def _sample_subset(rng: Rng, n: int, k: int) -> int:
+    """k distinct ids of 1..n as a bitmask, bit i - 1 for id i: one
+    ``rng.randrange(0, n)`` draw per id, repeats included, in a single loop
+    over ``rng.randbits``."""
     randbits, bits = rng.randbits, n.bit_length()
-    picked: set[int] = set()
-    while len(picked) < k:
+    mask = picked = 0
+    while picked < k:
         r = randbits(bits)
         if r < n:
-            picked.add(r + 1)
-    return frozenset(picked)
+            grown = mask | 1 << r
+            if grown != mask:
+                mask = grown
+                picked += 1
+    return mask
 
 
 # ------------------------------------------------------------- observer

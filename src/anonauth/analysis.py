@@ -158,13 +158,12 @@ def _mc_witnesses(n_values: int, seed: int):
 def mc_cheater(k: int, h: int, trials: int, seed: int) -> ProbabilityReport:
     """Simulate the secretless prover and compare against p_cheater."""
     m, _, witnesses = _mc_witnesses(k, seed)
-    attacker_rng = Rng(seed)
+    prover = adversary.CheaterProver(witnesses, m, Rng(seed))
     verifier_rng = Rng(seed ^ 0xA5A5A5)
-    inverses: dict[int, int] = {}  # one witness set, so one table for every trial
+    attempt = adversary.cheater_attempt
     successes = 0
     for _ in range(trials):
-        _, ok = adversary.cheater_attempt(witnesses, h, m, attacker_rng, verifier_rng, inverses)
-        if ok:
+        if attempt(prover, h, verifier_rng):
             successes += 1
     params = {"k": k, "h": h}
     return ProbabilityReport("p_cheater", params, p_cheater(k, h), successes, trials, seed)
@@ -183,8 +182,7 @@ def mc_bundle_cheater(
     set_rng = Rng(seed ^ 0xC0FFEE)
     successes = 0
     for _ in range(trials):
-        # sorted, so each proof's witnesses come in id order
-        requested = list(map(sorted, _distinct_sets(set_rng, n, k, mu)))
+        requested = _distinct_sets(set_rng, n, k, mu)
         if adversary.bundle_cheater_attempt(
             pool_witnesses, requested, h, alpha, m, attacker_rng, verifier_rng
         ):
@@ -193,12 +191,14 @@ def mc_bundle_cheater(
     return ProbabilityReport("p_mu", params, p_mu(k, h, n, mu), successes, trials, seed)
 
 
-def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> dict[frozenset[int], None]:
-    """mu distinct k-subsets of 1..n as dict keys, in the order first drawn;
-    the caller checks mu <= C(n, k), past which the search never ends."""
-    sets: dict[frozenset[int], None] = {}
+def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> dict[int, None]:
+    """mu distinct k-subsets of 1..n, bitmasks as ``adversary._sample_subset``
+    draws them, as dict keys in the order first drawn; the caller checks
+    mu <= C(n, k), past which the search never ends."""
+    sample = adversary._sample_subset
+    sets: dict[int, None] = {}
     while len(sets) < mu:
-        sets[adversary._sample_subset(rng, n, k)] = None
+        sets[sample(rng, n, k)] = None
     return sets
 
 
@@ -207,7 +207,7 @@ def mc_leak(n: int, k: int, mu: int, trials: int, seed: int) -> ProbabilityRepor
     designated subset."""
     closed_form = p_leak(n, k, mu)  # ParameterOverflow when mu > C(n, k)
     rng = Rng(seed)
-    designated = frozenset(range(1, k + 1))
+    designated = (1 << k) - 1  # ids 1..k
     successes = 0
     for _ in range(trials):
         if designated in _distinct_sets(rng, n, k, mu):
@@ -243,9 +243,10 @@ def mc_sequence_collision(
     else:
         if not 1 <= k <= n:  # past this, _sample_subset never returns
             raise ValueError(f"require 1 <= k <= n, got k={k}, n={n}")
+        sample = adversary._sample_subset
         for _ in range(trials):
-            seq_a = tuple(adversary._sample_subset(rng, n, k) for _ in range(mu))
-            seq_b = tuple(adversary._sample_subset(rng, n, k) for _ in range(mu))
+            seq_a = [sample(rng, n, k) for _ in range(mu)]
+            seq_b = [sample(rng, n, k) for _ in range(mu)]
             if seq_a == seq_b:
                 successes += 1
         cf = Fraction(1, comb(n, k) ** mu)

@@ -508,6 +508,8 @@ class Obu:
                 observations.append(proof)
         if verified < cfg.alpha:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
+        if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:
+            raise revocation.CounterOverflow("the credential's last counter is spent")
         self.credential.counter += 1
         self.step = ObuStep.ACCEPTED
         return AuthResult(Outcome.ACCEPTED, verified, cfg.alpha)

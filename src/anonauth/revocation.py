@@ -21,6 +21,10 @@ DEFAULT_SEARCH_WINDOW = 64
 # largest pool size n: ids are drawn from 16-bit values, so a larger n
 # would leave no value below the rejection span
 MAX_POOL_SIZE = 1 << 16
+# ivs and counters are 64-bit values; the last counter cannot advance
+COUNTER_LIMIT = 1 << 64
+# the PRF input's prefix: tag, iv, counter, block, redraw
+_PRF_PREFIX = struct.Struct(">7sQQII")
 
 # One block is a sorted k-tuple of distinct ids in [1, n]; a sequence is
 # mu pairwise-distinct blocks.
@@ -32,13 +36,17 @@ class ParameterOverflow(ValueError):
     """mu exceeds the number of distinct k-subsets of [1, n]."""
 
 
+class CounterOverflow(ValueError):
+    """An iv or counter that is not a 64-bit value, such as the counter past the last."""
+
+
 @dataclass(frozen=True)
 class RevocationEntry:
     iv: int
     last_known_counter: int
 
     def __post_init__(self):
-        if not (0 <= self.iv < 1 << 64 and 0 <= self.last_known_counter < 1 << 64):
+        if not (0 <= self.iv < COUNTER_LIMIT and 0 <= self.last_known_counter < COUNTER_LIMIT):
             raise ValueError("iv and last_known_counter must be 64-bit values")
 
 
@@ -73,13 +81,7 @@ def _draw_block(iv: int, counter: int, block_index: int, redraw: int, n: int, k:
     """k distinct ids in [1, n] from the counter-mode stream SHA-256(iv ||
     counter || block || redraw || chunk), read a byte at a time (two bytes,
     big-endian, when n > 256) and rejection-sampled to stay uniform."""
-    prefix = (
-        b"seq-prf"
-        + iv.to_bytes(8, "big")
-        + counter.to_bytes(8, "big")
-        + block_index.to_bytes(4, "big")
-        + redraw.to_bytes(4, "big")
-    )
+    prefix = _PRF_PREFIX.pack(b"seq-prf", iv, counter, block_index, redraw)
     wide = n > 256
     span = 65536 - 65536 % n if wide else 256 - 256 % n
     ids: set[int] = set()
@@ -104,6 +106,8 @@ def _check_params(n: int, k: int, mu: int) -> None:
 def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
     """Deterministic mu-block sequence for one authentication session."""
     _check_params(n, k, mu)
+    if not (0 <= iv < COUNTER_LIMIT and 0 <= counter < COUNTER_LIMIT):
+        raise CounterOverflow(f"iv {iv} or counter {counter} is not a 64-bit value")
     blocks: list[Block] = []
     seen: set[Block] = set()
     for b in range(mu):
@@ -132,7 +136,7 @@ def _window(entry: RevocationEntry, params: tuple[int, int, int, int]) -> tuple[
     that counter's ``next_sequence``."""
     n, k, _, window = params
     first = entry.last_known_counter
-    last = min(first + window, (1 << 64) - 1)  # a counter is a 64-bit value
+    last = min(first + window, COUNTER_LIMIT - 1)
     return tuple(_draw_block(entry.iv, c, 0, 0, n, k) for c in range(first, last + 1))
 
 

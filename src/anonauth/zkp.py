@@ -361,10 +361,11 @@ def verify_interactive(
     k = len(witnesses)
     if k < 1 or h < 1:
         raise DegenerateParameters("k and h must both be >= 1")
+    commit, respond, randbits = prover.commit, prover.respond, verifier_rng.randbits
     for _ in range(h):
-        w = prover.commit()
-        challenge = draw_challenge(verifier_rng, k)
-        y = prover.respond(challenge)
+        w = commit()
+        challenge = _unpack_challenge(randbits(k), k)  # as ``draw_challenge`` draws it
+        y = respond(challenge)
         if transcript is not None:
             transcript.append(ZkpRound(w, challenge, y))
         if not _round_ok(system, w, challenge, y, witnesses, m):

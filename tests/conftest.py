@@ -1,4 +1,5 @@
-"""Shared fixtures: a tiny hand-built Blum modulus and a deployment factory."""
+"""Shared fixtures: a tiny hand-built Blum modulus, a deployment factory and
+the decoder of the Monte Carlo k-id set bitmasks."""
 
 from dataclasses import dataclass
 
@@ -11,6 +12,11 @@ from anonauth.protocol import Obu, Rsu
 
 # m = 3 * 7: both primes are 3 (mod 4); units of Z_21 number 12
 M21 = BlumModulus(m=21, bit_length=5, p=3, q=7)
+
+
+def mask_ids(mask: int) -> tuple[int, ...]:
+    """The ids of a k-id set bitmask (bit i - 1 for id i), ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 @dataclass

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonauth import adversary, zkp
+from anonauth import adversary, analysis, zkp
 from anonauth.adversary import (
+    CheaterProver,
     MissingSimulator,
     SimulatorMatrix,
     SimulatorProver,
@@ -20,15 +21,13 @@ from anonauth.adversary import (
     simulator_attack,
     simulator_memory_cost,
 )
-from anonauth.numtheory import Rng, generate_blum_modulus
-from anonauth.protocol import Outcome, SessionConfig, run_full_session
+from anonauth.numtheory import Rng, generate_blum_modulus, sample_unit
+from anonauth.protocol import Outcome, SessionConfig, StepOutOfOrder, run_full_session
 from anonauth.zkp import ZkpProof, ZkpRound, verify_round
-from conftest import M21, build_deployment
+from conftest import M21, build_deployment, mask_ids
 
 
 def _pool(seed, n, bits=24):
-    from anonauth.numtheory import sample_unit
-
     mod = generate_blum_modulus(bits, seed)
     rng = Rng(seed)
     secrets = [sample_unit(rng, mod.m) for _ in range(n)]
@@ -39,8 +38,6 @@ def _pool(seed, n, bits=24):
 def _honest_row(secrets, m, rng, k):
     """One fully answered commitment: W = R^2 with the honest response for
     every challenge value, exactly what a lucky tap would accumulate."""
-    from anonauth.numtheory import sample_unit
-
     r = sample_unit(rng, m)
     w = r * r % m
     rounds = []
@@ -57,32 +54,28 @@ def _honest_row(secrets, m, rng, k):
 class TestCheater:
     def test_single_round_success_near_half(self):
         m, _, witnesses = _pool(1, 1)
-        rng, vrng = Rng(10), Rng(11)
-        hits = sum(
-            cheater_attempt(witnesses[:1], 1, m, rng, vrng)[1] for _ in range(10_000)
-        )
+        prover, vrng = CheaterProver(witnesses[:1], m, Rng(10)), Rng(11)
+        hits = sum(cheater_attempt(prover, 1, vrng) for _ in range(10_000))
         p = hits / 10_000
         sigma = math.sqrt(0.5 * 0.5 / 10_000)
         assert abs(p - 0.5) <= 4 * sigma
 
     def test_rounds_compound(self):
         m, _, witnesses = _pool(2, 2)
-        rng, vrng = Rng(20), Rng(21)
+        prover, vrng = CheaterProver(witnesses[:2], m, Rng(20)), Rng(21)
         trials = 20_000
-        hits = sum(
-            cheater_attempt(witnesses[:2], 2, m, rng, vrng)[1]
-            for _ in range(trials)
-        )
+        hits = sum(cheater_attempt(prover, 2, vrng) for _ in range(trials))
         p_expected = 2.0 ** (-4)
         sigma = math.sqrt(p_expected * (1 - p_expected) / trials)
         assert abs(hits / trials - p_expected) <= 4 * sigma
 
     def test_successful_transcript_reverifies(self):
         m, _, witnesses = _pool(3, 2)
-        rng, vrng = Rng(30), Rng(31)
+        prover, vrng = CheaterProver(witnesses[:2], m, Rng(30)), Rng(31)
         seen_success = False
         for _ in range(2_000):
-            rounds, ok = cheater_attempt(witnesses[:2], 1, m, rng, vrng)
+            rounds = []
+            ok = cheater_attempt(prover, 1, vrng, rounds)
             if ok:
                 seen_success = True
                 for rd in rounds:
@@ -91,24 +84,85 @@ class TestCheater:
 
     def test_stop_on_failure_truncates(self):
         m, _, witnesses = _pool(4, 2)
-        rng, vrng = Rng(40), Rng(41)
+        prover, vrng = CheaterProver(witnesses[:2], m, Rng(40)), Rng(41)
         saw_truncated = False
         for _ in range(200):
-            rounds, ok = cheater_attempt(witnesses[:2], 8, m, rng, vrng)
+            rounds = []
+            ok = cheater_attempt(prover, 8, vrng, rounds)
             if not ok and len(rounds) < 8:
                 saw_truncated = True
         assert saw_truncated
 
 
+class _FreshCheater:
+    """The cheater as it was: one prover per attempt, every inverse
+    recomputed, the sign drawn by ``choice_sign``."""
+
+    def __init__(self, witnesses, m, rng):
+        self.witnesses, self.m, self.rng = witnesses, m, rng
+
+    def commit(self):
+        m = self.m
+        self.r = sample_unit(self.rng, m)
+        mask = self.rng.randbits(len(self.witnesses))
+        sign = self.rng.choice_sign()
+        prod = 1
+        for i, g in enumerate(self.witnesses):
+            if (mask >> i) & 1:
+                prod = prod * g % m
+        return sign * self.r * self.r * pow(prod, -1, m) % m
+
+    def respond(self, challenge):
+        return self.r
+
+
+def _fresh_attempt(witnesses, h, m, rng, verifier_rng):
+    """One attempt as it was: a new prover, up to h rounds, stop at the first failure."""
+    prover = _FreshCheater(witnesses, m, rng)
+    for _ in range(h):
+        w = prover.commit()
+        challenge = zkp.draw_challenge(verifier_rng, len(witnesses))
+        if not verify_round(w, challenge, prover.respond(challenge), witnesses, m):
+            return False
+    return True
+
+
+class TestReusedCheater:
+    @pytest.mark.parametrize("k,h", [(1, 1), (2, 1), (2, 2), (3, 2)])  # criterion 1
+    def test_one_prover_matches_a_fresh_prover_per_trial(self, k, h):
+        seed, trials = 11, 2_000
+        m, _, witnesses = analysis._mc_witnesses(k, seed)
+        rng, vrng = Rng(seed), Rng(seed ^ 0xA5A5A5)
+        prover = CheaterProver(witnesses, m, rng)
+        got = [cheater_attempt(prover, h, vrng) for _ in range(trials)]
+        ref_rng, ref_vrng = Rng(seed), Rng(seed ^ 0xA5A5A5)
+        want = [_fresh_attempt(witnesses, h, m, ref_rng, ref_vrng) for _ in range(trials)]
+        assert got == want
+        assert rng._r.getstate() == ref_rng._r.getstate()
+        assert vrng._r.getstate() == ref_vrng._r.getstate()
+        assert analysis.mc_cheater(k, h, trials, seed).successes == sum(want)
+
+    def test_respond_needs_a_fresh_commit(self):
+        m, _, witnesses = _pool(8, 2)
+        prover = CheaterProver(witnesses, m, Rng(80))
+        with pytest.raises(StepOutOfOrder):
+            prover.respond((0, 1))
+        prover.commit()
+        prover.respond((0, 1))
+        with pytest.raises(StepOutOfOrder):
+            prover.respond((0, 1))
+
+
 class TestBundleCheater:
     def test_set_guess_binding(self):
+        # sets are bitmasks, bit i - 1 for id i: 0b011 is {1, 2}
         # with mu=1 the attempt succeeds only if both the set guess and
         # every challenge guess land: p = 1/(C(3,2) * 2^2) = 1/12
         m, _, witnesses = _pool(5, 3)
         rng, vrng = Rng(50), Rng(51)
         trials = 60_000
         hits = sum(
-            bundle_cheater_attempt(witnesses, [(1, 2)], 1, 1, m, rng, vrng)
+            bundle_cheater_attempt(witnesses, [0b011], 1, 1, m, rng, vrng)
             for _ in range(trials)
         )
         p_expected = 1 / 12
@@ -120,7 +174,7 @@ class TestBundleCheater:
         rng, vrng = Rng(60), Rng(61)
         hits = sum(
             bundle_cheater_attempt(
-                witnesses, [(1, 2), (1, 3), (2, 3)], 4, 3, m, rng, vrng
+                witnesses, [0b011, 0b101, 0b110], 4, 3, m, rng, vrng
             )
             for _ in range(2_000)
         )
@@ -294,8 +348,6 @@ class WitnessOnlyProver:
         self._w = None
 
     def commit(self):
-        from anonauth.numtheory import sample_unit
-
         r = sample_unit(self.rng, self.m)
         self._w = r * r % self.m
         return self._w
@@ -379,5 +431,6 @@ class TestSampleSubsetReference:
         ids = list(range(1, n + 1))
         for _ in range(draws):
             got = adversary._sample_subset(ours, n, k)
-            assert tuple(sorted(got)) == tuple(_old_sample_subset(ref, ids, k))
+            assert got >> n == 0 and got.bit_count() == k
+            assert mask_ids(got) == tuple(_old_sample_subset(ref, ids, k))
         assert ours.randbits(64) == ref.getrandbits(64)

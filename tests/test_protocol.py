@@ -14,7 +14,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from anonauth import keymgmt, protocol, zkp
+from anonauth import keymgmt, protocol, revocation, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
 from anonauth.numtheory import generate_blum_modulus
 from anonauth.protocol import (
@@ -372,6 +372,20 @@ class TestBundleReplay:
         with pytest.raises(StepOutOfOrder):
             obu.verify_bundle(bundle)
         assert obu.credential.counter == 1
+
+    def test_the_last_counter_is_never_advanced(self):
+        dep = build_deployment(17, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        last = revocation.COUNTER_LIMIT - 1
+        obu.credential.counter = last - 1
+        assert run_full_session(obu, rsu, cfg())[0].outcome is Outcome.ACCEPTED
+        assert obu.credential.counter == last
+        # the session at the last counter runs, but no counter follows it
+        with pytest.raises(revocation.CounterOverflow):
+            run_full_session(obu, rsu, cfg())
+        assert obu.credential.counter == last
+        with pytest.raises(revocation.CounterOverflow):
+            revocation.next_sequence(obu.credential.iv, last + 1, 6, 2, 3)
 
     def test_verify_needs_an_open_session(self):
         dep = build_deployment(15, n=6, k=2, stub=True)

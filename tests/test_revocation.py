@@ -78,6 +78,37 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
+class TestSixtyFourBitInputs:
+    @pytest.mark.parametrize(
+        "iv,counter", [(1 << 64, 0), (-1, 0), (7, 1 << 64), (7, -1)],
+        ids=["iv-past", "iv-negative", "counter-past", "counter-negative"],
+    )
+    def test_next_sequence_rejects_values_past_64_bits(self, iv, counter):
+        with pytest.raises(revocation.CounterOverflow):
+            next_sequence(iv, counter, 6, 2, 3)
+
+    def test_the_last_values_still_draw(self):
+        last = revocation.COUNTER_LIMIT - 1
+        assert len(set(next_sequence(last, last, 6, 2, 3))) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        iv=st.integers(0, 2**64 - 1),
+        counter=st.integers(0, 2**64 - 1),
+        block=st.integers(0, 2**32 - 1),
+        redraw=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_prefix_is_the_joined_bytes(self, iv, counter, block, redraw):
+        joined = (
+            b"seq-prf"
+            + iv.to_bytes(8, "big")
+            + counter.to_bytes(8, "big")
+            + block.to_bytes(4, "big")
+            + redraw.to_bytes(4, "big")
+        )
+        assert revocation._PRF_PREFIX.pack(b"seq-prf", iv, counter, block, redraw) == joined
+
+
 class TestPoolSizeBound:
     """Above 2^16 ids no 16-bit value lies below the rejection span."""
 
