@@ -94,14 +94,28 @@ def cheater_attempt(
     )
 
 
+class BundleCheater:
+    """Secretless attacker on the bundle check. It keeps one
+    ``CheaterProver`` per k-id set whose guess has landed, so each set's
+    mask -> inverse table serves every later attempt on that set."""
+
+    def __init__(self, pool_witnesses: Sequence[int], m: int, rng: Rng):
+        self.pool_witnesses = tuple(pool_witnesses)
+        self.m = m
+        self.rng = rng
+        self._provers: dict[int, CheaterProver] = {}
+
+    def prover(self, mask: int) -> CheaterProver:
+        """The prover for the set ``mask``, built on first use."""
+        prover = self._provers.get(mask)
+        if prover is None:
+            witnesses = [w for i, w in enumerate(self.pool_witnesses) if (mask >> i) & 1]
+            prover = self._provers[mask] = CheaterProver(witnesses, self.m, self.rng)
+        return prover
+
+
 def bundle_cheater_attempt(
-    pool_witnesses: Sequence[int],
-    requested_sets: Sequence[int],
-    h: int,
-    alpha: int,
-    m: int,
-    rng: Rng,
-    verifier_rng: Rng,
+    cheater: BundleCheater, requested_sets: Sequence[int], h: int, alpha: int, verifier_rng: Rng
 ) -> bool:
     """Cheating verifier-side prover against the bundle check.
 
@@ -112,14 +126,13 @@ def bundle_cheater_attempt(
     where bundle items carry their secret ids and the verifier rejects a
     declaration mismatch before any arithmetic.
     """
-    n = len(pool_witnesses)
+    n, rng = len(cheater.pool_witnesses), cheater.rng
     verified = 0
     for mask in requested_sets:
         if _sample_subset(rng, n, mask.bit_count()) != mask:
             continue
-        witnesses = [w for i, w in enumerate(pool_witnesses) if (mask >> i) & 1]
-        prover = CheaterProver(witnesses, m, rng)
-        if zkp.verify_interactive(zkp.BASIC, prover, witnesses, h, m, verifier_rng):
+        prover = cheater.prover(mask)
+        if zkp.verify_interactive(zkp.BASIC, prover, prover.witnesses, h, cheater.m, verifier_rng):
             verified += 1
     return verified >= alpha
 

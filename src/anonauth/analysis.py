@@ -177,15 +177,13 @@ def mc_bundle_cheater(
     if mu > comb(n, k):
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
     m, _, pool_witnesses = _mc_witnesses(n, seed)
-    attacker_rng = Rng(seed)
+    cheater = adversary.BundleCheater(pool_witnesses, m, Rng(seed))
     verifier_rng = Rng(seed ^ 0xA5A5A5)
     set_rng = Rng(seed ^ 0xC0FFEE)
     successes = 0
     for _ in range(trials):
         requested = _distinct_sets(set_rng, n, k, mu)
-        if adversary.bundle_cheater_attempt(
-            pool_witnesses, requested, h, alpha, m, attacker_rng, verifier_rng
-        ):
+        if adversary.bundle_cheater_attempt(cheater, requested, h, alpha, verifier_rng):
             successes += 1
     params = {"k": k, "h": h, "n": n, "mu": mu, "alpha": alpha}
     return ProbabilityReport("p_mu", params, p_mu(k, h, n, mu), successes, trials, seed)

@@ -92,13 +92,6 @@ class SessionPolynomial:
 # ---------------------------------------------------------------- basic
 
 
-def prover_commit(rng: Rng, m: int) -> tuple[int, int]:
-    """Pick private R, return (R, W) with W = +-R^2 mod m."""
-    r = sample_unit(rng, m)
-    w = (rng.choice_sign() * r * r) % m
-    return r, w
-
-
 def verify_round(
     w: int, challenge: Sequence[int], y: int, witnesses: Sequence[int], m: int
 ) -> bool:
@@ -236,10 +229,24 @@ def hardened_verify(
 # -------------------------------------------------------- proof systems
 
 
+def _commit(rng: Rng, m: int) -> tuple[int, int, int]:
+    """Pick private R; return (R, R^2 mod m, W) with W = +-R^2 mod m, the
+    sign from the bit ``Rng.choice_sign`` draws. R is a unit, so R^2 is
+    nonzero and m - R^2 is -R^2 mod m."""
+    r = sample_unit(rng, m)
+    r2 = r * r % m
+    return r, r2, (r2 if rng.randbits(1) else m - r2)
+
+
 class Basic:
-    """Y = R * prod(S_i for challenged i), checked by ``verify_round``."""
+    """Y = R * prod(S_i for challenged i), checked by ``verify_round``.
+    ``commit`` keeps R as the round's private state."""
 
     variant = Variant.BASIC
+
+    def commit(self, rng: Rng, m: int) -> tuple[int, int]:
+        r, _, w = _commit(rng, m)
+        return r, w
 
     def respond(self, r: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
         if len(secrets) != len(challenge):
@@ -261,7 +268,8 @@ BASIC = Basic()
 
 class Hardened:
     """Responses bound to one session polynomial; a degenerate evaluation
-    on the witness side fails the round."""
+    on the witness side fails the round. ``commit`` keeps R^2 mod m as the
+    round's state, so each round squares R once."""
 
     variant = Variant.HARDENED
 
@@ -270,8 +278,12 @@ class Hardened:
             raise DegenerateParameters("hardened variant requires k >= 2")
         self.poly = poly
 
-    def respond(self, r: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
-        """Y = R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) mod m.
+    def commit(self, rng: Rng, m: int) -> tuple[int, int]:
+        _, r2, w = _commit(rng, m)
+        return r2, w
+
+    def respond(self, r2: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
+        """Y = R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) mod m, from R^2.
 
         The product is a unit iff every factor is, so one gcd decides
         whether the round is degenerate."""
@@ -280,7 +292,7 @@ class Hardened:
         g = _poly_product(self.poly, secrets, challenge, 2, m)
         if gcd(g, m) != 1:
             raise DegenerateEvaluation("inner sum is not a unit; re-run the round")
-        return (r * r % m) * g % m
+        return r2 * g % m
 
     def check(self, w, challenge, y, witnesses, m) -> bool:
         return hardened_verify(w, challenge, y, witnesses, self.poly, m)
@@ -305,13 +317,14 @@ def prove(
     k = len(secrets)
     if k < 1 or h < 1:
         raise DegenerateParameters("k and h must both be >= 1")
+    commit, respond, randbits = system.commit, system.respond, verifier_rng.randbits
     rounds = []
     for _ in range(h):
         for _attempt in range(_HARDENED_MAX_RETRIES):
-            r, w = prover_commit(prover_rng, m)
-            challenge = draw_challenge(verifier_rng, k)
+            state, w = commit(prover_rng, m)
+            challenge = _unpack_challenge(randbits(k), k)  # as ``draw_challenge`` draws it
             try:
-                y = system.respond(r, secrets, challenge, m)
+                y = respond(state, secrets, challenge, m)
             except DegenerateEvaluation:
                 continue
             rounds.append(ZkpRound(w, challenge, y))
@@ -340,7 +353,10 @@ def verify(system, proof: ZkpProof, witnesses: Sequence[int], m: int, h: int) ->
     """
     if h < 1 or proof.variant is not system.variant or len(proof.rounds) != h:
         return False
-    return all(_round_ok(system, rd.w, rd.challenge, rd.y, witnesses, m) for rd in proof.rounds)
+    for rd in proof.rounds:
+        if not _round_ok(system, rd.w, rd.challenge, rd.y, witnesses, m):
+            return False
+    return True
 
 
 def verify_interactive(

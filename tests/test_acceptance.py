@@ -317,12 +317,12 @@ def test_criterion_6_revocation():
 
 def test_criterion_7_hardened_zkp():
     # exact worked example: m=21, secrets [2,8], coefficients [3,2],
-    # challenge [0,1], R=2 -> Y=10, accepted
+    # challenge [0,1], R=2 (the prover keeps R^2 = 4) -> Y=10, accepted
     m = 21
     poly = SessionPolynomial(coefficients=(3, 2))
     secrets = [2, 8]
     witnesses = [s * s % m for s in secrets]
-    y = zkp.Hardened(poly).respond(2, secrets, (0, 1), m)
+    y = zkp.Hardened(poly).respond(4, secrets, (0, 1), m)
     w = (2 * 2) % m
     example_ok = y == 10 and zkp.hardened_verify(w, (0, 1), y, witnesses, poly, m)
 
@@ -338,10 +338,10 @@ def test_criterion_7_hardened_zkp():
         secrets = [sample_unit(rng, mod.m) for _ in range(k)]
         witnesses = [s * s % mod.m for s in secrets]
         poly = zkp.derive_session_polynomial(rng.randbytes(16), k)
-        r, w = zkp.prover_commit(rng, mod.m)
+        r2, w = zkp.Hardened(poly).commit(rng, mod.m)
         challenge = zkp.draw_challenge(rng, k)
         try:
-            y = zkp.Hardened(poly).respond(r, secrets, challenge, mod.m)
+            y = zkp.Hardened(poly).respond(r2, secrets, challenge, mod.m)
             accepted = zkp.hardened_verify(w, challenge, y, witnesses, poly, mod.m)
         except zkp.DegenerateEvaluation:
             degenerate += 1  # clean re-run path

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from anonauth import adversary, analysis, zkp
 from anonauth.adversary import (
+    BundleCheater,
     CheaterProver,
     MissingSimulator,
     SimulatorMatrix,
@@ -153,16 +154,27 @@ class TestReusedCheater:
             prover.respond((0, 1))
 
 
+def _fresh_bundle_attempt(pool_witnesses, requested_sets, h, alpha, m, rng, verifier_rng):
+    """One bundle attempt as it was: a new prover for every proof whose set guess lands."""
+    verified = 0
+    for mask in requested_sets:
+        if adversary._sample_subset(rng, len(pool_witnesses), mask.bit_count()) != mask:
+            continue
+        witnesses = [w for i, w in enumerate(pool_witnesses) if (mask >> i) & 1]
+        verified += _fresh_attempt(witnesses, h, m, rng, verifier_rng)
+    return verified >= alpha
+
+
 class TestBundleCheater:
     def test_set_guess_binding(self):
         # sets are bitmasks, bit i - 1 for id i: 0b011 is {1, 2}
         # with mu=1 the attempt succeeds only if both the set guess and
         # every challenge guess land: p = 1/(C(3,2) * 2^2) = 1/12
         m, _, witnesses = _pool(5, 3)
-        rng, vrng = Rng(50), Rng(51)
+        cheater, vrng = BundleCheater(witnesses, m, Rng(50)), Rng(51)
         trials = 60_000
         hits = sum(
-            bundle_cheater_attempt(witnesses, [0b011], 1, 1, m, rng, vrng)
+            bundle_cheater_attempt(cheater, [0b011], 1, 1, vrng)
             for _ in range(trials)
         )
         p_expected = 1 / 12
@@ -171,15 +183,41 @@ class TestBundleCheater:
 
     def test_alpha_above_achievable_never_succeeds_cheaply(self):
         m, _, witnesses = _pool(6, 3)
-        rng, vrng = Rng(60), Rng(61)
+        cheater, vrng = BundleCheater(witnesses, m, Rng(60)), Rng(61)
         hits = sum(
-            bundle_cheater_attempt(
-                witnesses, [0b011, 0b101, 0b110], 4, 3, m, rng, vrng
-            )
+            bundle_cheater_attempt(cheater, [0b011, 0b101, 0b110], 4, 3, vrng)
             for _ in range(2_000)
         )
         # needs three simultaneous (1/3)*(1/16) events: p ~ 9.6e-6
         assert hits == 0
+
+    # (k, h, n, mu, alpha): the mc-oracle and pinned call, and six sets drawn three at a time
+    @pytest.mark.parametrize("k,h,n,mu,alpha", [(2, 1, 3, 1, 1), (2, 2, 4, 3, 1)])
+    def test_kept_provers_match_a_fresh_prover_per_proof(self, monkeypatch, k, h, n, mu, alpha):
+        seed, trials = 3, 2_000
+        m, _, witnesses = analysis._mc_witnesses(n, seed)
+        inverses = []
+        monkeypatch.setattr(adversary, "mod_inv", lambda a, m: inverses.append(a) or pow(a, -1, m))
+        rng, vrng, set_rng = Rng(seed), Rng(seed ^ 0xA5A5A5), Rng(seed ^ 0xC0FFEE)
+        cheater = BundleCheater(witnesses, m, rng)
+        got = []
+        for _ in range(trials):
+            requested = analysis._distinct_sets(set_rng, n, k, mu)
+            got.append(bundle_cheater_attempt(cheater, requested, h, alpha, vrng))
+        ref_rng, ref_vrng, ref_set_rng = Rng(seed), Rng(seed ^ 0xA5A5A5), Rng(seed ^ 0xC0FFEE)
+        want = [
+            _fresh_bundle_attempt(
+                witnesses, analysis._distinct_sets(ref_set_rng, n, k, mu), h, alpha, m,
+                ref_rng, ref_vrng,
+            )
+            for _ in range(trials)
+        ]
+        assert got == want and any(want)
+        for ours, ref in ((rng, ref_rng), (vrng, ref_vrng), (set_rng, ref_set_rng)):
+            assert ours._r.getstate() == ref._r.getstate()
+        # one prover per set, each inverting a mask at most once
+        assert len(inverses) <= math.comb(n, k) << k
+        assert analysis.mc_bundle_cheater(k, h, n, mu, alpha, trials, seed).successes == sum(want)
 
 
 class TestObserver:

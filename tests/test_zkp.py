@@ -27,7 +27,6 @@ from anonauth.zkp import (
     encode_proof,
     hardened_verify,
     prove,
-    prover_commit,
     run_hardened_proof,
     run_proof,
     verify,
@@ -67,7 +66,7 @@ class TestCommit:
     def test_commitment_is_signed_square(self):
         rng = Rng(3)
         for _ in range(100):
-            r, w = prover_commit(rng, M)
+            r, w = BASIC.commit(rng, M)
             sq = r * r % M
             assert w in (sq, (-sq) % M)
             assert math.gcd(w, M) == 1
@@ -76,9 +75,17 @@ class TestCommit:
         rng = Rng(4)
         signs = set()
         for _ in range(200):
-            r, w = prover_commit(rng, M)
+            r, w = BASIC.commit(rng, M)
             signs.add(w == r * r % M)
         assert signs == {True, False}
+
+    def test_hardened_keeps_the_square_of_the_same_draws(self):
+        basic_rng, hardened_rng = Rng(5), Rng(5)
+        hardened = Hardened(_poly([3, 2]))
+        for _ in range(100):
+            r, w = BASIC.commit(basic_rng, M)
+            assert hardened.commit(hardened_rng, M) == (r * r % M, w)
+        assert basic_rng.randbits(64) == hardened_rng.randbits(64)
 
     def test_worked_values(self):
         # R = 5: positive commitment 25 mod 21 = 4, negative is 17
@@ -213,9 +220,18 @@ def _poly(coeffs):
 
 class TestHardened:
     def test_worked_example_respond(self):
-        # inner sums: 3 + 2*2^2 = 11 and 3 + 2*8^2 = 3 + 2 (8^2 = 1 mod 21) = 5
-        y = Hardened(_poly([3, 2])).respond(2, [2, 8], [0, 1], M)
+        # R = 2, so the state is R^2 = 4; inner sums: 3 + 2*2^2 = 11 and
+        # 3 + 2*8^2 = 3 + 2 (8^2 = 1 mod 21) = 5
+        y = Hardened(_poly([3, 2])).respond(4, [2, 8], [0, 1], M)
         assert y == 10
+
+    def test_respond_scales_the_state_by_g(self):
+        # g = 11 * 5 = 55 = 13 (mod 21) on the worked example; Y = R^2 * g
+        hardened = Hardened(_poly([3, 2]))
+        for r in range(1, M):
+            if math.gcd(r, M) == 1:
+                r2 = r * r % M
+                assert hardened.respond(r2, [2, 8], [0, 1], M) == r2 * 13 % M
 
     def test_worked_example_verify(self):
         w = 2 * 2 % M
@@ -226,11 +242,11 @@ class TestHardened:
     def test_zero_challenge_collapses(self):
         # every exponent is 0, so Y = R^2 * (sum a)^k
         poly = _poly([3, 2])
-        y = Hardened(poly).respond(2, [2, 8], [0, 0], M)
+        y = Hardened(poly).respond(4, [2, 8], [0, 0], M)
         assert y == 4 * pow(5, 2, M) % M
 
     def test_unit_polynomial(self):
-        y = Hardened(_poly([1, 0])).respond(2, [2, 8], [0, 1], M)
+        y = Hardened(_poly([1, 0])).respond(4, [2, 8], [0, 1], M)
         assert y == 4
 
     def test_tampered_y_rejected(self):
@@ -242,7 +258,7 @@ class TestHardened:
     def test_degenerate_inner_sum(self):
         # a = [3, 9], S = 2, b = 1: 3 + 9*16 = 147 = 0 mod 21
         with pytest.raises(DegenerateEvaluation):
-            Hardened(_poly([3, 9])).respond(2, [2, 2], [1, 1], M)
+            Hardened(_poly([3, 9])).respond(4, [2, 2], [1, 1], M)
 
     def test_honest_hardened_completeness(self):
         # m = 21 leaves too few non-degenerate challenges at k = 2, so the
@@ -389,14 +405,14 @@ class TestTermTable:
         poly = _poly(data.draw(st.lists(st.integers(0, 30), min_size=k, max_size=k)))
         secrets = data.draw(st.lists(residues, min_size=k, max_size=k))
         challenge = tuple(data.draw(st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k)))
-        r = data.draw(st.integers(1, m - 1))
+        r2 = data.draw(st.integers(1, m - 1)) ** 2 % m
         factors = [_inner_sum(poly, s, challenge, 2, m) for s in secrets]
         if any(math.gcd(f, m) != 1 for f in factors):
             with pytest.raises(DegenerateEvaluation):
-                Hardened(poly).respond(r, secrets, challenge, m)
+                Hardened(poly).respond(r2, secrets, challenge, m)
         else:
-            expected = r * r * math.prod(factors) % m
-            assert Hardened(poly).respond(r, secrets, challenge, m) == expected
+            expected = r2 * math.prod(factors) % m
+            assert Hardened(poly).respond(r2, secrets, challenge, m) == expected
 
     def test_prove_checks_for_a_unit_once_per_round(self, monkeypatch):
         calls = []
@@ -458,6 +474,83 @@ class TestPowerCache:
         assert not set(keys) & set(secrets)
 
 
+def _parent_commit(rng, m):
+    """The commitment as it was: R, then W = (sign * R * R) % m."""
+    r = sample_unit(rng, m)
+    return r, (rng.choice_sign() * r * r) % m
+
+
+def _parent_respond(system, r, secrets, challenge, m):
+    """The response as it was, from R: R * prod(S_i), or R^2 * g squaring R again."""
+    if system is BASIC:
+        return math.prod(s for s, b in zip(secrets, challenge) if b) * r % m
+    g = math.prod(_inner_sum(system.poly, s, challenge, 2, m) for s in secrets) % m
+    if math.gcd(g, m) != 1:
+        raise DegenerateEvaluation("re-run the round")
+    return (r * r % m) * g % m
+
+
+def _parent_prove(system, secrets, h, m, prover_rng, verifier_rng, secret_ids):
+    """The prover round as it was; returns (proof, rounds attempted)."""
+    rounds, attempts = [], 0
+    for _ in range(h):
+        for _attempt in range(64):
+            attempts += 1
+            r, w = _parent_commit(prover_rng, m)
+            challenge = draw_challenge(verifier_rng, len(secrets))
+            try:
+                y = _parent_respond(system, r, secrets, challenge, m)
+            except DegenerateEvaluation:
+                continue
+            rounds.append(ZkpRound(w, challenge, y))
+            break
+        else:
+            raise DegenerateEvaluation("could not find a non-degenerate round")
+    return ZkpProof(tuple(secret_ids), tuple(rounds), system.variant), attempts
+
+
+# the 16-bit modulus of the pinned sessions, where hardened rounds re-run
+_M16 = generate_blum_modulus(16, 916).m
+_M512 = generate_blum_modulus(512, 22).m
+
+
+class TestProverIdentity:
+    """``prove`` through ``commit`` and ``respond`` gives the proofs and the
+    draws of the round as it was: commit, ``draw_challenge``, respond from R."""
+
+    @pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
+    @pytest.mark.parametrize("m", [M, _M16, _M64, _M512], ids=["m21", "16", "64", "512"])
+    def test_prove_matches_the_reference_round(self, m, variant):
+        h, retries = 4, 0
+        for seed in range(40):
+            rng = Rng(seed)
+            k = 2 + seed % 3
+            secrets = [sample_unit(rng, m) for _ in range(k)]
+            if variant is Variant.BASIC:
+                system = BASIC
+            else:
+                system = Hardened(derive_session_polynomial(rng.randbytes(8), k))
+            ids = tuple(range(1, k + 1))
+            prover_rng, verifier_rng = Rng(100 + seed), Rng(200 + seed)
+            ref_prover_rng, ref_verifier_rng = Rng(100 + seed), Rng(200 + seed)
+            try:
+                want, attempts = _parent_prove(
+                    system, secrets, h, m, ref_prover_rng, ref_verifier_rng, ids
+                )
+            except DegenerateEvaluation:
+                with pytest.raises(DegenerateEvaluation):
+                    prove(system, secrets, h, m, prover_rng, verifier_rng, ids)
+            else:
+                assert prove(system, secrets, h, m, prover_rng, verifier_rng, ids) == want
+                retries += attempts - h
+            assert prover_rng.randbits(64) == ref_prover_rng.randbits(64)
+            assert verifier_rng.randbits(64) == ref_verifier_rng.randbits(64)
+        if variant is Variant.BASIC or m > _M16:
+            assert retries == 0
+        else:
+            assert retries > 0  # the retry path ran
+
+
 class TestTranscriptIndistinguishability:
     def test_honest_vs_simulated_chi_square(self):
         """Accepted basic transcripts carry no secret information: a
@@ -470,7 +563,7 @@ class TestTranscriptIndistinguishability:
         n_samples = 20_000
         honest: dict = {}
         for _ in range(n_samples):
-            r, w = prover_commit(rng, M)
+            r, w = BASIC.commit(rng, M)
             ch = draw_challenge(rng, 1)
             y = BASIC.respond(r, [secret], ch, M)
             assert verify_round(w, ch, y, [witness], M)
