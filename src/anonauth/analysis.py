@@ -33,18 +33,19 @@ class ProbabilityReport:
     trials: int
     seed: int
     mc_estimate: float = field(init=False)
+    # the spread of an estimate of p0 = closed_form, sqrt(p0(1 - p0)/trials):
+    # an estimate of 0 or 1 has no spread of its own to measure against
     mc_stderr: float = field(init=False)
-    # within 3 sigma of p0 = closed_form, sigma from p0 itself: an estimate
-    # of 0 or 1 has no spread of its own to measure against
+    # |estimate - p0| <= 3 * mc_stderr
     passed: bool = field(init=False)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         p = self.mc_estimate = self.successes / self.trials
-        self.mc_stderr = math.sqrt(max(p * (1 - p), 1e-300) / self.trials)
         p0 = float(self.closed_form)
-        self.passed = abs(p0 - p) <= 3 * math.sqrt(p0 * (1 - p0) / self.trials)
+        self.mc_stderr = math.sqrt(p0 * (1 - p0) / self.trials)
+        self.passed = abs(p0 - p) <= 3 * self.mc_stderr
 
     def csv_row(self) -> str:
         param_str = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))

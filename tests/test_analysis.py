@@ -175,6 +175,20 @@ class TestMonteCarlo:
         assert rep.successes == 0 and rep.closed_form == Fraction(1, 2**20)
         assert rep.passed
 
+    def test_stderr_at_zero_successes_is_the_closed_form_spread(self):
+        rep = mc_cheater(5, 4, trials=2_000, seed=1)
+        p0 = 2.0**-20
+        assert rep.successes == 0
+        assert rep.mc_stderr == pytest.approx(math.sqrt(p0 * (1 - p0) / 2_000), rel=1e-12)
+        assert rep.csv_row().split(",")[5] == "2.184e-05"
+        assert rep.passed is (abs(rep.mc_estimate - p0) <= 3 * rep.mc_stderr)
+
+    def test_passed_is_within_three_stderr(self):
+        for successes in range(0, 2_001, 50):
+            rep = ProbabilityReport("p_cheater", {}, Fraction(1, 4), successes, 2_000, 0)
+            assert rep.passed is (abs(rep.mc_estimate - 0.25) <= 3 * rep.mc_stderr)
+            assert rep.mc_stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 2_000))
+
     def test_one_success_at_a_tiny_closed_form_fails(self):
         rep = ProbabilityReport("p_cheater", {}, Fraction(1, 2**20), 1, 2_000, 0)
         assert not rep.passed

@@ -26,7 +26,7 @@ PINNED = "79ee8a2217936845ecb5f6093e07f044d35df04bca60b50ba98fe26d243fe5cf"
 PINNED_ESTIMATORS = "1128f8fa9ccd76c9803ec8d4279c2c5f48e26ae9aa7bd49489eaf3523c78236f"
 # the rendered text: csv_row() of mc_cheater(2, 2, 2000, seed=7) and of the
 # PINNED_ESTIMATORS reports, then figure_csv of every standard figure
-PINNED_ROWS = "bddabc1bf8ca45620c810d35923bd5f42d3bec55114304bf93984f2a2773a9b7"
+PINNED_ROWS = "0d0dabf2b83d23fbfc025ad4bb438b515d7a8fb035c0cd4c2255bf1e16c22b5e"
 
 
 def _feed(digest, *values) -> None:
@@ -145,7 +145,7 @@ def test_rendered_rows_match_pinned_digest():
 # every subcommand run from relative paths in an empty directory: the bytes
 # of its out-dir (manifest included), its stdout and exit code, the same for
 # its rerun, and the --help text of main and every subcommand
-PINNED_CLI = "dfbcc9cfb88e0da4a180291abcfab01f95454f49aa67ef0842ec952f42016a54"
+PINNED_CLI = "42b375a88e37c6c2daae5949dcb488efcd8c112e546a52a26923d793bfe256bd"
 
 _CLI_RUNS = [
     ["keygen", "-q", "1", "-n", "6", "-k", "2", "--bit-length", "24",
