@@ -63,7 +63,7 @@ class CheaterProver:
         m, randbits = self.m, self._randbits
         self._r = r = sample_unit(self.rng, m)
         mask = randbits(len(self.witnesses))
-        negate = not randbits(1)  # the bit ``Rng.choice_sign`` draws
+        negate = not randbits(1)  # one sign bit, as ``zkp`` commits draw it
         inv = self._inverses.get(mask)
         if inv is None:
             prod = 1

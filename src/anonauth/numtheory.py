@@ -61,9 +61,6 @@ class Rng:
     def randbytes(self, n: int) -> bytes:
         return self.randbits(8 * n).to_bytes(n, "big")
 
-    def choice_sign(self) -> int:
-        return 1 if self.randbits(1) else -1
-
 
 @dataclass(frozen=True)
 class BlumModulus:

@@ -231,7 +231,7 @@ def hardened_verify(
 
 def _commit(rng: Rng, m: int) -> tuple[int, int, int]:
     """Pick private R; return (R, R^2 mod m, W) with W = +-R^2 mod m, the
-    sign from the bit ``Rng.choice_sign`` draws. R is a unit, so R^2 is
+    sign from one ``rng.randbits(1)`` draw (1 is +). R is a unit, so R^2 is
     nonzero and m - R^2 is -R^2 mod m."""
     r = sample_unit(rng, m)
     r2 = r * r % m

@@ -97,7 +97,7 @@ class TestCheater:
 
 class _FreshCheater:
     """The cheater as it was: one prover per attempt, every inverse
-    recomputed, the sign drawn by ``choice_sign``."""
+    recomputed, the sign drawn as a separate +-1."""
 
     def __init__(self, witnesses, m, rng):
         self.witnesses, self.m, self.rng = witnesses, m, rng
@@ -106,7 +106,7 @@ class _FreshCheater:
         m = self.m
         self.r = sample_unit(self.rng, m)
         mask = self.rng.randbits(len(self.witnesses))
-        sign = self.rng.choice_sign()
+        sign = 1 if self.rng.randbits(1) else -1
         prod = 1
         for i, g in enumerate(self.witnesses):
             if (mask >> i) & 1:

@@ -254,9 +254,9 @@ class TestRng:
         original, reference = Rng(9), Rng(9)
         clone = copy.deepcopy(original)
         draws = [clone.randrange(0, 100), original.randbits(8), clone.randbytes(2),
-                 original.choice_sign(), clone.random(), clone.split().randbits(8)]
+                 original.randbits(1), clone.random(), clone.split().randbits(8)]
         assert draws == [reference.randrange(0, 100), reference.randbits(8),
-                         reference.randbytes(2), reference.choice_sign(),
+                         reference.randbytes(2), reference.randbits(1),
                          reference.random(), reference.split().randbits(8)]
 
     @pytest.mark.parametrize("bounds", [(0,), (-3,), (5, 5), (5, 4), (2**2048, 1)])

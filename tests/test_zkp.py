@@ -477,7 +477,8 @@ class TestPowerCache:
 def _parent_commit(rng, m):
     """The commitment as it was: R, then W = (sign * R * R) % m."""
     r = sample_unit(rng, m)
-    return r, (rng.choice_sign() * r * r) % m
+    sign = 1 if rng.randbits(1) else -1
+    return r, (sign * r * r) % m
 
 
 def _parent_respond(system, r, secrets, challenge, m):
@@ -576,7 +577,7 @@ class TestTranscriptIndistinguishability:
             w = y * y % M
             if ch[0]:
                 w = w * mod_inv(witness, M) % M
-            if rng.choice_sign() < 0:
+            if not rng.randbits(1):
                 w = (-w) % M
             key = (w, ch[0], y)
             simulated[key] = simulated.get(key, 0) + 1
