@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from . import zkp
 from .numtheory import Rng, mod_inv, sample_unit
 from .protocol import SessionTranscript, StepOutOfOrder
-from .zkp import SessionPolynomial, ZkpProof, ZkpRound, challenge_bits
+from .zkp import SessionPolynomial, ZkpProof, ZkpRound
 
 
 class MissingSimulator(KeyError):
@@ -74,7 +74,7 @@ class CheaterProver:
         w = r * r * inv % m
         return -w % m if negate else w
 
-    def respond(self, challenge: Sequence[int]) -> int:
+    def respond(self, challenge: int) -> int:
         """The R of the last ``commit``; each commit answers once."""
         r = self._r
         if r is None:
@@ -195,7 +195,7 @@ class SimulatorMatrix:
             if len(self.rows) >= 1 << len(self.secret_ids):
                 return
             row = self.rows[rd.w] = {}
-        row.setdefault(challenge_bits(rd.challenge), rd.y)
+        row.setdefault(rd.challenge, rd.y)
 
     def best_row(self) -> int:
         """The W with the most cells; the first seen among equals."""
@@ -234,8 +234,8 @@ class SimulatorProver:
     def commit(self) -> int:
         return self.w
 
-    def respond(self, challenge: Sequence[int]) -> int:
-        return self.row.get(challenge_bits(challenge), 1)
+    def respond(self, challenge: int) -> int:
+        return self.row.get(challenge, 1)
 
 
 def _bundle_successes(
@@ -283,7 +283,7 @@ class RandomProver:
     def commit(self) -> int:
         return sample_unit(self.rng, self.m)
 
-    def respond(self, challenge: Sequence[int]) -> int:
+    def respond(self, challenge: int) -> int:
         return sample_unit(self.rng, self.m)
 
 

@@ -257,37 +257,28 @@ def mc_sequence_collision(
 # ----------------------------------------------------------- figure series
 
 
+# figure -> (series label, series values, x values, closed form at (series, x));
+# a figure's rows run over each series value, then each x
+FIGURES = {
+    # resilience vs proof count for h in {4,5,6,8}, fixed k=5, n=50
+    "10a": ("h", (4, 5, 6, 8), range(5, 11), lambda h, mu: p_mu(5, h, 50, mu)),
+    # resilience vs proof count for k in {1..5}, fixed h=4, n=50
+    "10b": ("k", range(1, 6), range(5, 11), lambda k, mu: p_mu(k, 4, 50, mu)),
+    # resilience vs pool size at (k=5, h=4) for mu in {5,6,8,10}
+    "11": ("mu", (5, 6, 8, 10), range(10, 51, 5), lambda mu, n: p_mu(5, 4, n, mu)),
+    # leakage vs secrets-per-proof at n=50 for mu in {5,6,8,10}
+    "12": ("mu", (5, 6, 8, 10), range(1, 11), lambda mu, k: p_leak(50, k, mu)),
+    # false authentication vs k at (n=15, mu=5) for h in {4,5,6,7}
+    "13": ("h", (4, 5, 6, 7), range(5, 16), lambda h, k: q_false(k, h, 15, 5)),
+}
+
+
 def figure_series(figure: str) -> list[tuple[str, float, float]]:
     """(series label, x, log10 value) rows for one standard figure."""
-    rows: list[tuple[str, float, float]] = []
-    if figure == "10a":
-        # resilience vs proof count for h in {4,5,6,8}, fixed k=5, n=50
-        for h in (4, 5, 6, 8):
-            for mu in range(5, 11):
-                rows.append((f"h={h}", mu, log10_fraction(p_mu(5, h, 50, mu))))
-    elif figure == "10b":
-        # resilience vs proof count for k in {1..5}, fixed h=4, n=50
-        for k in range(1, 6):
-            for mu in range(5, 11):
-                rows.append((f"k={k}", mu, log10_fraction(p_mu(k, 4, 50, mu))))
-    elif figure == "11":
-        # resilience vs pool size at (k=5, h=4) for mu in {5,6,8,10}
-        for mu in (5, 6, 8, 10):
-            for n in range(10, 51, 5):
-                rows.append((f"mu={mu}", n, log10_fraction(p_mu(5, 4, n, mu))))
-    elif figure == "12":
-        # leakage vs secrets-per-proof at n=50 for mu in {5,6,8,10}
-        for mu in (5, 6, 8, 10):
-            for k in range(1, 11):
-                rows.append((f"mu={mu}", k, log10_fraction(p_leak(50, k, mu))))
-    elif figure == "13":
-        # false authentication vs k at (n=15, mu=5) for h in {4,5,6,7}
-        for h in (4, 5, 6, 7):
-            for k in range(5, 16):
-                rows.append((f"h={h}", k, log10_fraction(q_false(k, h, 15, 5))))
-    else:
+    if figure not in FIGURES:
         raise UnknownFigure(figure)
-    return rows
+    label, series, xs, closed_form = FIGURES[figure]
+    return [(f"{label}={s}", x, log10_fraction(closed_form(s, x))) for s in series for x in xs]
 
 
 def figure_csv(figure: str) -> str:

@@ -172,7 +172,7 @@ _MC_FORMULAS = {
 
 @_subcommand(
     "analyze",
-    click.Option(["--figure"], type=click.Choice(["10a", "10b", "11", "12", "13"]), default=None),
+    click.Option(["--figure"], type=click.Choice(list(analysis.FIGURES)), default=None),
     click.Option(["--mc-formula"], type=click.Choice(list(_MC_FORMULAS)), default=None),
     click.Option(["--k", "k"], type=int, default=2),
     click.Option(["--h", "h"], type=int, default=1),
@@ -250,7 +250,8 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
             {
                 "secret_ids": list(obs.secret_ids),
                 "rounds": [
-                    {"w": str(rd.w), "challenge": list(rd.challenge), "y": str(rd.y)}
+                    {"w": str(rd.w), "challenge": [rd.challenge >> i & 1 for i in range(k)],
+                     "y": str(rd.y)}
                     for rd in obs.rounds
                 ],
             }

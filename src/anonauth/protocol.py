@@ -365,7 +365,8 @@ class Rsu:
                 system, [pool[i - 1] for i in ids], cfg.h, m, self.rng, challenge_rng,
                 secret_ids=ids,
             )
-            items.append(self.sym.seal(sess.session_key, zkp.encode_proof(proof, m), self.rng))
+            blob = zkp.encode_proof(proof, m, len(ids))
+            items.append(self.sym.seal(sess.session_key, blob, self.rng))
         sess.step = Step.BUNDLED
         return ProofBundle(key_id=key_id, items=tuple(items))
 
@@ -472,8 +473,9 @@ class Obu:
         cfg = self._open_config()
         system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
         m = self.credential.modulus
-        proof = zkp.prove(system, self.credential.master_key, cfg.h, m, self.rng, challenge_rng)
-        plain = struct.pack(">d", self.clock) + zkp.encode_proof(proof, m)
+        secrets = self.credential.master_key
+        proof = zkp.prove(system, secrets, cfg.h, m, self.rng, challenge_rng)
+        plain = struct.pack(">d", self.clock) + zkp.encode_proof(proof, m, len(secrets))
         return self.sym.seal(self.session_key, plain, self.rng)
 
     # -- step 6: bundle verification ------------------------------------------

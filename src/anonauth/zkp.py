@@ -15,8 +15,12 @@ the length and each proof has exactly one encoding:
     header   variant (1 byte: 0 basic, 1 hardened), secret-id count (2),
              round count (2), k = challenge bits per round (2)
     ids      4 bytes per secret id
-    rounds   W (width bytes), challenge (ceil(k/8) bytes, bit i = b_i),
-             Y (width bytes); W and Y are below m
+    rounds   W (width bytes), challenge (ceil(k/8) bytes), Y (width bytes);
+             W and Y are below m
+
+A round's challenge is the int the verifier draws, ``randbits(k)``, in every
+layer: bit i is b_i, the bit of the i-th secret. The arithmetic reads it by
+shift and mask and raises ``ChallengeLengthMismatch`` on a bit at or above k.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
 from typing import Optional, Sequence
 
 from .numtheory import Rng, gcd, sample_unit
@@ -43,7 +46,8 @@ class DegenerateParameters(ValueError):
 
 
 class ChallengeLengthMismatch(ValueError):
-    """Prover and verifier disagree on the number of secrets per round."""
+    """Prover and verifier disagree on the number of secrets per round, or a
+    challenge has a bit at or above that number."""
 
 
 class DegenerateEvaluation(ArithmeticError):
@@ -64,10 +68,10 @@ class Variant(Enum):
 @dataclass(frozen=True, slots=True, init=False)
 class ZkpRound:
     w: int
-    challenge: tuple[int, ...]
+    challenge: int
     y: int
 
-    def __init__(self, w: int, challenge: tuple[int, ...], y: int):
+    def __init__(self, w: int, challenge: int, y: int):
         _SET_W(self, w), _SET_CHALLENGE(self, challenge), _SET_Y(self, y)
 
 
@@ -92,50 +96,21 @@ class SessionPolynomial:
 # ---------------------------------------------------------------- basic
 
 
-def verify_round(
-    w: int, challenge: Sequence[int], y: int, witnesses: Sequence[int], m: int
-) -> bool:
-    """Accept iff Y^2 = +-W * prod(I_i for challenged i) mod m.
+def verify_round(w: int, challenge: int, y: int, witnesses: Sequence[int], m: int) -> bool:
+    """Accept iff Y^2 = +-W * prod(I_i for each bit i set in the challenge) mod m.
 
     The +- absorbs the sign freedom in both the commitment and the
     witnesses (I_x = +-S_x^2).
     """
-    if len(witnesses) != len(challenge):
-        raise ChallengeLengthMismatch(
-            f"{len(witnesses)} witnesses vs {len(challenge)} challenge bits"
-        )
+    if challenge >> len(witnesses):  # a negative challenge shifts to -1
+        raise ChallengeLengthMismatch(f"challenge {challenge} vs {len(witnesses)} witnesses")
     lhs = (y * y) % m
     rhs = w % m
-    for i_x, b in zip(witnesses, challenge):
-        if b:
+    for i_x in witnesses:
+        if challenge & 1:
             rhs = (rhs * i_x) % m
+        challenge >>= 1
     return lhs == rhs or lhs == (-rhs) % m
-
-
-def draw_challenge(rng: Rng, k: int) -> tuple[int, ...]:
-    return _unpack_challenge(rng.randbits(k), k)
-
-
-# per k <= 8, the challenge of each value below 2^k (bit i at index i): 511
-# tuples, about 54 KB; _SHORT_BITS maps each one back to its value (18 KB)
-_SHORT_CHALLENGES = tuple(
-    tuple(tuple((v >> i) & 1 for i in range(k)) for v in range(1 << k)) for k in range(9)
-)
-_SHORT_BITS = {ch: v for table in _SHORT_CHALLENGES for v, ch in enumerate(table)}
-
-
-def _unpack_challenge(bits: int, k: int) -> tuple[int, ...]:
-    """(b_0, ..., b_(k-1)) with b_i = bit i of ``bits`` < 2^k, the inverse
-    of ``challenge_bits``: a table lookup for k <= 8."""
-    if k <= 8:
-        return _SHORT_CHALLENGES[k][bits]
-    return tuple(map(int, reversed(f"{bits:0{k}b}")))
-
-
-def challenge_bits(challenge: Sequence[int]) -> int:
-    """The challenge as one integer with bit i = b_i, as ``draw_challenge`` reads it."""
-    v = _SHORT_BITS.get(tuple(challenge))
-    return v if v is not None else int("".join(str(b & 1) for b in reversed(challenge)), 2)
 
 
 # ------------------------------------------------------------- hardened
@@ -198,19 +173,24 @@ def _term_table(
 
 
 def _poly_product(
-    poly: SessionPolynomial, values: Sequence[int], challenge: Sequence[int], scale: int, m: int
+    poly: SessionPolynomial, values: Sequence[int], challenge: int, scale: int, m: int
 ) -> int:
     """prod_v( sum_t a_t * v^(scale*t*b_t) ) mod m, each inner sum from v's term table."""
     prod = 1
     for v in values:
-        total, steps = _term_table(poly, v, scale, m)
-        prod = prod * sum(compress(steps, challenge), total) % m
+        inner, steps = _term_table(poly, v, scale, m)
+        c = challenge
+        for step in steps:
+            if c & 1:
+                inner += step
+            c >>= 1
+        prod = prod * inner % m
     return prod
 
 
 def hardened_verify(
     w: int,
-    challenge: Sequence[int],
+    challenge: int,
     y: int,
     witnesses: Sequence[int],
     poly: SessionPolynomial,
@@ -219,7 +199,7 @@ def hardened_verify(
     """Accept iff P = prod_i( sum_t a_t * I_i^(t*b_t) ) is a unit and
     Y = +-W * P mod m: the accept set of Y / P = +-W without the inverse.
     A non-unit P (a degenerate round) returns False instead of raising."""
-    if len(witnesses) != len(challenge) or len(challenge) != len(poly.coefficients):
+    if challenge >> len(witnesses) or len(witnesses) != len(poly.coefficients):
         raise ChallengeLengthMismatch("witnesses/challenge/coefficients disagree")
     prod = _poly_product(poly, witnesses, challenge, 1, m)
     rhs = w * prod % m
@@ -248,15 +228,14 @@ class Basic:
         r, _, w = _commit(rng, m)
         return r, w
 
-    def respond(self, r: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
-        if len(secrets) != len(challenge):
-            raise ChallengeLengthMismatch(
-                f"{len(secrets)} secrets vs {len(challenge)} challenge bits"
-            )
+    def respond(self, r: int, secrets: Sequence[int], challenge: int, m: int) -> int:
+        if challenge >> len(secrets):
+            raise ChallengeLengthMismatch(f"challenge {challenge} vs {len(secrets)} secrets")
         y = r
-        for s, b in zip(secrets, challenge):
-            if b:
+        for s in secrets:
+            if challenge & 1:
                 y = (y * s) % m
+            challenge >>= 1
         return y
 
     def check(self, w, challenge, y, witnesses, m) -> bool:
@@ -282,12 +261,12 @@ class Hardened:
         _, r2, w = _commit(rng, m)
         return r2, w
 
-    def respond(self, r2: int, secrets: Sequence[int], challenge: Sequence[int], m: int) -> int:
+    def respond(self, r2: int, secrets: Sequence[int], challenge: int, m: int) -> int:
         """Y = R^2 * prod_i( sum_t a_t * S_i^(2t*b_t) ) mod m, from R^2.
 
         The product is a unit iff every factor is, so one gcd decides
         whether the round is degenerate."""
-        if len(secrets) != len(challenge) or len(challenge) != len(self.poly.coefficients):
+        if challenge >> len(secrets) or len(secrets) != len(self.poly.coefficients):
             raise ChallengeLengthMismatch("secrets/challenge/coefficients disagree")
         g = _poly_product(self.poly, secrets, challenge, 2, m)
         if gcd(g, m) != 1:
@@ -322,7 +301,7 @@ def prove(
     for _ in range(h):
         for _attempt in range(_HARDENED_MAX_RETRIES):
             state, w = commit(prover_rng, m)
-            challenge = _unpack_challenge(randbits(k), k)  # as ``draw_challenge`` draws it
+            challenge = randbits(k)
             try:
                 y = respond(state, secrets, challenge, m)
             except DegenerateEvaluation:
@@ -336,10 +315,11 @@ def prove(
 
 def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
     """One round of ``system``, for both ``verify`` and ``verify_interactive``:
-    one challenge bit per witness and a nonzero commitment, since W = 0
-    (mod m) with Y = 0 satisfies both variants' equations without a secret."""
+    no challenge bit at or above the witness count and a nonzero commitment,
+    since W = 0 (mod m) with Y = 0 satisfies both variants' equations without
+    a secret."""
     return (
-        len(challenge) == len(witnesses)
+        not challenge >> len(witnesses)
         and w % m != 0
         and system.check(w, challenge, y, witnesses, m)
     )
@@ -348,8 +328,8 @@ def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
 def verify(system, proof: ZkpProof, witnesses: Sequence[int], m: int, h: int) -> bool:
     """Check a recorded transcript once against the verifier's own system.
 
-    It must carry that system's variant, exactly h rounds and one challenge
-    bit per witness in every round.
+    It must carry that system's variant, exactly h rounds and, in every
+    round, a challenge from 0 to 2^(witness count) - 1.
     """
     if h < 1 or proof.variant is not system.variant or len(proof.rounds) != h:
         return False
@@ -380,7 +360,7 @@ def verify_interactive(
     commit, respond, randbits = prover.commit, prover.respond, verifier_rng.randbits
     for _ in range(h):
         w = commit()
-        challenge = _unpack_challenge(randbits(k), k)  # as ``draw_challenge`` draws it
+        challenge = randbits(k)
         y = respond(challenge)
         if transcript is not None:
             transcript.append(ZkpRound(w, challenge, y))
@@ -429,22 +409,22 @@ _VARIANTS = (Variant.BASIC, Variant.HARDENED)  # index = wire byte
 _HEADER = struct.Struct(">BHHH")  # variant, secret-id count, round count, k
 
 
-def encode_proof(proof: ZkpProof, m: int) -> bytes:
-    """The proof's fixed-width bytes under modulus ``m`` (layout in the
-    module docstring); every round must carry the same number of bits."""
-    width = (m.bit_length() + 7) // 8
-    k = len(proof.rounds[0].challenge) if proof.rounds else 0
+def encode_proof(proof: ZkpProof, m: int, k: int) -> bytes:
+    """The proof's fixed-width bytes under modulus ``m`` with k challenge
+    bits per round (layout in the module docstring); every challenge must
+    be below 2^k."""
+    width, ch_bytes = (m.bit_length() + 7) // 8, (k + 7) // 8
     ids = proof.secret_ids
     out = [
         _HEADER.pack(_VARIANTS.index(proof.variant), len(ids), len(proof.rounds), k),
         struct.pack(f">{len(ids)}I", *ids),
     ]
     for rd in proof.rounds:
-        if len(rd.challenge) != k:
-            raise ChallengeLengthMismatch(f"round of {len(rd.challenge)} bits in a k={k} proof")
+        if rd.challenge >> k:
+            raise ChallengeLengthMismatch(f"challenge {rd.challenge} in a k={k} proof")
         out += (
             rd.w.to_bytes(width, "big"),
-            challenge_bits(rd.challenge).to_bytes((k + 7) // 8, "big"),
+            rd.challenge.to_bytes(ch_bytes, "big"),
             rd.y.to_bytes(width, "big"),
         )
     return b"".join(out)
@@ -453,7 +433,7 @@ def encode_proof(proof: ZkpProof, m: int) -> bytes:
 def decode_proof(blob: bytes, m: int, k: int) -> ZkpProof:
     """Inverse of ``encode_proof``: the blob must be exactly as long as its
     header says, carry the caller's challenge width ``k`` and hold only
-    values below ``m`` (and below 2^k for the challenge bits), so each
+    values below ``m`` (and below 2^k for the challenge), so each
     proof has one encoding; else ``MalformedProof``."""
     if len(blob) < _HEADER.size:
         raise MalformedProof(f"{len(blob)} bytes is shorter than the header")
@@ -475,10 +455,10 @@ def decode_proof(blob: bytes, m: int, k: int) -> ZkpProof:
     rounds = []
     for off in range(start, len(blob), step):
         v = int.from_bytes(blob[off : off + step], "big")
-        w, bits, y = v >> w_shift, v >> y_bits & ch_mask, v & y_mask
-        if w >= m or y >= m or bits >> k:
+        w, challenge, y = v >> w_shift, v >> y_bits & ch_mask, v & y_mask
+        if w >= m or y >= m or challenge >> k:
             raise MalformedProof("a round value is out of range")
-        rounds.append(ZkpRound(w, _unpack_challenge(bits, k), y))
+        rounds.append(ZkpRound(w, challenge, y))
     return ZkpProof(
         struct.unpack_from(f">{n_ids}I", blob, _HEADER.size), tuple(rounds), _VARIANTS[code]
     )

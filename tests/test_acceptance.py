@@ -125,12 +125,11 @@ def _full_matrices(secrets, m, k, n, seed):
         r = sample_unit(rng, m)
         w = r * r % m
         for value in range(1 << k):
-            challenge = tuple((value >> i) & 1 for i in range(k))
             y = r
-            for bit, idx in zip(challenge, ids):
-                if bit:
+            for i, idx in enumerate(ids):
+                if value >> i & 1:
                     y = y * secrets[idx - 1] % m
-            mat.add_round(ZkpRound(w=w, challenge=challenge, y=y))
+            mat.add_round(ZkpRound(w=w, challenge=value, y=y))
         assert mat.coverage() == 1.0
         matrices[ids] = mat
     return matrices
@@ -322,9 +321,9 @@ def test_criterion_7_hardened_zkp():
     poly = SessionPolynomial(coefficients=(3, 2))
     secrets = [2, 8]
     witnesses = [s * s % m for s in secrets]
-    y = zkp.Hardened(poly).respond(4, secrets, (0, 1), m)
+    y = zkp.Hardened(poly).respond(4, secrets, 0b10, m)
     w = (2 * 2) % m
-    example_ok = y == 10 and zkp.hardened_verify(w, (0, 1), y, witnesses, poly, m)
+    example_ok = y == 10 and zkp.hardened_verify(w, 0b10, y, witnesses, poly, m)
 
     # 10^4 randomized rounds over small Blum moduli: every round completes
     # or cleanly re-runs on DegenerateEvaluation, and a tampered Y (scaled
@@ -339,7 +338,7 @@ def test_criterion_7_hardened_zkp():
         witnesses = [s * s % mod.m for s in secrets]
         poly = zkp.derive_session_polynomial(rng.randbytes(16), k)
         r2, w = zkp.Hardened(poly).commit(rng, mod.m)
-        challenge = zkp.draw_challenge(rng, k)
+        challenge = rng.randbits(k)
         try:
             y = zkp.Hardened(poly).respond(r2, secrets, challenge, mod.m)
             accepted = zkp.hardened_verify(w, challenge, y, witnesses, poly, mod.m)

@@ -43,12 +43,11 @@ def _honest_row(secrets, m, rng, k):
     w = r * r % m
     rounds = []
     for value in range(1 << k):
-        challenge = tuple((value >> i) & 1 for i in range(k))
         y = r
-        for bit, s in zip(challenge, secrets):
-            if bit:
+        for i, s in enumerate(secrets):
+            if value >> i & 1:
                 y = y * s % m
-        rounds.append(ZkpRound(w=w, challenge=challenge, y=y))
+        rounds.append(ZkpRound(w=w, challenge=value, y=y))
     return rounds
 
 
@@ -122,7 +121,7 @@ def _fresh_attempt(witnesses, h, m, rng, verifier_rng):
     prover = _FreshCheater(witnesses, m, rng)
     for _ in range(h):
         w = prover.commit()
-        challenge = zkp.draw_challenge(verifier_rng, len(witnesses))
+        challenge = verifier_rng.randbits(len(witnesses))
         if not verify_round(w, challenge, prover.respond(challenge), witnesses, m):
             return False
     return True
@@ -147,11 +146,11 @@ class TestReusedCheater:
         m, _, witnesses = _pool(8, 2)
         prover = CheaterProver(witnesses, m, Rng(80))
         with pytest.raises(StepOutOfOrder):
-            prover.respond((0, 1))
+            prover.respond(0b10)
         prover.commit()
-        prover.respond((0, 1))
+        prover.respond(0b10)
         with pytest.raises(StepOutOfOrder):
-            prover.respond((0, 1))
+            prover.respond(0b10)
 
 
 def _fresh_bundle_attempt(pool_witnesses, requested_sets, h, alpha, m, rng, verifier_rng):
@@ -259,23 +258,23 @@ class TestObserver:
 class TestSimulatorMatrix:
     def test_coverage_counts_filled_cells(self):
         mat = SimulatorMatrix(secret_ids=(1, 2))
-        mat.add_round(ZkpRound(w=4, challenge=(0, 0), y=2))
-        mat.add_round(ZkpRound(w=4, challenge=(1, 0), y=5))
+        mat.add_round(ZkpRound(w=4, challenge=0b00, y=2))
+        mat.add_round(ZkpRound(w=4, challenge=0b01, y=5))
         assert mat.coverage() == 2 / 4
-        mat.add_round(ZkpRound(w=4, challenge=(1, 1), y=8))
-        mat.add_round(ZkpRound(w=4, challenge=(0, 1), y=9))
+        mat.add_round(ZkpRound(w=4, challenge=0b11, y=8))
+        mat.add_round(ZkpRound(w=4, challenge=0b10, y=9))
         assert mat.coverage() == 1.0
 
     def test_first_recording_wins(self):
         mat = SimulatorMatrix(secret_ids=(1,))
-        mat.add_round(ZkpRound(w=4, challenge=(1,), y=2))
-        mat.add_round(ZkpRound(w=4, challenge=(1,), y=9))
+        mat.add_round(ZkpRound(w=4, challenge=1, y=2))
+        mat.add_round(ZkpRound(w=4, challenge=1, y=9))
         assert mat.rows[4][1] == 2
 
     def test_row_cap(self):
         mat = SimulatorMatrix(secret_ids=(1,))
         for w in range(10):
-            mat.add_round(ZkpRound(w=w + 2, challenge=(0,), y=1))
+            mat.add_round(ZkpRound(w=w + 2, challenge=0, y=1))
         assert len(mat.rows) == 2  # capped at 2^k
 
     def test_best_row_requires_data(self):
@@ -285,7 +284,7 @@ class TestSimulatorMatrix:
     def test_one_matrix_per_observed_set(self):
         # synthetic corpus touching every C(10,5) set once
         corpus = [
-            ZkpProof(secret_ids=ids, rounds=(ZkpRound(w=4, challenge=(0,) * 5, y=2),))
+            ZkpProof(secret_ids=ids, rounds=(ZkpRound(w=4, challenge=0, y=2),))
             for ids in combinations(range(1, 11), 5)
         ]
         matrices = build_simulators(corpus)
@@ -335,8 +334,7 @@ class TestSimulatorAttack:
         mat = SimulatorMatrix(secret_ids=ids)
         target = {0, 3}
         for rd in _honest_row(subset, self.m, Rng(5), 2):
-            value = rd.challenge[0] | (rd.challenge[1] << 1)
-            if value in target:
+            if rd.challenge in target:
                 mat.add_round(rd)
         assert mat.coverage() == 0.5
         trials = 8_000
@@ -353,11 +351,9 @@ class TestSimulatorAttack:
         wrong = [self.witnesses[2], self.witnesses[3]]
         hits = 0
         vrng = Rng(9)
-        from anonauth.zkp import draw_challenge
-
         for _ in range(500):
             w = prover.commit()
-            ch = draw_challenge(vrng, 2)
+            ch = vrng.randbits(2)
             if verify_round(w, ch, prover.respond(ch), wrong, self.m):
                 hits += 1
         # zero-challenge rounds (1/4 of draws) verify regardless of the
@@ -394,8 +390,8 @@ class WitnessOnlyProver:
         m, y = self.m, self._w
         for i_x in self.witnesses:
             y = y * sum(
-                a_t * pow(i_x, t * b_t, m)
-                for t, (a_t, b_t) in enumerate(zip(self.coefficients, challenge))
+                a_t * pow(i_x, t * (challenge >> t & 1), m)
+                for t, a_t in enumerate(self.coefficients)
             ) % m
         return y
 

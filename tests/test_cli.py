@@ -346,12 +346,13 @@ class TestRerun:
         assert "need --figure or --mc-formula" in result.output
 
     def test_analyze_unknown_formula_exits_2(self, runner, tmp_path):
-        params = {"figure": None, "mc_formula": "p_bogus", "k": 2, "h": 1, "n": 6, "mu": 2,
-                  "trials": 10, "seed": 1}
-        result = self._rerun_spec(runner, tmp_path, "analyze", params)
-        assert result.exit_code == 2, result.output
-        assert "parameter error" in result.output
-        assert not (tmp_path / "o").exists()
+        base = {"figure": None, "mc_formula": None, "k": 2, "h": 1, "n": 6, "mu": 2,
+                "trials": 10, "seed": 1}
+        for unknown in ({"mc_formula": "p_bogus"}, {"figure": "99"}):
+            result = self._rerun_spec(runner, tmp_path, "analyze", {**base, **unknown})
+            assert result.exit_code == 2, result.output
+            assert "parameter error" in result.output
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text",

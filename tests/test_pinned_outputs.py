@@ -33,8 +33,10 @@ def _feed(digest, *values) -> None:
     digest.update(repr(values).encode())
 
 
-def _rounds(rounds):
-    return tuple((rd.w, rd.challenge, rd.y) for rd in rounds)
+def _rounds(rounds, k):
+    """Each round with its challenge as the bit tuple (b_0, ..., b_(k-1)),
+    the form ``PINNED`` is taken over."""
+    return tuple((rd.w, tuple(rd.challenge >> i & 1 for i in range(k)), rd.y) for rd in rounds)
 
 
 def _sessions(digest) -> None:
@@ -53,7 +55,7 @@ def _sessions(digest) -> None:
                 _feed(digest, result.outcome.value, result.verified_count, log.key_id,
                       log.requested_sets, log.frames)
                 for obs in log.bundle_observations:
-                    _feed(digest, obs.secret_ids, _rounds(obs.rounds))
+                    _feed(digest, obs.secret_ids, _rounds(obs.rounds, config.k))
 
 
 def _monte_carlo(digest) -> None:

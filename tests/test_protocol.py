@@ -301,7 +301,7 @@ def _tamper_items(rsu, obu, key_id, bundle, count):
     for i in range(count):
         proof = zkp.decode_proof(obu.sym.open(session_key, items[i]), m, len(obu.sets[i]))
         lied = dataclasses.replace(proof, secret_ids=(1,) * len(proof.secret_ids))
-        items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied, m), rsu.rng)
+        items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied, m, len(obu.sets[i])), rsu.rng)
     return dataclasses.replace(bundle, items=tuple(items))
 
 
@@ -838,18 +838,20 @@ class TestMalformedProofs:
         plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
         m = rsu.credential.modulus
         proof = zkp.decode_proof(plain[8:], m, config.k)
-        # every round: the codec writes one challenge length per proof
-        longer = [dataclasses.replace(rd, challenge=rd.challenge + (0,)) for rd in proof.rounds]
+        # every round gets a bit at index k, in a proof encoded at k + 1 bits
+        k = config.k
+        longer = [dataclasses.replace(rd, challenge=rd.challenge | 1 << k) for rd in proof.rounds]
         forged = dataclasses.replace(proof, rounds=tuple(longer))
-        sealed = obu.sym.seal(obu.session_key, plain[:8] + zkp.encode_proof(forged, m), obu.rng)
+        blob = zkp.encode_proof(forged, m, k + 1)
+        sealed = obu.sym.seal(obu.session_key, plain[:8] + blob, obu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
 
     def test_widest_header_k_is_refused_before_decoding(self):
         # one 8 KB round at k = 65535 used to decode into a 65,535-entry
         # challenge tuple (about 0.5 MB) before any endpoint compared k
         def wide_proof(ids, m):
-            rd = zkp.ZkpRound(w=1, challenge=(1,) * 0xFFFF, y=1)
-            return zkp.encode_proof(zkp.ZkpProof(secret_ids=tuple(ids), rounds=(rd,)), m)
+            rd = zkp.ZkpRound(w=1, challenge=(1 << 0xFFFF) - 1, y=1)
+            return zkp.encode_proof(zkp.ZkpProof(secret_ids=tuple(ids), rounds=(rd,)), m, 0xFFFF)
 
         config = cfg(alpha=1, mu=3, h=2)
         dep = build_deployment(44, n=6, k=2, stub=True)
@@ -873,7 +875,7 @@ class TestMalformedProofs:
 
 def _zero_proof(variant, secret_ids=()):
     """What a prover with no secrets can send: W = Y = 0 in every round."""
-    rounds = (zkp.ZkpRound(w=0, challenge=(1, 1), y=0),) * 2
+    rounds = (zkp.ZkpRound(w=0, challenge=0b11, y=0),) * 2
     return zkp.ZkpProof(secret_ids=tuple(secret_ids), rounds=rounds, variant=variant)
 
 
@@ -884,7 +886,7 @@ class TestZeroProofs:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=variant))
         plain = struct.pack(">d", obu.clock) + zkp.encode_proof(
-            _zero_proof(variant), rsu.credential.modulus
+            _zero_proof(variant), rsu.credential.modulus, 2
         )
         sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
         assert rsu.check_membership_proof(key_id, sealed) is False
@@ -895,7 +897,7 @@ class TestZeroProofs:
         items = tuple(
             obu.sym.seal(
                 obu.session_key,
-                zkp.encode_proof(_zero_proof(variant, ids), rsu.credential.modulus),
+                zkp.encode_proof(_zero_proof(variant, ids), rsu.credential.modulus, 2),
                 rsu.rng,
             )
             for ids in sets

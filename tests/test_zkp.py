@@ -20,10 +20,8 @@ from anonauth.zkp import (
     Variant,
     ZkpProof,
     ZkpRound,
-    challenge_bits,
     decode_proof,
     derive_session_polynomial,
-    draw_challenge,
     encode_proof,
     hardened_verify,
     prove,
@@ -39,17 +37,17 @@ M = 21
 
 class TestRecords:
     def test_fields_cannot_be_assigned(self):
-        rd = ZkpRound(1, (0, 1), 2)
+        rd = ZkpRound(1, 2, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rd.y = 3
         with pytest.raises(dataclasses.FrozenInstanceError):
             ZkpProof((1,), (rd,)).rounds = ()
 
     def test_equal_records_compare_and_hash_equal(self):
-        by_position = ZkpProof((1, 2), (ZkpRound(1, (0, 1), 2),), Variant.HARDENED)
+        by_position = ZkpProof((1, 2), (ZkpRound(1, 2, 2),), Variant.HARDENED)
         by_keyword = ZkpProof(
             secret_ids=(1, 2),
-            rounds=(ZkpRound(w=1, challenge=(0, 1), y=2),),
+            rounds=(ZkpRound(w=1, challenge=2, y=2),),
             variant=Variant.HARDENED,
         )
         assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
@@ -57,9 +55,9 @@ class TestRecords:
         assert ZkpProof((), ()).variant is Variant.BASIC
 
     def test_replace_builds_a_new_record(self):
-        rd = ZkpRound(1, (0, 1), 2)
-        assert dataclasses.replace(rd, y=3) == ZkpRound(1, (0, 1), 3)
-        assert rd == ZkpRound(1, (0, 1), 2)
+        rd = ZkpRound(1, 2, 2)
+        assert dataclasses.replace(rd, y=3) == ZkpRound(1, 2, 3)
+        assert rd == ZkpRound(1, 2, 2)
 
 
 class TestCommit:
@@ -95,50 +93,38 @@ class TestCommit:
 
 class TestRespond:
     def test_zero_challenge_returns_r(self):
-        assert BASIC.respond(5, [2, 8], [0, 0], M) == 5
+        assert BASIC.respond(5, [2, 8], 0, M) == 5
 
     def test_single_secret(self):
-        assert BASIC.respond(5, [2], [1], M) == 10
+        assert BASIC.respond(5, [2], 1, M) == 10
 
     def test_two_secrets(self):
-        assert BASIC.respond(5, [2, 8], [1, 1], M) == 80 % M == 17
+        assert BASIC.respond(5, [2, 8], 0b11, M) == 80 % M == 17
 
     def test_length_mismatch(self):
-        with pytest.raises(ChallengeLengthMismatch):
-            BASIC.respond(5, [2, 8], [1], M)
+        for challenge in (0b100, -1):  # a bit at index k = 2, or negative
+            with pytest.raises(ChallengeLengthMismatch):
+                BASIC.respond(5, [2, 8], challenge, M)
 
 
 class TestVerifyRound:
     def test_accept_challenged(self):
-        assert verify_round(4, [1], 10, [4], M)
+        assert verify_round(4, 1, 10, [4], M)
 
     def test_accept_unchallenged(self):
-        assert verify_round(4, [0], 5, [99], M)
+        assert verify_round(4, 0, 5, [99], M)
 
     def test_reject_wrong_response(self):
-        assert not verify_round(4, [1], 7, [4], M)
+        assert not verify_round(4, 1, 7, [4], M)
 
     def test_negative_witness_sign_accepted(self):
         # I = -S^2 must verify too: S=2, I=17, R=5, b=1, Y=10
-        assert verify_round(4, [1], 10, [(-4) % M], M)
+        assert verify_round(4, 1, 10, [(-4) % M], M)
 
     def test_length_mismatch(self):
-        with pytest.raises(ChallengeLengthMismatch):
-            verify_round(4, [1, 0], 10, [4], M)
-
-
-class TestChallenge:
-    @given(st.integers(0, 2**32), st.integers(1, 70))
-    def test_length_and_bits(self, seed, k):
-        ch = draw_challenge(Rng(seed), k)
-        bits = Rng(seed).randbits(k)
-        assert ch == tuple((bits >> i) & 1 for i in range(k))
-
-    @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=40))
-    def test_pack_round_trip(self, bits):
-        assert challenge_bits(bits) == sum(b << i for i, b in enumerate(bits))
-        proof = ZkpProof(secret_ids=(), rounds=(ZkpRound(w=1, challenge=tuple(bits), y=1),))
-        assert decode_proof(encode_proof(proof, M), M, len(bits)) == proof
+        for challenge in (0b10, -1):  # a bit at index k = 1, or negative
+            with pytest.raises(ChallengeLengthMismatch):
+                verify_round(4, challenge, 10, [4], M)
 
 
 class TestRunProof:
@@ -222,7 +208,7 @@ class TestHardened:
     def test_worked_example_respond(self):
         # R = 2, so the state is R^2 = 4; inner sums: 3 + 2*2^2 = 11 and
         # 3 + 2*8^2 = 3 + 2 (8^2 = 1 mod 21) = 5
-        y = Hardened(_poly([3, 2])).respond(4, [2, 8], [0, 1], M)
+        y = Hardened(_poly([3, 2])).respond(4, [2, 8], 0b10, M)
         assert y == 10
 
     def test_respond_scales_the_state_by_g(self):
@@ -231,34 +217,34 @@ class TestHardened:
         for r in range(1, M):
             if math.gcd(r, M) == 1:
                 r2 = r * r % M
-                assert hardened.respond(r2, [2, 8], [0, 1], M) == r2 * 13 % M
+                assert hardened.respond(r2, [2, 8], 0b10, M) == r2 * 13 % M
 
     def test_worked_example_verify(self):
         w = 2 * 2 % M
         witnesses = [2 * 2 % M, 8 * 8 % M]
         assert mod_inv(13, M) == 13
-        assert hardened_verify(w, [0, 1], 10, witnesses, _poly([3, 2]), M)
+        assert hardened_verify(w, 0b10, 10, witnesses, _poly([3, 2]), M)
 
     def test_zero_challenge_collapses(self):
         # every exponent is 0, so Y = R^2 * (sum a)^k
         poly = _poly([3, 2])
-        y = Hardened(poly).respond(4, [2, 8], [0, 0], M)
+        y = Hardened(poly).respond(4, [2, 8], 0, M)
         assert y == 4 * pow(5, 2, M) % M
 
     def test_unit_polynomial(self):
-        y = Hardened(_poly([1, 0])).respond(4, [2, 8], [0, 1], M)
+        y = Hardened(_poly([1, 0])).respond(4, [2, 8], 0b10, M)
         assert y == 4
 
     def test_tampered_y_rejected(self):
         # y = 11 would collide with the -W branch on this tiny modulus,
         # so tamper to 12: 12 * 13 = 156 = 9 (mod 21), neither 4 nor 17
         witnesses = [4, 1]
-        assert not hardened_verify(4, [0, 1], 12, witnesses, _poly([3, 2]), M)
+        assert not hardened_verify(4, 0b10, 12, witnesses, _poly([3, 2]), M)
 
     def test_degenerate_inner_sum(self):
         # a = [3, 9], S = 2, b = 1: 3 + 9*16 = 147 = 0 mod 21
         with pytest.raises(DegenerateEvaluation):
-            Hardened(_poly([3, 9])).respond(4, [2, 2], [1, 1], M)
+            Hardened(_poly([3, 9])).respond(4, [2, 2], 0b11, M)
 
     def test_honest_hardened_completeness(self):
         # m = 21 leaves too few non-degenerate challenges at k = 2, so the
@@ -312,15 +298,14 @@ class TestHardened:
         # each factor is 3 + 9*4 = 39 = 18 (mod 21) and P = 18^2 = 9 shares
         # the factor 3 with m; Y = W * P would match the cross-multiplied
         # equation, so only the unit check rejects it
-        assert not hardened_verify(1, (1, 1), 9, [4, 4], _poly([3, 9]), M)
-        assert not Hardened(_poly([3, 9])).check(1, (1, 1), 9, [4, 4], M)
+        assert not hardened_verify(1, 0b11, 9, [4, 4], _poly([3, 9]), M)
+        assert not Hardened(_poly([3, 9])).check(1, 0b11, 9, [4, 4], M)
 
 
 def _witness_product(poly, witnesses, challenge, m):
     prod = 1
     for i_x in witnesses:
-        terms = enumerate(zip(poly.coefficients, challenge))
-        prod = prod * sum(a * pow(i_x, t * b, m) for t, (a, b) in terms) % m
+        prod = prod * _inner_sum(poly, i_x, challenge, 1, m) % m
     return prod
 
 
@@ -350,7 +335,7 @@ class TestHardenedVerifyReference:
         coefficient = st.one_of(st.integers(0, 30), st.integers(0, DEFAULT_COEFF_MODULUS - 1))
         poly = _poly(data.draw(st.lists(coefficient, min_size=k, max_size=k)))
         witnesses = data.draw(st.lists(residues, min_size=k, max_size=k))
-        challenge = tuple(data.draw(st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k)))
+        challenge = data.draw(st.integers(0, 2**k - 1))
         w = data.draw(residues)
         honest = w * _witness_product(poly, witnesses, challenge, m) % m
         y = data.draw(
@@ -365,9 +350,9 @@ class TestHardenedVerifyReference:
 
 
 def _inner_sum(poly, base, challenge, scale, m):
-    """The definition the term table must reproduce."""
-    terms = enumerate(zip(poly.coefficients, challenge))
-    return sum(a * pow(base, scale * t * b, m) for t, (a, b) in terms) % m
+    """The definition the term table must reproduce, b_t = bit t of the challenge."""
+    terms = enumerate(poly.coefficients)
+    return sum(a * pow(base, scale * t * (challenge >> t & 1), m) for t, a in terms) % m
 
 
 _M64 = generate_blum_modulus(64, 21).m
@@ -383,7 +368,7 @@ class TestTermTable:
         coefficient = st.one_of(st.integers(0, 30), st.integers(0, DEFAULT_COEFF_MODULUS - 1))
         poly = _poly(data.draw(st.lists(coefficient, min_size=k, max_size=k)))
         moduli = data.draw(st.permutations(_TERM_MODULI))[:2]
-        bits = st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k).map(tuple)
+        bits = st.integers(0, 2**k - 1)
         # one polynomial, several bases, two moduli, both scales; a second
         # challenge per base reads the table the first one built
         for m in moduli:
@@ -404,7 +389,7 @@ class TestTermTable:
         )
         poly = _poly(data.draw(st.lists(st.integers(0, 30), min_size=k, max_size=k)))
         secrets = data.draw(st.lists(residues, min_size=k, max_size=k))
-        challenge = tuple(data.draw(st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k)))
+        challenge = data.draw(st.integers(0, 2**k - 1))
         r2 = data.draw(st.integers(1, m - 1)) ** 2 % m
         factors = [_inner_sum(poly, s, challenge, 2, m) for s in secrets]
         if any(math.gcd(f, m) != 1 for f in factors):
@@ -484,7 +469,7 @@ def _parent_commit(rng, m):
 def _parent_respond(system, r, secrets, challenge, m):
     """The response as it was, from R: R * prod(S_i), or R^2 * g squaring R again."""
     if system is BASIC:
-        return math.prod(s for s, b in zip(secrets, challenge) if b) * r % m
+        return math.prod(s for i, s in enumerate(secrets) if challenge >> i & 1) * r % m
     g = math.prod(_inner_sum(system.poly, s, challenge, 2, m) for s in secrets) % m
     if math.gcd(g, m) != 1:
         raise DegenerateEvaluation("re-run the round")
@@ -498,7 +483,7 @@ def _parent_prove(system, secrets, h, m, prover_rng, verifier_rng, secret_ids):
         for _attempt in range(64):
             attempts += 1
             r, w = _parent_commit(prover_rng, m)
-            challenge = draw_challenge(verifier_rng, len(secrets))
+            challenge = verifier_rng.randbits(len(secrets))
             try:
                 y = _parent_respond(system, r, secrets, challenge, m)
             except DegenerateEvaluation:
@@ -517,7 +502,7 @@ _M512 = generate_blum_modulus(512, 22).m
 
 class TestProverIdentity:
     """``prove`` through ``commit`` and ``respond`` gives the proofs and the
-    draws of the round as it was: commit, ``draw_challenge``, respond from R."""
+    draws of the round as it was: commit, ``randbits(k)``, respond from R."""
 
     @pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
     @pytest.mark.parametrize("m", [M, _M16, _M64, _M512], ids=["m21", "16", "64", "512"])
@@ -565,21 +550,21 @@ class TestTranscriptIndistinguishability:
         honest: dict = {}
         for _ in range(n_samples):
             r, w = BASIC.commit(rng, M)
-            ch = draw_challenge(rng, 1)
+            ch = rng.randbits(1)
             y = BASIC.respond(r, [secret], ch, M)
             assert verify_round(w, ch, y, [witness], M)
-            key = (w, ch[0], y)
+            key = (w, ch, y)
             honest[key] = honest.get(key, 0) + 1
         simulated: dict = {}
         for _ in range(n_samples):
-            ch = draw_challenge(rng, 1)
+            ch = rng.randbits(1)
             y = sample_unit(rng, M)
             w = y * y % M
-            if ch[0]:
+            if ch:
                 w = w * mod_inv(witness, M) % M
             if not rng.randbits(1):
                 w = (-w) % M
-            key = (w, ch[0], y)
+            key = (w, ch, y)
             simulated[key] = simulated.get(key, 0) + 1
         keys = sorted(set(honest) | set(simulated))
         table = [
@@ -593,19 +578,20 @@ class TestTranscriptIndistinguishability:
 class TestSerialization:
     @given(
         st.integers(1, M - 1),
-        st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8),
+        st.integers(1, 16).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 2**k - 1))),
         st.integers(1, M - 1),
     )
-    def test_round_codec(self, w, ch, y):
-        proof = ZkpProof(secret_ids=(7,), rounds=(ZkpRound(w=w, challenge=tuple(ch), y=y),))
-        assert decode_proof(encode_proof(proof, M), M, len(ch)) == proof
+    def test_round_codec(self, w, k_ch, y):
+        k, ch = k_ch
+        proof = ZkpProof(secret_ids=(7,), rounds=(ZkpRound(w=w, challenge=ch, y=y),))
+        assert decode_proof(encode_proof(proof, M, k), M, k) == proof
 
     def test_proof_codec(self):
         rng = Rng(5)
         secrets = [sample_unit(rng, M) for _ in range(2)]
         witnesses = [s * s % M for s in secrets]
         proof, _ = run_proof(secrets, witnesses, 2, 3, M, rng.split(), rng.split(), secret_ids=(1, 4))
-        out = decode_proof(encode_proof(proof, M), M, 2)
+        out = decode_proof(encode_proof(proof, M, 2), M, 2)
         assert out == proof
 
     def test_hardened_proof_codec_keeps_seed_and_variant(self):
@@ -617,14 +603,14 @@ class TestSerialization:
         proof, _ = run_hardened_proof(
             secrets, witnesses, poly, 2, m, rng.split(), rng.split(), secret_ids=(2, 3)
         )
-        out = decode_proof(encode_proof(proof, m), m, 2)
+        out = decode_proof(encode_proof(proof, m, 2), m, 2)
         assert out == proof and out.variant is Variant.HARDENED
 
     def test_big_integers_survive(self):
         m = (1 << 512) - 19
-        rd = ZkpRound(w=m - 1, challenge=(1, 0), y=m - 5)
+        rd = ZkpRound(w=m - 1, challenge=1, y=m - 5)
         proof = ZkpProof(secret_ids=(1, 2), rounds=(rd,))
-        assert decode_proof(encode_proof(proof, m), m, 2) == proof
+        assert decode_proof(encode_proof(proof, m, 2), m, 2) == proof
 
     # any odd 2048-bit number serves: the codec and the prover need no factors
     @pytest.mark.parametrize(
@@ -632,7 +618,8 @@ class TestSerialization:
         [generate_blum_modulus(16, 3).m, generate_blum_modulus(32, 3).m, (1 << 2047) + 9],
         ids=["16", "32", "2048"],
     )
-    @pytest.mark.parametrize("k", [2, 9])
+    # k = 8 and 9 sit either side of a one-byte challenge field
+    @pytest.mark.parametrize("k", [2, 8, 9, 16])
     def test_round_trip_and_exact_length(self, m, k):
         rng = Rng(m % 1000 + k)
         secrets = [sample_unit(rng, m) for _ in range(k)]
@@ -640,18 +627,19 @@ class TestSerialization:
         width = (m.bit_length() + 7) // 8
         for system in (BASIC, Hardened(derive_session_polynomial(b"s", k))):
             proof = prove(system, secrets, 4, m, rng.split(), rng.split(), secret_ids=ids)
-            blob = encode_proof(proof, m)
+            blob = encode_proof(proof, m, k)
             assert decode_proof(blob, m, k) == proof
             assert len(blob) == 7 + 4 * k + 4 * (2 * width + (k + 7) // 8)
 
     def test_mixed_challenge_lengths_do_not_encode(self):
         proof, _ = _basic_proof()
         rd = proof.rounds[1]
-        mixed = dataclasses.replace(
-            proof, rounds=(proof.rounds[0], dataclasses.replace(rd, challenge=rd.challenge + (1,)))
-        )
-        with pytest.raises(ChallengeLengthMismatch):
-            encode_proof(mixed, M)
+        for bad in (rd.challenge | 0b100, -1):  # a bit at index k = 2, or negative
+            mixed = dataclasses.replace(
+                proof, rounds=(proof.rounds[0], dataclasses.replace(rd, challenge=bad))
+            )
+            with pytest.raises(ChallengeLengthMismatch):
+                encode_proof(mixed, M, 2)
 
 
 def _basic_proof():
@@ -661,7 +649,7 @@ def _basic_proof():
     return proof, [s * s % M for s in secrets]
 
 
-_BLOB = encode_proof(_basic_proof()[0], M)
+_BLOB = encode_proof(_basic_proof()[0], M, 2)
 _HARDENED = Hardened(_poly([3, 2]))
 _HEADER = 7  # variant, id count, round count, k
 
@@ -698,7 +686,7 @@ class TestStrictDecoding:
             decode_proof(bytes(blob), M, 2)
 
     def test_k_without_rounds_is_malformed(self):
-        empty = encode_proof(ZkpProof(secret_ids=(), rounds=()), M)
+        empty = encode_proof(ZkpProof(secret_ids=(), rounds=()), M, 0)
         assert decode_proof(empty, M, 0) == ZkpProof(secret_ids=(), rounds=())
         with pytest.raises(MalformedProof):
             decode_proof(empty[:-1] + b"\2", M, 2)
@@ -706,8 +694,8 @@ class TestStrictDecoding:
     @pytest.mark.parametrize("header_k", [1, 3, 0xFFFF])
     def test_header_k_other_than_the_callers_is_malformed(self, header_k):
         # a well-formed one-round proof at the header's width
-        rd = ZkpRound(w=1, challenge=(0,) * header_k, y=1)
-        blob = encode_proof(ZkpProof(secret_ids=(), rounds=(rd,)), M)
+        rd = ZkpRound(w=1, challenge=0, y=1)
+        blob = encode_proof(ZkpProof(secret_ids=(), rounds=(rd,)), M, header_k)
         assert decode_proof(blob, M, header_k).rounds == (rd,)
         with pytest.raises(MalformedProof):
             decode_proof(blob, M, 2)
@@ -729,7 +717,7 @@ class TestVerify:
     def test_wrong_challenge_length_fails_instead_of_raising(self):
         proof, witnesses = _basic_proof()
         rd = proof.rounds[0]
-        for challenge in (rd.challenge[:1], rd.challenge + (1,)):
+        for challenge in (rd.challenge | 0b100, -1):  # a bit at index k = 2, or negative
             forged = dataclasses.replace(
                 proof, rounds=(dataclasses.replace(rd, challenge=challenge),) + proof.rounds[1:]
             )
@@ -788,7 +776,7 @@ class TestZeroCommitment:
     def test_recorded_zero_transcript_fails(self, w):
         rng, witnesses, systems = self._setup()
         for system in systems:
-            rounds = tuple(ZkpRound(w=w, challenge=draw_challenge(rng, 2), y=0) for _ in range(8))
+            rounds = tuple(ZkpRound(w=w, challenge=rng.randbits(2), y=0) for _ in range(8))
             proof = ZkpProof(secret_ids=(1, 2), rounds=rounds, variant=system.variant)
             assert not verify(system, proof, witnesses, _M64, 8)
 
