@@ -275,6 +275,8 @@ def obu_credential_from_json(text: str) -> ObuCredential:
         counter, iv = d["counter"], int(d["iv"])
         if not (0 <= counter < 1 << 64 and 0 <= iv < 1 << 64):
             raise ValueError("counter or iv is not a 64-bit value")
+        if not 0 <= d["group_id"] < 1 << 32:  # a request carries it in 4 bytes
+            raise ValueError("group_id is not a 32-bit value")
         return ObuCredential(
             group_id=d["group_id"],
             member_id=d["member_id"],

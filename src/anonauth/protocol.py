@@ -10,11 +10,8 @@ alpha-threshold decision -> closing reply.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import re
 import struct
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -65,7 +62,7 @@ class StaleTimestamp(ValueError):
 
 
 class UndecryptableRequest(ValueError):
-    pass
+    """A request did not open under the verifier's key."""
 
 
 class MalformedSetRequest(ValueError):
@@ -73,7 +70,7 @@ class MalformedSetRequest(ValueError):
 
 
 class MalformedRequest(ValueError):
-    pass
+    """An opened request is short, or its group, t1, alpha or serv_id is not acceptable."""
 
 
 class UnknownSession(ValueError):
@@ -118,6 +115,7 @@ class SessionConfig:
             raise zkp.DegenerateParameters("h must be >= 1")
         if self.variant is Variant.HARDENED and self.k < 2:
             raise zkp.DegenerateParameters("hardened variant requires k >= 2")
+        self.serv_id.encode()  # a request carries it as UTF-8; UnicodeEncodeError is a ValueError
 
 
 @dataclass(frozen=True)
@@ -150,31 +148,27 @@ def _fresh(now: float, t: float) -> bool:
     return math.isfinite(t) and abs(now - t) <= FRESHNESS_WINDOW
 
 
-_SESSION_KEY_HEX = re.compile(f"[0-9a-fA-F]{{{2 * envelopes.SESSION_KEY_BYTES}}}")
+# a request: group id, t1, alpha and session key, then serv_id as UTF-8
+_REQUEST = struct.Struct(f">IdB{envelopes.SESSION_KEY_BYTES}s")
 
 
-def _request_fields(body, groups) -> tuple[int, float, bytes, str, int]:
+def _request_fields(plain: bytes, groups) -> tuple[int, float, bytes, str, int]:
     """(group_id, t1, session key, serv_id, alpha) of an opened request.
 
-    Anyone can seal a request to a verifier's public key, so every field
-    must have the type ``Obu.start`` writes and the group must be one the
-    verifier holds; anything else is ``MalformedRequest``.
+    Anyone can seal a request to a verifier's public key, so the group must
+    be one the verifier holds, t1 finite, alpha supported and serv_id UTF-8;
+    anything else is ``MalformedRequest``.
     """
-    if not isinstance(body, dict):
-        raise MalformedRequest(f"request body is a {type(body).__name__}, not an object")
-    group_id, t1, key, serv_id, alpha = (
-        body.get(name) for name in ("group_id", "t1", "session_key", "serv_id", "alpha")
-    )
-    if type(group_id) is not int or group_id not in groups:
-        raise MalformedRequest(f"group_id {group_id!r} is not a group of this verifier")
-    # exact comparison: false for NaN, infinities and ints beyond float range
-    if type(t1) not in (int, float) or not abs(t1) <= sys.float_info.max:
-        raise MalformedRequest(f"t1 {t1!r} is not a finite number")
-    if not isinstance(key, str) or not _SESSION_KEY_HEX.fullmatch(key):
-        raise MalformedRequest(f"session_key {key!r} is not a hex session key")
-    if not isinstance(serv_id, str) or type(alpha) is not int or alpha not in SUPPORTED_ALPHAS:
-        raise MalformedRequest(f"serv_id {serv_id!r} or alpha {alpha!r} is not supported")
-    return group_id, t1, bytes.fromhex(key), serv_id, alpha
+    if len(plain) < _REQUEST.size:
+        raise MalformedRequest(f"request is {len(plain)} bytes, under {_REQUEST.size}")
+    group_id, t1, alpha, key = _REQUEST.unpack_from(plain)
+    if group_id not in groups or not math.isfinite(t1) or alpha not in SUPPORTED_ALPHAS:
+        raise MalformedRequest(f"group {group_id}, t1 {t1} or alpha {alpha} is not supported")
+    try:
+        serv_id = plain[_REQUEST.size :].decode()
+    except UnicodeDecodeError as exc:
+        raise MalformedRequest("serv_id is not UTF-8") from exc
+    return group_id, t1, key, serv_id, alpha
 
 
 def _session_poly(session_key: bytes, key_id: bytes, purpose: bytes, index: int, k: int):
@@ -251,11 +245,10 @@ class Rsu:
         """Open a sealed (group_id, T1, session key, serv_id, alpha) request; its key id."""
         try:
             plain = self.seal.open(self.credential.seal_private_key, request)
-            body = json.loads(plain.decode())
-        except (EnvelopeFailure, ValueError, RecursionError) as exc:
+        except EnvelopeFailure as exc:
             raise UndecryptableRequest("request did not open under this verifier's key") from exc
         group_id, t1, session_key, serv_id, alpha = _request_fields(
-            body, self.credential.pool_secrets
+            plain, self.credential.pool_secrets
         )
         if not _fresh(self.clock, t1):
             raise StaleTimestamp(f"t1={t1} outside window at t={self.clock}")
@@ -288,37 +281,29 @@ class Rsu:
     # -- step 3: set announcement + revocation screening ------------------
 
     def receive_proof_sets(self, key_id: bytes, sealed: bytes) -> Optional[revocation.Match]:
-        """Open the member's sets (anything but a JSON list of lists of
-        integers is ``MalformedSetRequest``), check them against this
-        session's config and screen them; a match swaps the session's
-        witnesses for random units, so no membership proof can pass."""
+        """Open the member's mu sets of k 4-byte ids, each strictly
+        ascending in [1, n] and no two alike (else ``MalformedSetRequest``),
+        and screen them; a match swaps the session's witnesses for random
+        units, so no membership proof can pass."""
         sess = self._session(key_id, Step.NEGOTIATED)
         cfg = sess.config
         plain = self.sym.open(sess.session_key, sealed)
-        try:
-            sets = json.loads(plain)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedSetRequest("proof sets are not JSON") from exc
-        if not isinstance(sets, list) or not all(
-            isinstance(s, list) and all(type(i) is int for i in s) for s in sets
-        ):
-            raise MalformedSetRequest("proof sets are not a list of lists of integers")
-        canon = tuple(tuple(sorted(s)) for s in sets)
-        if len(canon) != cfg.mu:
-            raise MalformedSetRequest(f"expected {cfg.mu} sets, got {len(canon)}")
-        if len(set(canon)) != len(canon):
+        count = cfg.mu * cfg.k
+        if len(plain) != 4 * count:
+            raise MalformedSetRequest(f"{len(plain)} bytes, not {cfg.mu} sets of {cfg.k} ids")
+        ids = struct.unpack(f">{count}I", plain)
+        sets = tuple(ids[i : i + cfg.k] for i in range(0, count, cfg.k))
+        for s in sets:
+            if s != tuple(sorted(set(s))) or not 1 <= s[0] <= s[-1] <= cfg.n:
+                raise MalformedSetRequest(f"set {s} is not ascending ids in [1, {cfg.n}]")
+        if len(set(sets)) != cfg.mu:
             raise MalformedSetRequest("duplicate secret-id set in request")
-        for s in canon:
-            if len(s) != cfg.k or len(set(s)) != cfg.k:
-                raise MalformedSetRequest(f"set {s} is not {cfg.k} distinct ids")
-            if any(not (1 <= i <= cfg.n) for i in s):
-                raise MalformedSetRequest(f"set {s} has ids outside [1, {cfg.n}]")
-        match = revocation.screen_session(self.table, canon, cfg.n, cfg.k)
+        match = revocation.screen_session(self.table, sets, cfg.n, cfg.k)
         if match is not None:
             sess.witnesses = revocation.garble_witnesses(
                 len(sess.witnesses), self.credential.modulus, self.rng
             )
-        sess.requested_sets = canon
+        sess.requested_sets = sets
         sess.step = Step.SCREENED
         return match
 
@@ -336,7 +321,9 @@ class Rsu:
         if not _fresh(self.clock, t2):
             raise StaleTimestamp(f"t2={t2} outside window")
         try:
-            proof = zkp.decode_proof(plain[8:], self.credential.modulus, len(sess.witnesses))
+            proof = zkp.decode_proof(
+                plain[8:], self.credential.modulus, len(sess.witnesses), sess.config.h
+            )
         except zkp.MalformedProof:
             return False
         system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
@@ -434,18 +421,10 @@ class Obu:
         _signature_verified(cert, cert.signed_payload, self.root_public_key)
         self.config = config
         self.step = ObuStep.OPEN
+        self.key_id, self.sets = NO_KEY_ID, ()
         self.session_key = self.rng.randbytes(envelopes.SESSION_KEY_BYTES)
-        body = json.dumps(
-            {
-                "group_id": self.credential.group_id,
-                "t1": now,
-                "session_key": self.session_key.hex(),
-                "serv_id": config.serv_id,
-                "alpha": config.alpha,
-            },
-            sort_keys=True,
-        ).encode()
-        return self.seal.seal(cert.public_key, body, self.rng)
+        body = _REQUEST.pack(self.credential.group_id, now, config.alpha, self.session_key)
+        return self.seal.seal(cert.public_key, body + config.serv_id.encode(), self.rng)
 
     def _open_config(self) -> SessionConfig:
         """The config ``start`` opened the session with; ``StepOutOfOrder``
@@ -464,8 +443,8 @@ class Obu:
         self.sets = revocation.next_sequence(
             self.credential.iv, self.credential.counter, cfg.n, cfg.k, cfg.mu
         )
-        plain = json.dumps([list(s) for s in self.sets]).encode()
-        return self.sym.seal(self.session_key, plain, self.rng)
+        ids = [i for s in self.sets for i in s]
+        return self.sym.seal(self.session_key, struct.pack(f">{len(ids)}I", *ids), self.rng)
 
     # -- step 4: membership proof (prover side) -------------------------------
 
@@ -497,10 +476,8 @@ class Obu:
                 break
             plain = self.sym.open(self.session_key, item)
             try:
-                proof = zkp.decode_proof(plain, m, cfg.k)
+                proof = zkp.decode_proof(plain, m, cfg.k, cfg.h, ids)
             except zkp.MalformedProof:
-                continue
-            if proof.secret_ids != ids:
                 continue
             witnesses = [self.credential.pool_witnesses[i - 1] for i in ids]
             system = _proof_system(cfg, self.session_key, self.key_id, b"bundle", idx)

@@ -4,19 +4,18 @@ One proof system per variant: ``BASIC``, the commit/challenge/respond
 scheme, and ``Hardened``, which binds every response to a per-session
 polynomial so recorded transcripts cannot be replayed across sessions.
 ``prove``, ``verify`` and ``verify_interactive`` run either one. A verifier
-builds the system from its own session configuration; the variant byte of a
-received proof must match it and never selects it. A proof carries no
-polynomial seed: each verifier derives its own polynomial.
+builds the system from its own session configuration; nothing in a proof
+selects it. A proof carries no polynomial seed: each verifier derives its
+own polynomial.
 
 Wire format of a proof under modulus m, big-endian, with width =
-(m.bit_length() + 7) // 8 and every field fixed-width, so the header fixes
-the length and each proof has exactly one encoding:
+(m.bit_length() + 7) // 8 and every field fixed-width. There is no header:
+the verifier knows m, k, h and the secret ids it expects, so the length is
+fixed and each proof has exactly one encoding:
 
-    header   variant (1 byte: 0 basic, 1 hardened), secret-id count (2),
-             round count (2), k = challenge bits per round (2)
-    ids      4 bytes per secret id
-    rounds   W (width bytes), challenge (ceil(k/8) bytes), Y (width bytes);
-             W and Y are below m
+    ids      4 bytes per secret id (none in a membership proof)
+    rounds   h times W (width bytes), challenge (ceil(k/8) bytes), Y (width
+             bytes); W and Y are below m
 
 A round's challenge is the int the verifier draws, ``randbits(k)``, in every
 layer: bit i is b_i, the bit of the i-th secret. The arithmetic reads it by
@@ -55,7 +54,7 @@ class DegenerateEvaluation(ArithmeticError):
 
 
 class MalformedProof(ValueError):
-    """A proof blob is truncated, has trailing bytes, an unknown variant or another k."""
+    """A proof blob's length, secret ids or a value is not what the verifier expects."""
 
 
 class Variant(Enum):
@@ -82,7 +81,6 @@ _SET_W, _SET_CHALLENGE, _SET_Y = (getattr(ZkpRound, f).__set__ for f in ZkpRound
 class ZkpProof:
     secret_ids: tuple[int, ...]
     rounds: tuple[ZkpRound, ...]
-    variant: Variant = Variant.BASIC
 
 
 @dataclass(frozen=True)
@@ -222,8 +220,6 @@ class Basic:
     """Y = R * prod(S_i for challenged i), checked by ``verify_round``.
     ``commit`` keeps R as the round's private state."""
 
-    variant = Variant.BASIC
-
     def commit(self, rng: Rng, m: int) -> tuple[int, int]:
         r, _, w = _commit(rng, m)
         return r, w
@@ -249,8 +245,6 @@ class Hardened:
     """Responses bound to one session polynomial; a degenerate evaluation
     on the witness side fails the round. ``commit`` keeps R^2 mod m as the
     round's state, so each round squares R once."""
-
-    variant = Variant.HARDENED
 
     def __init__(self, poly: SessionPolynomial):
         if len(poly.coefficients) < 2:
@@ -310,7 +304,7 @@ def prove(
             break
         else:
             raise DegenerateEvaluation("could not find a non-degenerate round")
-    return ZkpProof(tuple(secret_ids), tuple(rounds), system.variant)
+    return ZkpProof(tuple(secret_ids), tuple(rounds))
 
 
 def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
@@ -328,10 +322,10 @@ def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
 def verify(system, proof: ZkpProof, witnesses: Sequence[int], m: int, h: int) -> bool:
     """Check a recorded transcript once against the verifier's own system.
 
-    It must carry that system's variant, exactly h rounds and, in every
-    round, a challenge from 0 to 2^(witness count) - 1.
+    It must carry exactly h rounds and, in every round, a challenge from 0
+    to 2^(witness count) - 1.
     """
-    if h < 1 or proof.variant is not system.variant or len(proof.rounds) != h:
+    if h < 1 or len(proof.rounds) != h:
         return False
     for rd in proof.rounds:
         if not _round_ok(system, rd.w, rd.challenge, rd.y, witnesses, m):
@@ -405,20 +399,13 @@ def run_hardened_proof(
 # -------------------------------------------------------- serialization
 
 
-_VARIANTS = (Variant.BASIC, Variant.HARDENED)  # index = wire byte
-_HEADER = struct.Struct(">BHHH")  # variant, secret-id count, round count, k
-
-
 def encode_proof(proof: ZkpProof, m: int, k: int) -> bytes:
     """The proof's fixed-width bytes under modulus ``m`` with k challenge
     bits per round (layout in the module docstring); every challenge must
     be below 2^k."""
     width, ch_bytes = (m.bit_length() + 7) // 8, (k + 7) // 8
     ids = proof.secret_ids
-    out = [
-        _HEADER.pack(_VARIANTS.index(proof.variant), len(ids), len(proof.rounds), k),
-        struct.pack(f">{len(ids)}I", *ids),
-    ]
+    out = [struct.pack(f">{len(ids)}I", *ids)]
     for rd in proof.rounds:
         if rd.challenge >> k:
             raise ChallengeLengthMismatch(f"challenge {rd.challenge} in a k={k} proof")
@@ -430,35 +417,27 @@ def encode_proof(proof: ZkpProof, m: int, k: int) -> bytes:
     return b"".join(out)
 
 
-def decode_proof(blob: bytes, m: int, k: int) -> ZkpProof:
-    """Inverse of ``encode_proof``: the blob must be exactly as long as its
-    header says, carry the caller's challenge width ``k`` and hold only
-    values below ``m`` (and below 2^k for the challenge), so each
-    proof has one encoding; else ``MalformedProof``."""
-    if len(blob) < _HEADER.size:
-        raise MalformedProof(f"{len(blob)} bytes is shorter than the header")
-    code, n_ids, n_rounds, header_k = _HEADER.unpack_from(blob)
-    if header_k != k:
-        raise MalformedProof(f"the header says k={header_k}, the verifier expects k={k}")
+def decode_proof(blob: bytes, m: int, k: int, h: int, secret_ids: Sequence[int] = ()) -> ZkpProof:
+    """Inverse of ``encode_proof`` for a verifier that expects h rounds of
+    k challenge bits under ``m`` and these ``secret_ids``: the blob must be
+    exactly that long, start with those ids and hold only values below
+    ``m`` (and below 2^k for the challenge), so each proof has one
+    encoding; else ``MalformedProof``."""
     width, ch_bytes = (m.bit_length() + 7) // 8, (k + 7) // 8
     step = 2 * width + ch_bytes
-    start = _HEADER.size + 4 * n_ids
-    if len(blob) != start + n_rounds * step:
-        raise MalformedProof(f"{len(blob)} bytes, the header says {start + n_rounds * step}")
-    if code >= len(_VARIANTS):
-        raise MalformedProof(f"unknown variant byte {code}")
-    if k and not n_rounds:
-        raise MalformedProof(f"k={k} in a proof with no rounds")
+    ids = struct.pack(f">{len(secret_ids)}I", *secret_ids)
+    if len(blob) != len(ids) + h * step:
+        raise MalformedProof(f"{len(blob)} bytes, the verifier expects {len(ids) + h * step}")
+    if not blob.startswith(ids):
+        raise MalformedProof("the proof is for other secret ids")
     # each round is read as one integer, W || challenge || Y, and split
     y_bits, w_shift = 8 * width, 8 * (width + ch_bytes)
     y_mask, ch_mask = (1 << y_bits) - 1, (1 << 8 * ch_bytes) - 1
     rounds = []
-    for off in range(start, len(blob), step):
+    for off in range(len(ids), len(blob), step):
         v = int.from_bytes(blob[off : off + step], "big")
         w, challenge, y = v >> w_shift, v >> y_bits & ch_mask, v & y_mask
         if w >= m or y >= m or challenge >> k:
             raise MalformedProof("a round value is out of range")
         rounds.append(ZkpRound(w, challenge, y))
-    return ZkpProof(
-        struct.unpack_from(f">{n_ids}I", blob, _HEADER.size), tuple(rounds), _VARIANTS[code]
-    )
+    return ZkpProof(tuple(secret_ids), tuple(rounds))

@@ -218,6 +218,9 @@ class TestSerialization:
             ("obu", "counter", True),
             ("obu", "member_id", [1]),
             ("obu", "group_id", "1"),
+            # a request carries the group id in 4 bytes
+            ("obu", "group_id", -1),
+            ("obu", "group_id", 1 << 32),
             ("obu", "iv", "-5"),
             ("rsu", "rsu_id", "0"),
         ],

@@ -23,7 +23,7 @@ from conftest import M21, build_deployment
 
 PINNED = "015092aec6a16d804f973b2ab4e47b35b215624e1ac95ebc16fed4f64adf9e85"
 # the frames of PINNED's honest sessions, exactly as logged
-PINNED_WIRE = "8c2f90cbcd2b393f8be0e8d6a4061f38d46346cbb7d4c9fa02afbed1283e294a"
+PINNED_WIRE = "19fa21bf38d2517e84d512bf93975bc5d197a3f83abbeaa94d69b2458bef2a49"
 # the estimators PINNED does not reach: the subset sampler behind mc_leak,
 # both readings of mc_sequence_collision and the bundle cheater at n = 3
 PINNED_ESTIMATORS = "1128f8fa9ccd76c9803ec8d4279c2c5f48e26ae9aa7bd49489eaf3523c78236f"
@@ -151,7 +151,7 @@ def test_rendered_rows_match_pinned_digest():
 # every subcommand run from relative paths in an empty directory: the bytes
 # of its out-dir (manifest included), its stdout and exit code, the same for
 # its rerun, and the --help text of main and every subcommand
-PINNED_CLI = "42b375a88e37c6c2daae5949dcb488efcd8c112e546a52a26923d793bfe256bd"
+PINNED_CLI = "531d2ac590d73ef30876bcbd91f06c59d586ab0c73322518000d78f2071de1c5"
 
 _CLI_RUNS = [
     ["keygen", "-q", "1", "-n", "6", "-k", "2", "--bit-length", "24",

@@ -1,11 +1,12 @@
 import copy
 import dataclasses
+import functools
 import json
 import struct
 import tracemalloc
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -69,6 +70,12 @@ class TestSessionConfig:
             cfg(k=1, variant=Variant.HARDENED)
         assert cfg(k=2, variant=Variant.HARDENED).variant is Variant.HARDENED
 
+    def test_serv_id_must_encode_as_utf8(self):
+        # a request carries serv_id as UTF-8, which a lone surrogate has no form in
+        with pytest.raises(ValueError):
+            cfg(serv_id="\ud800")
+        assert cfg(serv_id="INFO\u00e9").serv_id == "INFO\u00e9"
+
 
 class TestHandshakeErrors:
     def test_bad_beacon_certificate(self):
@@ -98,18 +105,6 @@ class TestHandshakeErrors:
         rsu_b = dep_b.make_rsu(3)
         with pytest.raises(UndecryptableRequest):
             rsu_b.register_session(request, cfg())
-
-    def test_request_nested_past_the_parser_limit_is_undecryptable(self):
-        # anyone can seal a body to the verifier's key; this one exhausts
-        # the JSON decoder's recursion limit
-        dep = build_deployment(1, n=6, k=2)
-        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
-        rsu.register_session(obu.start(rsu.beacon(), cfg()), cfg())
-        before = dict(rsu.sessions)
-        deep = obu.seal.seal(rsu.beacon().public_key, b"[" * 100_000, obu.rng)
-        with pytest.raises(UndecryptableRequest):
-            rsu.register_session(deep, cfg())
-        assert rsu.sessions == before
 
     def test_unknown_session_key_id(self):
         dep = build_deployment(1, n=6, k=2)
@@ -175,9 +170,11 @@ class TestPrivacyNegotiation:
         assert not log.bundle_observations
 
 
-def _seal_sets(obu, sets):
-    """What anyone holding the session key can announce as sets."""
-    return obu.sym.seal(obu.session_key, json.dumps(sets).encode(), obu.rng)
+def _seal_sets(obu, sets, tail=b""):
+    """What anyone holding the session key can announce as sets: their ids
+    in the order given, 4 bytes each, then ``tail``."""
+    ids = [i for s in sets for i in s]
+    return obu.sym.seal(obu.session_key, struct.pack(f">{len(ids)}I", *ids) + tail, obu.rng)
 
 
 class TestProofSetAnnouncement:
@@ -199,7 +196,21 @@ class TestProofSetAnnouncement:
     def test_duplicate_sets(self):
         rsu, obu, key_id = self._session(cfg(mu=2))
         with pytest.raises(MalformedSetRequest):
-            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2), (2, 1)]))
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2), (1, 2)]))
+
+    def test_descending_set_is_refused(self):
+        # one encoding per announcement: the same sets in another order are refused
+        rsu, obu, key_id = self._session(cfg(mu=2))
+        with pytest.raises(MalformedSetRequest):
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(2, 1), (3, 4)]))
+        assert rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2), (3, 4)])) is None
+        assert rsu.sessions[key_id].requested_sets == ((1, 2), (3, 4))
+
+    def test_trailing_byte_is_refused(self):
+        rsu, obu, key_id = self._session(cfg(mu=2))
+        with pytest.raises(MalformedSetRequest):
+            rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2), (3, 4)], tail=b"\0"))
+        assert rsu.receive_proof_sets(key_id, _seal_sets(obu, [(1, 2), (3, 4)])) is None
 
     def test_wrong_set_size(self):
         rsu, obu, key_id = self._session(cfg(mu=2))
@@ -299,7 +310,8 @@ def _tamper_items(rsu, obu, key_id, bundle, count):
     m = rsu.credential.modulus
     items = list(bundle.items)
     for i in range(count):
-        proof = zkp.decode_proof(obu.sym.open(session_key, items[i]), m, len(obu.sets[i]))
+        plain = obu.sym.open(session_key, items[i])
+        proof = zkp.decode_proof(plain, m, len(obu.sets[i]), obu.config.h, obu.sets[i])
         lied = dataclasses.replace(proof, secret_ids=(1,) * len(proof.secret_ids))
         items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied, m, len(obu.sets[i])), rsu.rng)
     return dataclasses.replace(bundle, items=tuple(items))
@@ -386,6 +398,25 @@ class TestBundleReplay:
         assert obu.credential.counter == last
         with pytest.raises(revocation.CounterOverflow):
             revocation.next_sequence(obu.credential.iv, last + 1, 6, 2, 3)
+
+    def test_a_new_session_forgets_the_last_sets(self):
+        # a bundle proving the last session's sets, verified before this
+        # session announced any, proves none of this session's
+        dep = build_deployment(18, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(alpha=2, mu=2, h=2)
+        assert run_full_session(obu, rsu, config)[0].outcome is Outcome.ACCEPTED
+        last_sets, m = obu.sets, rsu.credential.modulus
+        pool = rsu.credential.pool_secrets[obu.credential.group_id]
+        obu.start(rsu.beacon(), config)
+        items = []
+        for ids in last_sets:
+            proof = zkp.prove(zkp.BASIC, [pool[i - 1] for i in ids], 2, m, rsu.rng, obu.rng, ids)
+            items.append(obu.sym.seal(obu.session_key, zkp.encode_proof(proof, m, 2), rsu.rng))
+        result = obu.verify_bundle(protocol.ProofBundle(key_id=obu.key_id, items=tuple(items)))
+        assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
+        assert result.verified_count == 0 and obu.credential.counter == 1
+        assert obu.sets == () and obu.key_id == protocol.NO_KEY_ID
 
     def test_verify_needs_an_open_session(self):
         dep = build_deployment(15, n=6, k=2, stub=True)
@@ -830,6 +861,21 @@ class TestMalformedProofs:
         result = obu.verify_bundle(dataclasses.replace(bundle, items=tuple(items)))
         assert result.verified_count == 1
 
+    def test_membership_proof_with_secret_ids_is_refused(self):
+        # a membership proof has one encoding: no secret ids before its rounds
+        dep = build_deployment(45, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = _open_screened_session(rsu, obu, config)
+        plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
+        m = rsu.credential.modulus
+        proof = zkp.decode_proof(plain[8:], m, config.k, config.h)
+        for ids in ((1,), (1, 2), (6, 5, 4)):
+            tagged = zkp.encode_proof(dataclasses.replace(proof, secret_ids=ids), m, config.k)
+            sealed = obu.sym.seal(obu.session_key, plain[:8] + tagged, obu.rng)
+            assert not rsu.check_membership_proof(key_id, sealed)
+        assert rsu.check_membership_proof(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
+
     def test_round_with_wrong_challenge_length_fails(self):
         dep = build_deployment(45, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
@@ -837,7 +883,7 @@ class TestMalformedProofs:
         key_id = _open_screened_session(rsu, obu, config)
         plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
         m = rsu.credential.modulus
-        proof = zkp.decode_proof(plain[8:], m, config.k)
+        proof = zkp.decode_proof(plain[8:], m, config.k, config.h)
         # every round gets a bit at index k, in a proof encoded at k + 1 bits
         k = config.k
         longer = [dataclasses.replace(rd, challenge=rd.challenge | 1 << k) for rd in proof.rounds]
@@ -847,8 +893,8 @@ class TestMalformedProofs:
         assert not rsu.check_membership_proof(key_id, sealed)
 
     def test_widest_header_k_is_refused_before_decoding(self):
-        # one 8 KB round at k = 65535 used to decode into a 65,535-entry
-        # challenge tuple (about 0.5 MB) before any endpoint compared k
+        # one round at k = 65535, the widest k a proof header could once
+        # declare, has an 8 KB challenge field: its length alone refuses it
         def wide_proof(ids, m):
             rd = zkp.ZkpRound(w=1, challenge=(1 << 0xFFFF) - 1, y=1)
             return zkp.encode_proof(zkp.ZkpProof(secret_ids=tuple(ids), rounds=(rd,)), m, 0xFFFF)
@@ -873,10 +919,10 @@ class TestMalformedProofs:
         assert result.verified_count == 0 and peak < 100_000
 
 
-def _zero_proof(variant, secret_ids=()):
+def _zero_proof(secret_ids=()):
     """What a prover with no secrets can send: W = Y = 0 in every round."""
     rounds = (zkp.ZkpRound(w=0, challenge=0b11, y=0),) * 2
-    return zkp.ZkpProof(secret_ids=tuple(secret_ids), rounds=rounds, variant=variant)
+    return zkp.ZkpProof(secret_ids=tuple(secret_ids), rounds=rounds)
 
 
 @pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
@@ -886,7 +932,7 @@ class TestZeroProofs:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=variant))
         plain = struct.pack(">d", obu.clock) + zkp.encode_proof(
-            _zero_proof(variant), rsu.credential.modulus, 2
+            _zero_proof(), rsu.credential.modulus, 2
         )
         sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
         assert rsu.check_membership_proof(key_id, sealed) is False
@@ -897,7 +943,7 @@ class TestZeroProofs:
         items = tuple(
             obu.sym.seal(
                 obu.session_key,
-                zkp.encode_proof(_zero_proof(variant, ids), rsu.credential.modulus, 2),
+                zkp.encode_proof(_zero_proof(ids), rsu.credential.modulus, 2),
                 rsu.rng,
             )
             for ids in sets
@@ -936,35 +982,42 @@ class TestShortPlaintexts:
         assert rsu.sessions[key_id].step is Step.CLOSED
 
 
-def _request_body(**overrides):
+def _request_body(group_id=1, t1=0.0, alpha=1, session_key=bytes(16), serv_id=b"INFO"):
+    return struct.pack(">IdB16s", group_id, t1, alpha, session_key) + serv_id
+
+
+def _json_body(**overrides):
+    """A request body in the JSON form requests once had."""
     body = {"group_id": 1, "t1": 0.0, "session_key": "00" * 16, "serv_id": "INFO", "alpha": 1}
     body.update(overrides)
-    return body
+    return json.dumps(body).encode()
 
 
 class TestHostileRequests:
     """Anyone can seal a request body to the RSU's public key."""
 
     def _register(self, rsu, body):
-        plain = json.dumps(body).encode()
-        sealed = StubSeal().seal(rsu.credential.certificate.public_key, plain, rsu.rng)
+        sealed = StubSeal().seal(rsu.credential.certificate.public_key, body, rsu.rng)
         return rsu.register_session(sealed, cfg())
 
     @pytest.mark.parametrize(
         "body",
         [
-            [],
-            {},
-            _request_body(t1="0.0"),
+            b"[]",
+            b"",
+            _json_body(),
+            _json_body(t1="0.0"),
             _request_body(t1=float("nan")),
-            _request_body(t1=10**400),
-            _request_body(session_key="zz" * 16),
-            _request_body(session_key="ab"),
+            _request_body(t1=float("inf")),
+            _json_body(session_key="zz" * 16),
+            _request_body()[:20],
             _request_body(group_id=99),
             _request_body(alpha=99),
+            _request_body(alpha=0),
+            _request_body(serv_id=b"\xffINFO"),
         ],
-        ids=["list", "empty", "str-t1", "nan-t1", "huge-t1", "non-hex-key", "short-key",
-             "unknown-group", "unsupported-alpha"],
+        ids=["list", "empty", "json", "str-t1", "nan-t1", "huge-t1", "non-hex-key", "short-key",
+             "unknown-group", "unsupported-alpha", "zero-alpha", "serv-id-not-utf8"],
     )
     def test_malformed_body_is_rejected(self, body):
         rsu = build_deployment(48, n=6, k=2, stub=True).make_rsu(1)
@@ -972,6 +1025,13 @@ class TestHostileRequests:
         with pytest.raises(MalformedRequest):
             self._register(rsu, body)
         assert len(rsu.sessions) == 1
+
+    def test_trailing_byte_is_refused(self):
+        # serv_id runs to the end of the request, so a trailing byte names
+        # another service, which no policy permits
+        rsu = build_deployment(48, n=6, k=2, stub=True).make_rsu(1)
+        assert rsu.negotiate_privacy(self._register(rsu, _request_body() + b"\0")) is None
+        assert rsu.negotiate_privacy(self._register(rsu, _request_body())) == 1
 
     def test_nan_t2_is_stale(self):
         dep = build_deployment(49, n=6, k=2, stub=True)
@@ -982,3 +1042,111 @@ class TestHostileRequests:
         forged = struct.pack(">d", float("nan")) + plain[8:]
         with pytest.raises(StaleTimestamp):
             rsu.check_membership_proof(key_id, obu.sym.seal(obu.session_key, forged, obu.rng))
+
+
+def _blobs(*exact):
+    """Any bytes up to 64 long, and bytes of each length in ``exact``."""
+    return st.binary(max_size=64) | st.sampled_from(exact).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    )
+
+
+@functools.cache
+def _fuzz_deployment():
+    dep = build_deployment(60, n=6, k=2, stub=True)
+    assert (dep.modulus.m.bit_length() + 7) // 8 == 4  # a round is 4 + 1 + 4 bytes
+    return dep
+
+
+def _fuzz_endpoints():
+    """A fresh RSU and member of one 32-bit stub deployment; the member
+    holds its own copy of the credential, whose counter an acceptance moves."""
+    dep = _fuzz_deployment()
+    obu = dep.make_obu(2)
+    obu.credential = dataclasses.replace(obu.credential)
+    return dep.make_rsu(1), obu
+
+
+# k = 2, mu = 2, h = 2 at 32 bits: 16 bytes of sets, and 26 of membership
+# proof (t2 and two rounds) or of bundle item (two ids and two rounds)
+_FUZZ_CONFIG = cfg(alpha=1, mu=2, h=2)
+# two rounds of W, challenge, Y, each field at its width but any value
+_TWO_ROUNDS = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 2**32 - 1)),
+    min_size=2,
+    max_size=2,
+).map(lambda rounds: b"".join(struct.pack(">IBI", *rd) for rd in rounds))
+
+
+class TestByteFuzz:
+    """Any bytes sealed to an endpoint raise only that step's typed errors
+    or come back as a refusal; never ``struct.error``, ``IndexError`` or
+    ``UnicodeDecodeError``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _blobs(29, 33)
+        | st.builds(
+            _request_body,
+            group_id=st.integers(0, 3),
+            t1=st.floats(),
+            alpha=st.integers(0, 255),
+            session_key=st.binary(min_size=16, max_size=16),
+            serv_id=st.binary(max_size=6),
+        )
+    )
+    def test_register_session(self, plain):
+        rsu, _ = _fuzz_endpoints()
+        sealed = StubSeal().seal(rsu.credential.certificate.public_key, plain, rsu.rng)
+        for request in (sealed, plain):
+            try:
+                key_id = rsu.register_session(request, cfg())
+            except (UndecryptableRequest, MalformedRequest, StaleTimestamp):
+                continue
+            assert rsu.negotiate_privacy(key_id) in (None, 1, 2, 3, 4, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _blobs(16)
+        | st.lists(st.integers(0, 7), min_size=4, max_size=4).map(
+            lambda ids: struct.pack(">4I", *ids)
+        )
+    )
+    def test_receive_proof_sets(self, plain):
+        rsu, obu = _fuzz_endpoints()
+        key_id = rsu.register_session(obu.start(rsu.beacon(), _FUZZ_CONFIG), _FUZZ_CONFIG)
+        assert rsu.negotiate_privacy(key_id) == 1
+        try:
+            rsu.receive_proof_sets(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
+        except MalformedSetRequest:
+            assert rsu.sessions[key_id].step is Step.NEGOTIATED
+        else:
+            assert rsu.sessions[key_id].step is Step.SCREENED
+
+    @settings(max_examples=200, deadline=None)
+    @given(_blobs(26) | _TWO_ROUNDS.map(lambda rounds: struct.pack(">d", 0.0) + rounds))
+    def test_check_membership_proof(self, plain):
+        rsu, obu = _fuzz_endpoints()
+        key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
+        try:
+            verdict = rsu.check_membership_proof(
+                key_id, obu.sym.seal(obu.session_key, plain, obu.rng)
+            )
+        except StaleTimestamp:
+            return
+        assert verdict is (rsu.sessions[key_id].step is Step.MEMBER_VERIFIED)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_verify_bundle(self, data):
+        rsu, obu = _fuzz_endpoints()
+        key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
+        # an item is any bytes, or rounds after one of the session's sets or another
+        ids = st.sampled_from([*obu.sets, (1, 2), (2, 1)]).map(lambda s: struct.pack(">2I", *s))
+        item = _blobs(26) | st.tuples(ids, _TWO_ROUNDS).map(b"".join)
+        plains = data.draw(st.lists(item, max_size=3))
+        items = tuple(obu.sym.seal(obu.session_key, p, rsu.rng) for p in plains)
+        result = obu.verify_bundle(protocol.ProofBundle(key_id=key_id, items=items))
+        # not always a refusal: the bundle's prover writes its own challenges,
+        # so challenge 0 with Y^2 = W passes every round
+        assert result.verified_count <= len(items)

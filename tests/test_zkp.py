@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -44,15 +45,10 @@ class TestRecords:
             ZkpProof((1,), (rd,)).rounds = ()
 
     def test_equal_records_compare_and_hash_equal(self):
-        by_position = ZkpProof((1, 2), (ZkpRound(1, 2, 2),), Variant.HARDENED)
-        by_keyword = ZkpProof(
-            secret_ids=(1, 2),
-            rounds=(ZkpRound(w=1, challenge=2, y=2),),
-            variant=Variant.HARDENED,
-        )
+        by_position = ZkpProof((1, 2), (ZkpRound(1, 2, 2),))
+        by_keyword = ZkpProof(secret_ids=(1, 2), rounds=(ZkpRound(w=1, challenge=2, y=2),))
         assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
-        assert by_position != dataclasses.replace(by_keyword, variant=Variant.BASIC)
-        assert ZkpProof((), ()).variant is Variant.BASIC
+        assert by_position != dataclasses.replace(by_keyword, secret_ids=(1, 3))
 
     def test_replace_builds_a_new_record(self):
         rd = ZkpRound(1, 2, 2)
@@ -265,7 +261,7 @@ class TestHardened:
                 # challenge value; the session re-runs with a fresh seed
                 exhausted += 1
                 continue
-            assert ok and proof.variant is Variant.HARDENED and len(proof.rounds) == 3
+            assert ok and len(proof.rounds) == 3
             completed += 1
         assert completed > exhausted
 
@@ -492,7 +488,7 @@ def _parent_prove(system, secrets, h, m, prover_rng, verifier_rng, secret_ids):
             break
         else:
             raise DegenerateEvaluation("could not find a non-degenerate round")
-    return ZkpProof(tuple(secret_ids), tuple(rounds), system.variant), attempts
+    return ZkpProof(tuple(secret_ids), tuple(rounds)), attempts
 
 
 # the 16-bit modulus of the pinned sessions, where hardened rounds re-run
@@ -584,17 +580,17 @@ class TestSerialization:
     def test_round_codec(self, w, k_ch, y):
         k, ch = k_ch
         proof = ZkpProof(secret_ids=(7,), rounds=(ZkpRound(w=w, challenge=ch, y=y),))
-        assert decode_proof(encode_proof(proof, M, k), M, k) == proof
+        assert decode_proof(encode_proof(proof, M, k), M, k, 1, (7,)) == proof
 
     def test_proof_codec(self):
         rng = Rng(5)
         secrets = [sample_unit(rng, M) for _ in range(2)]
         witnesses = [s * s % M for s in secrets]
         proof, _ = run_proof(secrets, witnesses, 2, 3, M, rng.split(), rng.split(), secret_ids=(1, 4))
-        out = decode_proof(encode_proof(proof, M, 2), M, 2)
+        out = decode_proof(encode_proof(proof, M, 2), M, 2, 3, (1, 4))
         assert out == proof
 
-    def test_hardened_proof_codec_keeps_seed_and_variant(self):
+    def test_hardened_proof_codec(self):
         m = generate_blum_modulus(12, 5).m
         rng = Rng(6)
         secrets = [sample_unit(rng, m) for _ in range(2)]
@@ -603,14 +599,13 @@ class TestSerialization:
         proof, _ = run_hardened_proof(
             secrets, witnesses, poly, 2, m, rng.split(), rng.split(), secret_ids=(2, 3)
         )
-        out = decode_proof(encode_proof(proof, m, 2), m, 2)
-        assert out == proof and out.variant is Variant.HARDENED
+        assert decode_proof(encode_proof(proof, m, 2), m, 2, 2, (2, 3)) == proof
 
     def test_big_integers_survive(self):
         m = (1 << 512) - 19
         rd = ZkpRound(w=m - 1, challenge=1, y=m - 5)
         proof = ZkpProof(secret_ids=(1, 2), rounds=(rd,))
-        assert decode_proof(encode_proof(proof, m, 2), m, 2) == proof
+        assert decode_proof(encode_proof(proof, m, 2), m, 2, 1, (1, 2)) == proof
 
     # any odd 2048-bit number serves: the codec and the prover need no factors
     @pytest.mark.parametrize(
@@ -628,8 +623,8 @@ class TestSerialization:
         for system in (BASIC, Hardened(derive_session_polynomial(b"s", k))):
             proof = prove(system, secrets, 4, m, rng.split(), rng.split(), secret_ids=ids)
             blob = encode_proof(proof, m, k)
-            assert decode_proof(blob, m, k) == proof
-            assert len(blob) == 7 + 4 * k + 4 * (2 * width + (k + 7) // 8)
+            assert decode_proof(blob, m, k, 4, ids) == proof
+            assert len(blob) == 4 * k + 4 * (2 * width + (k + 7) // 8)
 
     def test_mixed_challenge_lengths_do_not_encode(self):
         proof, _ = _basic_proof()
@@ -651,54 +646,66 @@ def _basic_proof():
 
 _BLOB = encode_proof(_basic_proof()[0], M, 2)
 _HARDENED = Hardened(_poly([3, 2]))
-_HEADER = 7  # variant, id count, round count, k
+_IDS = 8  # the blob's two 4-byte secret ids; its rounds follow
 
 
 class TestStrictDecoding:
     def test_every_truncation_is_malformed(self):
         for cut in range(len(_BLOB)):  # cut = 0 is the empty blob
             with pytest.raises(MalformedProof):
-                decode_proof(_BLOB[:cut], M, 2)
+                decode_proof(_BLOB[:cut], M, 2, 2, (1, 3))
 
     def test_trailing_bytes_are_malformed(self):
         with pytest.raises(MalformedProof):
-            decode_proof(_BLOB + b"\0", M, 2)
+            decode_proof(_BLOB + b"\0", M, 2, 2, (1, 3))
 
     @pytest.mark.parametrize("code", [2, 7, 255])
     def test_unknown_variant_byte_is_malformed(self, code):
+        # the format has no variant byte: a proof behind one is refused
         with pytest.raises(MalformedProof):
-            decode_proof(bytes([code]) + _BLOB[1:], M, 2)
+            decode_proof(bytes([code]) + _BLOB, M, 2, 2, (1, 3))
+
+    @pytest.mark.parametrize("header_k", [1, 3, 0xFFFF])
+    def test_header_k_other_than_the_callers_is_malformed(self, header_k):
+        # nor a header: a proof behind (variant, id count, round count, k) is refused
+        header = struct.pack(">BHHH", 0, 2, 2, header_k)
+        with pytest.raises(MalformedProof):
+            decode_proof(header + _BLOB, M, 2, 2, (1, 3))
+
+    # () is a membership proof's verifier, which expects no ids at all
+    @pytest.mark.parametrize("ids", [(), (1,), (1, 2), (3, 1), (1, 3, 4)])
+    def test_other_secret_ids_are_malformed(self, ids):
+        assert decode_proof(_BLOB, M, 2, 2, (1, 3)).secret_ids == (1, 3)
+        assert decode_proof(_BLOB[_IDS:], M, 2, 2).secret_ids == ()
+        with pytest.raises(MalformedProof):
+            decode_proof(_BLOB, M, 2, 2, ids)
 
     @pytest.mark.parametrize("field", [0, 2], ids=["w", "y"])
     @pytest.mark.parametrize("value", [M, 255])
     def test_round_value_not_below_m_is_malformed(self, field, value):
         blob = bytearray(_BLOB)
-        blob[_HEADER + 8 + field] = value
+        blob[_IDS + field] = value
         with pytest.raises(MalformedProof):
-            decode_proof(bytes(blob), M, 2)
-        blob[_HEADER + 8 + field] = M - 1  # the same byte below m decodes
-        decode_proof(bytes(blob), M, 2)
+            decode_proof(bytes(blob), M, 2, 2, (1, 3))
+        blob[_IDS + field] = M - 1  # the same byte below m decodes
+        decode_proof(bytes(blob), M, 2, 2, (1, 3))
 
     def test_challenge_bits_above_k_are_malformed(self):
         blob = bytearray(_BLOB)
-        blob[_HEADER + 8 + 1] |= 0b100  # k = 2
+        blob[_IDS + 1] |= 0b100  # k = 2
         with pytest.raises(MalformedProof):
-            decode_proof(bytes(blob), M, 2)
+            decode_proof(bytes(blob), M, 2, 2, (1, 3))
 
     def test_k_without_rounds_is_malformed(self):
-        empty = encode_proof(ZkpProof(secret_ids=(), rounds=()), M, 0)
-        assert decode_proof(empty, M, 0) == ZkpProof(secret_ids=(), rounds=())
+        empty = encode_proof(ZkpProof(secret_ids=(), rounds=()), M, 2)
+        assert empty == b"" and decode_proof(empty, M, 2, 0) == ZkpProof((), ())
         with pytest.raises(MalformedProof):
-            decode_proof(empty[:-1] + b"\2", M, 2)
+            decode_proof(empty, M, 2, 2)
 
-    @pytest.mark.parametrize("header_k", [1, 3, 0xFFFF])
-    def test_header_k_other_than_the_callers_is_malformed(self, header_k):
-        # a well-formed one-round proof at the header's width
-        rd = ZkpRound(w=1, challenge=0, y=1)
-        blob = encode_proof(ZkpProof(secret_ids=(), rounds=(rd,)), M, header_k)
-        assert decode_proof(blob, M, header_k).rounds == (rd,)
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_round_count_other_than_h_is_malformed(self, h):
         with pytest.raises(MalformedProof):
-            decode_proof(blob, M, 2)
+            decode_proof(_BLOB, M, 2, h, (1, 3))
 
 
 class TestVerify:
@@ -706,8 +713,6 @@ class TestVerify:
         proof, witnesses = _basic_proof()
         assert verify(BASIC, proof, witnesses, M, 2)
         assert not verify(_HARDENED, proof, witnesses, M, 2)
-        relabeled = dataclasses.replace(proof, variant=Variant.HARDENED)
-        assert not verify(BASIC, relabeled, witnesses, M, 2)
 
     def test_round_count_must_equal_h(self):
         proof, witnesses = _basic_proof()
@@ -722,8 +727,7 @@ class TestVerify:
                 proof, rounds=(dataclasses.replace(rd, challenge=challenge),) + proof.rounds[1:]
             )
             assert not verify(BASIC, forged, witnesses, M, 2)
-            assert not verify(_HARDENED, dataclasses.replace(forged, variant=Variant.HARDENED),
-                              witnesses, M, 2)
+            assert not verify(_HARDENED, forged, witnesses, M, 2)
 
     def test_prover_never_runs_a_verifier(self, monkeypatch):
         from anonauth import zkp
@@ -738,7 +742,7 @@ class TestVerify:
         secrets = [sample_unit(rng, m) for _ in range(3)]
         for system in (BASIC, Hardened(derive_session_polynomial(b"s", 3))):
             proof = prove(system, secrets, 4, m, rng.split(), rng.split())
-            assert len(proof.rounds) == 4 and proof.variant is system.variant
+            assert len(proof.rounds) == 4
 
 
 class _ZeroProver:
@@ -777,23 +781,31 @@ class TestZeroCommitment:
         rng, witnesses, systems = self._setup()
         for system in systems:
             rounds = tuple(ZkpRound(w=w, challenge=rng.randbits(2), y=0) for _ in range(8))
-            proof = ZkpProof(secret_ids=(1, 2), rounds=rounds, variant=system.variant)
+            proof = ZkpProof(secret_ids=(1, 2), rounds=rounds)
             assert not verify(system, proof, witnesses, _M64, 8)
 
 
 def _decodes_or_fails_typed(blob: bytes) -> None:
-    try:
-        proof = decode_proof(blob, M, 2)
-    except MalformedProof:
-        return
-    for system in (BASIC, _HARDENED):
+    for ids in ((), (1, 3)):
         for h in (1, 2):
-            assert verify(system, proof, [4, 1], M, h) in (True, False)
+            try:
+                proof = decode_proof(blob, M, 2, h, ids)
+            except MalformedProof:
+                continue
+            for system in (BASIC, _HARDENED):
+                assert verify(system, proof, [4, 1], M, h) in (True, False)
+
+
+# any bytes, and bytes of each length a decoder above accepts: 0 or 8 id
+# bytes, then 1 or 2 rounds of 3
+_HOSTILE_BLOBS = st.binary(max_size=64) | st.sampled_from([3, 6, 11, 14]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
 
 
 class TestHostileBytes:
     @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=64))
+    @given(_HOSTILE_BLOBS)
     def test_arbitrary_bytes(self, blob):
         _decodes_or_fails_typed(blob)
 
