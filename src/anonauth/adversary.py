@@ -1,9 +1,11 @@
-"""Executable threat models: the secretless cheater, the passive observer,
-and the transcript-replay simulator, plus its byte-level memory-cost model.
+"""Executable threat models: the secretless cheater, the transcript forger,
+the passive observer, and the transcript-replay simulator, plus its
+byte-level memory-cost model.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
@@ -151,6 +153,32 @@ def _sample_subset(rng: Rng, n: int, k: int) -> int:
                 mask = grown
                 picked += 1
     return mask
+
+
+# -------------------------------------------------------------- forger
+
+
+class TranscriptForger:
+    """Secretless prover writing the rounds a prover-chosen challenge of 0
+    lets through, W = R^2 and Y = R; a basic round it passes only when the
+    verifier draws 0. Given the public witnesses and the session polynomial,
+    it answers every hardened challenge b with Y = W * P(b). It keeps one R
+    per commitment, first in first out, for batched and sequential rounds."""
+
+    def __init__(self, m: int, rng: Rng, witnesses=(), poly: Optional[SessionPolynomial] = None):
+        self.m, self.rng, self.witnesses, self.poly = m, rng, tuple(witnesses), poly
+        self._rs: deque[int] = deque()
+
+    def commit(self) -> int:
+        r = sample_unit(self.rng, self.m)
+        self._rs.append(r)
+        return r * r % self.m
+
+    def respond(self, challenge: int) -> int:
+        r = self._rs.popleft()
+        if self.poly is None:
+            return r
+        return r * r * zkp._poly_product(self.poly, self.witnesses, challenge, 1, self.m) % self.m
 
 
 # ------------------------------------------------------------- observer

@@ -128,10 +128,11 @@ class StubSeal(StubEnvelope):
 
 MSG_BEACON = 0x01
 MSG_AUTH_REQUEST = 0x02
-MSG_MEMBERSHIP_PROOF = 0x03
+MSG_COMMITMENTS = 0x03  # a proof's first move, membership or bundle
 MSG_PROOF_SETS = 0x04
-MSG_PROOF_BUNDLE = 0x05
+MSG_CHALLENGES = 0x05  # the verifier's challenges
 MSG_ALPHA_REPLY = 0x06
+MSG_ANSWERS = 0x07  # the prover's answers
 
 NO_KEY_ID = b"\x00" * 8
 

@@ -5,6 +5,16 @@ Flow: beacon -> sealed request -> privacy negotiation -> secret-id set
 announcement (screened against the revocation table before any proof
 rounds run) -> member's membership proof -> verifier's mu-proof bundle ->
 alpha-threshold decision -> closing reply.
+
+Each proof is one ``zkp`` exchange whose challenges its verifier (the RSU
+for membership, the member for the bundle) draws and keeps: commitments,
+challenges, answers, one sealed message each, the bundle's mu proofs in set
+order in every move. Each plaintext has one length, known to its reader:
+the sets are mu*k 4-byte ids, each set strictly ascending in [1, n]; the
+membership commitments are T2 (a big-endian double) then h W; the bundle
+commitments are the requested sets' ids then mu*h W; challenges and answers
+are the move's values alone, at ``zkp``'s widths; the closing reply is one
+byte.
 """
 
 from __future__ import annotations
@@ -20,9 +30,10 @@ from . import envelopes, revocation, zkp
 from .envelopes import (
     MSG_ALPHA_REPLY,
     MSG_AUTH_REQUEST,
+    MSG_ANSWERS,
     MSG_BEACON,
-    MSG_MEMBERSHIP_PROOF,
-    MSG_PROOF_BUNDLE,
+    MSG_CHALLENGES,
+    MSG_COMMITMENTS,
     MSG_PROOF_SETS,
     NO_KEY_ID,
     EnvelopeFailure,
@@ -31,7 +42,7 @@ from .envelopes import (
 from .keymgmt import Certificate, ObuCredential, RsuCredential, verify_certificate
 from .numtheory import Rng
 from .revocation import RevocationTable
-from .zkp import Variant, ZkpProof
+from .zkp import Variant, ZkpProof, ZkpRound
 
 SUPPORTED_ALPHAS = frozenset({1, 2, 3, 4, 5})
 FRESHNESS_WINDOW = 5.0  # logical seconds a request or proof timestamp may be off
@@ -98,7 +109,6 @@ class SessionConfig:
     n: int
     serv_id: str
     variant: Variant = Variant.BASIC
-    eager_stop: bool = False
 
     def __post_init__(self):
         if self.alpha not in SUPPORTED_ALPHAS:
@@ -116,12 +126,6 @@ class SessionConfig:
         if self.variant is Variant.HARDENED and self.k < 2:
             raise zkp.DegenerateParameters("hardened variant requires k >= 2")
         self.serv_id.encode()  # a request carries it as UTF-8; UnicodeEncodeError is a ValueError
-
-
-@dataclass(frozen=True)
-class ProofBundle:
-    key_id: bytes
-    items: tuple[bytes, ...]  # mu sealed proof transcripts
 
 
 @dataclass(frozen=True)
@@ -185,16 +189,21 @@ def _proof_system(
     return zkp.BASIC
 
 
+
+
 class Step(Enum):
     """An RSU session's progress. Each handler runs at one step, raises
-    ``StepOutOfOrder`` at any other and advances it by one; a refusal
-    (policy, failed membership proof) leaves it where it was."""
+    ``StepOutOfOrder`` at any other and advances it by one. A policy refusal
+    leaves it where it was; a failed membership proof spends its challenges
+    and returns it to ``SCREENED`` for a fresh exchange."""
 
     REGISTERED = "registered"
     NEGOTIATED = "negotiated"
     SCREENED = "screened"
+    CHALLENGED = "challenged"
     MEMBER_VERIFIED = "member-verified"
     BUNDLED = "bundled"
+    ANSWERED = "answered"
     CLOSED = "closed"
 
 
@@ -203,12 +212,16 @@ class _RsuSession:
     session_key: bytes
     group_id: int
     alpha: int
-    serv_id: str
+    # the policy's minimum alpha for the requested service; None if it names none
+    min_alpha: Optional[int]
     config: SessionConfig
     # the group's master witnesses; random units once screening flags the track
     witnesses: tuple[int, ...]
     step: Step = Step.REGISTERED
     requested_sets: tuple = ()
+    # the exchange in flight, dropped once spent: the membership proof's
+    # (W, challenges) while challenged, the bundle's round states while bundled
+    rounds: Optional[tuple] = None
     closing_alpha: Optional[int] = None
 
 
@@ -242,7 +255,8 @@ class Rsu:
     # -- step 2: request registration -------------------------------------
 
     def register_session(self, request: bytes, config: SessionConfig) -> bytes:
-        """Open a sealed (group_id, T1, session key, serv_id, alpha) request; its key id."""
+        """Open a sealed (group_id, T1, session key, serv_id, alpha) request; its key id.
+        The session keeps the policy's floor for serv_id, never serv_id itself."""
         try:
             plain = self.seal.open(self.credential.seal_private_key, request)
         except EnvelopeFailure as exc:
@@ -262,7 +276,7 @@ class Rsu:
             session_key=session_key,
             group_id=group_id,
             alpha=alpha,
-            serv_id=serv_id,
+            min_alpha=self.policy.get(serv_id),
             config=config,
             witnesses=self.credential.master_witnesses[group_id],
         )
@@ -272,8 +286,7 @@ class Rsu:
         """The alpha the member sealed when policy permits it, else None
         (policy rejection)."""
         sess = self._session(key_id, Step.REGISTERED)
-        min_alpha = self.policy.get(sess.serv_id)
-        if min_alpha is None or sess.alpha < min_alpha:
+        if sess.min_alpha is None or sess.alpha < sess.min_alpha:
             return None
         sess.step = Step.NEGOTIATED
         return sess.alpha
@@ -309,58 +322,73 @@ class Rsu:
 
     # -- step 4: membership verification (verifier side) ------------------
 
-    def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
-        """Open K_session(T2, proof transcript) and verify it under this
-        session's config; a plaintext too short for T2 or a transcript that
-        does not decode fails, and a failure allows another attempt."""
+    def challenge_membership(self, key_id: bytes, sealed: bytes) -> bytes:
+        """Answer the member's T2 and h commitments (else ``zkp.MalformedProof``)
+        with h challenges from this verifier's rng; the session keeps both."""
         sess = self._session(key_id, Step.SCREENED)
         plain = self.sym.open(sess.session_key, sealed)
-        if len(plain) < 8:
-            return False
+        h, m, k = sess.config.h, self.credential.modulus, len(sess.witnesses)
+        ws = zkp.decode_proof(plain[8:], h, m)
         (t2,) = struct.unpack(">d", plain[:8])
         if not _fresh(self.clock, t2):
             raise StaleTimestamp(f"t2={t2} outside window")
+        sess.rounds = (ws, zkp.draw_challenges(k, h, self.rng))
+        sess.step = Step.CHALLENGED
+        return self.sym.seal(sess.session_key, zkp.encode_proof(sess.rounds[1], 1 << k), self.rng)
+
+    def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
+        """Judge the member's h answers under this session's config against the
+        rounds it kept, which the verdict spends: a failure, answers that do
+        not decode included, returns the session to screened."""
+        sess = self._session(key_id, Step.CHALLENGED)
+        plain = self.sym.open(sess.session_key, sealed)
+        (ws, challenges), sess.rounds, sess.step = sess.rounds, None, Step.SCREENED
+        system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
+        m = self.credential.modulus
         try:
-            proof = zkp.decode_proof(
-                plain[8:], self.credential.modulus, len(sess.witnesses), sess.config.h
-            )
+            ys = zkp.decode_proof(plain, len(ws), m)
         except zkp.MalformedProof:
             return False
-        system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
-        if not zkp.verify(system, proof, sess.witnesses, self.credential.modulus, sess.config.h):
-            return False
-        sess.step = Step.MEMBER_VERIFIED
-        return True
+        ok = zkp.check_rounds(system, ws, challenges, ys, sess.witnesses, m)
+        if ok:
+            sess.step = Step.MEMBER_VERIFIED
+        return ok
 
     # -- step 5: bundle generation (prover side) ---------------------------
 
-    def generate_proof_bundle(self, key_id: bytes, challenge_rng: Rng) -> ProofBundle:
-        """One proof per requested set, sealed under the session key; one
-        bundle per session, after a verified membership proof.
-
-        ``challenge_rng`` stands in for the remote verifier's challenge
-        stream; in a live session it is driven by the member.
-        """
+    def generate_proof_bundle(self, key_id: bytes) -> bytes:
+        """Commit to one proof per requested set, once per session after a
+        verified membership proof; the session keeps the round states."""
         sess = self._session(key_id, Step.MEMBER_VERIFIED)
-        cfg = sess.config
-        pool = self.credential.pool_secrets[sess.group_id]
-        m = self.credential.modulus
-        items = []
+        cfg, m = sess.config, self.credential.modulus
+        # commitments do not read the polynomial: one system commits them all
+        system = _proof_system(cfg, sess.session_key, key_id, b"bundle", 0)
+        sess.rounds, ws = zkp.commit_rounds(system, cfg.mu * cfg.h, m, self.rng)
+        sess.step = Step.BUNDLED
+        ids = [i for s in sess.requested_sets for i in s]
+        plain = zkp.encode_proof(ids, 1 << 32) + zkp.encode_proof(ws, m)
+        return self.sym.seal(sess.session_key, plain, self.rng)
+
+    def answer_bundle(self, key_id: bytes, sealed: bytes) -> bytes:
+        """Answer the member's mu*h challenges (else ``zkp.MalformedProof``),
+        each from its kept round state, which is then dropped."""
+        sess = self._session(key_id, Step.BUNDLED)
+        cfg, m, h = sess.config, self.credential.modulus, sess.config.h
+        plain = self.sym.open(sess.session_key, sealed)
+        challenges = zkp.decode_proof(plain, cfg.mu * h, 1 << cfg.k)
+        states, sess.rounds, sess.step = sess.rounds, None, Step.ANSWERED
+        pool, ys = self.credential.pool_secrets[sess.group_id], []
         for idx, ids in enumerate(sess.requested_sets):
             system = _proof_system(cfg, sess.session_key, key_id, b"bundle", idx)
-            proof = zkp.prove(
-                system, [pool[i - 1] for i in ids], cfg.h, m, self.rng, challenge_rng,
-                secret_ids=ids,
-            )
-            blob = zkp.encode_proof(proof, m, len(ids))
-            items.append(self.sym.seal(sess.session_key, blob, self.rng))
-        sess.step = Step.BUNDLED
-        return ProofBundle(key_id=key_id, items=tuple(items))
+            span = slice(idx * h, idx * h + h)
+            secrets = [pool[i - 1] for i in ids]
+            ys += zkp.answer_rounds(system, states[span], secrets, challenges[span], m)
+        return self.sym.seal(sess.session_key, zkp.encode_proof(ys, m), self.rng)
 
     def record_closing_reply(self, key_id: bytes, sealed: bytes) -> int:
         """Log the member's closing alpha value, sealed as exactly one byte;
         access is not gated on it."""
-        sess = self._session(key_id, Step.BUNDLED)
+        sess = self._session(key_id, Step.ANSWERED)
         plain = self.sym.open(sess.session_key, sealed)
         if len(plain) != 1:
             raise EnvelopeFailure(f"closing reply is {len(plain)} bytes, not 1")
@@ -380,8 +408,8 @@ class Rsu:
 
 class ObuStep(Enum):
     """A member's session: ``start`` opens it and an accepted bundle
-    decides it, after which ``verify_bundle`` raises ``StepOutOfOrder``
-    until the next ``start``."""
+    decides it, after which ``challenge_bundle`` and ``verify_bundle`` raise
+    ``StepOutOfOrder`` until the next ``start``."""
 
     OPEN = "open"
     ACCEPTED = "accepted"
@@ -389,7 +417,8 @@ class ObuStep(Enum):
 
 class Obu:
     """Member-side endpoint: single active session, whose config and sets
-    it keeps from ``start`` and ``choose_proof_sets``."""
+    it keeps from ``start`` and ``choose_proof_sets``, and whose proofs'
+    round state it keeps from one move to the next."""
 
     def __init__(
         self,
@@ -410,6 +439,9 @@ class Obu:
         self.config: Optional[SessionConfig] = None
         self.sets: tuple = ()
         self.step: Optional[ObuStep] = None
+        # round states until they answer; the bundle's (sets named, W, challenges)
+        self._membership: Optional[tuple] = None
+        self._bundle: Optional[tuple] = None
 
     # -- step 1: request ----------------------------------------------------
 
@@ -422,6 +454,7 @@ class Obu:
         self.config = config
         self.step = ObuStep.OPEN
         self.key_id, self.sets = NO_KEY_ID, ()
+        self._membership = self._bundle = None
         self.session_key = self.rng.randbytes(envelopes.SESSION_KEY_BYTES)
         body = _REQUEST.pack(self.credential.group_id, now, config.alpha, self.session_key)
         return self.seal.seal(cert.public_key, body + config.serv_id.encode(), self.rng)
@@ -448,43 +481,75 @@ class Obu:
 
     # -- step 4: membership proof (prover side) -------------------------------
 
-    def prove_membership(self, challenge_rng: Rng) -> bytes:
+    def prove_membership(self) -> bytes:
+        """Seal T2 and h commitments from the member's rng; keep their round states."""
         cfg = self._open_config()
         system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
         m = self.credential.modulus
-        secrets = self.credential.master_key
-        proof = zkp.prove(system, secrets, cfg.h, m, self.rng, challenge_rng)
-        plain = struct.pack(">d", self.clock) + zkp.encode_proof(proof, m, len(secrets))
+        self._membership, ws = zkp.commit_rounds(system, cfg.h, m, self.rng)
+        plain = struct.pack(">d", self.clock) + zkp.encode_proof(ws, m)
         return self.sym.seal(self.session_key, plain, self.rng)
+
+    def answer_membership(self, sealed: bytes) -> bytes:
+        """Answer the verifier's h challenges (else ``zkp.MalformedProof``),
+        each from its kept round state, which is then dropped: no commitment
+        answers two challenges (``StepOutOfOrder`` without fresh ones)."""
+        cfg = self._open_config()
+        if self._membership is None:
+            raise StepOutOfOrder("no membership commitments to answer")
+        secrets, m = self.credential.master_key, self.credential.modulus
+        plain = self.sym.open(self.session_key, sealed)
+        challenges = zkp.decode_proof(plain, cfg.h, 1 << len(secrets))
+        states, self._membership = self._membership, None
+        system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
+        ys = zkp.answer_rounds(system, states, secrets, challenges, m)
+        return self.sym.seal(self.session_key, zkp.encode_proof(ys, m), self.rng)
 
     # -- step 6: bundle verification ------------------------------------------
 
+    def challenge_bundle(self, sealed: bytes) -> bytes:
+        """Answer the bundle's mu*k ids and mu*h commitments (else
+        ``zkp.MalformedProof``) with mu*h challenges from the member's rng,
+        kept with them; a proof naming a set other than the one requested fails."""
+        if self.step is not ObuStep.OPEN or not self.sets:
+            raise StepOutOfOrder("member session is not open, announced no sets or is decided")
+        cfg, m = self.config, self.credential.modulus
+        plain = self.sym.open(self.session_key, sealed)
+        id_bytes = 4 * cfg.mu * cfg.k
+        ids = zkp.decode_proof(plain[:id_bytes], cfg.mu * cfg.k, 1 << 32)
+        ws = zkp.decode_proof(plain[id_bytes:], cfg.mu * cfg.h, m)
+        named = tuple(ids[i * cfg.k : i * cfg.k + cfg.k] == s for i, s in enumerate(self.sets))
+        challenges = zkp.draw_challenges(cfg.k, cfg.mu * cfg.h, self.rng)
+        self._bundle = (named, ws, challenges)
+        return self.sym.seal(self.session_key, zkp.encode_proof(challenges, 1 << cfg.k), self.rng)
+
     def verify_bundle(
-        self, bundle: ProofBundle, observations: Optional[list[ZkpProof]] = None
+        self, sealed: bytes, observations: Optional[list[ZkpProof]] = None
     ) -> AuthResult:
-        """Count the items that prove this session's sets; on acceptance the
-        member moves to its next counter, once per session."""
-        if bundle.key_id != self.key_id:
-            raise EnvelopeFailure("bundle tagged for a different session")
-        if self.step is not ObuStep.OPEN:
-            raise StepOutOfOrder("member session is not open, or already accepted a bundle")
-        cfg = self.config
-        m = self.credential.modulus
+        """Count the proofs whose answers (none, if they do not decode) check
+        against the rounds ``challenge_bundle`` kept, which this spends; on
+        acceptance the member moves to its next counter, once per session."""
+        if self.step is not ObuStep.OPEN or self._bundle is None:
+            raise StepOutOfOrder("no open member session with a challenged bundle")
+        cfg, m, h = self.config, self.credential.modulus, self.config.h
+        plain = self.sym.open(self.session_key, sealed)
+        (named, ws, challenges), self._bundle = self._bundle, None
+        try:
+            ys = zkp.decode_proof(plain, len(ws), m)
+        except zkp.MalformedProof:
+            return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, 0, cfg.alpha)
         verified = 0
-        for idx, (item, ids) in enumerate(zip(bundle.items, self.sets)):
-            if cfg.eager_stop and verified >= cfg.alpha:
-                break
-            plain = self.sym.open(self.session_key, item)
-            try:
-                proof = zkp.decode_proof(plain, m, cfg.k, cfg.h, ids)
-            except zkp.MalformedProof:
+        for idx, ids in enumerate(self.sets):
+            if not named[idx]:
                 continue
+            span = slice(idx * h, idx * h + h)
             witnesses = [self.credential.pool_witnesses[i - 1] for i in ids]
             system = _proof_system(cfg, self.session_key, self.key_id, b"bundle", idx)
-            if zkp.verify(system, proof, witnesses, m, cfg.h):
+            if zkp.check_rounds(system, ws[span], challenges[span], ys[span], witnesses, m):
                 verified += 1
             if observations is not None:
-                observations.append(proof)
+                rounds = map(ZkpRound, ws[span], challenges[span], ys[span])
+                observations.append(ZkpProof(ids, tuple(rounds)))
         if verified < cfg.alpha:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
         if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:
@@ -517,24 +582,25 @@ def run_full_session(
     if rsu.negotiate_privacy(key_id) is None:
         return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha), log
 
-    sealed_sets = obu.choose_proof_sets()
+    def send(tag: int, sealed: bytes) -> bytes:
+        log.frames.append(encode_message(tag, key_id, sealed))
+        return sealed
+
+    sealed = send(MSG_PROOF_SETS, obu.choose_proof_sets())
     log.requested_sets = obu.sets
-    log.frames.append(encode_message(MSG_PROOF_SETS, key_id, sealed_sets))
-    if rsu.receive_proof_sets(key_id, sealed_sets) is not None:
+    if rsu.receive_proof_sets(key_id, sealed) is not None:
         return AuthResult(Outcome.REJECTED_REVOKED, 0, config.alpha), log
 
-    sealed_membership = obu.prove_membership(challenge_rng=rsu.rng)
-    log.frames.append(encode_message(MSG_MEMBERSHIP_PROOF, key_id, sealed_membership))
-    if not rsu.check_membership_proof(key_id, sealed_membership):
+    sealed = send(MSG_COMMITMENTS, obu.prove_membership())
+    sealed = send(MSG_CHALLENGES, rsu.challenge_membership(key_id, sealed))
+    sealed = send(MSG_ANSWERS, obu.answer_membership(sealed))
+    if not rsu.check_membership_proof(key_id, sealed):
         return AuthResult(Outcome.REJECTED_MEMBERSHIP, 0, config.alpha), log
 
-    bundle = rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
-    for item in bundle.items:
-        log.frames.append(encode_message(MSG_PROOF_BUNDLE, key_id, item))
-
-    result = obu.verify_bundle(bundle, observations=log.bundle_observations)
+    sealed = send(MSG_COMMITMENTS, rsu.generate_proof_bundle(key_id))
+    sealed = send(MSG_CHALLENGES, obu.challenge_bundle(sealed))
+    sealed = send(MSG_ANSWERS, rsu.answer_bundle(key_id, sealed))
+    result = obu.verify_bundle(sealed, observations=log.bundle_observations)
     if result.outcome is Outcome.ACCEPTED:
-        reply = obu.closing_reply()
-        log.frames.append(encode_message(MSG_ALPHA_REPLY, key_id, reply))
-        rsu.record_closing_reply(key_id, reply)
+        rsu.record_closing_reply(key_id, send(MSG_ALPHA_REPLY, obu.closing_reply()))
     return result, log

@@ -207,7 +207,9 @@ class _Sim:
     def _handle_message(self, t: float, payload) -> None:
         cfg = self.config
         node, rsu, msg_idx = payload
-        # request + sets + membership + mu bundle items + closing reply
+        # the channel model's packets per session: request, sets, membership
+        # proof, one per bundle proof and the closing reply; the protocol's
+        # own frames are three per proof, each batching its rounds
         n_messages = 4 + cfg.mu
         pos = self.obu_position(node, t)
         dist = self.ring_distance(pos, rsu.position)

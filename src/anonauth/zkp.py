@@ -3,23 +3,32 @@
 One proof system per variant: ``BASIC``, the commit/challenge/respond
 scheme, and ``Hardened``, which binds every response to a per-session
 polynomial so recorded transcripts cannot be replayed across sessions.
-``prove``, ``verify`` and ``verify_interactive`` run either one. A verifier
-builds the system from its own session configuration; nothing in a proof
-selects it. A proof carries no polynomial seed: each verifier derives its
-own polynomial.
+A verifier builds the system from its own session configuration; nothing in
+a proof selects it. A proof carries no polynomial seed: each verifier
+derives its own polynomial.
 
-Wire format of a proof under modulus m, big-endian, with width =
-(m.bit_length() + 7) // 8 and every field fixed-width. There is no header:
-the verifier knows m, k, h and the secret ids it expects, so the length is
-fixed and each proof has exactly one encoding:
+A proof is one exchange whose challenges the verifier owns, as
+Feige-Fiat-Shamir soundness needs. Each move batches all h rounds:
 
-    ids      4 bytes per secret id (none in a membership proof)
-    rounds   h times W (width bytes), challenge (ceil(k/8) bytes), Y (width
-             bytes); W and Y are below m
+    1. ``commit_rounds``: the prover draws h commitments W from its own rng
+       and keeps each round's private state;
+    2. ``draw_challenges``: the verifier draws h challenges from its own rng
+       and keeps them with the W it received;
+    3. ``answer_rounds``: the prover answers each challenge once, from that
+       round's state; ``check_rounds`` then judges each round from the W the
+       verifier kept, the challenge it drew and the Y it received.
 
-A round's challenge is the int the verifier draws, ``randbits(k)``, in every
-layer: bit i is b_i, the bit of the i-th secret. The arithmetic reads it by
-shift and mask and raises ``ChallengeLengthMismatch`` on a bit at or above k.
+``verify_interactive`` plays the same rounds one at a time against any
+prover object, for the threat models. A round's challenge is the int the
+verifier draws, ``randbits(k)``, in every layer: bit i is b_i, the bit of
+the i-th secret. The arithmetic reads it by shift and mask and raises
+``ChallengeLengthMismatch`` on a bit at or above k.
+
+Wire format of one move, big-endian: its values at one fixed width and
+nothing else. The reader knows how many values to expect and their bound,
+m for commitments and answers and 2^k for challenges, so each move has
+exactly one encoding. The width is the bound's byte length, rounded up to
+1, 2, 4 or 8 when it is at most 8, so one ``struct`` call packs a move.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from typing import Optional, Sequence
 from .numtheory import Rng, gcd, sample_unit
 
 DEFAULT_COEFF_MODULUS = (1 << 61) - 1  # public prime; must exceed any k in use
-_HARDENED_MAX_RETRIES = 64
 # witness values whose powers ``_powers`` keeps: a deployment's pool and
 # master witnesses, about 1.5 KB each at 2048 bits and k = 5
 POWER_CACHE_SIZE = 512
@@ -50,7 +58,7 @@ class ChallengeLengthMismatch(ValueError):
 
 
 class DegenerateEvaluation(ArithmeticError):
-    """A polynomial evaluation hit zero or a non-unit; round must re-run."""
+    """A polynomial evaluation hit zero or a non-unit; the round cannot be answered."""
 
 
 class MalformedProof(ValueError):
@@ -264,51 +272,47 @@ class Hardened:
             raise ChallengeLengthMismatch("secrets/challenge/coefficients disagree")
         g = _poly_product(self.poly, secrets, challenge, 2, m)
         if gcd(g, m) != 1:
-            raise DegenerateEvaluation("inner sum is not a unit; re-run the round")
+            raise DegenerateEvaluation("inner sum is not a unit; the round fails")
         return r2 * g % m
 
     def check(self, w, challenge, y, witnesses, m) -> bool:
         return hardened_verify(w, challenge, y, witnesses, self.poly, m)
 
 
-def prove(
-    system,
-    secrets: Sequence[int],
-    h: int,
-    m: int,
-    prover_rng: Rng,
-    verifier_rng: Rng,
-    secret_ids: Sequence[int] = (),
-) -> ZkpProof:
-    """The honest prover's h rounds; ``verifier_rng`` draws the challenges.
+def commit_rounds(system, h: int, m: int, rng: Rng) -> tuple[tuple, tuple[int, ...]]:
+    """The prover's first move: h rounds' private states and their
+    commitments W, drawn from the prover's own rng in round order."""
+    if h < 1:
+        raise DegenerateParameters("h must be >= 1")
+    commit = system.commit
+    states, ws = zip(*[commit(rng, m) for _ in range(h)])
+    return states, ws
 
-    A degenerate hardened round re-runs with a fresh R and challenge. The
-    prover does not check its own rounds: with honest material the
-    verifier's witness-side product equals the prover's, so a round that
-    ``respond`` answers is never degenerate at the verifier.
-    """
-    k = len(secrets)
+
+def draw_challenges(k: int, h: int, rng: Rng) -> tuple[int, ...]:
+    """The verifier's move: h k-bit challenges from its own rng, in round order."""
     if k < 1 or h < 1:
         raise DegenerateParameters("k and h must both be >= 1")
-    commit, respond, randbits = system.commit, system.respond, verifier_rng.randbits
-    rounds = []
-    for _ in range(h):
-        for _attempt in range(_HARDENED_MAX_RETRIES):
-            state, w = commit(prover_rng, m)
-            challenge = randbits(k)
-            try:
-                y = respond(state, secrets, challenge, m)
-            except DegenerateEvaluation:
-                continue
-            rounds.append(ZkpRound(w, challenge, y))
-            break
-        else:
-            raise DegenerateEvaluation("could not find a non-degenerate round")
-    return ZkpProof(tuple(secret_ids), tuple(rounds))
+    randbits = rng.randbits
+    return tuple(randbits(k) for _ in range(h))
+
+
+def answer_rounds(system, states, secrets: Sequence[int], challenges, m: int) -> tuple[int, ...]:
+    """The prover's last move: each round's state answers its challenge. A
+    degenerate hardened round answers 0, which fails, since with honest
+    material the verifier's witness-side product is degenerate too; it is
+    not run again, so no W ever answers two challenges."""
+    ys = []
+    for state, challenge in zip(states, challenges, strict=True):
+        try:
+            ys.append(system.respond(state, secrets, challenge, m))
+        except DegenerateEvaluation:
+            ys.append(0)
+    return tuple(ys)
 
 
 def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
-    """One round of ``system``, for both ``verify`` and ``verify_interactive``:
+    """One round of ``system``, for ``check_rounds`` and ``verify_interactive``:
     no challenge bit at or above the witness count and a nonzero commitment,
     since W = 0 (mod m) with Y = 0 satisfies both variants' equations without
     a secret."""
@@ -319,16 +323,14 @@ def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
     )
 
 
-def verify(system, proof: ZkpProof, witnesses: Sequence[int], m: int, h: int) -> bool:
-    """Check a recorded transcript once against the verifier's own system.
-
-    It must carry exactly h rounds and, in every round, a challenge from 0
-    to 2^(witness count) - 1.
-    """
-    if h < 1 or len(proof.rounds) != h:
+def check_rounds(system, ws, challenges, ys, witnesses: Sequence[int], m: int) -> bool:
+    """The verifier's verdict on one exchange: each round is built from the
+    W it kept, the challenge it drew and the Y it received, and every round
+    must pass. The three must hold the same, nonzero number of rounds."""
+    if not ws or not len(ws) == len(challenges) == len(ys):
         return False
-    for rd in proof.rounds:
-        if not _round_ok(system, rd.w, rd.challenge, rd.y, witnesses, m):
+    for w, challenge, y in zip(ws, challenges, ys):
+        if not _round_ok(system, w, challenge, y, witnesses, m):
             return False
     return True
 
@@ -371,13 +373,11 @@ def run_proof(
     m: int,
     prover_rng: Rng,
     verifier_rng: Rng,
-    secret_ids: Sequence[int] = (),
 ) -> tuple[ZkpProof, bool]:
-    """Honest basic proof, then its check: (transcript, verdict)."""
+    """Honest basic proof through the endpoints' exchange: (its rounds, the verdict)."""
     if len(secrets) != k:
         raise ChallengeLengthMismatch(f"prover holds {len(secrets)} secrets, k={k}")
-    proof = prove(BASIC, secrets, h, m, prover_rng, verifier_rng, secret_ids)
-    return proof, verify(BASIC, proof, witnesses, m, h)
+    return _exchange(BASIC, secrets, witnesses, h, m, prover_rng, verifier_rng)
 
 
 def run_hardened_proof(
@@ -388,56 +388,62 @@ def run_hardened_proof(
     m: int,
     prover_rng: Rng,
     verifier_rng: Rng,
-    secret_ids: Sequence[int] = (),
 ) -> tuple[ZkpProof, bool]:
-    """Honest hardened proof, then its check: (transcript, verdict)."""
-    system = Hardened(poly)
-    proof = prove(system, secrets, h, m, prover_rng, verifier_rng, secret_ids)
-    return proof, verify(system, proof, witnesses, m, h)
+    """Honest hardened proof through the endpoints' exchange: (its rounds, the verdict)."""
+    return _exchange(Hardened(poly), secrets, witnesses, h, m, prover_rng, verifier_rng)
+
+
+def _exchange(system, secrets, witnesses, h, m, prover_rng, verifier_rng):
+    states, ws = commit_rounds(system, h, m, prover_rng)
+    challenges = draw_challenges(len(witnesses), h, verifier_rng)
+    ys = answer_rounds(system, states, secrets, challenges, m)
+    proof = ZkpProof((), tuple(map(ZkpRound, ws, challenges, ys)))
+    return proof, check_rounds(system, ws, challenges, ys, witnesses, m)
 
 
 # -------------------------------------------------------- serialization
 
 
-def encode_proof(proof: ZkpProof, m: int, k: int) -> bytes:
-    """The proof's fixed-width bytes under modulus ``m`` with k challenge
-    bits per round (layout in the module docstring); every challenge must
-    be below 2^k."""
-    width, ch_bytes = (m.bit_length() + 7) // 8, (k + 7) // 8
-    ids = proof.secret_ids
-    out = [struct.pack(f">{len(ids)}I", *ids)]
-    for rd in proof.rounds:
-        if rd.challenge >> k:
-            raise ChallengeLengthMismatch(f"challenge {rd.challenge} in a k={k} proof")
-        out += (
-            rd.w.to_bytes(width, "big"),
-            rd.challenge.to_bytes(ch_bytes, "big"),
-            rd.y.to_bytes(width, "big"),
+# moduli and challenge bounds whose layout ``_layout`` keeps
+_LAYOUT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(bound: int) -> tuple[int, str]:
+    """(bytes per value below ``bound``, the ``struct`` code of that width,
+    or "" for none): the bound's byte length, rounded up to 1, 2, 4 or 8
+    when it is at most 8. A bound is public, a modulus or 2^k."""
+    size = ((bound - 1).bit_length() + 7) // 8
+    if size > 8:
+        return size, ""
+    width = 1 << (size - 1).bit_length()
+    return width, {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+
+
+def encode_proof(values: Sequence[int], bound: int) -> bytes:
+    """One move's fixed-width bytes (layout in the module docstring); every
+    value must lie in [0, bound)."""
+    if values and not 0 <= min(values) <= max(values) < bound:
+        raise ValueError(f"a value is outside [0, {bound})")
+    width, code = _layout(bound)
+    if code:
+        return struct.pack(f">{len(values)}{code}", *values)
+    return b"".join(v.to_bytes(width, "big") for v in values)
+
+
+def decode_proof(blob: bytes, count: int, bound: int) -> tuple[int, ...]:
+    """Inverse of ``encode_proof`` for a reader that expects ``count`` values
+    below ``bound``: the blob must be exactly that long and hold only such
+    values, so each move has one encoding; else ``MalformedProof``."""
+    width, code = _layout(bound)
+    if len(blob) != count * width:
+        raise MalformedProof(f"{len(blob)} bytes, the reader expects {count * width}")
+    if code:
+        values = struct.unpack(f">{count}{code}", blob)
+    else:
+        values = tuple(
+            int.from_bytes(blob[i : i + width], "big") for i in range(0, len(blob), width)
         )
-    return b"".join(out)
-
-
-def decode_proof(blob: bytes, m: int, k: int, h: int, secret_ids: Sequence[int] = ()) -> ZkpProof:
-    """Inverse of ``encode_proof`` for a verifier that expects h rounds of
-    k challenge bits under ``m`` and these ``secret_ids``: the blob must be
-    exactly that long, start with those ids and hold only values below
-    ``m`` (and below 2^k for the challenge), so each proof has one
-    encoding; else ``MalformedProof``."""
-    width, ch_bytes = (m.bit_length() + 7) // 8, (k + 7) // 8
-    step = 2 * width + ch_bytes
-    ids = struct.pack(f">{len(secret_ids)}I", *secret_ids)
-    if len(blob) != len(ids) + h * step:
-        raise MalformedProof(f"{len(blob)} bytes, the verifier expects {len(ids) + h * step}")
-    if not blob.startswith(ids):
-        raise MalformedProof("the proof is for other secret ids")
-    # each round is read as one integer, W || challenge || Y, and split
-    y_bits, w_shift = 8 * width, 8 * (width + ch_bytes)
-    y_mask, ch_mask = (1 << y_bits) - 1, (1 << 8 * ch_bytes) - 1
-    rounds = []
-    for off in range(len(ids), len(blob), step):
-        v = int.from_bytes(blob[off : off + step], "big")
-        w, challenge, y = v >> w_shift, v >> y_bits & ch_mask, v & y_mask
-        if w >= m or y >= m or challenge >> k:
-            raise MalformedProof("a round value is out of range")
-        rounds.append(ZkpRound(w, challenge, y))
-    return ZkpProof(tuple(secret_ids), tuple(rounds))
+    if values and max(values) >= bound:
+        raise MalformedProof("a value is not below its bound")
+    return values

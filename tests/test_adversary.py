@@ -1,12 +1,14 @@
+import functools
 import math
 import random
+import struct
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonauth import adversary, analysis, zkp
+from anonauth import adversary, analysis, protocol, zkp
 from anonauth.adversary import (
     BundleCheater,
     CheaterProver,
@@ -24,6 +26,7 @@ from anonauth.adversary import (
 )
 from anonauth.numtheory import Rng, generate_blum_modulus, sample_unit
 from anonauth.protocol import Outcome, SessionConfig, StepOutOfOrder, run_full_session
+from anonauth.zkp import Variant
 from anonauth.zkp import ZkpProof, ZkpRound, verify_round
 from conftest import M21, build_deployment, mask_ids
 
@@ -422,6 +425,117 @@ class TestWitnessOnlyProver:
 
     def test_basic_verifier_rejects_witness_only_prover(self):
         assert self._accepted(lambda _poly: zkp.BASIC) == 0
+
+
+def _forged_membership(rsu, obu, config, forger):
+    """The RSU's verdict on a membership proof the forger writes in a session
+    ``obu`` opened, so the forger holds its session key."""
+    key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
+    obu.key_id = key_id
+    assert rsu.negotiate_privacy(key_id) == config.alpha
+    assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
+    m, seal = rsu.credential.modulus, functools.partial(obu.sym.seal, obu.session_key, rng=obu.rng)
+    ws = [forger(key_id, 0).commit() for _ in range(config.h)]
+    commitments = struct.pack(">d", 0.0) + zkp.encode_proof(ws, m)
+    sealed = rsu.challenge_membership(key_id, seal(commitments))
+    challenges = zkp.decode_proof(obu.sym.open(obu.session_key, sealed), config.h, 1 << config.k)
+    ys = [forger(key_id, 0).respond(c) for c in challenges]
+    return rsu.check_membership_proof(key_id, seal(zkp.encode_proof(ys, m)))
+
+
+def _forged_bundle(rsu, obu, config, forger):
+    """The member's verdict on a bundle the forger writes for the sets the
+    member announced, holding the member's session key."""
+    obu.start(rsu.beacon(), config)
+    obu.choose_proof_sets()
+    m, h = rsu.credential.modulus, config.h
+    seal = functools.partial(obu.sym.seal, obu.session_key, rng=obu.rng)
+    ws = [forger(obu.key_id, idx).commit() for idx in range(config.mu) for _ in range(h)]
+    ids = [i for s in obu.sets for i in s]
+    sealed = obu.challenge_bundle(seal(zkp.encode_proof(ids, 1 << 32) + zkp.encode_proof(ws, m)))
+    count = config.mu * h
+    challenges = zkp.decode_proof(obu.sym.open(obu.session_key, sealed), count, 1 << config.k)
+    ys = [forger(obu.key_id, i // h).respond(c) for i, c in enumerate(challenges)]
+    return obu.verify_bundle(seal(zkp.encode_proof(ys, m)))
+
+
+class TestTranscriptForger:
+    """A secretless prover that writes W = R^2 and Y = R, the rounds a
+    prover-chosen challenge of 0 lets through. Each endpoint draws its own
+    challenges, so a basic forgery passes a proof only when every challenge
+    is 0, at criterion 1's rate 2^-kh."""
+
+    K, H, SESSIONS = 2, 2, 300
+    P = 2.0 ** -(K * H)
+
+    def _deployment(self, seed):
+        dep = build_deployment(seed, n=6, k=self.K, stub=True)
+        return dep, dep.make_rsu(1), dep.make_obu(2)
+
+    def _bound(self, trials):
+        return self.P + 3 * math.sqrt(self.P * (1 - self.P) / trials)
+
+    def test_basic_membership_forgery_passes_at_chance_rate(self):
+        dep, rsu, obu = self._deployment(90)
+        config = SessionConfig(alpha=1, mu=2, k=self.K, h=self.H, n=6, serv_id="INFO")
+        forger = adversary.TranscriptForger(dep.modulus.m, Rng(91))
+        accepted = sum(
+            _forged_membership(rsu, obu, config, lambda *_: forger)
+            for _ in range(self.SESSIONS)
+        )
+        assert accepted / self.SESSIONS <= self._bound(self.SESSIONS)
+
+    def test_basic_bundle_forgery_passes_at_chance_rate(self):
+        dep, rsu, obu = self._deployment(92)
+        config = SessionConfig(alpha=1, mu=2, k=self.K, h=self.H, n=6, serv_id="INFO")
+        forger = adversary.TranscriptForger(dep.modulus.m, Rng(93))
+        verified = sum(
+            _forged_bundle(rsu, obu, config, lambda *_: forger).verified_count
+            for _ in range(self.SESSIONS)
+        )
+        proofs = self.SESSIONS * config.mu
+        assert verified / proofs <= self._bound(proofs)
+
+    def test_hardened_answer_is_the_witness_only_provers(self):
+        m, _, witnesses = _pool(94, 3, bits=64)
+        poly = zkp.derive_session_polynomial(b"forger", 3)
+        forger = adversary.TranscriptForger(m, Rng(95), witnesses, poly)
+        reference = WitnessOnlyProver(witnesses, poly, m, Rng(95))
+        for challenge in range(8):
+            assert forger.commit() == reference.commit()
+            assert forger.respond(challenge) == reference.respond(challenge)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the hardened response depends on each secret only "
+        "through its witness, so any holder of the witnesses (every RSU for the "
+        "master set, every member for its pool) forges both proofs",
+    )
+    def test_hardened_forgery_is_refused(self):
+        dep, rsu, obu = self._deployment(96)
+        config = SessionConfig(alpha=1, mu=2, k=self.K, h=self.H, n=6, serv_id="INFO",
+                               variant=Variant.HARDENED)
+        m, rng = dep.modulus.m, Rng(97)
+        master = rsu.credential.master_witnesses[obu.credential.group_id]
+        pool = obu.credential.pool_witnesses
+        forgers = {}
+
+        def forger(key_id, idx, purpose, witnesses_of):
+            key = (obu.session_key, purpose, idx)
+            if key not in forgers:
+                poly = protocol._session_poly(obu.session_key, key_id, purpose, idx, self.K)
+                forgers[key] = adversary.TranscriptForger(m, rng, witnesses_of(idx), poly)
+            return forgers[key]
+
+        membership = functools.partial(forger, purpose=b"membership", witnesses_of=lambda _: master)
+        bundle = functools.partial(
+            forger, purpose=b"bundle", witnesses_of=lambda idx: [pool[i - 1] for i in obu.sets[idx]]
+        )
+        accepted = sum(_forged_membership(rsu, obu, config, membership) for _ in range(20))
+        verified = sum(
+            _forged_bundle(rsu, obu, config, bundle).verified_count for _ in range(20)
+        )
+        assert (accepted, verified) == (0, 0)
 
 
 class TestMemoryCost:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import json
+import pickle
 import struct
 import tracemalloc
 
@@ -15,7 +16,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from anonauth import keymgmt, protocol, revocation, zkp
+from anonauth import envelopes, keymgmt, protocol, revocation, zkp
 from anonauth.envelopes import EnvelopeFailure, StubEnvelope, StubSeal
 from anonauth.numtheory import generate_blum_modulus
 from anonauth.protocol import (
@@ -286,35 +287,39 @@ class TestMembership:
         obu = dep.make_obu(2)
         # the member proves 2 rounds; the verifier's session asks for 3
         key_id = _open_screened_session(rsu, obu, cfg(h=2, mu=2), rsu_config=cfg(h=3, mu=2))
-        short = obu.prove_membership(challenge_rng=rsu.rng)
-        assert not rsu.check_membership_proof(key_id, short)
+        with pytest.raises(zkp.MalformedProof):
+            rsu.challenge_membership(key_id, obu.prove_membership())
         assert rsu.sessions[key_id].step is Step.SCREENED  # a retry is allowed
         with pytest.raises(StepOutOfOrder):
-            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
+            rsu.generate_proof_bundle(key_id)
 
 
-def _run_to_bundle(seed, config, stub=True):
+def _membership(rsu, obu, key_id):
+    """One membership exchange between the endpoints; the RSU's verdict."""
+    challenges = rsu.challenge_membership(key_id, obu.prove_membership())
+    return rsu.check_membership_proof(key_id, obu.answer_membership(challenges))
+
+
+def _run_to_member_verified(seed, config, stub=True):
     dep = build_deployment(seed, n=config.n, k=config.k, stub=stub)
     rsu = dep.make_rsu(1)
     obu = dep.make_obu(2)
     key_id = _open_screened_session(rsu, obu, config)
-    sealed = obu.prove_membership(challenge_rng=rsu.rng)
-    assert rsu.check_membership_proof(key_id, sealed)
-    bundle = rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
-    return dep, rsu, obu, key_id, obu.sets, bundle
+    assert _membership(rsu, obu, key_id)
+    return dep, rsu, obu, key_id
 
 
-def _tamper_items(rsu, obu, key_id, bundle, count):
-    """Re-seal the first `count` items with a mismatched secret-id claim."""
-    session_key = rsu.sessions[key_id].session_key
-    m = rsu.credential.modulus
-    items = list(bundle.items)
-    for i in range(count):
-        plain = obu.sym.open(session_key, items[i])
-        proof = zkp.decode_proof(plain, m, len(obu.sets[i]), obu.config.h, obu.sets[i])
-        lied = dataclasses.replace(proof, secret_ids=(1,) * len(proof.secret_ids))
-        items[i] = obu.sym.seal(session_key, zkp.encode_proof(lied, m, len(obu.sets[i])), rsu.rng)
-    return dataclasses.replace(bundle, items=tuple(items))
+def _run_to_bundle(seed, config, stub=True, tamper=0):
+    """A session whose member holds the challenged bundle; the RSU's sealed
+    answers. The first ``tamper`` proofs' commitments name another set."""
+    dep, rsu, obu, key_id = _run_to_member_verified(seed, config, stub)
+    commitments = rsu.generate_proof_bundle(key_id)
+    if tamper:
+        plain = bytearray(obu.sym.open(obu.session_key, commitments))
+        plain[: 4 * config.k * tamper] = struct.pack(">I", 1) * (config.k * tamper)
+        commitments = obu.sym.seal(obu.session_key, bytes(plain), rsu.rng)
+    answers = rsu.answer_bundle(key_id, obu.challenge_bundle(commitments))
+    return dep, rsu, obu, key_id, obu.sets, answers
 
 
 class TestBundleVerification:
@@ -327,9 +332,8 @@ class TestBundleVerification:
 
     def test_threshold_boundary_and_monotonicity(self):
         config = cfg(alpha=3, mu=4, h=2)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(8, config)
         # leave exactly 2 valid items
-        tampered = _tamper_items(rsu, obu, key_id, bundle, 2)
+        dep, rsu, obu, key_id, sets, tampered = _run_to_bundle(8, config, tamper=2)
         for alpha, expected in [(1, Outcome.ACCEPTED), (2, Outcome.ACCEPTED),
                                 (3, Outcome.REJECTED_INSUFFICIENT_PROOFS),
                                 (4, Outcome.REJECTED_INSUFFICIENT_PROOFS)]:
@@ -342,34 +346,30 @@ class TestBundleVerification:
 
     def test_all_items_tampered(self):
         config = cfg(alpha=1, mu=3, h=2)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(9, config)
-        tampered = _tamper_items(rsu, obu, key_id, bundle, 3)
+        dep, rsu, obu, key_id, sets, tampered = _run_to_bundle(9, config, tamper=3)
         result = obu.verify_bundle(tampered)
         assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
         assert result.verified_count == 0
 
     def test_wrong_round_count_not_counted(self):
-        config = cfg(alpha=1, mu=2, h=2)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(10, config)
+        # the RSU commits 2 rounds per proof; the member's session asks for 3
+        dep, rsu, obu, key_id = _run_to_member_verified(10, cfg(alpha=1, mu=2, h=2))
+        commitments = rsu.generate_proof_bundle(key_id)
         obu.config = cfg(alpha=1, mu=2, h=3)
-        result = obu.verify_bundle(bundle)
-        assert result.verified_count == 0
+        with pytest.raises(zkp.MalformedProof):
+            obu.challenge_bundle(commitments)
+        with pytest.raises(StepOutOfOrder):  # nothing was challenged, so nothing counts
+            obu.verify_bundle(obu.sym.seal(obu.session_key, b"", rsu.rng))
+        assert obu.credential.counter == 0
 
     def test_bundle_for_other_session_rejected(self):
         config = cfg(alpha=1, mu=2)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(11, config)
-        alien = dataclasses.replace(bundle, key_id=b"\xff" * 8)
+        dep, rsu, obu, key_id, sets, answers = _run_to_bundle(11, config)
+        alien = obu.sym.seal(b"\xff" * 16, obu.sym.open(obu.session_key, answers), rsu.rng)
         with pytest.raises(EnvelopeFailure):
             obu.verify_bundle(alien)
-
-    def test_eager_stop_skips_surplus_items(self):
-        config = cfg(alpha=1, mu=4, h=1, eager_stop=True)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(12, config)
-        observations = []
-        result = obu.verify_bundle(bundle, observations=observations)
-        assert result.outcome is Outcome.ACCEPTED
-        assert result.verified_count == 1
-        assert len(observations) == 1
+        # a frame that does not open spends nothing
+        assert obu.verify_bundle(answers).outcome is Outcome.ACCEPTED
 
     def test_accepted_result_must_meet_threshold(self):
         with pytest.raises(ValueError):
@@ -400,38 +400,38 @@ class TestBundleReplay:
             revocation.next_sequence(obu.credential.iv, last + 1, 6, 2, 3)
 
     def test_a_new_session_forgets_the_last_sets(self):
-        # a bundle proving the last session's sets, verified before this
-        # session announced any, proves none of this session's
+        # commitments to the last session's sets, sent before this session
+        # announced any, are not challenged: the member holds no sets
         dep = build_deployment(18, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(alpha=2, mu=2, h=2)
         assert run_full_session(obu, rsu, config)[0].outcome is Outcome.ACCEPTED
         last_sets, m = obu.sets, rsu.credential.modulus
-        pool = rsu.credential.pool_secrets[obu.credential.group_id]
         obu.start(rsu.beacon(), config)
-        items = []
-        for ids in last_sets:
-            proof = zkp.prove(zkp.BASIC, [pool[i - 1] for i in ids], 2, m, rsu.rng, obu.rng, ids)
-            items.append(obu.sym.seal(obu.session_key, zkp.encode_proof(proof, m, 2), rsu.rng))
-        result = obu.verify_bundle(protocol.ProofBundle(key_id=obu.key_id, items=tuple(items)))
-        assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
-        assert result.verified_count == 0 and obu.credential.counter == 1
+        _, ws = zkp.commit_rounds(zkp.BASIC, 4, m, rsu.rng)
+        ids = [i for s in last_sets for i in s]
+        plain = zkp.encode_proof(ids, 1 << 32) + zkp.encode_proof(ws, m)
+        with pytest.raises(StepOutOfOrder):
+            obu.challenge_bundle(obu.sym.seal(obu.session_key, plain, rsu.rng))
+        assert obu.credential.counter == 1
         assert obu.sets == () and obu.key_id == protocol.NO_KEY_ID
 
     def test_verify_needs_an_open_session(self):
         dep = build_deployment(15, n=6, k=2, stub=True)
         obu = dep.make_obu(2)
-        with pytest.raises(StepOutOfOrder):
-            obu.verify_bundle(protocol.ProofBundle(key_id=obu.key_id, items=()))
+        for step in (obu.challenge_bundle, obu.verify_bundle):
+            with pytest.raises(StepOutOfOrder):
+                step(b"")
 
     @pytest.mark.parametrize(
         "step",
         [
             lambda obu: obu.choose_proof_sets(),
-            lambda obu: obu.prove_membership(obu.rng),
+            lambda obu: obu.prove_membership(),
+            lambda obu: obu.answer_membership(b""),
             lambda obu: obu.closing_reply(),
         ],
-        ids=["choose_proof_sets", "prove_membership", "closing_reply"],
+        ids=["choose_proof_sets", "prove_membership", "answer_membership", "closing_reply"],
     )
     def test_steps_need_an_open_session(self, step):
         obu = build_deployment(16, n=6, k=2, stub=True).make_obu(2)
@@ -579,8 +579,13 @@ class TestFullSession:
         obu = dep.make_obu(2)
         config = cfg(alpha=1, mu=2)
         result, log = run_full_session(obu, rsu, config)
-        # beacon, request, sets, membership, mu bundle items, closing reply
-        assert len(log.frames) == 4 + config.mu + 1
+        # beacon, request, sets, the membership proof's commitments,
+        # challenges and answers, the bundle's, and the closing reply
+        tags = [envelopes.decode_message(frame)[0] for frame in log.frames]
+        exchange = [envelopes.MSG_COMMITMENTS, envelopes.MSG_CHALLENGES, envelopes.MSG_ANSWERS]
+        assert tags == [envelopes.MSG_BEACON, envelopes.MSG_AUTH_REQUEST,
+                        envelopes.MSG_PROOF_SETS, *exchange, *exchange,
+                        envelopes.MSG_ALPHA_REPLY]
         assert rsu.sessions[log.key_id].step is Step.CLOSED
 
     def test_key_ids_are_unique_across_sessions(self):
@@ -610,16 +615,20 @@ class TestFullSession:
         assert rsu.negotiate_privacy(kid_b) == rsu.negotiate_privacy(kid_a) == 1
         assert rsu.receive_proof_sets(kid_a, obu_a.choose_proof_sets()) is None
         assert rsu.receive_proof_sets(kid_b, obu_b.choose_proof_sets()) is None
-        # b proves first, then a; each against its own session state
-        assert rsu.check_membership_proof(kid_b, obu_b.prove_membership(rsu.rng))
-        assert rsu.check_membership_proof(kid_a, obu_a.prove_membership(rsu.rng))
-        bundle_a = rsu.generate_proof_bundle(kid_a, challenge_rng=obu_a.rng)
-        bundle_b = rsu.generate_proof_bundle(kid_b, challenge_rng=obu_b.rng)
-        assert obu_a.verify_bundle(bundle_a).outcome is Outcome.ACCEPTED
-        assert obu_b.verify_bundle(bundle_b).outcome is Outcome.ACCEPTED
-        # cross-session bundles do not verify
+        # b commits first, a answers first; each against its own session state
+        challenges_b = rsu.challenge_membership(kid_b, obu_b.prove_membership())
+        challenges_a = rsu.challenge_membership(kid_a, obu_a.prove_membership())
+        assert rsu.check_membership_proof(kid_a, obu_a.answer_membership(challenges_a))
+        assert rsu.check_membership_proof(kid_b, obu_b.answer_membership(challenges_b))
+        commitments_a = rsu.generate_proof_bundle(kid_a)
+        commitments_b = rsu.generate_proof_bundle(kid_b)
+        answers_b = rsu.answer_bundle(kid_b, obu_b.challenge_bundle(commitments_b))
+        answers_a = rsu.answer_bundle(kid_a, obu_a.challenge_bundle(commitments_a))
+        # cross-session answers do not open
         with pytest.raises(EnvelopeFailure):
-            obu_a.verify_bundle(bundle_b)
+            obu_a.verify_bundle(answers_b)
+        assert obu_a.verify_bundle(answers_a).outcome is Outcome.ACCEPTED
+        assert obu_b.verify_bundle(answers_b).outcome is Outcome.ACCEPTED
 
     def test_verifier_state_never_names_the_member(self):
         mod = generate_blum_modulus(64, 30)
@@ -632,9 +641,10 @@ class TestFullSession:
         state = json.dumps(
             {
                 "group_id": sess.group_id,
-                "serv_id": sess.serv_id,
+                "min_alpha": sess.min_alpha,
                 "alpha": sess.alpha,
                 "sets": sess.requested_sets,
+                "rounds": sess.rounds,
             },
             default=str,
         )
@@ -666,15 +676,19 @@ class TestStepOrder:
         config = cfg(h=2)
         key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
         obu.key_id = key_id
-        early = obu.prove_membership(rsu.rng)
+        early = obu.prove_membership()
         with pytest.raises(StepOutOfOrder):
-            rsu.check_membership_proof(key_id, early)
+            rsu.challenge_membership(key_id, early)
         assert rsu.negotiate_privacy(key_id) == config.alpha
         with pytest.raises(StepOutOfOrder):
-            rsu.check_membership_proof(key_id, early)
+            rsu.challenge_membership(key_id, early)
         assert rsu.sessions[key_id].step is Step.NEGOTIATED
         assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
-        assert rsu.check_membership_proof(key_id, early)
+        # the answers come only after the verifier's own challenges
+        with pytest.raises(StepOutOfOrder):
+            rsu.check_membership_proof(key_id, early)
+        challenges = rsu.challenge_membership(key_id, early)
+        assert rsu.check_membership_proof(key_id, obu.answer_membership(challenges))
 
     def test_bundle_needs_a_verified_membership_proof(self):
         dep = build_deployment(51, n=6, k=2, stub=True)
@@ -682,18 +696,28 @@ class TestStepOrder:
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
         with pytest.raises(protocol.StepOutOfOrder):
-            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
+            rsu.generate_proof_bundle(key_id)
+        rsu.challenge_membership(key_id, obu.prove_membership())
+        with pytest.raises(protocol.StepOutOfOrder):
+            rsu.generate_proof_bundle(key_id)
         sealed = obu.sym.seal(obu.session_key, b"abc", obu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
         assert rsu.sessions[key_id].step is Step.SCREENED
         with pytest.raises(protocol.StepOutOfOrder):
-            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
+            rsu.generate_proof_bundle(key_id)
 
     def test_one_bundle_per_session(self):
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(53, cfg(h=2))
+        dep, rsu, obu, key_id = _run_to_member_verified(53, cfg(h=2))
+        challenges = obu.challenge_bundle(rsu.generate_proof_bundle(key_id))
         with pytest.raises(StepOutOfOrder):
-            rsu.generate_proof_bundle(key_id, challenge_rng=obu.rng)
-        assert rsu.sessions[key_id].step is Step.BUNDLED
+            rsu.generate_proof_bundle(key_id)
+        rsu.answer_bundle(key_id, challenges)
+        # one answer per commitment: a second challenge finds no round state
+        for step in (rsu.generate_proof_bundle, lambda kid: rsu.answer_bundle(kid, challenges)):
+            with pytest.raises(StepOutOfOrder):
+                step(key_id)
+        assert rsu.sessions[key_id].step is Step.ANSWERED
+        assert rsu.sessions[key_id].rounds is None
 
     def test_closing_reply_needs_a_bundle(self):
         dep = build_deployment(54, n=6, k=2, stub=True)
@@ -709,7 +733,7 @@ _STATE_MODULUS = generate_blum_modulus(32, 55)
 
 
 class RsuStepMachine(RuleBasedStateMachine):
-    """The six RSU handlers called in any order across several sessions,
+    """The eight RSU handlers called in any order across several sessions,
     each with the message an honest member would send it."""
 
     sessions = Bundle("sessions")
@@ -718,23 +742,27 @@ class RsuStepMachine(RuleBasedStateMachine):
         super().__init__()
         self.dep = build_deployment(55, n=6, k=2, stub=True, modulus=_STATE_MODULUS)
         self.rsu = self.dep.make_rsu(1)
-        self.obus = {}  # key_id -> (obu, sealed sets, sealed membership proof)
+        self.obus = {}  # key_id -> its member
+        # key_id -> what the member sends next, by the RSU step it feeds
+        self.sent = {}
 
     def _call(self, key_id, handler, *args):
         """``handler`` either advances ``key_id`` by exactly one step or
-        raises StepOutOfOrder/UnknownSession; no other session moves."""
+        raises StepOutOfOrder/UnknownSession; no other session moves. Its
+        result, or None when it raised."""
         order = list(Step)
         before = {k: dataclasses.replace(s) for k, s in self.rsu.sessions.items()}
         try:
-            handler(key_id, *args)
+            result = handler(key_id, *args)
         except (StepOutOfOrder, UnknownSession):
             assert self.rsu.sessions == before
-            return
+            return None
         after = self.rsu.sessions[key_id]
         assert order.index(after.step) == order.index(before[key_id].step) + 1
         assert {k: s for k, s in self.rsu.sessions.items() if k != key_id} == {
             k: s for k, s in before.items() if k != key_id
         }
+        return result
 
     @precondition(lambda self: len(self.obus) < 3)
     @rule(target=sessions)
@@ -743,7 +771,15 @@ class RsuStepMachine(RuleBasedStateMachine):
         key_id = self.rsu.register_session(obu.start(self.rsu.beacon(), _CONFIG), _CONFIG)
         obu.key_id = key_id
         assert self.rsu.sessions[key_id].step is Step.REGISTERED
-        self.obus[key_id] = (obu, obu.choose_proof_sets(), obu.prove_membership(self.rsu.rng))
+        self.obus[key_id] = obu
+        # an answer or a bundle challenge exists once the RSU has challenged
+        # or committed; until then the member sends bytes no step accepts
+        self.sent[key_id] = {
+            "sets": obu.choose_proof_sets(),
+            "commitments": obu.prove_membership(),
+            "answers": b"",
+            "challenges": b"",
+        }
         return key_id
 
     @rule(key_id=sessions)
@@ -752,25 +788,39 @@ class RsuStepMachine(RuleBasedStateMachine):
 
     @rule(key_id=sessions)
     def announce(self, key_id):
-        self._call(key_id, self.rsu.receive_proof_sets, self.obus[key_id][1])
+        self._call(key_id, self.rsu.receive_proof_sets, self.sent[key_id]["sets"])
+
+    @rule(key_id=sessions)
+    def challenge(self, key_id):
+        sealed = self.sent[key_id]["commitments"]
+        challenges = self._call(key_id, self.rsu.challenge_membership, sealed)
+        if challenges is not None:
+            self.sent[key_id]["answers"] = self.obus[key_id].answer_membership(challenges)
 
     @rule(key_id=sessions)
     def prove(self, key_id):
-        self._call(key_id, self.rsu.check_membership_proof, self.obus[key_id][2])
+        self._call(key_id, self.rsu.check_membership_proof, self.sent[key_id]["answers"])
 
     @rule(key_id=sessions)
     def generate(self, key_id):
-        self._call(key_id, self.rsu.generate_proof_bundle, self.obus[key_id][0].rng)
+        commitments = self._call(key_id, self.rsu.generate_proof_bundle)
+        if commitments is not None:
+            self.sent[key_id]["challenges"] = self.obus[key_id].challenge_bundle(commitments)
+
+    @rule(key_id=sessions)
+    def answer(self, key_id):
+        self._call(key_id, self.rsu.answer_bundle, self.sent[key_id]["challenges"])
 
     @rule(key_id=sessions)
     def close(self, key_id):
-        self._call(key_id, self.rsu.record_closing_reply, self.obus[key_id][0].closing_reply())
+        self._call(key_id, self.rsu.record_closing_reply, self.obus[key_id].closing_reply())
 
     @rule(key_id=sessions)
     def advance(self, key_id):
         """The handler the session's step expects, so that the later steps
         are reached and probed out of order too."""
-        handlers = (self.negotiate, self.announce, self.prove, self.generate, self.close)
+        handlers = (self.negotiate, self.announce, self.challenge, self.prove,
+                    self.generate, self.answer, self.close)
         step = list(Step).index(self.rsu.sessions[key_id].step)
         handlers[min(step, len(handlers) - 1)](key_id)
 
@@ -805,8 +855,8 @@ class TestSessionCapacity:
 
 
 class TestVariantDowngrade:
-    """The verifier takes the variant from its own config, never from the
-    variant byte the prover sends."""
+    """The verifier takes the variant from its own config; nothing the
+    prover sends names one."""
 
     def test_hardened_rsu_rejects_basic_membership_proof(self):
         dep = build_deployment(40, n=6, k=2, stub=True)
@@ -814,14 +864,13 @@ class TestVariantDowngrade:
         key_id = _open_screened_session(
             rsu, obu, cfg(h=2), rsu_config=cfg(h=2, variant=Variant.HARDENED)
         )
-        sealed = obu.prove_membership(challenge_rng=rsu.rng)
-        assert not rsu.check_membership_proof(key_id, sealed)
+        assert not _membership(rsu, obu, key_id)
 
     def test_hardened_obu_does_not_count_basic_bundle(self):
         config = cfg(alpha=1, mu=3, h=2)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(41, config)
+        dep, rsu, obu, key_id, sets, answers = _run_to_bundle(41, config)
         obu.config = cfg(alpha=1, mu=3, h=2, variant=Variant.HARDENED)
-        result = obu.verify_bundle(bundle)
+        result = obu.verify_bundle(answers)
         assert result.verified_count == 0
         assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
 
@@ -830,13 +879,21 @@ class TestVariantDowngrade:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         basic = cfg(h=2)
         recorded_key = _open_screened_session(rsu, obu, basic)
-        sealed = obu.prove_membership(challenge_rng=rsu.rng)
-        assert rsu.check_membership_proof(recorded_key, sealed)
-        plain = obu.sym.open(obu.session_key, sealed)
+        commitments = obu.prove_membership()
+        challenges = rsu.challenge_membership(recorded_key, commitments)
+        answers = obu.answer_membership(challenges)
+        assert rsu.check_membership_proof(recorded_key, answers)
+        recorded = [obu.sym.open(obu.session_key, sealed) for sealed in (commitments, answers)]
         # a fresh hardened session; the replayer knows its session key
         key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=Variant.HARDENED))
-        resealed = obu.sym.seal(obu.session_key, plain, obu.rng)
-        assert not rsu.check_membership_proof(key_id, resealed)
+        commitments, answers = (obu.sym.seal(obu.session_key, p, obu.rng) for p in recorded)
+        rsu.challenge_membership(key_id, commitments)
+        assert not rsu.check_membership_proof(key_id, answers)
+
+
+def _reseal(obu, sealed, edit):
+    """``sealed``'s plaintext under the member's session key, passed through ``edit``."""
+    return obu.sym.seal(obu.session_key, edit(obu.sym.open(obu.session_key, sealed)), obu.rng)
 
 
 class TestMalformedProofs:
@@ -845,110 +902,110 @@ class TestMalformedProofs:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
-        for bad in (plain[:-1], plain + b"\0", plain[:8]):
-            sealed = obu.sym.seal(obu.session_key, bad, obu.rng)
-            assert not rsu.check_membership_proof(key_id, sealed)
+        commitments = obu.prove_membership()
+        for bad in (lambda p: p[:-1], lambda p: p + b"\0", lambda p: p[:8]):
+            with pytest.raises(zkp.MalformedProof):
+                rsu.challenge_membership(key_id, _reseal(obu, commitments, bad))
+            assert rsu.sessions[key_id].step is Step.SCREENED
+        answers = obu.answer_membership(rsu.challenge_membership(key_id, commitments))
+        assert not rsu.check_membership_proof(key_id, _reseal(obu, answers, lambda p: p[:-1]))
+        assert rsu.sessions[key_id].step is Step.SCREENED
+        assert _membership(rsu, obu, key_id)
 
     def test_bundle_item_that_does_not_decode_is_not_counted(self):
         config = cfg(alpha=1, mu=3, h=2)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(44, config)
-        items = list(bundle.items)
-        items[0] = obu.sym.seal(obu.session_key, b"", rsu.rng)
-        items[1] = obu.sym.seal(
-            obu.session_key, obu.sym.open(obu.session_key, items[1])[:-2], rsu.rng
-        )
-        result = obu.verify_bundle(dataclasses.replace(bundle, items=tuple(items)))
-        assert result.verified_count == 1
+        dep, rsu, obu, key_id, sets, answers = _run_to_bundle(44, config)
+        for bad in (lambda p: b"", lambda p: p[:-2], lambda p: p + b"\0"):
+            trial = copy.copy(obu)
+            result = trial.verify_bundle(_reseal(obu, answers, bad))
+            assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
+            assert result.verified_count == 0
+        dep, rsu, obu, key_id = _run_to_member_verified(44, config)
+        commitments = rsu.generate_proof_bundle(key_id)
+        with pytest.raises(zkp.MalformedProof):
+            obu.challenge_bundle(_reseal(obu, commitments, lambda p: p[:-1]))
+        answers = rsu.answer_bundle(key_id, obu.challenge_bundle(commitments))
+        assert obu.verify_bundle(answers).outcome is Outcome.ACCEPTED
 
     def test_membership_proof_with_secret_ids_is_refused(self):
-        # a membership proof has one encoding: no secret ids before its rounds
+        # a membership commitment has one encoding: no secret ids before its W
         dep = build_deployment(45, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
-        m = rsu.credential.modulus
-        proof = zkp.decode_proof(plain[8:], m, config.k, config.h)
+        commitments = obu.prove_membership()
         for ids in ((1,), (1, 2), (6, 5, 4)):
-            tagged = zkp.encode_proof(dataclasses.replace(proof, secret_ids=ids), m, config.k)
-            sealed = obu.sym.seal(obu.session_key, plain[:8] + tagged, obu.rng)
-            assert not rsu.check_membership_proof(key_id, sealed)
-        assert rsu.check_membership_proof(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
+            tagged = _reseal(obu, commitments,
+                             lambda p: p[:8] + struct.pack(f">{len(ids)}I", *ids) + p[8:])
+            with pytest.raises(zkp.MalformedProof):
+                rsu.challenge_membership(key_id, tagged)
+        challenges = rsu.challenge_membership(key_id, commitments)
+        assert rsu.check_membership_proof(key_id, obu.answer_membership(challenges))
 
     def test_round_with_wrong_challenge_length_fails(self):
-        dep = build_deployment(45, n=6, k=2, stub=True)
-        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
-        config = cfg(h=2)
-        key_id = _open_screened_session(rsu, obu, config)
-        plain = obu.sym.open(obu.session_key, obu.prove_membership(rsu.rng))
-        m = rsu.credential.modulus
-        proof = zkp.decode_proof(plain[8:], m, config.k, config.h)
-        # every round gets a bit at index k, in a proof encoded at k + 1 bits
+        # a challenge with a bit at index k reaches neither prover's arithmetic
+        config = cfg(alpha=1, mu=2, h=2)
+        dep, rsu, obu, key_id = _run_to_member_verified(45, config)
         k = config.k
-        longer = [dataclasses.replace(rd, challenge=rd.challenge | 1 << k) for rd in proof.rounds]
-        forged = dataclasses.replace(proof, rounds=tuple(longer))
-        blob = zkp.encode_proof(forged, m, k + 1)
-        sealed = obu.sym.seal(obu.session_key, plain[:8] + blob, obu.rng)
-        assert not rsu.check_membership_proof(key_id, sealed)
+        wide = zkp.encode_proof([1 << k] * (config.mu * config.h), 1 << (k + 1))
+        obu.challenge_bundle(rsu.generate_proof_bundle(key_id))
+        with pytest.raises(zkp.MalformedProof):
+            rsu.answer_bundle(key_id, obu.sym.seal(obu.session_key, wide, obu.rng))
+        assert rsu.sessions[key_id].step is Step.BUNDLED
+        obu2 = dep.make_obu(3)
+        key_id = _open_screened_session(rsu, obu2, config)
+        rsu.challenge_membership(key_id, obu2.prove_membership())
+        with pytest.raises(zkp.MalformedProof):
+            obu2.answer_membership(obu2.sym.seal(obu2.session_key, wide[:2], rsu.rng))
 
     def test_widest_header_k_is_refused_before_decoding(self):
-        # one round at k = 65535, the widest k a proof header could once
-        # declare, has an 8 KB challenge field: its length alone refuses it
-        def wide_proof(ids, m):
-            rd = zkp.ZkpRound(w=1, challenge=(1 << 0xFFFF) - 1, y=1)
-            return zkp.encode_proof(zkp.ZkpProof(secret_ids=tuple(ids), rounds=(rd,)), m, 0xFFFF)
-
+        # one value at k = 65535, the widest k a proof header could once
+        # declare, is 8 KB: its length alone refuses it
+        wide = zkp.encode_proof([(1 << 0xFFFF) - 1], 1 << 0xFFFF)
         config = cfg(alpha=1, mu=3, h=2)
         dep = build_deployment(44, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = struct.pack(">d", obu.clock) + wide_proof((), rsu.credential.modulus)
-        sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
-        assert rsu.check_membership_proof(key_id, sealed) is False
+        plain = struct.pack(">d", obu.clock) + wide
+        with pytest.raises(zkp.MalformedProof):
+            rsu.challenge_membership(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
 
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(43, config)
-        m = rsu.credential.modulus
-        items = tuple(obu.sym.seal(obu.session_key, wide_proof(ids, m), rsu.rng) for ids in sets)
+        dep, rsu, obu, key_id = _run_to_member_verified(43, config)
+        ids = struct.pack(">6I", *(i for s in obu.sets for i in s))
+        sealed = obu.sym.seal(obu.session_key, ids + wide * 6, rsu.rng)
         tracemalloc.start()
         try:
-            result = obu.verify_bundle(dataclasses.replace(bundle, items=items))
+            with pytest.raises(zkp.MalformedProof):
+                obu.challenge_bundle(sealed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.verified_count == 0 and peak < 100_000
-
-
-def _zero_proof(secret_ids=()):
-    """What a prover with no secrets can send: W = Y = 0 in every round."""
-    rounds = (zkp.ZkpRound(w=0, challenge=0b11, y=0),) * 2
-    return zkp.ZkpProof(secret_ids=tuple(secret_ids), rounds=rounds)
+        assert peak < 100_000
 
 
 @pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
 class TestZeroProofs:
+    """What a prover with no secrets can send: W = Y = 0 in every round."""
+
     def test_sealed_zero_membership_proof_is_refused(self, variant):
         dep = build_deployment(48, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         key_id = _open_screened_session(rsu, obu, cfg(h=2, variant=variant))
-        plain = struct.pack(">d", obu.clock) + zkp.encode_proof(
-            _zero_proof(), rsu.credential.modulus, 2
-        )
-        sealed = obu.sym.seal(obu.session_key, plain, obu.rng)
+        zeros = zkp.encode_proof([0, 0], rsu.credential.modulus)
+        plain = struct.pack(">d", obu.clock) + zeros
+        rsu.challenge_membership(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
+        sealed = obu.sym.seal(obu.session_key, zeros, obu.rng)
         assert rsu.check_membership_proof(key_id, sealed) is False
 
     def test_zero_bundle_items_count_zero(self, variant):
         config = cfg(alpha=1, mu=3, h=2, variant=variant)
-        dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(49, config)
-        items = tuple(
-            obu.sym.seal(
-                obu.session_key,
-                zkp.encode_proof(_zero_proof(ids), rsu.credential.modulus, 2),
-                rsu.rng,
-            )
-            for ids in sets
-        )
-        result = obu.verify_bundle(dataclasses.replace(bundle, items=items))
+        dep, rsu, obu, key_id = _run_to_member_verified(49, config)
+        m = rsu.credential.modulus
+        ids = [i for s in obu.sets for i in s]
+        zeros = zkp.encode_proof([0] * 6, m)
+        commitments = zkp.encode_proof(ids, 1 << 32) + zeros
+        obu.challenge_bundle(obu.sym.seal(obu.session_key, commitments, rsu.rng))
+        result = obu.verify_bundle(obu.sym.seal(obu.session_key, zeros, rsu.rng))
         assert result.verified_count == 0
 
 
@@ -960,17 +1017,18 @@ class TestShortPlaintexts:
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        honest = obu.prove_membership(rsu.rng)
+        honest = obu.prove_membership()
         for short in (b"abc", b""):
             sealed = obu.sym.seal(obu.session_key, short, obu.rng)
-            assert rsu.check_membership_proof(key_id, sealed) is False
+            with pytest.raises(zkp.MalformedProof):
+                rsu.challenge_membership(key_id, sealed)
             assert rsu.sessions[key_id].step is Step.SCREENED
         rsu.clock += 30.0
         with pytest.raises(StaleTimestamp):
-            rsu.check_membership_proof(key_id, honest)
+            rsu.challenge_membership(key_id, honest)
         assert rsu.sessions[key_id].step is Step.SCREENED
         obu.clock += 30.0
-        assert rsu.check_membership_proof(key_id, obu.prove_membership(rsu.rng))
+        assert _membership(rsu, obu, key_id)
 
     def test_closing_reply_must_be_one_byte(self):
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(47, cfg(alpha=2, mu=2))
@@ -1033,15 +1091,23 @@ class TestHostileRequests:
         assert rsu.negotiate_privacy(self._register(rsu, _request_body() + b"\0")) is None
         assert rsu.negotiate_privacy(self._register(rsu, _request_body())) == 1
 
+    def test_long_serv_id_is_not_stored(self):
+        # the session keeps the policy's floor for serv_id, not serv_id
+        rsu = build_deployment(48, n=6, k=2, stub=True).make_rsu(1)
+        key_id = self._register(rsu, _request_body(serv_id=b"I" * 1_000_000))
+        assert len(pickle.dumps(rsu.sessions)) < 10_000
+        assert rsu.negotiate_privacy(key_id) is None
+        assert self._register(rsu, _request_body(serv_id=b"INFO")) in rsu.sessions
+
     def test_nan_t2_is_stale(self):
         dep = build_deployment(49, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(h=2)
         key_id = _open_screened_session(rsu, obu, config)
-        plain = StubEnvelope().open(obu.session_key, obu.prove_membership(rsu.rng))
+        plain = StubEnvelope().open(obu.session_key, obu.prove_membership())
         forged = struct.pack(">d", float("nan")) + plain[8:]
         with pytest.raises(StaleTimestamp):
-            rsu.check_membership_proof(key_id, obu.sym.seal(obu.session_key, forged, obu.rng))
+            rsu.challenge_membership(key_id, obu.sym.seal(obu.session_key, forged, obu.rng))
 
 
 def _blobs(*exact):
@@ -1067,15 +1133,19 @@ def _fuzz_endpoints():
     return dep.make_rsu(1), obu
 
 
-# k = 2, mu = 2, h = 2 at 32 bits: 16 bytes of sets, and 26 of membership
-# proof (t2 and two rounds) or of bundle item (two ids and two rounds)
+# k = 2, mu = 2, h = 2 at 32 bits: 16 bytes of sets; the membership proof's
+# commitments are t2 and two W (16 bytes), its challenges 2 bytes and its
+# answers 8; the bundle's commitments are four ids and four W (32 bytes),
+# its challenges 4 bytes and its answers 16
 _FUZZ_CONFIG = cfg(alpha=1, mu=2, h=2)
-# two rounds of W, challenge, Y, each field at its width but any value
-_TWO_ROUNDS = st.lists(
-    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 2**32 - 1)),
-    min_size=2,
-    max_size=2,
-).map(lambda rounds: b"".join(struct.pack(">IBI", *rd) for rd in rounds))
+
+
+def _values(count, top):
+    """``count`` big-endian values below ``top`` at the width ``top`` has."""
+    code = {2**8: "B", 2**32: "I"}[top]
+    return st.lists(st.integers(0, top - 1), min_size=count, max_size=count).map(
+        lambda vs: struct.pack(f">{count}{code}", *vs)
+    )
 
 
 class TestByteFuzz:
@@ -1124,29 +1194,86 @@ class TestByteFuzz:
             assert rsu.sessions[key_id].step is Step.SCREENED
 
     @settings(max_examples=200, deadline=None)
-    @given(_blobs(26) | _TWO_ROUNDS.map(lambda rounds: struct.pack(">d", 0.0) + rounds))
-    def test_check_membership_proof(self, plain):
+    @given(_blobs(16) | _values(2, 2**32).map(lambda ws: struct.pack(">d", 0.0) + ws))
+    def test_challenge_membership(self, plain):
         rsu, obu = _fuzz_endpoints()
         key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
         try:
-            verdict = rsu.check_membership_proof(
-                key_id, obu.sym.seal(obu.session_key, plain, obu.rng)
-            )
-        except StaleTimestamp:
+            sealed = rsu.challenge_membership(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
+        except (zkp.MalformedProof, StaleTimestamp):
+            assert rsu.sessions[key_id].step is Step.SCREENED
+        else:
+            assert rsu.sessions[key_id].step is Step.CHALLENGED
+            assert len(obu.sym.open(obu.session_key, sealed)) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(_blobs(2) | _values(2, 2**8))
+    def test_answer_membership(self, plain):
+        rsu, obu = _fuzz_endpoints()
+        key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
+        rsu.challenge_membership(key_id, obu.prove_membership())
+        try:
+            sealed = obu.answer_membership(obu.sym.seal(obu.session_key, plain, rsu.rng))
+        except zkp.MalformedProof:
             return
-        assert verdict is (rsu.sessions[key_id].step is Step.MEMBER_VERIFIED)
+        assert len(obu.sym.open(obu.session_key, sealed)) == 8
+        with pytest.raises(StepOutOfOrder):  # each commitment answers once
+            obu.answer_membership(obu.sym.seal(obu.session_key, plain, rsu.rng))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_blobs(8) | _values(2, 2**32))
+    def test_check_membership_proof(self, plain):
+        rsu, obu = _fuzz_endpoints()
+        key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
+        rsu.challenge_membership(key_id, obu.prove_membership())
+        verdict = rsu.check_membership_proof(
+            key_id, obu.sym.seal(obu.session_key, plain, obu.rng)
+        )
+        # answers written without the member's round states never pass
+        assert verdict is False and rsu.sessions[key_id].step is Step.SCREENED
+        assert rsu.sessions[key_id].rounds is None
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_verify_bundle(self, data):
+    def test_challenge_bundle(self, data):
         rsu, obu = _fuzz_endpoints()
         key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
-        # an item is any bytes, or rounds after one of the session's sets or another
-        ids = st.sampled_from([*obu.sets, (1, 2), (2, 1)]).map(lambda s: struct.pack(">2I", *s))
-        item = _blobs(26) | st.tuples(ids, _TWO_ROUNDS).map(b"".join)
-        plains = data.draw(st.lists(item, max_size=3))
-        items = tuple(obu.sym.seal(obu.session_key, p, rsu.rng) for p in plains)
-        result = obu.verify_bundle(protocol.ProofBundle(key_id=key_id, items=items))
-        # not always a refusal: the bundle's prover writes its own challenges,
-        # so challenge 0 with Y^2 = W passes every round
-        assert result.verified_count <= len(items)
+        # any bytes, or four W after the session's sets or other ids
+        sets = st.sampled_from([obu.sets, ((1, 2), (3, 4)), ((2, 1), (0, 9))])
+        ids = sets.map(lambda ss: struct.pack(">4I", *(i for s in ss for i in s)))
+        plain = data.draw(_blobs(32) | st.tuples(ids, _values(4, 2**32)).map(b"".join))
+        try:
+            sealed = obu.challenge_bundle(obu.sym.seal(obu.session_key, plain, rsu.rng))
+        except zkp.MalformedProof:
+            with pytest.raises(StepOutOfOrder):  # nothing was challenged
+                obu.verify_bundle(b"")
+            return
+        assert len(obu.sym.open(obu.session_key, sealed)) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(_blobs(4) | _values(4, 2**8))
+    def test_answer_bundle(self, plain):
+        rsu, obu = _fuzz_endpoints()
+        key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
+        assert _membership(rsu, obu, key_id)
+        rsu.generate_proof_bundle(key_id)
+        try:
+            sealed = rsu.answer_bundle(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
+        except zkp.MalformedProof:
+            assert rsu.sessions[key_id].step is Step.BUNDLED
+            assert rsu.sessions[key_id].rounds is not None
+            return
+        assert rsu.sessions[key_id].step is Step.ANSWERED
+        assert len(obu.sym.open(obu.session_key, sealed)) == 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(_blobs(16) | _values(4, 2**32))
+    def test_verify_bundle(self, plain):
+        rsu, obu = _fuzz_endpoints()
+        key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
+        assert _membership(rsu, obu, key_id)
+        obu.challenge_bundle(rsu.generate_proof_bundle(key_id))
+        result = obu.verify_bundle(obu.sym.seal(obu.session_key, plain, rsu.rng))
+        # answers written without the RSU's round states never pass
+        assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
+        assert obu.credential.counter == 0

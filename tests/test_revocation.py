@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import hashlib
 import json
 import signal
@@ -223,12 +223,16 @@ class TestCounter:
         obu.key_id = key_id
         assert rsu.negotiate_privacy(key_id) == 1
         assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
-        assert rsu.check_membership_proof(key_id, obu.prove_membership(rsu.rng))
-        bundle = rsu.generate_proof_bundle(key_id, obu.rng)
-        empty = dataclasses.replace(bundle, items=())
-        assert obu.verify_bundle(empty).outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
+        challenges = rsu.challenge_membership(key_id, obu.prove_membership())
+        assert rsu.check_membership_proof(key_id, obu.answer_membership(challenges))
+        challenges = obu.challenge_bundle(rsu.generate_proof_bundle(key_id))
+        answers = rsu.answer_bundle(key_id, challenges)
+        # a copy of the member judges an empty answer, and the member the real one
+        empty = obu.sym.seal(obu.session_key, b"", rsu.rng)
+        rejected = copy.copy(obu).verify_bundle(empty)
+        assert rejected.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
         assert obu.credential.counter == 0
-        assert obu.verify_bundle(bundle).outcome is Outcome.ACCEPTED
+        assert obu.verify_bundle(answers).outcome is Outcome.ACCEPTED
         assert obu.credential.counter == 1
 
 

@@ -178,7 +178,10 @@ def _observations_verify(transcript, credential, h) -> bool:
     """Every logged verifier proof re-verifies against the member's witnesses."""
     for obs in transcript.bundle_observations:
         witnesses = [credential.pool_witnesses[i - 1] for i in obs.secret_ids]
-        if not zkp.verify(zkp.BASIC, obs, witnesses, credential.modulus, h):
+        moves = zip(*((rd.w, rd.challenge, rd.y) for rd in obs.rounds))
+        if len(obs.rounds) != h or not zkp.check_rounds(
+            zkp.BASIC, *moves, witnesses, credential.modulus
+        ):
             return False
     return True
 
