@@ -6,15 +6,15 @@ announcement (screened against the revocation table before any proof
 rounds run) -> member's membership proof -> verifier's mu-proof bundle ->
 alpha-threshold decision -> closing reply.
 
-Each proof is one ``zkp`` exchange whose challenges its verifier (the RSU
-for membership, the member for the bundle) draws and keeps: commitments,
-challenges, answers, one sealed message each, the bundle's mu proofs in set
-order in every move. Each plaintext has one length, known to its reader:
-the sets are mu*k 4-byte ids, each set strictly ascending in [1, n]; the
-membership commitments are T2 (a big-endian double) then h W; the bundle
-commitments are the requested sets' ids then mu*h W; challenges and answers
-are the move's values alone, at ``zkp``'s widths; the closing reply is one
-byte.
+Each direction is one ``zkp`` exchange, each endpoint holding its half: the
+member is the ``zkp.Prover`` of membership and the ``zkp.Verifier`` of the
+bundle, the RSU the other way round. Commitments, challenges and answers
+are one sealed message each, the bundle's mu proofs in set order in every
+move. Each plaintext has one length, known to its reader: the sets are mu*k
+4-byte ids, each set strictly ascending in [1, n]; the membership
+commitments are T2 (a big-endian double) then h W; the bundle commitments
+are the requested sets' ids then mu*h W; challenges and answers are the
+move's values alone, at ``zkp``'s widths; the closing reply is one byte.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .envelopes import (
 from .keymgmt import Certificate, ObuCredential, RsuCredential, verify_certificate
 from .numtheory import Rng
 from .revocation import RevocationTable
-from .zkp import Variant, ZkpProof, ZkpRound
+from .zkp import Variant, ZkpProof
 
 SUPPORTED_ALPHAS = frozenset({1, 2, 3, 4, 5})
 FRESHNESS_WINDOW = 5.0  # logical seconds a request or proof timestamp may be off
@@ -180,15 +180,14 @@ def _session_poly(session_key: bytes, key_id: bytes, purpose: bytes, index: int,
     return zkp.derive_session_polynomial(seed, k)
 
 
-def _proof_system(
-    config: SessionConfig, session_key: bytes, key_id: bytes, purpose: bytes, index: int
-):
-    """The proof system a session's own config selects for one proof."""
-    if config.variant is Variant.HARDENED:
-        return zkp.Hardened(_session_poly(session_key, key_id, purpose, index, config.k))
-    return zkp.BASIC
-
-
+def _proof_systems(
+    config: SessionConfig, session_key: bytes, key_id: bytes, purpose: bytes, count: int
+) -> tuple:
+    """The proof system a session's own config selects for each of ``count`` proofs."""
+    if config.variant is Variant.BASIC:
+        return (zkp.BASIC,) * count
+    polys = (_session_poly(session_key, key_id, purpose, i, config.k) for i in range(count))
+    return tuple(map(zkp.Hardened, polys))
 
 
 class Step(Enum):
@@ -220,8 +219,8 @@ class _RsuSession:
     step: Step = Step.REGISTERED
     requested_sets: tuple = ()
     # the exchange in flight, dropped once spent: the membership proof's
-    # (W, challenges) while challenged, the bundle's round states while bundled
-    rounds: Optional[tuple] = None
+    # ``zkp.Verifier`` while challenged, the bundle's ``zkp.Prover`` while bundled
+    rounds: Optional[zkp.Verifier | zkp.Prover] = None
     closing_alpha: Optional[int] = None
 
 
@@ -324,17 +323,17 @@ class Rsu:
 
     def challenge_membership(self, key_id: bytes, sealed: bytes) -> bytes:
         """Answer the member's T2 and h commitments (else ``zkp.MalformedProof``)
-        with h challenges from this verifier's rng; the session keeps both."""
+        with h challenges from this verifier's rng; the session keeps its half."""
         sess = self._session(key_id, Step.SCREENED)
-        plain = self.sym.open(sess.session_key, sealed)
-        h, m, k = sess.config.h, self.credential.modulus, len(sess.witnesses)
-        ws = zkp.decode_proof(plain[8:], h, m)
+        plain = memoryview(self.sym.open(sess.session_key, sealed))
+        systems = _proof_systems(sess.config, sess.session_key, key_id, b"membership", 1)
+        k, h, m = len(sess.witnesses), sess.config.h, self.credential.modulus
+        verifier = zkp.Verifier(systems, (sess.witnesses,), k, h, m, plain[8:])
         (t2,) = struct.unpack(">d", plain[:8])
         if not _fresh(self.clock, t2):
             raise StaleTimestamp(f"t2={t2} outside window")
-        sess.rounds = (ws, zkp.draw_challenges(k, h, self.rng))
-        sess.step = Step.CHALLENGED
-        return self.sym.seal(sess.session_key, zkp.encode_proof(sess.rounds[1], 1 << k), self.rng)
+        sess.rounds, sess.step = verifier, Step.CHALLENGED
+        return self.sym.seal(sess.session_key, verifier.challenge(self.rng), self.rng)
 
     def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
         """Judge the member's h answers under this session's config against the
@@ -342,14 +341,11 @@ class Rsu:
         not decode included, returns the session to screened."""
         sess = self._session(key_id, Step.CHALLENGED)
         plain = self.sym.open(sess.session_key, sealed)
-        (ws, challenges), sess.rounds, sess.step = sess.rounds, None, Step.SCREENED
-        system = _proof_system(sess.config, sess.session_key, key_id, b"membership", 0)
-        m = self.credential.modulus
+        verifier, sess.rounds, sess.step = sess.rounds, None, Step.SCREENED
         try:
-            ys = zkp.decode_proof(plain, len(ws), m)
+            ((ok, _),) = verifier.judge(plain)
         except zkp.MalformedProof:
             return False
-        ok = zkp.check_rounds(system, ws, challenges, ys, sess.witnesses, m)
         if ok:
             sess.step = Step.MEMBER_VERIFIED
         return ok
@@ -358,32 +354,25 @@ class Rsu:
 
     def generate_proof_bundle(self, key_id: bytes) -> bytes:
         """Commit to one proof per requested set, once per session after a
-        verified membership proof; the session keeps the round states."""
+        verified membership proof; the session keeps its half of the exchange."""
         sess = self._session(key_id, Step.MEMBER_VERIFIED)
-        cfg, m = sess.config, self.credential.modulus
-        # commitments do not read the polynomial: one system commits them all
-        system = _proof_system(cfg, sess.session_key, key_id, b"bundle", 0)
-        sess.rounds, ws = zkp.commit_rounds(system, cfg.mu * cfg.h, m, self.rng)
-        sess.step = Step.BUNDLED
+        cfg, pool = sess.config, self.credential.pool_secrets[sess.group_id]
+        systems = _proof_systems(cfg, sess.session_key, key_id, b"bundle", cfg.mu)
+        secrets = [[pool[i - 1] for i in ids] for ids in sess.requested_sets]
+        prover = zkp.Prover(systems, secrets, cfg.h, self.credential.modulus, self.rng)
+        sess.rounds, sess.step = prover, Step.BUNDLED
         ids = [i for s in sess.requested_sets for i in s]
-        plain = zkp.encode_proof(ids, 1 << 32) + zkp.encode_proof(ws, m)
+        plain = zkp.encode_proof(ids, 1 << 32) + prover.commitments
         return self.sym.seal(sess.session_key, plain, self.rng)
 
     def answer_bundle(self, key_id: bytes, sealed: bytes) -> bytes:
         """Answer the member's mu*h challenges (else ``zkp.MalformedProof``),
         each from its kept round state, which is then dropped."""
         sess = self._session(key_id, Step.BUNDLED)
-        cfg, m, h = sess.config, self.credential.modulus, sess.config.h
         plain = self.sym.open(sess.session_key, sealed)
-        challenges = zkp.decode_proof(plain, cfg.mu * h, 1 << cfg.k)
-        states, sess.rounds, sess.step = sess.rounds, None, Step.ANSWERED
-        pool, ys = self.credential.pool_secrets[sess.group_id], []
-        for idx, ids in enumerate(sess.requested_sets):
-            system = _proof_system(cfg, sess.session_key, key_id, b"bundle", idx)
-            span = slice(idx * h, idx * h + h)
-            secrets = [pool[i - 1] for i in ids]
-            ys += zkp.answer_rounds(system, states[span], secrets, challenges[span], m)
-        return self.sym.seal(sess.session_key, zkp.encode_proof(ys, m), self.rng)
+        answers = sess.rounds.answer(plain)
+        sess.rounds, sess.step = None, Step.ANSWERED
+        return self.sym.seal(sess.session_key, answers, self.rng)
 
     def record_closing_reply(self, key_id: bytes, sealed: bytes) -> int:
         """Log the member's closing alpha value, sealed as exactly one byte;
@@ -417,8 +406,8 @@ class ObuStep(Enum):
 
 class Obu:
     """Member-side endpoint: single active session, whose config and sets
-    it keeps from ``start`` and ``choose_proof_sets``, and whose proofs'
-    round state it keeps from one move to the next."""
+    it keeps from ``start`` and ``choose_proof_sets``, and whose halves of
+    its two exchanges it keeps from one move to the next."""
 
     def __init__(
         self,
@@ -439,9 +428,9 @@ class Obu:
         self.config: Optional[SessionConfig] = None
         self.sets: tuple = ()
         self.step: Optional[ObuStep] = None
-        # round states until they answer; the bundle's (sets named, W, challenges)
-        self._membership: Optional[tuple] = None
-        self._bundle: Optional[tuple] = None
+        # this member's halves of the exchanges in flight, dropped once spent
+        self._membership: Optional[zkp.Prover] = None
+        self._bundle: Optional[zkp.Verifier] = None
 
     # -- step 1: request ----------------------------------------------------
 
@@ -482,28 +471,23 @@ class Obu:
     # -- step 4: membership proof (prover side) -------------------------------
 
     def prove_membership(self) -> bytes:
-        """Seal T2 and h commitments from the member's rng; keep their round states."""
-        cfg = self._open_config()
-        system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
-        m = self.credential.modulus
-        self._membership, ws = zkp.commit_rounds(system, cfg.h, m, self.rng)
-        plain = struct.pack(">d", self.clock) + zkp.encode_proof(ws, m)
+        """Seal T2 and h commitments from the member's rng; keep the prover's half."""
+        cfg, cred = self._open_config(), self.credential
+        systems = _proof_systems(cfg, self.session_key, self.key_id, b"membership", 1)
+        self._membership = zkp.Prover(systems, (cred.master_key,), cfg.h, cred.modulus, self.rng)
+        plain = struct.pack(">d", self.clock) + self._membership.commitments
         return self.sym.seal(self.session_key, plain, self.rng)
 
     def answer_membership(self, sealed: bytes) -> bytes:
         """Answer the verifier's h challenges (else ``zkp.MalformedProof``),
         each from its kept round state, which is then dropped: no commitment
         answers two challenges (``StepOutOfOrder`` without fresh ones)."""
-        cfg = self._open_config()
         if self._membership is None:
             raise StepOutOfOrder("no membership commitments to answer")
-        secrets, m = self.credential.master_key, self.credential.modulus
         plain = self.sym.open(self.session_key, sealed)
-        challenges = zkp.decode_proof(plain, cfg.h, 1 << len(secrets))
-        states, self._membership = self._membership, None
-        system = _proof_system(cfg, self.session_key, self.key_id, b"membership", 0)
-        ys = zkp.answer_rounds(system, states, secrets, challenges, m)
-        return self.sym.seal(self.session_key, zkp.encode_proof(ys, m), self.rng)
+        answers = self._membership.answer(plain)
+        self._membership = None
+        return self.sym.seal(self.session_key, answers, self.rng)
 
     # -- step 6: bundle verification ------------------------------------------
 
@@ -513,15 +497,18 @@ class Obu:
         kept with them; a proof naming a set other than the one requested fails."""
         if self.step is not ObuStep.OPEN or not self.sets:
             raise StepOutOfOrder("member session is not open, announced no sets or is decided")
-        cfg, m = self.config, self.credential.modulus
-        plain = self.sym.open(self.session_key, sealed)
-        id_bytes = 4 * cfg.mu * cfg.k
-        ids = zkp.decode_proof(plain[:id_bytes], cfg.mu * cfg.k, 1 << 32)
-        ws = zkp.decode_proof(plain[id_bytes:], cfg.mu * cfg.h, m)
-        named = tuple(ids[i * cfg.k : i * cfg.k + cfg.k] == s for i, s in enumerate(self.sets))
-        challenges = zkp.draw_challenges(cfg.k, cfg.mu * cfg.h, self.rng)
-        self._bundle = (named, ws, challenges)
-        return self.sym.seal(self.session_key, zkp.encode_proof(challenges, 1 << cfg.k), self.rng)
+        cfg, k, pool = self.config, self.config.k, self.credential.pool_witnesses
+        plain = memoryview(self.sym.open(self.session_key, sealed))
+        id_bytes = 4 * cfg.mu * k
+        ids = zkp.decode_proof(plain[:id_bytes], cfg.mu * k, 1 << 32)
+        witnesses = [
+            [pool[i - 1] for i in s] if ids[idx * k : idx * k + k] == s else None
+            for idx, s in enumerate(self.sets)
+        ]
+        systems = _proof_systems(cfg, self.session_key, self.key_id, b"bundle", cfg.mu)
+        m = self.credential.modulus
+        self._bundle = zkp.Verifier(systems, witnesses, k, cfg.h, m, plain[id_bytes:])
+        return self.sym.seal(self.session_key, self._bundle.challenge(self.rng), self.rng)
 
     def verify_bundle(
         self, sealed: bytes, observations: Optional[list[ZkpProof]] = None
@@ -531,25 +518,18 @@ class Obu:
         acceptance the member moves to its next counter, once per session."""
         if self.step is not ObuStep.OPEN or self._bundle is None:
             raise StepOutOfOrder("no open member session with a challenged bundle")
-        cfg, m, h = self.config, self.credential.modulus, self.config.h
+        cfg = self.config
         plain = self.sym.open(self.session_key, sealed)
-        (named, ws, challenges), self._bundle = self._bundle, None
+        verifier, self._bundle = self._bundle, None
         try:
-            ys = zkp.decode_proof(plain, len(ws), m)
+            results = verifier.judge(plain)
         except zkp.MalformedProof:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, 0, cfg.alpha)
         verified = 0
-        for idx, ids in enumerate(self.sets):
-            if not named[idx]:
-                continue
-            span = slice(idx * h, idx * h + h)
-            witnesses = [self.credential.pool_witnesses[i - 1] for i in ids]
-            system = _proof_system(cfg, self.session_key, self.key_id, b"bundle", idx)
-            if zkp.check_rounds(system, ws[span], challenges[span], ys[span], witnesses, m):
-                verified += 1
-            if observations is not None:
-                rounds = map(ZkpRound, ws[span], challenges[span], ys[span])
-                observations.append(ZkpProof(ids, tuple(rounds)))
+        for ids, (ok, rounds) in zip(self.sets, results):
+            verified += ok
+            if rounds is not None and observations is not None:
+                observations.append(ZkpProof(ids, rounds))
         if verified < cfg.alpha:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
         if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:

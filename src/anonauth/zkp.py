@@ -7,16 +7,13 @@ A verifier builds the system from its own session configuration; nothing in
 a proof selects it. A proof carries no polynomial seed: each verifier
 derives its own polynomial.
 
-A proof is one exchange whose challenges the verifier owns, as
-Feige-Fiat-Shamir soundness needs. Each move batches all h rounds:
-
-    1. ``commit_rounds``: the prover draws h commitments W from its own rng
-       and keeps each round's private state;
-    2. ``draw_challenges``: the verifier draws h challenges from its own rng
-       and keeps them with the W it received;
-    3. ``answer_rounds``: the prover answers each challenge once, from that
-       round's state; ``check_rounds`` then judges each round from the W the
-       verifier kept, the challenge it drew and the Y it received.
+Proofs run in exchanges whose challenges the verifier owns, as
+Feige-Fiat-Shamir soundness needs. A ``Prover`` and a ``Verifier`` are the
+two halves of one exchange of any number of proofs, h rounds each, and
+every move batches all their rounds, as bytes: the prover commits from its
+own rng, the verifier draws the challenges from its own, the prover answers
+each once from that round's state, and the verifier judges each proof from
+the W it kept, the challenges it drew and the answers it received.
 
 ``verify_interactive`` plays the same rounds one at a time against any
 prover object, for the threat models. A round's challenge is the int the
@@ -38,6 +35,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, starmap
 from typing import Optional, Sequence
 
 from .numtheory import Rng, gcd, sample_unit
@@ -279,40 +277,38 @@ class Hardened:
         return hardened_verify(w, challenge, y, witnesses, self.poly, m)
 
 
-def commit_rounds(system, h: int, m: int, rng: Rng) -> tuple[tuple, tuple[int, ...]]:
-    """The prover's first move: h rounds' private states and their
-    commitments W, drawn from the prover's own rng in round order."""
-    if h < 1:
-        raise DegenerateParameters("h must be >= 1")
-    commit = system.commit
-    states, ws = zip(*[commit(rng, m) for _ in range(h)])
-    return states, ws
+class Prover:
+    """The prover's half of one exchange: h rounds per proof, proof i run by
+    ``systems[i]`` from ``secrets[i]``. Built, it commits from the prover's
+    rng in proof then round order; ``commitments`` is its first move."""
 
+    def __init__(self, systems, secrets, h: int, m: int, rng: Rng):
+        self.systems, self.secrets, self.h, self.m = systems, secrets, h, m
+        # per proof, each round's (private state, W)
+        self.rounds = [[system.commit(rng, m) for _ in range(h)] for system in systems]
+        self.commitments = encode_proof([w for rounds in self.rounds for _, w in rounds], m)
 
-def draw_challenges(k: int, h: int, rng: Rng) -> tuple[int, ...]:
-    """The verifier's move: h k-bit challenges from its own rng, in round order."""
-    if k < 1 or h < 1:
-        raise DegenerateParameters("k and h must both be >= 1")
-    randbits = rng.randbits
-    return tuple(randbits(k) for _ in range(h))
-
-
-def answer_rounds(system, states, secrets: Sequence[int], challenges, m: int) -> tuple[int, ...]:
-    """The prover's last move: each round's state answers its challenge. A
-    degenerate hardened round answers 0, which fails, since with honest
-    material the verifier's witness-side product is degenerate too; it is
-    not run again, so no W ever answers two challenges."""
-    ys = []
-    for state, challenge in zip(states, challenges, strict=True):
-        try:
-            ys.append(system.respond(state, secrets, challenge, m))
-        except DegenerateEvaluation:
-            ys.append(0)
-    return tuple(ys)
+    def answer(self, blob: bytes) -> bytes:
+        """The last move: each challenge in ``blob`` (else ``MalformedProof``)
+        answered from its round's state. A degenerate hardened round answers
+        0, which fails, since with honest material the verifier's witness-side
+        product is degenerate too; it is not run again, so no W answers two
+        challenges as long as the caller drops the half once it answers."""
+        m, count = self.m, len(self.systems) * self.h
+        challenges = iter(decode_proof(blob, count, 1 << len(self.secrets[0])))
+        ys = []
+        for system, secrets, rounds in zip(self.systems, self.secrets, self.rounds):
+            respond = system.respond
+            for (state, _), challenge in zip(rounds, challenges):
+                try:
+                    ys.append(respond(state, secrets, challenge, m))
+                except DegenerateEvaluation:
+                    ys.append(0)
+        return encode_proof(ys, m)
 
 
 def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
-    """One round of ``system``, for ``check_rounds`` and ``verify_interactive``:
+    """One round of ``system``, for ``Verifier.judge`` and ``verify_interactive``:
     no challenge bit at or above the witness count and a nonzero commitment,
     since W = 0 (mod m) with Y = 0 satisfies both variants' equations without
     a secret."""
@@ -323,16 +319,39 @@ def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
     )
 
 
-def check_rounds(system, ws, challenges, ys, witnesses: Sequence[int], m: int) -> bool:
-    """The verifier's verdict on one exchange: each round is built from the
-    W it kept, the challenge it drew and the Y it received, and every round
-    must pass. The three must hold the same, nonzero number of rounds."""
-    if not ws or not len(ws) == len(challenges) == len(ys):
-        return False
-    for w, challenge, y in zip(ws, challenges, ys):
-        if not _round_ok(system, w, challenge, y, witnesses, m):
-            return False
-    return True
+class Verifier:
+    """The verifier's half of one exchange: h rounds per proof, proof i
+    judged by ``systems[i]`` against ``witnesses[i]``, or failed unjudged
+    when that is None. Built, it decodes the prover's ``commitments`` (else
+    ``MalformedProof``)."""
+
+    def __init__(self, systems, witnesses, k: int, h: int, m: int, commitments: bytes):
+        if k < 1 or h < 1:
+            raise DegenerateParameters("k and h must both be >= 1")
+        self.systems, self.witnesses, self.k, self.h, self.m = systems, witnesses, k, h, m
+        self.ws = decode_proof(commitments, len(systems) * h, m)
+
+    def challenge(self, rng: Rng) -> bytes:
+        """The verifier's move: a k-bit challenge per W from its own rng, in order."""
+        randbits, k = rng.randbits, self.k
+        self.challenges = tuple(randbits(k) for _ in self.ws)
+        return encode_proof(self.challenges, 1 << k)
+
+    def judge(self, blob: bytes) -> list[tuple[bool, Optional[tuple[ZkpRound, ...]]]]:
+        """Each proof's (verdict, rounds), from the W this half kept, the
+        challenges it drew and the answers in ``blob`` (else ``MalformedProof``);
+        every round must pass. An unjudged proof gives (False, None)."""
+        m = self.m
+        moves = zip(self.ws, self.challenges, decode_proof(blob, len(self.ws), m))
+        results = []
+        for system, witnesses in zip(self.systems, self.witnesses):
+            rounds = tuple(islice(moves, self.h))
+            if witnesses is None:
+                results.append((False, None))
+                continue
+            ok = all(_round_ok(system, w, c, y, witnesses, m) for w, c, y in rounds)
+            results.append((ok, tuple(starmap(ZkpRound, rounds))))
+        return results
 
 
 def verify_interactive(
@@ -394,11 +413,10 @@ def run_hardened_proof(
 
 
 def _exchange(system, secrets, witnesses, h, m, prover_rng, verifier_rng):
-    states, ws = commit_rounds(system, h, m, prover_rng)
-    challenges = draw_challenges(len(witnesses), h, verifier_rng)
-    ys = answer_rounds(system, states, secrets, challenges, m)
-    proof = ZkpProof((), tuple(map(ZkpRound, ws, challenges, ys)))
-    return proof, check_rounds(system, ws, challenges, ys, witnesses, m)
+    prover = Prover((system,), (secrets,), h, m, prover_rng)
+    verifier = Verifier((system,), (witnesses,), len(witnesses), h, m, prover.commitments)
+    ((ok, rounds),) = verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
+    return ZkpProof((), rounds), ok
 
 
 # -------------------------------------------------------- serialization

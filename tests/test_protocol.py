@@ -408,9 +408,9 @@ class TestBundleReplay:
         assert run_full_session(obu, rsu, config)[0].outcome is Outcome.ACCEPTED
         last_sets, m = obu.sets, rsu.credential.modulus
         obu.start(rsu.beacon(), config)
-        _, ws = zkp.commit_rounds(zkp.BASIC, 4, m, rsu.rng)
+        prover = zkp.Prover((zkp.BASIC,) * 2, ((),) * 2, 2, m, rsu.rng)
         ids = [i for s in last_sets for i in s]
-        plain = zkp.encode_proof(ids, 1 << 32) + zkp.encode_proof(ws, m)
+        plain = zkp.encode_proof(ids, 1 << 32) + prover.commitments
         with pytest.raises(StepOutOfOrder):
             obu.challenge_bundle(obu.sym.seal(obu.session_key, plain, rsu.rng))
         assert obu.credential.counter == 1
@@ -656,6 +656,33 @@ class TestFullSession:
         assert held.isdisjoint(obu.credential.master_key)
 
 
+@pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
+class TestOwnRngOnly:
+    """Each endpoint draws from its own rng only: after each of three
+    sessions, the other endpoint's seed has moved none of its draws, while
+    its own seed has."""
+
+    @staticmethod
+    def _next_draws(variant, obu_seed, rsu_seed):
+        dep = build_deployment(61, n=6, k=2)
+        rsu, obu = dep.make_rsu(rsu_seed), dep.make_obu(obu_seed)
+        config = cfg(alpha=2, mu=3, h=2, variant=variant)
+        obu_draws, rsu_draws = [], []
+        for _ in range(3):
+            assert run_full_session(obu, rsu, config)[0].outcome is Outcome.ACCEPTED
+            obu_draws.append(obu.rng.randbits(64))
+            rsu_draws.append(rsu.rng.randbits(64))
+        return tuple(obu_draws), tuple(rsu_draws)
+
+    def test_the_rsu_seed_moves_no_member_draw(self, variant):
+        obu_draws, rsu_draws = zip(*(self._next_draws(variant, 5, seed) for seed in (1, 7, 99)))
+        assert len(set(obu_draws)) == 1 and len(set(rsu_draws)) == 3
+
+    def test_the_member_seed_moves_no_rsu_draw(self, variant):
+        obu_draws, rsu_draws = zip(*(self._next_draws(variant, seed, 5) for seed in (1, 7, 99)))
+        assert len(set(rsu_draws)) == 1 and len(set(obu_draws)) == 3
+
+
 def _open_screened_session(rsu, obu, config, rsu_config=None):
     """A session the member opened under ``config`` and the verifier
     registered under ``rsu_config`` (default the same), screened clean."""
@@ -868,8 +895,11 @@ class TestVariantDowngrade:
 
     def test_hardened_obu_does_not_count_basic_bundle(self):
         config = cfg(alpha=1, mu=3, h=2)
-        dep, rsu, obu, key_id, sets, answers = _run_to_bundle(41, config)
+        dep, rsu, obu, key_id = _run_to_member_verified(41, config)
+        commitments = rsu.generate_proof_bundle(key_id)
+        # the member's own config picks the proof systems when it challenges
         obu.config = cfg(alpha=1, mu=3, h=2, variant=Variant.HARDENED)
+        answers = rsu.answer_bundle(key_id, obu.challenge_bundle(commitments))
         result = obu.verify_bundle(answers)
         assert result.verified_count == 0
         assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS

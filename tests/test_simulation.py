@@ -175,12 +175,14 @@ class TestSweep:
 
 
 def _observations_verify(transcript, credential, h) -> bool:
-    """Every logged verifier proof re-verifies against the member's witnesses."""
+    """Every logged verifier proof re-verifies, round by round, against the
+    member's witnesses."""
+    m = credential.modulus
     for obs in transcript.bundle_observations:
         witnesses = [credential.pool_witnesses[i - 1] for i in obs.secret_ids]
-        moves = zip(*((rd.w, rd.challenge, rd.y) for rd in obs.rounds))
-        if len(obs.rounds) != h or not zkp.check_rounds(
-            zkp.BASIC, *moves, witnesses, credential.modulus
+        if len(obs.rounds) != h or not all(
+            rd.w % m and zkp.verify_round(rd.w, rd.challenge, rd.y, witnesses, m)
+            for rd in obs.rounds
         ):
             return False
     return True

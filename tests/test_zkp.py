@@ -17,16 +17,14 @@ from anonauth.zkp import (
     DegenerateParameters,
     Hardened,
     MalformedProof,
+    Prover,
     SessionPolynomial,
     Variant,
+    Verifier,
     ZkpProof,
     ZkpRound,
-    answer_rounds,
-    check_rounds,
-    commit_rounds,
     decode_proof,
     derive_session_polynomial,
-    draw_challenges,
     encode_proof,
     hardened_verify,
     run_hardened_proof,
@@ -135,7 +133,7 @@ class TestRunProof:
             witnesses = [s * s % M for s in secrets]
             proof, ok = run_proof(secrets, witnesses, k, h, M, rng.split(), rng.split())
             assert ok and len(proof.rounds) == h
-            assert check_rounds(BASIC, *_moves(proof), witnesses, M)
+            assert _rejudge(BASIC, *_moves(proof), witnesses, M)
 
     def test_wrong_secret_soundness(self):
         rng = Rng(12)
@@ -164,10 +162,16 @@ class TestRunProof:
             run_proof([2, 8], [4], 1, 2, M, Rng(1), Rng(2))
 
     def test_empty_transcript_never_verifies(self):
-        assert not check_rounds(BASIC, (), (), (), [4], M)
-        # nor do moves of unequal round counts, whose surplus zip would drop
-        assert not check_rounds(BASIC, (4,), (0, 0), (2,), [4], M)
-        assert not check_rounds(BASIC, (4, 4), (0,), (2,), [4], M)
+        with pytest.raises(DegenerateParameters):
+            Verifier((BASIC,), ([4],), 1, 0, M, b"")
+        # nor do moves of another round count, whose surplus zip would drop
+        with pytest.raises(MalformedProof):
+            Verifier((BASIC,), ([4],), 1, 1, M, encode_proof([4, 4], M))
+        verifier = Verifier((BASIC,), ([4],), 1, 1, M, encode_proof([4], M))
+        verifier.challenge(Rng(1))
+        for ys in ((), (2, 2)):
+            with pytest.raises(MalformedProof):
+                verifier.judge(encode_proof(ys, M))
 
 
 class TestSessionPolynomial:
@@ -207,6 +211,32 @@ def _poly(coeffs):
 def _moves(proof):
     """A proof's rounds as the exchange's three moves: (W, challenges, Y)."""
     return tuple(zip(*((rd.w, rd.challenge, rd.y) for rd in proof.rounds)))
+
+
+class _Replay:
+    """Recorded moves played to ``verify_interactive``: its prover's W and Y
+    and its verifier rng's challenges, so that it judges them as recorded."""
+
+    def __init__(self, ws, challenges, ys):
+        self.commit = iter(ws).__next__
+        self._challenges, self._ys = iter(challenges), iter(ys)
+
+    def respond(self, _challenge) -> int:
+        return next(self._ys)
+
+    def randbits(self, _k) -> int:
+        return next(self._challenges)
+
+
+def _rejudge(system, ws, challenges, ys, witnesses, m) -> bool:
+    """``system``'s verdict on recorded rounds, each of which must pass."""
+    replay = _Replay(ws, challenges, ys)
+    return verify_interactive(system, replay, witnesses, len(ws), m, replay)
+
+
+def _challenge_move(k: int, count: int, rng: Rng) -> bytes:
+    """``count`` challenges drawn as a verifier draws them, encoded as its move."""
+    return encode_proof([rng.randbits(k) for _ in range(count)], 1 << k)
 
 
 class TestHardened:
@@ -411,10 +441,9 @@ class TestTermTable:
         rng = Rng(5)
         secrets = [sample_unit(rng, _M64) for _ in range(5)]
         poly = derive_session_polynomial(b"count", 5)
-        states, _ = commit_rounds(Hardened(poly), 4, _M64, rng.split())
-        challenges = draw_challenges(5, 4, rng.split())
-        ys = answer_rounds(Hardened(poly), states, secrets, challenges, _M64)
-        assert len(ys) == 4 and len(calls) == 4
+        prover = Prover((Hardened(poly),), (secrets,), 4, _M64, rng.split())
+        answers = prover.answer(_challenge_move(5, 4, rng.split()))
+        assert len(decode_proof(answers, 4, _M64)) == 4 and len(calls) == 4
         # one table per secret, held by the proof's polynomial only
         assert sorted(poly.term_tables) == sorted((s, 2, _M64) for s in secrets)
         assert poly == derive_session_polynomial(b"count", 5)
@@ -454,12 +483,12 @@ class TestPowerCache:
         rng = Rng(17)
         secrets = [sample_unit(rng, _M64) for _ in range(4)]
         witnesses = [s * s % _M64 for s in secrets]
-        prover = Hardened(derive_session_polynomial(b"witnesses", 4))
-        states, ws = commit_rounds(prover, 3, _M64, rng.split())
-        challenges = draw_challenges(4, 3, rng.split())
-        ys = answer_rounds(prover, states, secrets, challenges, _M64)
-        verifier = Hardened(derive_session_polynomial(b"witnesses", 4))
-        assert check_rounds(verifier, ws, challenges, ys, witnesses, _M64)
+        prover_system = Hardened(derive_session_polynomial(b"witnesses", 4))
+        prover = Prover((prover_system,), (secrets,), 3, _M64, rng.split())
+        verifier_system = Hardened(derive_session_polynomial(b"witnesses", 4))
+        verifier = Verifier((verifier_system,), (witnesses,), 4, 3, _M64, prover.commitments)
+        ((ok, _),) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
+        assert ok
         assert keys and set(keys) <= set(witnesses)
         assert not set(keys) & set(secrets)
 
@@ -503,9 +532,10 @@ _M512 = generate_blum_modulus(512, 22).m
 
 
 class TestProverIdentity:
-    """``commit_rounds``, ``draw_challenges`` and ``answer_rounds`` give the
-    rounds and the draws of the rounds as they were: commit, ``randbits(k)``,
-    respond from R, with no round re-run."""
+    """The two halves of an exchange give the rounds and the draws of the
+    rounds as they were: commit, ``randbits(k)``, respond from R, with no
+    round re-run. Two proofs of one system and secrets draw as one proof of
+    twice the rounds."""
 
     @pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
     @pytest.mark.parametrize("m", [M, _M16, _M64, _M512], ids=["m21", "16", "64", "512"])
@@ -521,11 +551,17 @@ class TestProverIdentity:
                 system = Hardened(derive_session_polynomial(rng.randbytes(8), k))
             prover_rng, verifier_rng = Rng(100 + seed), Rng(200 + seed)
             ref_prover_rng, ref_verifier_rng = Rng(100 + seed), Rng(200 + seed)
-            want, bad = _reference_exchange(system, secrets, h, m, ref_prover_rng, ref_verifier_rng)
-            states, ws = commit_rounds(system, h, m, prover_rng)
-            challenges = draw_challenges(k, h, verifier_rng)
-            ys = answer_rounds(system, states, secrets, challenges, m)
-            assert tuple(map(ZkpRound, ws, challenges, ys)) == want
+            proofs = 1 + seed % 2
+            want, bad = _reference_exchange(
+                system, secrets, proofs * h, m, ref_prover_rng, ref_verifier_rng
+            )
+            witnesses = [s * s % m for s in secrets]
+            prover = Prover((system,) * proofs, (secrets,) * proofs, h, m, prover_rng)
+            verifier = Verifier(
+                (system,) * proofs, (witnesses,) * proofs, k, h, m, prover.commitments
+            )
+            results = verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
+            assert tuple(rd for _, rounds in results for rd in rounds) == want
             degenerate += bad
             assert prover_rng.randbits(64) == ref_prover_rng.randbits(64)
             assert verifier_rng.randbits(64) == ref_verifier_rng.randbits(64)
@@ -622,12 +658,14 @@ class TestSerialization:
         # widths of at most 8 bytes are struct widths, 1, 2, 4 or 8
         width = {16: 2, 32: 4, 2048: 256}[m.bit_length()]
         ch_width = {2: 1, 8: 1, 9: 2, 16: 2}[k]
-        for system in (BASIC, Hardened(derive_session_polynomial(b"s", k))):
-            states, ws = commit_rounds(system, 4, m, rng.split())
-            challenges = draw_challenges(k, 4, rng.split())
-            ys = answer_rounds(system, states, secrets, challenges, m)
-            for values, bound, size in ((ws, m, width), (challenges, 1 << k, ch_width),
-                                        (ys, m, width)):
+        witnesses = [s * s % m for s in secrets]
+        poly = derive_session_polynomial(b"s", k)
+        for proof, _ in (
+            run_proof(secrets, witnesses, k, 4, m, rng.split(), rng.split()),
+            run_hardened_proof(secrets, witnesses, poly, 4, m, rng.split(), rng.split()),
+        ):
+            for values, bound, size in zip(_moves(proof), (m, 1 << k, m),
+                                           (width, ch_width, width)):
                 blob = encode_proof(values, bound)
                 assert decode_proof(blob, 4, bound) == values
                 assert len(blob) == 4 * size
@@ -718,24 +756,36 @@ class TestStrictDecoding:
 
 
 class TestVerify:
-    """``check_rounds`` judges the rounds a verifier holds."""
+    """``Verifier.judge`` judges the rounds a verifier holds."""
 
     def test_variant_comes_from_the_verifier(self):
-        ws, challenges, ys, witnesses = _basic_proof()
-        assert check_rounds(BASIC, ws, challenges, ys, witnesses, M)
-        assert not check_rounds(_HARDENED, ws, challenges, ys, witnesses, M)
+        rng = Rng(8)
+        secrets = [sample_unit(rng, M) for _ in range(2)]
+        witnesses = [s * s % M for s in secrets]
+        prover = Prover((BASIC,), (secrets,), 2, M, rng.split())
+        for system, want in ((BASIC, True), (_HARDENED, False)):
+            verifier = Verifier((system,), (witnesses,), 2, 2, M, prover.commitments)
+            ((ok, _),) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
+            assert ok is want
+        assert _rejudge(BASIC, *_basic_proof(), M)
+        assert not _rejudge(_HARDENED, *_basic_proof(), M)
 
     def test_round_count_must_equal_h(self):
         ws, challenges, ys, witnesses = _basic_proof()
-        assert not check_rounds(BASIC, ws, challenges, ys[:1], witnesses, M)
-        assert not check_rounds(BASIC, ws + ws[:1], challenges, ys, witnesses, M)
+        verifier = Verifier((BASIC,), (witnesses,), 2, 2, M, encode_proof(ws, M))
+        verifier.challenge(Rng(1))
+        for answers in (ys[:1], ys + ys[:1]):
+            with pytest.raises(MalformedProof):
+                verifier.judge(encode_proof(answers, M))
+        with pytest.raises(MalformedProof):
+            Verifier((BASIC,), (witnesses,), 2, 2, M, encode_proof(ws + ws[:1], M))
 
     def test_wrong_challenge_length_fails_instead_of_raising(self):
         ws, challenges, ys, witnesses = _basic_proof()
         for challenge in (challenges[0] | 0b100, -1):  # a bit at index k = 2, or negative
             forged = (challenge,) + challenges[1:]
-            assert not check_rounds(BASIC, ws, forged, ys, witnesses, M)
-            assert not check_rounds(_HARDENED, ws, forged, ys, witnesses, M)
+            assert not _rejudge(BASIC, ws, forged, ys, witnesses, M)
+            assert not _rejudge(_HARDENED, ws, forged, ys, witnesses, M)
 
     def test_prover_never_runs_a_verifier(self, monkeypatch):
         def refuse(*_args):
@@ -747,9 +797,9 @@ class TestVerify:
         rng = Rng(10)
         secrets = [sample_unit(rng, m) for _ in range(3)]
         for system in (BASIC, Hardened(derive_session_polynomial(b"s", 3))):
-            states, ws = commit_rounds(system, 4, m, rng.split())
-            ys = answer_rounds(system, states, secrets, draw_challenges(3, 4, rng.split()), m)
-            assert len(ws) == len(ys) == 4
+            prover = Prover((system,), (secrets,), 4, m, rng.split())
+            answers = prover.answer(_challenge_move(3, 4, rng.split()))
+            assert len(prover.commitments) == len(answers) == 4 * 2
 
 
 class _ZeroProver:
@@ -786,9 +836,16 @@ class TestZeroCommitment:
     @pytest.mark.parametrize("w", [0, _M64], ids=["0", "m"])
     def test_recorded_zero_transcript_fails(self, w):
         rng, witnesses, systems = self._setup()
+        zeros = w.to_bytes(8, "big") * 8
         for system in systems:
-            challenges = draw_challenges(2, 8, rng)
-            assert not check_rounds(system, (w,) * 8, challenges, (0,) * 8, witnesses, _M64)
+            if w:  # m is not below the modulus: the commitments do not decode
+                with pytest.raises(MalformedProof):
+                    Verifier((system,), (witnesses,), 2, 8, _M64, zeros)
+                continue
+            verifier = Verifier((system,), (witnesses,), 2, 8, _M64, zeros)
+            verifier.challenge(rng)
+            ((ok, _),) = verifier.judge(zeros)
+            assert not ok
 
 
 def _decodes_or_fails_typed(blob: bytes) -> None:
@@ -801,7 +858,9 @@ def _decodes_or_fails_typed(blob: bytes) -> None:
             assert len(values) == count and all(0 <= v < bound for v in values)
             if bound == M:  # the values as commitments, and as the answers to them
                 for system in (BASIC, _HARDENED):
-                    verdict = check_rounds(system, values, (0b01,) * count, values, [4, 1], M)
+                    verifier = Verifier((system,), ([4, 1],), 2, count, M, blob)
+                    verifier.challenge(Rng(count))
+                    ((verdict, _),) = verifier.judge(blob)
                     assert verdict in (True, False)
 
 
