@@ -12,9 +12,9 @@ bundle, the RSU the other way round. Commitments, challenges and answers
 are one sealed message each, the bundle's mu proofs in set order in every
 move. Each plaintext has one length, known to its reader: the sets are mu*k
 4-byte ids, each set strictly ascending in [1, n]; the membership
-commitments are T2 (a big-endian double) then h W; the bundle commitments
-are the requested sets' ids then mu*h W; challenges and answers are the
-move's values alone, at ``zkp``'s widths; the closing reply is one byte.
+commitments are T2 (a big-endian double) then h W, the bundle commitments
+mu*h W; challenges and answers are the move's values alone, at ``zkp``'s
+widths; the closing reply is one byte. A decided session leaves the RSU.
 """
 
 from __future__ import annotations
@@ -191,10 +191,9 @@ def _proof_systems(
 
 
 class Step(Enum):
-    """An RSU session's progress. Each handler runs at one step, raises
-    ``StepOutOfOrder`` at any other and advances it by one. A policy refusal
-    leaves it where it was; a failed membership proof spends its challenges
-    and returns it to ``SCREENED`` for a fresh exchange."""
+    """An RSU session's progress, forward only. Each handler runs at one
+    step, raises ``StepOutOfOrder`` at any other and advances it by one; a
+    handler that decides the session removes it from the table instead."""
 
     REGISTERED = "registered"
     NEGOTIATED = "negotiated"
@@ -203,7 +202,6 @@ class Step(Enum):
     MEMBER_VERIFIED = "member-verified"
     BUNDLED = "bundled"
     ANSWERED = "answered"
-    CLOSED = "closed"
 
 
 @dataclass
@@ -214,14 +212,11 @@ class _RsuSession:
     # the policy's minimum alpha for the requested service; None if it names none
     min_alpha: Optional[int]
     config: SessionConfig
-    # the group's master witnesses; random units once screening flags the track
-    witnesses: tuple[int, ...]
     step: Step = Step.REGISTERED
     requested_sets: tuple = ()
     # the exchange in flight, dropped once spent: the membership proof's
     # ``zkp.Verifier`` while challenged, the bundle's ``zkp.Prover`` while bundled
     rounds: Optional[zkp.Verifier | zkp.Prover] = None
-    closing_alpha: Optional[int] = None
 
 
 class Rsu:
@@ -277,15 +272,15 @@ class Rsu:
             alpha=alpha,
             min_alpha=self.policy.get(serv_id),
             config=config,
-            witnesses=self.credential.master_witnesses[group_id],
         )
         return key_id
 
     def negotiate_privacy(self, key_id: bytes) -> Optional[int]:
         """The alpha the member sealed when policy permits it, else None
-        (policy rejection)."""
+        (policy rejection, which ends the session)."""
         sess = self._session(key_id, Step.REGISTERED)
         if sess.min_alpha is None or sess.alpha < sess.min_alpha:
+            del self.sessions[key_id]
             return None
         sess.step = Step.NEGOTIATED
         return sess.alpha
@@ -295,8 +290,7 @@ class Rsu:
     def receive_proof_sets(self, key_id: bytes, sealed: bytes) -> Optional[revocation.Match]:
         """Open the member's mu sets of k 4-byte ids, each strictly
         ascending in [1, n] and no two alike (else ``MalformedSetRequest``),
-        and screen them; a match swaps the session's witnesses for random
-        units, so no membership proof can pass."""
+        and screen them; a match ends the session."""
         sess = self._session(key_id, Step.NEGOTIATED)
         cfg = sess.config
         plain = self.sym.open(sess.session_key, sealed)
@@ -312,12 +306,11 @@ class Rsu:
             raise MalformedSetRequest("duplicate secret-id set in request")
         match = revocation.screen_session(self.table, sets, cfg.n, cfg.k)
         if match is not None:
-            sess.witnesses = revocation.garble_witnesses(
-                len(sess.witnesses), self.credential.modulus, self.rng
-            )
+            del self.sessions[key_id]
+            return match
         sess.requested_sets = sets
         sess.step = Step.SCREENED
-        return match
+        return None
 
     # -- step 4: membership verification (verifier side) ------------------
 
@@ -327,8 +320,9 @@ class Rsu:
         sess = self._session(key_id, Step.SCREENED)
         plain = memoryview(self.sym.open(sess.session_key, sealed))
         systems = _proof_systems(sess.config, sess.session_key, key_id, b"membership", 1)
-        k, h, m = len(sess.witnesses), sess.config.h, self.credential.modulus
-        verifier = zkp.Verifier(systems, (sess.witnesses,), k, h, m, plain[8:])
+        witnesses = self.credential.master_witnesses[sess.group_id]
+        k, h, m = len(witnesses), sess.config.h, self.credential.modulus
+        verifier = zkp.Verifier(systems, (witnesses,), k, h, m, plain[8:])
         (t2,) = struct.unpack(">d", plain[:8])
         if not _fresh(self.clock, t2):
             raise StaleTimestamp(f"t2={t2} outside window")
@@ -338,16 +332,17 @@ class Rsu:
     def check_membership_proof(self, key_id: bytes, sealed: bytes) -> bool:
         """Judge the member's h answers under this session's config against the
         rounds it kept, which the verdict spends: a failure, answers that do
-        not decode included, returns the session to screened."""
+        not decode included, ends the session."""
         sess = self._session(key_id, Step.CHALLENGED)
         plain = self.sym.open(sess.session_key, sealed)
-        verifier, sess.rounds, sess.step = sess.rounds, None, Step.SCREENED
         try:
-            ((ok, _),) = verifier.judge(plain)
+            (ok,) = sess.rounds.judge(plain)
         except zkp.MalformedProof:
-            return False
+            ok = False
         if ok:
-            sess.step = Step.MEMBER_VERIFIED
+            sess.rounds, sess.step = None, Step.MEMBER_VERIFIED
+        else:
+            del self.sessions[key_id]
         return ok
 
     # -- step 5: bundle generation (prover side) ---------------------------
@@ -361,9 +356,7 @@ class Rsu:
         secrets = [[pool[i - 1] for i in ids] for ids in sess.requested_sets]
         prover = zkp.Prover(systems, secrets, cfg.h, self.credential.modulus, self.rng)
         sess.rounds, sess.step = prover, Step.BUNDLED
-        ids = [i for s in sess.requested_sets for i in s]
-        plain = zkp.encode_proof(ids, 1 << 32) + prover.commitments
-        return self.sym.seal(sess.session_key, plain, self.rng)
+        return self.sym.seal(sess.session_key, prover.commitments, self.rng)
 
     def answer_bundle(self, key_id: bytes, sealed: bytes) -> bytes:
         """Answer the member's mu*h challenges (else ``zkp.MalformedProof``),
@@ -375,15 +368,14 @@ class Rsu:
         return self.sym.seal(sess.session_key, answers, self.rng)
 
     def record_closing_reply(self, key_id: bytes, sealed: bytes) -> int:
-        """Log the member's closing alpha value, sealed as exactly one byte;
-        access is not gated on it."""
+        """The member's closing alpha value, sealed as exactly one byte, which
+        ends the session; access is not gated on it."""
         sess = self._session(key_id, Step.ANSWERED)
         plain = self.sym.open(sess.session_key, sealed)
         if len(plain) != 1:
             raise EnvelopeFailure(f"closing reply is {len(plain)} bytes, not 1")
-        sess.closing_alpha = plain[0]
-        sess.step = Step.CLOSED
-        return sess.closing_alpha
+        del self.sessions[key_id]
+        return plain[0]
 
     def _session(self, key_id: bytes, step: Step) -> _RsuSession:
         """Session ``key_id``, which must be at ``step``."""
@@ -492,22 +484,17 @@ class Obu:
     # -- step 6: bundle verification ------------------------------------------
 
     def challenge_bundle(self, sealed: bytes) -> bytes:
-        """Answer the bundle's mu*k ids and mu*h commitments (else
-        ``zkp.MalformedProof``) with mu*h challenges from the member's rng,
-        kept with them; a proof naming a set other than the one requested fails."""
+        """Answer the bundle's mu*h commitments (else ``zkp.MalformedProof``)
+        with mu*h challenges from the member's rng, kept with them; proof i is
+        judged against the witnesses of the i-th set this member announced."""
         if self.step is not ObuStep.OPEN or not self.sets:
             raise StepOutOfOrder("member session is not open, announced no sets or is decided")
-        cfg, k, pool = self.config, self.config.k, self.credential.pool_witnesses
-        plain = memoryview(self.sym.open(self.session_key, sealed))
-        id_bytes = 4 * cfg.mu * k
-        ids = zkp.decode_proof(plain[:id_bytes], cfg.mu * k, 1 << 32)
-        witnesses = [
-            [pool[i - 1] for i in s] if ids[idx * k : idx * k + k] == s else None
-            for idx, s in enumerate(self.sets)
-        ]
+        cfg, pool = self.config, self.credential.pool_witnesses
+        plain = self.sym.open(self.session_key, sealed)
+        witnesses = [[pool[i - 1] for i in s] for s in self.sets]
         systems = _proof_systems(cfg, self.session_key, self.key_id, b"bundle", cfg.mu)
         m = self.credential.modulus
-        self._bundle = zkp.Verifier(systems, witnesses, k, cfg.h, m, plain[id_bytes:])
+        self._bundle = zkp.Verifier(systems, witnesses, cfg.k, cfg.h, m, plain)
         return self.sym.seal(self.session_key, self._bundle.challenge(self.rng), self.rng)
 
     def verify_bundle(
@@ -522,14 +509,11 @@ class Obu:
         plain = self.sym.open(self.session_key, sealed)
         verifier, self._bundle = self._bundle, None
         try:
-            results = verifier.judge(plain)
+            verified = sum(verifier.judge(plain))
         except zkp.MalformedProof:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, 0, cfg.alpha)
-        verified = 0
-        for ids, (ok, rounds) in zip(self.sets, results):
-            verified += ok
-            if rounds is not None and observations is not None:
-                observations.append(ZkpProof(ids, rounds))
+        if observations is not None:
+            observations.extend(map(ZkpProof, self.sets, verifier.rounds()))
         if verified < cfg.alpha:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
         if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:

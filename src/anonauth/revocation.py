@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence
 
-from .numtheory import Rng, sample_unit
-
 DEFAULT_SEARCH_WINDOW = 64
 # largest pool size n: ids are drawn from 16-bit values, so a larger n
 # would leave no value below the rejection span
@@ -216,11 +214,6 @@ def screen_session(
     if table._index is None or table._index.params != params:
         table._index = _ScreenIndex(params, table.entries.values())
     return table._index.lookup(observed, table.entries)
-
-
-def garble_witnesses(k: int, m: int, rng: Rng) -> tuple[int, ...]:
-    """Random units substituted for a flagged track's master witnesses."""
-    return tuple(sample_unit(rng, m) for _ in range(k))
 
 
 def encode_broadcast(iv: int, counter_hint: int, reason: str, version: int) -> str:

@@ -321,9 +321,8 @@ def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
 
 class Verifier:
     """The verifier's half of one exchange: h rounds per proof, proof i
-    judged by ``systems[i]`` against ``witnesses[i]``, or failed unjudged
-    when that is None. Built, it decodes the prover's ``commitments`` (else
-    ``MalformedProof``)."""
+    judged by ``systems[i]`` against ``witnesses[i]``. Built, it decodes the
+    prover's ``commitments`` (else ``MalformedProof``)."""
 
     def __init__(self, systems, witnesses, k: int, h: int, m: int, commitments: bytes):
         if k < 1 or h < 1:
@@ -337,21 +336,25 @@ class Verifier:
         self.challenges = tuple(randbits(k) for _ in self.ws)
         return encode_proof(self.challenges, 1 << k)
 
-    def judge(self, blob: bytes) -> list[tuple[bool, Optional[tuple[ZkpRound, ...]]]]:
-        """Each proof's (verdict, rounds), from the W this half kept, the
-        challenges it drew and the answers in ``blob`` (else ``MalformedProof``);
-        every round must pass. An unjudged proof gives (False, None)."""
+    def judge(self, blob: bytes) -> list[bool]:
+        """Each proof's verdict, from the W this half kept, the challenges it
+        drew and the answers in ``blob`` (else ``MalformedProof``), which it
+        keeps; every round must pass."""
         m = self.m
-        moves = zip(self.ws, self.challenges, decode_proof(blob, len(self.ws), m))
-        results = []
+        self.answers = decode_proof(blob, len(self.ws), m)
+        moves = zip(self.ws, self.challenges, self.answers)
+        verdicts = []
         for system, witnesses in zip(self.systems, self.witnesses):
-            rounds = tuple(islice(moves, self.h))
-            if witnesses is None:
-                results.append((False, None))
-                continue
-            ok = all(_round_ok(system, w, c, y, witnesses, m) for w, c, y in rounds)
-            results.append((ok, tuple(starmap(ZkpRound, rounds))))
-        return results
+            ok = True
+            for w, c, y in islice(moves, self.h):
+                ok = ok and _round_ok(system, w, c, y, witnesses, m)
+            verdicts.append(ok)
+        return verdicts
+
+    def rounds(self) -> list[tuple[ZkpRound, ...]]:
+        """Each judged proof's rounds, for a caller that keeps a transcript."""
+        rounds = starmap(ZkpRound, zip(self.ws, self.challenges, self.answers))
+        return [tuple(islice(rounds, self.h)) for _ in self.systems]
 
 
 def verify_interactive(
@@ -415,8 +418,8 @@ def run_hardened_proof(
 def _exchange(system, secrets, witnesses, h, m, prover_rng, verifier_rng):
     prover = Prover((system,), (secrets,), h, m, prover_rng)
     verifier = Verifier((system,), (witnesses,), len(witnesses), h, m, prover.commitments)
-    ((ok, rounds),) = verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
-    return ZkpProof((), rounds), ok
+    (ok,) = verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
+    return ZkpProof((), verifier.rounds()[0]), ok
 
 
 # -------------------------------------------------------- serialization

@@ -451,8 +451,7 @@ def _forged_bundle(rsu, obu, config, forger):
     m, h = rsu.credential.modulus, config.h
     seal = functools.partial(obu.sym.seal, obu.session_key, rng=obu.rng)
     ws = [forger(obu.key_id, idx).commit() for idx in range(config.mu) for _ in range(h)]
-    ids = [i for s in obu.sets for i in s]
-    sealed = obu.challenge_bundle(seal(zkp.encode_proof(ids, 1 << 32) + zkp.encode_proof(ws, m)))
+    sealed = obu.challenge_bundle(seal(zkp.encode_proof(ws, m)))
     count = config.mu * h
     challenges = zkp.decode_proof(obu.sym.open(obu.session_key, sealed), count, 1 << config.k)
     ys = [forger(obu.key_id, i // h).respond(c) for i, c in enumerate(challenges)]

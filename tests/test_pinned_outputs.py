@@ -23,7 +23,7 @@ from conftest import M21, build_deployment
 
 PINNED = "5188edbb48912509753b31d886a52a7908117611b9da8d7a8f65ed6964b9f56c"
 # the frames of PINNED's honest sessions, exactly as logged
-PINNED_WIRE = "154f23c4c0792860d8091891e9ea1409ecececbc54d7c6844072984c66f5cc0f"
+PINNED_WIRE = "076ddf85ba762741f3874102da8a755d06ed3ff13059caeab6be54311ad15436"
 # the estimators PINNED does not reach: the subset sampler behind mc_leak,
 # both readings of mc_sequence_collision and the bundle cheater at n = 3
 PINNED_ESTIMATORS = "1128f8fa9ccd76c9803ec8d4279c2c5f48e26ae9aa7bd49489eaf3523c78236f"
@@ -151,7 +151,7 @@ def test_rendered_rows_match_pinned_digest():
 # every subcommand run from relative paths in an empty directory: the bytes
 # of its out-dir (manifest included), its stdout and exit code, the same for
 # its rerun, and the --help text of main and every subcommand
-PINNED_CLI = "acf91a65387c4da5ac651a24c3d2739f74c8975ceef6f3cbea7aed3dd90aad54"
+PINNED_CLI = "05d8980714e52a2ea41d0e72b415e82eb24428a0237936be6a2cb1fc1150f119"
 
 _CLI_RUNS = [
     ["keygen", "-q", "1", "-n", "6", "-k", "2", "--bit-length", "24",

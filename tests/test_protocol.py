@@ -139,7 +139,7 @@ class TestPrivacyNegotiation:
     def test_alpha_below_policy_floor_rejected(self):
         rsu, _, key_id = self._session(policy={"INFO": 3}, sealed=cfg(alpha=2, mu=3))
         assert rsu.negotiate_privacy(key_id) is None
-        assert rsu.sessions[key_id].step is Step.REGISTERED
+        assert key_id not in rsu.sessions  # a refusal decides the session
         rsu, _, key_id = self._session(policy={"INFO": 3}, sealed=cfg(alpha=3, mu=3))
         assert rsu.negotiate_privacy(key_id) == 3
 
@@ -157,9 +157,9 @@ class TestPrivacyNegotiation:
     def test_sets_of_policy_rejected_session_are_refused(self):
         rsu, obu, key_id = self._session(policy={"INFO": 3})
         assert rsu.negotiate_privacy(key_id) is None
-        with pytest.raises(StepOutOfOrder):
+        with pytest.raises(UnknownSession):
             rsu.receive_proof_sets(key_id, obu.choose_proof_sets())
-        assert rsu.sessions[key_id].requested_sets == ()
+        assert key_id not in rsu.sessions
 
     def test_policy_rejection_ends_session(self):
         dep = build_deployment(2, n=6, k=2)
@@ -311,14 +311,17 @@ def _run_to_member_verified(seed, config, stub=True):
 
 def _run_to_bundle(seed, config, stub=True, tamper=0):
     """A session whose member holds the challenged bundle; the RSU's sealed
-    answers. The first ``tamper`` proofs' commitments name another set."""
+    answers. The first ``tamper`` proofs' answers are doubled, which fails
+    each of their rounds: Y is a unit, and (2Y)^2 = 4Y^2 is not +-Y^2 mod m."""
     dep, rsu, obu, key_id = _run_to_member_verified(seed, config, stub)
-    commitments = rsu.generate_proof_bundle(key_id)
+    challenges = obu.challenge_bundle(rsu.generate_proof_bundle(key_id))
+    answers = rsu.answer_bundle(key_id, challenges)
     if tamper:
-        plain = bytearray(obu.sym.open(obu.session_key, commitments))
-        plain[: 4 * config.k * tamper] = struct.pack(">I", 1) * (config.k * tamper)
-        commitments = obu.sym.seal(obu.session_key, bytes(plain), rsu.rng)
-    answers = rsu.answer_bundle(key_id, obu.challenge_bundle(commitments))
+        m, bad = rsu.credential.modulus, config.h * tamper
+        plain = obu.sym.open(obu.session_key, answers)
+        ys = list(zkp.decode_proof(plain, config.mu * config.h, m))
+        ys[:bad] = [2 * y % m for y in ys[:bad]]
+        answers = obu.sym.seal(obu.session_key, zkp.encode_proof(ys, m), rsu.rng)
     return dep, rsu, obu, key_id, obu.sets, answers
 
 
@@ -400,8 +403,8 @@ class TestBundleReplay:
             revocation.next_sequence(obu.credential.iv, last + 1, 6, 2, 3)
 
     def test_a_new_session_forgets_the_last_sets(self):
-        # commitments to the last session's sets, sent before this session
-        # announced any, are not challenged: the member holds no sets
+        # bundle commitments sent before this session announced any sets
+        # are not challenged: the member holds no sets to judge them against
         dep = build_deployment(18, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(alpha=2, mu=2, h=2)
@@ -409,10 +412,8 @@ class TestBundleReplay:
         last_sets, m = obu.sets, rsu.credential.modulus
         obu.start(rsu.beacon(), config)
         prover = zkp.Prover((zkp.BASIC,) * 2, ((),) * 2, 2, m, rsu.rng)
-        ids = [i for s in last_sets for i in s]
-        plain = zkp.encode_proof(ids, 1 << 32) + prover.commitments
         with pytest.raises(StepOutOfOrder):
-            obu.challenge_bundle(obu.sym.seal(obu.session_key, plain, rsu.rng))
+            obu.challenge_bundle(obu.sym.seal(obu.session_key, prover.commitments, rsu.rng))
         assert obu.credential.counter == 1
         assert obu.sets == () and obu.key_id == protocol.NO_KEY_ID
 
@@ -571,7 +572,7 @@ class TestFullSession:
         assert result.outcome is Outcome.ACCEPTED
         assert result.verified_count == 3
         assert len(log.bundle_observations) == 3
-        assert rsu.sessions[log.key_id].closing_alpha == 2
+        assert not rsu.sessions  # the closing reply decides the session
 
     def test_transcript_frames_cover_all_steps(self):
         dep = build_deployment(21, n=6, k=2)
@@ -586,7 +587,7 @@ class TestFullSession:
         assert tags == [envelopes.MSG_BEACON, envelopes.MSG_AUTH_REQUEST,
                         envelopes.MSG_PROOF_SETS, *exchange, *exchange,
                         envelopes.MSG_ALPHA_REPLY]
-        assert rsu.sessions[log.key_id].step is Step.CLOSED
+        assert log.key_id not in rsu.sessions
 
     def test_key_ids_are_unique_across_sessions(self):
         dep = build_deployment(22, n=6, k=2, stub=True)
@@ -635,9 +636,13 @@ class TestFullSession:
         dep = build_deployment(30, n=6, k=2, modulus=mod)
         rsu = dep.make_rsu(1)
         obu = dep.make_obu(2)
-        result, log = run_full_session(obu, rsu, cfg(alpha=1, mu=2))
-        assert result.outcome is Outcome.ACCEPTED
-        sess = rsu.sessions[log.key_id]
+        key_id = _open_screened_session(rsu, obu, cfg(alpha=1, mu=2))
+        assert _membership(rsu, obu, key_id)
+        challenges = obu.challenge_bundle(rsu.generate_proof_bundle(key_id))
+        answers = rsu.answer_bundle(key_id, challenges)
+        assert obu.verify_bundle(answers).outcome is Outcome.ACCEPTED
+        # the session at its last step, the most the verifier ever holds of it
+        sess = rsu.sessions[key_id]
         state = json.dumps(
             {
                 "group_id": sess.group_id,
@@ -651,6 +656,8 @@ class TestFullSession:
         assert str(obu.credential.iv) not in state
         for secret in obu.credential.master_key:
             assert str(secret) not in state
+        rsu.record_closing_reply(key_id, obu.closing_reply())
+        assert key_id not in rsu.sessions
         # the verifier credential holds witnesses, never master secrets
         held = {v for ws in rsu.credential.master_witnesses.values() for v in ws}
         assert held.isdisjoint(obu.credential.master_key)
@@ -729,8 +736,11 @@ class TestStepOrder:
             rsu.generate_proof_bundle(key_id)
         sealed = obu.sym.seal(obu.session_key, b"abc", obu.rng)
         assert not rsu.check_membership_proof(key_id, sealed)
-        assert rsu.sessions[key_id].step is Step.SCREENED
-        with pytest.raises(protocol.StepOutOfOrder):
+        # a failed proof decides the session: no retry, no bundle
+        assert key_id not in rsu.sessions
+        with pytest.raises(UnknownSession):
+            rsu.challenge_membership(key_id, obu.prove_membership())
+        with pytest.raises(UnknownSession):
             rsu.generate_proof_bundle(key_id)
 
     def test_one_bundle_per_session(self):
@@ -752,7 +762,60 @@ class TestStepOrder:
         key_id = _open_screened_session(rsu, obu, cfg())
         with pytest.raises(StepOutOfOrder):
             rsu.record_closing_reply(key_id, obu.closing_reply())
-        assert rsu.sessions[key_id].closing_alpha is None
+        assert rsu.sessions[key_id].step is Step.SCREENED
+
+
+class TestDecidedSessionsLeave:
+    """An RSU holds a session only until it is decided: a policy refusal, a
+    screening match, a failed membership proof or the closing reply."""
+
+    def test_a_mixed_batch_leaves_no_session(self):
+        dep = build_deployment(70, n=6, k=2, q=2, obus=3, stub=True)
+        rsu = dep.make_rsu(1)
+        honest, forger, revoked = (dep.make_obu(2 + j, index=j) for j in range(3))
+        revocation.broadcast_revocation(revoked.credential.iv, 0, [rsu.table])
+        # group 1's identity with group 0's master key passes at most 2^-kh
+        forger.credential = dataclasses.replace(
+            forger.credential, master_key=dep.obu_creds[0].master_key
+        )
+        config = cfg(h=4)
+        runs = [(honest, config), (honest, cfg(h=4, serv_id="XYZ")), (revoked, config),
+                (forger, config), (honest, config)]
+        outcomes = [run_full_session(obu, rsu, c)[0].outcome for obu, c in runs]
+        assert outcomes == [Outcome.ACCEPTED, Outcome.REJECTED_POLICY, Outcome.REJECTED_REVOKED,
+                            Outcome.REJECTED_MEMBERSHIP, Outcome.ACCEPTED]
+        assert rsu.sessions == {}
+
+    def test_a_failed_membership_proof_gets_no_second_exchange(self):
+        dep = build_deployment(71, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        key_id = _open_screened_session(rsu, obu, cfg(h=2))
+        rsu.challenge_membership(key_id, obu.prove_membership())
+        m = rsu.credential.modulus
+        zeros = obu.sym.seal(obu.session_key, zkp.encode_proof([0, 0], m), obu.rng)
+        assert not rsu.check_membership_proof(key_id, zeros)
+        with pytest.raises(UnknownSession):
+            rsu.challenge_membership(key_id, obu.prove_membership())
+
+    def test_a_screening_match_leaves_no_session(self):
+        dep = build_deployment(72, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        revocation.broadcast_revocation(obu.credential.iv, 0, [rsu.table])
+        key_id = rsu.register_session(obu.start(rsu.beacon(), cfg()), cfg())
+        obu.key_id = key_id
+        assert rsu.negotiate_privacy(key_id) == 1
+        match = rsu.receive_proof_sets(key_id, obu.choose_proof_sets())
+        assert match == revocation.Match(iv=obu.credential.iv, counter=0)
+        assert rsu.sessions == {}
+
+    def test_bundle_commitments_are_the_w_alone(self):
+        # the prover's W alone: mu*h values at the modulus width
+        config = cfg(alpha=1, mu=3, h=2)
+        dep, rsu, obu, key_id = _run_to_member_verified(73, config)
+        plain = obu.sym.open(obu.session_key, rsu.generate_proof_bundle(key_id))
+        width = (rsu.credential.modulus.bit_length() + 7) // 8
+        assert len(plain) == config.mu * config.h * width
+        assert plain == rsu.sessions[key_id].rounds.commitments
 
 
 _CONFIG = cfg(h=2)
@@ -774,9 +837,9 @@ class RsuStepMachine(RuleBasedStateMachine):
         self.sent = {}
 
     def _call(self, key_id, handler, *args):
-        """``handler`` either advances ``key_id`` by exactly one step or
-        raises StepOutOfOrder/UnknownSession; no other session moves. Its
-        result, or None when it raised."""
+        """``handler`` advances ``key_id`` by exactly one step, decides it
+        (the session leaves the table) or raises StepOutOfOrder/UnknownSession;
+        no other session moves. Its result, or None when it raised."""
         order = list(Step)
         before = {k: dataclasses.replace(s) for k, s in self.rsu.sessions.items()}
         try:
@@ -784,8 +847,15 @@ class RsuStepMachine(RuleBasedStateMachine):
         except (StepOutOfOrder, UnknownSession):
             assert self.rsu.sessions == before
             return None
-        after = self.rsu.sessions[key_id]
-        assert order.index(after.step) == order.index(before[key_id].step) + 1
+        after = self.rsu.sessions.get(key_id)
+        if after is None:
+            # an honest member is decided by its closing reply; the member's
+            # answers before any challenge (b"") fail the membership proof
+            assert (before[key_id].step, result) in (
+                (Step.ANSWERED, _CONFIG.alpha), (Step.CHALLENGED, False)
+            )
+        else:
+            assert order.index(after.step) == order.index(before[key_id].step) + 1
         assert {k: s for k, s in self.rsu.sessions.items() if k != key_id} == {
             k: s for k, s in before.items() if k != key_id
         }
@@ -848,8 +918,8 @@ class RsuStepMachine(RuleBasedStateMachine):
         are reached and probed out of order too."""
         handlers = (self.negotiate, self.announce, self.challenge, self.prove,
                     self.generate, self.answer, self.close)
-        step = list(Step).index(self.rsu.sessions[key_id].step)
-        handlers[min(step, len(handlers) - 1)](key_id)
+        sess = self.rsu.sessions.get(key_id)  # None once decided: any handler then
+        handlers[list(Step).index(sess.step) if sess else 0](key_id)
 
     @rule(key_id=st.binary(min_size=8, max_size=8))
     def unknown(self, key_id):
@@ -939,8 +1009,10 @@ class TestMalformedProofs:
             assert rsu.sessions[key_id].step is Step.SCREENED
         answers = obu.answer_membership(rsu.challenge_membership(key_id, commitments))
         assert not rsu.check_membership_proof(key_id, _reseal(obu, answers, lambda p: p[:-1]))
-        assert rsu.sessions[key_id].step is Step.SCREENED
-        assert _membership(rsu, obu, key_id)
+        assert key_id not in rsu.sessions  # answers that do not decode decide it
+        with pytest.raises(UnknownSession):
+            _membership(rsu, obu, key_id)
+        assert _membership(rsu, obu, _open_screened_session(rsu, obu, config))
 
     def test_bundle_item_that_does_not_decode_is_not_counted(self):
         config = cfg(alpha=1, mu=3, h=2)
@@ -1001,8 +1073,7 @@ class TestMalformedProofs:
             rsu.challenge_membership(key_id, obu.sym.seal(obu.session_key, plain, obu.rng))
 
         dep, rsu, obu, key_id = _run_to_member_verified(43, config)
-        ids = struct.pack(">6I", *(i for s in obu.sets for i in s))
-        sealed = obu.sym.seal(obu.session_key, ids + wide * 6, rsu.rng)
+        sealed = obu.sym.seal(obu.session_key, wide * 6, rsu.rng)
         tracemalloc.start()
         try:
             with pytest.raises(zkp.MalformedProof):
@@ -1030,11 +1101,8 @@ class TestZeroProofs:
     def test_zero_bundle_items_count_zero(self, variant):
         config = cfg(alpha=1, mu=3, h=2, variant=variant)
         dep, rsu, obu, key_id = _run_to_member_verified(49, config)
-        m = rsu.credential.modulus
-        ids = [i for s in obu.sets for i in s]
-        zeros = zkp.encode_proof([0] * 6, m)
-        commitments = zkp.encode_proof(ids, 1 << 32) + zeros
-        obu.challenge_bundle(obu.sym.seal(obu.session_key, commitments, rsu.rng))
+        zeros = zkp.encode_proof([0] * 6, rsu.credential.modulus)
+        obu.challenge_bundle(obu.sym.seal(obu.session_key, zeros, rsu.rng))
         result = obu.verify_bundle(obu.sym.seal(obu.session_key, zeros, rsu.rng))
         assert result.verified_count == 0
 
@@ -1065,9 +1133,9 @@ class TestShortPlaintexts:
         for bad in (b"", b"abc"):
             with pytest.raises(EnvelopeFailure):
                 rsu.record_closing_reply(key_id, obu.sym.seal(obu.session_key, bad, obu.rng))
-        assert rsu.sessions[key_id].closing_alpha is None
+        assert rsu.sessions[key_id].step is Step.ANSWERED
         assert rsu.record_closing_reply(key_id, obu.closing_reply()) == 2
-        assert rsu.sessions[key_id].step is Step.CLOSED
+        assert key_id not in rsu.sessions
 
 
 def _request_body(group_id=1, t1=0.0, alpha=1, session_key=bytes(16), serv_id=b"INFO"):
@@ -1165,8 +1233,8 @@ def _fuzz_endpoints():
 
 # k = 2, mu = 2, h = 2 at 32 bits: 16 bytes of sets; the membership proof's
 # commitments are t2 and two W (16 bytes), its challenges 2 bytes and its
-# answers 8; the bundle's commitments are four ids and four W (32 bytes),
-# its challenges 4 bytes and its answers 16
+# answers 8; the bundle's commitments are four W (16 bytes), its challenges
+# 4 bytes and its answers 16
 _FUZZ_CONFIG = cfg(alpha=1, mu=2, h=2)
 
 
@@ -1259,19 +1327,15 @@ class TestByteFuzz:
         verdict = rsu.check_membership_proof(
             key_id, obu.sym.seal(obu.session_key, plain, obu.rng)
         )
-        # answers written without the member's round states never pass
-        assert verdict is False and rsu.sessions[key_id].step is Step.SCREENED
-        assert rsu.sessions[key_id].rounds is None
+        # answers written without the member's round states never pass, and
+        # the failure decides the session
+        assert verdict is False and key_id not in rsu.sessions
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_challenge_bundle(self, data):
+    @given(_blobs(16) | _values(4, 2**32))
+    def test_challenge_bundle(self, plain):
         rsu, obu = _fuzz_endpoints()
-        key_id = _open_screened_session(rsu, obu, _FUZZ_CONFIG)
-        # any bytes, or four W after the session's sets or other ids
-        sets = st.sampled_from([obu.sets, ((1, 2), (3, 4)), ((2, 1), (0, 9))])
-        ids = sets.map(lambda ss: struct.pack(">4I", *(i for s in ss for i in s)))
-        plain = data.draw(_blobs(32) | st.tuples(ids, _values(4, 2**32)).map(b"".join))
+        _open_screened_session(rsu, obu, _FUZZ_CONFIG)
         try:
             sealed = obu.challenge_bundle(obu.sym.seal(obu.session_key, plain, rsu.rng))
         except zkp.MalformedProof:

@@ -18,7 +18,6 @@ from anonauth.revocation import (
     RevocationTable,
     broadcast_revocation,
     encode_broadcast,
-    garble_witnesses,
     next_sequence,
     screen_session,
 )
@@ -517,20 +516,21 @@ class TestEndToEndRevocation:
         result, _ = run_full_session(peer, rsu, cfg)
         assert result.outcome is Outcome.ACCEPTED
 
-    def test_garble_applies_to_flagged_track(self):
+    def test_flagged_track_leaves_no_session(self):
+        # a screening match decides the session: nothing of it stays, while
+        # a co-member's session in flight keeps its place
         dep, rsu, obu, cfg = self._setup()
-        gid, iv = obu.credential.group_id, obu.credential.iv
-        broadcast_revocation(iv, 0, [rsu.table])
-        _, flagged = run_full_session(obu, rsu, cfg)
-        _, clean = run_full_session(dep.make_obu(3, index=1), rsu, cfg)
-        master = rsu.credential.master_witnesses[gid]
-        garbled = rsu.sessions[flagged.key_id].witnesses
-        assert len(garbled) == len(master) and garbled != master
-        assert rsu.sessions[clean.key_id].witnesses == master
+        broadcast_revocation(obu.credential.iv, 0, [rsu.table])
+        peer = dep.make_obu(3, index=1)
+        peer_key = rsu.register_session(peer.start(rsu.beacon(), cfg), cfg)
+        result, flagged = run_full_session(obu, rsu, cfg)
+        assert result.outcome is Outcome.REJECTED_REVOKED
+        assert flagged.key_id not in rsu.sessions
+        assert list(rsu.sessions) == [peer_key]
 
     def test_denial_survives_rsu_restart(self):
         # the table is the durable state; a fresh verifier instance holding
-        # it re-screens and re-garbles on the next session
+        # it re-screens on the next session
         dep, rsu, obu, cfg = self._setup()
         broadcast_revocation(obu.credential.iv, 0, [rsu.table])
         run_full_session(obu, rsu, cfg)
@@ -569,15 +569,7 @@ class TestEndToEndRevocation:
         broadcast_revocation(obu.credential.iv, 0, [rsu.table])
         match = rsu.receive_proof_sets(key_id, obu.choose_proof_sets())
         assert match is not None and match.iv == obu.credential.iv
-
-
-class TestGarbleWitnesses:
-    def test_units_of_requested_size(self, m21):
-        out = garble_witnesses(4, m21.m, Rng(2))
-        assert len(out) == 4
-        from math import gcd
-
-        assert all(gcd(v, 21) == 1 for v in out)
+        assert key_id not in rsu.sessions
 
 
 def test_sequences_feed_bundle_distinctness():

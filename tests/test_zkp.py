@@ -487,7 +487,7 @@ class TestPowerCache:
         prover = Prover((prover_system,), (secrets,), 3, _M64, rng.split())
         verifier_system = Hardened(derive_session_polynomial(b"witnesses", 4))
         verifier = Verifier((verifier_system,), (witnesses,), 4, 3, _M64, prover.commitments)
-        ((ok, _),) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
+        (ok,) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
         assert ok
         assert keys and set(keys) <= set(witnesses)
         assert not set(keys) & set(secrets)
@@ -560,8 +560,8 @@ class TestProverIdentity:
             verifier = Verifier(
                 (system,) * proofs, (witnesses,) * proofs, k, h, m, prover.commitments
             )
-            results = verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
-            assert tuple(rd for _, rounds in results for rd in rounds) == want
+            verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
+            assert tuple(rd for rounds in verifier.rounds() for rd in rounds) == want
             degenerate += bad
             assert prover_rng.randbits(64) == ref_prover_rng.randbits(64)
             assert verifier_rng.randbits(64) == ref_verifier_rng.randbits(64)
@@ -765,10 +765,24 @@ class TestVerify:
         prover = Prover((BASIC,), (secrets,), 2, M, rng.split())
         for system, want in ((BASIC, True), (_HARDENED, False)):
             verifier = Verifier((system,), (witnesses,), 2, 2, M, prover.commitments)
-            ((ok, _),) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
+            (ok,) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
             assert ok is want
         assert _rejudge(BASIC, *_basic_proof(), M)
         assert not _rejudge(_HARDENED, *_basic_proof(), M)
+
+    def test_rounds_are_built_only_when_asked_for(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(zkp, "ZkpRound", lambda *move: built.append(move) or move)
+        rng = Rng(9)
+        secrets = [sample_unit(rng, M) for _ in range(2)]
+        witnesses = [s * s % M for s in secrets]
+        prover = Prover((BASIC,) * 2, (secrets,) * 2, 2, M, rng.split())
+        verifier = Verifier((BASIC,) * 2, (witnesses,) * 2, 2, 2, M, prover.commitments)
+        assert verifier.judge(prover.answer(verifier.challenge(rng.split()))) == [True, True]
+        assert built == []
+        rounds = verifier.rounds()
+        moves = list(zip(verifier.ws, verifier.challenges, verifier.answers))
+        assert rounds == [tuple(moves[:2]), tuple(moves[2:])] and built == moves
 
     def test_round_count_must_equal_h(self):
         ws, challenges, ys, witnesses = _basic_proof()
@@ -844,7 +858,7 @@ class TestZeroCommitment:
                 continue
             verifier = Verifier((system,), (witnesses,), 2, 8, _M64, zeros)
             verifier.challenge(rng)
-            ((ok, _),) = verifier.judge(zeros)
+            (ok,) = verifier.judge(zeros)
             assert not ok
 
 
@@ -860,7 +874,7 @@ def _decodes_or_fails_typed(blob: bytes) -> None:
                 for system in (BASIC, _HARDENED):
                     verifier = Verifier((system,), ([4, 1],), 2, count, M, blob)
                     verifier.challenge(Rng(count))
-                    ((verdict, _),) = verifier.judge(blob)
+                    (verdict,) = verifier.judge(blob)
                     assert verdict in (True, False)
 
 
