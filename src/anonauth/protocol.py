@@ -388,18 +388,24 @@ class Rsu:
 
 
 class ObuStep(Enum):
-    """A member's session: ``start`` opens it and an accepted bundle
-    decides it, after which ``challenge_bundle`` and ``verify_bundle`` raise
-    ``StepOutOfOrder`` until the next ``start``."""
+    """A member's session, forward only by the RSU's rule: ``start`` opens
+    it from any step; every other handler runs at one step, raises
+    ``StepOutOfOrder`` at any other and advances it by one. A message that
+    fails its AEAD tag or does not decode leaves the step where it was; the
+    bundle's verdict, whatever it is, decides the session."""
 
     OPEN = "open"
-    ACCEPTED = "accepted"
+    ANNOUNCED = "announced"
+    COMMITTED = "committed"
+    PROVEN = "proven"
+    CHALLENGED = "challenged"
+    DECIDED = "decided"
 
 
 class Obu:
     """Member-side endpoint: single active session, whose config and sets
-    it keeps from ``start`` and ``choose_proof_sets``, and whose halves of
-    its two exchanges it keeps from one move to the next."""
+    it keeps from ``start`` and ``choose_proof_sets``, and whose half of the
+    exchange in flight it keeps from one move to the next."""
 
     def __init__(
         self,
@@ -420,9 +426,9 @@ class Obu:
         self.config: Optional[SessionConfig] = None
         self.sets: tuple = ()
         self.step: Optional[ObuStep] = None
-        # this member's halves of the exchanges in flight, dropped once spent
-        self._membership: Optional[zkp.Prover] = None
-        self._bundle: Optional[zkp.Verifier] = None
+        # the exchange in flight, dropped once spent: the membership proof's
+        # ``zkp.Prover`` while committed, the bundle's ``zkp.Verifier`` while challenged
+        self._half: Optional[zkp.Prover | zkp.Verifier] = None
 
     # -- step 1: request ----------------------------------------------------
 
@@ -432,19 +438,16 @@ class Obu:
         if not cert.valid_from <= now <= cert.valid_to:
             raise BadCertificate(f"beacon certificate is not valid at t={now}")
         _signature_verified(cert, cert.signed_payload, self.root_public_key)
-        self.config = config
-        self.step = ObuStep.OPEN
-        self.key_id, self.sets = NO_KEY_ID, ()
-        self._membership = self._bundle = None
+        self.config, self.step = config, ObuStep.OPEN
+        self.key_id, self.sets, self._half = NO_KEY_ID, (), None
         self.session_key = self.rng.randbytes(envelopes.SESSION_KEY_BYTES)
         body = _REQUEST.pack(self.credential.group_id, now, config.alpha, self.session_key)
         return self.seal.seal(cert.public_key, body + config.serv_id.encode(), self.rng)
 
-    def _open_config(self) -> SessionConfig:
-        """The config ``start`` opened the session with; ``StepOutOfOrder``
-        when no session was ever opened."""
-        if self.step is None:
-            raise StepOutOfOrder("no open session: call start first")
+    def _at(self, step: ObuStep) -> SessionConfig:
+        """The config of the session, which must be at ``step``."""
+        if self.step is not step:
+            raise StepOutOfOrder(f"member session is {self.step}, not {step}")
         return self.config
 
     # -- step 3: secret-id sets ----------------------------------------------
@@ -453,10 +456,11 @@ class Obu:
         """Seal the mu pairwise-distinct k-id sets for this session,
         PRF-derived from (iv, counter) so a verifier holding the iv can
         screen them."""
-        cfg = self._open_config()
+        cfg = self._at(ObuStep.OPEN)
         self.sets = revocation.next_sequence(
             self.credential.iv, self.credential.counter, cfg.n, cfg.k, cfg.mu
         )
+        self.step = ObuStep.ANNOUNCED
         ids = [i for s in self.sets for i in s]
         return self.sym.seal(self.session_key, struct.pack(f">{len(ids)}I", *ids), self.rng)
 
@@ -464,21 +468,20 @@ class Obu:
 
     def prove_membership(self) -> bytes:
         """Seal T2 and h commitments from the member's rng; keep the prover's half."""
-        cfg, cred = self._open_config(), self.credential
+        cfg, cred = self._at(ObuStep.ANNOUNCED), self.credential
         systems = _proof_systems(cfg, self.session_key, self.key_id, b"membership", 1)
-        self._membership = zkp.Prover(systems, (cred.master_key,), cfg.h, cred.modulus, self.rng)
-        plain = struct.pack(">d", self.clock) + self._membership.commitments
+        prover = zkp.Prover(systems, (cred.master_key,), cfg.h, cred.modulus, self.rng)
+        self._half, self.step = prover, ObuStep.COMMITTED
+        plain = struct.pack(">d", self.clock) + prover.commitments
         return self.sym.seal(self.session_key, plain, self.rng)
 
     def answer_membership(self, sealed: bytes) -> bytes:
         """Answer the verifier's h challenges (else ``zkp.MalformedProof``),
         each from its kept round state, which is then dropped: no commitment
-        answers two challenges (``StepOutOfOrder`` without fresh ones)."""
-        if self._membership is None:
-            raise StepOutOfOrder("no membership commitments to answer")
-        plain = self.sym.open(self.session_key, sealed)
-        answers = self._membership.answer(plain)
-        self._membership = None
+        answers two challenges."""
+        self._at(ObuStep.COMMITTED)
+        answers = self._half.answer(self.sym.open(self.session_key, sealed))
+        self._half, self.step = None, ObuStep.PROVEN
         return self.sym.seal(self.session_key, answers, self.rng)
 
     # -- step 6: bundle verification ------------------------------------------
@@ -487,27 +490,25 @@ class Obu:
         """Answer the bundle's mu*h commitments (else ``zkp.MalformedProof``)
         with mu*h challenges from the member's rng, kept with them; proof i is
         judged against the witnesses of the i-th set this member announced."""
-        if self.step is not ObuStep.OPEN or not self.sets:
-            raise StepOutOfOrder("member session is not open, announced no sets or is decided")
-        cfg, pool = self.config, self.credential.pool_witnesses
+        cfg, pool = self._at(ObuStep.PROVEN), self.credential.pool_witnesses
         plain = self.sym.open(self.session_key, sealed)
         witnesses = [[pool[i - 1] for i in s] for s in self.sets]
         systems = _proof_systems(cfg, self.session_key, self.key_id, b"bundle", cfg.mu)
         m = self.credential.modulus
-        self._bundle = zkp.Verifier(systems, witnesses, cfg.k, cfg.h, m, plain)
-        return self.sym.seal(self.session_key, self._bundle.challenge(self.rng), self.rng)
+        verifier = zkp.Verifier(systems, witnesses, cfg.k, cfg.h, m, plain)
+        self._half, self.step = verifier, ObuStep.CHALLENGED
+        return self.sym.seal(self.session_key, verifier.challenge(self.rng), self.rng)
 
     def verify_bundle(
         self, sealed: bytes, observations: Optional[list[ZkpProof]] = None
     ) -> AuthResult:
         """Count the proofs whose answers (none, if they do not decode) check
-        against the rounds ``challenge_bundle`` kept, which this spends; on
-        acceptance the member moves to its next counter, once per session."""
-        if self.step is not ObuStep.OPEN or self._bundle is None:
-            raise StepOutOfOrder("no open member session with a challenged bundle")
-        cfg = self.config
+        against the rounds ``challenge_bundle`` kept; the verdict, whatever it
+        is, decides the session. On acceptance the member moves to its next
+        counter."""
+        cfg = self._at(ObuStep.CHALLENGED)
         plain = self.sym.open(self.session_key, sealed)
-        verifier, self._bundle = self._bundle, None
+        verifier, self._half, self.step = self._half, None, ObuStep.DECIDED
         try:
             verified = sum(verifier.judge(plain))
         except zkp.MalformedProof:
@@ -519,11 +520,11 @@ class Obu:
         if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:
             raise revocation.CounterOverflow("the credential's last counter is spent")
         self.credential.counter += 1
-        self.step = ObuStep.ACCEPTED
         return AuthResult(Outcome.ACCEPTED, verified, cfg.alpha)
 
     def closing_reply(self) -> bytes:
-        alpha = self._open_config().alpha
+        """The session's alpha, sealed as one byte, once a verdict decided it."""
+        alpha = self._at(ObuStep.DECIDED).alpha
         return self.sym.seal(self.session_key, bytes([alpha]), self.rng)
 
 
@@ -531,24 +532,21 @@ def run_full_session(
     obu: Obu, rsu: Rsu, config: SessionConfig
 ) -> tuple[AuthResult, SessionTranscript]:
     """Execute one complete session, passing each message between the
-    endpoints and logging its frame up to the step that decides it; the
+    endpoints and logging its frame up to the step that decides it; a
+    verdict on the bundle, accepting or not, is closed at both ends. The
     transcript doubles as the tap for the passive-observer threat model."""
     log = SessionTranscript()
-    cert = rsu.beacon()
-    log.frames.append(encode_message(MSG_BEACON, NO_KEY_ID, cert.signed_payload))
-
-    request = obu.start(cert, config)
-    log.frames.append(encode_message(MSG_AUTH_REQUEST, NO_KEY_ID, request))
-
-    key_id = rsu.register_session(request, config)
-    obu.key_id = key_id
-    log.key_id = key_id
-    if rsu.negotiate_privacy(key_id) is None:
-        return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha), log
 
     def send(tag: int, sealed: bytes) -> bytes:
-        log.frames.append(encode_message(tag, key_id, sealed))
+        log.frames.append(encode_message(tag, log.key_id, sealed))
         return sealed
+
+    cert = rsu.beacon()
+    send(MSG_BEACON, cert.signed_payload)
+    request = send(MSG_AUTH_REQUEST, obu.start(cert, config))
+    key_id = obu.key_id = log.key_id = rsu.register_session(request, config)
+    if rsu.negotiate_privacy(key_id) is None:
+        return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha), log
 
     sealed = send(MSG_PROOF_SETS, obu.choose_proof_sets())
     log.requested_sets = obu.sets
@@ -565,6 +563,5 @@ def run_full_session(
     sealed = send(MSG_CHALLENGES, obu.challenge_bundle(sealed))
     sealed = send(MSG_ANSWERS, rsu.answer_bundle(key_id, sealed))
     result = obu.verify_bundle(sealed, observations=log.bundle_observations)
-    if result.outcome is Outcome.ACCEPTED:
-        rsu.record_closing_reply(key_id, send(MSG_ALPHA_REPLY, obu.closing_reply()))
+    rsu.record_closing_reply(key_id, send(MSG_ALPHA_REPLY, obu.closing_reply()))
     return result, log

@@ -127,19 +127,20 @@ def broadcast_revocation(iv: int, counter_hint: int, tables: Sequence[Revocation
         table.upsert(entry)
 
 
-def _window(entry: RevocationEntry, params: tuple[int, int, int, int]) -> tuple[Block, ...]:
+def _window(entry: RevocationEntry, params: tuple[int, int, int]) -> tuple[Block, ...]:
     """The first blocks of the entry's window+1 sequences (fewer where the
     window would pass the last 64-bit counter), in counter order from its
     last known counter. Block 0 is never redrawn, so each is the head of
     that counter's ``next_sequence``."""
-    n, k, _, window = params
+    n, k, window = params
     first = entry.last_known_counter
     last = min(first + window, COUNTER_LIMIT - 1)
     return tuple(_draw_block(entry.iv, c, 0, 0, n, k) for c in range(first, last + 1))
 
 
 class _ScreenIndex:
-    """Every entry's window of sequence heads for one (n, k, mu, window).
+    """Every entry's window of sequence heads for one (n, k, window), which
+    serves every mu: a head is block 0, drawn before mu is read.
 
     ``owners`` maps a first block to the ivs whose window starts a sequence
     with it (one iv's window may repeat a head, and two ivs may share one);
@@ -148,9 +149,7 @@ class _ScreenIndex:
     them; a lookup confirms a head match with the full ``next_sequence``.
     """
 
-    def __init__(self, params: tuple[int, int, int, int], entries):
-        n, k, mu, _ = params
-        _check_params(n, k, mu)
+    def __init__(self, params: tuple[int, int, int], entries):
         self.params = params
         self.owners: dict[Block, tuple[int, ...]] = {}
         self.windows: dict[int, tuple[int, tuple[Block, ...]]] = {}
@@ -182,7 +181,7 @@ class _ScreenIndex:
         owners = self.owners.get(observed[0])
         if owners is None:
             return None
-        n, k, mu, _ = self.params
+        (n, k, _), mu = self.params, len(observed)
         for iv in owners if len(owners) == 1 else [iv for iv in order if iv in owners]:
             first, heads = self.windows[iv]
             for offset, head in enumerate(heads):
@@ -201,16 +200,16 @@ def screen_session(
     """Exact-match the observed sets against every entry's reconstructed window.
 
     Returns a ``Match`` or None. The table keeps an index of first blocks
-    per entry: the first call for an (n, k, mu, window) draws every entry's
+    per entry: the first call for an (n, k, window) draws every entry's
     window+1 heads, each later upsert draws only that entry's and a remove
     drops them. A session whose first block heads no indexed sequence costs
     one dict lookup; a head match is confirmed by its full sequence.
     """
     if not table.entries:
         return None
-    mu = len(observed_sets)
+    _check_params(n, k, len(observed_sets))
     observed = tuple(tuple(sorted(s)) for s in observed_sets)
-    params = (n, k, mu, window)
+    params = (n, k, window)
     if table._index is None or table._index.params != params:
         table._index = _ScreenIndex(params, table.entries.values())
     return table._index.lookup(observed, table.entries)

@@ -427,13 +427,19 @@ class TestWitnessOnlyProver:
         assert self._accepted(lambda _poly: zkp.BASIC) == 0
 
 
-def _forged_membership(rsu, obu, config, forger):
-    """The RSU's verdict on a membership proof the forger writes in a session
-    ``obu`` opened, so the forger holds its session key."""
+def _screened_session(rsu, obu, config):
+    """The key id of a session ``obu`` opened and announced its sets in."""
     key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
     obu.key_id = key_id
     assert rsu.negotiate_privacy(key_id) == config.alpha
     assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
+    return key_id
+
+
+def _forged_membership(rsu, obu, config, forger):
+    """The RSU's verdict on a membership proof the forger writes in a session
+    ``obu`` opened, so the forger holds its session key."""
+    key_id = _screened_session(rsu, obu, config)
     m, seal = rsu.credential.modulus, functools.partial(obu.sym.seal, obu.session_key, rng=obu.rng)
     ws = [forger(key_id, 0).commit() for _ in range(config.h)]
     commitments = struct.pack(">d", 0.0) + zkp.encode_proof(ws, m)
@@ -445,9 +451,11 @@ def _forged_membership(rsu, obu, config, forger):
 
 def _forged_bundle(rsu, obu, config, forger):
     """The member's verdict on a bundle the forger writes for the sets the
-    member announced, holding the member's session key."""
-    obu.start(rsu.beacon(), config)
-    obu.choose_proof_sets()
+    member announced, holding the member's session key, once the member has
+    proved its membership."""
+    key_id = _screened_session(rsu, obu, config)
+    challenges = rsu.challenge_membership(key_id, obu.prove_membership())
+    assert rsu.check_membership_proof(key_id, obu.answer_membership(challenges))
     m, h = rsu.credential.modulus, config.h
     seal = functools.partial(obu.sym.seal, obu.session_key, rng=obu.rng)
     ws = [forger(obu.key_id, idx).commit() for idx in range(config.mu) for _ in range(h)]

@@ -24,6 +24,7 @@ from anonauth.protocol import (
     BadCertificate,
     MalformedRequest,
     MalformedSetRequest,
+    ObuStep,
     Outcome,
     SessionConfig,
     StaleTimestamp,
@@ -710,6 +711,10 @@ class TestStepOrder:
         config = cfg(h=2)
         key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
         obu.key_id = key_id
+        with pytest.raises(StepOutOfOrder):  # the member announces its sets first
+            obu.prove_membership()
+        assert obu.step is ObuStep.OPEN
+        sets = obu.choose_proof_sets()
         early = obu.prove_membership()
         with pytest.raises(StepOutOfOrder):
             rsu.challenge_membership(key_id, early)
@@ -717,7 +722,7 @@ class TestStepOrder:
         with pytest.raises(StepOutOfOrder):
             rsu.challenge_membership(key_id, early)
         assert rsu.sessions[key_id].step is Step.NEGOTIATED
-        assert rsu.receive_proof_sets(key_id, obu.choose_proof_sets()) is None
+        assert rsu.receive_proof_sets(key_id, sets) is None
         # the answers come only after the verifier's own challenges
         with pytest.raises(StepOutOfOrder):
             rsu.check_membership_proof(key_id, early)
@@ -731,7 +736,8 @@ class TestStepOrder:
         key_id = _open_screened_session(rsu, obu, config)
         with pytest.raises(protocol.StepOutOfOrder):
             rsu.generate_proof_bundle(key_id)
-        rsu.challenge_membership(key_id, obu.prove_membership())
+        commitments = obu.prove_membership()
+        rsu.challenge_membership(key_id, commitments)
         with pytest.raises(protocol.StepOutOfOrder):
             rsu.generate_proof_bundle(key_id)
         sealed = obu.sym.seal(obu.session_key, b"abc", obu.rng)
@@ -739,7 +745,7 @@ class TestStepOrder:
         # a failed proof decides the session: no retry, no bundle
         assert key_id not in rsu.sessions
         with pytest.raises(UnknownSession):
-            rsu.challenge_membership(key_id, obu.prove_membership())
+            rsu.challenge_membership(key_id, commitments)
         with pytest.raises(UnknownSession):
             rsu.generate_proof_bundle(key_id)
 
@@ -763,6 +769,55 @@ class TestStepOrder:
         with pytest.raises(StepOutOfOrder):
             rsu.record_closing_reply(key_id, obu.closing_reply())
         assert rsu.sessions[key_id].step is Step.SCREENED
+
+
+# each member step's handler, given the RSU's last message
+_MEMBER_HANDLERS = {
+    ObuStep.OPEN: lambda obu, sealed: obu.choose_proof_sets(),
+    ObuStep.ANNOUNCED: lambda obu, sealed: obu.prove_membership(),
+    ObuStep.COMMITTED: lambda obu, sealed: obu.answer_membership(sealed),
+    ObuStep.PROVEN: lambda obu, sealed: obu.challenge_bundle(sealed),
+    ObuStep.CHALLENGED: lambda obu, sealed: obu.verify_bundle(sealed),
+    ObuStep.DECIDED: lambda obu, sealed: obu.closing_reply(),
+}
+
+
+class TestMemberStepOrder:
+    """The member keeps its session by the RSU's rule: at each step only
+    that step's handler runs, and any other raises ``StepOutOfOrder``."""
+
+    def test_only_the_steps_own_handler_runs(self):
+        dep = build_deployment(56, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+        key_id = obu.key_id = rsu.register_session(obu.start(rsu.beacon(), config), config)
+        assert rsu.negotiate_privacy(key_id) == config.alpha
+
+        def bundle(answers):
+            assert rsu.check_membership_proof(key_id, answers)
+            return rsu.generate_proof_bundle(key_id)
+
+        # the RSU's move on each member message: the member's next input
+        moves = {
+            ObuStep.OPEN: lambda sets: rsu.receive_proof_sets(key_id, sets),
+            ObuStep.ANNOUNCED: lambda commitments: rsu.challenge_membership(key_id, commitments),
+            ObuStep.COMMITTED: bundle,
+            ObuStep.PROVEN: lambda challenges: rsu.answer_bundle(key_id, challenges),
+            ObuStep.CHALLENGED: lambda result: result.outcome,
+            ObuStep.DECIDED: lambda reply: rsu.record_closing_reply(key_id, reply),
+        }
+        received = None
+        for step, handler in _MEMBER_HANDLERS.items():
+            assert obu.step is step
+            before = dict(vars(obu))
+            for other in _MEMBER_HANDLERS.values():
+                if other is not handler:
+                    with pytest.raises(StepOutOfOrder):
+                        other(obu, b"")
+                    assert vars(obu) == before
+            received = moves[step](handler(obu, received))
+        assert received == config.alpha and rsu.sessions == {}
+        assert obu.step is ObuStep.DECIDED and obu.credential.counter == 1
 
 
 class TestDecidedSessionsLeave:
@@ -790,12 +845,32 @@ class TestDecidedSessionsLeave:
         dep = build_deployment(71, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         key_id = _open_screened_session(rsu, obu, cfg(h=2))
-        rsu.challenge_membership(key_id, obu.prove_membership())
+        commitments = obu.prove_membership()
+        rsu.challenge_membership(key_id, commitments)
         m = rsu.credential.modulus
         zeros = obu.sym.seal(obu.session_key, zkp.encode_proof([0, 0], m), obu.rng)
         assert not rsu.check_membership_proof(key_id, zeros)
         with pytest.raises(UnknownSession):
-            rsu.challenge_membership(key_id, obu.prove_membership())
+            rsu.challenge_membership(key_id, commitments)
+        with pytest.raises(StepOutOfOrder):  # nor does the member commit twice
+            obu.prove_membership()
+
+    def test_member_rejected_bundles_leave_no_session(self):
+        # a member judging against another group's pool witnesses rejects
+        # every bundle, and still closes the session at the RSU
+        dep = build_deployment(74, n=6, k=2, q=2, obus=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        obu.credential = dataclasses.replace(
+            obu.credential, pool_witnesses=dep.obu_creds[1].pool_witnesses
+        )
+        result, log = run_full_session(dep.make_obu(3, index=1), rsu, cfg(h=8))
+        assert result.outcome is Outcome.ACCEPTED and len(log.frames) == 10
+        for _ in range(5):
+            result, log = run_full_session(obu, rsu, cfg(h=8))
+            assert result.outcome is Outcome.REJECTED_INSUFFICIENT_PROOFS
+            assert obu.step is ObuStep.DECIDED and rsu.sessions == {}
+            # a passive observer cannot tell a rejection by its frame count
+            assert len(log.frames) == 10
 
     def test_a_screening_match_leaves_no_session(self):
         dep = build_deployment(72, n=6, k=2, stub=True)
@@ -910,7 +985,11 @@ class RsuStepMachine(RuleBasedStateMachine):
 
     @rule(key_id=sessions)
     def close(self, key_id):
-        self._call(key_id, self.rsu.record_closing_reply, self.obus[key_id].closing_reply())
+        # sealed by hand: the member replies only once it has decided, which
+        # the RSU's steps do not wait for
+        obu = self.obus[key_id]
+        reply = obu.sym.seal(obu.session_key, bytes([_CONFIG.alpha]), obu.rng)
+        self._call(key_id, self.rsu.record_closing_reply, reply)
 
     @rule(key_id=sessions)
     def advance(self, key_id):
@@ -1011,7 +1090,8 @@ class TestMalformedProofs:
         assert not rsu.check_membership_proof(key_id, _reseal(obu, answers, lambda p: p[:-1]))
         assert key_id not in rsu.sessions  # answers that do not decode decide it
         with pytest.raises(UnknownSession):
-            _membership(rsu, obu, key_id)
+            rsu.challenge_membership(key_id, commitments)
+        # a retry is a new session
         assert _membership(rsu, obu, _open_screened_session(rsu, obu, config))
 
     def test_bundle_item_that_does_not_decode_is_not_counted(self):
@@ -1125,11 +1205,13 @@ class TestShortPlaintexts:
         with pytest.raises(StaleTimestamp):
             rsu.challenge_membership(key_id, honest)
         assert rsu.sessions[key_id].step is Step.SCREENED
+        # the member commits once per session: its retry, clock caught up, is a new one
         obu.clock += 30.0
-        assert _membership(rsu, obu, key_id)
+        assert _membership(rsu, obu, _open_screened_session(rsu, obu, config))
 
     def test_closing_reply_must_be_one_byte(self):
         dep, rsu, obu, key_id, sets, bundle = _run_to_bundle(47, cfg(alpha=2, mu=2))
+        assert obu.verify_bundle(bundle).outcome is Outcome.ACCEPTED
         for bad in (b"", b"abc"):
             with pytest.raises(EnvelopeFailure):
                 rsu.record_closing_reply(key_id, obu.sym.seal(obu.session_key, bad, obu.rng))
@@ -1335,10 +1417,11 @@ class TestByteFuzz:
     @given(_blobs(16) | _values(4, 2**32))
     def test_challenge_bundle(self, plain):
         rsu, obu = _fuzz_endpoints()
-        _open_screened_session(rsu, obu, _FUZZ_CONFIG)
+        assert _membership(rsu, obu, _open_screened_session(rsu, obu, _FUZZ_CONFIG))
         try:
             sealed = obu.challenge_bundle(obu.sym.seal(obu.session_key, plain, rsu.rng))
         except zkp.MalformedProof:
+            assert obu.step is ObuStep.PROVEN
             with pytest.raises(StepOutOfOrder):  # nothing was challenged
                 obu.verify_bundle(b"")
             return

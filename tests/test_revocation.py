@@ -423,6 +423,21 @@ class TestIncrementalIndex:
             10 * (window + 1) + (window + 2), 0)
         assert cost(lambda: broadcast_revocation(9, 0, [cold])) == (0, 0)
 
+    def test_one_index_serves_every_mu(self, cost):
+        # a head is block 0, which mu does not change: members announcing
+        # 5 and 6 sets in turn share one build of 8 entries' 65 heads
+        n, k = 50, 5
+        table = RevocationTable()
+        for iv in range(8):
+            table.upsert(RevocationEntry(iv=iv, last_known_counter=0))
+        screens = [next_sequence(1000 + i, 0, n, k, mu) for i, mu in enumerate((5, 6, 5, 6))]
+        draws = [cost(lambda: screen_session(table, seen, n, k))[0] for seen in screens]
+        assert draws == [8 * (revocation.DEFAULT_SEARCH_WINDOW + 1), 0, 0, 0]
+        for mu, counter in ((5, 3), (6, 9), (5, 9)):
+            hit = next_sequence(4, counter, n, k, mu)
+            assert cost(lambda: screen_session(table, hit, n, k))[0] == 0
+            assert screen_session(table, hit, n, k) == Match(iv=4, counter=counter)
+
     def test_shared_head_with_another_sequence_is_no_match(self, cost):
         n, k, mu = _N, _K, 2
         iv = next(
