@@ -85,15 +85,10 @@ class CheaterProver:
         return r
 
 
-def cheater_attempt(
-    prover: CheaterProver, h: int, verifier_rng: Rng, transcript: Optional[list] = None
-) -> bool:
+def cheater_attempt(prover: CheaterProver, h: int, verifier_rng: Rng) -> bool:
     """One full cheating attempt: up to h rounds against an honest
-    verifier, which stops at the first failed round. Returns the verdict;
-    every round played is appended to ``transcript`` when one is given."""
-    return zkp.verify_interactive(
-        zkp.BASIC, prover, prover.witnesses, h, prover.m, verifier_rng, transcript
-    )
+    verifier, which stops at the first failed round. Returns the verdict."""
+    return zkp.verify_interactive(zkp.BASIC, prover, prover.witnesses, h, prover.m, verifier_rng)
 
 
 class BundleCheater:

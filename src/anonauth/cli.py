@@ -216,27 +216,20 @@ def _demo_session(params: dict, modulus=None):
 
 @_subcommand(
     "attack",
-    click.Argument(["mode"], type=click.Choice(["cheater", "record", "simulate"])),
+    click.Argument(["mode"], type=click.Choice(["record", "simulate"])),
     click.Option(["--k", "k"], type=int, default=2, show_default=True),
     click.Option(["--h", "h"], type=int, default=1, show_default=True),
     click.Option(["--n", "n"], type=int, default=4, show_default=True),
     click.Option(["--mu"], type=int, default=2, show_default=True),
-    click.Option(["--trials"], type=int, default=10000, show_default=True),
     click.Option(["--sessions"], type=int, default=200, show_default=True),
     click.Option(["--variant"], type=click.Choice(["basic", "hardened"]), default="basic"),
     click.Option(["--tap"], type=click.Choice(["rounds", "ciphertext"]), default="rounds"),
 )
 def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     """Run a threat-model experiment and emit an attack report."""
-    mode = params["mode"]
-    seed = params["seed"]
-    if mode == "cheater":
-        rep = analysis.mc_cheater(params["k"], params["h"], params["trials"], seed)
-        return {"cheater_report.csv": analysis.CSV_HEADER + "\n" + rep.csv_row() + "\n"}, EXIT_OK
-
-    # record / simulate share a live deployment on a deliberately weak
-    # modulus; commitment collisions are what make replay matrices fill
-    n, k, h, mu = params["n"], params["k"], params["h"], params["mu"]
+    # both modes share a live deployment on a deliberately weak modulus;
+    # commitment collisions are what make replay matrices fill
+    n, k, h, mu, seed = params["n"], params["k"], params["h"], params["mu"], params["seed"]
     weak = BlumModulus(m=21, bit_length=5, p=3, q=7)
     obu, rsu, config = _demo_session(params, modulus=weak)
     transcripts = []
@@ -245,7 +238,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
         transcripts.append(transcript)
     corpus = adversary.observe_sessions(transcripts, adversary.TapLevel(params["tap"]))
 
-    if mode == "record":
+    if params["mode"] == "record":
         records = [
             {
                 "secret_ids": list(obs.secret_ids),

@@ -22,7 +22,7 @@ from .numtheory import Rng
 SESSION_KEY_BYTES = 16  # 128-bit symmetric session keys
 
 
-class EnvelopeFailure(Exception):
+class EnvelopeFailure(ValueError):
     """An envelope failed to open (wrong key, tamper, or malformed blob)."""
 
 

@@ -72,10 +72,6 @@ class StaleTimestamp(ValueError):
     pass
 
 
-class UndecryptableRequest(ValueError):
-    """A request did not open under the verifier's key."""
-
-
 class MalformedSetRequest(ValueError):
     pass
 
@@ -143,7 +139,6 @@ class AuthResult:
 class SessionTranscript:
     frames: list[bytes] = field(default_factory=list)
     bundle_observations: list[ZkpProof] = field(default_factory=list)
-    requested_sets: tuple = ()
     key_id: bytes = NO_KEY_ID
 
 
@@ -229,7 +224,6 @@ class Rsu:
         policy: Optional[dict[str, int]] = None,
         sym=None,
         seal=None,
-        table: Optional[RevocationTable] = None,
     ):
         self.credential = credential
         self.rng = rng
@@ -238,7 +232,7 @@ class Rsu:
         self.policy = policy if policy is not None else {"ERS": 1, "NAV": 1, "INFO": 1}
         self.sym = sym or envelopes.AesGcmEnvelope()
         self.seal = seal or envelopes.EciesSeal()
-        self.table = table if table is not None else RevocationTable()
+        self.table = RevocationTable()
         self.sessions: dict[bytes, _RsuSession] = {}
 
     # -- step 1: discovery ------------------------------------------------
@@ -250,16 +244,15 @@ class Rsu:
 
     def register_session(self, request: bytes, config: SessionConfig) -> bytes:
         """Open a sealed (group_id, T1, session key, serv_id, alpha) request; its key id.
+        ``MalformedRequest`` unless the group's pool holds ``config.n`` secrets.
         The session keeps the policy's floor for serv_id, never serv_id itself."""
-        try:
-            plain = self.seal.open(self.credential.seal_private_key, request)
-        except EnvelopeFailure as exc:
-            raise UndecryptableRequest("request did not open under this verifier's key") from exc
-        group_id, t1, session_key, serv_id, alpha = _request_fields(
-            plain, self.credential.pool_secrets
-        )
+        plain = self.seal.open(self.credential.seal_private_key, request)
+        pools = self.credential.pool_secrets
+        group_id, t1, session_key, serv_id, alpha = _request_fields(plain, pools)
         if not _fresh(self.clock, t1):
             raise StaleTimestamp(f"t1={t1} outside window at t={self.clock}")
+        if config.n > len(pools[group_id]):
+            raise MalformedRequest(f"n={config.n} exceeds group {group_id}'s pool")
         while True:
             key_id = self.rng.randbytes(8)
             if key_id not in self.sessions and key_id != NO_KEY_ID:
@@ -433,7 +426,10 @@ class Obu:
     # -- step 1: request ----------------------------------------------------
 
     def start(self, cert: Certificate, config: SessionConfig) -> bytes:
-        """Check the beacon's certificate and seal a request to its key."""
+        """Check the beacon's certificate and seal a request to its key, unless
+        the member's last counter is spent (``revocation.CounterOverflow``)."""
+        if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:
+            raise revocation.CounterOverflow("the credential's last counter is spent")
         now = self.clock
         if not cert.valid_from <= now <= cert.valid_to:
             raise BadCertificate(f"beacon certificate is not valid at t={now}")
@@ -517,8 +513,6 @@ class Obu:
             observations.extend(map(ZkpProof, self.sets, verifier.rounds()))
         if verified < cfg.alpha:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
-        if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:
-            raise revocation.CounterOverflow("the credential's last counter is spent")
         self.credential.counter += 1
         return AuthResult(Outcome.ACCEPTED, verified, cfg.alpha)
 
@@ -549,7 +543,6 @@ def run_full_session(
         return AuthResult(Outcome.REJECTED_POLICY, 0, config.alpha), log
 
     sealed = send(MSG_PROOF_SETS, obu.choose_proof_sets())
-    log.requested_sets = obu.sets
     if rsu.receive_proof_sets(key_id, sealed) is not None:
         return AuthResult(Outcome.REJECTED_REVOKED, 0, config.alpha), log
 

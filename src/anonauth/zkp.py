@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice, starmap
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .numtheory import Rng, gcd, sample_unit
 
@@ -68,19 +68,10 @@ class Variant(Enum):
     HARDENED = "hardened"
 
 
-# a session builds dozens of rounds: ``__init__`` writes the slots through
-# their descriptors, without the generated one's per-field lookups
-@dataclass(frozen=True, slots=True, init=False)
-class ZkpRound:
+class ZkpRound(NamedTuple):
     w: int
     challenge: int
     y: int
-
-    def __init__(self, w: int, challenge: int, y: int):
-        _SET_W(self, w), _SET_CHALLENGE(self, challenge), _SET_Y(self, y)
-
-
-_SET_W, _SET_CHALLENGE, _SET_Y = (getattr(ZkpRound, f).__set__ for f in ZkpRound.__match_args__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,13 +355,11 @@ def verify_interactive(
     h: int,
     m: int,
     verifier_rng: Rng,
-    transcript: Optional[list] = None,
 ) -> bool:
     """Play up to h rounds of ``system`` against any prover object and
     stop at the first round that fails.
 
     The prover exposes ``commit() -> W`` and ``respond(challenge) -> Y``.
-    Every round played is appended to ``transcript`` when one is given.
     """
     k = len(witnesses)
     if k < 1 or h < 1:
@@ -380,8 +369,6 @@ def verify_interactive(
         w = commit()
         challenge = randbits(k)
         y = respond(challenge)
-        if transcript is not None:
-            transcript.append(ZkpRound(w, challenge, y))
         if not _round_ok(system, w, challenge, y, witnesses, m):
             return False
     return True

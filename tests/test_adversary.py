@@ -54,6 +54,22 @@ def _honest_row(secrets, m, rng, k):
     return rounds
 
 
+class _Recorder:
+    """Pass-through prover that keeps each round it plays as a ``ZkpRound``."""
+
+    def __init__(self, prover):
+        self.prover, self.rounds = prover, []
+
+    def commit(self):
+        self.w = self.prover.commit()
+        return self.w
+
+    def respond(self, challenge):
+        y = self.prover.respond(challenge)
+        self.rounds.append(ZkpRound(self.w, challenge, y))
+        return y
+
+
 class TestCheater:
     def test_single_round_success_near_half(self):
         m, _, witnesses = _pool(1, 1)
@@ -77,11 +93,10 @@ class TestCheater:
         prover, vrng = CheaterProver(witnesses[:2], m, Rng(30)), Rng(31)
         seen_success = False
         for _ in range(2_000):
-            rounds = []
-            ok = cheater_attempt(prover, 1, vrng, rounds)
-            if ok:
+            recorder = _Recorder(prover)
+            if zkp.verify_interactive(zkp.BASIC, recorder, witnesses[:2], 1, m, vrng):
                 seen_success = True
-                for rd in rounds:
+                for rd in recorder.rounds:
                     assert verify_round(rd.w, rd.challenge, rd.y, witnesses[:2], m)
         assert seen_success
 
@@ -90,9 +105,9 @@ class TestCheater:
         prover, vrng = CheaterProver(witnesses[:2], m, Rng(40)), Rng(41)
         saw_truncated = False
         for _ in range(200):
-            rounds = []
-            ok = cheater_attempt(prover, 8, vrng, rounds)
-            if not ok and len(rounds) < 8:
+            recorder = _Recorder(prover)
+            ok = zkp.verify_interactive(zkp.BASIC, recorder, witnesses[:2], 8, m, vrng)
+            if not ok and len(recorder.rounds) < 8:
                 saw_truncated = True
         assert saw_truncated
 

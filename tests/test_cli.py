@@ -144,6 +144,23 @@ class TestBadBundle:
         self._auth_demo(runner, tmp_path, _keygen(runner, tmp_path, **{"--rsus": 0}))
 
 
+    def test_n_beyond_the_rsus_pool_exits_2(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        runner.invoke(main, ["keygen", "-n", "8", "--seed", "7", "--out-dir", str(bundle)])
+        rsu_file = bundle / "rsu_0.json"
+        record = json.loads(rsu_file.read_text())
+        record["pool_secrets"] = {g: pool[:6] for g, pool in record["pool_secrets"].items()}
+        rsu_file.write_text(json.dumps(record))
+        out = tmp_path / "demo"
+        result = runner.invoke(
+            main,
+            ["auth-demo", "--bundle", str(bundle), "--alpha", "2", "--mu", "5",
+             "--seed", "7", "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert list(out.iterdir()) == []
+
+
 class TestAnalyze:
     def test_figure_csv(self, runner, tmp_path):
         out = tmp_path / "fig"
@@ -225,25 +242,6 @@ class TestAttack:
         )
         assert result.exit_code == 4
         assert "infeasible" in result.output
-
-    def test_cheater_mode_report(self, runner, tmp_path):
-        out = tmp_path / "cheat"
-        result = runner.invoke(
-            main,
-            ["attack", "cheater", "--k", "1", "--h", "1", "--trials", "20000",
-             "--seed", "6", "--out-dir", str(out)],
-        )
-        assert result.exit_code == 0
-        assert (out / "cheater_report.csv").exists()
-
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_cheater_without_trials_exits_2(self, runner, tmp_path, trials):
-        result = runner.invoke(
-            main,
-            ["attack", "cheater", "--trials", trials, "--out-dir", str(tmp_path / "t")],
-        )
-        assert result.exit_code == 2
-        assert "trials must be >= 1" in result.output
 
 
 class TestRevokeDemo:

@@ -30,7 +30,6 @@ from anonauth.protocol import (
     StaleTimestamp,
     Step,
     StepOutOfOrder,
-    UndecryptableRequest,
     UnknownSession,
     UnsupportedAlpha,
     run_full_session,
@@ -105,7 +104,7 @@ class TestHandshakeErrors:
         request = obu.start(rsu_a.beacon(), cfg())
         dep_b = build_deployment(99, n=6, k=2)
         rsu_b = dep_b.make_rsu(3)
-        with pytest.raises(UndecryptableRequest):
+        with pytest.raises(EnvelopeFailure):
             rsu_b.register_session(request, cfg())
 
     def test_unknown_session_key_id(self):
@@ -396,10 +395,12 @@ class TestBundleReplay:
         obu.credential.counter = last - 1
         assert run_full_session(obu, rsu, cfg())[0].outcome is Outcome.ACCEPTED
         assert obu.credential.counter == last
-        # the session at the last counter runs, but no counter follows it
-        with pytest.raises(revocation.CounterOverflow):
-            run_full_session(obu, rsu, cfg())
-        assert obu.credential.counter == last
+        # no counter follows the last, so the member refuses before it sends
+        # anything and the RSU holds no session it could not close
+        for _ in range(2):
+            with pytest.raises(revocation.CounterOverflow):
+                run_full_session(obu, rsu, cfg())
+            assert obu.credential.counter == last and not rsu.sessions
         with pytest.raises(revocation.CounterOverflow):
             revocation.next_sequence(obu.credential.iv, last + 1, 6, 2, 3)
 
@@ -1279,6 +1280,16 @@ class TestHostileRequests:
         assert rsu.negotiate_privacy(key_id) is None
         assert self._register(rsu, _request_body(serv_id=b"INFO")) in rsu.sessions
 
+    def test_n_beyond_the_groups_pool_is_refused(self):
+        # the member's config names ids up to n; the RSU serves only its own pool
+        dep = build_deployment(47, n=6, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(alpha=2, mu=5, n=8)
+        for _ in range(4):
+            with pytest.raises(MalformedRequest):
+                run_full_session(obu, rsu, config)
+            assert not rsu.sessions and obu.credential.counter == 0
+
     def test_nan_t2_is_stale(self):
         dep = build_deployment(49, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
@@ -1288,6 +1299,36 @@ class TestHostileRequests:
         forged = struct.pack(">d", float("nan")) + plain[8:]
         with pytest.raises(StaleTimestamp):
             rsu.challenge_membership(key_id, obu.sym.seal(obu.session_key, forged, obu.rng))
+
+
+class TestBadTags:
+    """A message that fails its AEAD tag is a ``ValueError`` at every handler
+    that opens one, and leaves the session where it was."""
+
+    def test_every_opening_handler_raises_value_error(self):
+        dep = build_deployment(46, n=6, k=2, stub=False)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        config = cfg(h=2)
+
+        def deliver(handler, sealed):
+            with pytest.raises(ValueError):
+                handler(sealed[:-1] + bytes([sealed[-1] ^ 1]))
+            return handler(sealed)
+
+        request = obu.start(rsu.beacon(), config)
+        key_id = obu.key_id = deliver(lambda b: rsu.register_session(b, config), request)
+        assert rsu.negotiate_privacy(key_id) == config.alpha
+        sets = obu.choose_proof_sets()
+        assert deliver(lambda b: rsu.receive_proof_sets(key_id, b), sets) is None
+        sealed = deliver(lambda b: rsu.challenge_membership(key_id, b), obu.prove_membership())
+        sealed = deliver(obu.answer_membership, sealed)
+        assert deliver(lambda b: rsu.check_membership_proof(key_id, b), sealed)
+        sealed = deliver(obu.challenge_bundle, rsu.generate_proof_bundle(key_id))
+        sealed = deliver(lambda b: rsu.answer_bundle(key_id, b), sealed)
+        assert deliver(obu.verify_bundle, sealed).outcome is Outcome.ACCEPTED
+        reply = obu.closing_reply()
+        assert deliver(lambda b: rsu.record_closing_reply(key_id, b), reply) == config.alpha
+        assert not rsu.sessions
 
 
 def _blobs(*exact):
@@ -1351,7 +1392,7 @@ class TestByteFuzz:
         for request in (sealed, plain):
             try:
                 key_id = rsu.register_session(request, cfg())
-            except (UndecryptableRequest, MalformedRequest, StaleTimestamp):
+            except (EnvelopeFailure, MalformedRequest, StaleTimestamp):
                 continue
             assert rsu.negotiate_privacy(key_id) in (None, 1, 2, 3, 4, 5)
 

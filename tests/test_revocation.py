@@ -549,7 +549,8 @@ class TestEndToEndRevocation:
         dep, rsu, obu, cfg = self._setup()
         broadcast_revocation(obu.credential.iv, 0, [rsu.table])
         run_full_session(obu, rsu, cfg)
-        restarted = dep.make_rsu(9, table=rsu.table)
+        restarted = dep.make_rsu(9)
+        restarted.table = rsu.table
         result, _ = run_full_session(obu, restarted, cfg)
         assert result.outcome is Outcome.REJECTED_REVOKED
 

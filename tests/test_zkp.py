@@ -39,7 +39,7 @@ M = 21
 class TestRecords:
     def test_fields_cannot_be_assigned(self):
         rd = ZkpRound(1, 2, 2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rd.y = 3
         with pytest.raises(dataclasses.FrozenInstanceError):
             ZkpProof((1,), (rd,)).rounds = ()
@@ -52,7 +52,7 @@ class TestRecords:
 
     def test_replace_builds_a_new_record(self):
         rd = ZkpRound(1, 2, 2)
-        assert dataclasses.replace(rd, y=3) == ZkpRound(1, 2, 3)
+        assert rd._replace(y=3) == ZkpRound(1, 2, 3)
         assert rd == ZkpRound(1, 2, 2)
 
 
