@@ -143,10 +143,10 @@ class TestBadBundle:
     def test_bundle_without_rsu_exits_2(self, runner, tmp_path):
         self._auth_demo(runner, tmp_path, _keygen(runner, tmp_path, **{"--rsus": 0}))
 
-
     def test_n_beyond_the_rsus_pool_exits_2(self, runner, tmp_path):
         bundle = tmp_path / "bundle"
-        runner.invoke(main, ["keygen", "-n", "8", "--seed", "7", "--out-dir", str(bundle)])
+        keygen = ["keygen", "-n", "8", "--seed", "7", "--out-dir", str(bundle)]
+        assert runner.invoke(main, keygen).exit_code == 0
         rsu_file = bundle / "rsu_0.json"
         record = json.loads(rsu_file.read_text())
         record["pool_secrets"] = {g: pool[:6] for g, pool in record["pool_secrets"].items()}
