@@ -385,7 +385,7 @@ def _fits(option: click.Parameter, value) -> bool:
 def _manifest_run(text: str) -> tuple[str, dict]:
     """(subcommand, params) of a manifest; a ``ValueError`` unless it is a
     JSON object naming a subcommand and a value of the right type for each
-    of its options."""
+    of its options, and no other param."""
     try:
         spec = json.loads(text)
     except RecursionError as exc:
@@ -399,6 +399,9 @@ def _manifest_run(text: str) -> tuple[str, dict]:
     missing = [p.name for p in options if p.name not in params]
     if missing:
         raise ValueError(f"{sub} manifest lacks params {', '.join(missing)}")
+    unknown = sorted(params.keys() - {p.name for p in options})
+    if unknown:
+        raise ValueError(f"{sub} takes no params {', '.join(unknown)}")
     wrong = [p.name for p in options if not _fits(p, params[p.name])]
     if wrong:
         raise ValueError(f"{sub} manifest params of the wrong type: {', '.join(wrong)}")

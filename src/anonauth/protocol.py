@@ -22,8 +22,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
 from typing import Optional
 
 from . import envelopes, revocation, zkp
@@ -77,7 +78,8 @@ class MalformedSetRequest(ValueError):
 
 
 class MalformedRequest(ValueError):
-    """An opened request is short, or its group, t1, alpha or serv_id is not acceptable."""
+    """An opened request is short, or its group, t1, alpha or serv_id is not
+    acceptable; or a request would name an n beyond its group's pool."""
 
 
 class UnknownSession(ValueError):
@@ -135,11 +137,28 @@ class AuthResult:
             raise ValueError("accepted result below the alpha threshold")
 
 
-@dataclass
 class SessionTranscript:
-    frames: list[bytes] = field(default_factory=list)
-    bundle_observations: list[ZkpProof] = field(default_factory=list)
-    key_id: bytes = NO_KEY_ID
+    """What one session sent, recorded by reference while it runs and built
+    when first read. ``sent`` holds each message's ``(tag, key_id, sealed)``,
+    which ``frames`` encodes; ``bundle`` holds the member's announced sets and
+    its judged bundle ``zkp.Verifier``, from which ``bundle_observations``
+    builds one ``ZkpProof`` per set, none unless the bundle's answers decoded.
+    Nothing recorded changes once the session ends, so a transcript reads
+    the same after its endpoints run later sessions."""
+
+    def __init__(self):
+        self.key_id: bytes = NO_KEY_ID
+        self.sent: list[tuple[int, bytes, bytes]] = []
+        self.bundle: tuple[tuple, Optional[zkp.Verifier]] = ((), None)
+
+    @functools.cached_property
+    def frames(self) -> list[bytes]:
+        return list(starmap(encode_message, self.sent))
+
+    @functools.cached_property
+    def bundle_observations(self) -> list[ZkpProof]:
+        sets, verifier = self.bundle
+        return [] if verifier is None else list(map(ZkpProof, sets, verifier.rounds()))
 
 
 def _fresh(now: float, t: float) -> bool:
@@ -427,9 +446,12 @@ class Obu:
 
     def start(self, cert: Certificate, config: SessionConfig) -> bytes:
         """Check the beacon's certificate and seal a request to its key, unless
-        the member's last counter is spent (``revocation.CounterOverflow``)."""
+        the member's last counter is spent (``revocation.CounterOverflow``) or
+        its pool holds fewer than ``config.n`` witnesses (``MalformedRequest``)."""
         if self.credential.counter + 1 >= revocation.COUNTER_LIMIT:
             raise revocation.CounterOverflow("the credential's last counter is spent")
+        if config.n > len(self.credential.pool_witnesses):
+            raise MalformedRequest(f"n={config.n} exceeds the member's pool")
         now = self.clock
         if not cert.valid_from <= now <= cert.valid_to:
             raise BadCertificate(f"beacon certificate is not valid at t={now}")
@@ -496,11 +518,12 @@ class Obu:
         return self.sym.seal(self.session_key, verifier.challenge(self.rng), self.rng)
 
     def verify_bundle(
-        self, sealed: bytes, observations: Optional[list[ZkpProof]] = None
+        self, sealed: bytes, transcript: Optional[SessionTranscript] = None
     ) -> AuthResult:
         """Count the proofs whose answers (none, if they do not decode) check
         against the rounds ``challenge_bundle`` kept; the verdict, whatever it
-        is, decides the session. On acceptance the member moves to its next
+        is, decides the session. A half that judged goes to ``transcript``
+        with the announced sets. On acceptance the member moves to its next
         counter."""
         cfg = self._at(ObuStep.CHALLENGED)
         plain = self.sym.open(self.session_key, sealed)
@@ -509,8 +532,8 @@ class Obu:
             verified = sum(verifier.judge(plain))
         except zkp.MalformedProof:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, 0, cfg.alpha)
-        if observations is not None:
-            observations.extend(map(ZkpProof, self.sets, verifier.rounds()))
+        if transcript is not None:
+            transcript.bundle = self.sets, verifier
         if verified < cfg.alpha:
             return AuthResult(Outcome.REJECTED_INSUFFICIENT_PROOFS, verified, cfg.alpha)
         self.credential.counter += 1
@@ -526,13 +549,15 @@ def run_full_session(
     obu: Obu, rsu: Rsu, config: SessionConfig
 ) -> tuple[AuthResult, SessionTranscript]:
     """Execute one complete session, passing each message between the
-    endpoints and logging its frame up to the step that decides it; a
-    verdict on the bundle, accepting or not, is closed at both ends. The
-    transcript doubles as the tap for the passive-observer threat model."""
+    endpoints up to the step that decides it; a verdict on the bundle,
+    accepting or not, is closed at both ends. The transcript records each
+    message sent and the member's judged bundle half by reference, and
+    builds their frames and proofs only when read; it doubles as the tap
+    for the passive-observer threat model."""
     log = SessionTranscript()
 
     def send(tag: int, sealed: bytes) -> bytes:
-        log.frames.append(encode_message(tag, log.key_id, sealed))
+        log.sent.append((tag, log.key_id, sealed))
         return sealed
 
     cert = rsu.beacon()
@@ -555,6 +580,6 @@ def run_full_session(
     sealed = send(MSG_COMMITMENTS, rsu.generate_proof_bundle(key_id))
     sealed = send(MSG_CHALLENGES, obu.challenge_bundle(sealed))
     sealed = send(MSG_ANSWERS, rsu.answer_bundle(key_id, sealed))
-    result = obu.verify_bundle(sealed, observations=log.bundle_observations)
+    result = obu.verify_bundle(sealed, log)
     rsu.record_closing_reply(key_id, send(MSG_ALPHA_REPLY, obu.closing_reply()))
     return result, log

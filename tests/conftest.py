@@ -1,6 +1,7 @@
 """Shared fixtures: a tiny hand-built Blum modulus, a deployment factory and
 the decoder of the Monte Carlo k-id set bitmasks."""
 
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -95,3 +96,21 @@ def verify_calls(monkeypatch):
 
     monkeypatch.setattr(protocol, "verify_certificate", counting_verify)
     return calls
+
+
+@pytest.fixture
+def transcript_builds(monkeypatch) -> Counter:
+    """How many frames ``protocol`` encodes and how many ``ZkpProof``s it
+    builds, under "frames" and "proofs"."""
+    built = Counter()
+
+    def counted(name, build):
+        def count(*args):
+            built[name] += 1
+            return build(*args)
+
+        return count
+
+    monkeypatch.setattr(protocol, "encode_message", counted("frames", protocol.encode_message))
+    monkeypatch.setattr(protocol, "ZkpProof", counted("proofs", protocol.ZkpProof))
+    return built

@@ -336,6 +336,16 @@ class TestRerun:
         assert result.exit_code == 2
         assert "parameter error" in result.output
 
+    @pytest.mark.parametrize("extra", [{"trials": 10000}, {"out_dir": "elsewhere"}],
+                             ids=["other-subcommands-option", "out-dir"])
+    def test_param_no_option_takes_exits_2(self, runner, tmp_path, extra):
+        params = {"groups": 1, "pool_size": 4, "secrets_per_member": 2, "bit_length": 24,
+                  "obus_per_group": 1, "rsus": 1, "seed": 1}
+        result = self._rerun_spec(runner, tmp_path, "keygen", {**params, **extra})
+        assert result.exit_code == 2, result.output
+        assert f"keygen takes no params {next(iter(extra))}" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_analyze_without_task_exits_2(self, runner, tmp_path):
         params = {"figure": None, "mc_formula": None, "k": 2, "h": 1, "n": 6, "mu": 2,
                   "trials": 10, "seed": 1}

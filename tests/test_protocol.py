@@ -161,14 +161,16 @@ class TestPrivacyNegotiation:
             rsu.receive_proof_sets(key_id, obu.choose_proof_sets())
         assert key_id not in rsu.sessions
 
-    def test_policy_rejection_ends_session(self):
+    def test_policy_rejection_ends_session(self, transcript_builds):
         dep = build_deployment(2, n=6, k=2)
         rsu = dep.make_rsu(1, policy={"INFO": 4})
         obu = dep.make_obu(2)
         result, log = run_full_session(obu, rsu, cfg(alpha=2, mu=3))
         assert result.outcome is Outcome.REJECTED_POLICY
         assert result.verified_count == 0
+        assert not transcript_builds  # nothing is built until the transcript is read
         assert not log.bundle_observations
+        assert len(log.frames) == 2 and transcript_builds == {"frames": 2}
 
 
 def _seal_sets(obu, sets, tail=b""):
@@ -565,7 +567,7 @@ class TestCertificateChecks:
 
 class TestFullSession:
     @pytest.mark.parametrize("variant", [Variant.BASIC, Variant.HARDENED])
-    def test_accept_both_variants(self, variant):
+    def test_accept_both_variants(self, variant, transcript_builds):
         dep = build_deployment(20, n=6, k=2)
         rsu = dep.make_rsu(1)
         obu = dep.make_obu(2)
@@ -573,8 +575,14 @@ class TestFullSession:
         result, log = run_full_session(obu, rsu, config)
         assert result.outcome is Outcome.ACCEPTED
         assert result.verified_count == 3
-        assert len(log.bundle_observations) == 3
         assert not rsu.sessions  # the closing reply decides the session
+        # a transcript nobody reads costs no encode and no proof; each read
+        # builds its part once
+        assert not transcript_builds
+        for _ in range(2):
+            assert [obs.secret_ids for obs in log.bundle_observations] == list(obu.sets)
+            assert len(log.frames) == 10
+        assert transcript_builds == {"frames": 10, "proofs": 3}
 
     def test_transcript_frames_cover_all_steps(self):
         dep = build_deployment(21, n=6, k=2)
@@ -1281,14 +1289,28 @@ class TestHostileRequests:
         assert self._register(rsu, _request_body(serv_id=b"INFO")) in rsu.sessions
 
     def test_n_beyond_the_groups_pool_is_refused(self):
-        # the member's config names ids up to n; the RSU serves only its own pool
+        # the member's config names ids up to n; the RSU serves only its own
+        # pool, whatever n the member's own pool allowed it to start with
         dep = build_deployment(47, n=6, k=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         config = cfg(alpha=2, mu=5, n=8)
         for _ in range(4):
             with pytest.raises(MalformedRequest):
-                run_full_session(obu, rsu, config)
+                rsu.register_session(obu.start(rsu.beacon(), cfg(alpha=2, mu=5)), config)
             assert not rsu.sessions and obu.credential.counter == 0
+
+    def test_n_beyond_the_members_pool_is_refused_before_sealing(self):
+        # the RSU serves n = 8; a member holding 6 witnesses refuses to start
+        # rather than announce ids it cannot judge a bundle against
+        dep = build_deployment(47, n=8, k=2, stub=True)
+        rsu, obu = dep.make_rsu(1), dep.make_obu(2)
+        pool = obu.credential.pool_witnesses
+        obu.credential = dataclasses.replace(obu.credential, pool_witnesses=pool[:6])
+        with pytest.raises(MalformedRequest):
+            obu.start(rsu.beacon(), cfg(alpha=2, mu=5, n=8))
+        assert obu.step is None and obu.session_key is None
+        assert obu.rng.randbits(64) == dep.make_obu(2).rng.randbits(64)  # nothing drawn
+        assert run_full_session(obu, rsu, cfg(n=6))[0].outcome is Outcome.ACCEPTED
 
     def test_nan_t2_is_stale(self):
         dep = build_deployment(49, n=6, k=2, stub=True)

@@ -515,13 +515,15 @@ class TestEndToEndRevocation:
         cfg = SessionConfig(alpha=1, mu=3, k=2, h=2, n=6, serv_id="INFO")
         return dep, rsu, obu, cfg
 
-    def test_revoked_obu_denied_before_any_proof(self):
+    def test_revoked_obu_denied_before_any_proof(self, transcript_builds):
         dep, rsu, obu, cfg = self._setup()
         broadcast_revocation(obu.credential.iv, 0, [rsu.table])
         result, transcript = run_full_session(obu, rsu, cfg)
         assert result.outcome is Outcome.REJECTED_REVOKED
+        assert not transcript_builds  # nothing is built until the transcript is read
         assert len(transcript.frames) == 3  # beacon, request, sets: no proof sent
         assert not transcript.bundle_observations
+        assert transcript_builds == {"frames": 3}
 
     def test_unflagged_co_member_still_authenticates(self):
         dep, rsu, obu, cfg = self._setup()
