@@ -94,14 +94,16 @@ def p_cheater(k: int, h: int) -> Fraction:
 def p_mu(k: int, h: int, n: int, mu: int) -> Fraction:
     """Probability a secretless verifier-side prover passes all mu proofs,
     guessing both the k-id set and every challenge: (1/(2^kh * C(n,k)))^mu."""
-    if k > n:
-        raise ValueError("require k <= n")
+    if k > n or mu < 1:
+        raise ValueError("require k <= n and mu >= 1")
     return Fraction(1, (2 ** (k * h) * comb(n, k)) ** mu)
 
 
 def p_leak(n: int, k: int, mu: int) -> Fraction:
     """Probability one session's mu sets include a designated identifying
     set: mu / C(n, k)."""
+    if mu < 1:
+        raise ValueError("require mu >= 1")
     c = comb(n, k)
     if mu > c:
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})={c}")
@@ -121,14 +123,16 @@ def q_x(x: int, k: int, n: int, mu: int) -> Fraction:
     Note the exponent structure does not reduce to q_false at x = 2; the
     discrepancy is surfaced here, not corrected.
     """
-    if x < 2:
-        raise ValueError("require x >= 2")
+    if x < 2 or mu < 1:
+        raise ValueError("require x >= 2 and mu >= 1")
     return Fraction(1, (2 ** (x * (k - 1)) * comb(n, k) ** (x - 1)) ** mu)
 
 
 def p_missed(n: int, k: int, mu: int) -> Fraction:
     """Missed-revocation probability, literal product form with mu+1
     factors: 1 / (C * (C-1) * ... * (C-mu))."""
+    if mu < 1:
+        raise ValueError("require mu >= 1")
     c = comb(n, k)
     if c <= mu:
         raise ParameterOverflow(f"C({n},{k})={c} <= mu={mu}: zero factor in product")
@@ -138,6 +142,8 @@ def p_missed(n: int, k: int, mu: int) -> Fraction:
 def p_missed_mu_factors(n: int, k: int, mu: int) -> Fraction:
     """Companion reading with mu factors: the exact collision probability of
     two independent ordered sequences of mu distinct sets."""
+    if mu < 1:
+        raise ValueError("require mu >= 1")
     c = comb(n, k)
     if c < mu:
         raise ParameterOverflow(f"C({n},{k})={c} < mu={mu}")
@@ -158,6 +164,7 @@ def _mc_witnesses(n_values: int, seed: int):
 
 def mc_cheater(k: int, h: int, trials: int, seed: int) -> ProbabilityReport:
     """Simulate the secretless prover and compare against p_cheater."""
+    closed_form = p_cheater(k, h)
     m, _, witnesses = _mc_witnesses(k, seed)
     prover = adversary.CheaterProver(witnesses, m, Rng(seed))
     verifier_rng = Rng(seed ^ 0xA5A5A5)
@@ -167,7 +174,7 @@ def mc_cheater(k: int, h: int, trials: int, seed: int) -> ProbabilityReport:
         if attempt(prover, h, verifier_rng):
             successes += 1
     params = {"k": k, "h": h}
-    return ProbabilityReport("p_cheater", params, p_cheater(k, h), successes, trials, seed)
+    return ProbabilityReport("p_cheater", params, closed_form, successes, trials, seed)
 
 
 def mc_bundle_cheater(
@@ -177,6 +184,7 @@ def mc_bundle_cheater(
     against the alpha-threshold verification; oracle for p_mu at alpha=mu."""
     if mu > comb(n, k):
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
+    closed_form = p_mu(k, h, n, mu)
     m, _, pool_witnesses = _mc_witnesses(n, seed)
     cheater = adversary.BundleCheater(pool_witnesses, m, Rng(seed))
     verifier_rng = Rng(seed ^ 0xA5A5A5)
@@ -187,7 +195,7 @@ def mc_bundle_cheater(
         if adversary.bundle_cheater_attempt(cheater, requested, h, alpha, verifier_rng):
             successes += 1
     params = {"k": k, "h": h, "n": n, "mu": mu, "alpha": alpha}
-    return ProbabilityReport("p_mu", params, p_mu(k, h, n, mu), successes, trials, seed)
+    return ProbabilityReport("p_mu", params, closed_form, successes, trials, seed)
 
 
 def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> dict[int, None]:
@@ -223,25 +231,31 @@ def mc_sequence_collision(
 
     With ``distinct_blocks`` the real PRF sequence generator is used (mu
     pairwise-distinct sets) and the mu-factor reading of the
-    missed-revocation formula is the matching closed form. Without it,
-    each set is drawn independently, which isolates the C(n,k)-only
-    factor of the false-authentication formula.
+    missed-revocation formula is the matching closed form. Sequences whose
+    heads differ differ, so a trial builds both only when its heads are
+    equal, one trial in C(n, k). Without it, each set is drawn
+    independently, which isolates the C(n,k)-only factor of the
+    false-authentication formula.
     """
     rng = Rng(seed)
     successes = 0
     if distinct_blocks:
+        # next_sequence's own check, made once: a trial whose heads differ
+        # never reaches it
+        revocation._check_params(n, k, mu)
+        head, sequence = revocation._head, revocation.next_sequence
         for t in range(trials):
             iv_a = rng.randbits(64)
             iv_b = rng.randbits(64)
-            seq_a = revocation.next_sequence(iv_a, t, n, k, mu)
-            seq_b = revocation.next_sequence(iv_b, t, n, k, mu)
-            if seq_a == seq_b:
+            if head(iv_a, t, n, k) == head(iv_b, t, n, k) and (
+                sequence(iv_a, t, n, k, mu) == sequence(iv_b, t, n, k, mu)
+            ):
                 successes += 1
         cf = p_missed_mu_factors(n, k, mu)
         formula = "p_missed_mu_factors"
     else:
-        if not 1 <= k <= n:  # past this, _sample_subset never returns
-            raise ValueError(f"require 1 <= k <= n, got k={k}, n={n}")
+        if not 1 <= k <= n or mu < 1:  # past k's range, _sample_subset never returns
+            raise ValueError(f"require 1 <= k <= n and mu >= 1, got k={k}, n={n}, mu={mu}")
         sample = adversary._sample_subset
         for _ in range(trials):
             seq_a = [sample(rng, n, k) for _ in range(mu)]

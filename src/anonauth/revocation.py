@@ -94,6 +94,12 @@ def _draw_block(iv: int, counter: int, block_index: int, redraw: int, n: int, k:
                     return tuple(sorted(ids))
 
 
+def _head(iv: int, counter: int, n: int, k: int) -> Block:
+    """The first block of (iv, counter)'s sequence, ``next_sequence(...)[0]``
+    for every mu: block 0 is never redrawn."""
+    return _draw_block(iv, counter, 0, 0, n, k)
+
+
 def _check_params(n: int, k: int, mu: int) -> None:
     if not (1 <= k <= n <= MAX_POOL_SIZE) or mu < 1:
         raise ValueError(f"require 1 <= k <= n <= {MAX_POOL_SIZE} and mu >= 1")
@@ -128,14 +134,13 @@ def broadcast_revocation(iv: int, counter_hint: int, tables: Sequence[Revocation
 
 
 def _window(entry: RevocationEntry, params: tuple[int, int, int]) -> tuple[Block, ...]:
-    """The first blocks of the entry's window+1 sequences (fewer where the
-    window would pass the last 64-bit counter), in counter order from its
-    last known counter. Block 0 is never redrawn, so each is the head of
-    that counter's ``next_sequence``."""
+    """The heads of the entry's window+1 sequences (fewer where the window
+    would pass the last 64-bit counter), in counter order from its last
+    known counter."""
     n, k, window = params
     first = entry.last_known_counter
     last = min(first + window, COUNTER_LIMIT - 1)
-    return tuple(_draw_block(entry.iv, c, 0, 0, n, k) for c in range(first, last + 1))
+    return tuple(_head(entry.iv, c, n, k) for c in range(first, last + 1))
 
 
 class _ScreenIndex:

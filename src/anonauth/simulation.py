@@ -208,8 +208,9 @@ class _Sim:
         cfg = self.config
         node, rsu, msg_idx = payload
         # the channel model's packets per session: request, sets, membership
-        # proof, one per bundle proof and the closing reply; the protocol's
-        # own frames are three per proof, each batching its rounds
+        # proof, one per bundle proof and the closing reply; the protocol
+        # itself sends ten frames whatever mu is, three per exchange (each
+        # batching all its proofs' rounds)
         n_messages = 4 + cfg.mu
         pos = self.obu_position(node, t)
         dist = self.ring_distance(pos, rsu.position)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -25,7 +26,8 @@ from anonauth.adversary import (
     simulator_memory_cost,
 )
 from anonauth.numtheory import Rng, generate_blum_modulus, sample_unit
-from anonauth.protocol import Outcome, SessionConfig, StepOutOfOrder, run_full_session
+from anonauth.protocol import Obu, Outcome, SessionConfig, StepOutOfOrder, run_full_session
+from anonauth.revocation import broadcast_revocation
 from anonauth.zkp import Variant
 from anonauth.zkp import ZkpProof, ZkpRound, verify_round
 from conftest import M21, build_deployment, mask_ids
@@ -558,6 +560,42 @@ class TestTranscriptForger:
             _forged_bundle(rsu, obu, config, bundle).verified_count for _ in range(20)
         )
         assert (accepted, verified) == (0, 0)
+
+
+def evader(obu: Obu) -> Obu:
+    """The member of ``obu`` on software that derives its sets from an iv the
+    KDC never issued (the issued iv with its low bit flipped). Its group id,
+    master key and pool are the member's own, so it proves membership as the
+    member does, while screening reconstructs the issued iv's sequences."""
+    credential = dataclasses.replace(obu.credential, iv=obu.credential.iv ^ 1)
+    return Obu(credential, obu.root_public_key, obu.rng, obu.sym, obu.seal)
+
+
+class TestEvader:
+    """A revoked member whose software announces other sets. Screening binds
+    honest software only: nothing in either proof names the member."""
+
+    ATTEMPTS = 20
+
+    def _outcomes(self, software):
+        dep = build_deployment(61, n=6, k=2)
+        rsu = dep.make_rsu(1)
+        member = software(dep.make_obu(2))
+        config = SessionConfig(alpha=1, mu=3, k=2, h=2, n=6, serv_id="INFO")
+        broadcast_revocation(dep.obu_creds[0].iv, 0, [rsu.table])
+        return [run_full_session(member, rsu, config)[0].outcome for _ in range(self.ATTEMPTS)]
+
+    def test_honest_software_is_refused_after_its_revocation(self):
+        assert self._outcomes(lambda obu: obu) == [Outcome.REJECTED_REVOKED] * self.ATTEMPTS
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: screening recognises only the sequences of the "
+        "issued iv, and every member of a group proves membership with the same "
+        "master key, so an evader's sets derived from another iv pass",
+    )
+    def test_evader_is_refused_after_its_revocation(self):
+        assert self._outcomes(evader) == [Outcome.REJECTED_REVOKED] * self.ATTEMPTS
 
 
 class TestMemoryCost:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonauth import adversary, analysis
+from anonauth import adversary, analysis, revocation
 from anonauth.analysis import (
     CSV_HEADER,
     ParameterOverflow,
@@ -234,6 +234,106 @@ class TestMonteCarlo:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize(
+        "formula, args",
+        [
+            (p_mu, (2, 1, 3, -1)),
+            (p_mu, (2, 1, 3, 0)),
+            (q_false, (2, 1, 3, -1)),
+            (q_x, (2, 3, 5, -1)),
+            (p_leak, (6, 3, -1)),
+            (p_leak, (6, 3, 0)),
+            (p_missed, (4, 2, -1)),
+            (p_missed_mu_factors, (4, 2, 0)),
+            (mc_bundle_cheater, (2, 1, 3, 0, 0, 10, 1)),
+            (mc_bundle_cheater, (2, 1, 3, -1, 1, 10, 1)),
+            (mc_leak, (6, 3, 0, 10, 1)),
+            (mc_sequence_collision, (4, 2, 0, 10, 1)),
+            (mc_sequence_collision, (4, 2, -1, 10, 1, False)),
+            (mc_sequence_collision, (4, 2, 0, 10, 1, False)),
+        ],
+    )
+    def test_mu_below_one_is_refused_before_any_draw(self, formula, args):
+        # an estimator's rngs may not draw: it refuses before its first trial
+        with mock.patch.object(analysis, "Rng", _drawless_rng):
+            with pytest.raises(ValueError, match="mu >= 1"):
+                formula(*args)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_collision_parameters_are_checked_before_any_block(self, seed):
+        # a trial whose heads differ never reaches next_sequence's check, and
+        # a head drawn at k > n, k = 0 or n > 2^16 would never return
+        def draw(*args):
+            raise AssertionError("drew a block before the parameters were checked")
+
+        with mock.patch.object(revocation, "_draw_block", draw):
+            for n, k, mu, error in [
+                (4, 2, 7, ParameterOverflow),
+                (3, 4, 1, ValueError),
+                (4, 0, 1, ValueError),
+                (revocation.MAX_POOL_SIZE + 1, 2, 1, ValueError),
+            ]:
+                with pytest.raises(ValueError) as raised:
+                    mc_sequence_collision(n, k, mu, 1, seed)
+                assert raised.type is error
+
+
+def _drawless_rng(seed):
+    """An ``Rng`` that fails the test on its first draw."""
+
+    def draw(*args):
+        raise AssertionError(f"Rng({seed}) drew before the parameters were refused")
+
+    rng = Rng(seed)
+    rng.randbits = rng.random = draw
+    return rng
+
+
+def _ref_collisions(n, k, mu, trials, rng):
+    """``mc_sequence_collision``'s distinct-blocks loop as it was: both full
+    sequences on every trial."""
+    successes = 0
+    for t in range(trials):
+        iv_a, iv_b = rng.randbits(64), rng.randbits(64)
+        seq_a = revocation.next_sequence(iv_a, t, n, k, mu)
+        seq_b = revocation.next_sequence(iv_b, t, n, k, mu)
+        successes += seq_a == seq_b
+    return successes
+
+
+class TestSequenceCollisionHeads:
+    @pytest.mark.parametrize("n, k, mu", [(3, 1, 2), (4, 2, 2), (5, 2, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 1062])
+    def test_matches_full_sequence_reference(self, n, k, mu, seed):
+        made = []
+
+        def recording_rng(rng_seed):
+            made.append(Rng(rng_seed))
+            return made[-1]
+
+        with mock.patch.object(analysis, "Rng", recording_rng):
+            rep = mc_sequence_collision(n, k, mu, 3_000, seed)
+        ref = Rng(seed)
+        assert rep.successes == _ref_collisions(n, k, mu, 3_000, ref) > 0
+        assert made[0].randbits(64) == ref.randbits(64)
+
+    def test_a_trial_whose_heads_differ_draws_two_blocks(self):
+        n, k, mu = 4, 2, 2
+        seen = set()
+        for seed in range(40):
+            rng = Rng(seed)
+            iv_a, iv_b = rng.randbits(64), rng.randbits(64)
+            heads_differ = revocation._head(iv_a, 0, n, k) != revocation._head(iv_b, 0, n, k)
+            draws = mock.Mock(wraps=revocation._draw_block)
+            with mock.patch.object(revocation, "_draw_block", draws):
+                mc_sequence_collision(n, k, mu, 1, seed)
+            if heads_differ:
+                assert draws.call_count == 2
+            else:  # both heads, then both full sequences of mu blocks
+                assert draws.call_count >= 2 + 2 * mu
+            seen.add(heads_differ)
+        assert seen == {True, False}
 
 
 class TestFigureSeries:

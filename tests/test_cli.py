@@ -218,6 +218,17 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "trials must be >= 1" in result.output
 
+    @pytest.mark.parametrize("formula", ["p_mu", "p_leak", "p_missed"])
+    def test_mu_below_one_exits_2(self, runner, tmp_path, formula):
+        out = tmp_path / "mu"
+        result = runner.invoke(
+            main,
+            ["analyze", "--mc-formula", formula, "--mu", "-1", "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "mu >= 1" in result.output
+        assert list(out.iterdir()) == []
+
 
 class TestAttack:
     def test_simulate_succeeds_on_basic_variant(self, runner, tmp_path):

@@ -183,6 +183,22 @@ class TestDrawBlockReference:
         )
 
 
+class TestHead:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        iv=st.integers(0, 2**64 - 1),
+        counter=st.integers(0, 2**64 - 1),
+        n=st.one_of(st.integers(1, 256), st.integers(257, 5000)),
+        k=st.integers(1, 8),
+        mu=st.integers(1, 8),
+    )
+    @example(iv=0, counter=2**64 - 1, n=2**16, k=3, mu=2)
+    def test_is_the_first_block_for_every_mu(self, iv, counter, n, k, mu):
+        k = min(k, n)
+        mu = min(mu, comb(n, k))
+        assert revocation._head(iv, counter, n, k) == next_sequence(iv, counter, n, k, mu)[0]
+
+
 class TestCounter:
     def test_accepted_session_advances(self):
         dep = build_deployment(5, n=6, k=2)
