@@ -91,19 +91,23 @@ def p_cheater(k: int, h: int) -> Fraction:
     return Fraction(1, 2 ** (k * h))
 
 
+def _require(k: int, n: int, mu: int, h: int = 1) -> None:
+    """The domain of the set-based closed forms: 1 <= k <= n, h >= 1, mu >= 1."""
+    if not 1 <= k <= n or h < 1 or mu < 1:
+        raise ValueError(f"require 1 <= k <= n and h, mu >= 1, got k={k}, n={n}, h={h}, mu={mu}")
+
+
 def p_mu(k: int, h: int, n: int, mu: int) -> Fraction:
     """Probability a secretless verifier-side prover passes all mu proofs,
     guessing both the k-id set and every challenge: (1/(2^kh * C(n,k)))^mu."""
-    if k > n or mu < 1:
-        raise ValueError("require k <= n and mu >= 1")
+    _require(k, n, mu, h)
     return Fraction(1, (2 ** (k * h) * comb(n, k)) ** mu)
 
 
 def p_leak(n: int, k: int, mu: int) -> Fraction:
     """Probability one session's mu sets include a designated identifying
     set: mu / C(n, k)."""
-    if mu < 1:
-        raise ValueError("require mu >= 1")
+    _require(k, n, mu)
     c = comb(n, k)
     if mu > c:
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})={c}")
@@ -123,16 +127,16 @@ def q_x(x: int, k: int, n: int, mu: int) -> Fraction:
     Note the exponent structure does not reduce to q_false at x = 2; the
     discrepancy is surfaced here, not corrected.
     """
-    if x < 2 or mu < 1:
-        raise ValueError("require x >= 2 and mu >= 1")
+    if x < 2:
+        raise ValueError("require x >= 2")
+    _require(k, n, mu)
     return Fraction(1, (2 ** (x * (k - 1)) * comb(n, k) ** (x - 1)) ** mu)
 
 
 def p_missed(n: int, k: int, mu: int) -> Fraction:
     """Missed-revocation probability, literal product form with mu+1
     factors: 1 / (C * (C-1) * ... * (C-mu))."""
-    if mu < 1:
-        raise ValueError("require mu >= 1")
+    _require(k, n, mu)
     c = comb(n, k)
     if c <= mu:
         raise ParameterOverflow(f"C({n},{k})={c} <= mu={mu}: zero factor in product")
@@ -142,8 +146,7 @@ def p_missed(n: int, k: int, mu: int) -> Fraction:
 def p_missed_mu_factors(n: int, k: int, mu: int) -> Fraction:
     """Companion reading with mu factors: the exact collision probability of
     two independent ordered sequences of mu distinct sets."""
-    if mu < 1:
-        raise ValueError("require mu >= 1")
+    _require(k, n, mu)
     c = comb(n, k)
     if c < mu:
         raise ParameterOverflow(f"C({n},{k})={c} < mu={mu}")
@@ -181,10 +184,14 @@ def mc_bundle_cheater(
     k: int, h: int, n: int, mu: int, alpha: int, trials: int, seed: int
 ) -> ProbabilityReport:
     """End-to-end cheating bundle prover (set guess + challenge guesses)
-    against the alpha-threshold verification; oracle for p_mu at alpha=mu."""
+    against the alpha-threshold verification, 1 <= alpha <= mu. p_mu is its
+    success rate only at alpha = mu; at a smaller alpha the report still
+    compares against p_mu."""
+    closed_form = p_mu(k, h, n, mu)
     if mu > comb(n, k):
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
-    closed_form = p_mu(k, h, n, mu)
+    if not 1 <= alpha <= mu:
+        raise ValueError(f"require 1 <= alpha <= mu, got alpha={alpha}, mu={mu}")
     m, _, pool_witnesses = _mc_witnesses(n, seed)
     cheater = adversary.BundleCheater(pool_witnesses, m, Rng(seed))
     verifier_rng = Rng(seed ^ 0xA5A5A5)

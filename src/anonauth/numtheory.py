@@ -19,6 +19,9 @@ _MILLER_RABIN_ROUNDS = 64
 _FACTOR_MIN_BITS, _FACTOR_BOUND = 256, 1 << 14
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# psi_12, the least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_PSI_12 = 318665857834031151167461
 
 
 class NotInvertible(ValueError):
@@ -77,7 +80,9 @@ class BlumModulus:
 
 
 def is_prime(n: int, rng: Optional[Rng] = None) -> bool:
-    """Deterministic trial division below 2^20, Miller-Rabin above."""
+    """Deterministic trial division below 2^20, Miller-Rabin on 64 witnesses
+    from ``rng`` above. Below _PSI_12 the twelve bases of ``_SMALL_PRIMES``
+    decide, so a prime they pass still draws its witnesses but tries none."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -101,8 +106,11 @@ def is_prime(n: int, rng: Optional[Rng] = None) -> bool:
     # a round that fails modulo a divisor g > 1 of n fails modulo n, so the
     # check modulo g keeps every verdict and draw (math.gcd: ``gcd`` is traced)
     g = math.gcd(n, _factor_product()) if n.bit_length() >= _FACTOR_MIN_BITS else 1
+    proven = n < _PSI_12 and all(_round_passes(b, d, s, n) for b in _SMALL_PRIMES)
     for _ in range(_MILLER_RABIN_ROUNDS):
         a = witness_rng.randrange(2, n - 1)
+        if proven:
+            continue
         if g > 1 and not _round_passes(a, d, s, g) or not _round_passes(a, d, s, n):
             return False
     return True

@@ -1,6 +1,8 @@
-"""Shared fixtures: a tiny hand-built Blum modulus, a deployment factory and
-the decoder of the Monte Carlo k-id set bitmasks."""
+"""Shared fixtures: a tiny hand-built Blum modulus, a deployment factory, the
+decoder of the Monte Carlo k-id set bitmasks and a guard on calls that may
+never return."""
 
+import signal
 from collections import Counter
 from dataclasses import dataclass
 
@@ -81,6 +83,22 @@ def build_deployment(
 @pytest.fixture
 def m21():
     return M21
+
+
+@pytest.fixture
+def alarm():
+    """Fails the test once it has run 5 s, so a search that never ends fails
+    that test alone. The failure carries no traceback: reporting one from a
+    frame without a line number would end the whole session."""
+
+    def _timeout(signum, frame):
+        pytest.fail("still running after 5 s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import math
-import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -220,20 +219,11 @@ class TestMonteCarlo:
             "mc_sequence_collision-independent-k-above-n",
         ],
     )
-    def test_mu_above_subset_count_overflows(self, oracle, args, error):
+    def test_mu_above_subset_count_overflows(self, alarm, oracle, args, error):
         # mu distinct k-sets cannot be drawn when mu > C(n, k); the alarm
         # turns a search that never ends into a failure
-        def _timeout(signum, frame):
-            raise TimeoutError(f"{oracle.__name__}{args} still running after 5 s")
-
-        previous = signal.signal(signal.SIGALRM, _timeout)
-        signal.alarm(5)
-        try:
-            with pytest.raises(error):
-                oracle(*args)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(error):
+            oracle(*args)
 
     @pytest.mark.parametrize(
         "formula, args",
@@ -259,6 +249,39 @@ class TestMonteCarlo:
         with mock.patch.object(analysis, "Rng", _drawless_rng):
             with pytest.raises(ValueError, match="mu >= 1"):
                 formula(*args)
+
+    @pytest.mark.parametrize(
+        "formula, args",
+        [
+            (p_mu, (2, -1, 3, 1)),
+            (p_mu, (2, 0, 3, 1)),
+            (p_mu, (0, 1, 3, 1)),
+            (p_mu, (5, 4, 3, 1)),
+            (q_false, (2, 0, 3, 1)),
+            (q_x, (2, 0, 5, 1)),
+            (q_x, (2, 5, 3, 1)),
+            (p_leak, (6, 0, 1)),
+            (p_leak, (3, 4, 1)),
+            (p_missed, (4, 0, 1)),
+            (p_missed_mu_factors, (4, 0, 1)),
+            (p_missed_mu_factors, (3, 4, 1)),
+            (mc_cheater, (0, 1, 10, 1)),
+            (mc_leak, (6, 0, 1, 10, 1)),
+            (mc_leak, (3, 4, 1, 10, 1)),
+            (mc_bundle_cheater, (2, -1, 3, 1, 1, 10, 1)),
+            (mc_bundle_cheater, (0, 1, 3, 1, 1, 10, 1)),
+            (mc_bundle_cheater, (4, 1, 3, 1, 1, 10, 1)),
+            # p_mu is the success rate only at alpha = mu; past [1, mu] it is none
+            (mc_bundle_cheater, (2, 1, 3, 1, 0, 10, 1)),
+            (mc_bundle_cheater, (2, 1, 3, 1, -5, 10, 1)),
+            (mc_bundle_cheater, (2, 1, 3, 1, 2, 10, 1)),
+        ],
+    )
+    def test_k_h_and_alpha_outside_their_range_are_refused_before_any_draw(self, formula, args):
+        with mock.patch.object(analysis, "Rng", _drawless_rng):
+            with pytest.raises(ValueError, match="require") as raised:
+                formula(*args)
+        assert raised.type is ValueError
 
     @pytest.mark.parametrize("seed", range(20))
     def test_collision_parameters_are_checked_before_any_block(self, seed):

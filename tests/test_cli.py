@@ -229,6 +229,20 @@ class TestAnalyze:
         assert "mu >= 1" in result.output
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "formula, option, value",
+        [("p_mu", "--h", "-1"), ("p_mu", "--k", "0"), ("p_mu", "--k", "7"), ("p_leak", "--k", "0")],
+    )
+    def test_k_or_h_outside_its_range_exits_2(self, runner, tmp_path, formula, option, value):
+        out = tmp_path / "kh"
+        result = runner.invoke(
+            main, ["analyze", "--mc-formula", formula, option, value, "--out-dir", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "require 1 <= k <= n" in result.output
+        assert list(out.iterdir()) == []
+
 
 class TestAttack:
     def test_simulate_succeeds_on_basic_variant(self, runner, tmp_path):

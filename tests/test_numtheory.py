@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,13 @@ UNITS_21 = [a for a in range(1, 21) if math.gcd(a, 21) == 1]
 CARMICHAEL = [1152271, 1909001, 2508013, 3057601, 5148001, 279377281, 366652201]
 # primes in (37, 2^14], the factors the primality test searches for
 FACTOR_PRIMES = [41, 43, 97, 1021, 8191, 16381]
+PSI_12 = 399165290221 * 798330580441
+# primes on both sides of psi_12, the bound below which the twelve bases decide
+PRIMES_AROUND_PSI_12 = [
+    (1 << 31) - 1, (1 << 61) - 1, PSI_12 - 20, PSI_12 + 22, (1 << 89) - 1, (1 << 107) - 1,
+]
+# strong pseudoprimes to bases 2..7, to bases 2..23 and to every base 2..37
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, PSI_12]
 
 
 def reference_is_prime(n: int, rng=None) -> bool:
@@ -62,6 +70,18 @@ def reference_is_prime(n: int, rng=None) -> bool:
     return True
 
 
+def _agree(n: int, seed: int, min_bits: int = numtheory._FACTOR_MIN_BITS) -> None:
+    """``is_prime`` gives ``reference_is_prime``'s verdict and leaves the rng
+    where the reference leaves it, with the small-factor search from
+    ``min_bits`` up."""
+    ours, ref = Rng(seed), Rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "_FACTOR_MIN_BITS", min_bits)
+        assert is_prime(n, ours) == reference_is_prime(n, ref)
+        assert is_prime(n) == reference_is_prime(n)
+    assert ours.randbits(64) == ref.randbits(64)
+
+
 def brute_force_is_residue(a: int, m: int) -> bool:
     return any(x * x % m == a % m for x in range(1, m) if math.gcd(x, m) == 1)
 
@@ -91,15 +111,6 @@ class TestSmallFactorShortcut:
     there only where the full round fails, so verdicts and rng draws stay
     the reference's."""
 
-    @staticmethod
-    def _agree(n: int, seed: int, min_bits: int = numtheory._FACTOR_MIN_BITS) -> None:
-        ours, ref = Rng(seed), Rng(seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numtheory, "_FACTOR_MIN_BITS", min_bits)
-            assert is_prime(n, ours) == reference_is_prime(n, ref)
-            assert is_prime(n) == reference_is_prime(n)
-        assert ours.randbits(64) == ref.randbits(64)
-
     @settings(max_examples=60, deadline=None)
     @given(
         f=st.sampled_from(FACTOR_PRIMES),
@@ -107,15 +118,15 @@ class TestSmallFactorShortcut:
         seed=st.integers(0, 2**32),
     )
     def test_multiples_of_small_primes(self, f, q, seed):
-        self._agree(f * (q | 1), seed)
+        _agree(f * (q | 1), seed)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from(CARMICHAEL), seed=st.integers(0, 2**32))
     def test_carmichael_numbers_with_the_search_at_every_width(self, n, seed):
         # a narrow Carmichael number has many liars modulo its factors, so
         # the round modulo g often passes and the full round decides
-        self._agree(n, seed, min_bits=0)
-        self._agree(n * 43, seed, min_bits=0)
+        _agree(n, seed, min_bits=0)
+        _agree(n * 43, seed, min_bits=0)
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -123,20 +134,73 @@ class TestSmallFactorShortcut:
         seed=st.integers(0, 2**32),
     )
     def test_primes(self, n, seed):
-        self._agree(n, seed)
-        self._agree(n, seed, min_bits=0)
+        _agree(n, seed)
+        _agree(n, seed, min_bits=0)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2**20, 2**600), seed=st.integers(0, 2**32))
     def test_random_odd_numbers(self, n, seed):
-        self._agree(n | 1, seed)
-        self._agree(n | 1, seed, min_bits=0)
+        _agree(n | 1, seed)
+        _agree(n | 1, seed, min_bits=0)
 
-    @pytest.mark.parametrize("bits, seeds", [(256, 6), (512, 3)])
+    @pytest.mark.parametrize(
+        "bits, seeds", [(24, 20), (48, 20), (64, 10), (96, 10), (128, 10), (256, 6), (512, 3)]
+    )
     def test_moduli_match_the_reference(self, monkeypatch, bits, seeds):
         ours = [generate_blum_modulus(bits, seed) for seed in range(seeds)]
         monkeypatch.setattr(numtheory, "is_prime", reference_is_prime)
         assert [generate_blum_modulus(bits, seed) for seed in range(seeds)] == ours
+
+
+def _twelve_bases_pass(n: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(numtheory._round_passes(b, d, s, n) for b in numtheory._SMALL_PRIMES)
+
+
+class TestTwelveBases:
+    """Below psi_12 a candidate that passes the twelve bases of
+    ``_SMALL_PRIMES`` is prime, so ``is_prime`` draws its 64 witnesses
+    without trying them; verdicts and rng draws stay the reference's."""
+
+    def test_psi_12_is_the_published_bound(self):
+        assert numtheory._PSI_12 == PSI_12
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2**20, 2**80 - 1), seed=st.integers(0, 2**32))
+    def test_random_odd_numbers(self, n, seed):
+        _agree(n | 1, seed)
+
+    @pytest.mark.parametrize("n", PRIMES_AROUND_PSI_12 + CARMICHAEL + STRONG_PSEUDOPRIMES)
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
+    def test_primes_carmichael_numbers_and_strong_pseudoprimes(self, n, seed):
+        _agree(n, seed)
+        assert is_prime(n, Rng(seed)) == (n in PRIMES_AROUND_PSI_12)
+
+    def test_psi_12_passes_every_base_and_is_refused_by_the_random_rounds(self):
+        assert _twelve_bases_pass(PSI_12) and not is_prime(PSI_12, Rng(1))
+        assert not any(_twelve_bases_pass(n) for n in STRONG_PSEUDOPRIMES[:2])
+
+    @pytest.mark.parametrize(
+        "n, base_checks, rounds",
+        [((1 << 61) - 1, 12, 0), (PSI_12 - 20, 12, 0), (PSI_12 + 22, 0, 64), ((1 << 89) - 1, 0, 64)],
+    )
+    def test_a_proven_prime_tries_the_bases_and_draws_every_witness(
+        self, monkeypatch, n, base_checks, rounds
+    ):
+        tried, rng, round_passes = [], Rng(3), numtheory._round_passes
+        draws = mock.Mock(wraps=rng.randrange)
+        rng.randrange = draws
+
+        def counted(a, d, s, m):
+            tried.append(a)
+            return round_passes(a, d, s, m)
+
+        monkeypatch.setattr(numtheory, "_round_passes", counted)
+        assert is_prime(n, rng)
+        assert tried[:base_checks] == numtheory._SMALL_PRIMES[:base_checks]
+        assert len(tried) == base_checks + rounds and draws.call_count == 64
 
 
 class TestBlumModulus:

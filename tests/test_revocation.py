@@ -1,7 +1,6 @@
 import copy
 import hashlib
 import json
-import signal
 from math import comb
 
 import pytest
@@ -61,20 +60,6 @@ class TestNextSequence:
             next_sequence(7, 0, 2, 3, 1)
         with pytest.raises(ValueError):
             next_sequence(7, 0, 4, 2, 0)
-
-
-@pytest.fixture
-def alarm():
-    """Turns a draw that never ends into a failure after 5 s."""
-
-    def _timeout(signum, frame):
-        raise TimeoutError("still running after 5 s")
-
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(5)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 class TestSixtyFourBitInputs:
