@@ -104,6 +104,17 @@ def p_mu(k: int, h: int, n: int, mu: int) -> Fraction:
     return Fraction(1, (2 ** (k * h) * comb(n, k)) ** mu)
 
 
+def p_alpha(k: int, h: int, n: int, mu: int, alpha: int) -> Fraction:
+    """Probability a secretless verifier-side prover passes at least alpha of
+    its mu proofs, each alone with q = 1/(2^kh * C(n,k)): the binomial tail
+    P(X >= alpha) for X ~ Bin(mu, q), which is p_mu at alpha = mu."""
+    _require(k, n, mu, h)
+    if not 1 <= alpha <= mu:
+        raise ValueError(f"require 1 <= alpha <= mu, got alpha={alpha}, mu={mu}")
+    q = Fraction(1, 2 ** (k * h) * comb(n, k))
+    return sum(comb(mu, i) * q**i * (1 - q) ** (mu - i) for i in range(alpha, mu + 1))
+
+
 def p_leak(n: int, k: int, mu: int) -> Fraction:
     """Probability one session's mu sets include a designated identifying
     set: mu / C(n, k)."""
@@ -184,14 +195,11 @@ def mc_bundle_cheater(
     k: int, h: int, n: int, mu: int, alpha: int, trials: int, seed: int
 ) -> ProbabilityReport:
     """End-to-end cheating bundle prover (set guess + challenge guesses)
-    against the alpha-threshold verification, 1 <= alpha <= mu. p_mu is its
-    success rate only at alpha = mu; at a smaller alpha the report still
-    compares against p_mu."""
-    closed_form = p_mu(k, h, n, mu)
+    against the alpha-threshold verification, 1 <= alpha <= mu, compared
+    against p_alpha (p_mu at alpha = mu); the report keeps the name p_mu."""
+    closed_form = p_alpha(k, h, n, mu, alpha)
     if mu > comb(n, k):
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
-    if not 1 <= alpha <= mu:
-        raise ValueError(f"require 1 <= alpha <= mu, got alpha={alpha}, mu={mu}")
     m, _, pool_witnesses = _mc_witnesses(n, seed)
     cheater = adversary.BundleCheater(pool_witnesses, m, Rng(seed))
     verifier_rng = Rng(seed ^ 0xA5A5A5)

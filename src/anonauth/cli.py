@@ -15,7 +15,6 @@ from typing import Callable, NoReturn
 import click
 
 from . import __version__, adversary, analysis, keymgmt, protocol, revocation, simulation
-from .envelopes import generate_seal_keypair
 from .numtheory import BlumModulus, Rng, generate_blum_modulus
 from .protocol import Outcome, SessionConfig
 from .zkp import Variant
@@ -89,28 +88,22 @@ def _load_bundle(bundle_dir: Path):
 )
 def run_keygen(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     """Run the key ceremony and write provisioning bundles."""
-    q, n, k = params["groups"], params["pool_size"], params["secrets_per_member"]
-    modulus = generate_blum_modulus(params["bit_length"], params["seed"])
-    rng = Rng(params["seed"] ^ 0xCE5E)
-    kdc = keymgmt.Kdc(seed=params["seed"] ^ 0x5119)
-    groups = keymgmt.form_groups(q, n, k, modulus, rng)
+    seed = params["seed"]
+    modulus = generate_blum_modulus(params["bit_length"], seed)
+    root_key, obus, rsus = keymgmt.deploy(
+        modulus, Rng(seed ^ 0xCE5E), seed ^ 0x5119, params["groups"], params["pool_size"],
+        params["secrets_per_member"], params["obus_per_group"], 1, params["rsus"],
+    )
     root = {
-        "root_public_key": kdc.root_public_key().hex(),
+        "root_public_key": root_key.hex(),
         "modulus": str(modulus.m),
         "bit_length": modulus.bit_length,
     }
     files = {"root.json": json.dumps(root, sort_keys=True)}
-    iv = 1
-    for g in groups:
-        for j in range(1, params["obus_per_group"] + 1):
-            cred = keymgmt.provision_obu(kdc, g, j, iv, modulus)
-            iv += 1
-            files[f"obu_{g.group_id}_{j}.json"] = keymgmt.obu_credential_to_json(cred)
-    for rid in range(params["rsus"]):
-        priv, pub = generate_seal_keypair(rng)
-        cert = kdc.issue_certificate(rid, pub)
-        cred = keymgmt.provision_rsu(groups, rid, cert, priv, modulus)
-        files[f"rsu_{rid}.json"] = keymgmt.rsu_credential_to_json(cred)
+    for cred in obus:
+        files[f"obu_{cred.group_id}_{cred.member_id}.json"] = keymgmt.obu_credential_to_json(cred)
+    for cred in rsus:
+        files[f"rsu_{cred.rsu_id}.json"] = keymgmt.rsu_credential_to_json(cred)
     click.echo(f"wrote {len(files)} bundle files to {out_dir}")
     return files, EXIT_OK
 
@@ -202,16 +195,12 @@ def _demo_session(params: dict, modulus=None):
     config = SessionConfig(alpha=min(mu, 2), mu=mu, k=k, h=params["h"], n=n, serv_id="INFO")
     if modulus is None:
         modulus = generate_blum_modulus(24, seed)
-    ceremony = Rng(seed ^ 0xD37)
-    kdc = keymgmt.Kdc(seed=seed ^ 0x151)
-    (group,) = keymgmt.form_groups(1, n, k, modulus, ceremony)
-    priv, pub = generate_seal_keypair(ceremony)
-    cert = kdc.issue_certificate(0, pub)
-    rsu_cred = keymgmt.provision_rsu([group], 0, cert, priv, modulus)
-    obu_cred = keymgmt.provision_obu(kdc, group, 1, iv=seed & 0xFFFF | 1, modulus=modulus)
+    root, (obu_cred,), (rsu_cred,) = keymgmt.deploy(
+        modulus, Rng(seed ^ 0xD37), seed ^ 0x151, 1, n, k, 1, seed & 0xFFFF | 1, 1
+    )
     rng = Rng(seed)
     rsu = protocol.Rsu(rsu_cred, rng.split())
-    return protocol.Obu(obu_cred, kdc.root_public_key(), rng.split()), rsu, config
+    return protocol.Obu(obu_cred, root, rng.split()), rsu, config
 
 
 @_subcommand(

@@ -1,7 +1,7 @@
 """Offline key ceremony: group formation, witness generation, certificates,
 and provisioning bundles for the two protocol roles.
 
-The ceremony is a pure function of (q, n, k, modulus, seed). The issuing
+``deploy`` runs the whole ceremony, a pure function of its arguments. The issuing
 authority exists only at build time; nothing here opens a network socket.
 """
 
@@ -19,6 +19,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .envelopes import generate_seal_keypair
 from .numtheory import BlumModulus, Rng, sample_unit
 
 BUNDLE_FORMAT_VERSION = 1
@@ -104,20 +105,10 @@ class Kdc:
         )
 
     def issue_certificate(
-        self,
-        rsu_id: int,
-        rsu_public_key: bytes,
-        valid_from: float = 0.0,
+        self, rsu_id: int, rsu_public_key: bytes, valid_from: float = 0.0,
         valid_to: float = float(1 << 31),
     ) -> Certificate:
-        unsigned = Certificate(
-            rsu_id=rsu_id,
-            public_key=rsu_public_key,
-            issuer_id=ISSUER_ID,
-            signature=b"",
-            valid_from=valid_from,
-            valid_to=valid_to,
-        )
+        unsigned = Certificate(rsu_id, rsu_public_key, ISSUER_ID, b"", valid_from, valid_to)
         return replace(unsigned, signature=self._signing_key.sign(unsigned.signed_payload))
 
     def register_iv(self, iv: int) -> None:
@@ -198,6 +189,29 @@ def provision_rsu(
         master_witnesses={g.group_id: g.master_witnesses for g in groups},
         modulus=modulus.m,
     )
+
+
+def deploy(
+    modulus: BlumModulus, rng: Rng, kdc_seed: int, q: int, n: int, k: int,
+    members_per_group: int, first_iv: int, rsus: int, stub: bool = False,
+) -> tuple[bytes, list[ObuCredential], list[RsuCredential]]:
+    """The key ceremony, (root public key, member credentials, RSU credentials):
+    q groups from ``rng``; ``members_per_group`` members in each, group-major,
+    with ids 1.. per group and consecutive ivs from ``first_iv``; then each
+    RSU's seal keypair from ``rng``, certified over its private key under ``stub``
+    (a stub seal opens with it)."""
+    if members_per_group < 0 or rsus < 0:
+        raise InvalidParameters("member and RSU counts must be at least 0")
+    kdc = Kdc(kdc_seed)
+    groups = form_groups(q, n, k, modulus, rng)
+    members = [(g, j) for g in groups for j in range(1, members_per_group + 1)]
+    obus = [provision_obu(kdc, g, j, first_iv + i, modulus) for i, (g, j) in enumerate(members)]
+    rsu_creds = []
+    for rid in range(rsus):
+        priv, pub = generate_seal_keypair(rng)
+        cert = kdc.issue_certificate(rid, priv if stub else pub)
+        rsu_creds.append(provision_rsu(groups, rid, cert, priv, modulus))
+    return kdc.root_public_key(), obus, rsu_creds
 
 
 # ---------------------------------------------------------- serialization

@@ -17,7 +17,7 @@ from math import inf, isfinite
 from typing import Optional
 
 from . import keymgmt, protocol
-from .envelopes import StubEnvelope, StubSeal, generate_seal_keypair
+from .envelopes import StubEnvelope, StubSeal
 from .numtheory import Rng, generate_blum_modulus
 from .protocol import Obu, Outcome, Rsu, SessionConfig
 
@@ -133,22 +133,19 @@ class _Sim:
     def _build_world(self):
         cfg = self.config
         modulus = generate_blum_modulus(cfg.modulus_bits, self.rng.randbits(63))
-        kdc = keymgmt.Kdc(seed=self.rng.randbits(63))
-        groups = keymgmt.form_groups(1, cfg.n, cfg.k, modulus, self.rng)
+        root, obu_creds, rsu_creds = keymgmt.deploy(
+            modulus, self.rng, self.rng.randbits(63), 1, cfg.n, cfg.k,
+            cfg.rsu_count * cfg.obus_per_rsu, 1, cfg.rsu_count, stub=True,
+        )
         # deterministic stub envelopes keep per-run crypto costs down while
         # the proof arithmetic stays real; the endpoints' logical clocks stay
         # at 0, so every session runs at one instant and is always fresh
         sym, seal = StubEnvelope(), StubSeal()
         self.rsus: list[_RsuNode] = []
-        for i in range(cfg.rsu_count):
-            priv, _pub = generate_seal_keypair(self.rng)
-            cert = kdc.issue_certificate(i, priv)  # stub seal: pub == priv bytes
-            cred = keymgmt.provision_rsu(groups, i, cert, priv, modulus)
+        for i, cred in enumerate(rsu_creds):
             endpoint = Rsu(cred, self.rng.split(), sym=sym, seal=seal)
             self.rsus.append(_RsuNode(position=(i + 0.5) * cfg.rsu_spacing_m, endpoint=endpoint))
-        root = kdc.root_public_key()
-        for j in range(cfg.rsu_count * cfg.obus_per_rsu):
-            cred = keymgmt.provision_obu(kdc, groups[0], j, iv=j + 1, modulus=modulus)
+        for cred in obu_creds:
             endpoint = Obu(cred, root, self.rng.split(), sym=sym, seal=seal)
             node = _ObuNode(position0=self.rng.random() * self.line_length, endpoint=endpoint)
             self.push(self.rng.random() * SESSION_INTERVAL_S, "attempt", node)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 
 from anonauth import keymgmt, protocol
-from anonauth.envelopes import StubEnvelope, StubSeal, generate_seal_keypair
+from anonauth.envelopes import StubEnvelope, StubSeal
 from anonauth.numtheory import BlumModulus, Rng, generate_blum_modulus
 from anonauth.protocol import Obu, Rsu
 
@@ -24,8 +24,7 @@ def mask_ids(mask: int) -> tuple[int, ...]:
 
 @dataclass
 class Deployment:
-    kdc: keymgmt.Kdc
-    groups: list
+    kdc_seed: int
     obu_creds: list
     rsu_cred: keymgmt.RsuCredential
     modulus: BlumModulus
@@ -51,33 +50,18 @@ def build_deployment(
     k: int,
     q: int = 1,
     modulus: BlumModulus = None,
-    obus: int = 1,
+    obus_per_group: int = 1,
     stub: bool = False,
 ) -> Deployment:
+    """One RSU and ``obus_per_group`` members in each of q groups, from
+    ``keymgmt.deploy`` with ivs from 1000; a 32-bit modulus unless one is given."""
     if modulus is None:
         modulus = generate_blum_modulus(32, seed)
-    rng = Rng(seed ^ 0x9E37)
-    kdc = keymgmt.Kdc(seed=seed ^ 0x79B9)
-    groups = keymgmt.form_groups(q, n, k, modulus, rng)
-    priv, pub = generate_seal_keypair(rng)
-    # the stub seal opens with public == private bytes
-    cert = kdc.issue_certificate(0, priv if stub else pub)
-    rsu_cred = keymgmt.provision_rsu(groups, 0, cert, priv, modulus)
-    obu_creds = []
-    for j in range(obus):
-        group = groups[j % len(groups)]
-        obu_creds.append(
-            keymgmt.provision_obu(kdc, group, j + 1, iv=1000 + j, modulus=modulus)
-        )
-    return Deployment(
-        kdc=kdc,
-        groups=groups,
-        obu_creds=obu_creds,
-        rsu_cred=rsu_cred,
-        modulus=modulus,
-        root=kdc.root_public_key(),
-        stub=stub,
+    kdc_seed = seed ^ 0x79B9
+    root, obu_creds, (rsu_cred,) = keymgmt.deploy(
+        modulus, Rng(seed ^ 0x9E37), kdc_seed, q, n, k, obus_per_group, 1000, 1, stub=stub
     )
+    return Deployment(kdc_seed, obu_creds, rsu_cred, modulus, root, stub)
 
 
 @pytest.fixture

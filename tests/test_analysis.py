@@ -19,6 +19,7 @@ from anonauth.analysis import (
     mc_cheater,
     mc_leak,
     mc_sequence_collision,
+    p_alpha,
     p_cheater,
     p_leak,
     p_missed,
@@ -58,6 +59,17 @@ class TestClosedForms:
     def test_p_mu_domain(self):
         with pytest.raises(ValueError):
             p_mu(5, 4, 3, 1)
+
+    def test_p_alpha_is_p_mu_at_alpha_mu(self):
+        for k, h, n, mu in [(1, 1, 3, 1), (2, 1, 3, 2), (2, 2, 4, 3), (3, 1, 5, 4), (1, 3, 2, 2)]:
+            assert p_alpha(k, h, n, mu, mu) == p_mu(k, h, n, mu)
+
+    def test_p_alpha_is_the_binomial_tail(self):
+        # q = 1/24: at least one of two proofs passes
+        assert p_alpha(2, 1, 4, 2, 1) == 1 - Fraction(23, 24) ** 2 == Fraction(47, 576)
+        # q = 1/6: at least two of three
+        q = Fraction(1, 6)
+        assert p_alpha(1, 1, 3, 3, 2) == 3 * q**2 * (1 - q) + q**3
 
     def test_p_leak_examples(self):
         assert p_leak(6, 3, 1) == Fraction(1, 20)
@@ -152,6 +164,15 @@ class TestMonteCarlo:
         assert rep.passed
         assert float(rep.closed_form) == pytest.approx(1 / 12)
 
+    @pytest.mark.parametrize(
+        "args", [(2, 1, 4, 2, 1, 2_000, 8), (1, 1, 3, 3, 2, 20_000, 3), (2, 1, 4, 2, 1, 20_000, 3)]
+    )
+    def test_bundle_cheater_below_mu_agrees_with_the_tail(self, args):
+        # the first is the pinned call, which read 167 of 2000 against p_mu
+        rep = mc_bundle_cheater(*args)
+        assert rep.closed_form == p_alpha(*args[:5])
+        assert rep.passed
+
     def test_leak_estimator_agrees(self):
         rep = mc_leak(6, 3, 5, trials=20_000, seed=5)
         assert rep.passed
@@ -238,6 +259,7 @@ class TestMonteCarlo:
             (p_missed_mu_factors, (4, 2, 0)),
             (mc_bundle_cheater, (2, 1, 3, 0, 0, 10, 1)),
             (mc_bundle_cheater, (2, 1, 3, -1, 1, 10, 1)),
+            (p_alpha, (2, 1, 3, 0, 1)),
             (mc_leak, (6, 3, 0, 10, 1)),
             (mc_sequence_collision, (4, 2, 0, 10, 1)),
             (mc_sequence_collision, (4, 2, -1, 10, 1, False)),
@@ -271,10 +293,13 @@ class TestMonteCarlo:
             (mc_bundle_cheater, (2, -1, 3, 1, 1, 10, 1)),
             (mc_bundle_cheater, (0, 1, 3, 1, 1, 10, 1)),
             (mc_bundle_cheater, (4, 1, 3, 1, 1, 10, 1)),
-            # p_mu is the success rate only at alpha = mu; past [1, mu] it is none
+            # a tail over alpha of mu proofs needs 1 <= alpha <= mu
             (mc_bundle_cheater, (2, 1, 3, 1, 0, 10, 1)),
             (mc_bundle_cheater, (2, 1, 3, 1, -5, 10, 1)),
             (mc_bundle_cheater, (2, 1, 3, 1, 2, 10, 1)),
+            (p_alpha, (2, 1, 3, 2, 0)),
+            (p_alpha, (2, 1, 3, 2, 3)),
+            (p_alpha, (2, 0, 3, 2, 1)),
         ],
     )
     def test_k_h_and_alpha_outside_their_range_are_refused_before_any_draw(self, formula, args):

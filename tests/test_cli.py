@@ -42,6 +42,22 @@ class TestKeygen:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("obus, rsus", [("-1", "-2"), ("-1", "1"), ("2", "-1")])
+    def test_negative_member_or_rsu_count_exits_2_and_writes_nothing(
+        self, runner, tmp_path, obus, rsus
+    ):
+        out = tmp_path / "negative"
+        result = runner.invoke(
+            main, ["keygen", "--obus-per-group", obus, "--rsus", rsus, "--out-dir", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "parameter error" in result.output
+        assert list(out.iterdir()) == []
+
+    def test_zero_members_and_rsus_write_the_root_alone(self, runner, tmp_path):
+        out = _keygen(runner, tmp_path, **{"--obus-per-group": 0, "--rsus": 0})
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == ["root.json"]
+
 
 class TestAuthDemo:
     def test_accept_exits_0(self, runner, tmp_path):

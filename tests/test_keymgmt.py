@@ -8,6 +8,7 @@ from anonauth.keymgmt import (
     DuplicateIv,
     InvalidParameters,
     Kdc,
+    deploy,
     form_groups,
     obu_credential_from_json,
     obu_credential_to_json,
@@ -17,6 +18,7 @@ from anonauth.keymgmt import (
     rsu_credential_to_json,
     verify_certificate,
 )
+from anonauth.envelopes import generate_seal_keypair
 from anonauth.numtheory import Rng, generate_blum_modulus
 from conftest import M21, build_deployment
 
@@ -142,6 +144,42 @@ class TestProvisioning:
         r2 = provision_rsu(groups, 1, c2, b"\x00" * 32, m21)
         assert r1.pool_secrets == r2.pool_secrets
         assert r1.certificate != r2.certificate
+
+
+class TestDeploy:
+    def test_members_are_group_major_with_consecutive_ivs(self, m21):
+        _root, obus, rsus = deploy(m21, Rng(1), 2, 3, 5, 2, 2, 40, 2)
+        assert [(c.group_id, c.member_id, c.iv) for c in obus] == [
+            (1, 1, 40), (1, 2, 41), (2, 1, 42), (2, 2, 43), (3, 1, 44), (3, 2, 45)
+        ]
+        assert [c.rsu_id for c in rsus] == [0, 1]
+
+    def test_draws_groups_then_rsu_keypairs(self):
+        mod = generate_blum_modulus(32, 3)
+        root, obus, rsus = deploy(mod, Rng(7), 9, 2, 6, 2, 1, 1, 2)
+        rng, kdc = Rng(7), Kdc(9)
+        groups = form_groups(2, 6, 2, mod, rng)
+        for rid, rsu in enumerate(rsus):
+            priv, pub = generate_seal_keypair(rng)
+            assert rsu.seal_private_key == priv and rsu.certificate.public_key == pub
+            assert rsu.certificate == kdc.issue_certificate(rid, pub)
+            assert rsu.pool_secrets == {g.group_id: g.pool_secrets for g in groups}
+        assert [c.master_key for c in obus] == [g.master_key for g in groups]
+        assert root == kdc.root_public_key()
+
+    def test_stub_certifies_the_private_key(self, m21):
+        root, _obus, (rsu,) = deploy(m21, Rng(1), 2, 1, 5, 2, 1, 1, 1, stub=True)
+        assert rsu.certificate.public_key == rsu.seal_private_key
+        assert verify_certificate(rsu.certificate, root)
+
+    def test_zero_members_and_rsus_are_a_deployment(self, m21):
+        _root, obus, rsus = deploy(m21, Rng(1), 2, 2, 5, 2, 0, 1, 0)
+        assert obus == [] and rsus == []
+
+    @pytest.mark.parametrize("members, rsus", [(-1, 1), (1, -1), (-1, -2)])
+    def test_negative_counts_are_refused(self, m21, members, rsus):
+        with pytest.raises(InvalidParameters):
+            deploy(m21, Rng(1), 2, 1, 5, 2, members, 1, rsus)
 
 
 class TestCrossModuleWitnessSoundness:

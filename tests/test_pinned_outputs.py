@@ -10,6 +10,7 @@ alter any of these outputs updates the digest it moves and says why.
 """
 
 import hashlib
+import json
 from itertools import combinations
 from pathlib import Path
 
@@ -25,11 +26,13 @@ PINNED = "5188edbb48912509753b31d886a52a7908117611b9da8d7a8f65ed6964b9f56c"
 # the frames of PINNED's honest sessions, exactly as logged
 PINNED_WIRE = "076ddf85ba762741f3874102da8a755d06ed3ff13059caeab6be54311ad15436"
 # the estimators PINNED does not reach: the subset sampler behind mc_leak,
-# both readings of mc_sequence_collision and the bundle cheater at n = 3
-PINNED_ESTIMATORS = "1128f8fa9ccd76c9803ec8d4279c2c5f48e26ae9aa7bd49489eaf3523c78236f"
+# both readings of mc_sequence_collision and the bundle cheater at n = 3,
+# then PINNED's bundle cheater at alpha < mu, whose params and closed form
+# PINNED does not hash
+PINNED_ESTIMATORS = "350f58cf45d7283177740c5706421bcd312a7382c8a7ee44c2914eaed20d2e17"
 # the rendered text: csv_row() of mc_cheater(2, 2, 2000, seed=7) and of the
 # PINNED_ESTIMATORS reports, then figure_csv of every standard figure
-PINNED_ROWS = "0d0dabf2b83d23fbfc025ad4bb438b515d7a8fb035c0cd4c2255bf1e16c22b5e"
+PINNED_ROWS = "af3c362d286305545c1a86fa35c2f053c44d800039b9a257ee068787c2d1ccd2"
 
 
 def _feed(digest, *values) -> None:
@@ -129,6 +132,7 @@ def _estimator_reports():
         for distinct in (True, False)
     ]
     reports.append(analysis.mc_bundle_cheater(2, 1, 3, 1, 1, 1_000, seed=32))
+    reports.append(analysis.mc_bundle_cheater(2, 1, 4, 2, 1, 2_000, seed=8))
     return reports
 
 
@@ -196,3 +200,18 @@ def test_cli_matches_pinned_digest(tmp_path, monkeypatch):
     for name in ["", *sorted(main.commands)]:
         _invoke(digest, [name, "--help"] if name else ["--help"])
     assert digest.hexdigest() == PINNED_CLI
+
+
+# a three-group keygen's bundle files in its manifest's order: the members'
+# group-major ivs and ids, the file order and the RSU keypairs' draw order
+PINNED_KEYGEN = "abb84202bf4703dee4792fd422b0cd328df237b7b12f786dc8813e8f3f0bcb38"
+
+
+def test_multi_group_keygen_matches_pinned_digest(tmp_path):
+    args = ["keygen", "-q", "3", "-n", "6", "-k", "2", "--bit-length", "24",
+            "--obus-per-group", "2", "--rsus", "2", "--seed", "4", "--out-dir", str(tmp_path)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    digest = hashlib.sha256()
+    for name in json.loads((tmp_path / "manifest.json").read_text())["outputs"]:
+        _feed(digest, name, (tmp_path / name).read_bytes())
+    assert digest.hexdigest() == PINNED_KEYGEN

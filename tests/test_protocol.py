@@ -265,7 +265,7 @@ class TestMembership:
     def test_wrong_group_master_key_rejected(self):
         # the member presents group 1's master key against group 2's
         # witnesses; acceptance chance is at most ~2^-kh per session
-        dep = build_deployment(4, n=6, k=2, q=2, obus=2, stub=True)
+        dep = build_deployment(4, n=6, k=2, q=2, stub=True)
         rsu = dep.make_rsu(1)
         config = cfg(h=4, mu=2)
         rejected = 0
@@ -447,7 +447,7 @@ class TestBundleReplay:
 def _signed_beacon(dep, rsu_id=0, **window):
     """A beacon whose certificate the deployment's root signs over ``window``."""
     public = dep.rsu_cred.certificate.public_key
-    return dep.kdc.issue_certificate(rsu_id, public, **window)
+    return keymgmt.Kdc(dep.kdc_seed).issue_certificate(rsu_id, public, **window)
 
 
 class TestCertificateChecks:
@@ -528,7 +528,7 @@ class TestCertificateChecks:
         assert verify_calls == list(range(size + 1)) + [1]
 
     def test_another_member_reuses_a_verified_certificate(self, verify_calls):
-        dep = build_deployment(24, n=6, k=2, obus=2, stub=True)
+        dep = build_deployment(24, n=6, k=2, obus_per_group=2, stub=True)
         beacon = dep.make_rsu(1).beacon()
         dep.make_obu(2).start(beacon, cfg())
         dep.make_obu(3, index=1).start(beacon, cfg())
@@ -610,7 +610,7 @@ class TestFullSession:
         assert len(ids) == 50
 
     def test_interleaved_sessions_are_isolated(self):
-        dep = build_deployment(23, n=6, k=2, q=2, obus=2)
+        dep = build_deployment(23, n=6, k=2, q=2)
         rsu = dep.make_rsu(1)
         obu_a = dep.make_obu(2, index=0)
         obu_b = dep.make_obu(3, index=1)
@@ -834,11 +834,13 @@ class TestDecidedSessionsLeave:
     screening match, a failed membership proof or the closing reply."""
 
     def test_a_mixed_batch_leaves_no_session(self):
-        dep = build_deployment(70, n=6, k=2, q=2, obus=3, stub=True)
+        dep = build_deployment(70, n=6, k=2, q=2, stub=True)
         rsu = dep.make_rsu(1)
-        honest, forger, revoked = (dep.make_obu(2 + j, index=j) for j in range(3))
+        honest, forger, revoked = (dep.make_obu(2 + j, index=j % 2) for j in range(3))
+        # a second group 1 member, on the next iv after the two provisioned
+        revoked.credential = dataclasses.replace(revoked.credential, iv=1002)
         revocation.broadcast_revocation(revoked.credential.iv, 0, [rsu.table])
-        # group 1's identity with group 0's master key passes at most 2^-kh
+        # the group 2 member holding group 1's master key passes at most 2^-kh
         forger.credential = dataclasses.replace(
             forger.credential, master_key=dep.obu_creds[0].master_key
         )
@@ -867,7 +869,7 @@ class TestDecidedSessionsLeave:
     def test_member_rejected_bundles_leave_no_session(self):
         # a member judging against another group's pool witnesses rejects
         # every bundle, and still closes the session at the RSU
-        dep = build_deployment(74, n=6, k=2, q=2, obus=2, stub=True)
+        dep = build_deployment(74, n=6, k=2, q=2, stub=True)
         rsu, obu = dep.make_rsu(1), dep.make_obu(2)
         obu.credential = dataclasses.replace(
             obu.credential, pool_witnesses=dep.obu_creds[1].pool_witnesses

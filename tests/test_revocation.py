@@ -510,7 +510,7 @@ def _confirmations(table, observed, n, k, window, match):
 
 class TestEndToEndRevocation:
     def _setup(self, seed=11):
-        dep = build_deployment(seed, n=6, k=2, obus=2)
+        dep = build_deployment(seed, n=6, k=2, obus_per_group=2)
         rsu = dep.make_rsu(1)
         obu = dep.make_obu(2, index=0)
         cfg = SessionConfig(alpha=1, mu=3, k=2, h=2, n=6, serv_id="INFO")
