@@ -196,7 +196,7 @@ def mc_bundle_cheater(
 ) -> ProbabilityReport:
     """End-to-end cheating bundle prover (set guess + challenge guesses)
     against the alpha-threshold verification, 1 <= alpha <= mu, compared
-    against p_alpha (p_mu at alpha = mu); the report keeps the name p_mu."""
+    against p_alpha, which the report names p_mu at alpha = mu."""
     closed_form = p_alpha(k, h, n, mu, alpha)
     if mu > comb(n, k):
         raise ParameterOverflow(f"mu={mu} exceeds C({n},{k})")
@@ -210,7 +210,8 @@ def mc_bundle_cheater(
         if adversary.bundle_cheater_attempt(cheater, requested, h, alpha, verifier_rng):
             successes += 1
     params = {"k": k, "h": h, "n": n, "mu": mu, "alpha": alpha}
-    return ProbabilityReport("p_mu", params, closed_form, successes, trials, seed)
+    formula = "p_mu" if alpha == mu else "p_alpha"
+    return ProbabilityReport(formula, params, closed_form, successes, trials, seed)
 
 
 def _distinct_sets(rng: Rng, n: int, k: int, mu: int) -> dict[int, None]:

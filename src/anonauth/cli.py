@@ -67,8 +67,8 @@ def _load_bundle(bundle_dir: Path):
         raise keymgmt.InvalidParameters(f"no readable root.json in {bundle_dir}: {exc!r}") from exc
     obu_files = sorted(bundle_dir.glob("obu_*.json"))
     rsu_files = sorted(bundle_dir.glob("rsu_*.json"))
-    obus = [keymgmt.obu_credential_from_json(f.read_text()) for f in obu_files]
-    rsus = [keymgmt.rsu_credential_from_json(f.read_text()) for f in rsu_files]
+    obus = [keymgmt.credential_from_json(f.read_text(), keymgmt.ObuCredential) for f in obu_files]
+    rsus = [keymgmt.credential_from_json(f.read_text(), keymgmt.RsuCredential) for f in rsu_files]
     if not obus or not rsus:
         raise keymgmt.InvalidParameters(f"{bundle_dir} holds no obu_*.json or no rsu_*.json")
     return root_key, obus, rsus
@@ -101,9 +101,9 @@ def run_keygen(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     }
     files = {"root.json": json.dumps(root, sort_keys=True)}
     for cred in obus:
-        files[f"obu_{cred.group_id}_{cred.member_id}.json"] = keymgmt.obu_credential_to_json(cred)
+        files[f"obu_{cred.group_id}_{cred.member_id}.json"] = keymgmt.credential_to_json(cred)
     for cred in rsus:
-        files[f"rsu_{cred.rsu_id}.json"] = keymgmt.rsu_credential_to_json(cred)
+        files[f"rsu_{cred.rsu_id}.json"] = keymgmt.credential_to_json(cred)
     click.echo(f"wrote {len(files)} bundle files to {out_dir}")
     return files, EXIT_OK
 

@@ -90,6 +90,10 @@ class RsuCredential:
     master_witnesses: dict[int, tuple[int, ...]]  # group_id -> g_1..g_k
     modulus: int
 
+    def __post_init__(self):
+        if self.pool_secrets.keys() != self.master_witnesses.keys():
+            raise ValueError("pool_secrets and master_witnesses name different groups")
+
 
 class Kdc:
     """Build-time authority: signs certificates and tracks issued IVs."""
@@ -218,10 +222,6 @@ def deploy(
 # Canonical JSON: sorted keys, big integers as decimal strings.
 
 
-def _ints(values) -> list[str]:
-    return [str(v) for v in values]
-
-
 def _cert_to_dict(cert: Certificate) -> dict:
     return {
         "rsu_id": cert.rsu_id,
@@ -249,24 +249,61 @@ def _cert_from_dict(d: dict) -> Certificate:
     )
 
 
-def obu_credential_to_json(cred: ObuCredential) -> str:
-    return json.dumps(
-        {
-            "format_version": BUNDLE_FORMAT_VERSION,
-            "kind": "obu_credential",
-            "group_id": cred.group_id,
-            "member_id": cred.member_id,
-            "master_key": _ints(cred.master_key),
-            "pool_witnesses": _ints(cred.pool_witnesses),
-            "iv": str(cred.iv),
-            "counter": cred.counter,
-            "modulus": str(cred.modulus),
-        },
-        sort_keys=True,
-    )
+def _int_in(low: float = -math.inf, high: float = math.inf):
+    """The reader of a JSON int in [low, high); a bool counts as none."""
+
+    def read(value):
+        if type(value) is not int or not low <= value < high:
+            raise ValueError(f"{value!r} is not an int in [{low}, {high})")
+        return value
+
+    return read
 
 
-def _record(text: str, kind: str) -> dict:
+_U64 = _int_in(0, 1 << 64)
+_BIG = (str, int)  # a big integer as a decimal string
+_BIGS = (lambda vs: [str(v) for v in vs], lambda vs: tuple(int(v) for v in vs))
+_BY_GROUP = (
+    lambda d: {str(g): [str(v) for v in vs] for g, vs in d.items()},
+    lambda d: {int(g): tuple(int(v) for v in vs) for g, vs in d.items()},
+)
+
+# credential class -> (record kind, {field: (JSON form, reader)}); a reader
+# raises on a value of the wrong type or range
+RECORDS = {
+    ObuCredential: ("obu_credential", {
+        "group_id": (int, _int_in(0, 1 << 32)),  # a request carries it in 4 bytes
+        "member_id": (int, _int_in()),
+        "master_key": _BIGS,
+        "pool_witnesses": _BIGS,
+        "iv": (str, lambda v: _U64(int(v))),
+        "counter": (int, _U64),
+        "modulus": _BIG,
+    }),
+    RsuCredential: ("rsu_credential", {
+        "rsu_id": (int, _int_in()),
+        "certificate": (_cert_to_dict, _cert_from_dict),
+        "seal_private_key": (bytes.hex, bytes.fromhex),
+        "pool_secrets": _BY_GROUP,
+        "master_witnesses": _BY_GROUP,
+        "modulus": _BIG,
+    }),
+}
+
+
+def credential_to_json(cred: ObuCredential | RsuCredential) -> str:
+    """The canonical JSON record of ``cred``."""
+    kind, fields = RECORDS[type(cred)]
+    record = {name: form(getattr(cred, name)) for name, (form, _) in fields.items()}
+    record.update(format_version=BUNDLE_FORMAT_VERSION, kind=kind)
+    return json.dumps(record, sort_keys=True)
+
+
+def credential_from_json(text: str, cls: type) -> ObuCredential | RsuCredential:
+    """The ``cls`` credential of a record; ``InvalidParameters`` unless the
+    record is a JSON object of cls's kind and format version whose every
+    field reads."""
+    kind, fields = RECORDS[cls]
     try:
         d = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -274,70 +311,7 @@ def _record(text: str, kind: str) -> dict:
     version = d.get("format_version") if isinstance(d, dict) else None
     if version != BUNDLE_FORMAT_VERSION or d.get("kind") != kind:
         raise InvalidParameters(f"not a supported {kind} record")
-    return d
-
-
-# what reading a field that a record lacks, or holds with the wrong type, raises
-_FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
-
-
-def obu_credential_from_json(text: str) -> ObuCredential:
-    d = _record(text, "obu_credential")
     try:
-        if any(type(d[name]) is not int for name in ("group_id", "member_id", "counter")):
-            raise TypeError("group_id, member_id or counter is not an int")
-        counter, iv = d["counter"], int(d["iv"])
-        if not (0 <= counter < 1 << 64 and 0 <= iv < 1 << 64):
-            raise ValueError("counter or iv is not a 64-bit value")
-        if not 0 <= d["group_id"] < 1 << 32:  # a request carries it in 4 bytes
-            raise ValueError("group_id is not a 32-bit value")
-        return ObuCredential(
-            group_id=d["group_id"],
-            member_id=d["member_id"],
-            master_key=tuple(int(v) for v in d["master_key"]),
-            pool_witnesses=tuple(int(v) for v in d["pool_witnesses"]),
-            iv=iv,
-            counter=counter,
-            modulus=int(d["modulus"]),
-        )
-    except _FIELD_ERRORS as exc:
-        raise InvalidParameters(f"malformed obu_credential record: {exc!r}") from exc
-
-
-def rsu_credential_to_json(cred: RsuCredential) -> str:
-    return json.dumps(
-        {
-            "format_version": BUNDLE_FORMAT_VERSION,
-            "kind": "rsu_credential",
-            "rsu_id": cred.rsu_id,
-            "certificate": _cert_to_dict(cred.certificate),
-            "seal_private_key": cred.seal_private_key.hex(),
-            "pool_secrets": {str(g): _ints(v) for g, v in cred.pool_secrets.items()},
-            "master_witnesses": {
-                str(g): _ints(v) for g, v in cred.master_witnesses.items()
-            },
-            "modulus": str(cred.modulus),
-        },
-        sort_keys=True,
-    )
-
-
-def rsu_credential_from_json(text: str) -> RsuCredential:
-    d = _record(text, "rsu_credential")
-    try:
-        if type(d["rsu_id"]) is not int:
-            raise TypeError("rsu_id is not an int")
-        return RsuCredential(
-            rsu_id=d["rsu_id"],
-            certificate=_cert_from_dict(d["certificate"]),
-            seal_private_key=bytes.fromhex(d["seal_private_key"]),
-            pool_secrets={
-                int(g): tuple(int(v) for v in vs) for g, vs in d["pool_secrets"].items()
-            },
-            master_witnesses={
-                int(g): tuple(int(v) for v in vs) for g, vs in d["master_witnesses"].items()
-            },
-            modulus=int(d["modulus"]),
-        )
-    except _FIELD_ERRORS as exc:
-        raise InvalidParameters(f"malformed rsu_credential record: {exc!r}") from exc
+        return cls(**{name: read(d[name]) for name, (_, read) in fields.items()})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameters(f"malformed {kind} record: {exc!r}") from exc

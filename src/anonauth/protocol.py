@@ -241,16 +241,15 @@ class Rsu:
         credential: RsuCredential,
         rng: Rng,
         policy: Optional[dict[str, int]] = None,
-        sym=None,
-        seal=None,
+        stub: bool = False,
     ):
         self.credential = credential
         self.rng = rng
         self.clock = 0.0  # logical seconds; the protocol never reads wall time
         # policy maps serv_id -> minimum permitted alpha
         self.policy = policy if policy is not None else {"ERS": 1, "NAV": 1, "INFO": 1}
-        self.sym = sym or envelopes.AesGcmEnvelope()
-        self.seal = seal or envelopes.EciesSeal()
+        self.sym = envelopes.StubEnvelope() if stub else envelopes.AesGcmEnvelope()
+        self.seal = envelopes.StubSeal() if stub else envelopes.EciesSeal()
         self.table = RevocationTable()
         self.sessions: dict[bytes, _RsuSession] = {}
 
@@ -424,15 +423,14 @@ class Obu:
         credential: ObuCredential,
         root_public_key: bytes,
         rng: Rng,
-        sym=None,
-        seal=None,
+        stub: bool = False,
     ):
         self.credential = credential
         self.root_public_key = root_public_key
         self.rng = rng
         self.clock = 0.0  # logical seconds; the protocol never reads wall time
-        self.sym = sym or envelopes.AesGcmEnvelope()
-        self.seal = seal or envelopes.EciesSeal()
+        self.sym = envelopes.StubEnvelope() if stub else envelopes.AesGcmEnvelope()
+        self.seal = envelopes.StubSeal() if stub else envelopes.EciesSeal()
         self.session_key: Optional[bytes] = None
         self.key_id: bytes = NO_KEY_ID
         self.config: Optional[SessionConfig] = None

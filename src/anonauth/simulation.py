@@ -17,7 +17,6 @@ from math import inf, isfinite
 from typing import Optional
 
 from . import keymgmt, protocol
-from .envelopes import StubEnvelope, StubSeal
 from .numtheory import Rng, generate_blum_modulus
 from .protocol import Obu, Outcome, Rsu, SessionConfig
 
@@ -140,13 +139,12 @@ class _Sim:
         # deterministic stub envelopes keep per-run crypto costs down while
         # the proof arithmetic stays real; the endpoints' logical clocks stay
         # at 0, so every session runs at one instant and is always fresh
-        sym, seal = StubEnvelope(), StubSeal()
         self.rsus: list[_RsuNode] = []
         for i, cred in enumerate(rsu_creds):
-            endpoint = Rsu(cred, self.rng.split(), sym=sym, seal=seal)
+            endpoint = Rsu(cred, self.rng.split(), stub=True)
             self.rsus.append(_RsuNode(position=(i + 0.5) * cfg.rsu_spacing_m, endpoint=endpoint))
         for cred in obu_creds:
-            endpoint = Obu(cred, root, self.rng.split(), sym=sym, seal=seal)
+            endpoint = Obu(cred, root, self.rng.split(), stub=True)
             node = _ObuNode(position0=self.rng.random() * self.line_length, endpoint=endpoint)
             self.push(self.rng.random() * SESSION_INTERVAL_S, "attempt", node)
 

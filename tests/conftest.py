@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import pytest
 
 from anonauth import keymgmt, protocol
-from anonauth.envelopes import StubEnvelope, StubSeal
 from anonauth.numtheory import BlumModulus, Rng, generate_blum_modulus
 from anonauth.protocol import Obu, Rsu
 
@@ -32,16 +31,10 @@ class Deployment:
     stub: bool
 
     def make_rsu(self, seed: int, **kwargs) -> Rsu:
-        if self.stub:
-            kwargs.setdefault("sym", StubEnvelope())
-            kwargs.setdefault("seal", StubSeal())
-        return Rsu(self.rsu_cred, Rng(seed), **kwargs)
+        return Rsu(self.rsu_cred, Rng(seed), stub=self.stub, **kwargs)
 
-    def make_obu(self, seed: int, index: int = 0, **kwargs) -> Obu:
-        if self.stub:
-            kwargs.setdefault("sym", StubEnvelope())
-            kwargs.setdefault("seal", StubSeal())
-        return Obu(self.obu_creds[index], self.root, Rng(seed), **kwargs)
+    def make_obu(self, seed: int, index: int = 0) -> Obu:
+        return Obu(self.obu_creds[index], self.root, Rng(seed), stub=self.stub)
 
 
 def build_deployment(

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import math
@@ -567,8 +568,9 @@ def evader(obu: Obu) -> Obu:
     KDC never issued (the issued iv with its low bit flipped). Its group id,
     master key and pool are the member's own, so it proves membership as the
     member does, while screening reconstructs the issued iv's sequences."""
-    credential = dataclasses.replace(obu.credential, iv=obu.credential.iv ^ 1)
-    return Obu(credential, obu.root_public_key, obu.rng, obu.sym, obu.seal)
+    software = copy.copy(obu)
+    software.credential = dataclasses.replace(obu.credential, iv=obu.credential.iv ^ 1)
+    return software
 
 
 class TestEvader:

@@ -162,6 +162,7 @@ class TestMonteCarlo:
     def test_bundle_cheater_estimator_agrees(self):
         rep = mc_bundle_cheater(2, 1, 3, 1, 1, trials=40_000, seed=4)
         assert rep.passed
+        assert rep.formula == "p_mu"
         assert float(rep.closed_form) == pytest.approx(1 / 12)
 
     @pytest.mark.parametrize(
@@ -170,7 +171,7 @@ class TestMonteCarlo:
     def test_bundle_cheater_below_mu_agrees_with_the_tail(self, args):
         # the first is the pinned call, which read 167 of 2000 against p_mu
         rep = mc_bundle_cheater(*args)
-        assert rep.closed_form == p_alpha(*args[:5])
+        assert (rep.formula, rep.closed_form) == ("p_alpha", p_alpha(*args[:5]))
         assert rep.passed
 
     def test_leak_estimator_agrees(self):

@@ -120,6 +120,12 @@ def _break_obu(bundle):
     obu.write_text(json.dumps({"kind": "obu_credential", "format_version": 1}))
 
 
+def _empty_rsu_witnesses(bundle):
+    # a group with pool secrets and no master witnesses
+    rsu = bundle / "rsu_0.json"
+    rsu.write_text(json.dumps({**json.loads(rsu.read_text()), "master_witnesses": {}}))
+
+
 # nested past the JSON decoder's recursion limit
 _DEEP = "[" * 100_000
 
@@ -148,8 +154,8 @@ class TestBadBundle:
         self._auth_demo(runner, tmp_path, tmp_path / "absent")
 
     @pytest.mark.parametrize(
-        "damage", [_break_root, _break_obu, _deep_root, _deep_obu],
-        ids=["root", "obu", "deep-root", "deep-obu"],
+        "damage", [_break_root, _break_obu, _deep_root, _deep_obu, _empty_rsu_witnesses],
+        ids=["root", "obu", "deep-root", "deep-obu", "rsu-witnesses"],
     )
     def test_record_without_fields_exits_2(self, runner, tmp_path, damage):
         bundle = _keygen(runner, tmp_path)

@@ -8,14 +8,14 @@ from anonauth.keymgmt import (
     DuplicateIv,
     InvalidParameters,
     Kdc,
+    ObuCredential,
+    RsuCredential,
+    credential_from_json,
+    credential_to_json,
     deploy,
     form_groups,
-    obu_credential_from_json,
-    obu_credential_to_json,
     provision_obu,
     provision_rsu,
-    rsu_credential_from_json,
-    rsu_credential_to_json,
     verify_certificate,
 )
 from anonauth.envelopes import generate_seal_keypair
@@ -199,18 +199,18 @@ class TestSerialization:
     def test_obu_round_trip(self):
         dep = build_deployment(3, n=6, k=2)
         cred = dep.obu_creds[0]
-        out = obu_credential_from_json(obu_credential_to_json(cred))
+        out = credential_from_json(credential_to_json(cred), ObuCredential)
         assert out == cred
 
     def test_rsu_round_trip(self):
         dep = build_deployment(3, n=6, k=2, q=2)
-        out = rsu_credential_from_json(rsu_credential_to_json(dep.rsu_cred))
+        out = credential_from_json(credential_to_json(dep.rsu_cred), RsuCredential)
         assert out == dep.rsu_cred
 
     def test_wrong_kind_rejected(self):
         dep = build_deployment(3, n=6, k=2)
         with pytest.raises(InvalidParameters):
-            rsu_credential_from_json(obu_credential_to_json(dep.obu_creds[0]))
+            credential_from_json(credential_to_json(dep.obu_creds[0]), RsuCredential)
 
     @pytest.mark.parametrize(
         "kind, drop",
@@ -218,14 +218,14 @@ class TestSerialization:
     )
     def test_record_without_a_field_is_invalid(self, kind, drop):
         dep = build_deployment(3, n=6, k=2)
-        to_json, from_json, cred = {
-            "obu": (obu_credential_to_json, obu_credential_from_json, dep.obu_creds[0]),
-            "rsu": (rsu_credential_to_json, rsu_credential_from_json, dep.rsu_cred),
+        cls, cred = {
+            "obu": (ObuCredential, dep.obu_creds[0]),
+            "rsu": (RsuCredential, dep.rsu_cred),
         }[kind]
-        record = json.loads(to_json(cred))
+        record = json.loads(credential_to_json(cred))
         del record[drop]
         with pytest.raises(InvalidParameters, match="malformed"):
-            from_json(json.dumps(record))
+            credential_from_json(json.dumps(record), cls)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -243,10 +243,10 @@ class TestSerialization:
     )
     def test_certificate_with_a_mistyped_field_is_invalid(self, field, value):
         dep = build_deployment(3, n=6, k=2)
-        record = json.loads(rsu_credential_to_json(dep.rsu_cred))
+        record = json.loads(credential_to_json(dep.rsu_cred))
         record["certificate"][field] = value
         with pytest.raises(InvalidParameters, match="malformed"):
-            rsu_credential_from_json(json.dumps(record))
+            credential_from_json(json.dumps(record), RsuCredential)
 
     @pytest.mark.parametrize(
         "kind, field, value",
@@ -261,34 +261,40 @@ class TestSerialization:
             ("obu", "group_id", 1 << 32),
             ("obu", "iv", "-5"),
             ("rsu", "rsu_id", "0"),
+            # pool secrets for a group without its master witnesses
+            ("rsu", "master_witnesses", {}),
         ],
     )
     def test_credential_with_a_mistyped_field_is_invalid(self, kind, field, value):
         dep = build_deployment(3, n=6, k=2)
-        to_json, from_json, cred = {
-            "obu": (obu_credential_to_json, obu_credential_from_json, dep.obu_creds[0]),
-            "rsu": (rsu_credential_to_json, rsu_credential_from_json, dep.rsu_cred),
+        cls, cred = {
+            "obu": (ObuCredential, dep.obu_creds[0]),
+            "rsu": (RsuCredential, dep.rsu_cred),
         }[kind]
-        record = json.loads(to_json(cred))
+        record = json.loads(credential_to_json(cred))
         record[field] = value
         with pytest.raises(InvalidParameters, match="malformed"):
-            from_json(json.dumps(record))
+            credential_from_json(json.dumps(record), cls)
+
+    @pytest.mark.parametrize("cls", [ObuCredential, RsuCredential])
+    def test_record_table_names_every_field(self, cls):
+        # a field left out of the table would not be written to a bundle file
+        _kind, fields = keymgmt.RECORDS[cls]
+        assert list(fields) == [f.name for f in dataclasses.fields(cls)]
 
     @pytest.mark.parametrize("text", ["[]", '"obu_credential"', "7"])
     def test_non_object_record_is_invalid(self, text):
-        for from_json in (obu_credential_from_json, rsu_credential_from_json):
+        for cls in (ObuCredential, RsuCredential):
             with pytest.raises(InvalidParameters):
-                from_json(text)
+                credential_from_json(text, cls)
 
     def test_json_is_canonical(self):
         dep1 = build_deployment(3, n=6, k=2)
         dep2 = build_deployment(3, n=6, k=2)
-        assert obu_credential_to_json(dep1.obu_creds[0]) == obu_credential_to_json(
-            dep2.obu_creds[0]
-        )
+        assert credential_to_json(dep1.obu_creds[0]) == credential_to_json(dep2.obu_creds[0])
 
     def test_version_field_present(self):
         dep = build_deployment(3, n=6, k=2)
         assert f'"format_version": {keymgmt.BUNDLE_FORMAT_VERSION}' in (
-            obu_credential_to_json(dep.obu_creds[0])
+            credential_to_json(dep.obu_creds[0])
         )

@@ -22,17 +22,17 @@ from anonauth.numtheory import Rng, generate_blum_modulus
 from anonauth.protocol import SessionConfig, Variant, run_full_session
 from conftest import M21, build_deployment
 
-PINNED = "5188edbb48912509753b31d886a52a7908117611b9da8d7a8f65ed6964b9f56c"
+PINNED = "ebbb79b130aad99946260adf8192cbf503a846f030130cb1c96874c81ad97de5"
 # the frames of PINNED's honest sessions, exactly as logged
 PINNED_WIRE = "076ddf85ba762741f3874102da8a755d06ed3ff13059caeab6be54311ad15436"
 # the estimators PINNED does not reach: the subset sampler behind mc_leak,
 # both readings of mc_sequence_collision and the bundle cheater at n = 3,
 # then PINNED's bundle cheater at alpha < mu, whose params and closed form
 # PINNED does not hash
-PINNED_ESTIMATORS = "350f58cf45d7283177740c5706421bcd312a7382c8a7ee44c2914eaed20d2e17"
+PINNED_ESTIMATORS = "2963b966f4e7ef2c45b1c6996df890628be720dadeff8c8219cd3ea3408619d4"
 # the rendered text: csv_row() of mc_cheater(2, 2, 2000, seed=7) and of the
 # PINNED_ESTIMATORS reports, then figure_csv of every standard figure
-PINNED_ROWS = "af3c362d286305545c1a86fa35c2f053c44d800039b9a257ee068787c2d1ccd2"
+PINNED_ROWS = "8aa4aacd4e58d8060761480f7538164c5b3e7d3bad75ba3a8f6524e589efe8e5"
 
 
 def _feed(digest, *values) -> None:

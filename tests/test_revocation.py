@@ -1,16 +1,18 @@
 import copy
 import hashlib
 import json
-from math import comb
+from math import comb, perm, sqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anonauth import revocation
+from anonauth.analysis import p_missed_mu_factors
 from anonauth.numtheory import Rng
 from anonauth.protocol import Outcome, SessionConfig, run_full_session
 from anonauth.revocation import (
+    DEFAULT_SEARCH_WINDOW,
     Match,
     ParameterOverflow,
     RevocationEntry,
@@ -314,6 +316,24 @@ class TestScreening:
             observed = next_sequence(iv, rng.randrange(0, 50), 15, 5, 5)
             match = screen_session(table, observed, 15, 5, window=20)
             assert match is None or match.iv == 99
+
+    def test_honest_members_share_a_revoked_windows_sequences(self):
+        # a limit of screening, not a target: it refuses every member whose
+        # sequence is one of a revoked entry's window + 1, so at the protocol
+        # tests' n = 6, k = 2, mu = 2 one entry refuses d of every 210 honest
+        # members, d the distinct sequences in its window
+        n, k, mu, trials = 6, 2, 2, 2000
+        table = RevocationTable()
+        table.upsert(RevocationEntry(iv=1001, last_known_counter=0))
+        window = DEFAULT_SEARCH_WINDOW + 1
+        d = len({next_sequence(1001, c, n, k, mu) for c in range(window)})
+        p = d / perm(comb(n, k), mu)
+        refused = sum(
+            screen_session(table, next_sequence(iv, 0, n, k, mu), n, k) is not None
+            for iv in range(2000, 2000 + trials)
+        )
+        assert abs(refused / trials - p) <= 3 * sqrt(p * (1 - p) / trials)
+        assert p <= window * p_missed_mu_factors(n, k, mu)
 
     def test_cache_invalidated_on_table_change(self):
         table = RevocationTable()
