@@ -320,10 +320,7 @@ def run_simulate(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
         duration_s=params["duration"],
     )
     dimension = params["sweep"]
-    values = (
-        simulation.DEFAULT_GRID_LOADS if dimension == "load" else simulation.DEFAULT_GRID_SPEEDS
-    )
-    rows = simulation.sweep(config, dimension, values, params["seed"])
+    rows = simulation.sweep(config, dimension, params["seed"])
     name = f"sweep_{dimension}.csv"
     click.echo(f"wrote {name}")
     return {name: simulation.sweep_csv(rows, dimension)}, EXIT_OK

@@ -260,12 +260,26 @@ def _int_in(low: float = -math.inf, high: float = math.inf):
     return read
 
 
+def _big(value) -> int:
+    """The int of a canonical decimal string, the ``str`` of an int >= 0:
+    ASCII digits and no leading zero."""
+    if type(value) is not str or not value.isdigit() or str(int(value)) != value:
+        raise ValueError(f"{value!r} is not a canonical decimal string")
+    return int(value)
+
+
+def _bigs(values) -> tuple[int, ...]:
+    if type(values) is not list:
+        raise TypeError(f"{values!r} is not a JSON array")
+    return tuple(map(_big, values))
+
+
 _U64 = _int_in(0, 1 << 64)
-_BIG = (str, int)  # a big integer as a decimal string
-_BIGS = (lambda vs: [str(v) for v in vs], lambda vs: tuple(int(v) for v in vs))
+_BIG = (str, _big)  # a big integer as a decimal string
+_BIGS = (lambda vs: [str(v) for v in vs], _bigs)
 _BY_GROUP = (
     lambda d: {str(g): [str(v) for v in vs] for g, vs in d.items()},
-    lambda d: {int(g): tuple(int(v) for v in vs) for g, vs in d.items()},
+    lambda d: {_big(g): _bigs(vs) for g, vs in d.items()},
 )
 
 # credential class -> (record kind, {field: (JSON form, reader)}); a reader
@@ -276,7 +290,7 @@ RECORDS = {
         "member_id": (int, _int_in()),
         "master_key": _BIGS,
         "pool_witnesses": _BIGS,
-        "iv": (str, lambda v: _U64(int(v))),
+        "iv": (str, lambda v: _U64(_big(v))),
         "counter": (int, _U64),
         "modulus": _BIG,
     }),

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import cached_property
 from math import inf, isfinite
-from typing import Optional
 
 from . import keymgmt, protocol
 from .numtheory import Rng, generate_blum_modulus
@@ -24,6 +22,15 @@ DEFAULT_GRID_LOADS = (5, 10, 15, 20, 25, 30, 35, 40)
 DEFAULT_GRID_SPEEDS = (14.0, 17.0, 20.0, 22.0, 25.0, 27.0)
 ALPHA_PACKET_BYTES = {2: 50, 4: 100, 5: 125}
 SESSION_INTERVAL_S = 8.0  # each member opens a session this often
+
+# the road: a ring of RSU_COUNT verifiers; a range over half the spacing
+# puts every point of the ring in range of its nearest verifier
+RSU_COUNT = 10
+RSU_SPACING_M = 900.0
+COMM_RANGE_M = 500.0
+MODULUS_BITS = 32
+# the config of every in-sim session, per alpha
+SESSIONS = {a: SessionConfig(a, mu=5, k=2, h=2, n=8, serv_id="INFO") for a in ALPHA_PACKET_BYTES}
 
 # channel model
 BASE_LOSS = 0.002
@@ -39,39 +46,18 @@ class InvalidConfig(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    rsu_count: int = 10
-    rsu_spacing_m: float = 900.0
-    comm_range_m: float = 500.0
-    obus_per_rsu: int = 10
+    obus_per_rsu: int = 10  # load
     speed_mps: float = 20.0
     alpha: int = 2
     duration_s: float = 40.0
-    # protocol parameters for in-sim sessions
-    k: int = 2
-    h: int = 2
-    mu: int = 5
-    n: int = 8
-    modulus_bits: int = 32
 
     def __post_init__(self):
-        if self.rsu_count < 1 or self.obus_per_rsu < 0:
-            raise InvalidConfig("need at least one verifier and a load of at least 0")
-        if not all(0 < x < inf for x in (self.rsu_spacing_m, self.comm_range_m, self.duration_s)):
-            raise InvalidConfig("spacing, range and duration must be positive and finite")
-        if not isfinite(self.speed_mps) or self.modulus_bits < 6:
-            raise InvalidConfig("speed must be finite and modulus_bits at least 6")
-        if self.alpha not in ALPHA_PACKET_BYTES:
+        if self.obus_per_rsu < 0 or not isfinite(self.speed_mps):
+            raise InvalidConfig("load must be at least 0 and speed finite")
+        if not 0 < self.duration_s < inf:
+            raise InvalidConfig("duration must be positive and finite")
+        if self.alpha not in SESSIONS:
             raise InvalidConfig(f"alpha={self.alpha} has no packet-size mapping")
-        self.session  # built here, so a bad protocol parameter fails construction
-
-    @cached_property
-    def session(self) -> SessionConfig:
-        """The config of every in-sim session; ``InvalidConfig`` if none is valid."""
-        try:
-            session = SessionConfig(self.alpha, self.mu, self.k, self.h, self.n, serv_id="INFO")
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
-        return session
 
 
 @dataclass
@@ -114,8 +100,9 @@ class _Sim:
 
     def __init__(self, config: SimConfig, seed: int):
         self.config = config
+        self.session = SESSIONS[config.alpha]
         self.rng = Rng(seed)
-        self.line_length = config.rsu_count * config.rsu_spacing_m
+        self.line_length = RSU_COUNT * RSU_SPACING_M
         self.events: list = []
         self._seq = 0
         self.metrics = SimMetrics(
@@ -124,17 +111,14 @@ class _Sim:
         self.delays: list[float] = []
         # expected transmitters inside one verifier's range: member density
         # times covered length; this is what couples loss to offered load
-        total_obus = config.rsu_count * config.obus_per_rsu
-        covered = min(2 * config.comm_range_m, self.line_length)
-        self.contention = total_obus * covered / self.line_length
+        self.contention = config.obus_per_rsu * 2 * COMM_RANGE_M / RSU_SPACING_M
         self._build_world()
 
     def _build_world(self):
-        cfg = self.config
-        modulus = generate_blum_modulus(cfg.modulus_bits, self.rng.randbits(63))
+        modulus = generate_blum_modulus(MODULUS_BITS, self.rng.randbits(63))
         root, obu_creds, rsu_creds = keymgmt.deploy(
-            modulus, self.rng, self.rng.randbits(63), 1, cfg.n, cfg.k,
-            cfg.rsu_count * cfg.obus_per_rsu, 1, cfg.rsu_count, stub=True,
+            modulus, self.rng, self.rng.randbits(63), 1, self.session.n, self.session.k,
+            RSU_COUNT * self.config.obus_per_rsu, 1, RSU_COUNT, stub=True,
         )
         # deterministic stub envelopes keep per-run crypto costs down while
         # the proof arithmetic stays real; the endpoints' logical clocks stay
@@ -142,7 +126,7 @@ class _Sim:
         self.rsus: list[_RsuNode] = []
         for i, cred in enumerate(rsu_creds):
             endpoint = Rsu(cred, self.rng.split(), stub=True)
-            self.rsus.append(_RsuNode(position=(i + 0.5) * cfg.rsu_spacing_m, endpoint=endpoint))
+            self.rsus.append(_RsuNode(position=(i + 0.5) * RSU_SPACING_M, endpoint=endpoint))
         for cred in obu_creds:
             endpoint = Obu(cred, root, self.rng.split(), stub=True)
             node = _ObuNode(position0=self.rng.random() * self.line_length, endpoint=endpoint)
@@ -161,22 +145,12 @@ class _Sim:
         d = abs(a - b) % self.line_length
         return min(d, self.line_length - d)
 
-    def rsu_in_range(self, node: _ObuNode, t: float) -> Optional[_RsuNode]:
-        pos = self.obu_position(node, t)
-        best, best_d = None, None
-        for rsu in self.rsus:
-            d = self.ring_distance(pos, rsu.position)
-            if d <= self.config.comm_range_m and (best_d is None or d < best_d):
-                best, best_d = rsu, d
-        return best
-
     def run(self) -> SimMetrics:
-        cfg = self.config
         while self.events:
             t, _seq, kind, payload = heapq.heappop(self.events)
             if kind == "attempt":
                 # stop opening sessions at the horizon; in-flight ones drain
-                if t <= cfg.duration_s:
+                if t <= self.config.duration_s:
                     self._handle_attempt(t, payload)
             elif kind == "message":
                 self._handle_message(t, payload)
@@ -191,25 +165,24 @@ class _Sim:
             self.push(next_attempt, "attempt", node)
         if node.busy:
             return
-        rsu = self.rsu_in_range(node, t)
-        if rsu is None:
-            return
+        # the first of the verifiers nearest the member, always in range
+        pos = self.obu_position(node, t)
+        rsu = min(self.rsus, key=lambda r: self.ring_distance(pos, r.position))
         node.busy = True
         rsu.active_sessions += 1
         self.metrics.sessions_attempted += 1
         self.push(t, "message", (node, rsu, 0))
 
     def _handle_message(self, t: float, payload) -> None:
-        cfg = self.config
         node, rsu, msg_idx = payload
         # the channel model's packets per session: request, sets, membership
         # proof, one per bundle proof and the closing reply; the protocol
         # itself sends ten frames whatever mu is, three per exchange (each
         # batching all its proofs' rounds)
-        n_messages = 4 + cfg.mu
+        n_messages = 4 + self.session.mu
         pos = self.obu_position(node, t)
         dist = self.ring_distance(pos, rsu.position)
-        if dist > cfg.comm_range_m:
+        if dist > COMM_RANGE_M:
             # moved out of range mid-session: remaining packets are lost
             self.metrics.packets_sent += n_messages - msg_idx
             self.metrics.packets_lost += n_messages - msg_idx
@@ -222,7 +195,7 @@ class _Sim:
             self.metrics.packets_lost += 1
             self._finish_session(node, rsu, lost=True)
             return
-        bytes_ = ALPHA_PACKET_BYTES[cfg.alpha]
+        bytes_ = ALPHA_PACKET_BYTES[self.config.alpha]
         service = bytes_ * PER_BYTE_SERVICE_S
         wait = max(0.0, rsu.busy_until - t)
         rsu.busy_until = t + wait + service
@@ -232,7 +205,7 @@ class _Sim:
         if msg_idx + 1 < n_messages:
             self.push(delivered_at, "message", (node, rsu, msg_idx + 1))
             return
-        result, _ = protocol.run_full_session(node.endpoint, rsu.endpoint, cfg.session)
+        result, _ = protocol.run_full_session(node.endpoint, rsu.endpoint, self.session)
         if result.outcome is Outcome.ACCEPTED:
             self.metrics.sessions_accepted += 1
         else:
@@ -251,15 +224,19 @@ def run_sim(config: SimConfig, seed: int) -> SimMetrics:
     return _Sim(config, seed).run()
 
 
-def sweep(config: SimConfig, dimension: str, values, seed: int) -> list[SimMetrics]:
-    """One metrics row per (alpha, value), for every alpha with a packet
-    size; one panel per alpha in the reference layout."""
+def sweep(config: SimConfig, dimension: str, seed: int) -> list[SimMetrics]:
+    """One metrics row per (alpha, grid value), for every alpha with a packet
+    size, over ``DEFAULT_GRID_LOADS`` or ``DEFAULT_GRID_SPEEDS``; one panel
+    per alpha in the reference layout."""
     if dimension not in ("load", "speed"):
         raise InvalidConfig(f"unknown sweep dimension {dimension!r}")
-    name, cast = ("obus_per_rsu", int) if dimension == "load" else ("speed_mps", float)
+    name, values = (
+        ("obus_per_rsu", DEFAULT_GRID_LOADS) if dimension == "load"
+        else ("speed_mps", DEFAULT_GRID_SPEEDS)
+    )
     return [
-        run_sim(replace(config, alpha=alpha, **{name: cast(value)}), seed)
-        for alpha in ALPHA_PACKET_BYTES
+        run_sim(replace(config, alpha=alpha, **{name: value}), seed)
+        for alpha in SESSIONS
         for value in values
     ]
 

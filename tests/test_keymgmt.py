@@ -260,6 +260,19 @@ class TestSerialization:
             ("obu", "group_id", -1),
             ("obu", "group_id", 1 << 32),
             ("obu", "iv", "-5"),
+            # a big integer reads only from the decimal string str(int) writes
+            ("obu", "iv", 1001.9),
+            ("obu", "iv", True),
+            ("obu", "modulus", 21.5),
+            ("obu", "modulus", "٣٣"),
+            ("obu", "iv", "+7"),
+            ("obu", "iv", " 7"),
+            ("obu", "iv", "7_0"),
+            ("obu", "iv", "07"),
+            # and a list of them only from a JSON array
+            ("obu", "master_key", "123"),
+            ("rsu", "master_witnesses", {"1": "57"}),
+            ("rsu", "pool_secrets", {"01": ["5"]}),
             ("rsu", "rsu_id", "0"),
             # pool secrets for a group without its master witnesses
             ("rsu", "master_witnesses", {}),

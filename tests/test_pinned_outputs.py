@@ -22,7 +22,7 @@ from anonauth.numtheory import Rng, generate_blum_modulus
 from anonauth.protocol import SessionConfig, Variant, run_full_session
 from conftest import M21, build_deployment
 
-PINNED = "ebbb79b130aad99946260adf8192cbf503a846f030130cb1c96874c81ad97de5"
+PINNED = "1897f41a766d6b2fc3a7bfbb6e1d7453e96eb296c62acbed21bc6c663e15e5bb"
 # the frames of PINNED's honest sessions, exactly as logged
 PINNED_WIRE = "076ddf85ba762741f3874102da8a755d06ed3ff13059caeab6be54311ad15436"
 # the estimators PINNED does not reach: the subset sampler behind mc_leak,
@@ -107,9 +107,7 @@ def _m21_attacks(digest) -> None:
 
 def _sim_cells(digest) -> None:
     for alpha, load in ((2, 3), (4, 4)):
-        cfg = simulation.SimConfig(
-            rsu_count=3, obus_per_rsu=load, alpha=alpha, duration_s=20.0
-        )
+        cfg = simulation.SimConfig(obus_per_rsu=load, alpha=alpha, duration_s=20.0)
         met = simulation.run_sim(cfg, seed=11)
         _feed(digest, met.avg_delay_s, met.packet_loss_ratio, met.sessions_attempted,
               met.sessions_accepted, met.sessions_rejected, met.sessions_lost,

@@ -4,9 +4,14 @@ import math
 import pytest
 
 from anonauth import protocol, zkp
-from anonauth.revocation import MAX_POOL_SIZE
 from anonauth.simulation import (
     ALPHA_PACKET_BYTES,
+    COMM_RANGE_M,
+    DEFAULT_GRID_LOADS,
+    DEFAULT_GRID_SPEEDS,
+    RSU_COUNT,
+    RSU_SPACING_M,
+    SESSIONS,
     InvalidConfig,
     SimConfig,
     run_sim,
@@ -15,13 +20,7 @@ from anonauth.simulation import (
 )
 
 
-SMALL = SimConfig(
-    rsu_count=4,
-    obus_per_rsu=4,
-    duration_s=24.0,
-    mu=5,
-    modulus_bits=24,
-)
+SMALL = SimConfig(obus_per_rsu=4, duration_s=24.0)
 
 
 def _run_logged(monkeypatch, cfg, seed):
@@ -40,49 +39,40 @@ def _run_logged(monkeypatch, cfg, seed):
 
 
 class TestConfigValidation:
+    def test_only_the_swept_axes_are_settable(self):
+        # a further field needs a caller outside the tests that sets it
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "obus_per_rsu", "speed_mps", "alpha", "duration_s"
+        ]
+
     def test_unmapped_alpha_rejected(self):
         with pytest.raises(InvalidConfig):
             dataclasses.replace(SMALL, alpha=3)
 
-    def test_alpha_above_mu_rejected(self):
-        with pytest.raises(InvalidConfig):
-            dataclasses.replace(SMALL, alpha=5, mu=4)
-
-    def test_nonpositive_geometry_rejected(self):
-        with pytest.raises(InvalidConfig):
-            dataclasses.replace(SMALL, rsu_spacing_m=0.0)
-        with pytest.raises(InvalidConfig):
-            dataclasses.replace(SMALL, comm_range_m=-1.0)
-
     @pytest.mark.parametrize(
         "change",
         [
-            {"rsu_count": 0},
             {"obus_per_rsu": -1},
-            {"h": 0},
-            {"n": 4, "k": 2, "mu": 7},  # C(4, 2) = 6 sets
-            {"n": 4, "k": 4},
-            {"n": MAX_POOL_SIZE + 1},
             # each used to run with 0 sessions and 0 packets
             {"duration_s": -5.0},
             {"duration_s": 0.0},
             {"duration_s": math.nan},
             {"speed_mps": math.nan},
-            {"rsu_spacing_m": math.nan},
-            {"comm_range_m": math.inf},
-            # used to raise a plain ValueError from generate_blum_modulus in run_sim
-            {"modulus_bits": 5},
         ],
     )
     def test_parameters_that_admit_no_session_rejected(self, change):
-        # each used to fail only in run_sim: a division by zero, an empty
-        # run, or an error at the first completed session
         with pytest.raises(InvalidConfig):
             dataclasses.replace(SMALL, **change)
 
-    def test_session_config_is_built_once(self):
-        assert SMALL.session is SMALL.session
-        assert (SMALL.session.k, SMALL.session.mu, SMALL.session.alpha) == (2, 5, 2)
+    def test_one_session_config_per_packet_size(self):
+        assert list(SESSIONS) == list(ALPHA_PACKET_BYTES)
+        assert all(
+            (s.alpha, s.mu, s.k, s.h, s.n) == (alpha, 5, 2, 2, 8) for alpha, s in SESSIONS.items()
+        )
+
+    def test_every_point_of_the_ring_is_in_range(self):
+        # the nearest verifier is at most half the spacing away
+        assert RSU_SPACING_M / 2 < COMM_RANGE_M
 
     def test_packet_size_grows_with_alpha(self):
         assert ALPHA_PACKET_BYTES[2] < ALPHA_PACKET_BYTES[4] < ALPHA_PACKET_BYTES[5]
@@ -123,8 +113,8 @@ class TestRun:
     def test_each_certificate_is_verified_once_per_cell(self, verify_calls):
         cfg = SimConfig(duration_s=8.0)
         metrics = run_sim(cfg, seed=1)
-        assert metrics.sessions_attempted > cfg.rsu_count
-        assert len(verify_calls) <= cfg.rsu_count
+        assert metrics.sessions_attempted > RSU_COUNT
+        assert len(verify_calls) <= RSU_COUNT
 
     def test_delays_live_in_plausible_band(self):
         metrics = run_sim(SMALL, seed=3)
@@ -145,32 +135,34 @@ class TestTrends:
     def test_delay_orders_by_alpha(self):
         delays = {}
         for alpha in (2, 4, 5):
-            cfg = dataclasses.replace(SMALL, alpha=alpha, mu=5)
+            cfg = dataclasses.replace(SMALL, alpha=alpha)
             delays[alpha] = run_sim(cfg, seed=8).avg_delay_s
         assert delays[2] < delays[4] < delays[5]
 
 
 class TestSweep:
+    SHORT = dataclasses.replace(SMALL, duration_s=4.0)  # every sweep runs the full grid
+
     def test_rows_and_csv(self):
-        rows = sweep(SMALL, "load", (2, 4), seed=9)
+        rows = sweep(self.SHORT, "load", seed=9)
         assert [(r.alpha, r.load) for r in rows] == [
-            (2, 2), (2, 4), (4, 2), (4, 4), (5, 2), (5, 4)
+            (alpha, load) for alpha in (2, 4, 5) for load in DEFAULT_GRID_LOADS
         ]
         csv = sweep_csv(rows, "load")
         lines = csv.strip().split("\n")
         assert lines[0] == "alpha,sweep_value,avg_delay_s,loss_ratio,attempted,accepted"
-        assert len(lines) == 7
-        assert lines[1].startswith("2,2,")
+        assert len(lines) == 1 + 3 * len(DEFAULT_GRID_LOADS)
+        assert lines[1].startswith("2,5,")
 
     def test_unknown_dimension(self):
         with pytest.raises(InvalidConfig):
-            sweep(SMALL, "weather", (1,), seed=1)
+            sweep(self.SHORT, "weather", seed=1)
 
     def test_speed_sweep_uses_speed_column(self):
-        rows = sweep(SMALL, "speed", (14.0,), seed=9)
+        rows = sweep(self.SHORT, "speed", seed=9)
         lines = sweep_csv(rows, "speed").strip().split("\n")
         assert [line.split(",")[:2] for line in lines[1:]] == [
-            ["2", "14.0"], ["4", "14.0"], ["5", "14.0"]
+            [str(alpha), str(speed)] for alpha in (2, 4, 5) for speed in DEFAULT_GRID_SPEEDS
         ]
 
 
@@ -190,13 +182,14 @@ def _observations_verify(transcript, credential, h) -> bool:
 
 class TestReverify:
     def test_kept_transcripts_reverify(self, monkeypatch):
+        session = SESSIONS[SMALL.alpha]
         metrics, sessions = _run_logged(monkeypatch, SMALL, seed=4)
         checked = 0
         for obu, result, transcript in sessions:
             if result.outcome.value != "Accepted":
                 continue
-            assert len(transcript.bundle_observations) == SMALL.mu
-            assert _observations_verify(transcript, obu.credential, SMALL.h)
+            assert len(transcript.bundle_observations) == session.mu
+            assert _observations_verify(transcript, obu.credential, session.h)
             checked += 1
         assert checked == metrics.sessions_accepted > 0
 
@@ -207,5 +200,6 @@ class TestReverify:
         assert accepted
         from conftest import build_deployment
 
-        foreign = build_deployment(99, n=cfg.n, k=cfg.k).obu_creds[0]
-        assert not _observations_verify(accepted[0], foreign, cfg.h)
+        session = SESSIONS[cfg.alpha]
+        foreign = build_deployment(99, n=session.n, k=session.k).obu_creds[0]
+        assert not _observations_verify(accepted[0], foreign, session.h)
