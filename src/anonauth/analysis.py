@@ -239,49 +239,30 @@ def mc_leak(n: int, k: int, mu: int, trials: int, seed: int) -> ProbabilityRepor
     return ProbabilityReport("p_leak", params, closed_form, successes, trials, seed)
 
 
-def mc_sequence_collision(
-    n: int, k: int, mu: int, trials: int, seed: int, distinct_blocks: bool = True
-) -> ProbabilityReport:
+def mc_sequence_collision(n: int, k: int, mu: int, trials: int, seed: int) -> ProbabilityReport:
     """Frequency of two independently keyed members producing identical
-    session sequences.
-
-    With ``distinct_blocks`` the real PRF sequence generator is used (mu
-    pairwise-distinct sets) and the mu-factor reading of the
-    missed-revocation formula is the matching closed form. Sequences whose
-    heads differ differ, so a trial builds both only when its heads are
-    equal, one trial in C(n, k). Without it, each set is drawn
-    independently, which isolates the C(n,k)-only factor of the
-    false-authentication formula.
+    session sequences from the real PRF sequence generator (mu pairwise
+    distinct sets), against the mu-factor reading of the missed-revocation
+    formula. Sequences whose heads differ differ, so a trial builds both
+    only when its heads are equal, one trial in C(n, k).
     """
+    # next_sequence's own check, made once: a trial whose heads differ never
+    # reaches it
+    revocation._check_params(n, k, mu)
     rng = Rng(seed)
+    head, sequence = revocation._head, revocation.next_sequence
     successes = 0
-    if distinct_blocks:
-        # next_sequence's own check, made once: a trial whose heads differ
-        # never reaches it
-        revocation._check_params(n, k, mu)
-        head, sequence = revocation._head, revocation.next_sequence
-        for t in range(trials):
-            iv_a = rng.randbits(64)
-            iv_b = rng.randbits(64)
-            if head(iv_a, t, n, k) == head(iv_b, t, n, k) and (
-                sequence(iv_a, t, n, k, mu) == sequence(iv_b, t, n, k, mu)
-            ):
-                successes += 1
-        cf = p_missed_mu_factors(n, k, mu)
-        formula = "p_missed_mu_factors"
-    else:
-        if not 1 <= k <= n or mu < 1:  # past k's range, _sample_subset never returns
-            raise ValueError(f"require 1 <= k <= n and mu >= 1, got k={k}, n={n}, mu={mu}")
-        sample = adversary._sample_subset
-        for _ in range(trials):
-            seq_a = [sample(rng, n, k) for _ in range(mu)]
-            seq_b = [sample(rng, n, k) for _ in range(mu)]
-            if seq_a == seq_b:
-                successes += 1
-        cf = Fraction(1, comb(n, k) ** mu)
-        formula = "q_false_set_factor"
-    params = {"n": n, "k": k, "mu": mu, "distinct_blocks": distinct_blocks}
-    return ProbabilityReport(formula, params, cf, successes, trials, seed)
+    for t in range(trials):
+        iv_a = rng.randbits(64)
+        iv_b = rng.randbits(64)
+        if head(iv_a, t, n, k) == head(iv_b, t, n, k) and (
+            sequence(iv_a, t, n, k, mu) == sequence(iv_b, t, n, k, mu)
+        ):
+            successes += 1
+    params = {"n": n, "k": k, "mu": mu}
+    return ProbabilityReport(
+        "p_missed_mu_factors", params, p_missed_mu_factors(n, k, mu), successes, trials, seed
+    )
 
 
 # ----------------------------------------------------------- figure series

@@ -216,6 +216,8 @@ def _demo_session(params: dict, modulus=None):
 )
 def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     """Run a threat-model experiment and emit an attack report."""
+    if params["sessions"] < 0:
+        raise ValueError(f"--sessions must be >= 0, got {params['sessions']}")
     # both modes share a live deployment on a deliberately weak modulus;
     # commitment collisions are what make replay matrices fill
     n, k, h, mu, seed = params["n"], params["k"], params["h"], params["mu"], params["seed"]

@@ -80,9 +80,9 @@ class BlumModulus:
 
 
 def is_prime(n: int, rng: Optional[Rng] = None) -> bool:
-    """Deterministic trial division below 2^20, Miller-Rabin on 64 witnesses
-    from ``rng`` above. Below _PSI_12 the twelve bases of ``_SMALL_PRIMES``
-    decide, so a prime they pass still draws its witnesses but tries none."""
+    """Trial division below 2^20. Below _PSI_12 the twelve bases of
+    ``_SMALL_PRIMES`` decide (Sorenson and Webster's bound) and nothing is
+    drawn; at or above it, Miller-Rabin on 64 witnesses from ``rng``."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -97,20 +97,19 @@ def is_prime(n: int, rng: Optional[Rng] = None) -> bool:
                 return False
             d += 2
         return True
-    witness_rng = rng if rng is not None else Rng(n & 0xFFFFFFFF)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
+    if n < _PSI_12:
+        return all(_round_passes(b, d, s, n) for b in _SMALL_PRIMES)
+    witness_rng = rng if rng is not None else Rng(n & 0xFFFFFFFF)
     # a round that fails modulo a divisor g > 1 of n fails modulo n, so the
     # check modulo g keeps every verdict and draw (math.gcd: ``gcd`` is traced)
     g = math.gcd(n, _factor_product()) if n.bit_length() >= _FACTOR_MIN_BITS else 1
-    proven = n < _PSI_12 and all(_round_passes(b, d, s, n) for b in _SMALL_PRIMES)
     for _ in range(_MILLER_RABIN_ROUNDS):
         a = witness_rng.randrange(2, n - 1)
-        if proven:
-            continue
         if g > 1 and not _round_passes(a, d, s, g) or not _round_passes(a, d, s, n):
             return False
     return True
@@ -156,8 +155,6 @@ def _sample_prime_3_mod_4(rng: Rng, bits: int) -> int:
     while True:
         # top bit set for size, low two bits set so cand = 3 (mod 4)
         cand = rng.randbits(bits) | (1 << (bits - 1)) | 3
-        if cand.bit_length() != bits:
-            continue
         if is_prime(cand, rng):
             return cand
 

@@ -208,8 +208,11 @@ def screen_session(
     per entry: the first call for an (n, k, window) draws every entry's
     window+1 heads, each later upsert draws only that entry's and a remove
     drops them. A session whose first block heads no indexed sequence costs
-    one dict lookup; a head match is confirmed by its full sequence.
+    one dict lookup; a head match is confirmed by its full sequence. A
+    ``window`` that is not an int >= 0 is a ``ValueError``.
     """
+    if type(window) is not int or window < 0:
+        raise ValueError(f"window must be an int >= 0, got {window!r}")
     if not table.entries:
         return None
     _check_params(n, k, len(observed_sets))

@@ -179,16 +179,11 @@ class TestMonteCarlo:
         assert rep.passed
         assert float(rep.closed_form) == pytest.approx(0.25)
 
-    def test_sequence_collision_both_readings(self):
-        distinct = mc_sequence_collision(4, 2, 2, trials=60_000, seed=6)
-        assert distinct.formula == "p_missed_mu_factors"
-        assert float(distinct.closed_form) == pytest.approx(1 / 30)
-        assert distinct.passed
-        independent = mc_sequence_collision(
-            4, 2, 2, trials=60_000, seed=7, distinct_blocks=False
-        )
-        assert float(independent.closed_form) == pytest.approx(1 / 36)
-        assert independent.passed
+    def test_sequence_collision_estimator_agrees(self):
+        rep = mc_sequence_collision(4, 2, 2, trials=60_000, seed=6)
+        assert (rep.formula, rep.params) == ("p_missed_mu_factors", {"n": 4, "k": 2, "mu": 2})
+        assert float(rep.closed_form) == pytest.approx(1 / 30)
+        assert rep.passed
 
     def test_zero_successes_at_a_tiny_closed_form_passes(self):
         # 0 of 2000 is what p = 2^-20 gives 99.8 % of the time
@@ -231,15 +226,8 @@ class TestMonteCarlo:
             (mc_leak, (4, 2, 7, 10, 1), ParameterOverflow),
             (mc_bundle_cheater, (1, 1, 3, 4, 1, 10, 1), ParameterOverflow),
             (mc_sequence_collision, (4, 2, 7, 10, 1), ParameterOverflow),
-            # independent reading, k > n: not even one k-set can be drawn
-            (mc_sequence_collision, (3, 4, 1, 10, 1, False), ValueError),
         ],
-        ids=[
-            "mc_leak-args0",
-            "mc_bundle_cheater-args1",
-            "mc_sequence_collision-args2",
-            "mc_sequence_collision-independent-k-above-n",
-        ],
+        ids=["mc_leak-args0", "mc_bundle_cheater-args1", "mc_sequence_collision-args2"],
     )
     def test_mu_above_subset_count_overflows(self, alarm, oracle, args, error):
         # mu distinct k-sets cannot be drawn when mu > C(n, k); the alarm
@@ -263,8 +251,6 @@ class TestMonteCarlo:
             (p_alpha, (2, 1, 3, 0, 1)),
             (mc_leak, (6, 3, 0, 10, 1)),
             (mc_sequence_collision, (4, 2, 0, 10, 1)),
-            (mc_sequence_collision, (4, 2, -1, 10, 1, False)),
-            (mc_sequence_collision, (4, 2, 0, 10, 1, False)),
         ],
     )
     def test_mu_below_one_is_refused_before_any_draw(self, formula, args):
@@ -340,8 +326,8 @@ def _drawless_rng(seed):
 
 
 def _ref_collisions(n, k, mu, trials, rng):
-    """``mc_sequence_collision``'s distinct-blocks loop as it was: both full
-    sequences on every trial."""
+    """``mc_sequence_collision``'s loop as it was: both full sequences on
+    every trial."""
     successes = 0
     for t in range(trials):
         iv_a, iv_b = rng.randbits(64), rng.randbits(64)

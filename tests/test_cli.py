@@ -281,6 +281,20 @@ class TestAttack:
         assert int(successes) > 0
         assert int(measured) <= int(modeled)
 
+    @pytest.mark.parametrize("mode", ["record", "simulate"])
+    def test_negative_session_count_exits_2_and_writes_nothing(self, runner, tmp_path, mode):
+        out = tmp_path / mode
+        result = runner.invoke(main, ["attack", mode, "--sessions", "-1", "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "parameter error" in result.output
+        assert list(out.iterdir()) == []
+
+    def test_zero_sessions_record_an_empty_corpus(self, runner, tmp_path):
+        out = tmp_path / "record"
+        result = runner.invoke(main, ["attack", "record", "--sessions", "0", "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "corpus.json").read_text()) == []
+
     def test_ciphertext_tap_is_infeasible(self, runner, tmp_path):
         result = runner.invoke(
             main,

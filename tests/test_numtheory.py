@@ -20,8 +20,12 @@ from anonauth.numtheory import (
 )
 
 UNITS_21 = [a for a in range(1, 21) if math.gcd(a, 21) == 1]
-# Carmichael numbers whose prime factors all exceed 37, e.g. 43 * 127 * 211
-CARMICHAEL = [1152271, 1909001, 2508013, 3057601, 5148001, 279377281, 366652201]
+# Carmichael numbers whose prime factors all exceed 37, e.g. 43 * 127 * 211; the
+# last, (6j + 1)(12j + 1)(18j + 1) at j = 6400026, lies above psi_12
+CARMICHAEL = [
+    1152271, 1909001, 2508013, 3057601, 5148001, 279377281, 366652201,
+    38400157 * 76800313 * 115200469,
+]
 # primes in (37, 2^14], the factors the primality test searches for
 FACTOR_PRIMES = [41, 43, 97, 1021, 8191, 16381]
 PSI_12 = 399165290221 * 798330580441
@@ -35,7 +39,8 @@ STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, PSI_12]
 
 def reference_is_prime(n: int, rng=None) -> bool:
     """``is_prime`` without its small-factor search: the verdicts and the
-    witness draws it must keep."""
+    witness draws it must keep. Below psi_12 the twelve bases 2..37 decide
+    and no witness is drawn."""
     if n < 2:
         return False
     for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]:
@@ -50,14 +55,17 @@ def reference_is_prime(n: int, rng=None) -> bool:
                 return False
             d += 2
         return True
-    witness_rng = rng if rng is not None else Rng(n & 0xFFFFFFFF)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(64):
-        a = witness_rng.randrange(2, n - 1)
+    if n < PSI_12:
+        witnesses = iter([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    else:
+        witness_rng = rng if rng is not None else Rng(n & 0xFFFFFFFF)
+        witnesses = (witness_rng.randrange(2, n - 1) for _ in range(64))
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -123,8 +131,9 @@ class TestSmallFactorShortcut:
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from(CARMICHAEL), seed=st.integers(0, 2**32))
     def test_carmichael_numbers_with_the_search_at_every_width(self, n, seed):
-        # a narrow Carmichael number has many liars modulo its factors, so
-        # the round modulo g often passes and the full round decides
+        # below psi_12 the twelve bases decide; above it a Carmichael number
+        # has many liars modulo its factors, so the round modulo g often
+        # passes and the full round decides
         _agree(n, seed, min_bits=0)
         _agree(n * 43, seed, min_bits=0)
 
@@ -161,8 +170,8 @@ def _twelve_bases_pass(n: int) -> bool:
 
 class TestTwelveBases:
     """Below psi_12 a candidate that passes the twelve bases of
-    ``_SMALL_PRIMES`` is prime, so ``is_prime`` draws its 64 witnesses
-    without trying them; verdicts and rng draws stay the reference's."""
+    ``_SMALL_PRIMES`` is prime, so ``is_prime`` decides on them and draws no
+    witness; verdicts and rng draws stay the reference's."""
 
     def test_psi_12_is_the_published_bound(self):
         assert numtheory._PSI_12 == PSI_12
@@ -189,6 +198,7 @@ class TestTwelveBases:
     def test_a_proven_prime_tries_the_bases_and_draws_every_witness(
         self, monkeypatch, n, base_checks, rounds
     ):
+        # every witness drawn is tried: none below psi_12, all 64 above
         tried, rng, round_passes = [], Rng(3), numtheory._round_passes
         draws = mock.Mock(wraps=rng.randrange)
         rng.randrange = draws
@@ -200,7 +210,17 @@ class TestTwelveBases:
         monkeypatch.setattr(numtheory, "_round_passes", counted)
         assert is_prime(n, rng)
         assert tried[:base_checks] == numtheory._SMALL_PRIMES[:base_checks]
-        assert len(tried) == base_checks + rounds and draws.call_count == 64
+        assert len(tried) == base_checks + rounds and draws.call_count == rounds
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [((1 << 61) - 1, True), (PSI_12 - 20, True), (CARMICHAEL[-2], False),
+         (STRONG_PSEUDOPRIMES[1], False)],
+    )
+    def test_a_candidate_below_psi_12_draws_nothing(self, n, prime):
+        rng = Rng(4)
+        rng.randbits = rng.random = mock.Mock(side_effect=AssertionError("drew a witness"))
+        assert is_prime(n, rng) is prime
 
 
 class TestBlumModulus:

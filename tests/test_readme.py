@@ -1,7 +1,11 @@
 """The README's library example runs as written."""
 
+import importlib
+import inspect
 import re
 from pathlib import Path
+
+import anonauth
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +15,50 @@ def test_library_example_is_accepted():
     namespace: dict = {}
     exec(block, namespace)
     assert namespace["result"].outcome is namespace["protocol"].Outcome.ACCEPTED
+
+
+def _roots() -> dict:
+    """``anonauth``, each of its modules, and each class a module defines, by
+    the names the README writes them with."""
+    roots = {"anonauth": anonauth}
+    for path in (README.parent / "src" / "anonauth").glob("*.py"):
+        module = importlib.import_module(f"anonauth.{path.stem}")
+        roots[path.stem] = module
+        roots.update(
+            (name, obj) for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        )
+    return roots
+
+
+def _holds(obj, attr: str) -> bool:
+    """``obj`` has ``attr``: as an attribute, an annotated field, or, on a
+    class, one its methods set on ``self``."""
+    if hasattr(obj, attr) or attr in getattr(obj, "__annotations__", {}):
+        return True
+    return isinstance(obj, type) and re.search(
+        rf"self\.{attr}\b\s*[:=]", inspect.getsource(obj)
+    ) is not None
+
+
+def test_every_qualified_name_resolves():
+    # a dotted name in a backticked span that starts at a root of _roots:
+    # module.name, module.Class.attr, Class.attr and anonauth.module
+    roots = _roots()
+    names = {
+        m.group(0)
+        for span in re.findall(r"`([^`\n]+)`", README.read_text())
+        for m in re.finditer(r"(?<![\w./])\w+(?:\.\w+){1,2}", span)
+        if m.group(0).split(".")[0] in roots
+    }
+    assert len(names) > 40, sorted(names)
+    missing = []
+    for name in sorted(names):
+        root, *attrs = name.split(".")
+        obj = roots[root]
+        for attr in attrs:
+            if not _holds(obj, attr):
+                missing.append(name)
+                break
+            obj = getattr(obj, attr, None)
+    assert not missing, f"README names what anonauth does not hold: {missing}"

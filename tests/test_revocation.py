@@ -307,6 +307,16 @@ class TestScreening:
     def test_empty_table_is_no_match(self):
         assert screen_session(RevocationTable(), [(1, 2)], 6, 2) is None
 
+    @pytest.mark.parametrize("window", [-1, 2.5, "64", None, True])
+    @pytest.mark.parametrize("revoked", [False, True])
+    def test_window_that_is_not_a_count_is_refused(self, window, revoked):
+        # refused before any lookup, also on an empty table
+        table = RevocationTable()
+        if revoked:
+            table.upsert(RevocationEntry(iv=99, last_known_counter=0))
+        with pytest.raises(ValueError, match="window"):
+            screen_session(table, next_sequence(99, 0, 6, 2, 3), 6, 2, window=window)
+
     def test_never_matches_absent_iv(self):
         table = RevocationTable()
         table.upsert(RevocationEntry(iv=99, last_known_counter=0))
