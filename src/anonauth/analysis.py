@@ -147,21 +147,16 @@ def q_x(x: int, k: int, n: int, mu: int) -> Fraction:
 def p_missed(n: int, k: int, mu: int) -> Fraction:
     """Missed-revocation probability, literal product form with mu+1
     factors: 1 / (C * (C-1) * ... * (C-mu))."""
-    _require(k, n, mu)
-    c = comb(n, k)
-    if c <= mu:
-        raise ParameterOverflow(f"C({n},{k})={c} <= mu={mu}: zero factor in product")
-    return Fraction(1, math.perm(c, mu + 1))
+    revocation.check_params(n, k, mu)  # mu >= 1 proofs
+    revocation.check_params(n, k, mu + 1)  # and mu + 1 factors, one per distinct set
+    return Fraction(1, math.perm(comb(n, k), mu + 1))
 
 
 def p_missed_mu_factors(n: int, k: int, mu: int) -> Fraction:
     """Companion reading with mu factors: the exact collision probability of
     two independent ordered sequences of mu distinct sets."""
-    _require(k, n, mu)
-    c = comb(n, k)
-    if c < mu:
-        raise ParameterOverflow(f"C({n},{k})={c} < mu={mu}")
-    return Fraction(1, math.perm(c, mu))
+    revocation.check_params(n, k, mu)
+    return Fraction(1, math.perm(comb(n, k), mu))
 
 
 # --------------------------------------------------------- Monte Carlo
@@ -248,7 +243,7 @@ def mc_sequence_collision(n: int, k: int, mu: int, trials: int, seed: int) -> Pr
     """
     # next_sequence's own check, made once: a trial whose heads differ never
     # reaches it
-    revocation._check_params(n, k, mu)
+    revocation.check_params(n, k, mu)
     rng = Rng(seed)
     head, sequence = revocation._head, revocation.next_sequence
     successes = 0

@@ -84,12 +84,14 @@ class EciesSeal:
     def __init__(self):
         self._loaded: tuple[bytes, X25519PrivateKey] | None = None
 
+    @classmethod
+    def _key(cls, shared: bytes) -> bytes:
+        """The AES-128 key both ends derive from the X25519 shared secret."""
+        return HKDF(algorithm=hashes.SHA256(), length=16, salt=None, info=cls._INFO).derive(shared)
+
     def seal(self, recipient_public: bytes, plaintext: bytes, rng: Rng) -> bytes:
         eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(recipient_public))
-        key = HKDF(
-            algorithm=hashes.SHA256(), length=16, salt=None, info=self._INFO
-        ).derive(shared)
+        key = self._key(eph.exchange(X25519PublicKey.from_public_bytes(recipient_public)))
         eph_pub = eph.public_key().public_bytes(
             serialization.Encoding.Raw, serialization.PublicFormat.Raw
         )
@@ -106,10 +108,7 @@ class EciesSeal:
             )
         priv = self._loaded[1]
         try:
-            shared = priv.exchange(X25519PublicKey.from_public_bytes(blob[:32]))
-            key = HKDF(
-                algorithm=hashes.SHA256(), length=16, salt=None, info=self._INFO
-            ).derive(shared)
+            key = self._key(priv.exchange(X25519PublicKey.from_public_bytes(blob[:32])))
             return AESGCM(key).decrypt(blob[32:44], blob[44:], None)
         except Exception as exc:
             raise EnvelopeFailure("asymmetric seal rejected") from exc

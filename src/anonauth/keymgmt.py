@@ -21,6 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .envelopes import generate_seal_keypair
 from .numtheory import BlumModulus, Rng, sample_unit
+from .revocation import COUNTER_LIMIT
 
 BUNDLE_FORMAT_VERSION = 1
 ISSUER_ID = "kdc-root"  # the issuer every certificate names
@@ -164,7 +165,7 @@ def form_groups(
 def provision_obu(
     kdc: Kdc, group: GroupSpec, member_id: int, iv: int, modulus: BlumModulus
 ) -> ObuCredential:
-    if not (0 <= iv < 1 << 64):
+    if not (0 <= iv < COUNTER_LIMIT):
         raise InvalidParameters("iv must be a 64-bit value")
     kdc.register_iv(iv)
     return ObuCredential(
@@ -219,7 +220,7 @@ def deploy(
 
 
 # ---------------------------------------------------------- serialization
-# Canonical JSON: sorted keys, big integers as decimal strings.
+# Canonical JSON: sorted keys, big integers as decimal strings, bytes as lower-case hex.
 
 
 def _cert_to_dict(cert: Certificate) -> dict:
@@ -241,9 +242,9 @@ def _cert_from_dict(d: dict) -> Certificate:
         raise TypeError("certificate field of the wrong type")
     return Certificate(
         rsu_id=d["rsu_id"],
-        public_key=bytes.fromhex(d["public_key"]),
+        public_key=_hex(32)(d["public_key"]),
         issuer_id=d["issuer_id"],
-        signature=bytes.fromhex(d["signature"]),
+        signature=_hex(64)(d["signature"]),
         valid_from=d["valid_from"],
         valid_to=d["valid_to"],
     )
@@ -274,7 +275,19 @@ def _bigs(values) -> tuple[int, ...]:
     return tuple(map(_big, values))
 
 
-_U64 = _int_in(0, 1 << 64)
+def _hex(size: int):
+    """The reader of ``size`` bytes in the form ``bytes.hex`` writes: lower case, no spaces."""
+
+    def read(value) -> bytes:
+        data = bytes.fromhex(value)  # a TypeError unless a str
+        if len(data) != size or data.hex() != value:
+            raise ValueError(f"{value!r} is not {size} bytes in lower-case hex")
+        return data
+
+    return read
+
+
+_U64 = _int_in(0, COUNTER_LIMIT)
 _BIG = (str, _big)  # a big integer as a decimal string
 _BIGS = (lambda vs: [str(v) for v in vs], _bigs)
 _BY_GROUP = (
@@ -297,7 +310,7 @@ RECORDS = {
     RsuCredential: ("rsu_credential", {
         "rsu_id": (int, _int_in()),
         "certificate": (_cert_to_dict, _cert_from_dict),
-        "seal_private_key": (bytes.hex, bytes.fromhex),
+        "seal_private_key": (bytes.hex, _hex(32)),
         "pool_secrets": _BY_GROUP,
         "master_witnesses": _BY_GROUP,
         "modulus": _BIG,

@@ -160,27 +160,13 @@ def _sample_prime_3_mod_4(rng: Rng, bits: int) -> int:
 
 
 def generate_blum_modulus(bit_length: int, seed: int) -> BlumModulus:
-    """Generate m = p*q with both primes = 3 (mod 4), deterministically.
-
-    Below 12 bits there are too few suitable primes in a fixed size split,
-    so small moduli draw both primes from the full enumerated pool instead.
-    """
-    if bit_length < 6:
-        raise ValueError("bit_length must be >= 6 (each prime >= 3 bits)")
-    rng = Rng(seed)
+    """Generate m = p*q with both primes = 3 (mod 4), deterministically:
+    primes of bit_length // 2 and the remaining bits, redrawn until p != q and
+    m has ``bit_length`` bits. Moduli start at 12 bits; a shorter one is a
+    ``ValueError`` before anything is drawn."""
     if bit_length < 12:
-        pool = [
-            x
-            for x in range(3, 1 << (bit_length - 1))
-            if x % 4 == 3 and is_prime(x)
-        ]
-        for _ in range(100_000):
-            p = pool[rng.randrange(0, len(pool))]
-            q = pool[rng.randrange(0, len(pool))]
-            m = p * q
-            if p != q and m.bit_length() == bit_length:
-                return BlumModulus(m=m, bit_length=bit_length, p=p, q=q)
-        raise ValueError(f"no {bit_length}-bit Blum modulus found from seed {seed}")
+        raise ValueError(f"bit_length must be >= 12, got {bit_length}")
+    rng = Rng(seed)
     p_bits = bit_length // 2
     q_bits = bit_length - p_bits
     while True:

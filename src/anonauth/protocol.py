@@ -113,12 +113,9 @@ class SessionConfig:
             raise UnsupportedAlpha(f"alpha={self.alpha} not in {sorted(SUPPORTED_ALPHAS)}")
         if not (1 <= self.alpha <= self.mu):
             raise ValueError(f"require 1 <= alpha <= mu, got alpha={self.alpha}, mu={self.mu}")
-        if not (1 <= self.k < self.n <= revocation.MAX_POOL_SIZE):
-            raise ValueError(
-                f"require 1 <= k < n <= {revocation.MAX_POOL_SIZE}, got k={self.k}, n={self.n}"
-            )
-        if self.mu > math.comb(self.n, self.k):
-            raise revocation.ParameterOverflow(f"mu={self.mu} exceeds C({self.n},{self.k})")
+        revocation.check_params(self.n, self.k, self.mu)
+        if self.k == self.n:
+            raise ValueError(f"require k < n, got k={self.k}, n={self.n}")
         if self.h < 1:
             raise zkp.DegenerateParameters("h must be >= 1")
         if self.variant is Variant.HARDENED and self.k < 2:

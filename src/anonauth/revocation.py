@@ -100,7 +100,8 @@ def _head(iv: int, counter: int, n: int, k: int) -> Block:
     return _draw_block(iv, counter, 0, 0, n, k)
 
 
-def _check_params(n: int, k: int, mu: int) -> None:
+def check_params(n: int, k: int, mu: int) -> None:
+    """The set-space rule: 1 <= k <= n <= MAX_POOL_SIZE and 1 <= mu <= C(n, k)."""
     if not (1 <= k <= n <= MAX_POOL_SIZE) or mu < 1:
         raise ValueError(f"require 1 <= k <= n <= {MAX_POOL_SIZE} and mu >= 1")
     if mu > comb(n, k):
@@ -109,7 +110,7 @@ def _check_params(n: int, k: int, mu: int) -> None:
 
 def next_sequence(iv: int, counter: int, n: int, k: int, mu: int) -> Sequence_:
     """Deterministic mu-block sequence for one authentication session."""
-    _check_params(n, k, mu)
+    check_params(n, k, mu)
     if not (0 <= iv < COUNTER_LIMIT and 0 <= counter < COUNTER_LIMIT):
         raise CounterOverflow(f"iv {iv} or counter {counter} is not a 64-bit value")
     blocks: list[Block] = []
@@ -215,7 +216,7 @@ def screen_session(
         raise ValueError(f"window must be an int >= 0, got {window!r}")
     if not table.entries:
         return None
-    _check_params(n, k, len(observed_sets))
+    check_params(n, k, len(observed_sets))
     observed = tuple(tuple(sorted(s)) for s in observed_sets)
     params = (n, k, window)
     if table._index is None or table._index.params != params:

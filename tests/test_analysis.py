@@ -116,6 +116,11 @@ class TestClosedForms:
         with pytest.raises(ParameterOverflow):
             p_missed_mu_factors(3, 2, 4)
 
+    def test_p_missed_needs_one_proof(self):
+        # one factor, 1/C(n, k), would need only one set, but a session has mu >= 1 proofs
+        with pytest.raises(ValueError, match="mu >= 1"):
+            p_missed(4, 2, 0)
+
 
 class TestMonotonicity:
     def test_p_mu_decreasing_in_every_parameter(self):

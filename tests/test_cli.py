@@ -59,6 +59,14 @@ class TestKeygen:
         assert json.loads((out / "manifest.json").read_text())["outputs"] == ["root.json"]
 
 
+    def test_modulus_below_12_bits_exits_2_and_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "small"
+        result = runner.invoke(main, ["keygen", "--bit-length", "11", "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "bit_length must be >= 12" in result.output
+        assert list(out.iterdir()) == []
+
+
 class TestAuthDemo:
     def test_accept_exits_0(self, runner, tmp_path):
         bundle = _keygen(runner, tmp_path)
@@ -181,6 +189,16 @@ class TestBadBundle:
         )
         assert result.exit_code == 2, result.output
         assert list(out.iterdir()) == []
+
+
+    def test_upper_case_certificate_key_exits_2(self, runner, tmp_path):
+        # the signature covers the lower-case form, so only the reader can refuse it
+        bundle = _keygen(runner, tmp_path)
+        rsu = bundle / "rsu_0.json"
+        record = json.loads(rsu.read_text())
+        record["certificate"]["public_key"] = record["certificate"]["public_key"].upper()
+        rsu.write_text(json.dumps(record))
+        self._auth_demo(runner, tmp_path, bundle)
 
 
 class TestAnalyze:

@@ -289,6 +289,28 @@ class TestSerialization:
         with pytest.raises(InvalidParameters, match="malformed"):
             credential_from_json(json.dumps(record), cls)
 
+    @pytest.mark.parametrize(
+        "path, damage",
+        [
+            (("certificate", "public_key"), str.upper),
+            (("seal_private_key",), lambda v: " ".join(v[i:i + 2] for i in range(0, 64, 2))),
+            (("seal_private_key",), lambda v: v[2:]),  # 31 bytes
+            (("certificate", "signature"), lambda v: v[:10]),  # 5 bytes
+            (("certificate", "signature"), lambda v: v + "00"),
+            (("certificate", "public_key"), lambda v: v[:63] + "g"),
+            (("seal_private_key",), lambda v: list(bytes.fromhex(v))),
+        ],
+        ids=["upper", "spaced", "short-key", "short-signature", "long-signature", "not-hex",
+             "list"],
+    )
+    def test_hex_field_reads_only_as_bytes_hex_writes_it(self, path, damage):
+        dep = build_deployment(3, n=6, k=2)
+        record = json.loads(credential_to_json(dep.rsu_cred))
+        holder = record["certificate"] if len(path) == 2 else record
+        holder[path[-1]] = damage(holder[path[-1]])
+        with pytest.raises(InvalidParameters, match="malformed"):
+            credential_from_json(json.dumps(record), RsuCredential)
+
     @pytest.mark.parametrize("cls", [ObuCredential, RsuCredential])
     def test_record_table_names_every_field(self, cls):
         # a field left out of the table would not be written to a bundle file

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+from fractions import Fraction
 from math import comb, perm, sqrt
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anonauth import revocation
-from anonauth.analysis import p_missed_mu_factors
+from anonauth.analysis import p_missed, p_missed_mu_factors
 from anonauth.numtheory import Rng
 from anonauth.protocol import Outcome, SessionConfig, run_full_session
 from anonauth.revocation import (
@@ -108,6 +109,46 @@ class TestPoolSizeBound:
             config = SessionConfig(alpha=1, mu=1, k=1, h=1, n=70_000, serv_id="INFO")
             next_sequence(1, 0, config.n, config.k, config.mu)
         SessionConfig(alpha=1, mu=1, k=1, h=1, n=1 << 16, serv_id="INFO")
+
+
+@pytest.mark.parametrize(
+    "n, k, mu, error",
+    [
+        (4, 2, 7, ParameterOverflow),
+        (1 << 16, 1, (1 << 16) + 1, ParameterOverflow),
+        (3, 4, 1, ValueError),
+        (4, 0, 1, ValueError),
+        (0, 0, 1, ValueError),
+        (revocation.MAX_POOL_SIZE + 1, 2, 1, ValueError),
+        (4, 2, 0, ValueError),
+        (4, 2, -1, ValueError),
+    ],
+)
+def test_set_space_rule_has_one_owner(n, k, mu, error):
+    """Each reader of (n, k, mu) refuses a triple outside 1 <= k <= n <= 2^16,
+    1 <= mu <= C(n, k) as ``check_params`` does; p_missed's mu + 1 factors
+    need mu + 1 sets."""
+    refusals = {
+        "check_params": lambda: revocation.check_params(n, k, mu),
+        "SessionConfig": lambda: SessionConfig(alpha=1, mu=mu, k=k, h=1, n=n, serv_id="INFO"),
+        "next_sequence": lambda: next_sequence(1, 0, n, k, mu),
+        "p_missed_mu_factors": lambda: p_missed_mu_factors(n, k, mu),
+        "p_missed": lambda: p_missed(n, k, mu - 1),
+    }
+    for name, refuse in refusals.items():
+        with pytest.raises(ValueError) as raised:
+            refuse()
+        assert raised.type is error, name
+
+
+def test_set_space_rule_admits_its_edge():
+    # every set of the pool, mu = C(4, 2); and the largest pool
+    for n, k, mu in [(4, 2, 6), (1 << 16, 1, 3)]:
+        SessionConfig(alpha=1, mu=mu, k=k, h=1, n=n, serv_id="INFO")
+        assert len(set(next_sequence(1, 0, n, k, mu))) == mu
+        assert p_missed_mu_factors(n, k, mu) == p_missed(n, k, mu - 1) == Fraction(
+            1, perm(comb(n, k), mu)
+        )
 
 
 class _OldPrfStream:
