@@ -269,25 +269,23 @@ def _bundle_successes(
     alpha: int,
     m: int,
     verifier_rng: Rng,
-    hardened_polys: Optional[Sequence[Sequence[SessionPolynomial]]],
+    systems: Optional[Sequence[Sequence[object]]],
 ) -> int:
     """Sessions in which at least alpha of the attacker's proofs verify.
 
     ``prover_for(ids)`` is the attacker for one sorted id set, or None when
     it has nothing to send, which fails that proof.
     """
+    if systems is None:
+        systems = [[zkp.BASIC] * len(sets) for sets in requested_sets_per_session]
     successes = 0
-    for s_idx, requested_sets in enumerate(requested_sets_per_session):
+    for requested_sets, row in zip(requested_sets_per_session, systems, strict=True):
         verified = 0
-        for p_idx, ids in enumerate(requested_sets):
+        for ids, system in zip(requested_sets, row, strict=True):
             key = tuple(sorted(ids))
             prover = prover_for(key)
             if prover is None:
                 continue
-            if hardened_polys is None:
-                system = zkp.BASIC
-            else:
-                system = zkp.Hardened(hardened_polys[s_idx][p_idx])
             witnesses = [pool_witnesses[i - 1] for i in key]
             if zkp.verify_interactive(system, prover, witnesses, h, m, verifier_rng):
                 verified += 1
@@ -319,14 +317,13 @@ def simulator_attack(
     alpha: int,
     m: int,
     verifier_rng: Rng,
-    hardened_polys: Optional[Sequence[Sequence[SessionPolynomial]]] = None,
+    systems: Optional[Sequence[Sequence[object]]] = None,
 ) -> AttackReport:
     """Replay attack against the bundle verification flow.
 
-    ``requested_sets_per_session`` is one entry per attacked session.
-    When ``hardened_polys`` is given (one polynomial per proof per
-    session), the verifier runs the hardened check against the replayed
-    material instead of the basic one.
+    ``requested_sets_per_session`` is one entry per attacked session, and
+    ``systems`` one row of proof systems per attacked session, one per
+    requested set; None runs every proof as ``zkp.BASIC``.
     """
 
     def replayer_for(ids):
@@ -337,7 +334,7 @@ def simulator_attack(
 
     successes = _bundle_successes(
         requested_sets_per_session, replayer_for, pool_witnesses, h, alpha, m,
-        verifier_rng, hardened_polys,
+        verifier_rng, systems,
     )
     measured = sum(mat.memory_bytes() for mat in matrices.values())
     return AttackReport(
@@ -357,12 +354,12 @@ def random_response_control(
     m: int,
     rng: Rng,
     verifier_rng: Rng,
-    hardened_polys: Optional[Sequence[Sequence[SessionPolynomial]]] = None,
+    systems: Optional[Sequence[Sequence[object]]] = None,
 ) -> AttackReport:
     """Baseline attacker sending uniform random units for W and Y."""
     successes = _bundle_successes(
         requested_sets_per_session, lambda _ids: RandomProver(m, rng),
-        pool_witnesses, h, alpha, m, verifier_rng, hardened_polys,
+        pool_witnesses, h, alpha, m, verifier_rng, systems,
     )
     return AttackReport(
         kind="random-control", trials=len(requested_sets_per_session), successes=successes

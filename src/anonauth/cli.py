@@ -17,7 +17,7 @@ import click
 from . import __version__, adversary, analysis, keymgmt, protocol, revocation, simulation
 from .numtheory import BlumModulus, Rng, generate_blum_modulus
 from .protocol import Outcome, SessionConfig
-from .zkp import Variant
+from .zkp import Hardened, Variant
 
 EXIT_OK = 0
 EXIT_PARAM = 2
@@ -62,7 +62,7 @@ def _load_bundle(bundle_dir: Path):
     least one credential of each kind."""
     try:
         root = json.loads((bundle_dir / "root.json").read_text())
-        root_key = bytes.fromhex(root["root_public_key"])
+        root_key = keymgmt._hex(32)(root["root_public_key"])
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise keymgmt.InvalidParameters(f"no readable root.json in {bundle_dir}: {exc!r}") from exc
     obu_files = sorted(bundle_dir.glob("obu_*.json"))
@@ -254,13 +254,11 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
     for _ in range(params["sessions"]):
         iv = sets_rng.randbits(32)
         sessions.append(revocation.next_sequence(iv, 0, n, k, mu))
-    hardened_polys = None
+    systems = None
     if params.get("variant") == "hardened":
-        hardened_polys = [
-            [
-                protocol._session_poly(attack_rng.randbytes(16), b"\0" * 8, b"bundle", i, k)
-                for i in range(mu)
-            ]
+        poly, randbytes = protocol._session_poly, attack_rng.randbytes
+        systems = [
+            [Hardened(poly(randbytes(16), bytes(8), b"bundle", i, k)) for i in range(mu)]
             for _ in sessions
         ]
     rep = adversary.simulator_attack(
@@ -272,7 +270,7 @@ def run_attack(params: dict, out_dir: Path) -> tuple[dict[str, str], int]:
         alpha=config.alpha,
         m=weak.m,
         verifier_rng=attack_rng,
-        hardened_polys=hardened_polys,
+        systems=systems,
     )
     return {
         "attack_report.csv": "kind,trials,successes,frequency,memory_modeled,memory_measured\n"

@@ -235,6 +235,8 @@ def _cert_to_dict(cert: Certificate) -> dict:
 
 
 def _cert_from_dict(d: dict) -> Certificate:
+    if d.keys() != Certificate.__dataclass_fields__.keys():
+        raise ValueError(f"certificate fields {sorted(d)}")
     times = (d["valid_from"], d["valid_to"])  # type(x) is int: JSON true is no id or time
     if type(d["rsu_id"]) is not int or not isinstance(d["issuer_id"], str) or not all(
         type(t) is int or type(t) is float and math.isfinite(t) for t in times
@@ -329,7 +331,7 @@ def credential_to_json(cred: ObuCredential | RsuCredential) -> str:
 def credential_from_json(text: str, cls: type) -> ObuCredential | RsuCredential:
     """The ``cls`` credential of a record; ``InvalidParameters`` unless the
     record is a JSON object of cls's kind and format version whose every
-    field reads."""
+    field reads and that holds no other key."""
     kind, fields = RECORDS[cls]
     try:
         d = json.loads(text)
@@ -338,6 +340,8 @@ def credential_from_json(text: str, cls: type) -> ObuCredential | RsuCredential:
     version = d.get("format_version") if isinstance(d, dict) else None
     if version != BUNDLE_FORMAT_VERSION or d.get("kind") != kind:
         raise InvalidParameters(f"not a supported {kind} record")
+    if d.keys() - fields.keys() - {"format_version", "kind"}:
+        raise InvalidParameters(f"malformed {kind} record: keys beyond its fields {sorted(d)}")
     try:
         return cls(**{name: read(d[name]) for name, (_, read) in fields.items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

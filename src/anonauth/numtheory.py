@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-_TRIAL_DIVISION_LIMIT = 1 << 20
 _MILLER_RABIN_ROUNDS = 64
 # Miller-Rabin candidates this wide first seek factors up to _FACTOR_BOUND
 _FACTOR_MIN_BITS, _FACTOR_BOUND = 256, 1 << 14
@@ -80,9 +79,9 @@ class BlumModulus:
 
 
 def is_prime(n: int, rng: Optional[Rng] = None) -> bool:
-    """Trial division below 2^20. Below _PSI_12 the twelve bases of
-    ``_SMALL_PRIMES`` decide (Sorenson and Webster's bound) and nothing is
-    drawn; at or above it, Miller-Rabin on 64 witnesses from ``rng``."""
+    """Below _PSI_12 the twelve bases of ``_SMALL_PRIMES`` decide (Sorenson
+    and Webster's bound) and nothing is drawn; at or above it, Miller-Rabin
+    on 64 witnesses from ``rng``."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -90,13 +89,6 @@ def is_prime(n: int, rng: Optional[Rng] = None) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _TRIAL_DIVISION_LIMIT:
-        d = 41
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

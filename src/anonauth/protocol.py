@@ -329,8 +329,8 @@ class Rsu:
         plain = memoryview(self.sym.open(sess.session_key, sealed))
         systems = _proof_systems(sess.config, sess.session_key, key_id, b"membership", 1)
         witnesses = self.credential.master_witnesses[sess.group_id]
-        k, h, m = len(witnesses), sess.config.h, self.credential.modulus
-        verifier = zkp.Verifier(systems, (witnesses,), k, h, m, plain[8:])
+        h, m = sess.config.h, self.credential.modulus
+        verifier = zkp.Verifier(systems, (witnesses,), h, m, plain[8:])
         (t2,) = struct.unpack(">d", plain[:8])
         if not _fresh(self.clock, t2):
             raise StaleTimestamp(f"t2={t2} outside window")
@@ -507,8 +507,7 @@ class Obu:
         plain = self.sym.open(self.session_key, sealed)
         witnesses = [[pool[i - 1] for i in s] for s in self.sets]
         systems = _proof_systems(cfg, self.session_key, self.key_id, b"bundle", cfg.mu)
-        m = self.credential.modulus
-        verifier = zkp.Verifier(systems, witnesses, cfg.k, cfg.h, m, plain)
+        verifier = zkp.Verifier(systems, witnesses, cfg.h, self.credential.modulus, plain)
         self._half, self.step = verifier, ObuStep.CHALLENGED
         return self.sym.seal(self.session_key, verifier.challenge(self.rng), self.rng)
 

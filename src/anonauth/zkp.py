@@ -18,8 +18,10 @@ the W it kept, the challenges it drew and the answers it received.
 ``verify_interactive`` plays the same rounds one at a time against any
 prover object, for the threat models. A round's challenge is the int the
 verifier draws, ``randbits(k)``, in every layer: bit i is b_i, the bit of
-the i-th secret. The arithmetic reads it by shift and mask and raises
-``ChallengeLengthMismatch`` on a bit at or above k.
+the i-th secret of k, the witness count. The arithmetic reads it by shift
+and mask and raises ``ChallengeLengthMismatch`` on a bit at or above k.
+Each system's check is its whole accept rule: it refuses W = 0 (mod m),
+which with Y = 0 satisfies either equation without a secret.
 
 Wire format of one move, big-endian: its values at one fixed width and
 nothing else. The reader knows how many values to expect and their bound,
@@ -92,7 +94,7 @@ class SessionPolynomial:
 
 
 def verify_round(w: int, challenge: int, y: int, witnesses: Sequence[int], m: int) -> bool:
-    """Accept iff Y^2 = +-W * prod(I_i for each bit i set in the challenge) mod m.
+    """Accept iff W != 0 and Y^2 = +-W * prod(I_i, bit i set in the challenge) mod m.
 
     The +- absorbs the sign freedom in both the commitment and the
     witnesses (I_x = +-S_x^2).
@@ -105,7 +107,7 @@ def verify_round(w: int, challenge: int, y: int, witnesses: Sequence[int], m: in
         if challenge & 1:
             rhs = (rhs * i_x) % m
         challenge >>= 1
-    return lhs == rhs or lhs == (-rhs) % m
+    return w % m != 0 and (lhs == rhs or lhs == (-rhs) % m)
 
 
 # ------------------------------------------------------------- hardened
@@ -191,14 +193,14 @@ def hardened_verify(
     poly: SessionPolynomial,
     m: int,
 ) -> bool:
-    """Accept iff P = prod_i( sum_t a_t * I_i^(t*b_t) ) is a unit and
+    """Accept iff W != 0, P = prod_i( sum_t a_t * I_i^(t*b_t) ) is a unit and
     Y = +-W * P mod m: the accept set of Y / P = +-W without the inverse.
     A non-unit P (a degenerate round) returns False instead of raising."""
     if challenge >> len(witnesses) or len(witnesses) != len(poly.coefficients):
         raise ChallengeLengthMismatch("witnesses/challenge/coefficients disagree")
     prod = _poly_product(poly, witnesses, challenge, 1, m)
     rhs = w * prod % m
-    return gcd(prod, m) == 1 and y % m in (rhs, -rhs % m)
+    return w % m != 0 and gcd(prod, m) == 1 and y % m in (rhs, -rhs % m)
 
 
 # -------------------------------------------------------- proof systems
@@ -298,24 +300,16 @@ class Prover:
         return encode_proof(ys, m)
 
 
-def _round_ok(system, w, challenge, y, witnesses, m) -> bool:
-    """One round of ``system``, for ``Verifier.judge`` and ``verify_interactive``:
-    no challenge bit at or above the witness count and a nonzero commitment,
-    since W = 0 (mod m) with Y = 0 satisfies both variants' equations without
-    a secret."""
-    return (
-        not challenge >> len(witnesses)
-        and w % m != 0
-        and system.check(w, challenge, y, witnesses, m)
-    )
-
-
 class Verifier:
     """The verifier's half of one exchange: h rounds per proof, proof i
-    judged by ``systems[i]`` against ``witnesses[i]``. Built, it decodes the
-    prover's ``commitments`` (else ``MalformedProof``)."""
+    judged by ``systems[i]`` against ``witnesses[i]``. k is the witness
+    count, which every proof must share (else ``ChallengeLengthMismatch``).
+    Built, it decodes the prover's ``commitments`` (else ``MalformedProof``)."""
 
-    def __init__(self, systems, witnesses, k: int, h: int, m: int, commitments: bytes):
+    def __init__(self, systems, witnesses, h: int, m: int, commitments: bytes):
+        k = len(witnesses[0]) if witnesses else 0
+        if any(len(w) != k for w in witnesses):
+            raise ChallengeLengthMismatch("the proofs of one exchange differ in witness count")
         if k < 1 or h < 1:
             raise DegenerateParameters("k and h must both be >= 1")
         self.systems, self.witnesses, self.k, self.h, self.m = systems, witnesses, k, h, m
@@ -336,9 +330,9 @@ class Verifier:
         moves = zip(self.ws, self.challenges, self.answers)
         verdicts = []
         for system, witnesses in zip(self.systems, self.witnesses):
-            ok = True
+            check, ok = system.check, True
             for w, c, y in islice(moves, self.h):
-                ok = ok and _round_ok(system, w, c, y, witnesses, m)
+                ok = ok and check(w, c, y, witnesses, m)
             verdicts.append(ok)
         return verdicts
 
@@ -369,7 +363,7 @@ def verify_interactive(
         w = commit()
         challenge = randbits(k)
         y = respond(challenge)
-        if not _round_ok(system, w, challenge, y, witnesses, m):
+        if not system.check(w, challenge, y, witnesses, m):
             return False
     return True
 
@@ -377,15 +371,12 @@ def verify_interactive(
 def run_proof(
     secrets: Sequence[int],
     witnesses: Sequence[int],
-    k: int,
     h: int,
     m: int,
     prover_rng: Rng,
     verifier_rng: Rng,
 ) -> tuple[ZkpProof, bool]:
     """Honest basic proof through the endpoints' exchange: (its rounds, the verdict)."""
-    if len(secrets) != k:
-        raise ChallengeLengthMismatch(f"prover holds {len(secrets)} secrets, k={k}")
     return _exchange(BASIC, secrets, witnesses, h, m, prover_rng, verifier_rng)
 
 
@@ -403,8 +394,10 @@ def run_hardened_proof(
 
 
 def _exchange(system, secrets, witnesses, h, m, prover_rng, verifier_rng):
+    if len(secrets) != len(witnesses):
+        raise ChallengeLengthMismatch(f"{len(secrets)} secrets, {len(witnesses)} witnesses")
     prover = Prover((system,), (secrets,), h, m, prover_rng)
-    verifier = Verifier((system,), (witnesses,), len(witnesses), h, m, prover.commitments)
+    verifier = Verifier((system,), (witnesses,), h, m, prover.commitments)
     (ok,) = verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
     return ZkpProof((), verifier.rounds()[0]), ok
 

@@ -150,17 +150,17 @@ def test_criterion_4_simulator_attack():
     basic_ok = basic.frequency == 1.0
 
     poly_rng = Rng(42)
-    polys = [
-        [zkp.derive_session_polynomial(poly_rng.randbytes(16), k) for _ in range(2)]
+    systems = [
+        [zkp.Hardened(zkp.derive_session_polynomial(poly_rng.randbytes(16), k)) for _ in range(2)]
         for _ in sessions
     ]
     hardened = adversary.simulator_attack(
         matrices, witnesses, sessions, k, h, alpha, mod.m, Rng(43),
-        hardened_polys=polys,
+        systems=systems,
     )
     control = adversary.random_response_control(
         witnesses, sessions, h, alpha, mod.m, Rng(44), Rng(45),
-        hardened_polys=polys,
+        systems=systems,
     )
     p1, p2 = hardened.frequency, control.frequency
     pooled = (hardened.successes + control.successes) / (2 * len(sessions))

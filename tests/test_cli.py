@@ -200,6 +200,19 @@ class TestBadBundle:
         rsu.write_text(json.dumps(record))
         self._auth_demo(runner, tmp_path, bundle)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [str.upper, lambda v: " ".join(v[i:i + 2] for i in range(0, 64, 2)), lambda v: v[2:]],
+        ids=["upper", "spaced", "31-bytes"],
+    )
+    def test_root_key_reads_only_as_bytes_hex_writes_it(self, runner, tmp_path, damage):
+        bundle = _keygen(runner, tmp_path)
+        root = bundle / "root.json"
+        record = json.loads(root.read_text())
+        record["root_public_key"] = damage(record["root_public_key"])
+        root.write_text(json.dumps(record))
+        self._auth_demo(runner, tmp_path, bundle)
+
 
 class TestAnalyze:
     def test_figure_csv(self, runner, tmp_path):

@@ -188,10 +188,10 @@ class TestCrossModuleWitnessSoundness:
         (group,) = form_groups(1, 4, 2, mod, Rng(8))
         rng = Rng(80)
         for s, i_x in zip(group.pool_secrets, group.pool_witnesses):
-            _, ok = zkp.run_proof([s], [i_x], 1, 1, mod.m, rng.split(), rng.split())
+            _, ok = zkp.run_proof([s], [i_x], 1, mod.m, rng.split(), rng.split())
             assert ok
         for pr, g_y in zip(group.master_key, group.master_witnesses):
-            _, ok = zkp.run_proof([pr], [g_y], 1, 1, mod.m, rng.split(), rng.split())
+            _, ok = zkp.run_proof([pr], [g_y], 1, mod.m, rng.split(), rng.split())
             assert ok
 
 
@@ -239,6 +239,8 @@ class TestSerialization:
             ("valid_to", None),
             ("valid_to", float("inf")),
             ("valid_to", False),
+            # a key beyond the certificate's six
+            ("junk", 0),
         ],
     )
     def test_certificate_with_a_mistyped_field_is_invalid(self, field, value):
@@ -276,6 +278,9 @@ class TestSerialization:
             ("rsu", "rsu_id", "0"),
             # pool secrets for a group without its master witnesses
             ("rsu", "master_witnesses", {}),
+            # a key beyond the record's table, another kind's field included
+            ("obu", "pool_secrets", {}),
+            ("rsu", "junk", 0),
         ],
     )
     def test_credential_with_a_mistyped_field_is_invalid(self, kind, field, value):

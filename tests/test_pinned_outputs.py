@@ -87,20 +87,20 @@ def _m21_attacks(digest) -> None:
         for _ in range(60)
     ]
     poly_rng = Rng(6)
-    polys = [
-        [zkp.derive_session_polynomial(poly_rng.randbytes(16), k) for _ in range(mu)]
+    hardened = [
+        [zkp.Hardened(zkp.derive_session_polynomial(poly_rng.randbytes(16), k)) for _ in range(mu)]
         for _ in sessions
     ]
     witnesses = dep.obu_creds[0].pool_witnesses
-    for hardened in (None, polys):
+    for systems in (None, hardened):
         rep = adversary.simulator_attack(
             matrices, witnesses, sessions, k, h, alpha, M21.m, Rng(7),
-            hardened_polys=hardened,
+            systems=systems,
         )
         _feed(digest, rep.kind, rep.trials, rep.successes, rep.memory_bytes_measured)
         rep = adversary.random_response_control(
             witnesses, sessions, h, alpha, M21.m, Rng(8), Rng(9),
-            hardened_polys=hardened,
+            systems=systems,
         )
         _feed(digest, rep.kind, rep.trials, rep.successes)
 

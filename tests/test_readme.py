@@ -62,3 +62,27 @@ def test_every_qualified_name_resolves():
                 break
             obj = getattr(obj, attr, None)
     assert not missing, f"README names what anonauth does not hold: {missing}"
+
+
+def test_call_forms_name_the_parameters():
+    # a backticked call form `name(a, b=..., c)` whose name resolves through
+    # _roots: the names written are the callable's own parameters, in order
+    roots = _roots()
+    forms = [
+        m.groups()
+        for span in re.findall(r"`([^`\n]+)`", README.read_text())
+        for m in re.finditer(r"(?<![\w.])(\w+(?:\.\w+)*)\(([^()]*)\)", span)
+        if m.group(1).split(".")[0] in roots and "..." not in m.group(2)
+    ]
+    assert len(forms) > 10, forms
+    wrong = []
+    for name, args in forms:
+        root, *attrs = name.split(".")
+        obj = roots[root]
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        written = [arg.split("=")[0].strip() for arg in args.split(",") if arg.strip()]
+        own = [p for p in inspect.signature(obj).parameters if p != "self"]
+        if written != own:
+            wrong.append(f"{name}({args}) vs {own}")
+    assert not wrong, f"README call forms that are not the code's: {wrong}"

@@ -173,8 +173,7 @@ def _observations_verify(transcript, credential, h) -> bool:
     for obs in transcript.bundle_observations:
         witnesses = [credential.pool_witnesses[i - 1] for i in obs.secret_ids]
         if len(obs.rounds) != h or not all(
-            rd.w % m and zkp.verify_round(rd.w, rd.challenge, rd.y, witnesses, m)
-            for rd in obs.rounds
+            zkp.verify_round(rd.w, rd.challenge, rd.y, witnesses, m) for rd in obs.rounds
         ):
             return False
     return True

@@ -131,13 +131,13 @@ class TestRunProof:
             h = 1 + trial % 5
             secrets = [sample_unit(rng, M) for _ in range(k)]
             witnesses = [s * s % M for s in secrets]
-            proof, ok = run_proof(secrets, witnesses, k, h, M, rng.split(), rng.split())
+            proof, ok = run_proof(secrets, witnesses, h, M, rng.split(), rng.split())
             assert ok and len(proof.rounds) == h
             assert _rejudge(BASIC, *_moves(proof), witnesses, M)
 
     def test_wrong_secret_soundness(self):
         rng = Rng(12)
-        k, h, trials = 1, 8, 10_000
+        h, trials = 8, 10_000
         accepted = 0
         for _ in range(trials):
             secret = sample_unit(rng, M)
@@ -145,7 +145,7 @@ class TestRunProof:
             witness = secret * secret % M
             if wrong * wrong % M == witness:
                 continue  # same witness class would be a correct secret
-            _, ok = run_proof([wrong], [witness], k, h, M, rng.split(), rng.split())
+            _, ok = run_proof([wrong], [witness], h, M, rng.split(), rng.split())
             accepted += ok
         p = 2.0**-8
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -153,21 +153,21 @@ class TestRunProof:
 
     def test_degenerate_parameters(self):
         with pytest.raises(DegenerateParameters):
-            run_proof([], [], 0, 1, M, Rng(1), Rng(2))
+            run_proof([], [], 1, M, Rng(1), Rng(2))
         with pytest.raises(DegenerateParameters):
-            run_proof([2], [4], 1, 0, M, Rng(1), Rng(2))
+            run_proof([2], [4], 0, M, Rng(1), Rng(2))
 
     def test_party_disagreement_on_k(self):
         with pytest.raises(ChallengeLengthMismatch):
-            run_proof([2, 8], [4], 1, 2, M, Rng(1), Rng(2))
+            run_proof([2, 8], [4], 2, M, Rng(1), Rng(2))
 
     def test_empty_transcript_never_verifies(self):
         with pytest.raises(DegenerateParameters):
-            Verifier((BASIC,), ([4],), 1, 0, M, b"")
+            Verifier((BASIC,), ([4],), 0, M, b"")
         # nor do moves of another round count, whose surplus zip would drop
         with pytest.raises(MalformedProof):
-            Verifier((BASIC,), ([4],), 1, 1, M, encode_proof([4, 4], M))
-        verifier = Verifier((BASIC,), ([4],), 1, 1, M, encode_proof([4], M))
+            Verifier((BASIC,), ([4],), 1, M, encode_proof([4, 4], M))
+        verifier = Verifier((BASIC,), ([4],), 1, M, encode_proof([4], M))
         verifier.challenge(Rng(1))
         for ys in ((), (2, 2)):
             with pytest.raises(MalformedProof):
@@ -341,12 +341,12 @@ def _witness_product(poly, witnesses, challenge, m):
 
 
 def _inverse_form_verify(w, challenge, y, witnesses, poly, m):
-    """Reference: Y * P^-1 = +-W, with a non-unit P meaning reject."""
+    """Reference: W != 0 and Y * P^-1 = +-W, with a non-unit P meaning reject."""
     try:
         lhs = y * pow(_witness_product(poly, witnesses, challenge, m), -1, m) % m
     except ValueError:
         return False
-    return lhs in (w % m, -w % m)
+    return w % m != 0 and lhs in (w % m, -w % m)
 
 
 _BLUM_12 = generate_blum_modulus(12, 5)
@@ -486,7 +486,7 @@ class TestPowerCache:
         prover_system = Hardened(derive_session_polynomial(b"witnesses", 4))
         prover = Prover((prover_system,), (secrets,), 3, _M64, rng.split())
         verifier_system = Hardened(derive_session_polynomial(b"witnesses", 4))
-        verifier = Verifier((verifier_system,), (witnesses,), 4, 3, _M64, prover.commitments)
+        verifier = Verifier((verifier_system,), (witnesses,), 3, _M64, prover.commitments)
         (ok,) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
         assert ok
         assert keys and set(keys) <= set(witnesses)
@@ -558,7 +558,7 @@ class TestProverIdentity:
             witnesses = [s * s % m for s in secrets]
             prover = Prover((system,) * proofs, (secrets,) * proofs, h, m, prover_rng)
             verifier = Verifier(
-                (system,) * proofs, (witnesses,) * proofs, k, h, m, prover.commitments
+                (system,) * proofs, (witnesses,) * proofs, h, m, prover.commitments
             )
             verifier.judge(prover.answer(verifier.challenge(verifier_rng)))
             assert tuple(rd for rounds in verifier.rounds() for rd in rounds) == want
@@ -624,7 +624,7 @@ class TestSerialization:
         rng = Rng(5)
         secrets = [sample_unit(rng, M) for _ in range(2)]
         witnesses = [s * s % M for s in secrets]
-        proof, _ = run_proof(secrets, witnesses, 2, 3, M, rng.split(), rng.split())
+        proof, _ = run_proof(secrets, witnesses, 3, M, rng.split(), rng.split())
         ws, challenges, ys = _moves(proof)
         assert decode_proof(encode_proof(ws, M), 3, M) == ws
         assert decode_proof(encode_proof(challenges, 4), 3, 4) == challenges
@@ -661,7 +661,7 @@ class TestSerialization:
         witnesses = [s * s % m for s in secrets]
         poly = derive_session_polynomial(b"s", k)
         for proof, _ in (
-            run_proof(secrets, witnesses, k, 4, m, rng.split(), rng.split()),
+            run_proof(secrets, witnesses, 4, m, rng.split(), rng.split()),
             run_hardened_proof(secrets, witnesses, poly, 4, m, rng.split(), rng.split()),
         ):
             for values, bound, size in zip(_moves(proof), (m, 1 << k, m),
@@ -682,7 +682,7 @@ def _basic_proof():
     rng = Rng(8)
     secrets = [sample_unit(rng, M) for _ in range(2)]
     witnesses = [s * s % M for s in secrets]
-    proof, ok = run_proof(secrets, witnesses, 2, 2, M, rng.split(), rng.split())
+    proof, ok = run_proof(secrets, witnesses, 2, M, rng.split(), rng.split())
     assert ok
     return *_moves(proof), witnesses
 
@@ -764,7 +764,7 @@ class TestVerify:
         witnesses = [s * s % M for s in secrets]
         prover = Prover((BASIC,), (secrets,), 2, M, rng.split())
         for system, want in ((BASIC, True), (_HARDENED, False)):
-            verifier = Verifier((system,), (witnesses,), 2, 2, M, prover.commitments)
+            verifier = Verifier((system,), (witnesses,), 2, M, prover.commitments)
             (ok,) = verifier.judge(prover.answer(verifier.challenge(rng.split())))
             assert ok is want
         assert _rejudge(BASIC, *_basic_proof(), M)
@@ -777,7 +777,7 @@ class TestVerify:
         secrets = [sample_unit(rng, M) for _ in range(2)]
         witnesses = [s * s % M for s in secrets]
         prover = Prover((BASIC,) * 2, (secrets,) * 2, 2, M, rng.split())
-        verifier = Verifier((BASIC,) * 2, (witnesses,) * 2, 2, 2, M, prover.commitments)
+        verifier = Verifier((BASIC,) * 2, (witnesses,) * 2, 2, M, prover.commitments)
         assert verifier.judge(prover.answer(verifier.challenge(rng.split()))) == [True, True]
         assert built == []
         rounds = verifier.rounds()
@@ -786,20 +786,32 @@ class TestVerify:
 
     def test_round_count_must_equal_h(self):
         ws, challenges, ys, witnesses = _basic_proof()
-        verifier = Verifier((BASIC,), (witnesses,), 2, 2, M, encode_proof(ws, M))
+        verifier = Verifier((BASIC,), (witnesses,), 2, M, encode_proof(ws, M))
         verifier.challenge(Rng(1))
         for answers in (ys[:1], ys + ys[:1]):
             with pytest.raises(MalformedProof):
                 verifier.judge(encode_proof(answers, M))
         with pytest.raises(MalformedProof):
-            Verifier((BASIC,), (witnesses,), 2, 2, M, encode_proof(ws + ws[:1], M))
+            Verifier((BASIC,), (witnesses,), 2, M, encode_proof(ws + ws[:1], M))
 
-    def test_wrong_challenge_length_fails_instead_of_raising(self):
+    def test_wrong_challenge_length_is_a_typed_error(self):
+        # every verifier draws randbits(k) against k witnesses, so only an rng
+        # that draws otherwise hands a check such a challenge
         ws, challenges, ys, witnesses = _basic_proof()
         for challenge in (challenges[0] | 0b100, -1):  # a bit at index k = 2, or negative
             forged = (challenge,) + challenges[1:]
-            assert not _rejudge(BASIC, ws, forged, ys, witnesses, M)
-            assert not _rejudge(_HARDENED, ws, forged, ys, witnesses, M)
+            for system in (BASIC, _HARDENED):
+                with pytest.raises(ChallengeLengthMismatch):
+                    _rejudge(system, ws, forged, ys, witnesses, M)
+
+    def test_k_is_the_witness_count_every_proof_shares(self):
+        ws, _, _, witnesses = _basic_proof()
+        verifier = Verifier((BASIC,), (witnesses,), 2, M, encode_proof(ws, M))
+        assert verifier.k == 2
+        with pytest.raises(ChallengeLengthMismatch):
+            Verifier((BASIC,) * 2, (witnesses, witnesses[:1]), 1, M, encode_proof(ws, M))
+        with pytest.raises(DegenerateParameters):  # no proof: no k
+            Verifier((), (), 1, M, b"")
 
     def test_prover_never_runs_a_verifier(self, monkeypatch):
         def refuse(*_args):
@@ -842,6 +854,13 @@ class TestZeroCommitment:
         return rng, witnesses, systems
 
     @pytest.mark.parametrize("w", [0, _M64], ids=["0", "m"])
+    def test_checks_refuse_it_for_every_challenge(self, w):
+        _, witnesses, (_, hardened) = self._setup()
+        for challenge in range(1 << len(witnesses)):
+            assert not verify_round(w, challenge, 0, witnesses, _M64)
+            assert not hardened_verify(w, challenge, 0, witnesses, hardened.poly, _M64)
+
+    @pytest.mark.parametrize("w", [0, _M64], ids=["0", "m"])
     def test_interactive_zero_prover_fails(self, w):
         rng, witnesses, systems = self._setup()
         for system in systems:
@@ -854,9 +873,9 @@ class TestZeroCommitment:
         for system in systems:
             if w:  # m is not below the modulus: the commitments do not decode
                 with pytest.raises(MalformedProof):
-                    Verifier((system,), (witnesses,), 2, 8, _M64, zeros)
+                    Verifier((system,), (witnesses,), 8, _M64, zeros)
                 continue
-            verifier = Verifier((system,), (witnesses,), 2, 8, _M64, zeros)
+            verifier = Verifier((system,), (witnesses,), 8, _M64, zeros)
             verifier.challenge(rng)
             (ok,) = verifier.judge(zeros)
             assert not ok
@@ -872,7 +891,7 @@ def _decodes_or_fails_typed(blob: bytes) -> None:
             assert len(values) == count and all(0 <= v < bound for v in values)
             if bound == M:  # the values as commitments, and as the answers to them
                 for system in (BASIC, _HARDENED):
-                    verifier = Verifier((system,), ([4, 1],), 2, count, M, blob)
+                    verifier = Verifier((system,), ([4, 1],), count, M, blob)
                     verifier.challenge(Rng(count))
                     (verdict,) = verifier.judge(blob)
                     assert verdict in (True, False)
